@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 use madeleine::{BufPool, Message, Payload, Wire};
 
 use crate::error::{Pm2Error, Result};
-use crate::node::with_ctx;
+use crate::node::{with_ctx, PendingCall};
 use crate::proto::{self, rpc_status, tag};
 use crate::service::{service_id, Service};
 
@@ -255,23 +255,22 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
 /// ([`Pm2Error::PayloadTooLarge`] / [`Pm2Error::Rpc`]), a handler panic
 /// ([`Pm2Error::Rpc`]), and a timeout ([`Pm2Error::Net`]).
 pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
-    let (n_nodes, max) = with_ctx(|c| (c.n_nodes, c.max_rpc_payload));
+    let (n_nodes, max, reply_to, pool, call_id) = with_ctx(|c| {
+        let pool = c.pool.clone();
+        (c.n_nodes, c.max_rpc_payload, c.node, pool, c.next_call_id())
+    });
     if node >= n_nodes {
         return Err(Pm2Error::NoSuchNode(node));
     }
-    let req_bytes = req.encode_vec();
-    if req_bytes.len() > max {
-        return Err(Pm2Error::PayloadTooLarge {
-            len: req_bytes.len(),
-            max,
-        });
-    }
-    let (call_id, reply_to) = with_ctx(|c| {
-        let id = c.next_call_id();
-        // The callee node rides along so a death can synthesize a
-        // NODE_FAILED reply for every call aimed at the corpse.
-        c.pending_calls.insert(id, node);
-        (id, c.node)
+    let call = proto::encode_rpc_call(&pool, call_id, reply_to, service_id::<S>(), &req, max)?;
+    // The callee node rides along so a death can synthesize a NODE_FAILED
+    // reply for every call aimed at the corpse.
+    with_ctx(|c| {
+        let pending = PendingCall {
+            callee: node,
+            reply: None,
+        };
+        c.pending_calls.insert(call_id, pending)
     });
     // One call = one request out + one reply back: both legs land on the
     // same peer node, so account the pair up front in the caller's
@@ -280,22 +279,11 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     note_rpc_traffic(node);
     // Pin the caller for the duration of the exchange: the response is
     // addressed to `reply_to`, so a preemptive migration mid-wait would
-    // strand it in the old node's reply queue.
+    // strand it in the old node's pending-call table.
     let was_migratable = pm2_set_migratable(false);
-    let result = (|| {
-        let pool = local_pool();
-        send_to(
-            node,
-            tag::RPC_CALL,
-            proto::encode_rpc_call(&pool, call_id, reply_to, service_id::<S>(), &req_bytes),
-        )?;
-        // Handlers may migrate before replying, so match on the call id
-        // alone, not the source node.
-        let m = wait_reply_matching(tag::RPC_RESP, None, |m| {
-            proto::peek_rpc_call_id(&m.payload) == Some(call_id)
-        })?;
-        decode_rpc_outcome::<S>(&m.payload)
-    })();
+    let result = send_to(node, tag::RPC_CALL, call)
+        .and_then(|()| wait_rpc_reply(call_id))
+        .and_then(|m| decode_rpc_outcome::<S>(&m.payload));
     // Withdraw the pending entry (still on `reply_to` — we are pinned), so
     // a reply landing after a timeout is dropped, not parked forever.
     with_ctx(|c| c.pending_calls.remove(&call_id));
@@ -305,24 +293,42 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     result
 }
 
-/// Shared RPC_RESP → typed result mapping (green and host callers).
+/// Wait (poll + yield) for the response the pump files under `call_id`
+/// (see `handlers::control::park_rpc_resp`), up to the machine's
+/// `reply_deadline`.  Handlers may migrate before replying, so the match is
+/// on the call id alone, not the source node.
+fn wait_rpc_reply(call_id: u64) -> Result<Message> {
+    let deadline = Instant::now() + with_ctx(|c| c.reply_deadline);
+    loop {
+        let reply = with_ctx(|c| c.pending_calls.get_mut(&call_id)?.reply.take());
+        if let Some(m) = reply {
+            return Ok(m);
+        }
+        if Instant::now() > deadline {
+            return Err(Pm2Error::Net(format!(
+                "timed out waiting for reply tag {}",
+                tag::RPC_RESP
+            )));
+        }
+        marcel::yield_now();
+    }
+}
+
+/// Shared RPC_RESP → typed result mapping (green and host callers),
+/// decoding the response from the borrowed reply payload.
 pub(crate) fn decode_rpc_outcome<S: Service>(payload: &[u8]) -> Result<S::Resp> {
     let (_, status, bytes) =
         proto::decode_rpc_resp(payload).ok_or(Pm2Error::Decode("rpc response"))?;
     match status {
-        rpc_status::OK => S::Resp::decode_vec(&bytes).ok_or(Pm2Error::Decode("rpc response body")),
+        rpc_status::OK => S::Resp::decode_vec(bytes).ok_or(Pm2Error::Decode("rpc response body")),
         rpc_status::NO_SUCH_SERVICE => Err(Pm2Error::NoSuchService(service_id::<S>())),
         rpc_status::NODE_FAILED => {
             // Synthesized when the callee died mid-call; the dead node's
             // id rides in the body.
-            let n = bytes
-                .as_slice()
-                .try_into()
-                .map(u64::from_le_bytes)
-                .unwrap_or(0);
+            let n = bytes.try_into().map(u64::from_le_bytes).unwrap_or(0);
             Err(Pm2Error::NodeFailed(n as usize))
         }
-        _ => Err(Pm2Error::Rpc(String::from_utf8_lossy(&bytes).into_owned())),
+        _ => Err(Pm2Error::Rpc(String::from_utf8_lossy(bytes).into_owned())),
     }
 }
 

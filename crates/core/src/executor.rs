@@ -232,11 +232,17 @@ impl Inner {
     }
 }
 
+/// Pools launched by this process so far: the `m` in a worker's name.
+static POOLS: AtomicUsize = AtomicUsize::new(0);
+
 /// Launch the worker pool for a threaded-mode machine.  Installs a
 /// doorbell listener per node, seeds the ready queue with every node (so
 /// initial timers and any pre-launch traffic get a first step), and spawns
-/// `workers` OS threads.  The pool owns the node contexts; joining the
-/// returned handles (after the last node retires) drops them.
+/// `workers` OS threads named `pm2-m<pool>-w<i>` — the pool number is
+/// unique in the process, so one machine's workers can be told from
+/// another's in `/proc/self/task/*/comm` or a debugger.  The pool owns the
+/// node contexts; joining the returned handles (after the last node
+/// retires) drops them.
 pub(crate) fn spawn_pool(
     ctxs: Vec<NodeCtx>,
     workers: usize,
@@ -266,11 +272,12 @@ pub(crate) fn spawn_pool(
             }
         }));
     }
+    let pool = POOLS.fetch_add(1, Ordering::Relaxed);
     (0..workers.max(1))
         .map(|i| {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name(format!("pm2-worker{i}"))
+                .name(format!("pm2-m{pool}-w{i}"))
                 .spawn(move || inner.worker_loop())
                 .expect("spawning executor worker")
         })

@@ -111,14 +111,13 @@ pub(crate) fn park_reply(ctx: &mut NodeCtx, m: Message) {
     ctx.replies.push_back(m);
 }
 
-/// Park a typed-LRPC response only if its caller is still waiting; a
-/// reply landing after its caller's deadline would otherwise sit in the
-/// queue forever.
+/// File a typed-LRPC response under its call id, where the waiting caller
+/// takes it.  A reply landing after its caller's deadline finds no entry
+/// and is dropped; so is a second reply to a call already answered.
 pub(crate) fn park_rpc_resp(ctx: &mut NodeCtx, m: Message) {
-    let waiting =
-        proto::peek_rpc_call_id(&m.payload).is_some_and(|id| ctx.pending_calls.contains_key(&id));
-    if waiting {
-        ctx.replies.push_back(m);
+    let pending = proto::peek_rpc_call_id(&m.payload).and_then(|id| ctx.pending_calls.get_mut(&id));
+    if let Some(call) = pending {
+        call.reply.get_or_insert(m);
     }
 }
 

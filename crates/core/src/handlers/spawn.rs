@@ -6,10 +6,12 @@
 //! the dispatch core after `NEG_DONE`.  Typed-LRPC handlers spawn into the
 //! scheduler's **control lane** ([`marcel::thread::flags::CONTROL`]): a
 //! serving node crowded with compute threads still turns replies around
-//! promptly.
+//! promptly.  They are also [`marcel::thread::flags::DETACHED`]: their tid
+//! is minted here and handed to nobody, so nothing could join them.
 
 use madeleine::message::PayloadReader;
 use madeleine::Message;
+use marcel::thread::flags;
 
 use crate::node::NodeCtx;
 use crate::proto::{self, rpc_status, tag};
@@ -89,31 +91,22 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     // may allocate, spawn, even migrate; the reply is sent from
     // whatever node it ends up on, matched by call id at the caller.
     // It spawns control-priority so a backlog of compute quanta cannot
-    // sit between the request and its reply.
+    // sit between the request and its reply.  The thread owns the request
+    // message and reads the request bytes where they arrived.
     let max = ctx.max_rpc_payload;
+    let pool = ctx.pool.clone();
     let tid = ctx.sched.next_tid();
     let spawned = ctx.try_spawn_boxed(
         tid,
-        marcel::thread::flags::CONTROL,
+        flags::CONTROL | flags::DETACHED,
         Box::new(move || {
-            let (status, bytes) = match handler(&req) {
-                Ok(resp) if resp.len() <= max => (rpc_status::OK, resp),
-                Ok(resp) => (
-                    rpc_status::REMOTE_ERROR,
-                    format!("response of {} bytes exceeds ceiling", resp.len()).into_bytes(),
-                ),
-                Err(e) => (rpc_status::REMOTE_ERROR, e.into_bytes()),
-            };
+            let reply =
+                proto::encode_rpc_reply(&pool, call_id, max, |w| handler(&m.payload[req], w));
             // The reply is RPC-shaped traffic too: account it on the
             // serving side (from wherever the handler ended up) so both
             // ends of a chatty pair accumulate affinity toward each other.
             crate::api::note_rpc_traffic(reply_to);
-            let pool = crate::api::local_pool();
-            let _ = crate::api::send_to(
-                reply_to,
-                tag::RPC_RESP,
-                proto::encode_rpc_resp(&pool, call_id, status, &bytes),
-            );
+            let _ = crate::api::send_to(reply_to, tag::RPC_RESP, reply);
         }),
     );
     if let Err(e) = spawned {

@@ -399,32 +399,23 @@ impl Machine {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));
         }
-        let req_bytes = req.encode_vec();
-        if req_bytes.len() > self.cfg.max_rpc_payload {
-            return Err(Pm2Error::PayloadTooLarge {
-                len: req_bytes.len(),
-                max: self.cfg.max_rpc_payload,
-            });
-        }
-        // Host rpc_calls are serialized (&mut self), so any RPC_RESP still
-        // stashed from an earlier, timed-out call is dead — drop it rather
-        // than accumulate it.
-        self.stash.retain(|m| m.tag != tag::RPC_RESP);
         // Host call ids use the host's fabric id in the top bits, keeping
         // them disjoint from every node's (node ids < nodes = host id).
         let call_id =
             ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed);
-        self.host_ep.send(
-            node,
-            tag::RPC_CALL,
-            proto::encode_rpc_call(
-                self.host_ep.pool(),
-                call_id,
-                self.cfg.nodes,
-                service_id::<S>(),
-                &req_bytes,
-            ),
+        let call = proto::encode_rpc_call(
+            self.host_ep.pool(),
+            call_id,
+            self.cfg.nodes,
+            service_id::<S>(),
+            &req,
+            self.cfg.max_rpc_payload,
         )?;
+        // Host rpc_calls are serialized (&mut self), so any RPC_RESP still
+        // stashed from an earlier, timed-out call is dead — drop it rather
+        // than accumulate it.
+        self.stash.retain(|m| m.tag != tag::RPC_RESP);
+        self.host_ep.send(node, tag::RPC_CALL, call)?;
         let deadline = Instant::now() + self.cfg.reply_deadline;
         loop {
             // Short recv slices so a mid-call death of the callee fails

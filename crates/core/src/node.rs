@@ -467,12 +467,11 @@ pub(crate) struct NodeCtx {
     /// Monotonic source of node-unique typed-LRPC call ids.
     call_counter: u64,
     /// Typed-LRPC calls issued from this node whose green caller is still
-    /// waiting, mapped to the callee node.  A response whose call id is
-    /// absent (the caller already timed out) is dropped instead of parked,
-    /// so late replies cannot accumulate in `replies` forever; the callee
-    /// id lets a death synthesize `NODE_FAILED` replies for every call
-    /// aimed at the corpse.
-    pub pending_calls: HashMap<u64, usize>,
+    /// waiting, by call id.  The pump files a response under its call id
+    /// and the waiter takes it from there; a response whose call id is
+    /// absent (the caller already timed out) is dropped, so late replies
+    /// accumulate nowhere.
+    pub pending_calls: HashMap<u64, PendingCall>,
     /// Spill log this node checkpoints into (None disables checkpointing).
     pub spill: Option<SpillLog>,
     /// Epoch stamped on the next checkpoint record; replay keeps the
@@ -550,6 +549,14 @@ pub(crate) struct NodeCtx {
 
 // SAFETY: a NodeCtx is owned and driven by exactly one OS thread at a time.
 unsafe impl Send for NodeCtx {}
+
+/// One typed-LRPC call in flight from this node.
+pub(crate) struct PendingCall {
+    /// The node called: its death synthesizes a `NODE_FAILED` reply.
+    pub callee: usize,
+    /// The `RPC_RESP`, once it has arrived (or been synthesized).
+    pub reply: Option<Message>,
+}
 
 /// Wrap a thread body so a panic records its message in the hosting node's
 /// exit notes before re-raising (marcel's entry shim then marks the
@@ -1003,27 +1010,22 @@ impl NodeCtx {
         // Synthesize NODE_FAILED replies for typed-LRPC calls aimed at the
         // corpse, so green callers resolve immediately instead of eating
         // their full reply deadline.
-        let orphaned: Vec<u64> = self
-            .pending_calls
-            .iter()
-            .filter(|&(_, &callee)| callee == dead)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in orphaned {
-            let payload = proto::encode_rpc_resp(
-                &self.pool,
-                id,
-                proto::rpc_status::NODE_FAILED,
-                &(dead as u64).to_le_bytes(),
-            );
-            self.replies.push_back(Message {
-                src: dead,
-                dst: self.node,
-                tag: tag::RPC_RESP,
-                seq: 0,
-                wire_ns: 0,
-                payload,
-            });
+        for (&id, call) in &mut self.pending_calls {
+            if call.callee == dead && call.reply.is_none() {
+                call.reply = Some(Message {
+                    src: dead,
+                    dst: self.node,
+                    tag: tag::RPC_RESP,
+                    seq: 0,
+                    wire_ns: 0,
+                    payload: proto::encode_rpc_resp(
+                        &self.pool,
+                        id,
+                        proto::rpc_status::NODE_FAILED,
+                        &(dead as u64).to_le_bytes(),
+                    ),
+                });
+            }
         }
         // Lock service: a corpse can neither hold nor want the
         // global-negotiation lock.
@@ -1354,6 +1356,7 @@ impl NodeCtx {
             let tid = (*d).tid;
             let panicked = (*d).panicked == 1;
             let home = (*d).home_node as usize;
+            let detached = (*d).flags & marcel::thread::flags::DETACHED != 0;
             self.sched.note_gone();
             self.threads.remove(&tid);
             self.nodeheap.release_thread(tid);
@@ -1366,22 +1369,28 @@ impl NodeCtx {
                     .expect("releasing thread resources");
             }
             let note = self.exit_notes.remove(&tid).unwrap_or_default();
-            let exit = ThreadExit {
-                tid,
-                panicked,
-                died_on: self.node,
-                panic_msg: note.panic_msg,
-                value: note.value,
-                failed_node: None,
-            };
-            if home != self.node {
-                let _ = self.ep.send(
-                    home,
-                    tag::THREAD_EXIT,
-                    proto::encode_thread_exit(&self.pool, &exit),
-                );
+            if detached && !panicked {
+                // Nobody holds this tid, so nobody can ask how it ended:
+                // a clean exit is forgotten, here and at home.
+                self.registry.clear_location(tid);
+            } else {
+                let exit = ThreadExit {
+                    tid,
+                    panicked,
+                    died_on: self.node,
+                    panic_msg: note.panic_msg,
+                    value: note.value,
+                    failed_node: None,
+                };
+                if home != self.node {
+                    let _ = self.ep.send(
+                        home,
+                        tag::THREAD_EXIT,
+                        proto::encode_thread_exit(&self.pool, &exit),
+                    );
+                }
+                self.registry.complete(exit);
             }
-            self.registry.complete(exit);
         }
         self.maybe_ack_shutdown();
     }

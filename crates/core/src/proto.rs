@@ -15,6 +15,7 @@ use isoaddr::SlotRange;
 use madeleine::message::PayloadWriter;
 use madeleine::{BufPool, Payload, Wire};
 
+use crate::error::{Pm2Error, Result};
 use crate::registry::ThreadExit;
 
 /// Message tags.
@@ -414,12 +415,11 @@ pub fn decode_migration_nak(buf: &[u8]) -> Option<(Vec<u64>, String)> {
     Some((tids, String::from_utf8_lossy(r.rest()).into_owned()))
 }
 
-// Codecs whose payloads carry uncapped byte strings (RPC args, encoded
-// return values) frame them with `lp_bytes` directly — one memcpy — rather
-// than through `Vec<u8>`'s element-wise `Wire` impl, which would copy the
-// buffer twice with a bounds-checked push per byte.  The framing is
-// identical to the `Wire` form (u32 length prefix + bytes; Option as one
-// presence byte), so `Wire`-framed peers decode it unchanged.
+// Codecs whose payloads carry byte strings that are already slices (RPC
+// args, encoded return values) frame them with `lp_bytes` directly.  The
+// framing is identical to `Vec<u8>`'s `Wire` form (u32 length prefix +
+// bytes; Option as one presence byte), so `Wire`-framed peers decode it
+// unchanged.
 
 /// Encode an `RPC_SPAWN` payload.
 pub fn encode_rpc_spawn(pool: &BufPool, service: u32, args: &[u8]) -> Payload {
@@ -581,50 +581,105 @@ pub fn peek_reclaim_id(buf: &[u8]) -> Option<u64> {
     madeleine::message::PayloadReader::new(buf).u64()
 }
 
-/// Encode an `RPC_CALL` payload.  `reply_to` is the fabric id the response
-/// must be sent to, carried explicitly rather than recovered from
-/// `Message::src`: the request may be parked and replayed by a frozen node
-/// and the handler may migrate before replying, so the response must not
-/// depend on any fabric metadata of the original delivery.
-pub fn encode_rpc_call(
+/// Bytes of an `RPC_CALL` payload ahead of the request body: call id,
+/// reply-to, service id, body length.
+const RPC_CALL_HEADER: usize = 8 + 4 + 4 + 4;
+
+/// Bytes of an `RPC_RESP` payload ahead of the body: call id, status, body
+/// length.
+const RPC_RESP_HEADER: usize = 8 + 1 + 4;
+
+/// The length field of an RPC body of `len` bytes, if `len` is within the
+/// `max_rpc_payload` ceiling `max` (and frameable at all).
+fn rpc_body_len(len: usize, max: usize) -> Option<u32> {
+    u32::try_from(len).ok().filter(|_| len <= max)
+}
+
+/// Encode an `RPC_CALL` payload, the typed request written in place behind
+/// the header and its length back-patched — the one request encoder of
+/// green and host callers.  Fails with [`Pm2Error::PayloadTooLarge`] when
+/// the encoded request exceeds `max`.
+///
+/// `reply_to` is the fabric id the response must be sent to, carried
+/// explicitly rather than recovered from `Message::src`: the request may be
+/// parked and replayed by a frozen node and the handler may migrate before
+/// replying, so the response must not depend on any fabric metadata of the
+/// original delivery.
+pub fn encode_rpc_call<Q: Wire>(
     pool: &BufPool,
     call_id: u64,
     reply_to: usize,
     service: u32,
-    req: &[u8],
-) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 20 + req.len());
-    w.u64(call_id)
-        .u32(reply_to as u32)
-        .u32(service)
-        .lp_bytes(req);
-    w.finish()
+    req: &Q,
+    max: usize,
+) -> Result<Payload> {
+    let mut w = PayloadWriter::pooled(pool, RPC_CALL_HEADER + req.size_hint());
+    w.u64(call_id).u32(reply_to as u32).u32(service).u32(0);
+    req.encode(&mut w);
+    let len = w.len() - RPC_CALL_HEADER;
+    let framed = rpc_body_len(len, max).ok_or(Pm2Error::PayloadTooLarge { len, max })?;
+    w.patch_u32(RPC_CALL_HEADER - 4, framed);
+    Ok(w.finish())
 }
 
-/// Decode an `RPC_CALL` payload into (call id, reply-to, service, request).
-pub fn decode_rpc_call(buf: &[u8]) -> Option<(u64, usize, u32, Vec<u8>)> {
+/// Decode an `RPC_CALL` payload into (call id, reply-to, service, where in
+/// `buf` the request bytes lie) — a range, not a slice, so the serving node
+/// can move the message into the handler thread and index it there.
+pub fn decode_rpc_call(buf: &[u8]) -> Option<(u64, usize, u32, std::ops::Range<usize>)> {
     let mut r = madeleine::message::PayloadReader::new(buf);
     let call_id = r.u64()?;
     let reply_to = r.u32()? as usize;
     let service = r.u32()?;
-    let req = r.lp_bytes()?.to_vec();
-    Some((call_id, reply_to, service, req))
+    let len = r.lp_bytes()?.len();
+    Some((
+        call_id,
+        reply_to,
+        service,
+        RPC_CALL_HEADER..RPC_CALL_HEADER + len,
+    ))
 }
 
-/// Encode an `RPC_RESP` payload.
+/// Encode an `RPC_RESP` payload around a ready body: the status replies
+/// (error text, the dead node's id).
 pub fn encode_rpc_resp(pool: &BufPool, call_id: u64, status: u8, bytes: &[u8]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 16 + bytes.len());
+    let mut w = PayloadWriter::pooled(pool, RPC_RESP_HEADER + bytes.len());
     w.u64(call_id).u8(status).lp_bytes(bytes);
     w.finish()
 }
 
-/// Decode an `RPC_RESP` payload.
-pub fn decode_rpc_resp(buf: &[u8]) -> Option<(u64, u8, Vec<u8>)> {
+/// Encode the `RPC_RESP` of a handler run: `fill` writes the response body
+/// in place behind an `OK` header, and its length is back-patched.  An
+/// `Err` from `fill` (it must then have written nothing), or a body over
+/// `max`, becomes a `REMOTE_ERROR` reply instead.
+pub fn encode_rpc_reply(
+    pool: &BufPool,
+    call_id: u64,
+    max: usize,
+    fill: impl FnOnce(&mut PayloadWriter) -> std::result::Result<(), String>,
+) -> Payload {
+    let mut w = PayloadWriter::pooled(pool, RPC_RESP_HEADER);
+    w.u64(call_id).u8(rpc_status::OK).u32(0);
+    let error = match fill(&mut w) {
+        Ok(()) => {
+            let len = w.len() - RPC_RESP_HEADER;
+            match rpc_body_len(len, max) {
+                Some(framed) => {
+                    w.patch_u32(RPC_RESP_HEADER - 4, framed);
+                    return w.finish();
+                }
+                None => format!("response of {len} bytes exceeds ceiling"),
+            }
+        }
+        Err(e) => e,
+    };
+    encode_rpc_resp(pool, call_id, rpc_status::REMOTE_ERROR, error.as_bytes())
+}
+
+/// Decode an `RPC_RESP` payload into (call id, status, body borrowed from
+/// `buf`).
+pub fn decode_rpc_resp(buf: &[u8]) -> Option<(u64, u8, &[u8])> {
     let mut r = madeleine::message::PayloadReader::new(buf);
-    let call_id = r.u64()?;
-    let status = r.u8()?;
-    let bytes = r.lp_bytes()?.to_vec();
-    Some((call_id, status, bytes))
+    Some((r.u64()?, r.u8()?, r.lp_bytes()?))
 }
 
 /// Read just the call id off an `RPC_RESP` payload (reply matching).
@@ -873,18 +928,56 @@ mod tests {
     #[test]
     fn rpc_call_resp_roundtrip() {
         let pool = BufPool::new();
-        let call = encode_rpc_call(&pool, 99, 3, 0xFEED, b"req");
-        assert_eq!(
-            decode_rpc_call(&call),
-            Some((99, 3, 0xFEED, b"req".to_vec()))
-        );
+        let req = (7u64, b"req".to_vec());
+        let call = encode_rpc_call(&pool, 99, 3, 0xFEED, &req, 64).unwrap();
+        let (call_id, reply_to, service, body) = decode_rpc_call(&call).unwrap();
+        assert_eq!((call_id, reply_to, service), (99, 3, 0xFEED));
+        assert_eq!(call[body], req.encode_vec());
         let resp = encode_rpc_resp(&pool, 99, rpc_status::OK, b"resp");
         assert_eq!(
             decode_rpc_resp(&resp),
-            Some((99, rpc_status::OK, b"resp".to_vec()))
+            Some((99, rpc_status::OK, &b"resp"[..]))
         );
         assert_eq!(peek_rpc_call_id(&resp), Some(99));
         assert_eq!(decode_rpc_call(&call[..5]), None, "truncation rejected");
+        assert_eq!(decode_rpc_call(&call[..call.len() - 1]), None);
+        assert_eq!(decode_rpc_resp(&resp[..resp.len() - 1]), None);
+    }
+
+    /// The ceiling is judged on the encoded body, header excluded: a body
+    /// of exactly `max` bytes passes, one more does not.
+    #[test]
+    fn rpc_ceiling_is_on_the_encoded_body() {
+        let pool = BufPool::new();
+        let body = vec![5u8; 60]; // encodes to 4 + 60 bytes
+        assert!(encode_rpc_call(&pool, 1, 0, 2, &body, 64).is_ok());
+        assert_eq!(
+            encode_rpc_call(&pool, 1, 0, 2, &body, 63),
+            Err(Pm2Error::PayloadTooLarge { len: 64, max: 63 })
+        );
+        let fill = |w: &mut PayloadWriter| {
+            body.encode(w);
+            Ok(())
+        };
+        let ok = encode_rpc_reply(&pool, 1, 64, fill);
+        assert_eq!(
+            decode_rpc_resp(&ok),
+            Some((1, rpc_status::OK, &body.encode_vec()[..]))
+        );
+        let over = encode_rpc_reply(&pool, 1, 63, fill);
+        assert_eq!(
+            decode_rpc_resp(&over),
+            Some((
+                1,
+                rpc_status::REMOTE_ERROR,
+                &b"response of 64 bytes exceeds ceiling"[..]
+            ))
+        );
+        let failed = encode_rpc_reply(&pool, 1, 64, |_| Err("no".into()));
+        assert_eq!(
+            decode_rpc_resp(&failed),
+            Some((1, rpc_status::REMOTE_ERROR, &b"no"[..]))
+        );
     }
 
     /// Protocol encoders stop allocating once the pool is warm.

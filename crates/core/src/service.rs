@@ -13,11 +13,23 @@
 //! Handlers still run as freshly spawned Marcel threads on the serving
 //! node — PM2's LRPC model — so a handler may itself allocate iso-address
 //! memory, spawn, or even migrate before replying.
+//!
+//! The data path moves each payload byte once per leg.  The caller encodes
+//! the typed request straight into the pooled `RPC_CALL` payload
+//! ([`crate::proto::encode_rpc_call`]); the serving node keeps that message
+//! and lends the handler thread the request bytes inside it; the erased
+//! handler decodes from the borrowed slice and encodes the response
+//! straight into the pooled `RPC_RESP` payload; the caller decodes from the
+//! reply it was handed.  Handler threads are *detached*
+//! ([`marcel::thread::flags::DETACHED`]): nobody can join a thread whose
+//! tid never leaves the serving node, so a clean exit leaves no completion
+//! record behind.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
+use madeleine::message::PayloadWriter;
 use madeleine::Wire;
 
 /// A typed LRPC service.
@@ -67,12 +79,13 @@ pub(crate) fn name_id(name: &str) -> u32 {
     h
 }
 
-/// Outcome of one erased handler invocation: response bytes, or a message
-/// describing the remote failure (decode error or handler panic).
-pub(crate) type ErasedOutcome = std::result::Result<Vec<u8>, String>;
-
-/// Byte-level handler stored per service id.
-pub(crate) type ErasedHandler = Arc<dyn Fn(&[u8]) -> ErasedOutcome + Send + Sync + 'static>;
+/// Byte-level handler stored per service id: decodes the request from the
+/// borrowed bytes, runs the service, and appends the encoded response to
+/// the writer.  On `Err` — a message describing the remote failure (decode
+/// error or handler panic) — nothing has been written.
+pub(crate) type ErasedHandler = Arc<
+    dyn Fn(&[u8], &mut PayloadWriter) -> std::result::Result<(), String> + Send + Sync + 'static,
+>;
 
 /// Typed services, erased to byte handlers and keyed by wire id.
 /// Conceptually replicated on every node (SPMD), like [`ServiceTable`]
@@ -93,17 +106,19 @@ impl TypedServiceTable {
     pub(crate) fn register<S: Service>(&self, svc: S) {
         let id = service_id::<S>();
         let svc = Arc::new(svc);
-        let handler: ErasedHandler = Arc::new(move |req_bytes: &[u8]| {
+        let handler: ErasedHandler = Arc::new(move |req_bytes: &[u8], w: &mut PayloadWriter| {
             let req = S::Req::decode_vec(req_bytes)
                 .ok_or_else(|| format!("request for {} failed to decode", S::NAME))?;
-            match catch_unwind(AssertUnwindSafe(|| svc.handle(req))) {
-                Ok(resp) => Ok(resp.encode_vec()),
-                Err(p) => Err(format!(
+            let resp = catch_unwind(AssertUnwindSafe(|| svc.handle(req))).map_err(|p| {
+                format!(
                     "handler for {} panicked: {}",
                     S::NAME,
                     panic_text(p.as_ref())
-                )),
-            }
+                )
+            })?;
+            w.reserve(resp.size_hint());
+            resp.encode(w);
+            Ok(())
         });
         let mut table = self.table.lock().unwrap();
         if let Some((prev_name, _)) = table.get(&id) {
@@ -166,12 +181,26 @@ mod tests {
         assert_ne!(service_id::<Echo>(), service_id::<Bomb>());
     }
 
+    /// Run an erased handler on `req`, into a writer that already holds a
+    /// reply header's worth of bytes.
+    fn run(h: &ErasedHandler, req: &[u8]) -> std::result::Result<Vec<u8>, String> {
+        let mut w = PayloadWriter::with_capacity(0);
+        w.bytes(b"hdr");
+        let outcome = h(req, &mut w);
+        let body = w.finish_vec().split_off(3);
+        assert!(
+            outcome.is_ok() || body.is_empty(),
+            "a failed handler writes nothing"
+        );
+        outcome.map(|()| body)
+    }
+
     #[test]
     fn erased_roundtrip() {
         let t = TypedServiceTable::default();
         t.register(Echo);
         let h = t.get(service_id::<Echo>()).unwrap();
-        let resp = h(&String::from("hi").encode_vec()).unwrap();
+        let resp = run(&h, &String::from("hi").encode_vec()).unwrap();
         assert_eq!(String::decode_vec(&resp), Some("hi".into()));
         assert!(t.get(0xDEAD_BEEF).is_none());
     }
@@ -181,7 +210,7 @@ mod tests {
         let t = TypedServiceTable::default();
         t.register(Echo);
         let h = t.get(service_id::<Echo>()).unwrap();
-        let err = h(&[0xFF]).unwrap_err();
+        let err = run(&h, &[0xFF]).unwrap_err();
         assert!(err.contains("failed to decode"), "{err}");
     }
 
@@ -192,7 +221,7 @@ mod tests {
         let h = t.get(service_id::<Bomb>()).unwrap();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let err = h(&().encode_vec()).unwrap_err();
+        let err = run(&h, &().encode_vec()).unwrap_err();
         std::panic::set_hook(prev);
         assert!(err.contains("boom"), "{err}");
     }

@@ -142,6 +142,23 @@ impl PayloadWriter {
         self
     }
 
+    /// Make room for `additional` more bytes in one step (encoders that
+    /// know their size up front grow the buffer at most once).
+    pub fn reserve(&mut self, additional: usize) -> &mut Self {
+        self.vec_mut().reserve(additional);
+        self
+    }
+
+    /// Overwrite the four bytes at offset `at` with `v` (little-endian):
+    /// the back-patch for a length field written before its body.
+    ///
+    /// # Panics
+    /// If `at + 4` exceeds the bytes written so far.
+    pub fn patch_u32(&mut self, at: usize, v: u32) -> &mut Self {
+        self.vec_mut()[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        self
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.vec().len()
@@ -169,6 +186,13 @@ impl PayloadWriter {
             WriterBuf::Plain(v) => v,
             WriterBuf::Pooled(b) => b.to_vec(),
         }
+    }
+}
+
+impl Extend<u8> for PayloadWriter {
+    /// Append bytes from an iterator; an exact-size iterator reserves once.
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, iter: I) {
+        self.vec_mut().extend(iter);
     }
 }
 
@@ -218,9 +242,9 @@ impl<'a> PayloadReader<'a> {
         Some(u32::from_le_bytes(s.try_into().ok()?))
     }
 
-    /// Read `n` raw bytes.
+    /// Read `n` raw bytes; `None` (for any `n`) on underrun.
     pub fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
+        let s = self.buf[self.pos..].get(..n)?;
         self.pos += n;
         Some(s)
     }
@@ -272,6 +296,20 @@ mod tests {
         let mut w = PayloadWriter::pooled(&pool, 32);
         w.u8(1);
         assert_eq!(w.finish().as_ptr(), ptr, "writer reuses the pooled buffer");
+    }
+
+    #[test]
+    fn patch_u32_back_fills_a_length_field() {
+        let mut w = PayloadWriter::with_capacity(0);
+        w.u8(9).u32(0).reserve(3).bytes(b"abc");
+        let body = (w.len() - 5) as u32;
+        w.patch_u32(1, body);
+        w.extend([7u8, 8]);
+        let p = w.finish();
+        let mut r = PayloadReader::new(&p);
+        assert_eq!(r.u8(), Some(9));
+        assert_eq!(r.lp_bytes(), Some(&b"abc"[..]));
+        assert_eq!(r.rest(), &[7, 8]);
     }
 
     #[test]

@@ -16,8 +16,16 @@
 //! * `Option<T>`: one presence byte, then the value if present;
 //! * tuples: fields in order, no header.
 //!
+//! `Vec<T>` and `String` move their elements as one *run*
+//! ([`Wire::encode_run`] / [`Wire::decode_run`]).  The provided run methods
+//! loop per element; `u8` and `i8` override them, so a byte string is copied
+//! in one step, not pushed a byte at a time.  The bytes on the wire are the
+//! same either way.
+//!
 //! Decoding is total: every method returns `None` on underrun or invalid
-//! encoding instead of panicking, because payloads cross node boundaries.
+//! encoding instead of panicking, because payloads cross node boundaries,
+//! and a length read off the wire is checked against the bytes that remain
+//! before anything is allocated for it.
 
 use crate::message::{PayloadReader, PayloadWriter};
 
@@ -29,9 +37,35 @@ pub trait Wire: Sized {
     /// Decode one value, advancing `r`; `None` on underrun or bad bytes.
     fn decode(r: &mut PayloadReader<'_>) -> Option<Self>;
 
+    /// A lower bound on the encoded size in bytes — exact for every type
+    /// this module implements.  Encoders size their buffer from it; it is
+    /// never a substitute for checking the length actually written.
+    fn size_hint(&self) -> usize {
+        0
+    }
+
+    /// Append the encodings of `run` back to back (no count prefix).
+    fn encode_run(run: &[Self], w: &mut PayloadWriter) {
+        for v in run {
+            v.encode(w);
+        }
+    }
+
+    /// Decode `n` values back to back; `None` on underrun or bad bytes.
+    fn decode_run(r: &mut PayloadReader<'_>, n: usize) -> Option<Vec<Self>> {
+        // `n` may be a corrupt length: never reserve more memory than the
+        // remaining bytes occupy.
+        let fits = r.remaining() / std::mem::size_of::<Self>().max(1);
+        let mut out = Vec::with_capacity(n.min(fits));
+        for _ in 0..n {
+            out.push(Self::decode(r)?);
+        }
+        Some(out)
+    }
+
     /// Encode into a fresh byte vector.
     fn encode_vec(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::with_capacity(16);
+        let mut w = PayloadWriter::with_capacity(self.size_hint());
         self.encode(&mut w);
         w.finish_vec()
     }
@@ -57,13 +91,14 @@ macro_rules! impl_wire_int {
             fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
                 r.$read().map(|v| v as $t)
             }
+            fn size_hint(&self) -> usize {
+                std::mem::size_of::<$wide>()
+            }
         }
     )*};
 }
 
 impl_wire_int! {
-    u8 => u8, u8, u8;
-    i8 => u8, u8, u8;
     u16 => u16, u16, u16;
     i16 => u16, u16, u16;
     u32 => u32, u32, u32;
@@ -72,6 +107,42 @@ impl_wire_int! {
     i64 => u64, u64, u64;
     usize => u64, u64, u64;
     isize => u64, u64, u64;
+}
+
+impl Wire for u8 {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u8(*self);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
+        r.u8()
+    }
+    fn size_hint(&self) -> usize {
+        1
+    }
+    fn encode_run(run: &[Self], w: &mut PayloadWriter) {
+        w.bytes(run);
+    }
+    fn decode_run(r: &mut PayloadReader<'_>, n: usize) -> Option<Vec<Self>> {
+        r.bytes(n).map(<[u8]>::to_vec)
+    }
+}
+
+impl Wire for i8 {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u8(*self as u8);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
+        r.u8().map(|v| v as i8)
+    }
+    fn size_hint(&self) -> usize {
+        1
+    }
+    fn encode_run(run: &[Self], w: &mut PayloadWriter) {
+        w.extend(run.iter().map(|&v| v as u8));
+    }
+    fn decode_run(r: &mut PayloadReader<'_>, n: usize) -> Option<Vec<Self>> {
+        Some(r.bytes(n)?.iter().map(|&v| v as i8).collect())
+    }
 }
 
 impl Wire for bool {
@@ -85,6 +156,9 @@ impl Wire for bool {
             _ => None,
         }
     }
+    fn size_hint(&self) -> usize {
+        1
+    }
 }
 
 impl Wire for f32 {
@@ -94,6 +168,9 @@ impl Wire for f32 {
     fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
         r.u32().map(f32::from_bits)
     }
+    fn size_hint(&self) -> usize {
+        4
+    }
 }
 
 impl Wire for f64 {
@@ -102,6 +179,9 @@ impl Wire for f64 {
     }
     fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
         r.u64().map(f64::from_bits)
+    }
+    fn size_hint(&self) -> usize {
+        8
     }
 }
 
@@ -114,29 +194,29 @@ impl Wire for () {
 
 impl Wire for String {
     fn encode(&self, w: &mut PayloadWriter) {
-        w.lp_bytes(self.as_bytes());
+        w.u32(self.len() as u32);
+        u8::encode_run(self.as_bytes(), w);
     }
     fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
-        String::from_utf8(r.lp_bytes()?.to_vec()).ok()
+        let n = r.u32()? as usize;
+        String::from_utf8(u8::decode_run(r, n)?).ok()
+    }
+    fn size_hint(&self) -> usize {
+        4 + self.len()
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut PayloadWriter) {
         w.u32(self.len() as u32);
-        for v in self {
-            v.encode(w);
-        }
+        T::encode_run(self, w);
     }
     fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
         let n = r.u32()? as usize;
-        // Guard capacity by what the buffer could possibly hold, so a
-        // corrupt length cannot trigger a huge pre-allocation.
-        let mut out = Vec::with_capacity(n.min(r.remaining().max(1)));
-        for _ in 0..n {
-            out.push(T::decode(r)?);
-        }
-        Some(out)
+        T::decode_run(r, n)
+    }
+    fn size_hint(&self) -> usize {
+        4 + self.iter().map(T::size_hint).sum::<usize>()
     }
 }
 
@@ -159,6 +239,9 @@ impl<T: Wire> Wire for Option<T> {
             _ => None,
         }
     }
+    fn size_hint(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::size_hint)
+    }
 }
 
 macro_rules! impl_wire_tuple {
@@ -171,6 +254,10 @@ macro_rules! impl_wire_tuple {
             }
             fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
                 Some(($($name::decode(r)?,)+))
+            }
+            fn size_hint(&self) -> usize {
+                let ($($name,)+) = self;
+                0 $(+ $name.size_hint())+
             }
         }
     };

@@ -104,6 +104,11 @@ pub mod flags {
     /// request/reply exchanges.  The flag travels with the descriptor, so
     /// priority survives migration.
     pub const CONTROL: u32 = 2;
+    /// Nobody will ever join this thread (its tid was handed to no one),
+    /// so the layer above need keep no completion record once it exits
+    /// cleanly.  Like [`CONTROL`] it travels with the descriptor: the
+    /// thread is just as unjoinable wherever it ends up dying.
+    pub const DETACHED: u32 = 4;
 }
 
 /// The thread descriptor.  Lives inside the stack slot; every pointer field

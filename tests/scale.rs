@@ -21,23 +21,49 @@ fn scale_cfg(p: usize) -> Pm2Config {
         })
 }
 
-/// OS threads of this process (Linux): the leak detector for pool joins.
-fn os_threads() -> usize {
+/// Live OS threads of this process (Linux) whose name starts with
+/// `prefix`: the leak detector for pool joins.  The executor names its
+/// workers `pm2-m<pool>-w<i>` with a pool number unique in the process, so
+/// a machine's prefix counts its own workers and nobody else's — sibling
+/// tests launch machines of their own while this one runs.
+fn live_threads(prefix: &str) -> usize {
     std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
+        .expect("listing this process's threads")
+        .flatten()
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.starts_with(prefix))
+        })
+        .count()
+}
+
+/// Does [`live_threads`] reach `n` within two seconds?  Both edges lag the
+/// calls that cause them: a spawned thread names itself once it first runs,
+/// and a joined one stays listed until the kernel has reaped it.
+fn live_threads_settle_at(prefix: &str, n: usize) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while live_threads(prefix) != n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    live_threads(prefix) == n
 }
 
 /// Full round trips on a sample of nodes: value-returning spawns that
 /// migrate one hop, plus a host RPC, on a machine whose pool is ≪ p.
 fn smoke(p: usize) {
-    let threads_before = os_threads();
     let mut m = Machine::launch(scale_cfg(p)).unwrap();
     assert!(
         m.worker_threads() < p,
         "pool of {} workers for {p} nodes is not multiplexing",
         m.worker_threads()
     );
+    // Green threads run on the workers: ask one for its name.
+    let worker = m
+        .run_on(0, || std::thread::current().name().map(str::to_owned))
+        .unwrap()
+        .expect("executor workers are named");
+    let prefix = &worker[..=worker.rfind('w').expect("pm2-m<pool>-w<i>")];
+    assert!(live_threads_settle_at(prefix, m.worker_threads()));
     // Spawn/migrate/join on a spread of nodes (every p/8th).
     let mut handles = Vec::new();
     for i in 0..8usize {
@@ -56,13 +82,12 @@ fn smoke(p: usize) {
     }
     // A host RPC to the last node (the far end of the fabric).
     assert_eq!(m.run_on(p - 1, || 6 * 7).unwrap(), 42);
-    // Shutdown joins the pool: no OS thread outlives the machine.
+    // Shutdown joins the pool: no worker outlives the machine.
     m.shutdown();
     assert!(
-        os_threads() <= threads_before,
-        "threads leaked: {} before launch, {} after shutdown",
-        threads_before,
-        os_threads()
+        live_threads_settle_at(prefix, 0),
+        "{} workers leaked past shutdown",
+        live_threads(prefix)
     );
 }
 

@@ -206,6 +206,31 @@ impl Service for Explode {
     }
 }
 
+/// Answers a `u32` with that many bytes: a response of any size from a
+/// request of one.
+struct Inflate;
+impl Service for Inflate {
+    const NAME: &'static str = "test.inflate";
+    type Req = u32;
+    type Resp = Vec<u8>;
+    fn handle(&self, n: u32) -> Vec<u8> {
+        vec![0xAB; n as usize]
+    }
+}
+
+/// Leaves the serving node before answering; replies with where it went
+/// and the request body as it still reads there.
+struct Wanderer;
+impl Service for Wanderer {
+    const NAME: &'static str = "test.wanderer";
+    type Req = Vec<u8>;
+    type Resp = (usize, Vec<u8>);
+    fn handle(&self, req: Vec<u8>) -> (usize, Vec<u8>) {
+        pm2_migrate((pm2_self() + 1) % pm2_nodes()).unwrap();
+        (pm2_self(), req)
+    }
+}
+
 #[test]
 fn host_rpc_call_roundtrip() {
     let mut m = test_machine(2);
@@ -263,6 +288,65 @@ fn rpc_oversized_request_fails_locally() {
     assert_eq!(m.rpc_call::<Echo>(1, vec![7u8; 16]).unwrap(), vec![7u8; 16]);
 }
 
+/// The ceiling is on the encoded body (a `Vec<u8>` is its bytes plus a
+/// four-byte count): exactly at it passes, one byte over is refused —
+/// locally and typed for a request, remotely and as text for a response.
+#[test]
+fn rpc_payload_ceiling_is_exact_on_request_and_response() {
+    const MAX: usize = 256;
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .max_rpc_payload(MAX)
+        .launch()
+        .unwrap();
+    m.register(Echo);
+    m.register(Inflate);
+    let over = Pm2Error::PayloadTooLarge {
+        len: MAX + 1,
+        max: MAX,
+    };
+    let too_long = Pm2Error::Rpc(format!("response of {} bytes exceeds ceiling", MAX + 1));
+
+    assert_eq!(m.rpc_call::<Echo>(1, vec![]), Ok(vec![]), "empty body");
+    assert_eq!(
+        m.rpc_call::<Echo>(1, vec![9; MAX - 4]),
+        Ok(vec![9; MAX - 4])
+    );
+    assert_eq!(m.rpc_call::<Echo>(1, vec![9; MAX - 3]), Err(over.clone()));
+    assert_eq!(m.rpc_call::<Inflate>(1, 0), Ok(vec![]));
+    assert_eq!(
+        m.rpc_call::<Inflate>(1, MAX as u32 - 4),
+        Ok(vec![0xAB; MAX - 4])
+    );
+    assert_eq!(
+        m.rpc_call::<Inflate>(1, MAX as u32 - 3),
+        Err(too_long.clone())
+    );
+
+    // Green callers go through the same encoder and decoder.
+    let green = m
+        .run_on(0, || {
+            (
+                pm2_rpc_call::<Echo>(1, vec![]),
+                pm2_rpc_call::<Echo>(1, vec![9; MAX - 4]),
+                pm2_rpc_call::<Echo>(1, vec![9; MAX - 3]),
+                pm2_rpc_call::<Inflate>(1, MAX as u32 - 4),
+                pm2_rpc_call::<Inflate>(1, MAX as u32 - 3),
+            )
+        })
+        .unwrap();
+    assert_eq!(
+        green,
+        (
+            Ok(vec![]),
+            Ok(vec![9; MAX - 4]),
+            Err(over),
+            Ok(vec![0xAB; MAX - 4]),
+            Err(too_long)
+        )
+    );
+}
+
 #[test]
 fn rpc_handler_panic_becomes_remote_error() {
     let mut m = test_machine(2);
@@ -271,6 +355,51 @@ fn rpc_handler_panic_becomes_remote_error() {
         Err(Pm2Error::Rpc(msg)) => assert!(msg.contains("handler exploded"), "{msg}"),
         other => panic!("expected Rpc, got {other:?}"),
     }
+    let r = m.run_on(0, || pm2_rpc_call::<Explode>(1, ())).unwrap();
+    assert!(
+        matches!(&r, Err(Pm2Error::Rpc(msg)) if msg.contains("handler exploded")),
+        "{r:?}"
+    );
+}
+
+/// The handler thread holds the request inside the message it arrived in
+/// and answers from wherever it ends up; the caller matches on the call id.
+#[test]
+fn rpc_handler_may_migrate_before_replying() {
+    let mut m = test_machine(3);
+    m.register(Wanderer);
+    let body: Vec<u8> = (0..=255).collect();
+    assert_eq!(
+        m.rpc_call::<Wanderer>(1, body.clone()),
+        Ok((2, body.clone()))
+    );
+    let sent = body.clone();
+    let green = m.run_on(0, move || pm2_rpc_call::<Wanderer>(2, sent));
+    assert_eq!(green.unwrap(), Ok((0, body)));
+}
+
+/// Handler threads are detached: nobody holds their tid, so a clean exit —
+/// at home or a migration away — leaves no completion record.  (The
+/// registry used to keep one per call, forever.)
+#[test]
+fn rpc_handler_threads_leave_no_completion_records() {
+    let mut m = test_machine(2);
+    m.register(Square);
+    m.register(Wanderer);
+    m.register(Explode);
+    let before = m.registry().completed_count();
+    let ok = m
+        .run_on(0, || {
+            (0..50_000u64)
+                .filter(|&i| pm2_rpc_call::<Square>(1, i % 1000) == Ok((i % 1000).pow(2)))
+                .count()
+        })
+        .unwrap();
+    assert_eq!(ok, 50_000);
+    assert!(m.rpc_call::<Wanderer>(1, vec![1]).is_ok());
+    assert!(m.rpc_call::<Explode>(1, ()).is_err(), "a caught panic");
+    // One record: the calling thread's own.
+    assert_eq!(m.registry().completed_count(), before + 1);
 }
 
 #[test]
