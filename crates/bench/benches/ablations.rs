@@ -2,7 +2,7 @@
 //! iteration is a complete workload on a fresh machine (launch included);
 //! `bin/ablations` reports per-operation microcosts.
 
-use pm2::{Distribution, MigrationScheme, NetProfile};
+use pm2::{Distribution, NetProfile};
 use pm2_bench::crit::Criterion;
 use pm2_bench::{criterion_group, criterion_main};
 use pm2_bench::{distribution_outcome, pack_outcome, scheme_migration_us, slot_cache_cycle_us};
@@ -42,16 +42,9 @@ fn bench_scheme(c: &mut Criterion) {
     let mut g = c.benchmark_group("a5_scheme");
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(8));
-    for (name, scheme, k) in [
-        ("iso_address", MigrationScheme::IsoAddress, 0usize),
-        (
-            "registered_ptrs_16",
-            MigrationScheme::RegisteredPointers,
-            16,
-        ),
-    ] {
+    for (name, registered) in [("iso_address", None), ("registered_ptrs_16", Some(16))] {
         g.bench_function(format!("{name}/64_hop_pingpong"), |b| {
-            b.iter(|| std::hint::black_box(scheme_migration_us(scheme, k, 64)));
+            b.iter(|| std::hint::black_box(scheme_migration_us(registered, 64)));
         });
     }
     g.finish();

@@ -8,8 +8,7 @@ use std::time::{Duration, Instant};
 
 use pm2::api::*;
 use pm2::{
-    AreaConfig, Distribution, FitPolicy, Machine, MachineMode, MapStrategy, MigrationScheme,
-    NetProfile, Pm2Config,
+    AreaConfig, Distribution, FitPolicy, Machine, MachineMode, MapStrategy, NetProfile, Pm2Config,
 };
 
 /// Paper-scale area: 3.5 GB of iso-address space in 64 KiB slots, giving
@@ -536,21 +535,15 @@ pub fn fit_policy_outcome(fit: FitPolicy, ops: usize) -> FitOutcome {
 // A5 — migration scheme ablation: iso-address vs registered pointers (§2)
 // ---------------------------------------------------------------------------
 
-/// Per-migration µs under a migration scheme, with `registered` legacy
-/// pointer registrations on the thread.
-pub fn scheme_migration_us(scheme: MigrationScheme, registered: usize, hops: usize) -> f64 {
-    let mut m = Machine::launch(paper_config(2, NetProfile::instant()).with_scheme(scheme))
-        .expect("launch");
-    let us = m
+/// Per-migration µs under a migration scheme.  `None` is the paper's
+/// iso-address migration: a plain hop, nothing to do on arrival.
+/// `Some(k)` is the early-PM2 scheme with `k` registered pointers: the
+/// same hop plus the relocation pass it ran on every arrival (see
+/// [`crate::legacy`] for why that pass is timed on a synthetic stack).
+pub fn scheme_migration_us(registered: Option<usize>, hops: usize) -> f64 {
+    let mut m = Machine::launch(paper_config(2, NetProfile::instant())).expect("launch");
+    let hop_us = m
         .run_on(0, move || {
-            // Register pointer variables like an early-PM2 application had to.
-            let cells: Vec<usize> = (0..registered).map(|i| i * 8).collect();
-            let mut keys = Vec::new();
-            for c in &cells {
-                if let Some(k) = pm2_register_pointer(c as *const usize as usize) {
-                    keys.push(k);
-                }
-            }
             for _ in 0..8 {
                 pm2_migrate(1).unwrap();
                 pm2_migrate(0).unwrap();
@@ -567,7 +560,7 @@ pub fn scheme_migration_us(scheme: MigrationScheme, registered: usize, hops: usi
         })
         .expect("scheme pingpong");
     m.shutdown();
-    us
+    hop_us + registered.map_or(0.0, crate::legacy::relocate_pass_us)
 }
 
 // ---------------------------------------------------------------------------

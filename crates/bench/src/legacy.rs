@@ -1,4 +1,5 @@
-//! The early-PM2 migration baseline: stack relocation with pointer fix-up.
+//! The early-PM2 migration baseline: stack relocation with pointer fix-up
+//! — the measured half of ablation A5.
 //!
 //! Before isomalloc, PM2 relocated a migrated stack "at a usually different
 //! address on the destination node" and then repaired two classes of
@@ -8,15 +9,16 @@
 //! "does not extend to complex applications" — it misses unregistered
 //! pointers (Fig. 2 crashes) and breaks under compiler optimization.
 //!
-//! We implement the complete fix-up math and test it on **synthetic frozen
-//! stacks**; live threads are only ever resumed under the iso-address
+//! The complete fix-up math lives here, exercised on **synthetic frozen
+//! stacks**: the runtime only ever resumes threads under the iso-address
 //! scheme, because resuming a relocated Rust stack would rely on
 //! frame-pointer discipline Rust does not promise — precisely the fragility
-//! the paper eliminated.  For the ablation benchmark (A5), arriving threads
-//! under [`crate::config::MigrationScheme::RegisteredPointers`] are charged
-//! the same traversal work with `delta = 0`.
+//! the paper eliminated.  A5 therefore prices the early scheme as what it
+//! added to every migration: one iso-address hop (measured on a live
+//! machine) plus one [`FrozenStack::relocate`] pass over a stack with k
+//! registered pointers ([`relocate_pass_us`]).
 
-use marcel::DescPtr;
+use std::time::Instant;
 
 /// A frozen stack image as the early scheme would ship it.
 #[derive(Debug, Clone)]
@@ -115,41 +117,55 @@ impl FrozenStack {
     }
 }
 
-/// Charge an arriving thread the legacy fix-up traversal (delta = 0): walk
-/// the registered-pointer table and the frame chain with volatile accesses,
-/// performing the same memory work the early scheme performed, without
-/// changing anything.  Used by the `RegisteredPointers` ablation scheme.
-///
-/// # Safety(internal): `d` must be a freshly unpacked resident descriptor.
-pub(crate) fn charge_arrival_fixup(d: DescPtr) {
-    // SAFETY: descriptor and stack slot are mapped (just unpacked).
-    unsafe {
-        let desc = &*d;
-        let lo = desc.canary_addr + 8;
-        let hi = desc.stack_top;
-        // Registered pointers.
-        for i in 0..desc.n_registered as usize {
-            let cell = desc.registered[i];
-            if cell >= lo && cell + 8 <= hi {
-                let p = cell as *mut usize;
-                let v = p.read_volatile();
-                p.write_volatile(v.wrapping_add(0));
-            }
+/// Frames in the chain of an A5 synthetic stack — a moderately deep call
+/// stack at the migration point.
+const A5_FRAMES: usize = 16;
+
+impl FrozenStack {
+    /// A synthetic frozen stack for A5: a chain of `frames` frames and
+    /// `registered` registered pointer variables, every one of which
+    /// points into the stack (so every one needs fixing).
+    pub fn synthetic(frames: usize, registered: usize) -> FrozenStack {
+        let old_base = 0x7000_0000usize;
+        let frame_bytes = 0x40;
+        let cells_at = (frames + 2) * frame_bytes;
+        let mut s = FrozenStack {
+            bytes: vec![0; cells_at + registered * 8 + 8],
+            old_base,
+            rsp: old_base + frame_bytes - 0x20,
+            rbp: old_base + frame_bytes,
+            registered: (0..registered).map(|i| cells_at + i * 8).collect(),
+        };
+        for f in 1..=frames {
+            let caller = if f == frames {
+                0 // outermost frame terminates the chain
+            } else {
+                old_base + (f + 1) * frame_bytes
+            };
+            s.write(old_base + f * frame_bytes, caller);
         }
-        // Frame chain from the saved rbp.
-        let mut fp = desc.ctx.rbp as usize;
-        let mut guard = 0;
-        while fp >= lo && fp + 8 <= hi && guard < 10_000 {
-            let p = fp as *mut usize;
-            let saved = p.read_volatile();
-            p.write_volatile(saved.wrapping_add(0));
-            if saved <= fp {
-                break;
-            }
-            fp = saved;
-            guard += 1;
+        for i in 0..registered {
+            // Each registered variable points at a local of some frame.
+            let local = old_base + (1 + i % frames) * frame_bytes + 8;
+            s.write(old_base + cells_at + i * 8, local);
         }
+        s
     }
+}
+
+/// Mean µs of one relocation pass over an A5 synthetic stack with
+/// `registered` registered pointers: the post-migration work the early
+/// scheme paid on every arrival and iso-address migration does not.
+pub fn relocate_pass_us(registered: usize) -> f64 {
+    let mut s = FrozenStack::synthetic(A5_FRAMES, registered);
+    let bases = [0x9000_0000usize, 0x7000_0000];
+    let passes = 20_000;
+    let t0 = Instant::now();
+    for i in 0..passes {
+        let report = s.relocate(bases[i % 2]);
+        std::hint::black_box(report);
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / passes as f64
 }
 
 #[cfg(test)]
@@ -232,6 +248,15 @@ mod tests {
             rep.frames_fixed, 2,
             "but the walk still happened (the cost)"
         );
+    }
+
+    #[test]
+    fn a5_stack_needs_every_frame_and_pointer_fixed() {
+        let mut s = FrozenStack::synthetic(A5_FRAMES, 16);
+        let rep = s.relocate(0x9000_0000);
+        assert_eq!(rep.frames_fixed, A5_FRAMES - 1, "all but the outermost");
+        assert_eq!((rep.registered_fixed, rep.registered_skipped), (16, 0));
+        assert!(relocate_pass_us(16) > 0.0);
     }
 
     #[test]

@@ -9,6 +9,7 @@ pub mod crit;
 pub mod evacuation;
 pub mod harness;
 pub mod latency;
+pub mod legacy;
 pub mod negotiate;
 pub mod recovery;
 pub mod report;

@@ -13,13 +13,16 @@
 //! | `pm2_register_pointer`          | [`pm2_register_pointer`] (legacy) |
 //! | `malloc` (non-migrating)        | [`node_malloc`] (see `nodeheap`) |
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use madeleine::{BufPool, Message, Payload, Wire};
+use madeleine::{Message, Payload, Wire};
 
 use crate::error::{Pm2Error, Result};
 use crate::node::{with_ctx, PendingCall};
-use crate::proto::{self, rpc_status, tag};
+use crate::proto::{self, rpc_status, tag, Msg};
 use crate::service::{service_id, Service};
 
 /// Node currently hosting the calling thread (the paper's `pm2_self()`).
@@ -151,37 +154,19 @@ pub fn pm2_group_migrate(src: usize, dest: usize, tids: &[u64]) -> Result<usize>
         return Ok(0);
     }
     if src == pm2_self() {
-        // Dedup so a repeated tid cannot be counted as two acceptances
-        // (request_migration succeeds again on an already-flagged thread).
-        let mut tids = tids.to_vec();
-        tids.sort_unstable();
-        tids.dedup();
-        return Ok(with_ctx(|c| {
-            tids.iter()
-                .filter(|tid| match c.threads.get(tid) {
-                    // SAFETY: descriptor resident on this node.
-                    Some(&d) => unsafe { c.sched.request_migration(d, dest) },
-                    None => false,
-                })
-                .count()
-        }));
+        return Ok(with_ctx(|c| c.request_migrations(tids.to_vec(), dest)) as usize);
     }
-    let (cmd_id, pool) = with_ctx(|c| (c.next_call_id(), c.pool.clone()));
+    let (cmd_id, deadline) = with_ctx(|c| (c.next_call_id(), c.cfg.reply_deadline));
+    let cmd = proto::MigrateCmd {
+        cmd_id,
+        dest: dest as u32,
+        tids: tids.to_vec(),
+    };
     // Pin the caller for the exchange: the ack is addressed to this node.
     let was_migratable = pm2_set_migratable(false);
-    let result = (|| {
-        send_to(
-            src,
-            tag::MIGRATE_CMD,
-            proto::encode_migrate_cmd(&pool, cmd_id, dest, tids),
-        )?;
-        let m = wait_reply_matching(tag::MIGRATE_CMD_ACK, Some(src), |m| {
-            proto::peek_cmd_id(&m.payload) == Some(cmd_id)
-        })?;
-        let (_, accepted, _, _) =
-            proto::decode_migrate_ack(&m.payload).ok_or(Pm2Error::Decode("migrate ack"))?;
-        Ok(accepted as usize)
-    })();
+    let result = call::<proto::MigrateAck>(src, &cmd, Some(cmd_id), Instant::now() + deadline)
+        .and_then(|ack| ack.ok_or_else(|| timed_out(tag::MIGRATE_CMD_ACK)))
+        .map(|ack| ack.accepted as usize);
     if was_migratable {
         pm2_set_migratable(true);
     }
@@ -237,12 +222,8 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
         return Err(Pm2Error::NoSuchNode(node));
     }
     note_rpc_traffic(node);
-    let pool = local_pool();
-    send_to(
-        node,
-        tag::RPC_SPAWN,
-        crate::proto::encode_rpc_spawn(&pool, service, args),
-    )
+    let args = args.to_vec();
+    send_msg(node, &proto::RpcSpawn { service, args })
 }
 
 /// Typed request/reply LRPC: call service `S` on `node`, blocking the
@@ -257,7 +238,8 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
 pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     let (n_nodes, max, reply_to, pool, call_id) = with_ctx(|c| {
         let pool = c.pool.clone();
-        (c.n_nodes, c.max_rpc_payload, c.node, pool, c.next_call_id())
+        let max = c.cfg.max_rpc_payload;
+        (c.n_nodes, max, c.node, pool, c.next_call_id())
     });
     if node >= n_nodes {
         return Err(Pm2Error::NoSuchNode(node));
@@ -298,17 +280,14 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
 /// `reply_deadline`.  Handlers may migrate before replying, so the match is
 /// on the call id alone, not the source node.
 fn wait_rpc_reply(call_id: u64) -> Result<Message> {
-    let deadline = Instant::now() + with_ctx(|c| c.reply_deadline);
+    let deadline = Instant::now() + with_ctx(|c| c.cfg.reply_deadline);
     loop {
         let reply = with_ctx(|c| c.pending_calls.get_mut(&call_id)?.reply.take());
         if let Some(m) = reply {
             return Ok(m);
         }
         if Instant::now() > deadline {
-            return Err(Pm2Error::Net(format!(
-                "timed out waiting for reply tag {}",
-                tag::RPC_RESP
-            )));
+            return Err(timed_out(tag::RPC_RESP));
         }
         marcel::yield_now();
     }
@@ -377,7 +356,7 @@ fn wait_exit(tid: u64) -> crate::registry::ThreadExit {
                 .registry
                 .location(tid)
                 .filter(|n| c.dead_nodes.contains(n) || c.ep.is_dead(*n));
-            (dead, c.reply_deadline)
+            (dead, c.cfg.reply_deadline)
         });
         match dead_owner {
             Some(n) => {
@@ -409,21 +388,27 @@ pub(crate) fn set_exit_value(bytes: Vec<u8>) {
     with_ctx(|c| c.note_exit_value(tid, bytes));
 }
 
+/// Set or clear `flag` on the calling thread's descriptor; returns whether
+/// it was set before.
+fn set_own_flag(flag: u32, on: bool) -> bool {
+    let d = marcel::current_desc();
+    // SAFETY: own descriptor.
+    unsafe {
+        let was = (*d).flags & flag != 0;
+        if on {
+            (*d).flags |= flag;
+        } else {
+            (*d).flags &= !flag;
+        }
+        was
+    }
+}
+
 /// Mark the calling thread (non-)migratable; returns the previous state
 /// (so a temporary pin can restore it).  Daemons (e.g. the load
 /// balancer) exclude themselves from preemptive migration this way.
 pub fn pm2_set_migratable(migratable: bool) -> bool {
-    let d = marcel::current_desc();
-    // SAFETY: own descriptor.
-    unsafe {
-        let was = (*d).flags & marcel::thread::flags::MIGRATABLE != 0;
-        if migratable {
-            (*d).flags |= marcel::thread::flags::MIGRATABLE;
-        } else {
-            (*d).flags &= !marcel::thread::flags::MIGRATABLE;
-        }
-        was
-    }
+    set_own_flag(marcel::thread::flags::MIGRATABLE, migratable)
 }
 
 /// Put the calling thread into (or out of) the scheduler's **control
@@ -435,17 +420,7 @@ pub fn pm2_set_migratable(migratable: bool) -> bool {
 /// application threads.  Use sparingly: the lane drains strictly first,
 /// so long-running compute in it would starve the machine.
 pub fn pm2_set_control_priority(control: bool) -> bool {
-    let d = marcel::current_desc();
-    // SAFETY: own descriptor.
-    unsafe {
-        let was = (*d).flags & marcel::thread::flags::CONTROL != 0;
-        if control {
-            (*d).flags |= marcel::thread::flags::CONTROL;
-        } else {
-            (*d).flags &= !marcel::thread::flags::CONTROL;
-        }
-        was
-    }
+    set_own_flag(marcel::thread::flags::CONTROL, control)
 }
 
 /// Legacy early-PM2 API (paper Fig. 3): register the address of a pointer
@@ -507,42 +482,58 @@ pub fn pm2_probe_load(peer: usize) -> Result<usize> {
     // reply.  A duplicated probe costs one redundant LOAD_RESP, which a
     // later probe of the same peer consumes (the answer is a load *hint*,
     // so a slightly stale one is harmless).
-    let (attempts, total) = with_ctx(|c| (c.control_retries, c.reply_deadline));
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            with_ctx(|c| {
-                c.stats
-                    .ctrl_retries
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            });
+    let (total, stats) = with_ctx(|c| (c.cfg.reply_deadline, Arc::clone(&c.stats)));
+    let probe = proto::LoadReq { decay_shift: 0 };
+    let resp: proto::LoadResp = retry("load probe", total, &stats.ctrl_retries, |deadline| {
+        call(peer, &probe, None, deadline)
+    })?;
+    Ok(resp.resident as usize)
+}
+
+/// Total attempts (first try + re-sends) of an at-least-once control
+/// exchange: slot trades, load probes, checkpoint requests and recovery's
+/// slot reclaim.
+pub(crate) const CONTROL_ATTEMPTS: u32 = 3;
+
+/// Longest a wait that names its peers goes without re-checking that they
+/// are alive, so a death mid-wait fails the wait promptly (typed) instead
+/// of at the deadline (opaque).
+pub(crate) const LIVENESS_SLICE: Duration = Duration::from_millis(20);
+
+/// Attempt `i`'s slice of one reply deadline: exponentially growing shares
+/// (1, 2, 4 of 7), so a full retry budget never waits longer in total than
+/// the single-attempt deadline did — retries redistribute the wait, they
+/// do not extend it.
+fn retry_slice(total: Duration, i: u32) -> Duration {
+    let shares = (1u32 << CONTROL_ATTEMPTS) - 1;
+    total.mul_f64((1u32 << i) as f64 / shares as f64)
+}
+
+/// The retry driver of every at-least-once exchange, green side and host
+/// side.  `attempt` is handed the deadline of its slice of `total` and
+/// reports `Ok(None)` when the exchange was lost in transit (a re-send is
+/// worthwhile); an answer or an error ends the loop.  Re-sends are counted
+/// in `retries`, and a spent budget surfaces as
+/// [`Pm2Error::RetriesExhausted`].
+pub(crate) fn retry<T>(
+    op: &'static str,
+    total: Duration,
+    retries: &AtomicU64,
+    mut attempt: impl FnMut(Instant) -> Result<Option<T>>,
+) -> Result<T> {
+    for i in 0..CONTROL_ATTEMPTS {
+        if i > 0 {
+            retries.fetch_add(1, Ordering::Relaxed);
         }
-        send_to(peer, tag::LOAD_REQ, Vec::new())?;
-        let deadline = Instant::now() + retry_slice(total, attempts, attempt);
-        match wait_reply_until(tag::LOAD_RESP, Some(peer), deadline, |_| true) {
-            Ok(m) => {
-                let (resident, _, _) =
-                    proto::decode_load_resp(&m.payload).ok_or(Pm2Error::Decode("load response"))?;
-                return Ok(resident as usize);
-            }
-            Err(Pm2Error::NodeFailed(n)) => return Err(Pm2Error::NodeFailed(n)),
-            Err(_) => {} // timed out: retry with a longer slice
+        let deadline = Instant::now() + retry_slice(total, i);
+        if let Some(answer) = attempt(deadline)? {
+            return Ok(answer);
         }
     }
     Err(Pm2Error::RetriesExhausted {
-        op: "load probe",
-        attempts,
+        op,
+        attempts: CONTROL_ATTEMPTS,
     })
-}
-
-/// Split one reply deadline into exponentially growing per-attempt slices
-/// (1, 2, 4, … shares of `2^attempts − 1`), so a full retry budget never
-/// waits longer in total than the single-attempt deadline did — retries
-/// redistribute the wait, they do not extend it.
-pub(crate) fn retry_slice(total: Duration, attempts: u32, i: u32) -> Duration {
-    let attempts = attempts.clamp(1, 20);
-    let denom = (1u64 << attempts) - 1;
-    let num = 1u64 << i.min(attempts - 1);
-    total.mul_f64(num as f64 / denom as f64)
 }
 
 /// Slot-layer statistics of the calling thread's current node: reserve
@@ -561,7 +552,7 @@ pub fn pm2_peer_wealth() -> Vec<u64> {
         let mut w: Vec<u64> = c
             .peer_wealth
             .iter()
-            .map(|x| x.load(std::sync::atomic::Ordering::Relaxed))
+            .map(|x| x.load(Ordering::Relaxed))
             .collect();
         w[c.node] = c.mgr.free_slots() as u64;
         w
@@ -579,39 +570,54 @@ pub(crate) fn send_to(dst: usize, tag: u16, payload: impl Into<Payload>) -> Resu
     Ok(())
 }
 
-/// The calling thread's node-local payload pool (cheap `Arc` clone).
-/// Encoders running on green threads check their buffers out of it.
-pub(crate) fn local_pool() -> BufPool {
-    with_ctx(|c| c.pool.clone())
+/// Send a declared message from the calling thread's node, under its tag.
+pub(crate) fn send_msg<M: Msg>(dst: usize, msg: &M) -> Result<()> {
+    with_ctx(|c| c.send_msg(dst, msg))?;
+    Ok(())
 }
 
-/// Wait for a parked reply matching `tag` (and `src`, if given), yielding so
-/// the node keeps serving.  Replies are parked by the pump.
+/// One green-side request/reply exchange: send `req` to `peer` and wait,
+/// yielding, until `deadline` for the `R` it answers with — matched by
+/// tag, by sender, and by the correlation id `id` when the reply leads
+/// with one.  `Ok(None)` means no reply came in time (lost, or merely
+/// late); a dead peer fails fast with [`Pm2Error::NodeFailed`], a reply
+/// that does not decode with [`Pm2Error::Decode`].
+pub(crate) fn call<R: Msg>(
+    peer: usize,
+    req: &impl Msg,
+    id: Option<u64>,
+    deadline: Instant,
+) -> Result<Option<R>> {
+    send_msg(peer, req)?;
+    let reply = wait_reply_until(R::TAG, Some(peer), deadline, |m| {
+        id.is_none() || proto::peek_id(&m.payload) == id
+    })?;
+    reply.map(|m| R::from_payload(&m.payload)).transpose()
+}
+
+/// The error of a green-side wait whose reply deadline passed.
+pub(crate) fn timed_out(tag: u16) -> Pm2Error {
+    Pm2Error::Net(format!("timed out waiting for reply tag {tag}"))
+}
+
+/// Wait up to the machine's `reply_deadline` for a parked reply matching
+/// `tag` (and `src`, if given), yielding so the node keeps serving.
 pub(crate) fn wait_reply(tag: u16, src: Option<usize>) -> Result<Message> {
-    wait_reply_matching(tag, src, |_| true)
+    let deadline = Instant::now() + with_ctx(|c| c.cfg.reply_deadline);
+    wait_reply_until(tag, src, deadline, |_| true)?.ok_or_else(|| timed_out(tag))
 }
 
-/// [`wait_reply`] with an additional payload predicate (e.g. matching a
-/// typed LRPC reply by call id).  The deadline is the machine's configured
-/// `reply_deadline`.
-pub(crate) fn wait_reply_matching(
-    tag: u16,
-    src: Option<usize>,
-    pred: impl Fn(&Message) -> bool,
-) -> Result<Message> {
-    let deadline = Instant::now() + with_ctx(|c| c.reply_deadline);
-    wait_reply_until(tag, src, deadline, pred)
-}
-
-/// [`wait_reply_matching`] with an explicit deadline, for callers running
-/// their own time budget (e.g. a load-balancer round that must degrade —
-/// not wedge — when one node stops answering).
+/// Wait until `deadline` for a reply parked by the pump under `tag` (from
+/// `src`, if given) that satisfies `pred`; `Ok(None)` when the deadline
+/// passes first.  For callers running their own time budget (e.g. a
+/// load-balancer round that must degrade — not wedge — when one node
+/// stops answering).
 pub(crate) fn wait_reply_until(
     tag: u16,
     src: Option<usize>,
     deadline: Instant,
     pred: impl Fn(&Message) -> bool,
-) -> Result<Message> {
+) -> Result<Option<Message>> {
     loop {
         let hit = with_ctx(|c| {
             let idx = c
@@ -620,8 +626,8 @@ pub(crate) fn wait_reply_until(
                 .position(|m| m.tag == tag && src.is_none_or(|s| m.src == s) && pred(m))?;
             c.replies.remove(idx)
         });
-        if let Some(m) = hit {
-            return Ok(m);
+        if hit.is_some() {
+            return Ok(hit);
         }
         // A reply expected from a named dead peer is never coming: fail
         // now (typed), not at the deadline (opaque).  Checked *after* the
@@ -632,10 +638,114 @@ pub(crate) fn wait_reply_until(
             }
         }
         if Instant::now() > deadline {
-            return Err(Pm2Error::Net(format!(
-                "timed out waiting for reply tag {tag}"
-            )));
+            return Ok(None);
         }
         marcel::yield_now();
+    }
+}
+
+/// Collect one `tag` reply from every peer in `owing`, handing each to
+/// `on_reply` — the gather half of a scatter/gather (the §4.4 bitmap and
+/// buy-ack rounds).  Liveness is re-checked every [`LIVENESS_SLICE`]:
+/// peers that die mid-wait are dropped from `owing` and returned, since
+/// their reply is never coming.  Errors when the machine's
+/// `reply_deadline` passes with live peers still owing.
+///
+/// Call it before the first yield after the scatter: replies are parked
+/// only while the caller is switched out, so anything already parked under
+/// `tag` is left over from an earlier round that erred out, and is
+/// discarded rather than matched into this one.
+pub(crate) fn gather_replies(
+    tag: u16,
+    owing: &mut HashSet<usize>,
+    mut on_reply: impl FnMut(Message) -> Result<()>,
+) -> Result<Vec<usize>> {
+    let overall = Instant::now()
+        + with_ctx(|c| {
+            c.replies.retain(|m| m.tag != tag);
+            c.cfg.reply_deadline
+        });
+    let mut died = Vec::new();
+    while !owing.is_empty() {
+        let slice = overall.min(Instant::now() + LIVENESS_SLICE);
+        match wait_reply_until(tag, None, slice, |_| true)? {
+            Some(m) => {
+                if owing.remove(&m.src) {
+                    on_reply(m)?;
+                }
+            }
+            None => {
+                with_ctx(|c| {
+                    owing.retain(|peer| {
+                        let dead = c.dead_nodes.contains(peer);
+                        if dead {
+                            died.push(*peer);
+                        }
+                        !dead
+                    })
+                });
+                if Instant::now() >= overall && !owing.is_empty() {
+                    return Err(timed_out(tag));
+                }
+            }
+        }
+    }
+    Ok(died)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Retries redistribute one deadline, they do not extend it; a spent
+    /// budget is typed and names the operation.
+    #[test]
+    fn retry_slices_sum_to_one_deadline_and_exhaustion_is_typed() {
+        let total = Duration::from_millis(700);
+        let retries = AtomicU64::new(0);
+        let mut slices = Vec::new();
+        let t0 = Instant::now();
+        let spent: Result<()> = retry("drill", total, &retries, |deadline| {
+            slices.push(deadline.duration_since(t0));
+            Ok(None)
+        });
+        assert_eq!(
+            spent,
+            Err(Pm2Error::RetriesExhausted {
+                op: "drill",
+                attempts: CONTROL_ATTEMPTS
+            })
+        );
+        assert_eq!(slices.len() as u32, CONTROL_ATTEMPTS);
+        assert_eq!(
+            retries.load(Ordering::Relaxed),
+            (CONTROL_ATTEMPTS - 1) as u64
+        );
+        assert!(slices.windows(2).all(|w| w[0] < w[1]), "slices grow");
+        // No attempt waited here, so each deadline is its slice (plus the
+        // microseconds the loop itself took).
+        let sum: Duration = slices.iter().sum();
+        assert!(sum >= total - Duration::from_millis(1), "sum {sum:?}");
+        assert!(sum < total + Duration::from_millis(50), "sum {sum:?}");
+    }
+
+    #[test]
+    fn retry_stops_at_the_first_answer_or_error() {
+        let retries = AtomicU64::new(0);
+        let mut calls = 0;
+        let got = retry("drill", Duration::from_secs(1), &retries, |_| {
+            calls += 1;
+            Ok((calls == 2).then_some(7))
+        });
+        assert_eq!((got, calls, retries.load(Ordering::Relaxed)), (Ok(7), 2, 1));
+        let failed: Result<()> = retry("drill", Duration::from_secs(1), &retries, |_| {
+            Err(Pm2Error::NodeFailed(3))
+        });
+        assert_eq!(failed, Err(Pm2Error::NodeFailed(3)));
+        assert_eq!(
+            retries.load(Ordering::Relaxed),
+            1,
+            "an error is not retried"
+        );
     }
 }

@@ -25,19 +25,6 @@ pub enum MachineMode {
     Deterministic,
 }
 
-/// How threads are migrated (ablation A5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationScheme {
-    /// The paper's contribution: iso-address migration, no post-processing.
-    IsoAddress,
-    /// Early-PM2 baseline: measure the additional relocation + registered
-    /// pointer fix-up work on top of every migration (see `legacy`).
-    /// Threads are still *resumed* iso-address (resuming a relocated Rust
-    /// stack requires compiler guarantees Rust does not give — the very
-    /// fragility §2 argues against); the fix-up cost is real and measured.
-    RegisteredPointers,
-}
-
 /// Top-level configuration of a PM2 machine (a simulated cluster).
 #[derive(Debug, Clone)]
 pub struct Pm2Config {
@@ -61,8 +48,6 @@ pub struct Pm2Config {
     pub trim: bool,
     /// Scheduler driving mode.
     pub mode: MachineMode,
-    /// Migration scheme (ablation).
-    pub scheme: MigrationScheme,
     /// Ship whole slots instead of busy blocks only (ablation A6).
     pub pack_full_slots: bool,
     /// Echo `pm2_printf` lines to the process stdout as well as capturing
@@ -145,15 +130,6 @@ pub struct Pm2Config {
     /// detector is armed.  Must be well under `failure_timeout`; ignored
     /// when detection is off.
     pub heartbeat_every: Duration,
-    /// Total attempts (first try + retries) for the at-least-once
-    /// request/reply control operations: slot trades, load probes,
-    /// checkpoint requests, and recovery's slot reclaim.  Each attempt
-    /// gets an exponentially growing slice of `reply_deadline` (backoff
-    /// by deadline splitting, so the overall budget never exceeds one
-    /// deadline); exhaustion surfaces a typed
-    /// [`crate::Pm2Error::RetriesExhausted`].  Values < 1 are treated
-    /// as 1 — a single attempt, the pre-chaos behavior.
-    pub control_retries: u32,
     /// Spill-log compaction threshold: once a node's log has accumulated
     /// more than this many appended records, the next checkpoint first
     /// rewrites the log keeping only the newest record per thread.  `0`
@@ -191,7 +167,6 @@ impl Pm2Config {
             fit: FitPolicy::FirstFit,
             trim: true,
             mode: MachineMode::Threaded,
-            scheme: MigrationScheme::IsoAddress,
             pack_full_slots: false,
             echo_output: false,
             reply_deadline: Duration::from_secs(30),
@@ -208,7 +183,6 @@ impl Pm2Config {
             checkpoint_every: None,
             failure_timeout: None,
             heartbeat_every: Duration::from_millis(50),
-            control_retries: 3,
             spill_compact_after: 0,
             fault_plan: None,
             fault_corrupt_pack: Vec::new(),
@@ -228,6 +202,17 @@ impl Pm2Config {
             reply_deadline: Duration::from_secs(10),
             ..Pm2Config::new(nodes)
         }
+    }
+
+    /// The configuration as the runtime reads it: each knob documented as
+    /// "values < 1 are treated as 1" (or clamped against another) is
+    /// floored here, once, so no reader re-applies the rule.
+    pub(crate) fn normalized(mut self) -> Self {
+        self.pump_budget = self.pump_budget.max(1);
+        self.max_train = self.max_train.max(1);
+        self.trade_batch = self.trade_batch.max(1);
+        self.slot_high_watermark = self.slot_high_watermark.max(self.slot_low_watermark);
+        self
     }
 
     /// Builder: set the area geometry.
@@ -281,12 +266,6 @@ impl Pm2Config {
     /// Builder: pack whole slots on migration (ablation A6).
     pub fn with_pack_full(mut self, full: bool) -> Self {
         self.pack_full_slots = full;
-        self
-    }
-
-    /// Builder: migration scheme (ablation A5).
-    pub fn with_scheme(mut self, scheme: MigrationScheme) -> Self {
-        self.scheme = scheme;
         self
     }
 
@@ -370,12 +349,6 @@ impl Pm2Config {
         self
     }
 
-    /// Builder: total attempts for at-least-once control requests.
-    pub fn with_control_retries(mut self, attempts: u32) -> Self {
-        self.control_retries = attempts;
-        self
-    }
-
     /// Builder: spill-log compaction threshold (0 disables).
     pub fn with_spill_compact_after(mut self, records: usize) -> Self {
         self.spill_compact_after = records;
@@ -442,12 +415,6 @@ impl MachineBuilder {
     /// Wire model for the Madeleine fabric.
     pub fn net(mut self, net: NetProfile) -> Self {
         self.cfg.net = net;
-        self
-    }
-
-    /// Migration scheme (iso-address, or the registered-pointer ablation).
-    pub fn scheme(mut self, scheme: MigrationScheme) -> Self {
-        self.cfg.scheme = scheme;
         self
     }
 
@@ -591,13 +558,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Total attempts for at-least-once control requests (see
-    /// [`Pm2Config::control_retries`]).
-    pub fn control_retries(mut self, attempts: u32) -> Self {
-        self.cfg.control_retries = attempts;
-        self
-    }
-
     /// Spill-log compaction threshold; 0 disables (see
     /// [`Pm2Config::spill_compact_after`]).
     pub fn spill_compact_after(mut self, records: usize) -> Self {
@@ -667,7 +627,6 @@ mod tests {
         let c = MachineBuilder::new(3)
             .deterministic()
             .net(NetProfile::instant())
-            .scheme(MigrationScheme::RegisteredPointers)
             .slot_cache(2)
             .reply_deadline(Duration::from_millis(1500))
             .max_rpc_payload(4096)
@@ -682,7 +641,6 @@ mod tests {
         assert_eq!(c.idle_park, Duration::from_millis(40));
         assert_eq!(c.mode, MachineMode::Deterministic);
         assert_eq!(c.net.name, "instant");
-        assert_eq!(c.scheme, MigrationScheme::RegisteredPointers);
         assert_eq!(c.slot_cache, 2);
         assert_eq!(c.reply_deadline, Duration::from_millis(1500));
         assert_eq!(c.max_rpc_payload, 4096);
@@ -744,24 +702,32 @@ mod tests {
     fn chaos_knobs_roundtrip() {
         let plan = madeleine::FaultPlan::lossy(7, 0.01);
         let c = MachineBuilder::new(4)
-            .control_retries(5)
             .spill_compact_after(128)
             .fault_plan(plan.clone())
             .into_config();
-        assert_eq!(c.control_retries, 5);
         assert_eq!(c.spill_compact_after, 128);
         assert_eq!(c.fault_plan.as_ref().map(|p| p.seed()), Some(7));
         let d = Pm2Config::new(4);
-        assert_eq!(d.control_retries, 3, "a few retries by default");
         assert_eq!(d.spill_compact_after, 0, "compaction is opt-in");
         assert!(d.fault_plan.is_none(), "perfect wire by default");
         let e = Pm2Config::test(2)
-            .with_control_retries(1)
             .with_spill_compact_after(9)
             .with_fault_plan(plan);
-        assert_eq!(e.control_retries, 1);
         assert_eq!(e.spill_compact_after, 9);
         assert!(e.fault_plan.is_some());
+    }
+
+    #[test]
+    fn normalizing_floors_the_documented_knobs() {
+        let mut c = Pm2Config::new(2);
+        c.pump_budget = 0;
+        c.max_train = 0;
+        c.trade_batch = 0;
+        c.slot_low_watermark = 9;
+        c.slot_high_watermark = 3;
+        let n = c.normalized();
+        assert_eq!((n.pump_budget, n.max_train, n.trade_batch), (1, 1, 1));
+        assert_eq!(n.slot_high_watermark, 9, "clamped up to the low mark");
     }
 
     #[test]

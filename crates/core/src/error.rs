@@ -52,7 +52,7 @@ pub enum Pm2Error {
     RetriesExhausted {
         /// The operation that gave up.
         op: &'static str,
-        /// Total attempts made (the `control_retries` knob).
+        /// Total attempts made (first try + re-sends).
         attempts: u32,
     },
 }

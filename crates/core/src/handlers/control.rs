@@ -6,6 +6,7 @@ use isoaddr::SlotProvider;
 use madeleine::Message;
 use marcel::ThreadState;
 
+use super::decode;
 use crate::node::NodeCtx;
 use crate::proto::{self, tag};
 
@@ -29,7 +30,7 @@ pub(crate) fn on_heartbeat(ctx: &mut NodeCtx, m: &Message) {
 /// `NodeCtx::absorb_gossip`).  A malformed digest is dropped whole — the
 /// next round supersedes it anyway.
 pub(crate) fn on_gossip(ctx: &mut NodeCtx, m: &Message) {
-    if let Some(entries) = proto::decode_gossip(&m.payload) {
+    if let Some(proto::Gossip { entries }) = decode(ctx, m) {
         for e in entries {
             ctx.absorb_gossip(e);
         }
@@ -47,7 +48,9 @@ pub(crate) fn on_audit_req(ctx: &mut NodeCtx, from: usize) {
 const MAX_AFF_REPORT: usize = 16;
 
 pub(crate) fn on_load_req(ctx: &mut NodeCtx, m: &Message) {
-    let from = m.src;
+    let Some(probe) = decode::<proto::LoadReq>(ctx, m) else {
+        return;
+    };
     // Migratable, currently-ready threads — with their descriptor pointers
     // so the affinity section below can read each one's top-k table.
     let migratable: Vec<(u64, marcel::DescPtr)> = ctx
@@ -70,7 +73,7 @@ pub(crate) fn on_load_req(ctx: &mut NodeCtx, m: &Message) {
             if peers.is_empty() {
                 return None;
             }
-            let pack_cost = crate::migration::pack_cost_hint(d, slot_size, ctx.pack_full_slots)
+            let pack_cost = crate::migration::pack_cost_hint(d, slot_size, ctx.cfg.pack_full_slots)
                 .unwrap_or(usize::MAX)
                 .min(u32::MAX as usize) as u32;
             Some(proto::AffinityEdge {
@@ -87,16 +90,21 @@ pub(crate) fn on_load_req(ctx: &mut NodeCtx, m: &Message) {
     // probe doubles as a freshness source for the slot trader.
     let wealth = ctx.mgr.free_slots() as u32;
     ctx.set_peer_wealth(ctx.node, wealth as u64);
-    let resp = proto::encode_load_resp(&ctx.pool, ctx.sched.resident() as u32, wealth, &tids, &aff);
-    let _ = ctx.ep.send(from, tag::LOAD_RESP, resp);
+    let resp = proto::LoadResp {
+        resident: ctx.sched.resident() as u32,
+        wealth,
+        tids,
+        aff,
+    };
+    let _ = ctx.send_msg(m.src, &resp);
     // The probe marks a balancer epoch: decay every resident thread's
     // affinity table *after* reporting, so this epoch's traffic was
     // visible to the planner before it fades.
-    ctx.decay_thread_affinity(proto::decode_load_req(&m.payload));
+    ctx.decay_thread_affinity(probe.decay_shift);
 }
 
 pub(crate) fn on_thread_exit(ctx: &mut NodeCtx, m: Message) {
-    if let Some(exit) = proto::decode_thread_exit(&m.payload) {
+    if let Some(exit) = decode::<crate::registry::ThreadExit>(ctx, &m) {
         // First write wins: the dying node already completed
         // the shared registry directly, and a typed join may
         // have consumed the value since — overwriting would
@@ -115,7 +123,7 @@ pub(crate) fn park_reply(ctx: &mut NodeCtx, m: Message) {
 /// takes it.  A reply landing after its caller's deadline finds no entry
 /// and is dropped; so is a second reply to a call already answered.
 pub(crate) fn park_rpc_resp(ctx: &mut NodeCtx, m: Message) {
-    let pending = proto::peek_rpc_call_id(&m.payload).and_then(|id| ctx.pending_calls.get_mut(&id));
+    let pending = proto::peek_id(&m.payload).and_then(|id| ctx.pending_calls.get_mut(&id));
     if let Some(call) = pending {
         call.reply.get_or_insert(m);
     }
@@ -133,14 +141,14 @@ pub(crate) fn on_kill(ctx: &mut NodeCtx) {
 /// `NODE_DEAD`: a survivor (or the host) announces a death.  Purge the
 /// corpse from every local routing structure and fail waits aimed at it.
 pub(crate) fn on_node_dead(ctx: &mut NodeCtx, m: &Message) {
-    if let Some(dead) = proto::decode_node_dead(&m.payload) {
-        ctx.note_node_dead(dead);
+    if let Some(proto::NodeDead { node }) = decode(ctx, m) {
+        ctx.note_node_dead(node as usize);
     }
 }
 
 /// `CKPT_REQ`: checkpoint now and acknowledge with the image count.
 pub(crate) fn on_ckpt_req(ctx: &mut NodeCtx, m: Message) {
-    let Some(req_id) = proto::decode_ckpt_req(&m.payload) else {
+    let Some(proto::CkptReq { req_id }) = decode(ctx, &m) else {
         return;
     };
     let threads = match ctx.checkpoint_now() {
@@ -150,8 +158,7 @@ pub(crate) fn on_ckpt_req(ctx: &mut NodeCtx, m: Message) {
             0
         }
     };
-    let ack = proto::encode_ckpt_ack(&ctx.pool, req_id, threads);
-    let _ = ctx.ep.send(m.src, tag::CKPT_ACK, ack);
+    let _ = ctx.send_msg(m.src, &proto::CkptAck { req_id, threads });
 }
 
 /// `NODE_RECLAIM`: adopt a dead node's orphaned slot ranges (the host
@@ -161,32 +168,27 @@ pub(crate) fn on_ckpt_req(ctx: &mut NodeCtx, m: Message) {
 /// first ack was lost gets the recorded count re-acked, never a second
 /// adoption of ranges this node already owns.
 pub(crate) fn on_node_reclaim(ctx: &mut NodeCtx, m: Message) {
-    let Some((reclaim_id, ranges)) = proto::decode_node_reclaim(&m.payload) else {
+    let Some(proto::NodeReclaim { reclaim_id, ranges }) = decode(ctx, &m) else {
         return;
     };
-    if let Some(&slots) = ctx.done_reclaims.get(&reclaim_id) {
-        let _ = ctx.ep.send(
-            m.src,
-            tag::RECLAIM_ACK,
-            proto::encode_reclaim_ack(&ctx.pool, reclaim_id, slots),
-        );
-        return;
-    }
-    let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
-    let adopted = if ctx.frozen {
-        ctx.pending_adopts.extend(ranges.iter().copied());
-        total as u32
-    } else if ctx.mgr.adopt_batch(&ranges) {
-        total as u32
-    } else {
-        ctx.out
-            .printf(ctx.node, "dropped invalid reclaim grant from the host");
-        0
+    let slots = match ctx.done_reclaims.get(&reclaim_id) {
+        Some(&recorded) => recorded,
+        None => {
+            let ranges = ranges.0;
+            let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
+            let adopted = if ctx.frozen {
+                ctx.pending_adopts.extend(ranges.iter().copied());
+                total as u32
+            } else if ctx.mgr.adopt_batch(&ranges) {
+                total as u32
+            } else {
+                ctx.out
+                    .printf(ctx.node, "dropped invalid reclaim grant from the host");
+                0
+            };
+            ctx.done_reclaims.insert(reclaim_id, adopted);
+            adopted
+        }
     };
-    ctx.done_reclaims.insert(reclaim_id, adopted);
-    let _ = ctx.ep.send(
-        m.src,
-        tag::RECLAIM_ACK,
-        proto::encode_reclaim_ack(&ctx.pool, reclaim_id, adopted),
-    );
+    let _ = ctx.send_msg(m.src, &proto::ReclaimAck { reclaim_id, slots });
 }

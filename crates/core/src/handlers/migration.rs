@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use madeleine::Message;
 
-use crate::config::MigrationScheme;
+use super::{decode, drop_malformed};
 use crate::node::NodeCtx;
 use crate::proto::{self, tag};
 use crate::registry::ThreadExit;
@@ -53,13 +53,6 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
     if !outcome.adopted.is_empty() {
         // SAFETY: unpack succeeded for these; live resident descriptors.
         unsafe {
-            if ctx.scheme == MigrationScheme::RegisteredPointers {
-                // Ablation baseline: charge the early-PM2 post-migration
-                // fix-up walk (registered pointers + frame chain).
-                for &d in &outcome.adopted {
-                    crate::legacy::charge_arrival_fixup(d);
-                }
-            }
             // The whole train enters the scheduler in one batch.
             ctx.sched.adopt_arrivals(&outcome.adopted);
             for &d in &outcome.adopted {
@@ -108,6 +101,7 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
 /// the registry as a panic carrying the rejection text.
 pub(crate) fn on_migration_nak(ctx: &mut NodeCtx, m: Message) {
     let Some((tids, text)) = proto::decode_migration_nak(&m.payload) else {
+        drop_malformed(ctx);
         ctx.out.printf(
             ctx.node,
             &format!("peer node {} sent an unreadable migration NAK", m.src),
@@ -141,9 +135,9 @@ pub(crate) fn on_migration_nak(ctx: &mut NodeCtx, m: Message) {
 /// the departure side sweeps every flagged thread into one train, the k
 /// accepted threads cost one wire message, not k.
 pub(crate) fn on_migrate_cmd(ctx: &mut NodeCtx, m: Message) {
-    let Some((cmd_id, dest, mut tids)) = proto::decode_migrate_cmd(&m.payload) else {
-        // A corrupt command costs the command, never the node; the
-        // sender's round deadline covers the missing ack.
+    // A corrupt command costs the command, never the node; the sender's
+    // round deadline covers the missing ack.
+    let Some(proto::MigrateCmd { cmd_id, dest, tids }) = decode(ctx, &m) else {
         ctx.out.printf(
             ctx.node,
             &format!("dropped unreadable migrate command from node {}", m.src),
@@ -151,26 +145,15 @@ pub(crate) fn on_migrate_cmd(ctx: &mut NodeCtx, m: Message) {
         return;
     };
     let total = tids.len() as u32;
-    // Dedup so a tid repeated in one command cannot be double-counted
-    // (request_migration succeeds again on an already-flagged thread).
-    tids.sort_unstable();
-    tids.dedup();
-    let mut accepted = 0u32;
-    // A command naming a dead destination fails fast (accepted = 0): the
-    // balancer's pair fails this round instead of threads dying en route.
-    if dest < ctx.n_nodes && !ctx.dead_nodes.contains(&dest) {
-        for tid in &tids {
-            let ok = match ctx.threads.get(tid) {
-                // SAFETY: resident descriptor.
-                Some(&d) => unsafe { ctx.sched.request_migration(d, dest) },
-                None => false,
-            };
-            accepted += ok as u32;
-        }
-    }
+    let accepted = ctx.request_migrations(tids, dest as usize);
     // The ack piggybacks this node's free-slot wealth for the trader.
     let wealth = ctx.mgr.free_slots() as u32;
     ctx.set_peer_wealth(ctx.node, wealth as u64);
-    let ack = proto::encode_migrate_ack(&ctx.pool, cmd_id, accepted, total, wealth);
-    let _ = ctx.ep.send(m.src, tag::MIGRATE_CMD_ACK, ack);
+    let ack = proto::MigrateAck {
+        cmd_id,
+        accepted,
+        total,
+        wealth,
+    };
+    let _ = ctx.send_msg(m.src, &ack);
 }

@@ -19,9 +19,21 @@
 //! New subsystems plug in by adding a module + tag arm here; the pump,
 //! budget, and priority machinery in `node.rs` need no change.
 //!
+//! ## Wire input never panics a driver
+//!
+//! Everything a handler reads off `m.payload` or `m.tag` is input from
+//! outside the node.  A payload that does not decode ([`decode`]), names
+//! something this node does not have (a spawn key, a service id, slots it
+//! does not own), or arrives under a tag with no handler is *dropped* and
+//! counted in `NodeStats::malformed_dropped`; where a requester is waiting
+//! and the request still named it, it gets the exchange's ordinary
+//! refusal.  The `expect`s that remain in this tree guard node-internal
+//! invariants no payload byte can reach.
+//!
 //! ## Priority classes
 //!
-//! Every tag maps to a [`Class`]; the pump drains **control before
+//! Every tag maps to a [`Class`] (the tag table in [`crate::proto`]
+//! assigns it); the pump drains **control before
 //! migration before data**, so a flood of application traffic (spawns,
 //! RPC) can never delay shutdown or negotiation progress, and migrations
 //! overtake bulk data but never the control plane.  Within one class,
@@ -35,7 +47,9 @@ pub(crate) mod migration;
 pub(crate) mod negotiation;
 pub(crate) mod spawn;
 
-use madeleine::Message;
+use std::sync::atomic::Ordering;
+
+use madeleine::{Message, Wire};
 
 use crate::node::NodeCtx;
 use crate::proto::tag;
@@ -55,45 +69,20 @@ pub(crate) enum Class {
 /// Number of priority lanes.
 pub(crate) const N_CLASSES: usize = 3;
 
-/// Map a tag to its priority class.  Unknown tags classify as data; the
-/// dispatch table still panics on them, exactly like the old monolithic
-/// `match`.
-pub(crate) fn classify(t: u16) -> Class {
-    match t {
-        tag::SHUTDOWN
-        | tag::SHUTDOWN_ACK
-        | tag::AUDIT_REQ
-        | tag::AUDIT_RESP
-        | tag::LOAD_RESP
-        | tag::THREAD_EXIT
-        | tag::NEG_LOCK_REQ
-        | tag::NEG_LOCK_GRANT
-        | tag::NEG_LOCK_RELEASE
-        | tag::NEG_BITMAP_REQ
-        | tag::NEG_BITMAP_RESP
-        | tag::NEG_BUY
-        | tag::NEG_BUY_ACK
-        | tag::NEG_DONE
-        | tag::SLOT_TRADE_REQ
-        | tag::SLOT_TRADE_RESP
-        | tag::MIGRATE_CMD_ACK
-        | tag::KILL
-        | tag::NODE_DEAD
-        | tag::CKPT_REQ
-        | tag::CKPT_ACK
-        | tag::NODE_RECLAIM
-        | tag::RECLAIM_ACK
-        | tag::HEARTBEAT
-        | tag::GOSSIP => Class::Control,
-        tag::MIGRATION | tag::MIGRATION_NAK | tag::MIGRATE_CMD => Class::Migration,
-        // LOAD_REQ is deliberately *data*-class despite being served by the
-        // control module: a load probe asks about the application plane, so
-        // it must observe — i.e. queue behind — the spawns already in
-        // flight to the probed node, and a balancer probing a flooded node
-        // should see (and wait like) the flood.  Its LOAD_RESP reply is
-        // control-class: it unblocks a waiting protocol thread.
-        _ => Class::Data,
+/// Count one message dropped as malformed (see the module notes).
+pub(crate) fn drop_malformed(ctx: &mut NodeCtx) {
+    ctx.stats.malformed_dropped.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Decode `m`'s payload as the message `M`; a payload that is not exactly
+/// one `M` is counted as malformed and yields `None` — the handler drops
+/// the message and returns.
+pub(crate) fn decode<M: Wire>(ctx: &mut NodeCtx, m: &Message) -> Option<M> {
+    let msg = M::decode_vec(&m.payload);
+    if msg.is_none() {
+        drop_malformed(ctx);
     }
+    msg
 }
 
 /// Sliding 64-sequence receive dedup window for one (source, class)
@@ -148,6 +137,17 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
     if m.tag != tag::NODE_DEAD && m.src < ctx.n_nodes && ctx.dead_nodes.contains(&m.src) {
         return;
     }
+    // The slot economy and the §4.4 protocol run between nodes only: the
+    // host owns no bitmap, so a lock, freeze or trade request claiming to
+    // come from it is garbage — and acting on one would lend slots to, or
+    // freeze this node for, a peer that can never finish the exchange.
+    let slot_protocol = matches!(
+        m.tag,
+        tag::NEG_LOCK_REQ..=tag::NEG_DONE | tag::SLOT_TRADE_REQ | tag::SLOT_TRADE_RESP
+    );
+    if slot_protocol && m.src >= ctx.n_nodes {
+        return drop_malformed(ctx);
+    }
     // (Chaos duplicates were already dropped at ingest — dedup must run
     // once per fabric *arrival*, not per dispatch, because messages
     // deferred during a freeze come back through here a second time.)
@@ -192,13 +192,15 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         // ingest; a ping byte additionally requests an answering pong.
         tag::HEARTBEAT => control::on_heartbeat(ctx, &m),
         tag::GOSSIP => control::on_gossip(ctx, &m),
-        t => panic!("node {}: unknown message tag {t}", ctx.node),
+        // No handler: an unassigned tag, or one only the host receives.
+        _ => drop_malformed(ctx),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::classify;
 
     #[test]
     fn classes_cover_the_tag_space() {

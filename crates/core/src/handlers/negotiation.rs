@@ -38,8 +38,10 @@
 
 use std::sync::atomic::Ordering;
 
-use madeleine::Message;
+use madeleine::message::PayloadReader;
+use madeleine::{Message, Wire};
 
+use super::{decode, drop_malformed};
 use crate::node::NodeCtx;
 use crate::proto::{self, tag};
 
@@ -85,9 +87,25 @@ pub(crate) fn on_bitmap_req(ctx: &mut NodeCtx, from: usize) {
 }
 
 pub(crate) fn on_buy(ctx: &mut NodeCtx, m: Message) {
-    let ranges = proto::decode_ranges(&m.payload).expect("buy payload");
-    for r in ranges {
-        ctx.mgr.sell(r).expect("selling slots");
+    let Some(proto::NegBuy { ranges }) = decode(ctx, &m) else {
+        return;
+    };
+    // A buy is computed from the bitmap we answered the gather with, so
+    // it names disjoint ranges we own; one that does not is garbage, and
+    // selling any part of it would corrupt the partition.  The protocol
+    // has no refusal, so the sender's ack gather runs into its deadline.
+    let n = ctx.mgr.bitmap().len();
+    let sellable = ranges.0.iter().enumerate().all(|(i, r)| {
+        r.end() <= n
+            && ctx.mgr.bitmap().all_set(*r)
+            && ranges.0[..i].iter().all(|earlier| !earlier.overlaps(r))
+    });
+    if !sellable {
+        return drop_malformed(ctx);
+    }
+    for r in ranges.0 {
+        // Can only fail unmapping a slot we own: a broken area, not input.
+        ctx.mgr.sell(r).expect("selling owned slots");
     }
     let _ = ctx.ep.send(m.src, tag::NEG_BUY_ACK, Vec::new());
 }
@@ -108,33 +126,38 @@ pub(crate) fn on_neg_done(ctx: &mut NodeCtx) {
 /// answer immediately — the grant never blocks, never locks, never touches
 /// any other node.
 pub(crate) fn on_slot_trade_req(ctx: &mut NodeCtx, m: Message) {
-    let Some((trade_id, want, min_contig, wealth)) = proto::decode_slot_trade_req(&m.payload)
-    else {
-        // A corrupt request costs the request; the requester's reply
-        // deadline (or its global fallback) covers the missing answer.
+    // A corrupt request costs the request; the requester's reply deadline
+    // (or its global fallback) covers the missing answer.
+    let Some(req) = decode::<proto::SlotTradeReq>(ctx, &m) else {
         return;
     };
-    ctx.set_peer_wealth(m.src, wealth as u64);
+    ctx.set_peer_wealth(m.src, req.wealth as u64);
     let free = ctx.mgr.free_slots();
     let spare = if ctx.frozen {
         0 // mid-critical-section: our bitmap must not change (§4.4 (a))
     } else {
-        free.saturating_sub(ctx.low_watermark)
+        free.saturating_sub(ctx.cfg.slot_low_watermark)
     };
-    let give = spare.min(want as usize);
+    let give = spare.min(req.want as usize);
     let ranges = if give == 0 {
         ctx.stats.trade_refusals.fetch_add(1, Ordering::Relaxed);
         Vec::new()
     } else {
         ctx.stats.trade_grants.fetch_add(1, Ordering::Relaxed);
+        // `give` is capped by what we own; this can only fail unmapping
+        // a slot of ours — a broken area, not input.
         ctx.mgr
-            .lend_batch(give, min_contig as usize)
-            .expect("lending slots")
+            .lend_batch(give, req.min_contig as usize)
+            .expect("lending owned slots")
     };
-    let my_wealth = ctx.mgr.free_slots() as u32;
-    ctx.set_peer_wealth(ctx.node, my_wealth as u64);
-    let resp = proto::encode_slot_trade_resp(&ctx.pool, trade_id, my_wealth, &ranges);
-    let _ = ctx.ep.send(m.src, tag::SLOT_TRADE_RESP, resp);
+    let wealth = ctx.mgr.free_slots() as u32;
+    ctx.set_peer_wealth(ctx.node, wealth as u64);
+    let resp = proto::SlotTradeResp {
+        trade_id: req.trade_id,
+        wealth,
+        ranges: proto::Ranges(ranges),
+    };
+    let _ = ctx.send_msg(m.src, &resp);
 }
 
 /// A trade reply arrives.  Replies whose id sits in `prefetch_pending`
@@ -143,8 +166,8 @@ pub(crate) fn on_slot_trade_req(ctx: &mut NodeCtx, m: Message) {
 /// ranges — deferred if the bitmap is frozen.  Everything else is parked
 /// for the green thread blocked in `negotiation::try_trade`.
 pub(crate) fn on_slot_trade_resp(ctx: &mut NodeCtx, m: Message) {
-    let Some(id) = proto::peek_trade_id(&m.payload) else {
-        return;
+    let Some(id) = proto::peek_id(&m.payload) else {
+        return drop_malformed(ctx);
     };
     if !ctx.prefetch_pending.remove(&id) {
         super::control::park_reply(ctx, m);
@@ -157,9 +180,10 @@ pub(crate) fn on_slot_trade_resp(ctx: &mut NodeCtx, m: Message) {
         ctx.prefetch_inflight = None;
         ctx.prefetch_target = None;
     }
-    let Some((_, wealth, ranges)) = proto::decode_slot_trade_resp(&m.payload) else {
+    let Some(proto::SlotTradeResp { wealth, ranges, .. }) = decode(ctx, &m) else {
         return;
     };
+    let ranges = ranges.0;
     ctx.set_peer_wealth(m.src, wealth as u64);
     if ranges.is_empty() {
         return; // refused; the wealth update steers the next attempt away
@@ -189,7 +213,10 @@ pub(crate) fn on_slot_trade_resp(ctx: &mut NodeCtx, m: Message) {
 /// to the reply queue — a direct probe answer is at least as fresh as any
 /// gossiped entry about the same peer.
 pub(crate) fn note_load_wealth(ctx: &mut NodeCtx, m: &Message) {
-    if let Some((resident, w)) = proto::peek_load_hints(&m.payload) {
+    // The `(resident, wealth)` pair leads the payload: read just those
+    // eight bytes here — the full decode happens at the waiting green
+    // thread, so the dispatch path allocates no tid vector.
+    if let Some((resident, w)) = <(u32, u32)>::decode(&mut PayloadReader::new(&m.payload)) {
         ctx.set_peer_wealth(m.src, w as u64);
         if let Some(l) = ctx.peer_load.get_mut(m.src) {
             *l = resident;
@@ -200,7 +227,7 @@ pub(crate) fn note_load_wealth(ctx: &mut NodeCtx, m: &Message) {
 /// Refresh the wealth hint table from a `MIGRATE_CMD_ACK` on its way to
 /// the reply queue.
 pub(crate) fn note_ack_wealth(ctx: &mut NodeCtx, m: &Message) {
-    if let Some((_, _, _, w)) = proto::decode_migrate_ack(&m.payload) {
-        ctx.set_peer_wealth(m.src, w as u64);
+    if let Some(ack) = proto::MigrateAck::decode_vec(&m.payload) {
+        ctx.set_peer_wealth(m.src, ack.wealth as u64);
     }
 }

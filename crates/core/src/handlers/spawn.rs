@@ -9,10 +9,10 @@
 //! promptly.  They are also [`marcel::thread::flags::DETACHED`]: their tid
 //! is minted here and handed to nobody, so nothing could join them.
 
-use madeleine::message::PayloadReader;
 use madeleine::Message;
 use marcel::thread::flags;
 
+use super::{decode, drop_malformed};
 use crate::node::NodeCtx;
 use crate::proto::{self, rpc_status, tag};
 
@@ -23,10 +23,14 @@ pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
         ctx.deferred.push_back(m);
         return;
     }
-    let mut r = PayloadReader::new(&m.payload);
-    let key = r.u64().expect("spawn payload");
-    let tid = r.u64().expect("spawn payload tid");
-    let f = ctx.spawn_table.take(key).expect("spawn key not found");
+    let Some(proto::SpawnKey { key, tid }) = decode(ctx, &m) else {
+        return;
+    };
+    // A key nothing is parked under was never handed out by the host (or
+    // was already redeemed): nobody waits on this spawn.
+    let Some(f) = ctx.spawn_table.take(key) else {
+        return drop_malformed(ctx);
+    };
     // Out of stack slots must not kill the node driver: under open-loop
     // overload (the workload harness past saturation) spawn failures are
     // expected, and the host is blocked on this tid — complete it as a
@@ -48,13 +52,24 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
         ctx.deferred.push_back(m);
         return;
     }
-    let (service, args) = proto::decode_rpc_spawn(&m.payload).expect("rpc payload");
-    let f = ctx
-        .services
-        .get(service)
-        .unwrap_or_else(|| panic!("service {service} not registered"));
+    let Some(proto::RpcSpawn { service, args }) = decode(ctx, &m) else {
+        return;
+    };
+    // Fire-and-forget: a request for an unregistered service has nobody
+    // to refuse, so it is dropped like any other malformed message.
+    let Some(f) = ctx.services.get(service) else {
+        ctx.out.printf(
+            ctx.node,
+            &format!("dropped rpc spawn of unregistered service {service}"),
+        );
+        return drop_malformed(ctx);
+    };
     let tid = ctx.sched.next_tid();
-    ctx.spawn_boxed(tid, Box::new(move || f(args)));
+    if let Err(e) = ctx.try_spawn_boxed(tid, 0, Box::new(move || f(args))) {
+        // Out of stack slots under a spawn flood: the request is lost
+        // (nobody awaits it), the node is not.
+        ctx.out.printf(ctx.node, &format!("dropped rpc spawn: {e}"));
+    }
 }
 
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
@@ -68,9 +83,9 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     // so it survives the deferred replay above and any handler
     // migration before the response is sent.
     let Some((call_id, reply_to, service, req)) = proto::decode_rpc_call(&m.payload) else {
-        return; // Malformed request: nothing to reply to.
+        return drop_malformed(ctx); // Nothing to reply to.
     };
-    if req.len() > ctx.max_rpc_payload {
+    if req.len() > ctx.cfg.max_rpc_payload {
         let msg = format!("request of {} bytes exceeds ceiling", req.len());
         let _ = ctx.ep.send(
             reply_to,
@@ -93,7 +108,7 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     // It spawns control-priority so a backlog of compute quanta cannot
     // sit between the request and its reply.  The thread owns the request
     // message and reads the request bytes where they arrived.
-    let max = ctx.max_rpc_payload;
+    let max = ctx.cfg.max_rpc_payload;
     let pool = ctx.pool.clone();
     let tid = ctx.sched.next_tid();
     let spawned = ctx.try_spawn_boxed(

@@ -312,6 +312,8 @@
 //! * [`api`] — the green-side programming interface (§3.4 plus the typed
 //!   v1 calls) for code running inside Marcel threads;
 //! * [`service`] — the typed request/reply LRPC layer ([`Service`]);
+//! * [`proto`] — the control plane declared once: the tag table and the
+//!   message structs every exchange is encoded from and decoded into;
 //! * [`negotiation`] — remote slot acquisition: trade-first economy with
 //!   the §4.4 global negotiation as fallback;
 //! * `migration` — pack/ship/unpack in trains (§2, with the §6
@@ -325,7 +327,6 @@
 //! * [`loadbal`] — an external load balancer driving preemptive migration
 //!   with batched plan/ack rounds;
 //! * [`nodeheap`] — the non-migrating `malloc` baseline (Fig. 4/9);
-//! * [`legacy`] — the early-PM2 registered-pointer relocation baseline;
 //! * [`audit`] — machine-checked exclusive-ownership invariant.
 //!
 //! Deterministic test randomness lives in the workspace-internal
@@ -339,7 +340,6 @@ pub mod error;
 pub(crate) mod executor;
 pub(crate) mod handlers;
 pub mod iso;
-pub mod legacy;
 pub mod loadbal;
 pub mod machine;
 mod migration;
@@ -353,7 +353,7 @@ pub(crate) mod rng;
 pub mod service;
 pub mod spill;
 
-pub use config::{MachineBuilder, MachineMode, MigrationScheme, Pm2Config};
+pub use config::{MachineBuilder, MachineMode, Pm2Config};
 pub use error::{Pm2Error, Result};
 pub use iso::{IsoBox, IsoList, IsoVec};
 pub use machine::{JoinHandle, Machine, Pm2Thread, RecoveryReport};
@@ -364,6 +364,6 @@ pub use service::{service_id, Service};
 mod tests;
 
 // Re-export the substrate types an embedder is likely to need.
-pub use isoaddr::{AreaConfig, Distribution, MapStrategy};
+pub use isoaddr::{AreaConfig, Distribution, MapStrategy, SlotRange};
 pub use isomalloc::FitPolicy;
 pub use madeleine::{BufPool, BufPoolStats, FaultPlan, NetProfile, Payload, Wire};

@@ -92,10 +92,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::api::{self, send_to, wait_reply_until};
+use madeleine::Wire;
+
+use crate::api::{self, send_msg, wait_reply_until};
 use crate::error::Result;
 use crate::machine::Machine;
-use crate::proto::{self, encode_migrate_cmd, tag, AffinityEdge};
+use crate::proto::{self, tag, AffinityEdge};
 
 /// Re-export of the "0 = auto" full-probe threshold so callers tuning
 /// [`BalancerConfig::sample`] can name it instead of hard-coding 16.
@@ -321,9 +323,6 @@ struct Load {
     migratable: Vec<u64>,
     /// Hottest thread→node affinity edges the node reported.
     edges: Vec<AffinityEdge>,
-    /// True when this entry came from a gossip hint instead of a probe:
-    /// usable as a destination, never as a source (no tids, no edges).
-    hinted: bool,
 }
 
 /// Choose this round's probe targets from a seeded candidate draw ranked
@@ -510,7 +509,6 @@ fn plan_moves(
 }
 
 fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<()> {
-    let pool = api::local_pool();
     let deadline = Instant::now() + cfg.round_deadline;
     // Gather loads (the daemon itself counts towards node 0's load; the
     // threshold absorbs it).  A probe refused with a death certificate
@@ -550,22 +548,25 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     };
     let mut loads: Vec<Load> = Vec::with_capacity(targets.len());
     let mut probed = 0usize;
-    let decay = proto::encode_load_req(&pool, if cfg.affinity { cfg.aff_decay_shift } else { 0 });
+    let probe = proto::LoadReq {
+        decay_shift: if cfg.affinity { cfg.aff_decay_shift } else { 0 },
+    };
     for &(peer, hint) in &fresh {
         if let Some(h) = hint {
             if (h as usize) <= hint_mean + cfg.threshold {
                 loads.push(Load {
                     node: peer,
                     resident: h as usize,
+                    // From a gossip hint, not a probe: usable as a
+                    // destination, never as a source (no tids, no edges).
                     migratable: Vec::new(),
                     edges: Vec::new(),
-                    hinted: true,
                 });
                 counters.probes_saved.fetch_add(1, Ordering::SeqCst);
                 continue;
             }
         }
-        if send_to(peer, tag::LOAD_REQ, decay.clone()).is_ok() {
+        if send_msg(peer, &probe).is_ok() {
             probed += 1;
         }
     }
@@ -575,31 +576,26 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // *previous* degraded round only refreshes that node's entry.
     let mut answered = 0usize;
     while answered < probed {
-        let Ok(m) = wait_reply_until(tag::LOAD_RESP, None, deadline, |_| true) else {
+        let Ok(Some(m)) = wait_reply_until(tag::LOAD_RESP, None, deadline, |_| true) else {
             break; // Deadline: balance whoever answered.
         };
         // (The reply also piggybacked the node's free-slot wealth, which
         // the dispatch layer absorbed into the trader's hint table before
         // parking it — the balancer's probes double as the slot economy's
         // freshness source.)
-        let Some((resident, _, migratable, edges)) = proto::decode_load_resp_aff(&m.payload) else {
+        let Some(resp) = proto::LoadResp::decode_vec(&m.payload) else {
             continue;
         };
         answered += 1;
-        let resident = resident as usize;
-        if let Some(l) = loads.iter_mut().find(|l| l.node == m.src) {
-            l.resident = resident;
-            l.migratable = migratable;
-            l.edges = edges;
-            l.hinted = false;
-        } else {
-            loads.push(Load {
-                node: m.src,
-                resident,
-                migratable,
-                edges,
-                hinted: false,
-            });
+        let load = Load {
+            node: m.src,
+            resident: resp.resident as usize,
+            migratable: resp.tids,
+            edges: resp.aff,
+        };
+        match loads.iter_mut().find(|l| l.node == m.src) {
+            Some(l) => *l = load,
+            None => loads.push(load),
         }
     }
     if loads.len() < 2 {
@@ -620,39 +616,38 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // Command: every source concurrently, one MIGRATE_CMD per pair with
     // the full tid list — no per-thread (or even per-pair) RTT gaps.
     let mut pending: HashMap<u64, usize> = HashMap::new(); // cmd id → tids sent
-    for ((src, dest), tids) in &plan {
-        let cmd_id = crate::node::with_ctx(|c| c.next_call_id());
+    for ((src, dest), tids) in plan {
+        let cmd = proto::MigrateCmd {
+            cmd_id: crate::node::with_ctx(|c| c.next_call_id()),
+            dest: dest as u32,
+            tids,
+        };
         // A source that died between gather and command fails its *pair*,
         // never the round (a dead *destination* is the source's problem:
         // its departure handler refuses the move and acks zero).
-        if send_to(
-            *src,
-            tag::MIGRATE_CMD,
-            encode_migrate_cmd(&pool, cmd_id, *dest, tids),
-        )
-        .is_err()
-        {
+        if send_msg(src, &cmd).is_err() {
             continue;
         }
         counters.cmds.fetch_add(1, Ordering::SeqCst);
-        pending.insert(cmd_id, tids.len());
+        pending.insert(cmd.cmd_id, cmd.tids.len());
     }
 
     // Collect: batched acks matched by cmd id until the deadline.  Ids
     // are node-unique and never reused, so an ack parked by an abandoned
     // round can never be credited to this one.
     while !pending.is_empty() {
-        let Ok(ack) = wait_reply_until(tag::MIGRATE_CMD_ACK, None, deadline, |m| {
-            proto::peek_cmd_id(&m.payload).is_some_and(|id| pending.contains_key(&id))
+        let Ok(Some(m)) = wait_reply_until(tag::MIGRATE_CMD_ACK, None, deadline, |m| {
+            proto::peek_id(&m.payload).is_some_and(|id| pending.contains_key(&id))
         }) else {
             break; // Deadline: the unanswered sources degrade the round.
         };
-        let Some((cmd_id, accepted, _total, _wealth)) = proto::decode_migrate_ack(&ack.payload)
-        else {
+        let Some(ack) = proto::MigrateAck::decode_vec(&m.payload) else {
             continue;
         };
-        pending.remove(&cmd_id);
-        counters.moves.fetch_add(accepted as u64, Ordering::SeqCst);
+        pending.remove(&ack.cmd_id);
+        counters
+            .moves
+            .fetch_add(ack.accepted as u64, Ordering::SeqCst);
     }
     Ok(())
 }
@@ -705,7 +700,6 @@ mod tests {
             resident,
             migratable,
             edges,
-            hinted: false,
         }
     }
 

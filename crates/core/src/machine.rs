@@ -13,15 +13,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use isoaddr::{IsoArea, SlotRange, SlotStatsSnapshot};
-use madeleine::message::PayloadWriter;
-use madeleine::{Endpoint, Fabric, Wire};
+use madeleine::{Endpoint, Fabric, Message, Payload, Wire};
 
 use crate::audit::{decode_node_report, AuditReport};
 use crate::config::{MachineBuilder, MachineMode, Pm2Config};
 use crate::error::{Pm2Error, Result};
 use crate::node::{NodeCtx, NodeStats, NodeStatsSnapshot};
 use crate::output::OutputSink;
-use crate::proto::{self, tag};
+use crate::proto::{self, tag, Msg};
 use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
 use crate::service::{service_id, Service, TypedServiceTable};
 
@@ -112,7 +111,8 @@ impl<R: Wire> JoinHandle<R> {
 
 /// A running PM2 machine.
 pub struct Machine {
-    cfg: Pm2Config,
+    /// Normalised at launch and shared with every node.
+    cfg: Arc<Pm2Config>,
     area: Arc<IsoArea>,
     host_ep: Endpoint,
     out: Arc<OutputSink>,
@@ -136,42 +136,8 @@ pub struct Machine {
     next_tid: AtomicU64,
     stopped: bool,
     /// Control messages received while waiting for something else.
-    stash: Vec<madeleine::Message>,
+    stash: Vec<Message>,
 }
-
-/// Tags a fault plan must never drop, duplicate or reorder: the
-/// exactly-once state-transfer messages (migration trains, spawn keys,
-/// exit records, kill/death certificates), application LRPC — whose
-/// handlers are arbitrary user code, so a blind sender retry could
-/// re-execute a non-idempotent call — and the §4.4 negotiation protocol,
-/// whose lock/bitmap/buy exchange assumes a reliable wire.  Everything
-/// else — trades, probes, checkpoints, reclaims, migrate commands,
-/// gossip, heartbeats — is at-least-once: retried by the sender (or
-/// superseded by the next periodic round) and deduplicated by the
-/// receiver's per-(source, class) window.
-const EXACTLY_ONCE_TAGS: &[u16] = &[
-    tag::SPAWN_KEY,
-    tag::RPC_SPAWN,
-    tag::RPC_CALL,
-    tag::RPC_RESP,
-    tag::MIGRATION,
-    tag::MIGRATION_NAK,
-    tag::THREAD_EXIT,
-    tag::NEG_LOCK_REQ,
-    tag::NEG_LOCK_GRANT,
-    tag::NEG_LOCK_RELEASE,
-    tag::NEG_BITMAP_REQ,
-    tag::NEG_BITMAP_RESP,
-    tag::NEG_BUY,
-    tag::NEG_BUY_ACK,
-    tag::NEG_DONE,
-    tag::SHUTDOWN,
-    tag::SHUTDOWN_ACK,
-    tag::AUDIT_REQ,
-    tag::AUDIT_RESP,
-    tag::KILL,
-    tag::NODE_DEAD,
-];
 
 impl Machine {
     /// Start configuring a machine with `nodes` nodes — the v1 facade's
@@ -184,22 +150,24 @@ impl Machine {
     /// layer; [`Machine::builder`] is the fluent equivalent).
     pub fn launch(cfg: Pm2Config) -> Result<Machine> {
         assert!(cfg.nodes >= 1, "a machine needs at least one node");
+        let cfg = Arc::new(cfg.normalized());
         let area = Arc::new(IsoArea::with_strategy(cfg.area, cfg.map_strategy)?);
         // Threaded mode: one doorbell per endpoint, each driver parks on
         // its own.  Deterministic mode: one shared doorbell, so the single
         // round-robin driver parks once for the whole fabric and any send
         // (including the host's) wakes it.
         //
-        // A configured fault plan gets the exactly-once state-transfer
-        // tags stamped protected before it reaches the fabric: trains,
-        // spawns, exits and the §4.4 lock/bitmap/buy messages move state
-        // that is never retried, so losing or duplicating them would be a
-        // different (unrecoverable) fault model than the at-least-once
-        // request/reply traffic this PR hardens.
-        let plan = cfg
-            .fault_plan
-            .clone()
-            .map(|p| p.protect_tags(EXACTLY_ONCE_TAGS));
+        // A configured fault plan gets the exactly-once tags (the `once`
+        // rows of the tag table) stamped protected before it reaches the
+        // fabric: they move state that is never retried, so losing or
+        // duplicating them would be a different (unrecoverable) fault
+        // model than the at-least-once request/reply traffic.
+        let once: Vec<u16> = tag::ALL
+            .iter()
+            .copied()
+            .filter(|&t| proto::exactly_once(t))
+            .collect();
+        let plan = cfg.fault_plan.clone().map(|p| p.protect_tags(&once));
         let mut eps = match (cfg.mode, plan) {
             (MachineMode::Threaded, None) => Fabric::new(cfg.nodes + 1, cfg.net),
             (MachineMode::Threaded, Some(p)) => Fabric::new_chaotic(cfg.nodes + 1, cfg.net, p),
@@ -328,12 +296,10 @@ impl Machine {
         // Optimistic location: if `node` dies before the spawn lands, the
         // dead-owner join logic still has a node to blame — no hang.
         self.registry.set_location(tid, node);
-        let mut w = PayloadWriter::pooled(self.host_ep.pool(), 16);
-        w.u64(key).u64(tid);
-        if let Err(e) = self.host_ep.send(node, tag::SPAWN_KEY, w.finish()) {
+        if let Err(e) = self.send_msg(node, &proto::SpawnKey { key, tid }) {
             self.registry.clear_location(tid);
             self.spawn_table.take(key);
-            return Err(e.into());
+            return Err(e);
         }
         Ok(Pm2Thread { tid })
     }
@@ -370,12 +336,8 @@ impl Machine {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));
         }
-        self.host_ep.send(
-            node,
-            tag::RPC_SPAWN,
-            proto::encode_rpc_spawn(self.host_ep.pool(), service, args),
-        )?;
-        Ok(())
+        let args = args.to_vec();
+        self.send_msg(node, &proto::RpcSpawn { service, args })
     }
 
     /// Fault-injection hook: deliver a raw fabric message to `node` as if a
@@ -399,10 +361,7 @@ impl Machine {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));
         }
-        // Host call ids use the host's fabric id in the top bits, keeping
-        // them disjoint from every node's (node ids < nodes = host id).
-        let call_id =
-            ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed);
+        let call_id = self.next_id();
         let call = proto::encode_rpc_call(
             self.host_ep.pool(),
             call_id,
@@ -411,28 +370,13 @@ impl Machine {
             &req,
             self.cfg.max_rpc_payload,
         )?;
-        // Host rpc_calls are serialized (&mut self), so any RPC_RESP still
-        // stashed from an earlier, timed-out call is dead — drop it rather
-        // than accumulate it.
-        self.stash.retain(|m| m.tag != tag::RPC_RESP);
-        self.host_ep.send(node, tag::RPC_CALL, call)?;
+        // Exactly-once (the handler is arbitrary user code): one attempt
+        // with the whole reply deadline, never a blind re-send.
         let deadline = Instant::now() + self.cfg.reply_deadline;
-        loop {
-            // Short recv slices so a mid-call death of the callee fails
-            // this call promptly (typed), not at the deadline (opaque).
-            let slice = deadline.min(Instant::now() + Duration::from_millis(20));
-            if let Some(m) = self.recv_control_matching(tag::RPC_RESP, slice, |m| {
-                proto::peek_rpc_call_id(&m.payload) == Some(call_id)
-            }) {
-                return crate::api::decode_rpc_outcome::<S>(&m.payload);
-            }
-            if self.host_ep.is_dead(node) {
-                return Err(Pm2Error::NodeFailed(node));
-            }
-            if Instant::now() >= deadline {
-                return Err(Pm2Error::Net("timed out waiting for rpc response".into()));
-            }
-        }
+        let reply = self
+            .exchange(node, tag::RPC_CALL, call, tag::RPC_RESP, call_id, deadline)?
+            .ok_or_else(|| Pm2Error::Net("timed out waiting for rpc response".into()))?;
+        crate::api::decode_rpc_outcome::<S>(&reply.payload)
     }
 
     /// Block the host until a thread completes.  A thread stranded on a
@@ -563,7 +507,82 @@ impl Machine {
         self.pools[node].stats()
     }
 
-    fn recv_control(&mut self, want: u16, deadline: Instant) -> Option<madeleine::Message> {
+    /// Send a declared message from the host, under its tag.
+    fn send_msg<M: Msg>(&self, node: usize, msg: &M) -> Result<()> {
+        let payload = proto::encode(self.host_ep.pool(), msg);
+        self.host_ep.send(node, M::TAG, payload)?;
+        Ok(())
+    }
+
+    /// A fresh host-side correlation id: the host's fabric id in the top
+    /// bits keeps it disjoint from every node's (node ids < nodes = host
+    /// id).
+    fn next_id(&self) -> u64 {
+        ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// One host-side request/reply exchange: send `req` to `node` and wait
+    /// until `deadline` for the `resp_tag` message that leads with `id`
+    /// (from anyone — an LRPC handler may migrate before replying).
+    /// `Ok(None)` means no reply came in time; a `node` that dies mid-wait
+    /// fails the exchange promptly with [`Pm2Error::NodeFailed`], because
+    /// the wait re-checks liveness every `LIVENESS_SLICE`.
+    fn exchange(
+        &mut self,
+        node: usize,
+        req_tag: u16,
+        req: Payload,
+        resp_tag: u16,
+        id: u64,
+        deadline: Instant,
+    ) -> Result<Option<Message>> {
+        // Host exchanges are serialized (&mut self) and ids are never
+        // reused, so a `resp_tag` message still stashed answers an
+        // exchange that was abandoned: drop it rather than accumulate it.
+        self.stash.retain(|m| m.tag != resp_tag);
+        self.host_ep.send(node, req_tag, req)?;
+        loop {
+            let slice = deadline.min(Instant::now() + crate::api::LIVENESS_SLICE);
+            let reply = self
+                .recv_control_matching(resp_tag, slice, |m| proto::peek_id(&m.payload) == Some(id));
+            if reply.is_some() {
+                return Ok(reply);
+            }
+            if self.host_ep.is_dead(node) {
+                return Err(Pm2Error::NodeFailed(node));
+            }
+            if Instant::now() >= deadline {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// An at-least-once [`Machine::exchange`] over declared messages: `req`
+    /// goes out under its tag, is re-sent under the same `id` on loss (so
+    /// the receiver can recognise a duplicate) within one `reply_deadline`
+    /// in total, and the reply is decoded as `R`.
+    fn call<Q: Msg, R: Msg>(
+        &mut self,
+        op: &'static str,
+        node: usize,
+        req: &Q,
+        id: u64,
+    ) -> Result<R> {
+        let stats = Arc::clone(&self.node_stats[node]);
+        crate::api::retry(
+            op,
+            self.cfg.reply_deadline,
+            &stats.ctrl_retries,
+            |deadline| {
+                let payload = proto::encode(self.host_ep.pool(), req);
+                self.exchange(node, Q::TAG, payload, R::TAG, id, deadline)?
+                    .map(|m| R::from_payload(&m.payload))
+                    .transpose()
+            },
+        )
+    }
+
+    fn recv_control(&mut self, want: u16, deadline: Instant) -> Option<Message> {
         self.recv_control_matching(want, deadline, |_| true)
     }
 
@@ -576,8 +595,8 @@ impl Machine {
         &mut self,
         want: u16,
         deadline: Instant,
-        pred: impl Fn(&madeleine::Message) -> bool,
-    ) -> Option<madeleine::Message> {
+        pred: impl Fn(&Message) -> bool,
+    ) -> Option<Message> {
         if let Some(i) = self.stash.iter().position(|m| m.tag == want && pred(m)) {
             return Some(self.stash.remove(i));
         }
@@ -600,19 +619,20 @@ impl Machine {
             self.host_ep.send(node, tag::AUDIT_REQ, Vec::new())?;
         }
         let deadline = Instant::now() + Duration::from_secs(30);
-        let mut nodes = Vec::with_capacity(survivors.len());
-        for _ in 0..survivors.len() {
+        // Keyed by node, newest report winning: a report left over from an
+        // abandoned audit then neither stands in for a missing node nor
+        // double-counts one.
+        let mut reports = std::collections::BTreeMap::new();
+        while reports.len() < survivors.len() {
             let m = self
                 .recv_control(tag::AUDIT_RESP, deadline)
                 .ok_or_else(|| Pm2Error::Net("audit timed out".into()))?;
-            nodes.push(
-                decode_node_report(&m.payload)
-                    .ok_or_else(|| Pm2Error::Net("malformed audit response".into()))?,
-            );
+            let report = decode_node_report(&m.payload)
+                .ok_or_else(|| Pm2Error::Net("malformed audit response".into()))?;
+            reports.insert(report.node, report);
         }
-        nodes.sort_by_key(|n| n.node);
         Ok(AuditReport {
-            nodes,
+            nodes: reports.into_values().collect(),
             n_slots: self.area.n_slots(),
         })
     }
@@ -674,9 +694,10 @@ impl Machine {
         let _ = self.host_ep.send(node, tag::KILL, Vec::new());
         self.host_ep.mark_dead(node);
         if announce {
+            let certificate = proto::NodeDead { node: node as u32 };
             let _ = self.host_ep.broadcast(
                 tag::NODE_DEAD,
-                proto::encode_node_dead(self.host_ep.pool(), node),
+                proto::encode(self.host_ep.pool(), &certificate),
             );
         }
         Ok(())
@@ -688,8 +709,9 @@ impl Machine {
     /// observe the heartbeat detector after [`Machine::kill_node_silent`].
     pub fn wait_node_dead(&mut self, node: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
+        let certificate = proto::NodeDead { node: node as u32 };
         self.recv_control_matching(tag::NODE_DEAD, deadline, |m| {
-            proto::decode_node_dead(&m.payload) == Some(node)
+            proto::NodeDead::decode_vec(&m.payload).as_ref() == Some(&certificate)
         })
         .is_some()
     }
@@ -706,44 +728,13 @@ impl Machine {
         if self.host_ep.is_dead(node) {
             return Err(Pm2Error::NodeFailed(node));
         }
-        // A retried CKPT_ACK from an earlier, abandoned request would sit
-        // in the stash forever; clear stale ones before issuing a new id.
-        self.stash.retain(|m| m.tag != tag::CKPT_ACK);
-        let req_id =
-            ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed);
-        // CKPT_REQ/ACK is at-least-once under a fault plan: re-send with
-        // the same id on loss.  A duplicate request just snapshots again
-        // (the newest epoch supersedes), so retrying is always safe.
-        let attempts = self.cfg.control_retries.max(1);
-        for attempt in 0..attempts {
-            self.host_ep.send(
-                node,
-                tag::CKPT_REQ,
-                proto::encode_ckpt_req(self.host_ep.pool(), req_id),
-            )?;
-            let deadline = Instant::now()
-                + crate::api::retry_slice(self.cfg.reply_deadline, attempts, attempt);
-            loop {
-                let slice = deadline.min(Instant::now() + Duration::from_millis(20));
-                if let Some(m) = self.recv_control_matching(tag::CKPT_ACK, slice, |m| {
-                    proto::peek_ckpt_id(&m.payload) == Some(req_id)
-                }) {
-                    let (_, threads) = proto::decode_ckpt_ack(&m.payload)
-                        .ok_or_else(|| Pm2Error::Net("malformed checkpoint ack".into()))?;
-                    return Ok(threads);
-                }
-                if self.host_ep.is_dead(node) {
-                    return Err(Pm2Error::NodeFailed(node));
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-            }
-        }
-        Err(Pm2Error::RetriesExhausted {
-            op: "checkpoint",
-            attempts,
-        })
+        // CKPT_REQ/ACK is at-least-once under a fault plan.  A duplicate
+        // request just snapshots again (the newest epoch supersedes), so
+        // retrying is always safe.
+        let req_id = self.next_id();
+        let ack: proto::CkptAck =
+            self.call("checkpoint", node, &proto::CkptReq { req_id }, req_id)?;
+        Ok(ack.threads)
     }
 
     /// Checkpoint every live node; returns the total threads covered.
@@ -918,31 +909,13 @@ impl Machine {
             // At-least-once with a sticky heir: always the same survivor,
             // always the same reclaim id, so a lost ack just provokes a
             // re-ack of the recorded adoption instead of a double grant.
-            self.stash.retain(|m| m.tag != tag::RECLAIM_ACK);
-            let reclaim_id =
-                ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed);
-            let heir = survivors[0];
-            let attempts = self.cfg.control_retries.max(1);
-            let mut acked = None;
-            for attempt in 0..attempts {
-                self.host_ep.send(
-                    heir,
-                    tag::NODE_RECLAIM,
-                    proto::encode_node_reclaim(self.host_ep.pool(), reclaim_id, &orphans),
-                )?;
-                let deadline = Instant::now()
-                    + crate::api::retry_slice(self.cfg.reply_deadline, attempts, attempt);
-                if let Some(m) = self.recv_control_matching(tag::RECLAIM_ACK, deadline, |m| {
-                    proto::peek_reclaim_id(&m.payload) == Some(reclaim_id)
-                }) {
-                    acked = proto::decode_reclaim_ack(&m.payload).map(|(_, slots)| slots);
-                    break;
-                }
-            }
-            slots_reclaimed = acked.ok_or(Pm2Error::RetriesExhausted {
-                op: "reclaim",
-                attempts,
-            })? as usize;
+            let reclaim_id = self.next_id();
+            let req = proto::NodeReclaim {
+                reclaim_id,
+                ranges: proto::Ranges(orphans),
+            };
+            let ack: proto::ReclaimAck = self.call("reclaim", survivors[0], &req, reclaim_id)?;
+            slots_reclaimed = ack.slots as usize;
         }
         let reclaim = t1.elapsed();
 
@@ -1093,7 +1066,7 @@ fn executor_tick(cfg: &Pm2Config) -> Duration {
 /// without another wait.
 fn drive_all(ctxs: &mut [NodeCtx]) {
     let bell = ctxs[0].ep.doorbell().clone();
-    let idle_park = ctxs[0].idle_park;
+    let idle_park = ctxs[0].cfg.idle_park;
     loop {
         let seen = bell.rings();
         let mut any = false;

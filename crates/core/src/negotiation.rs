@@ -67,14 +67,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use isoaddr::{SlotBitmap, SlotRange};
 
-use crate::api::{send_to, wait_reply};
+use crate::api::{call, gather_replies, retry, send_msg, send_to, wait_reply};
 use crate::error::{Pm2Error, Result};
 use crate::node::with_ctx;
-use crate::proto::{self, encode_ranges, tag};
+use crate::proto::{self, tag};
 
 /// Acquire ownership of `requested` contiguous slots into the calling
 /// node's bitmap.  On success the local bitmap is guaranteed to contain a
@@ -127,7 +128,7 @@ fn run_acquire(requested: usize) -> Result<()> {
     if with_ctx(|c| !c.frozen && c.mgr.bitmap().find_first_fit(requested, 0).is_some()) {
         return Ok(());
     }
-    let trading = with_ctx(|c| c.slot_trade && c.n_nodes > 1);
+    let trading = with_ctx(|c| c.cfg.slot_trade && c.n_nodes > 1);
     if trading {
         if try_trade(requested) {
             return Ok(());
@@ -154,62 +155,52 @@ fn run_acquire(requested: usize) -> Result<()> {
 /// fresh trade id and an exponentially growing slice of the reply
 /// deadline.  Returns whether the local bitmap now satisfies the
 /// request.  A *received* refusal or insufficiency reports `false`
-/// immediately — that is a negative answer, not loss — and the caller
-/// falls back to the global protocol.
+/// immediately — that is a negative answer, not loss — and so does a
+/// spent retry budget: either way the caller falls back to the global
+/// protocol.
 fn try_trade(requested: usize) -> bool {
-    let (attempts, total_deadline) = with_ctx(|c| (c.control_retries, c.reply_deadline));
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            with_ctx(|c| c.stats.ctrl_retries.fetch_add(1, Ordering::Relaxed));
-        }
-        match try_trade_once(requested, attempt, attempts, total_deadline) {
-            Some(satisfied) => return satisfied,
-            None => continue, // lost in transit (or peer died): retry
-        }
-    }
-    false
+    let (total, stats) = with_ctx(|c| (c.cfg.reply_deadline, Arc::clone(&c.stats)));
+    retry("slot trade", total, &stats.ctrl_retries, |deadline| {
+        Ok(try_trade_once(requested, deadline))
+    })
+    .unwrap_or(false)
 }
 
 /// One attempt of [`try_trade`]: `Some(satisfied)` on a received answer,
 /// `None` when the exchange was lost and a retry is worthwhile.
-fn try_trade_once(
-    requested: usize,
-    attempt: u32,
-    attempts: u32,
-    total_deadline: std::time::Duration,
-) -> Option<bool> {
+fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
     let t0 = Instant::now();
     let setup = with_ctx(|c| {
         let peer = c.richest_peer(0)?;
-        let id = c.next_call_id();
-        // Ask for the shortfall *batch*: the request itself plus enough
-        // spare to amortize the round trip over later acquisitions.
-        let want = requested + c.trade_batch;
-        let wealth = c.mgr.free_slots() as u32;
-        Some((peer, id, want, wealth, c.pool.clone()))
+        let req = proto::SlotTradeReq {
+            trade_id: c.next_call_id(),
+            // Ask for the shortfall *batch*: the request itself plus enough
+            // spare to amortize the round trip over later acquisitions.
+            want: (requested + c.cfg.trade_batch) as u32,
+            min_contig: requested as u32,
+            wealth: c.mgr.free_slots() as u32,
+        };
+        Some((peer, req))
     });
-    let Some((peer, id, want, wealth, pool)) = setup else {
+    let Some((peer, req)) = setup else {
         return Some(false); // nobody plausibly rich: straight to global
     };
     with_ctx(|c| c.stats.trades.fetch_add(1, Ordering::Relaxed));
-    let req = proto::encode_slot_trade_req(&pool, id, want as u32, requested as u32, wealth);
-    if send_to(peer, tag::SLOT_TRADE_REQ, req).is_err() {
-        return None; // peer died under us; a retry re-picks
-    }
-    let deadline = Instant::now() + crate::api::retry_slice(total_deadline, attempts, attempt);
-    let Ok(m) = crate::api::wait_reply_until(tag::SLOT_TRADE_RESP, Some(peer), deadline, |m| {
-        proto::peek_trade_id(&m.payload) == Some(id)
-    }) else {
-        // Timed out: a grant may still be in flight, and its slots were
-        // already cleared at the lender.  Hand the trade id to the
-        // prefetch machinery so a late reply is adopted by the pump
-        // instead of stranding the slots (or the parked-reply queue).
-        with_ctx(|c| c.prefetch_pending.insert(id));
-        return None;
+    let resp = match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), deadline) {
+        Ok(Some(resp)) => resp,
+        // An answer that does not decode is still an answer.
+        Err(Pm2Error::Decode(_)) => return Some(false),
+        Ok(None) | Err(_) => {
+            // Timed out, or the peer died under us (a retry re-picks).  A
+            // grant may still be in flight, and its slots were already
+            // cleared at the lender: hand the trade id to the prefetch
+            // machinery so a late reply is adopted by the pump instead of
+            // stranding the slots (or the parked-reply queue).
+            with_ctx(|c| c.prefetch_pending.insert(req.trade_id));
+            return None;
+        }
     };
-    let Some((_, peer_wealth, ranges)) = proto::decode_slot_trade_resp(&m.payload) else {
-        return Some(false);
-    };
+    let (peer_wealth, ranges) = (resp.wealth, resp.ranges.0);
     let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
     // Adopt once the bitmap is not frozen (a global negotiation may have
     // frozen us while we waited; adoption inside the critical section
@@ -336,14 +327,6 @@ fn run_global_protocol(requested: usize) -> Result<()> {
 /// never coming, and their slots are recovery's business, not this
 /// negotiation's.
 fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
-    // A previous negotiation that erred out mid-gather may have left late
-    // bitmap/ack replies parked; matching them into *this* round would
-    // hand the first-fit a stale bitmap.  Only one negotiation runs at a
-    // time per node, so anything parked under these tags is stale.
-    with_ctx(|c| {
-        c.replies
-            .retain(|m| m.tag != tag::NEG_BITMAP_RESP && m.tag != tag::NEG_BUY_ACK)
-    });
     // (b) gather the bitmaps of every *live* peer.  A send refused with a
     // death certificate drops that peer from the gather: a corpse's slots
     // are reclaimed by recovery (`Machine::recover_node`), never bought.
@@ -355,25 +338,12 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
     }
     let mut bitmaps: Vec<Option<SlotBitmap>> = (0..p).map(|_| None).collect();
     bitmaps[me] = Some(with_ctx(|c| c.mgr.bitmap().clone()));
-    let overall = Instant::now() + with_ctx(|c| c.reply_deadline);
-    while !owing.is_empty() {
-        let slice = overall.min(Instant::now() + Duration::from_millis(20));
-        match crate::api::wait_reply_until(tag::NEG_BITMAP_RESP, None, slice, |_| true) {
-            Ok(m) => {
-                let bm = SlotBitmap::from_bytes(&m.payload)
-                    .ok_or_else(|| Pm2Error::Net("malformed bitmap response".into()))?;
-                owing.remove(&m.src);
-                bitmaps[m.src] = Some(bm);
-            }
-            Err(_) => {
-                // Slice expiry: prune peers that died since the scatter.
-                with_ctx(|c| owing.retain(|&peer| !c.dead_nodes.contains(&peer)));
-                if Instant::now() >= overall && !owing.is_empty() {
-                    return Err(Pm2Error::Net("bitmap gather timed out".into()));
-                }
-            }
-        }
-    }
+    gather_replies(tag::NEG_BITMAP_RESP, &mut owing, |m| {
+        let bm = SlotBitmap::from_bytes(&m.payload)
+            .ok_or_else(|| Pm2Error::Net("malformed bitmap response".into()))?;
+        bitmaps[m.src] = Some(bm);
+        Ok(())
+    })?;
 
     // (c) global OR, plus the owner table: one pass over the gathered
     // bitmaps' set bits gives O(1) owner lookups in step (d) — the old
@@ -429,60 +399,36 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
                 );
             }
             let mut pending: HashMap<usize, Vec<SlotRange>> = HashMap::new();
-            let pool = crate::api::local_pool();
-            for (owner, ranges) in &sellers {
-                if *owner == me {
+            for (owner, ranges) in sellers {
+                if owner == me {
                     continue;
                 }
-                send_to(*owner, tag::NEG_BUY, encode_ranges(&pool, ranges))?;
-                pending.insert(*owner, ranges.clone());
+                let buy = proto::NegBuy {
+                    ranges: proto::Ranges(ranges),
+                };
+                send_msg(owner, &buy)?;
+                pending.insert(owner, buy.ranges.0);
             }
             // Grant per *acked* seller: an ack proves that seller cleared
             // its bits, so its ranges transfer even if another seller
-            // dies.  A dead seller's ranges stay ungranted — whether the
-            // corpse cleared them is unknowable, so they fall to corpse
-            // reclamation — and the negotiation reports the death typed
-            // (the caller may retry; our NEG_DONE fan-out still runs).
+            // dies (or the round times out).  A dead seller's ranges stay
+            // ungranted — whether the corpse cleared them is unknowable,
+            // so they fall to corpse reclamation — and the negotiation
+            // reports the death typed (the caller may retry; our NEG_DONE
+            // fan-out still runs).
+            let mut owing: HashSet<usize> = pending.keys().copied().collect();
             let mut bought: Vec<SlotRange> = Vec::new();
-            let mut lost_seller: Option<usize> = None;
-            let overall = Instant::now() + with_ctx(|c| c.reply_deadline);
-            let mut timed_out = false;
-            while !pending.is_empty() {
-                let slice = overall.min(Instant::now() + Duration::from_millis(20));
-                match crate::api::wait_reply_until(tag::NEG_BUY_ACK, None, slice, |_| true) {
-                    Ok(m) => {
-                        if let Some(rs) = pending.remove(&m.src) {
-                            bought.extend(rs);
-                        }
-                    }
-                    Err(_) => {
-                        with_ctx(|c| {
-                            pending.retain(|&seller, _| {
-                                if c.dead_nodes.contains(&seller) {
-                                    lost_seller = Some(seller);
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                        });
-                        if Instant::now() >= overall && !pending.is_empty() {
-                            timed_out = true;
-                            break;
-                        }
-                    }
-                }
-            }
+            let lost_sellers = gather_replies(tag::NEG_BUY_ACK, &mut owing, |m| {
+                bought.extend(pending.remove(&m.src).unwrap_or_default());
+                Ok(())
+            });
             with_ctx(|c| {
                 for r in &bought {
                     c.mgr.grant(*r);
                 }
             });
-            if timed_out {
-                return Err(Pm2Error::Net("buy acks timed out".into()));
-            }
-            match lost_seller {
-                Some(seller) => Err(Pm2Error::NodeFailed(seller)),
+            match lost_sellers?.last() {
+                Some(&seller) => Err(Pm2Error::NodeFailed(seller)),
                 None => Ok(()),
             }
         }

@@ -49,7 +49,7 @@
 //!   been silent past half the failure timeout (a ping byte requesting a
 //!   pong), and death is still declared purely by silence timeout.
 //! * **Wealth/load dissemination** is an epidemic digest
-//!   ([`crate::proto::encode_gossip`]): once per `heartbeat_every` each
+//!   ([`crate::proto::Gossip`]): once per `heartbeat_every` each
 //!   node pushes its own free-slot and resident-thread counts, plus a few
 //!   relayed table entries, to `GOSSIP_FANOUT` random live peers — O(1)
 //!   messages per node per round, O(log p) rounds to saturate the machine.
@@ -89,12 +89,12 @@ use isoaddr::{IsoArea, NodeSlotManager, SlotRange};
 use madeleine::{BufPool, Endpoint, Message};
 use marcel::{DescPtr, RunOutcome, Scheduler, ThreadState};
 
-use crate::config::{MigrationScheme, Pm2Config};
+use crate::config::Pm2Config;
 use crate::handlers::{self, N_CLASSES};
 use crate::migration;
 use crate::nodeheap::NodeHeap;
 use crate::output::OutputSink;
-use crate::proto::{self, tag};
+use crate::proto::{self, tag, Msg};
 use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
 use crate::service::{panic_text, TypedServiceTable};
 use crate::spill::SpillLog;
@@ -125,131 +125,131 @@ const SCAN_CHUNK: usize = 4;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
 
-/// Live runtime counters for one node (shared with the host).
-#[derive(Debug, Default)]
-pub struct NodeStats {
+/// The per-node counters, declared once: the live atomics ([`NodeStats`],
+/// shared with the host), the plain copy ([`NodeStatsSnapshot`]),
+/// [`NodeStats::snapshot`] and [`NodeStats::reset`] are all generated from
+/// this one list, so a new counter is one entry here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Live runtime counters for one node (shared with the host).
+        #[derive(Debug, Default)]
+        pub struct NodeStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// Plain snapshot of [`NodeStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct NodeStatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl NodeStats {
+            /// Zero every counter.  Intended for round-based measurement
+            /// (the workload harness resets between ramp rounds so each
+            /// round reports its own counters, not cumulative ones); call
+            /// it near quiescence — a node mid-increment is harmless (the
+            /// increment lands in the next window) but the fields are not
+            /// reset as one atomic unit.
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+
+            /// Point-in-time copy.
+            pub fn snapshot(&self) -> NodeStatsSnapshot {
+                NodeStatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Threads shipped away.
-    pub migrations_out: AtomicU64,
+    migrations_out,
     /// Threads received.
-    pub migrations_in: AtomicU64,
+    migrations_in,
     /// Arriving migration record groups rejected as corrupt (NAKed).
-    pub migrations_failed: AtomicU64,
+    migrations_failed,
     /// Migration trains (wire messages) sent; `migrations_out /
     /// trains_out` is the mean threads-per-message of outgoing traffic.
-    pub trains_out: AtomicU64,
+    trains_out,
     /// Migration trains received (counted when ≥ 1 thread adopted).
-    pub trains_in: AtomicU64,
+    trains_in,
     /// Total bytes of outgoing migration buffers.
-    pub migration_bytes_out: AtomicU64,
+    migration_bytes_out,
     /// Nanoseconds spent packing outgoing migrations (freeze & gather).
-    pub migration_pack_ns: AtomicU64,
-    /// Modelled wire nanoseconds charged for arriving migrations.
-    pub migration_wire_ns: AtomicU64,
-    /// Nanoseconds spent unpacking arriving migrations (adopt & copy).
-    pub migration_unpack_ns: AtomicU64,
+    /// Per-stage migration cost is summed over this node's
+    /// participations: packing is paid by the source…
+    migration_pack_ns,
+    /// …modelled wire nanoseconds charged for arriving migrations…
+    migration_wire_ns,
+    /// …and unpacking them (adopt & copy) by the destination.
+    migration_unpack_ns,
     /// Global negotiations initiated by this node (the §4.4 fallback; on
     /// the trade-first hot path this stays 0).
-    pub negotiations: AtomicU64,
+    negotiations,
     /// Total nanoseconds spent in initiated global negotiations.
-    pub negotiation_ns: AtomicU64,
+    negotiation_ns,
     /// Demand slot trades initiated by this node (a green thread needed
     /// slots *now* and asked the richest known peer).
-    pub trades: AtomicU64,
+    trades,
     /// Total nanoseconds green threads spent in demand trades.
-    pub trade_ns: AtomicU64,
+    trade_ns,
     /// Slots adopted from peers via trades (demand + prefetch).
-    pub trade_slots_in: AtomicU64,
+    trade_slots_in,
     /// Demand trades that could not satisfy the request (refused,
     /// insufficient, or non-contiguous) and fell back to the global §4.4
     /// protocol.
-    pub trade_fallbacks: AtomicU64,
+    trade_fallbacks,
     /// Trade requests this node granted as the lender.
-    pub trade_grants: AtomicU64,
+    trade_grants,
     /// Trade requests this node refused (frozen, or at its watermark).
-    pub trade_refusals: AtomicU64,
+    trade_refusals,
     /// Asynchronous watermark prefetches sent (reserve below low water).
-    pub prefetches: AtomicU64,
+    prefetches,
     /// Prefetches that came back with at least one slot.
-    pub prefetch_fills: AtomicU64,
+    prefetch_fills,
     /// Piggybacked wealth hints absorbed (trade/load/ack traffic).
-    pub wealth_updates: AtomicU64,
+    wealth_updates,
     /// Threads spawned here.
-    pub spawns: AtomicU64,
+    spawns,
     /// Checkpoints written to the spill log.
-    pub checkpoints: AtomicU64,
+    checkpoints,
     /// Thread images written across all checkpoints (supersessions
     /// included — the log replayer keeps only the newest epoch per tid).
-    pub checkpoint_threads: AtomicU64,
+    checkpoint_threads,
     /// Scheduling steps the driver executed for this node.
-    pub steps: AtomicU64,
+    steps,
     /// Times the driver parked on the doorbell with nothing to do.
-    pub driver_parks: AtomicU64,
+    driver_parks,
     /// Times the driver came back from a park (ring or park-timeout).
     /// `driver_parks − driver_wakeups ∈ {0, 1}` at any instant; a
     /// quiescent machine accumulates (almost) none of either beyond the
     /// initial park.
-    pub driver_wakeups: AtomicU64,
+    driver_wakeups,
     /// Messages dropped by the per-(source, class) dedup window — chaos
     /// duplicates (same fabric seq) caught before they reached a handler.
-    pub dup_dropped: AtomicU64,
-    /// Control-plane retries issued by this node (trade and probe
-    /// re-sends after a lost request or reply).
-    pub ctrl_retries: AtomicU64,
+    dup_dropped,
+    /// Messages dropped by a handler as malformed: a payload that does not
+    /// decode or names something this node does not have, or a tag with
+    /// no handler (see [`crate::handlers`]).  Zero on a healthy machine.
+    malformed_dropped,
+    /// Re-sends of at-least-once control requests after a lost request or
+    /// reply: trades and probes issued by this node's threads, checkpoint
+    /// and reclaim requests issued by the host *toward* this node.
+    ctrl_retries,
     /// RPC-shaped messages (calls, spawn requests, replies) this node's
     /// threads exchanged with co-located peers — self-sends that never
     /// touch the modelled wire.
-    pub rpc_local: AtomicU64,
+    rpc_local,
     /// RPC-shaped messages exchanged with remote nodes — each one pays
     /// the full modelled hop.  `rpc_remote / (rpc_local + rpc_remote)` is
     /// the remote-message ratio the affinity balancer minimizes.
-    pub rpc_remote: AtomicU64,
+    rpc_remote,
     /// Affinity decay sweeps applied (one per LOAD_REQ-carried balancer
     /// epoch observed by this node).
-    pub aff_decays: AtomicU64,
-}
-
-/// Plain snapshot of [`NodeStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStatsSnapshot {
-    pub migrations_out: u64,
-    pub migrations_in: u64,
-    pub migrations_failed: u64,
-    pub trains_out: u64,
-    pub trains_in: u64,
-    pub migration_bytes_out: u64,
-    /// Per-stage migration cost, summed over this node's participations:
-    /// packing is paid by the source…
-    pub migration_pack_ns: u64,
-    /// …wire time and unpacking by the destination.
-    pub migration_wire_ns: u64,
-    pub migration_unpack_ns: u64,
-    pub negotiations: u64,
-    pub negotiation_ns: u64,
-    pub trades: u64,
-    pub trade_ns: u64,
-    pub trade_slots_in: u64,
-    pub trade_fallbacks: u64,
-    pub trade_grants: u64,
-    pub trade_refusals: u64,
-    pub prefetches: u64,
-    pub prefetch_fills: u64,
-    pub wealth_updates: u64,
-    pub spawns: u64,
-    pub checkpoints: u64,
-    pub checkpoint_threads: u64,
-    pub steps: u64,
-    pub driver_parks: u64,
-    pub driver_wakeups: u64,
-    /// Chaos duplicates dropped by the dedup window.
-    pub dup_dropped: u64,
-    /// Control-plane retries issued (trade/probe re-sends).
-    pub ctrl_retries: u64,
-    /// RPC-shaped messages exchanged with co-located threads (free).
-    pub rpc_local: u64,
-    /// RPC-shaped messages exchanged with remote nodes (pay the wire).
-    pub rpc_remote: u64,
-    /// Affinity decay sweeps applied.
-    pub aff_decays: u64,
+    aff_decays,
 }
 
 impl NodeStatsSnapshot {
@@ -273,84 +273,6 @@ impl NodeStatsSnapshot {
     }
 }
 
-impl NodeStats {
-    /// Zero every counter.  Intended for round-based measurement (the
-    /// workload harness resets between ramp rounds so each round reports
-    /// its own counters, not cumulative ones); call it near quiescence —
-    /// a node mid-increment is harmless (the increment lands in the next
-    /// window) but the fields are not reset as one atomic unit.
-    pub fn reset(&self) {
-        self.migrations_out.store(0, Ordering::Relaxed);
-        self.migrations_in.store(0, Ordering::Relaxed);
-        self.migrations_failed.store(0, Ordering::Relaxed);
-        self.trains_out.store(0, Ordering::Relaxed);
-        self.trains_in.store(0, Ordering::Relaxed);
-        self.migration_bytes_out.store(0, Ordering::Relaxed);
-        self.migration_pack_ns.store(0, Ordering::Relaxed);
-        self.migration_wire_ns.store(0, Ordering::Relaxed);
-        self.migration_unpack_ns.store(0, Ordering::Relaxed);
-        self.negotiations.store(0, Ordering::Relaxed);
-        self.negotiation_ns.store(0, Ordering::Relaxed);
-        self.trades.store(0, Ordering::Relaxed);
-        self.trade_ns.store(0, Ordering::Relaxed);
-        self.trade_slots_in.store(0, Ordering::Relaxed);
-        self.trade_fallbacks.store(0, Ordering::Relaxed);
-        self.trade_grants.store(0, Ordering::Relaxed);
-        self.trade_refusals.store(0, Ordering::Relaxed);
-        self.prefetches.store(0, Ordering::Relaxed);
-        self.prefetch_fills.store(0, Ordering::Relaxed);
-        self.wealth_updates.store(0, Ordering::Relaxed);
-        self.spawns.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.checkpoint_threads.store(0, Ordering::Relaxed);
-        self.steps.store(0, Ordering::Relaxed);
-        self.driver_parks.store(0, Ordering::Relaxed);
-        self.driver_wakeups.store(0, Ordering::Relaxed);
-        self.dup_dropped.store(0, Ordering::Relaxed);
-        self.ctrl_retries.store(0, Ordering::Relaxed);
-        self.rpc_local.store(0, Ordering::Relaxed);
-        self.rpc_remote.store(0, Ordering::Relaxed);
-        self.aff_decays.store(0, Ordering::Relaxed);
-    }
-
-    /// Point-in-time copy.
-    pub fn snapshot(&self) -> NodeStatsSnapshot {
-        NodeStatsSnapshot {
-            migrations_out: self.migrations_out.load(Ordering::Relaxed),
-            migrations_in: self.migrations_in.load(Ordering::Relaxed),
-            migrations_failed: self.migrations_failed.load(Ordering::Relaxed),
-            trains_out: self.trains_out.load(Ordering::Relaxed),
-            trains_in: self.trains_in.load(Ordering::Relaxed),
-            migration_bytes_out: self.migration_bytes_out.load(Ordering::Relaxed),
-            migration_pack_ns: self.migration_pack_ns.load(Ordering::Relaxed),
-            migration_wire_ns: self.migration_wire_ns.load(Ordering::Relaxed),
-            migration_unpack_ns: self.migration_unpack_ns.load(Ordering::Relaxed),
-            negotiations: self.negotiations.load(Ordering::Relaxed),
-            negotiation_ns: self.negotiation_ns.load(Ordering::Relaxed),
-            trades: self.trades.load(Ordering::Relaxed),
-            trade_ns: self.trade_ns.load(Ordering::Relaxed),
-            trade_slots_in: self.trade_slots_in.load(Ordering::Relaxed),
-            trade_fallbacks: self.trade_fallbacks.load(Ordering::Relaxed),
-            trade_grants: self.trade_grants.load(Ordering::Relaxed),
-            trade_refusals: self.trade_refusals.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            prefetch_fills: self.prefetch_fills.load(Ordering::Relaxed),
-            wealth_updates: self.wealth_updates.load(Ordering::Relaxed),
-            spawns: self.spawns.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_threads: self.checkpoint_threads.load(Ordering::Relaxed),
-            steps: self.steps.load(Ordering::Relaxed),
-            driver_parks: self.driver_parks.load(Ordering::Relaxed),
-            driver_wakeups: self.driver_wakeups.load(Ordering::Relaxed),
-            dup_dropped: self.dup_dropped.load(Ordering::Relaxed),
-            ctrl_retries: self.ctrl_retries.load(Ordering::Relaxed),
-            rpc_local: self.rpc_local.load(Ordering::Relaxed),
-            rpc_remote: self.rpc_remote.load(Ordering::Relaxed),
-            aff_decays: self.aff_decays.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Per-thread data recorded between a body finishing and the scheduler
 /// reaping it: the panic message and/or the encoded return value.
 #[derive(Debug, Default)]
@@ -363,8 +285,6 @@ pub(crate) struct ExitNote {
 pub(crate) struct NodeCtx {
     pub node: usize,
     pub n_nodes: usize,
-    /// Fabric id of the host control endpoint.
-    pub host_id: usize,
     pub sched: Scheduler,
     pub mgr: NodeSlotManager,
     pub ep: Endpoint,
@@ -477,15 +397,7 @@ pub(crate) struct NodeCtx {
     /// Epoch stamped on the next checkpoint record; replay keeps the
     /// newest epoch per tid, so a checkpoint is superseded, never mutated.
     ckpt_epoch: u64,
-    /// Periodic checkpoint cadence (None = only explicit `CKPT_REQ`s).
-    pub checkpoint_every: Option<Duration>,
     last_checkpoint: Instant,
-    /// Epidemic round cadence: gossip digests and (for the detector) the
-    /// suspicion-probe rate limit.  Historically the beacon cadence.
-    pub heartbeat_every: Duration,
-    /// Declare a peer dead after this much silence (None disables the
-    /// detector; explicit kills still propagate via `NODE_DEAD`).
-    pub failure_timeout: Option<Duration>,
     /// Last time this node pushed a gossip digest.
     last_gossip: Instant,
     /// Last time any message arrived from each peer (direct evidence), or
@@ -509,39 +421,9 @@ pub(crate) struct NodeCtx {
     last_probe: Vec<Instant>,
     /// Protocol sampling RNG (node-seeded, deterministic per node).
     pub(crate) rng: crate::rng::SplitMix64,
-    // Config knobs.
-    pub fit: isomalloc::FitPolicy,
-    pub trim: bool,
-    pub pack_full_slots: bool,
-    pub scheme: MigrationScheme,
-    pub reply_deadline: Duration,
-    pub max_rpc_payload: usize,
-    /// Most messages one `pump()` call handles before yielding back to the
-    /// scheduler (the `pump_budget` knob).
-    pub pump_budget: usize,
-    /// Longest doorbell park before an idle driver re-checks the world
-    /// (the `idle_park` knob — a liveness backstop, not a poll period).
-    pub idle_park: Duration,
-    /// Upper bound on threads per migration train (the `max_train` knob;
-    /// 1 disables departure coalescing entirely).
-    pub max_train: usize,
-    /// Trade-first remote slot acquisition enabled (the `slot_trade`
-    /// knob; false forces every shortfall through the §4.4 protocol).
-    pub slot_trade: bool,
-    /// Reserve low watermark: dropping below it triggers an asynchronous
-    /// prefetch trade, and a lender never grants below it.
-    pub low_watermark: usize,
-    /// Reserve high watermark: the prefetch target level.
-    pub high_watermark: usize,
-    /// Most slots asked for in one demand trade beyond the request itself
-    /// (the batch that amortizes one round trip over many acquisitions).
-    pub trade_batch: usize,
-    /// Total attempts for at-least-once control exchanges (the
-    /// `control_retries` knob, floored at 1).
-    pub control_retries: u32,
-    /// Compact the spill log once it holds more than this many records
-    /// (the `spill_compact_after` knob; 0 disables compaction).
-    pub spill_compact_after: usize,
+    /// The machine's configuration, normalised once at launch
+    /// ([`Pm2Config::normalized`]) and shared by every node.
+    pub cfg: Arc<Pm2Config>,
     /// Fault-injection hook: tids whose packed record group is truncated
     /// on departure (tests only; see `Pm2Config::fault_corrupt_pack`).
     pub fault_corrupt_pack: HashSet<u64>,
@@ -590,7 +472,7 @@ pub(crate) fn with_ctx<R>(f: impl FnOnce(&mut NodeCtx) -> R) -> R {
 impl NodeCtx {
     #[allow(clippy::too_many_arguments)] // one shared table per argument; a struct would just rename them
     pub(crate) fn new(
-        cfg: &Pm2Config,
+        cfg: &Arc<Pm2Config>,
         node: usize,
         area: Arc<IsoArea>,
         ep: Endpoint,
@@ -620,7 +502,6 @@ impl NodeCtx {
         NodeCtx {
             node,
             n_nodes: cfg.nodes,
-            host_id: cfg.nodes,
             sched: Scheduler::new(node),
             mgr: NodeSlotManager::new(node, cfg.nodes, area, cfg.distribution, cfg.slot_cache),
             ep,
@@ -665,10 +546,7 @@ impl NodeCtx {
             pending_calls: HashMap::new(),
             spill,
             ckpt_epoch: 0,
-            checkpoint_every: cfg.checkpoint_every,
             last_checkpoint: now,
-            heartbeat_every: cfg.heartbeat_every,
-            failure_timeout: cfg.failure_timeout,
             last_gossip: now,
             last_heard: vec![now; cfg.nodes],
             gossip_seq: 0,
@@ -678,23 +556,40 @@ impl NodeCtx {
             last_scan: now,
             last_probe: vec![now; cfg.nodes],
             rng: crate::rng::SplitMix64::new(0xC0FF_EE00 ^ (node as u64) << 17),
-            fit: cfg.fit,
-            trim: cfg.trim,
-            pack_full_slots: cfg.pack_full_slots,
-            scheme: cfg.scheme,
-            reply_deadline: cfg.reply_deadline,
-            max_rpc_payload: cfg.max_rpc_payload,
-            pump_budget: cfg.pump_budget.max(1),
-            idle_park: cfg.idle_park,
-            max_train: cfg.max_train.max(1),
-            slot_trade: cfg.slot_trade,
-            low_watermark: cfg.slot_low_watermark,
-            high_watermark: cfg.slot_high_watermark.max(cfg.slot_low_watermark),
-            trade_batch: cfg.trade_batch.max(1),
-            control_retries: cfg.control_retries.max(1),
-            spill_compact_after: cfg.spill_compact_after,
+            cfg: Arc::clone(cfg),
             fault_corrupt_pack: cfg.fault_corrupt_pack.iter().copied().collect(),
         }
+    }
+
+    /// Send a declared message under its tag, encoded into a buffer from
+    /// this node's pool.
+    pub(crate) fn send_msg<M: Msg>(
+        &mut self,
+        dst: usize,
+        msg: &M,
+    ) -> Result<(), madeleine::NetError> {
+        self.ep.send(dst, M::TAG, proto::encode(&self.pool, msg))
+    }
+
+    /// Flag the threads named in `tids` to leave for `dest` at their next
+    /// scheduling point — the receiving end of a migrate command, local or
+    /// remote — and return how many were accepted (resident, migratable,
+    /// ready).  A dead or bogus destination accepts none: the balancer's
+    /// pair fails this round instead of threads dying en route.
+    pub(crate) fn request_migrations(&mut self, mut tids: Vec<u64>, dest: usize) -> u32 {
+        if dest >= self.n_nodes || self.dead_nodes.contains(&dest) {
+            return 0;
+        }
+        // Dedup so a repeated tid cannot be counted as two acceptances
+        // (request_migration succeeds again on an already-flagged thread).
+        tids.sort_unstable();
+        tids.dedup();
+        let accepted = tids.iter().filter(|tid| match self.threads.get(tid) {
+            // SAFETY: descriptor resident on this node.
+            Some(&d) => unsafe { self.sched.request_migration(d, dest) },
+            None => false,
+        });
+        accepted.count() as u32
     }
 
     /// Record a piggybacked free-slot count for `node`.
@@ -737,7 +632,7 @@ impl NodeCtx {
     /// reuse instead of paying a LOAD_REQ round trip.
     pub(crate) fn fresh_load_hint(&self, peer: usize) -> Option<u32> {
         let at = (*self.hint_at.get(peer)?)?;
-        if at.elapsed() <= self.heartbeat_every {
+        if at.elapsed() <= self.cfg.heartbeat_every {
             Some(self.peer_load[peer])
         } else {
             None
@@ -782,9 +677,9 @@ impl NodeCtx {
     /// (never a green thread), costs O(1) per step, and never blocks —
     /// the response is consumed by the pump whenever it arrives.
     fn maybe_prefetch(&mut self) {
-        if !self.slot_trade
+        if !self.cfg.slot_trade
             || self.n_nodes < 2
-            || self.low_watermark == 0
+            || self.cfg.slot_low_watermark == 0
             || self.shutdown
             || self.frozen
             || self.prefetch_inflight.is_some()
@@ -792,23 +687,28 @@ impl NodeCtx {
             return;
         }
         let free = self.mgr.free_slots();
-        if free >= self.low_watermark {
+        if free >= self.cfg.slot_low_watermark {
             return;
         }
         // Only ask peers that can plausibly grant (they keep their own
         // low watermark back), so a uniformly poor cluster goes quiet
         // instead of ping-ponging refusals.
-        let Some(peer) = self.richest_peer(self.low_watermark as u64) else {
+        let Some(peer) = self.richest_peer(self.cfg.slot_low_watermark as u64) else {
             return;
         };
-        let want = (self.high_watermark - free).max(1);
+        let want = (self.cfg.slot_high_watermark - free).max(1);
         let id = self.next_call_id();
         self.prefetch_pending.insert(id);
         self.prefetch_inflight = Some(id);
         self.prefetch_target = Some(peer);
         self.stats.prefetches.fetch_add(1, Ordering::Relaxed);
-        let req = proto::encode_slot_trade_req(&self.pool, id, want as u32, 1, free as u32);
-        let _ = self.ep.send(peer, tag::SLOT_TRADE_REQ, req);
+        let req = proto::SlotTradeReq {
+            trade_id: id,
+            want: want as u32,
+            min_contig: 1,
+            wealth: free as u32,
+        };
+        let _ = self.send_msg(peer, &req);
     }
 
     // -- fault tolerance & epidemic dissemination ---------------------------
@@ -833,12 +733,12 @@ impl NodeCtx {
             // finished early is quiet, not dead.
             return;
         }
-        let detector = self.failure_timeout.is_some();
+        let detector = self.cfg.failure_timeout.is_some();
         if !detector && self.n_nodes <= FULL_PROBE_MAX {
             return;
         }
         let now = Instant::now();
-        if now.duration_since(self.last_gossip) >= self.heartbeat_every {
+        if now.duration_since(self.last_gossip) >= self.cfg.heartbeat_every {
             self.last_gossip = now;
             self.gossip_round();
         }
@@ -890,7 +790,7 @@ impl NodeCtx {
                 load: self.peer_load[p],
             });
         }
-        let buf = proto::encode_gossip(&self.pool, &entries);
+        let buf = proto::encode(&self.pool, &proto::Gossip { entries });
         let mut sent = 0usize;
         // The payload is refcounted, so the fanout shares one buffer.  A
         // bounded number of draws, not a scan: on a machine of corpses the
@@ -926,7 +826,7 @@ impl NodeCtx {
             self.peer_load[n] = e.load;
             self.hint_at[n] = Some(Instant::now());
             self.set_peer_wealth(n, e.wealth as u64);
-            if self.failure_timeout.is_some() {
+            if self.cfg.failure_timeout.is_some() {
                 self.last_heard[n] = Instant::now();
             }
         }
@@ -948,10 +848,10 @@ impl NodeCtx {
     /// probe rate at O(1) per node per tick instead of O(p); the deferred
     /// suspects are reached on the next laps, well inside the timeout.
     fn silence_scan(&mut self, now: Instant) {
-        let timeout = self.failure_timeout.expect("detector armed");
+        let timeout = self.cfg.failure_timeout.expect("detector armed");
         let dt = now.duration_since(self.last_scan);
         self.last_scan = now;
-        let per_lap = self.heartbeat_every.as_nanos().max(1);
+        let per_lap = self.cfg.heartbeat_every.as_nanos().max(1);
         let k = ((self.n_nodes as u128 * dt.as_nanos()) / per_lap)
             .max(SCAN_CHUNK as u128)
             .min(self.n_nodes as u128) as usize;
@@ -967,7 +867,7 @@ impl NodeCtx {
                 self.declare_dead(p);
             } else if age >= timeout / 2
                 && probes < SCAN_CHUNK
-                && now.duration_since(self.last_probe[p]) >= self.heartbeat_every
+                && now.duration_since(self.last_probe[p]) >= self.cfg.heartbeat_every
             {
                 self.last_probe[p] = now;
                 probes += 1;
@@ -985,8 +885,10 @@ impl NodeCtx {
             return;
         }
         self.ep.mark_dead(dead);
-        let buf = proto::encode_node_dead(&self.pool, dead);
-        let _ = self.ep.broadcast(tag::NODE_DEAD, buf);
+        let certificate = proto::NodeDead { node: dead as u32 };
+        let _ = self
+            .ep
+            .broadcast(tag::NODE_DEAD, proto::encode(&self.pool, &certificate));
         self.note_node_dead(dead);
     }
 
@@ -1038,7 +940,7 @@ impl NodeCtx {
         // embargo grants briefly so that holder's critical section can
         // assert itself before we would start a second one.
         if dead < self.node && self.is_coordinator() {
-            let settle = Duration::from_millis(50).min(self.reply_deadline / 4);
+            let settle = Duration::from_millis(50).min(self.cfg.reply_deadline / 4);
             self.coord_settle_until = Some(Instant::now() + settle);
         }
         // If the dead node froze our bitmap as a negotiation initiator it
@@ -1092,25 +994,9 @@ impl NodeCtx {
         }
     }
 
-    /// Admit `seq` from `src` into the per-(source, class) dedup window;
-    /// `false` means an already-seen sequence number (a chaos duplicate)
-    /// that must not reach a handler.
-    pub(crate) fn dedup_admit(
-        &mut self,
-        src: usize,
-        class: crate::handlers::Class,
-        seq: u64,
-    ) -> bool {
-        let idx = src * crate::handlers::N_CLASSES + class as usize;
-        match self.dedup.get_mut(idx) {
-            Some(w) => w.admit(seq),
-            None => true,
-        }
-    }
-
     /// Periodic checkpoint tick (the `checkpoint_every` knob).
     fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.checkpoint_every else {
+        let Some(every) = self.cfg.checkpoint_every else {
             return;
         };
         if self.spill.is_none() || self.shutdown || self.last_checkpoint.elapsed() < every {
@@ -1149,7 +1035,7 @@ impl NodeCtx {
         // the driver's point of view — the pump never runs while a green
         // thread runs.
         let buf = unsafe {
-            migration::pack_threads_snapshot(&ds, &self.mgr, self.pack_full_slots, &self.pool)?
+            migration::pack_threads_snapshot(&ds, &self.mgr, self.cfg.pack_full_slots, &self.pool)?
         };
         let epoch = self.ckpt_epoch;
         let log = self.spill.as_mut().expect("spill checked above");
@@ -1157,7 +1043,7 @@ impl NodeCtx {
         // Periodic checkpointing grows the log without bound (every epoch
         // re-writes every live thread); compaction rewrites it down to the
         // newest record per tid once it crosses the knob.
-        if self.spill_compact_after > 0 && log.records() > self.spill_compact_after {
+        if self.cfg.spill_compact_after > 0 && log.records() > self.cfg.spill_compact_after {
             if let Err(e) = log.compact() {
                 self.out
                     .printf(self.node, &format!("spill compaction failed: {e}"));
@@ -1193,12 +1079,12 @@ impl NodeCtx {
     /// old drain did.
     fn ingest(&mut self) {
         while let Some(m) = self.ep.try_recv() {
-            if self.failure_timeout.is_some() && m.src < self.n_nodes {
+            if self.cfg.failure_timeout.is_some() && m.src < self.n_nodes {
                 // Any arrival is a liveness proof; the detector only fires
                 // on total silence.
                 self.last_heard[m.src] = Instant::now();
             }
-            let class = handlers::classify(m.tag);
+            let class = proto::classify(m.tag);
             // Dedup guard: drop chaos duplicates (same fabric seq as a
             // message this window already admitted) before any handler
             // can double-apply them — a replayed SLOT_TRADE_RESP must not
@@ -1206,7 +1092,8 @@ impl NodeCtx {
             // arrival, because dispatch sees some messages twice (those
             // deferred during a freeze are replayed after NEG_DONE).
             // Self-sends skip the window: the fabric never faults them.
-            if m.src != self.node && !self.dedup_admit(m.src, class, m.seq) {
+            let window = self.dedup.get_mut(m.src * N_CLASSES + class as usize);
+            if m.src != self.node && window.is_some_and(|w| !w.admit(m.seq)) {
                 self.stats.dup_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
@@ -1232,9 +1119,9 @@ impl NodeCtx {
     pub(crate) fn pump(&mut self) -> bool {
         self.ingest();
         let mut handled = 0usize;
-        while handled < self.pump_budget {
+        while handled < self.cfg.pump_budget {
             let Some(m) = self.next_message() else { break };
-            self.handle(m);
+            handlers::dispatch(self, m);
             handled += 1;
             if self.killed {
                 // The cord was pulled mid-pump: everything still queued
@@ -1247,11 +1134,6 @@ impl NodeCtx {
             self.ingest();
         }
         handled > 0
-    }
-
-    /// Dispatch one message through the handler table.
-    pub(crate) fn handle(&mut self, m: Message) {
-        handlers::dispatch(self, m);
     }
 
     /// One scheduling step: pump, then run one thread quantum.  Returns true
@@ -1292,7 +1174,7 @@ impl NodeCtx {
             // them cannot re-freeze the bitmap, so this drains fully.
             let deferred = std::mem::take(&mut self.deferred);
             for m in deferred {
-                self.handle(m);
+                handlers::dispatch(self, m);
             }
         }
         self.maybe_prefetch();
@@ -1329,7 +1211,8 @@ impl NodeCtx {
         }
         if self.done() && !self.shutdown_acked {
             self.shutdown_acked = true;
-            let _ = self.ep.send(self.host_id, tag::SHUTDOWN_ACK, Vec::new());
+            // The host's control endpoint is the fabric id after the nodes'.
+            let _ = self.ep.send(self.n_nodes, tag::SHUTDOWN_ACK, Vec::new());
         }
     }
 
@@ -1383,11 +1266,7 @@ impl NodeCtx {
                     failed_node: None,
                 };
                 if home != self.node {
-                    let _ = self.ep.send(
-                        home,
-                        tag::THREAD_EXIT,
-                        proto::encode_thread_exit(&self.pool, &exit),
-                    );
+                    let _ = self.send_msg(home, &exit);
                 }
                 self.registry.complete(exit);
             }
@@ -1414,8 +1293,8 @@ impl NodeCtx {
     fn depart(&mut self, d: DescPtr, dest: usize) {
         let mut trains: Vec<(usize, Vec<DescPtr>)> = Vec::new();
         self.stage_departure(d, dest, &mut trains);
-        if self.max_train > 1 {
-            for (d2, dest2) in self.sched.take_migrating(self.max_train - 1) {
+        if self.cfg.max_train > 1 {
+            for (d2, dest2) in self.sched.take_migrating(self.cfg.max_train - 1) {
                 self.stage_departure(d2, dest2, &mut trains);
             }
         }
@@ -1469,7 +1348,7 @@ impl NodeCtx {
             let buf = migration::pack_threads(
                 ds,
                 &mut self.mgr,
-                self.pack_full_slots,
+                self.cfg.pack_full_slots,
                 &self.pool,
                 &self.fault_corrupt_pack,
             )
@@ -1505,10 +1384,6 @@ impl NodeCtx {
     }
 
     // -- spawn plumbing (shared by the spawn/rpc handlers and spawn_local) --
-
-    pub(crate) fn spawn_boxed(&mut self, tid: u64, f: Box<dyn FnOnce() + Send + 'static>) {
-        self.try_spawn_boxed(tid, 0, f).expect("spawning thread");
-    }
 
     /// Spawn with extra marcel descriptor flags (`flags::CONTROL` puts a
     /// protocol handler into the scheduler's control lane from birth).
@@ -1546,7 +1421,8 @@ impl NodeCtx {
         // first-fit + trim; the heap is still empty here).
         // SAFETY: freshly spawned descriptor, not yet run.
         unsafe {
-            isomalloc::heap::heap_init(std::ptr::addr_of_mut!((*d).heap), self.fit, self.trim);
+            let heap = std::ptr::addr_of_mut!((*d).heap);
+            isomalloc::heap::heap_init(heap, self.cfg.fit, self.cfg.trim);
         }
         self.threads.insert(tid, d);
         self.registry.set_location(tid, self.node);

@@ -1,124 +1,405 @@
-//! Wire protocol: message tags and payload codecs.
+//! Wire protocol: the control plane, declared once.
 //!
-//! Tag space of the PM2 runtime over the Madeleine fabric.  Payloads are
-//! little-endian framed through the [`Wire`] trait — each protocol message
-//! body is a tuple of typed fields, so the encode and decode sides cannot
-//! drift apart.  (`SlotBitmap` ships its own serialized form and stays
-//! byte-level.)
+//! Two tables define everything the runtime says over the Madeleine
+//! fabric:
 //!
-//! Every encoder writes into a buffer checked out of the caller's
-//! [`BufPool`] (each endpoint owns one) and returns a sealed [`Payload`],
-//! so protocol traffic allocates nothing in steady state: the receiver's
-//! drop recycles the buffer into the sender's free list.
+//! * the **tag table** (`tags!` below) — one row per message kind: its
+//!   tag number, the priority class the pump drains it in, and whether a
+//!   fault plan may touch it.  The `tag::*` constants, [`classify`] and
+//!   [`exactly_once`] are all generated from it;
+//! * the **message structs** (`message!`) — fields in wire order.  The
+//!   struct *is* the layout: its [`Wire`] impl (encoder, decoder, exact
+//!   size hint) is generated from the field list, so the two sides of an
+//!   exchange cannot drift apart and a decoder fuzz over the structs
+//!   covers the whole control plane.
+//!
+//! **Adding a message** is one row in `tags!` plus one `message!` struct
+//! naming that tag (and one arm in `handlers::dispatch`).  Send it with
+//! [`encode`]; read it with `Msg::decode_vec`, which returns `None` on
+//! any underrun, bad byte or trailing garbage — never a panic.  Replies to
+//! a request lead with the request's correlation id, read by [`peek_id`]
+//! without decoding the rest.
+//!
+//! Payloads are little-endian (see [`madeleine::Wire`] for the framing
+//! rules) and are written into a buffer checked out of the caller's
+//! [`BufPool`], so protocol traffic allocates nothing in steady state: the
+//! receiver's drop recycles the buffer into the sender's free list.
+//!
+//! Three payloads keep bespoke framing, for a reason each: `RPC_CALL` /
+//! `RPC_RESP` write the typed body in place behind a back-patched length
+//! and decode it borrowed (the LRPC fast path — one pass per leg);
+//! `MIGRATION_NAK` ends in a rest-of-buffer text; and `MIGRATION`,
+//! `NEG_BITMAP_RESP` and `AUDIT_RESP` carry a train, a `SlotBitmap` and an
+//! audit report in those types' own serialized forms.  Tags with no row in
+//! the struct list (`NEG_LOCK_REQ`, `SHUTDOWN`, `KILL`, …) are bare
+//! commands: the tag is the whole message.
 
 use isoaddr::SlotRange;
-use madeleine::message::PayloadWriter;
+use madeleine::message::{PayloadReader, PayloadWriter};
 use madeleine::{BufPool, Payload, Wire};
 
 use crate::error::{Pm2Error, Result};
-use crate::registry::ThreadExit;
+use crate::handlers::Class;
 
-/// Message tags.
-pub mod tag {
+/// The tag table: `NAME = number, class, delivery;` per message kind.
+///
+/// *Class* is the pump's drain order (control before migration before
+/// data; see [`crate::handlers`]).  *Delivery* says what a seeded fault
+/// plan may do to the message: `once` rows are exempt from drop, duplicate
+/// and reorder — the state-transfer messages (trains, spawn keys, exit
+/// records, kill/death certificates) move state that is never re-sent,
+/// application LRPC runs arbitrary user handlers that a blind retry could
+/// re-execute, and the §4.4 lock/bitmap/buy exchange assumes a reliable
+/// wire.  `retry` rows are at-least-once: re-sent by the requester (or
+/// superseded by the next periodic round) and deduplicated by the
+/// receiver's per-(source, class) window.
+macro_rules! tags {
+    ($($(#[$doc:meta])* $name:ident = $num:literal, $class:ident, $delivery:ident;)*) => {
+        /// Message tags.
+        pub mod tag {
+            $($(#[$doc])* pub const $name: u16 = $num;)*
+            /// Every assigned tag, in table order.
+            pub const ALL: &[u16] = &[$($num),*];
+        }
+
+        /// A tag's priority class.  Unassigned tags classify as data and
+        /// are dropped (and counted) by the dispatch table.
+        pub(crate) fn classify(t: u16) -> Class {
+            match t {
+                $($num => Class::$class,)*
+                _ => Class::Data,
+            }
+        }
+
+        /// Whether a fault plan must leave messages under tag `t` alone.
+        pub(crate) fn exactly_once(t: u16) -> bool {
+            match t {
+                $($num => tags!(@$delivery),)*
+                _ => false,
+            }
+        }
+    };
+    (@once) => { true };
+    (@retry) => { false };
+}
+
+tags! {
     /// Host → node: spawn the closure stored under a spawn-table key.
-    pub const SPAWN_KEY: u16 = 1;
+    SPAWN_KEY = 1, Data, once;
     /// Any → node: spawn a registered service (LRPC-style remote spawn).
-    pub const RPC_SPAWN: u16 = 2;
+    RPC_SPAWN = 2, Data, once;
     /// Node → node: a packed migration *train* — one message carrying k ≥ 1
     /// threads bound for this node (count + tid/offset table + records; see
     /// `crate::migration` for the wire shape).
-    pub const MIGRATION: u16 = 3;
+    MIGRATION = 3, Migration, once;
     /// Receiver → sender: one or more record groups of a migration train
     /// failed to unpack (corrupt or truncated); carries the lost tids and
     /// a UTF-8 description.  Those threads are lost but both nodes stay
     /// up, and the rest of the train landed normally.
-    pub const MIGRATION_NAK: u16 = 4;
-    /// Any → node 0: request the system-wide negotiation lock.
-    pub const NEG_LOCK_REQ: u16 = 10;
-    /// Node 0 → requester: lock granted.
-    pub const NEG_LOCK_GRANT: u16 = 11;
-    /// Holder → node 0: lock released.
-    pub const NEG_LOCK_RELEASE: u16 = 12;
+    MIGRATION_NAK = 4, Migration, once;
+    /// Any → coordinator: request the system-wide negotiation lock.
+    NEG_LOCK_REQ = 10, Control, once;
+    /// Coordinator → requester: lock granted.
+    NEG_LOCK_GRANT = 11, Control, once;
+    /// Holder → coordinator: lock released.
+    NEG_LOCK_RELEASE = 12, Control, once;
     /// Initiator → all: send me your bitmap (freezes the replier's bitmap).
-    pub const NEG_BITMAP_REQ: u16 = 13;
+    NEG_BITMAP_REQ = 13, Control, once;
     /// Replier → initiator: my bitmap.
-    pub const NEG_BITMAP_RESP: u16 = 14;
+    NEG_BITMAP_RESP = 14, Control, once;
     /// Initiator → seller: transfer these slot ranges to me.
-    pub const NEG_BUY: u16 = 15;
+    NEG_BUY = 15, Control, once;
     /// Seller → initiator: done.
-    pub const NEG_BUY_ACK: u16 = 16;
+    NEG_BUY_ACK = 16, Control, once;
     /// Initiator → all: negotiation over; unfreeze your bitmap.
-    pub const NEG_DONE: u16 = 17;
+    NEG_DONE = 17, Control, once;
     /// Host → node: finish resident threads, then stop.
-    pub const SHUTDOWN: u16 = 20;
+    SHUTDOWN = 20, Control, once;
     /// Node → host: stopped.
-    pub const SHUTDOWN_ACK: u16 = 21;
+    SHUTDOWN_ACK = 21, Control, once;
     /// Host → node: report ownership for the global audit.
-    pub const AUDIT_REQ: u16 = 22;
+    AUDIT_REQ = 22, Control, once;
     /// Node → host: audit report.
-    pub const AUDIT_RESP: u16 = 23;
+    AUDIT_RESP = 23, Control, once;
     /// Any → node: report your load (resident thread count).
-    pub const LOAD_REQ: u16 = 24;
+    ///
+    /// Deliberately *data*-class despite being served by the control
+    /// module: a load probe asks about the application plane, so it must
+    /// observe — i.e. queue behind — the spawns already in flight to the
+    /// probed node, and a balancer probing a flooded node should see (and
+    /// wait like) the flood.  Its `LOAD_RESP` reply is control-class: it
+    /// unblocks a waiting protocol thread.
+    LOAD_REQ = 24, Data, retry;
     /// Node → requester: load report.
-    pub const LOAD_RESP: u16 = 25;
-    /// Any → node: preemptively migrate a *list* of threads to node `dest`
-    /// (cmd id, dest, tids) — one command per (source, destination) pair,
-    /// however many threads move.
-    pub const MIGRATE_CMD: u16 = 26;
-    /// Node → requester: migrate command outcome (cmd id, accepted count,
-    /// total count).  The echoed cmd id is what lets a deadline-bounded
-    /// balancer round match acks without serializing on them.
-    pub const MIGRATE_CMD_ACK: u16 = 27;
+    LOAD_RESP = 25, Control, retry;
+    /// Any → node: preemptively migrate a *list* of threads to one
+    /// destination — one command per (source, destination) pair, however
+    /// many threads move.
+    MIGRATE_CMD = 26, Migration, retry;
+    /// Node → requester: migrate command outcome.  The echoed cmd id is
+    /// what lets a deadline-bounded balancer round match acks without
+    /// serializing on them.
+    MIGRATE_CMD_ACK = 27, Control, retry;
     /// Node → home node: thread exited (for cross-node joins; carries the
     /// panic message and the Wire-encoded return value when present).
-    pub const THREAD_EXIT: u16 = 28;
+    THREAD_EXIT = 28, Control, once;
     /// Any → node: typed LRPC request (call id, service id, request bytes).
-    pub const RPC_CALL: u16 = 30;
+    RPC_CALL = 30, Data, once;
     /// Serving node → caller: typed LRPC response (call id, status, bytes).
-    pub const RPC_RESP: u16 = 31;
-    /// Node → node: point-to-point slot trade request (trade id, slots
-    /// wanted, minimum contiguous run, requester's free-slot wealth).  The
-    /// hot-path replacement for the §4.4 global negotiation: no lock, no
-    /// freeze, no bitmap gather — one request to the richest known peer.
-    pub const SLOT_TRADE_REQ: u16 = 32;
-    /// Node → requester: trade reply (trade id, responder's post-trade
-    /// wealth, granted slot ranges — empty = refused).  The responder
-    /// cleared its bits before this message left, so adopting the ranges
-    /// completes the ownership transfer with exactly one bitmap owner per
-    /// slot at every instant.
-    pub const SLOT_TRADE_RESP: u16 = 33;
+    RPC_RESP = 31, Data, once;
+    /// Node → node: point-to-point slot trade request.  The hot-path
+    /// replacement for the §4.4 global negotiation: no lock, no freeze, no
+    /// bitmap gather — one request to the richest known peer.
+    SLOT_TRADE_REQ = 32, Control, retry;
+    /// Node → requester: trade reply.  The responder cleared its bits
+    /// before this message left, so adopting the ranges completes the
+    /// ownership transfer with exactly one bitmap owner per slot at every
+    /// instant.
+    SLOT_TRADE_RESP = 33, Control, retry;
     /// Host → node: die immediately (chaos kill switch).  The driver stops
     /// without finishing resident threads, without acking, without
     /// releasing anything — as close to pulling the power cord as an
     /// in-process fabric gets.
-    pub const KILL: u16 = 40;
+    KILL = 40, Control, once;
     /// Any → all: the named node is dead.  Survivors purge it from wealth
     /// hints, load snapshots and lock queues, drop its late (zombie)
     /// messages, and fail any wait targeting it with `NodeFailed`.
-    pub const NODE_DEAD: u16 = 41;
+    NODE_DEAD = 41, Control, once;
     /// Host → node: checkpoint your migratable threads to the spill log
-    /// now (carries a request id).
-    pub const CKPT_REQ: u16 = 42;
-    /// Node → host: checkpoint done (echoed id + threads written).
-    pub const CKPT_ACK: u16 = 43;
+    /// now.
+    CKPT_REQ = 42, Control, retry;
+    /// Node → host: checkpoint done.
+    CKPT_ACK = 43, Control, retry;
     /// Host → node: adopt these orphaned slot ranges (a dead node's
-    /// reclaimed estate).  Carries a reclaim id so a retried request is
-    /// idempotent: the heir re-acks a duplicate id without re-adopting.
-    pub const NODE_RECLAIM: u16 = 44;
-    /// Node → host: reclamation done (echoed id + adopted slot count).
-    pub const RECLAIM_ACK: u16 = 45;
+    /// reclaimed estate).
+    NODE_RECLAIM = 44, Control, retry;
+    /// Node → host: reclamation done.
+    RECLAIM_ACK = 45, Control, retry;
     /// Node → node: liveness probe for the failure detector.  Arrival (of
     /// *any* message) refreshes the sender's last-heard stamp; since the
     /// gossip rework HEARTBEATs flow only toward *suspected* peers — a
     /// payload byte of 1 is a ping that requests an answering pong (empty
     /// payload), clearing the suspicion with one message.
-    pub const HEARTBEAT: u16 = 46;
-    /// Node → node: epidemic digest (see [`encode_gossip`]).  Carries the
-    /// sender's own wealth/load under a fresh sequence number plus a few
-    /// relayed table entries, so wealth hints, load snapshots and liveness
-    /// evidence spread in O(fanout) messages per node per round instead of
-    /// the balancer probing — or the detector beaconing — all p peers.
-    pub const GOSSIP: u16 = 47;
+    HEARTBEAT = 46, Control, retry;
+    /// Node → node: epidemic digest (see [`Gossip`](super::Gossip)).
+    /// Carries the sender's own wealth/load under a fresh sequence number
+    /// plus a few relayed table entries, so wealth hints, load snapshots
+    /// and liveness evidence spread in O(fanout) messages per node per
+    /// round instead of the balancer probing — or the detector beaconing
+    /// — all p peers.
+    GOSSIP = 47, Control, retry;
+}
+
+/// A control-plane message: a [`Wire`] struct bound to the one tag it
+/// travels under.
+pub trait Msg: Wire {
+    /// The tag this message is sent under.
+    const TAG: u16;
+    /// The struct's name, for decode errors.
+    const NAME: &'static str;
+
+    /// Decode a whole payload as this message, or name it in the error.
+    fn from_payload(buf: &[u8]) -> Result<Self> {
+        Self::decode_vec(buf).ok_or(Pm2Error::Decode(Self::NAME))
+    }
+}
+
+/// Declare wire structs: fields in wire order, public, each a [`Wire`]
+/// type.  `Name = TAG { … }` additionally binds the struct to its tag as a
+/// [`Msg`]; a bare `Name { … }` is a part used inside messages.
+macro_rules! message {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident $(= $tag:ident)? {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty),*
+        }
+
+        impl madeleine::Wire for $name {
+            fn encode(&self, w: &mut madeleine::message::PayloadWriter) {
+                $(madeleine::Wire::encode(&self.$field, w);)*
+            }
+            fn decode(r: &mut madeleine::message::PayloadReader<'_>) -> Option<Self> {
+                Some($name { $($field: madeleine::Wire::decode(r)?),* })
+            }
+            fn size_hint(&self) -> usize {
+                0 $(+ madeleine::Wire::size_hint(&self.$field))*
+            }
+        }
+
+        $(impl $crate::proto::Msg for $name {
+            const TAG: u16 = $crate::proto::tag::$tag;
+            const NAME: &'static str = stringify!($name);
+        })?
+    )+};
+}
+pub(crate) use message;
+
+/// Encode `msg` into a buffer checked out of `pool` — the one encoder of
+/// every declared message.
+pub fn encode<M: Wire>(pool: &BufPool, msg: &M) -> Payload {
+    let mut w = PayloadWriter::pooled(pool, msg.size_hint());
+    msg.encode(&mut w);
+    w.finish()
+}
+
+/// The correlation id a reply leads with (`SLOT_TRADE_RESP`,
+/// `MIGRATE_CMD_ACK`, `CKPT_ACK`, `RECLAIM_ACK`, `RPC_RESP`): reply
+/// matching reads it without decoding the rest.
+pub fn peek_id(buf: &[u8]) -> Option<u64> {
+    PayloadReader::new(buf).u64()
+}
+
+/// Slot ranges as they travel: a u32 count, then `(first, count)` pairs
+/// of u64s.  Decoding admits only ranges a bitmap could hold — at least
+/// one slot, end not past `usize::MAX` — so handlers can do range
+/// arithmetic on them; whether the slots exist and who owns them is still
+/// the receiving slot manager's check.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Ranges(pub Vec<SlotRange>);
+
+impl Wire for Ranges {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u32(self.0.len() as u32);
+        for r in &self.0 {
+            w.u64(r.first as u64).u64(r.count as u64);
+        }
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
+        let n = r.u32()? as usize;
+        // `n` may be a corrupt length: reserve no more than the remaining
+        // bytes could hold.
+        let mut out = Vec::with_capacity(n.min(r.remaining() / 16));
+        for _ in 0..n {
+            let (first, count) = (usize::decode(r)?, usize::decode(r)?);
+            if count == 0 || first.checked_add(count).is_none() {
+                return None;
+            }
+            out.push(SlotRange::new(first, count));
+        }
+        Some(Ranges(out))
+    }
+    fn size_hint(&self) -> usize {
+        4 + 16 * self.0.len()
+    }
+}
+
+message! {
+    /// Host → node: run the closure parked under `key` as thread `tid`.
+    SpawnKey = SPAWN_KEY { key: u64, tid: u64 }
+
+    /// Fire-and-forget spawn of byte-level service `service` on `args`.
+    RpcSpawn = RPC_SPAWN { service: u32, args: Vec<u8> }
+
+    /// §4.4 step (d): the seller clears these ranges from its bitmap.
+    NegBuy = NEG_BUY { ranges: Ranges }
+
+    /// A node short of slots asks a peer for some.
+    SlotTradeReq = SLOT_TRADE_REQ {
+        trade_id: u64,
+        /// Slots wanted (the shortfall plus the amortizing batch).
+        want: u32,
+        /// Minimum contiguous run that would satisfy the requester
+        /// outright.
+        min_contig: u32,
+        /// The requester's own free-slot count — the piggybacked wealth
+        /// hint.
+        wealth: u32,
+    }
+
+    /// The lender's answer; an empty range list is a refusal.
+    SlotTradeResp = SLOT_TRADE_RESP {
+        trade_id: u64,
+        /// The responder's post-trade free-slot count.
+        wealth: u32,
+        ranges: Ranges,
+    }
+
+    /// A load probe; carries the balancer's affinity decay shift for this
+    /// epoch (0 = no decay).
+    LoadReq = LOAD_REQ { decay_shift: u32 }
+
+    /// One thread's communication-affinity record, piggybacked on
+    /// `LOAD_RESP` so the balancer's planner sees who talks to whom and
+    /// what a move costs.
+    AffinityEdge {
+        /// The migratable thread this record describes.
+        tid: u64,
+        /// Estimated bytes a migration train would carry for this thread
+        /// (stack + heap pack hint) — the denominator of the planner's
+        /// msgs-saved-per-byte score.
+        pack_cost: u32,
+        /// Balancer epochs since the thread last migrated (`u32::MAX` =
+        /// never); the planner's hysteresis cooldown input.
+        epochs_since_move: u32,
+        /// `(peer_node, msgs)` entries from the thread's top-k table.
+        peers: Vec<(u32, u32)>,
+    }
+
+    /// A node's load report.  `(resident, wealth)` lead the payload so the
+    /// dispatch path can refresh its hint tables from those eight bytes
+    /// without decoding the vectors behind them.
+    LoadResp = LOAD_RESP {
+        /// Resident thread count.
+        resident: u32,
+        /// Free-slot count: the piggyback that lets the balancer's probes
+        /// and the slot trader share one freshness source.
+        wealth: u32,
+        /// Migratable, currently-ready threads.
+        tids: Vec<u64>,
+        /// The hottest affinity edges among them.
+        aff: Vec<AffinityEdge>,
+    }
+
+    /// Order every thread in `tids` (resident on the receiver) to `dest`.
+    MigrateCmd = MIGRATE_CMD { cmd_id: u64, dest: u32, tids: Vec<u64> }
+
+    /// How many of the `total` commanded threads were accepted, plus the
+    /// acking node's free-slot wealth (piggybacked for the slot trader).
+    MigrateAck = MIGRATE_CMD_ACK { cmd_id: u64, accepted: u32, total: u32, wealth: u32 }
+
+    /// A survivor (or the host) announces `node`'s death.
+    NodeDead = NODE_DEAD { node: u32 }
+
+    /// Checkpoint now; `req_id` is echoed by the ack.
+    CkptReq = CKPT_REQ { req_id: u64 }
+
+    /// Checkpoint done: `threads` images written.
+    CkptAck = CKPT_ACK { req_id: u64, threads: u32 }
+
+    /// Adopt a dead node's orphaned ranges.  The id makes the request
+    /// idempotent under retries — an heir that already adopted under this
+    /// id re-acks the recorded count without re-adopting.
+    NodeReclaim = NODE_RECLAIM { reclaim_id: u64, ranges: Ranges }
+
+    /// Reclamation done: `slots` adopted.
+    ReclaimAck = RECLAIM_ACK { reclaim_id: u64, slots: u32 }
+
+    /// One entry of an epidemic digest: what some node claimed about
+    /// itself under its `seq`-th gossip round.  Entries are relayed
+    /// verbatim, so a receiver orders claims about the same origin by
+    /// sequence number and a dead origin's entries go stale instead of
+    /// being refreshed.
+    #[derive(Copy)]
+    GossipEntry {
+        /// The node this entry describes (the gossip *origin*, not the
+        /// sender).
+        node: u32,
+        /// The origin's round counter when it produced this claim.
+        seq: u32,
+        /// The origin's free-slot count (wealth hint).
+        wealth: u32,
+        /// The origin's resident-thread count (load hint).
+        load: u32,
+    }
+
+    /// An epidemic digest: the sender's own entry plus relayed ones.
+    Gossip = GOSSIP { entries: Vec<GossipEntry> }
 }
 
 /// Status byte of an [`tag::RPC_RESP`] payload.
@@ -136,449 +417,22 @@ pub mod rpc_status {
     pub const NODE_FAILED: u8 = 3;
 }
 
-/// Encode a list of slot ranges (NEG_BUY payload).
-pub fn encode_ranges(pool: &BufPool, ranges: &[SlotRange]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 8 + ranges.len() * 16);
-    w.u32(ranges.len() as u32);
-    for r in ranges {
-        w.u64(r.first as u64).u64(r.count as u64);
-    }
-    w.finish()
-}
-
-/// Decode a list of slot ranges.
-pub fn decode_ranges(buf: &[u8]) -> Option<Vec<SlotRange>> {
-    let pairs = Vec::<(u64, u64)>::decode_vec(buf)?;
-    Some(
-        pairs
-            .into_iter()
-            .map(|(f, c)| SlotRange::new(f as usize, c as usize))
-            .collect(),
-    )
-}
-
-/// Encode a `SLOT_TRADE_REQ` payload: (trade id, slots wanted, minimum
-/// contiguous run that would satisfy the requester outright, requester's
-/// own free-slot count — the piggybacked wealth hint).
-pub fn encode_slot_trade_req(
-    pool: &BufPool,
-    trade_id: u64,
-    want: u32,
-    min_contig: u32,
-    wealth: u32,
-) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 24);
-    w.u64(trade_id).u32(want).u32(min_contig).u32(wealth);
-    w.finish()
-}
-
-/// Decode a `SLOT_TRADE_REQ` payload into (trade id, want, min contiguous,
-/// wealth).
-pub fn decode_slot_trade_req(buf: &[u8]) -> Option<(u64, u32, u32, u32)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    Some((r.u64()?, r.u32()?, r.u32()?, r.u32()?))
-}
-
-/// Encode a `SLOT_TRADE_RESP` payload: (echoed trade id, responder's
-/// post-trade wealth, granted ranges).  An empty range list is a refusal.
-pub fn encode_slot_trade_resp(
-    pool: &BufPool,
-    trade_id: u64,
-    wealth: u32,
-    ranges: &[SlotRange],
-) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 16 + ranges.len() * 16);
-    w.u64(trade_id).u32(wealth).u32(ranges.len() as u32);
-    for r in ranges {
-        w.u64(r.first as u64).u64(r.count as u64);
-    }
-    w.finish()
-}
-
-/// Decode a `SLOT_TRADE_RESP` payload into (trade id, wealth, ranges).
-pub fn decode_slot_trade_resp(buf: &[u8]) -> Option<(u64, u32, Vec<SlotRange>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let trade_id = r.u64()?;
-    let wealth = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut ranges = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let first = r.u64()? as usize;
-        let count = r.u64()? as usize;
-        if count == 0 {
-            return None;
-        }
-        ranges.push(SlotRange::new(first, count));
-    }
-    Some((trade_id, wealth, ranges))
-}
-
-/// Read just the leading trade id off a `SLOT_TRADE_RESP` (reply matching).
-pub fn peek_trade_id(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
-}
-
-/// One thread's communication-affinity record, piggybacked on `LOAD_RESP`
-/// so the balancer's planner sees who talks to whom and what a move costs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AffinityEdge {
-    /// The migratable thread this record describes.
-    pub tid: u64,
-    /// Estimated bytes a migration train would carry for this thread
-    /// (stack + heap pack hint) — the denominator of the planner's
-    /// msgs-saved-per-byte score.
-    pub pack_cost: u32,
-    /// Balancer epochs since the thread last migrated (`u32::MAX` =
-    /// never); the planner's hysteresis cooldown input.
-    pub epochs_since_move: u32,
-    /// `(peer_node, msgs)` entries from the thread's top-k table.
-    pub peers: Vec<(u32, u32)>,
-}
-
-/// Encode a `LOAD_REQ` payload: the balancer's affinity decay shift for
-/// this epoch.  An *empty* payload stays valid (legacy `pm2_probe_load`
-/// sends one) and means "no decay".
-pub fn encode_load_req(pool: &BufPool, decay_shift: u32) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 4);
-    w.u32(decay_shift);
-    w.finish()
-}
-
-/// Decode a `LOAD_REQ` payload's decay shift (empty payload = 0).
-pub fn decode_load_req(buf: &[u8]) -> u32 {
-    madeleine::message::PayloadReader::new(buf)
-        .u32()
-        .unwrap_or(0)
-}
-
-/// Encode a `LOAD_RESP` payload: (resident thread count, free-slot wealth,
-/// migratable tids, hottest affinity edges).  The wealth field is the
-/// piggyback that lets the load balancer's probes and the slot trader share
-/// one freshness source; the affinity section is appended *after* the tid
-/// vector so pre-affinity decoders (and `peek_load_hints`) still parse the
-/// prefix unchanged.
-pub fn encode_load_resp(
-    pool: &BufPool,
-    resident: u32,
-    wealth: u32,
-    tids: &[u64],
-    aff: &[AffinityEdge],
-) -> Payload {
-    let aff_bytes: usize = aff.iter().map(|e| 20 + e.peers.len() * 8).sum();
-    let mut w = PayloadWriter::pooled(pool, 20 + tids.len() * 8 + aff_bytes);
-    w.u32(resident).u32(wealth).u32(tids.len() as u32);
-    for t in tids {
-        w.u64(*t);
-    }
-    w.u32(aff.len() as u32);
-    for e in aff {
-        w.u64(e.tid)
-            .u32(e.pack_cost)
-            .u32(e.epochs_since_move)
-            .u32(e.peers.len() as u32);
-        for &(node, msgs) in &e.peers {
-            w.u32(node).u32(msgs);
-        }
-    }
-    w.finish()
-}
-
-/// Decode a `LOAD_RESP` payload into (resident, wealth, migratable tids).
-/// Ignores the trailing affinity section — the hot dispatch path and the
-/// legacy `pm2_probe_load` only need the prefix.
-pub fn decode_load_resp(buf: &[u8]) -> Option<(u32, u32, Vec<u64>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let resident = r.u32()?;
-    let wealth = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut tids = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        tids.push(r.u64()?);
-    }
-    Some((resident, wealth, tids))
-}
-
-/// Full `LOAD_RESP` decode: (resident, wealth, migratable tids, affinity
-/// edges).  A payload without the affinity section (pre-affinity encoder)
-/// yields an empty edge vector rather than an error.
-pub fn decode_load_resp_aff(buf: &[u8]) -> Option<(u32, u32, Vec<u64>, Vec<AffinityEdge>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let resident = r.u32()?;
-    let wealth = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut tids = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        tids.push(r.u64()?);
-    }
-    let mut aff = Vec::new();
-    if let Some(n_aff) = r.u32() {
-        for _ in 0..n_aff {
-            let tid = r.u64()?;
-            let pack_cost = r.u32()?;
-            let epochs_since_move = r.u32()?;
-            let k = r.u32()? as usize;
-            let mut peers = Vec::with_capacity(k.min(64));
-            for _ in 0..k {
-                peers.push((r.u32()?, r.u32()?));
-            }
-            aff.push(AffinityEdge {
-                tid,
-                pack_cost,
-                epochs_since_move,
-                peers,
-            });
-        }
-    }
-    Some((resident, wealth, tids, aff))
-}
-
-/// Read just the (resident, wealth) header off a `LOAD_RESP` payload
-/// (dispatch-time sniffing — no tid-vector allocation; the full decode
-/// happens at the waiting green thread).
-pub fn peek_load_hints(buf: &[u8]) -> Option<(u32, u32)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    Some((r.u32()?, r.u32()?))
-}
-
-/// Encode a `MIGRATE_CMD` payload: one command ordering every thread in
-/// `tids` (resident on the receiving node) to move to `dest`.
-pub fn encode_migrate_cmd(pool: &BufPool, cmd_id: u64, dest: usize, tids: &[u64]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 24 + tids.len() * 8);
-    w.u64(cmd_id).u32(dest as u32).u32(tids.len() as u32);
-    for t in tids {
-        w.u64(*t);
-    }
-    w.finish()
-}
-
-/// Decode a `MIGRATE_CMD` payload into (cmd id, dest, tids).
-pub fn decode_migrate_cmd(buf: &[u8]) -> Option<(u64, usize, Vec<u64>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let cmd_id = r.u64()?;
-    let dest = r.u32()? as usize;
-    let n = r.u32()? as usize;
-    let mut tids = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        tids.push(r.u64()?);
-    }
-    Some((cmd_id, dest, tids))
-}
-
-/// Encode a `MIGRATE_CMD_ACK` payload: the echoed cmd id, how many of the
-/// commanded threads were accepted for migration, and the acking node's
-/// free-slot wealth (piggybacked for the slot trader).
-pub fn encode_migrate_ack(
-    pool: &BufPool,
-    cmd_id: u64,
-    accepted: u32,
-    total: u32,
-    wealth: u32,
-) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 24);
-    w.u64(cmd_id).u32(accepted).u32(total).u32(wealth);
-    w.finish()
-}
-
-/// Decode a `MIGRATE_CMD_ACK` payload into (cmd id, accepted, total,
-/// wealth).
-pub fn decode_migrate_ack(buf: &[u8]) -> Option<(u64, u32, u32, u32)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    Some((r.u64()?, r.u32()?, r.u32()?, r.u32()?))
-}
-
-/// Read just the leading cmd id off a `MIGRATE_CMD_ACK` (reply matching).
-pub fn peek_cmd_id(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
-}
-
 /// Encode a `MIGRATION_NAK` payload: the tids lost from a train plus a
-/// UTF-8 description.  An empty tid list means the train's table itself
-/// was unreadable (nothing to name).
+/// UTF-8 description running to the end of the buffer.  An empty tid list
+/// means the train's table itself was unreadable (nothing to name).
 pub fn encode_migration_nak(pool: &BufPool, tids: &[u64], text: &str) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 8 + tids.len() * 8 + text.len());
+    let mut w = PayloadWriter::pooled(pool, 4 + tids.len() * 8 + text.len());
     w.u32(tids.len() as u32);
-    for t in tids {
-        w.u64(*t);
-    }
+    u64::encode_run(tids, &mut w);
     w.bytes(text.as_bytes());
     w.finish()
 }
 
 /// Decode a `MIGRATION_NAK` payload into (lost tids, description).
 pub fn decode_migration_nak(buf: &[u8]) -> Option<(Vec<u64>, String)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let n = r.u32()? as usize;
-    let mut tids = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        tids.push(r.u64()?);
-    }
+    let mut r = PayloadReader::new(buf);
+    let tids = Vec::<u64>::decode(&mut r)?;
     Some((tids, String::from_utf8_lossy(r.rest()).into_owned()))
-}
-
-// Codecs whose payloads carry byte strings that are already slices (RPC
-// args, encoded return values) frame them with `lp_bytes` directly.  The
-// framing is identical to `Vec<u8>`'s `Wire` form (u32 length prefix +
-// bytes; Option as one presence byte), so `Wire`-framed peers decode it
-// unchanged.
-
-/// Encode an `RPC_SPAWN` payload.
-pub fn encode_rpc_spawn(pool: &BufPool, service: u32, args: &[u8]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 8 + args.len());
-    w.u32(service).lp_bytes(args);
-    w.finish()
-}
-
-/// Decode an `RPC_SPAWN` payload.
-pub fn decode_rpc_spawn(buf: &[u8]) -> Option<(u32, Vec<u8>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let service = r.u32()?;
-    let args = r.lp_bytes()?.to_vec();
-    Some((service, args))
-}
-
-/// Encode a `THREAD_EXIT` payload from a completion record.
-pub fn encode_thread_exit(pool: &BufPool, exit: &ThreadExit) -> Payload {
-    let value_len = exit.value.as_ref().map_or(0, Vec::len);
-    let mut w = PayloadWriter::pooled(pool, 80 + value_len);
-    w.u64(exit.tid)
-        .u8(exit.panicked as u8)
-        .u64(exit.died_on as u64);
-    match &exit.panic_msg {
-        None => w.u8(0),
-        Some(msg) => w.u8(1).lp_bytes(msg.as_bytes()),
-    };
-    match &exit.value {
-        None => w.u8(0),
-        Some(value) => w.u8(1).lp_bytes(value),
-    };
-    match exit.failed_node {
-        None => w.u8(0),
-        Some(n) => w.u8(1).u64(n as u64),
-    };
-    w.finish()
-}
-
-/// Decode a `THREAD_EXIT` payload.
-pub fn decode_thread_exit(buf: &[u8]) -> Option<ThreadExit> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let tid = r.u64()?;
-    let panicked = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    let died_on = r.u64()? as usize;
-    let panic_msg = match r.u8()? {
-        0 => None,
-        1 => Some(String::from_utf8(r.lp_bytes()?.to_vec()).ok()?),
-        _ => return None,
-    };
-    let value = match r.u8()? {
-        0 => None,
-        1 => Some(r.lp_bytes()?.to_vec()),
-        _ => return None,
-    };
-    let failed_node = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()? as usize),
-        _ => return None,
-    };
-    Some(ThreadExit {
-        tid,
-        panicked,
-        died_on,
-        panic_msg,
-        value,
-        failed_node,
-    })
-}
-
-/// Encode a `NODE_DEAD` payload: the dead node's id.
-pub fn encode_node_dead(pool: &BufPool, node: usize) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 4);
-    w.u32(node as u32);
-    w.finish()
-}
-
-/// Decode a `NODE_DEAD` payload.
-pub fn decode_node_dead(buf: &[u8]) -> Option<usize> {
-    madeleine::message::PayloadReader::new(buf)
-        .u32()
-        .map(|n| n as usize)
-}
-
-/// Encode a `CKPT_REQ` payload: the request id echoed by the ack.
-pub fn encode_ckpt_req(pool: &BufPool, req_id: u64) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 8);
-    w.u64(req_id);
-    w.finish()
-}
-
-/// Decode a `CKPT_REQ` payload.
-pub fn decode_ckpt_req(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
-}
-
-/// Encode a `CKPT_ACK` payload: (echoed request id, threads written).
-pub fn encode_ckpt_ack(pool: &BufPool, req_id: u64, threads: u32) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 12);
-    w.u64(req_id).u32(threads);
-    w.finish()
-}
-
-/// Decode a `CKPT_ACK` payload into (request id, threads written).
-pub fn decode_ckpt_ack(buf: &[u8]) -> Option<(u64, u32)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    Some((r.u64()?, r.u32()?))
-}
-
-/// Read just the leading request id off a `CKPT_ACK` (reply matching).
-pub fn peek_ckpt_id(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
-}
-
-/// Encode a `NODE_RECLAIM` payload: (reclaim id, orphaned ranges).  The
-/// id makes the request idempotent under retries — an heir that already
-/// adopted under this id re-acks the recorded count without re-adopting.
-pub fn encode_node_reclaim(pool: &BufPool, reclaim_id: u64, ranges: &[SlotRange]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 16 + ranges.len() * 16);
-    w.u64(reclaim_id).u32(ranges.len() as u32);
-    for r in ranges {
-        w.u64(r.first as u64).u64(r.count as u64);
-    }
-    w.finish()
-}
-
-/// Decode a `NODE_RECLAIM` payload into (reclaim id, ranges).
-pub fn decode_node_reclaim(buf: &[u8]) -> Option<(u64, Vec<SlotRange>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let reclaim_id = r.u64()?;
-    let count = r.u32()? as usize;
-    let mut ranges = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let first = r.u64()? as usize;
-        let n = r.u64()? as usize;
-        ranges.push(SlotRange::new(first, n));
-    }
-    Some((reclaim_id, ranges))
-}
-
-/// Encode a `RECLAIM_ACK` payload: (echoed reclaim id, slots adopted).
-pub fn encode_reclaim_ack(pool: &BufPool, reclaim_id: u64, slots: u32) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 12);
-    w.u64(reclaim_id).u32(slots);
-    w.finish()
-}
-
-/// Decode a `RECLAIM_ACK` payload into (reclaim id, slots adopted).
-pub fn decode_reclaim_ack(buf: &[u8]) -> Option<(u64, u32)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    Some((r.u64()?, r.u32()?))
-}
-
-/// Read just the leading reclaim id off a `RECLAIM_ACK` (reply matching).
-pub fn peek_reclaim_id(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
 }
 
 /// Bytes of an `RPC_CALL` payload ahead of the request body: call id,
@@ -626,7 +480,7 @@ pub fn encode_rpc_call<Q: Wire>(
 /// `buf` the request bytes lie) — a range, not a slice, so the serving node
 /// can move the message into the handler thread and index it there.
 pub fn decode_rpc_call(buf: &[u8]) -> Option<(u64, usize, u32, std::ops::Range<usize>)> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
+    let mut r = PayloadReader::new(buf);
     let call_id = r.u64()?;
     let reply_to = r.u32()? as usize;
     let service = r.u32()?;
@@ -678,320 +532,6 @@ pub fn encode_rpc_reply(
 /// Decode an `RPC_RESP` payload into (call id, status, body borrowed from
 /// `buf`).
 pub fn decode_rpc_resp(buf: &[u8]) -> Option<(u64, u8, &[u8])> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
+    let mut r = PayloadReader::new(buf);
     Some((r.u64()?, r.u8()?, r.lp_bytes()?))
-}
-
-/// Read just the call id off an `RPC_RESP` payload (reply matching).
-pub fn peek_rpc_call_id(buf: &[u8]) -> Option<u64> {
-    madeleine::message::PayloadReader::new(buf).u64()
-}
-
-/// One entry of an epidemic digest: what some node claimed about itself
-/// under its `seq`-th gossip round.  Entries are relayed verbatim, so a
-/// receiver orders claims about the same origin by sequence number and a
-/// dead origin's entries go stale instead of being refreshed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GossipEntry {
-    /// The node this entry describes (the gossip *origin*, not the sender).
-    pub node: u32,
-    /// The origin's round counter when it produced this claim.
-    pub seq: u32,
-    /// The origin's free-slot count (wealth hint).
-    pub wealth: u32,
-    /// The origin's resident-thread count (load hint).
-    pub load: u32,
-}
-
-/// Encode a `GOSSIP` digest.
-pub fn encode_gossip(pool: &BufPool, entries: &[GossipEntry]) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, 4 + entries.len() * 16);
-    w.u32(entries.len() as u32);
-    for e in entries {
-        w.u32(e.node).u32(e.seq).u32(e.wealth).u32(e.load);
-    }
-    w.finish()
-}
-
-/// Decode a `GOSSIP` digest.
-pub fn decode_gossip(buf: &[u8]) -> Option<Vec<GossipEntry>> {
-    let mut r = madeleine::message::PayloadReader::new(buf);
-    let n = r.u32()? as usize;
-    // A digest is a handful of entries; refuse absurd counts outright so a
-    // corrupt length cannot trigger a huge allocation.
-    if n > 1024 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(GossipEntry {
-            node: r.u32()?,
-            seq: r.u32()?,
-            wealth: r.u32()?,
-            load: r.u32()?,
-        });
-    }
-    Some(entries)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gossip_roundtrip() {
-        let pool = BufPool::new();
-        let entries = vec![
-            GossipEntry {
-                node: 3,
-                seq: 17,
-                wealth: 250,
-                load: 4,
-            },
-            GossipEntry {
-                node: 250,
-                seq: 1,
-                wealth: 0,
-                load: 0,
-            },
-        ];
-        let buf = encode_gossip(&pool, &entries);
-        assert_eq!(decode_gossip(&buf).unwrap(), entries);
-        assert_eq!(decode_gossip(&encode_gossip(&pool, &[])).unwrap(), vec![]);
-        // Truncated and length-lying payloads are rejected, not panicked on.
-        assert!(decode_gossip(&buf[..buf.len() - 1]).is_none());
-        assert!(decode_gossip(&u32::MAX.to_le_bytes()).is_none());
-    }
-
-    #[test]
-    fn ranges_roundtrip() {
-        let pool = BufPool::new();
-        let rs = vec![SlotRange::new(3, 4), SlotRange::new(100, 1)];
-        assert_eq!(decode_ranges(&encode_ranges(&pool, &rs)).unwrap(), rs);
-        assert_eq!(decode_ranges(&encode_ranges(&pool, &[])).unwrap(), vec![]);
-        assert!(decode_ranges(&[1, 0, 0]).is_none());
-    }
-
-    #[test]
-    fn migrate_cmd_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_migrate_cmd(&pool, 9, 3, &[0xAB, 0xCD]);
-        assert_eq!(decode_migrate_cmd(&buf), Some((9, 3, vec![0xAB, 0xCD])));
-        let empty = encode_migrate_cmd(&pool, 1, 0, &[]);
-        assert_eq!(decode_migrate_cmd(&empty), Some((1, 0, vec![])));
-        assert_eq!(decode_migrate_cmd(&buf[..7]), None, "truncation rejected");
-    }
-
-    #[test]
-    fn migrate_ack_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_migrate_ack(&pool, 42, 3, 5, 17);
-        assert_eq!(decode_migrate_ack(&buf), Some((42, 3, 5, 17)));
-        assert_eq!(peek_cmd_id(&buf), Some(42));
-    }
-
-    #[test]
-    fn slot_trade_roundtrip() {
-        let pool = BufPool::new();
-        let req = encode_slot_trade_req(&pool, 0xBEEF, 16, 2, 120);
-        assert_eq!(decode_slot_trade_req(&req), Some((0xBEEF, 16, 2, 120)));
-        assert_eq!(decode_slot_trade_req(&req[..11]), None, "truncation");
-
-        let ranges = vec![SlotRange::new(8, 2), SlotRange::new(60, 4)];
-        let resp = encode_slot_trade_resp(&pool, 0xBEEF, 90, &ranges);
-        assert_eq!(decode_slot_trade_resp(&resp), Some((0xBEEF, 90, ranges)));
-        assert_eq!(peek_trade_id(&resp), Some(0xBEEF));
-        let refusal = encode_slot_trade_resp(&pool, 7, 3, &[]);
-        assert_eq!(decode_slot_trade_resp(&refusal), Some((7, 3, vec![])));
-        assert_eq!(decode_slot_trade_resp(&resp[..17]), None, "truncation");
-    }
-
-    #[test]
-    fn load_resp_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_load_resp(&pool, 5, 33, &[9, 10], &[]);
-        assert_eq!(decode_load_resp(&buf), Some((5, 33, vec![9, 10])));
-        assert_eq!(peek_load_hints(&buf), Some((5, 33)));
-        let empty = encode_load_resp(&pool, 0, 0, &[], &[]);
-        assert_eq!(decode_load_resp(&empty), Some((0, 0, vec![])));
-    }
-
-    #[test]
-    fn load_resp_affinity_roundtrip() {
-        let pool = BufPool::new();
-        let edges = vec![
-            AffinityEdge {
-                tid: 9,
-                pack_cost: 4096,
-                epochs_since_move: u32::MAX,
-                peers: vec![(1, 40), (2, 3)],
-            },
-            AffinityEdge {
-                tid: 10,
-                pack_cost: 128,
-                epochs_since_move: 0,
-                peers: vec![],
-            },
-        ];
-        let buf = encode_load_resp(&pool, 5, 33, &[9, 10], &edges);
-        // Prefix decoders ignore the affinity tail.
-        assert_eq!(decode_load_resp(&buf), Some((5, 33, vec![9, 10])));
-        assert_eq!(peek_load_hints(&buf), Some((5, 33)));
-        let (resident, wealth, tids, aff) = decode_load_resp_aff(&buf).unwrap();
-        assert_eq!((resident, wealth, tids), (5, 33, vec![9, 10]));
-        assert_eq!(aff, edges);
-        // A pre-affinity payload decodes with an empty edge vector.
-        let legacy = encode_load_resp(&pool, 2, 7, &[1], &[]);
-        let (_, _, _, aff) = decode_load_resp_aff(&legacy[..20.min(legacy.len())]).unwrap();
-        assert!(aff.is_empty());
-    }
-
-    #[test]
-    fn load_req_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_load_req(&pool, 3);
-        assert_eq!(decode_load_req(&buf), 3);
-        assert_eq!(decode_load_req(&[]), 0, "legacy empty probe = no decay");
-    }
-
-    #[test]
-    fn migration_nak_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_migration_nak(&pool, &[7, 8], "bad record");
-        assert_eq!(
-            decode_migration_nak(&buf),
-            Some((vec![7, 8], "bad record".into()))
-        );
-        let anon = encode_migration_nak(&pool, &[], "unreadable table");
-        assert_eq!(
-            decode_migration_nak(&anon),
-            Some((vec![], "unreadable table".into()))
-        );
-    }
-
-    #[test]
-    fn rpc_spawn_roundtrip() {
-        let pool = BufPool::new();
-        let buf = encode_rpc_spawn(&pool, 7, b"payload");
-        assert_eq!(decode_rpc_spawn(&buf), Some((7, b"payload".to_vec())));
-    }
-
-    #[test]
-    fn thread_exit_roundtrip() {
-        let pool = BufPool::new();
-        let exit = ThreadExit {
-            tid: 42,
-            panicked: true,
-            died_on: 2,
-            panic_msg: Some("assertion failed".into()),
-            value: Some(vec![1, 2, 3]),
-            failed_node: None,
-        };
-        assert_eq!(
-            decode_thread_exit(&encode_thread_exit(&pool, &exit)),
-            Some(exit)
-        );
-        let plain = ThreadExit::plain(7, false, 0);
-        assert_eq!(
-            decode_thread_exit(&encode_thread_exit(&pool, &plain)),
-            Some(plain)
-        );
-        let failed = ThreadExit::node_failed(9, 3);
-        assert_eq!(
-            decode_thread_exit(&encode_thread_exit(&pool, &failed)),
-            Some(failed)
-        );
-    }
-
-    #[test]
-    fn fault_tolerance_codecs_roundtrip() {
-        let pool = BufPool::new();
-        let nd = encode_node_dead(&pool, 3);
-        assert_eq!(decode_node_dead(&nd), Some(3));
-        assert_eq!(decode_node_dead(&nd[..2]), None);
-
-        let req = encode_ckpt_req(&pool, 0xC0FFEE);
-        assert_eq!(decode_ckpt_req(&req), Some(0xC0FFEE));
-        let ack = encode_ckpt_ack(&pool, 0xC0FFEE, 12);
-        assert_eq!(decode_ckpt_ack(&ack), Some((0xC0FFEE, 12)));
-        assert_eq!(peek_ckpt_id(&ack), Some(0xC0FFEE));
-
-        let ranges = vec![SlotRange::new(10, 4), SlotRange::new(100, 1)];
-        let nr = encode_node_reclaim(&pool, 0xBEEF, &ranges);
-        assert_eq!(decode_node_reclaim(&nr), Some((0xBEEF, ranges)));
-
-        let rack = encode_reclaim_ack(&pool, 0xBEEF, 200);
-        assert_eq!(decode_reclaim_ack(&rack), Some((0xBEEF, 200)));
-        assert_eq!(peek_reclaim_id(&rack), Some(0xBEEF));
-    }
-
-    #[test]
-    fn rpc_call_resp_roundtrip() {
-        let pool = BufPool::new();
-        let req = (7u64, b"req".to_vec());
-        let call = encode_rpc_call(&pool, 99, 3, 0xFEED, &req, 64).unwrap();
-        let (call_id, reply_to, service, body) = decode_rpc_call(&call).unwrap();
-        assert_eq!((call_id, reply_to, service), (99, 3, 0xFEED));
-        assert_eq!(call[body], req.encode_vec());
-        let resp = encode_rpc_resp(&pool, 99, rpc_status::OK, b"resp");
-        assert_eq!(
-            decode_rpc_resp(&resp),
-            Some((99, rpc_status::OK, &b"resp"[..]))
-        );
-        assert_eq!(peek_rpc_call_id(&resp), Some(99));
-        assert_eq!(decode_rpc_call(&call[..5]), None, "truncation rejected");
-        assert_eq!(decode_rpc_call(&call[..call.len() - 1]), None);
-        assert_eq!(decode_rpc_resp(&resp[..resp.len() - 1]), None);
-    }
-
-    /// The ceiling is judged on the encoded body, header excluded: a body
-    /// of exactly `max` bytes passes, one more does not.
-    #[test]
-    fn rpc_ceiling_is_on_the_encoded_body() {
-        let pool = BufPool::new();
-        let body = vec![5u8; 60]; // encodes to 4 + 60 bytes
-        assert!(encode_rpc_call(&pool, 1, 0, 2, &body, 64).is_ok());
-        assert_eq!(
-            encode_rpc_call(&pool, 1, 0, 2, &body, 63),
-            Err(Pm2Error::PayloadTooLarge { len: 64, max: 63 })
-        );
-        let fill = |w: &mut PayloadWriter| {
-            body.encode(w);
-            Ok(())
-        };
-        let ok = encode_rpc_reply(&pool, 1, 64, fill);
-        assert_eq!(
-            decode_rpc_resp(&ok),
-            Some((1, rpc_status::OK, &body.encode_vec()[..]))
-        );
-        let over = encode_rpc_reply(&pool, 1, 63, fill);
-        assert_eq!(
-            decode_rpc_resp(&over),
-            Some((
-                1,
-                rpc_status::REMOTE_ERROR,
-                &b"response of 64 bytes exceeds ceiling"[..]
-            ))
-        );
-        let failed = encode_rpc_reply(&pool, 1, 64, |_| Err("no".into()));
-        assert_eq!(
-            decode_rpc_resp(&failed),
-            Some((1, rpc_status::REMOTE_ERROR, &b"no"[..]))
-        );
-    }
-
-    /// Protocol encoders stop allocating once the pool is warm.
-    #[test]
-    fn encoders_recycle_pool_buffers() {
-        let pool = BufPool::new();
-        let mut ptr = None;
-        for i in 0..10u64 {
-            let p = encode_rpc_resp(&pool, i, rpc_status::OK, &[0u8; 100]);
-            match ptr {
-                None => ptr = Some(p.as_ptr()),
-                Some(q) => assert_eq!(p.as_ptr(), q),
-            }
-        }
-        assert_eq!(pool.stats().allocs, 1);
-    }
 }

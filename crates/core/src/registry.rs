@@ -21,25 +21,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Completion record of a finished thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadExit {
-    /// Thread id.
-    pub tid: u64,
-    /// Did the thread body panic?
-    pub panicked: bool,
-    /// Node the thread died on (≠ home node after migrations).
-    pub died_on: usize,
-    /// Panic payload text, when the body panicked with a string message.
-    pub panic_msg: Option<String>,
-    /// Wire-encoded return value, for threads spawned through a
-    /// value-returning entry point (`spawn_on_ret`, `pm2_thread_create_ret`).
-    pub value: Option<Vec<u8>>,
-    /// Set when the thread did not exit at all: its node died and no
-    /// checkpoint covered it.  Typed joins surface this as
-    /// [`Pm2Error::NodeFailed`](crate::error::Pm2Error::NodeFailed) before
-    /// any other interpretation.
-    pub failed_node: Option<usize>,
+crate::proto::message! {
+    /// Completion record of a finished thread — and, field for field in
+    /// this order, the `THREAD_EXIT` message that carries it home.
+    ThreadExit = THREAD_EXIT {
+        /// Thread id.
+        tid: u64,
+        /// Did the thread body panic?
+        panicked: bool,
+        /// Node the thread died on (≠ home node after migrations).
+        died_on: usize,
+        /// Panic payload text, when the body panicked with a string message.
+        panic_msg: Option<String>,
+        /// Wire-encoded return value, for threads spawned through a
+        /// value-returning entry point (`spawn_on_ret`, `pm2_thread_create_ret`).
+        value: Option<Vec<u8>>,
+        /// Set when the thread did not exit at all: its node died and no
+        /// checkpoint covered it.  Typed joins surface this as
+        /// [`Pm2Error::NodeFailed`](crate::error::Pm2Error::NodeFailed) before
+        /// any other interpretation.
+        failed_node: Option<usize>,
+    }
 }
 
 impl ThreadExit {

@@ -189,7 +189,7 @@ fn audit_passes_on_idle_machine() {
 /// the harness for white-box pump tests below.
 fn bare_node(pump_budget: usize) -> (crate::node::NodeCtx, madeleine::Endpoint) {
     use std::sync::Arc;
-    let cfg = Pm2Config::test(2).with_pump_budget(pump_budget);
+    let cfg = Arc::new(Pm2Config::test(2).with_pump_budget(pump_budget));
     let area = Arc::new(isoaddr::IsoArea::with_strategy(cfg.area, cfg.map_strategy).unwrap());
     let mut eps = madeleine::Fabric::new(3, madeleine::NetProfile::instant());
     let host = eps.pop().unwrap();
@@ -254,11 +254,17 @@ fn pump_budget_bounds_one_drain() {
 #[test]
 fn migration_class_sits_between_control_and_data() {
     use crate::proto::tag;
+    use madeleine::Wire;
     let (mut ctx, host) = bare_node(1);
     // Enqueue in worst-case order: data, then migration, then control.
     host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
-    let cmd = crate::proto::encode_migrate_cmd(host.pool(), 7, 1, &[0xDEAD]);
-    host.send(0, tag::MIGRATE_CMD, cmd).unwrap();
+    let cmd = crate::proto::MigrateCmd {
+        cmd_id: 7,
+        dest: 1,
+        tids: vec![0xDEAD],
+    };
+    host.send(0, tag::MIGRATE_CMD, crate::proto::encode(host.pool(), &cmd))
+        .unwrap();
     host.send(0, tag::SHUTDOWN, Vec::new()).unwrap();
     assert!(ctx.pump());
     assert!(ctx.shutdown, "pump 1 takes the control message");
@@ -269,10 +275,9 @@ fn migration_class_sits_between_control_and_data() {
         .recv_timeout(std::time::Duration::from_secs(5))
         .expect("migrate-cmd ack");
     assert_eq!(ack.tag, tag::MIGRATE_CMD_ACK);
-    let (cmd_id, accepted, total, _wealth) =
-        crate::proto::decode_migrate_ack(&ack.payload).expect("ack decodes");
+    let ack = crate::proto::MigrateAck::decode_vec(&ack.payload).expect("ack decodes");
     assert_eq!(
-        (cmd_id, accepted, total),
+        (ack.cmd_id, ack.accepted, ack.total),
         (7, 0, 1),
         "unknown tid must be acked as not-accepted"
     );

@@ -1,11 +1,11 @@
 //! The [`Wire`] trait: typed encode/decode over Madeleine payloads.
 //!
-//! PM2's protocols were historically framed by hand with
-//! [`PayloadWriter`]/[`PayloadReader`] calls at every site.  `Wire` gives
-//! the same little-endian framing one canonical, composable definition per
-//! type, so a protocol message is a tuple of typed fields rather than a
-//! sequence of `w.u64(...)` calls — and the typed LRPC / value-join layers
-//! of the `pm2` crate can ship any `Wire` value without bespoke codecs.
+//! `Wire` gives PM2's little-endian framing one canonical, composable
+//! definition per type, so a protocol message is a struct of typed fields
+//! — the `pm2` crate declares its whole control plane that way — rather
+//! than a sequence of [`PayloadWriter`]/[`PayloadReader`] calls at every
+//! site, and the typed LRPC / value-join layers can ship any `Wire` value
+//! without bespoke codecs.
 //!
 //! Framing rules (all little-endian):
 //!

@@ -9,57 +9,13 @@
 //! same result, and a length read off the wire must not be believed before
 //! the bytes behind it are seen to exist.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use madeleine::message::{PayloadReader, PayloadWriter};
 use madeleine::Wire;
+use testkit::alloc::{largest_alloc_in, Watching};
 use testkit::{cases, StdRng};
-
-thread_local! {
-    /// Largest single allocation this thread has asked for since the cell
-    /// was last zeroed.
-    static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, noting each request's size on the way through.
-struct Watching;
-
-fn note(size: usize) {
-    // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(size)));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; `note` touches only a const-initialised
-// thread-local `Cell` without a destructor, so it neither allocates nor
-// unwinds.
-unsafe impl GlobalAlloc for Watching {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        // SAFETY: the caller's contract is `System::alloc`'s own.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's to vouch for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: Watching = Watching;
-
-/// `f`'s result and the largest single allocation it made.
-fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    LARGEST_ALLOC.with(|c| c.set(0));
-    let r = f();
-    (r, LARGEST_ALLOC.with(Cell::get))
-}
 
 /// A value framed by the provided (per-element) run methods only.
 #[derive(Debug, Clone, PartialEq)]

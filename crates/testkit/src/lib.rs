@@ -13,6 +13,8 @@
 
 use std::ops::{Range, RangeInclusive};
 
+pub mod alloc;
+
 /// A seedable deterministic PRNG (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct StdRng {

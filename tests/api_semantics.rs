@@ -1,8 +1,8 @@
 //! API semantics and edge cases: error paths, ownership rules, statistics,
-//! output capture, RPC services, and the legacy registered-pointer scheme.
+//! output capture, RPC services, and the registered-pointer table.
 
 use pm2::api::*;
-use pm2::{Machine, MigrationScheme, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile, Pm2Config};
 
 fn machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -105,25 +105,6 @@ fn probe_load_counts_residents() {
         "expected at least the resident worker, saw {seen}"
     );
     m.join(t);
-    m.shutdown();
-}
-
-#[test]
-fn legacy_scheme_machine_still_migrates_correctly() {
-    // Under the RegisteredPointers ablation scheme migrations still use
-    // iso-addresses for safety; the fix-up walk is charged on arrival.
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_scheme(MigrationScheme::RegisteredPointers))
-            .unwrap();
-    m.run_on(0, || {
-        let x = 99u64;
-        let px = &x as *const u64;
-        let key = pm2_register_pointer(&px as *const _ as usize).unwrap();
-        pm2_migrate(1).unwrap();
-        assert_eq!(unsafe { *px }, 99);
-        pm2_unregister_pointer(key);
-    })
-    .unwrap();
     m.shutdown();
 }
 
