@@ -330,7 +330,6 @@ pub fn write_affinity_json() {
          >=1.3x ops/s or >=2x remote-ratio cut at p=8), hotspot = all-to-one service \
          drill (SLO: no regression); measured over a steady-state window after warmup, \
          balancer counters cover the whole run",
-        "cargo run --release -p pm2-bench --bin affinity",
         &rows,
     );
 }

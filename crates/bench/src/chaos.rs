@@ -266,7 +266,6 @@ pub fn write_chaos_json() {
          so each run covers election), and transient-partition heal (messages cut, false \
          deaths, gossip re-convergence); every round SLO-gated at failure_rate ≤ 0.2 \
          and p99 ≤ 5000 ms",
-        "cargo run --release -p pm2-bench --bin chaos",
         &rows,
     );
 }

@@ -215,7 +215,6 @@ pub fn write_evacuation_json() {
          migration trains, per_thread = the pre-train baseline (one command and one wire \
          message per thread, serialized acks, max_train=1); threads_per_message > 1 proves \
          trains formed",
-        "cargo run --release -p pm2-bench --bin evacuate",
         &out,
     );
 }

@@ -4,7 +4,7 @@
 //! E5 = migration latency (§5 ¶1), E6 = negotiation cost (§5 ¶2),
 //! E7/E8 = Figure 11 top/bottom, A1–A6 = ablations.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pm2::api::*;
 use pm2::{
@@ -33,46 +33,6 @@ pub fn paper_config(nodes: usize, net: NetProfile) -> Pm2Config {
 // ---------------------------------------------------------------------------
 // E5 — thread migration latency (ping-pong, §5 ¶1)
 // ---------------------------------------------------------------------------
-
-/// Migrate a thread back and forth `hops` times carrying `payload` bytes of
-/// isomalloc'd data; returns the average one-way migration time in µs.
-///
-/// "The time needed to migrate a thread with no static data between two
-/// nodes is less than 75 µs … measured by means of a thread ping-pong
-/// between two nodes" — `payload = 0` reproduces that configuration.
-pub fn migration_pingpong_us(net: NetProfile, payload: usize, hops: usize) -> f64 {
-    let mut m = Machine::launch(paper_config(2, net)).expect("launch");
-    let total_us = m
-        .run_on(0, move || {
-            let block = if payload > 0 {
-                let p = pm2_isomalloc(payload).unwrap();
-                unsafe { std::ptr::write_bytes(p, 0xAB, payload) };
-                Some(p)
-            } else {
-                None
-            };
-            // Warm up both directions (first hop maps cold structures).
-            for _ in 0..8 {
-                pm2_migrate(1).unwrap();
-                pm2_migrate(0).unwrap();
-            }
-            let t0 = Instant::now();
-            for i in 0..hops {
-                pm2_migrate(1 - (i % 2)).unwrap();
-            }
-            let us = t0.elapsed().as_micros() as f64;
-            if pm2_self() != 0 {
-                pm2_migrate(0).unwrap();
-            }
-            if let Some(p) = block {
-                pm2_isofree(p).unwrap();
-            }
-            us
-        })
-        .expect("pingpong");
-    m.shutdown();
-    total_us / hops as f64
-}
 
 /// Per-stage cost breakdown of a migration ping-pong run (ISSUE 2: the
 /// numbers behind `BENCH_migration.json`).  All per-migration figures are
@@ -111,8 +71,13 @@ pub struct MigrationBreakdown {
     pub steps: u64,
 }
 
-/// Run a 2-node migration ping-pong carrying `payload` isomalloc'd bytes
-/// and collect the per-stage breakdown from the runtime's counters.
+/// Migrate a thread back and forth `hops` times between two nodes carrying
+/// `payload` bytes of isomalloc'd data, and collect the one-way latency
+/// plus the per-stage breakdown from the runtime's counters.
+///
+/// "The time needed to migrate a thread with no static data between two
+/// nodes is less than 75 µs … measured by means of a thread ping-pong
+/// between two nodes" — `payload = 0` reproduces that configuration (E5).
 pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> MigrationBreakdown {
     let mut m = Machine::launch(paper_config(2, net)).expect("launch");
     let total_us = m
@@ -124,6 +89,7 @@ pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> Migr
             } else {
                 None
             };
+            // Warm up both directions (first hop maps cold structures).
             for _ in 0..8 {
                 pm2_migrate(1).unwrap();
                 pm2_migrate(0).unwrap();
@@ -163,29 +129,6 @@ pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> Migr
         driver_wakeups: s0.driver_wakeups + s1.driver_wakeups,
         steps: s0.steps + s1.steps,
     }
-}
-
-/// One-way migration buffer size for a given payload (bytes on the wire).
-pub fn migration_buffer_bytes(payload: usize) -> u64 {
-    let mut m = Machine::launch(paper_config(2, NetProfile::instant())).expect("launch");
-    m.run_on(0, move || {
-        let block = if payload > 0 {
-            let p = pm2_isomalloc(payload).unwrap();
-            unsafe { std::ptr::write_bytes(p, 0xAB, payload) };
-            Some(p)
-        } else {
-            None
-        };
-        pm2_migrate(1).unwrap();
-        pm2_migrate(0).unwrap();
-        if let Some(p) = block {
-            pm2_isofree(p).unwrap();
-        }
-    })
-    .expect("hop");
-    let bytes = m.node_stats(0).migration_bytes_out;
-    m.shutdown();
-    bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -532,38 +475,6 @@ pub fn fit_policy_outcome(fit: FitPolicy, ops: usize) -> FitOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// A5 — migration scheme ablation: iso-address vs registered pointers (§2)
-// ---------------------------------------------------------------------------
-
-/// Per-migration µs under a migration scheme.  `None` is the paper's
-/// iso-address migration: a plain hop, nothing to do on arrival.
-/// `Some(k)` is the early-PM2 scheme with `k` registered pointers: the
-/// same hop plus the relocation pass it ran on every arrival (see
-/// [`crate::legacy`] for why that pass is timed on a synthetic stack).
-pub fn scheme_migration_us(registered: Option<usize>, hops: usize) -> f64 {
-    let mut m = Machine::launch(paper_config(2, NetProfile::instant())).expect("launch");
-    let hop_us = m
-        .run_on(0, move || {
-            for _ in 0..8 {
-                pm2_migrate(1).unwrap();
-                pm2_migrate(0).unwrap();
-            }
-            let t0 = Instant::now();
-            for i in 0..hops {
-                pm2_migrate(1 - (i % 2)).unwrap();
-            }
-            let us = t0.elapsed().as_micros() as f64 / hops as f64;
-            if pm2_self() != 0 {
-                pm2_migrate(0).unwrap();
-            }
-            us
-        })
-        .expect("scheme pingpong");
-    m.shutdown();
-    hop_us + registered.map_or(0.0, crate::legacy::relocate_pass_us)
-}
-
-// ---------------------------------------------------------------------------
 // A6 — pack extents vs whole slots (§6)
 // ---------------------------------------------------------------------------
 
@@ -703,14 +614,9 @@ pub fn spawn_us(iters: usize) -> f64 {
     us
 }
 
-/// A quick sanity run used by `bin/run_all` to prove the harness agrees
+/// A quick sanity run used by the `all` row to prove the harness agrees
 /// with the integration tests before measuring.
 pub fn smoke() {
-    let us = migration_pingpong_us(NetProfile::instant(), 0, 50);
+    let us = migration_breakdown(NetProfile::instant(), 0, 50).one_way_us;
     assert!(us > 0.0 && us < 10_000.0, "nonsense migration time {us}");
-}
-
-/// Convenience wrapper for durations in µs.
-pub fn as_us(d: Duration) -> f64 {
-    d.as_nanos() as f64 / 1000.0
 }

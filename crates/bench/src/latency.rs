@@ -53,8 +53,8 @@ pub fn latency_rows(hops: usize) -> Vec<LatencyRow> {
 /// Run the latency benchmark and write `BENCH_latency.json` into the
 /// current directory (the repo root under `cargo run`).  Also prints each
 /// row to stdout.
-pub fn write_latency_json(hops: usize) {
-    let rows = latency_rows(hops);
+pub fn write_latency_json() {
+    let rows = latency_rows(400);
     let mut out = Vec::new();
     for r in &rows {
         println!(
@@ -92,7 +92,6 @@ pub fn write_latency_json(hops: usize) {
          profile; driver_parks/driver_wakeups count doorbell parks of the event-driven \
          drivers — a polling driver would show zero parks and orders of magnitude more \
          steps_per_hop",
-        "cargo run --release -p pm2-bench --bin latency",
         &out,
     );
 }

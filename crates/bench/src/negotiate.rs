@@ -190,7 +190,6 @@ pub fn write_negotiation_json() {
          forcing the paper's §4.4 lock+gather+freeze protocol on every allocation; \
          prefetch_hit_rate from a separate partitioned drain workload = \
          prefetch_fills/(prefetch_fills+demand trades)",
-        "cargo run --release -p pm2-bench --bin negotiate",
         &out,
     );
 }

@@ -183,7 +183,6 @@ pub fn write_recovery_json() {
          at the host, recover_ms is replay + re-adoption, reclaim_ms is audit + grant; \
          8 checkpointed threads must all survive, 2 post-checkpoint threads are lost by \
          construction; instant wire profile",
-        "cargo run --release -p pm2-bench --bin recover",
         &rows,
     );
 }

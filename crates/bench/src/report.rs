@@ -90,18 +90,29 @@ impl Table {
 /// Every tracked benchmark shares this envelope — `bench` id, a
 /// `unit_note` explaining what the numbers mean, the `generated_by`
 /// command, and a `configs` array of row objects — so the trajectory
-/// files stay mutually greppable.  `rows` are pre-rendered JSON objects
-/// *without* indentation (this helper owns the layout); `unit_note` and
-/// friends must not contain raw `"` characters.
-pub fn emit_json(file: &str, bench: &str, unit_note: &str, generated_by: &str, rows: &[String]) {
+/// files stay mutually greppable.  `generated_by` is formatted here, from
+/// the [`crate::DRILLS`] row that declares it writes `file`, so a JSON can
+/// never name a command that does not exist.  `rows` are pre-rendered JSON
+/// objects *without* indentation (this helper owns the layout);
+/// `unit_note` and friends must not contain raw `"` characters.
+pub fn emit_json(file: &str, bench: &str, unit_note: &str, rows: &[String]) {
+    let (name, ..) = crate::DRILLS
+        .iter()
+        .find(|d| d.1 == file)
+        .unwrap_or_else(|| panic!("{file} has no writer row in the drill table"));
+    let json = render_json(bench, unit_note, &crate::command(name), rows);
+    std::fs::write(file, &json).unwrap_or_else(|e| panic!("writing {file}: {e}"));
+    println!("wrote {file}");
+}
+
+/// The shared envelope of [`emit_json`], rendered.
+fn render_json(bench: &str, unit_note: &str, generated_by: &str, rows: &[String]) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
-    let json = format!(
+    format!(
         "{{\n  \"bench\": \"{bench}\",\n  \"unit_note\": \"{unit_note}\",\n  \
          \"generated_by\": \"{generated_by}\",\n  \"configs\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
-    );
-    std::fs::write(file, &json).unwrap_or_else(|e| panic!("writing {file}: {e}"));
-    println!("wrote {file}");
+    )
 }
 
 /// Format a µs value with sensible precision.
@@ -145,24 +156,18 @@ mod tests {
     }
 
     #[test]
-    fn emit_json_writes_the_shared_envelope() {
-        let dir = std::env::temp_dir().join(format!("pm2_emit_json_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("BENCH_demo.json");
-        let path = file.to_str().unwrap();
-        emit_json(
-            path,
+    fn render_json_is_the_shared_envelope() {
+        let text = render_json(
             "demo",
             "a unit note",
-            "cargo run --bin demo",
+            &crate::command("demo"),
             &["{\"x\": 1}".to_string(), "{\"x\": 2}".to_string()],
         );
-        let text = std::fs::read_to_string(path).unwrap();
         assert!(text.contains("\"bench\": \"demo\""));
         assert!(text.contains("\"unit_note\": \"a unit note\""));
+        assert!(text.contains("\"generated_by\": \"cargo run --release -p pm2-bench -- demo\""));
         assert!(text.contains("    {\"x\": 1},\n    {\"x\": 2}"));
         assert!(text.ends_with("  ]\n}\n"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -384,7 +384,6 @@ pub fn write_scale_json() {
          past its own share, each fed synchronously by the demand-trade path (watermark \
          prefetch disabled); max_rps from the \
          SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes",
-        "cargo run --release -p pm2-bench --bin scale",
         &out,
     );
 }

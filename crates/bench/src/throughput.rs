@@ -162,7 +162,6 @@ pub fn write_throughput_json() {
          from each op's scheduled issue time so queueing counts); instant wire profile — \
          the rate measures the runtime, not the modelled network; per-round machine \
          counters say why a round saturated",
-        "cargo run --release -p pm2-bench --bin workload",
         &rows,
     );
 }

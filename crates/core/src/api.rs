@@ -338,44 +338,22 @@ pub fn pm2_join_value<R: Wire>(tid: u64) -> Result<R> {
 
 /// Poll + yield until `tid` completes; returns the metadata record (no
 /// value bytes — they stay in the registry until a typed join takes them).
-///
-/// Dead-owner resolution: when the node last known to host `tid` is dead,
-/// recovery gets one reply-deadline to re-adopt the thread from a
-/// checkpoint (the location moves to a survivor and the wait continues
-/// normally).  If the owner is still a corpse when the grace expires, the
-/// join completes the thread as failed-on-that-node — recovered value or
-/// typed error, never a hang.
+/// A dead owner is resolved by `Registry::fail_if_owner_dead` with one
+/// reply-deadline of grace.
 fn wait_exit(tid: u64) -> crate::registry::ThreadExit {
-    let mut grace: Option<(usize, Instant)> = None;
+    let mut grace = None;
     loop {
         if let Some(e) = with_ctx(|c| c.registry.poll_meta(tid)) {
             return e;
         }
-        let (dead_owner, deadline) = with_ctx(|c| {
-            let dead = c
-                .registry
-                .location(tid)
-                .filter(|n| c.dead_nodes.contains(n) || c.ep.is_dead(*n));
-            (dead, c.cfg.reply_deadline)
+        with_ctx(|c| {
+            c.registry.fail_if_owner_dead(
+                tid,
+                |n| c.dead_nodes.contains(&n) || c.ep.is_dead(n),
+                c.cfg.reply_deadline,
+                &mut grace,
+            )
         });
-        match dead_owner {
-            Some(n) => {
-                let (owner, until) = grace.get_or_insert((n, Instant::now() + deadline));
-                if *owner != n {
-                    // Re-adopted by a survivor that then also died: re-arm.
-                    *owner = n;
-                    *until = Instant::now() + deadline;
-                } else if Instant::now() > *until {
-                    with_ctx(|c| {
-                        c.registry
-                            .complete_if_absent(crate::registry::ThreadExit::node_failed(tid, n))
-                    });
-                    // The next poll_meta observes this (or a racing real
-                    // completion — first write wins either way).
-                }
-            }
-            None => grace = None,
-        }
         marcel::yield_now();
     }
 }

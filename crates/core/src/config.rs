@@ -130,12 +130,6 @@ pub struct Pm2Config {
     /// detector is armed.  Must be well under `failure_timeout`; ignored
     /// when detection is off.
     pub heartbeat_every: Duration,
-    /// Spill-log compaction threshold: once a node's log has accumulated
-    /// more than this many appended records, the next checkpoint first
-    /// rewrites the log keeping only the newest record per thread.  `0`
-    /// (the default) disables compaction — the log grows without bound,
-    /// as before.
-    pub spill_compact_after: usize,
     /// Seeded message-level fault plan for the fabric (chaos testing).
     /// `None` (the default) keeps every link a perfect wire.  When set,
     /// the machine exempts the exactly-once state-transfer tags
@@ -183,7 +177,6 @@ impl Pm2Config {
             checkpoint_every: None,
             failure_timeout: None,
             heartbeat_every: Duration::from_millis(50),
-            spill_compact_after: 0,
             fault_plan: None,
             fault_corrupt_pack: Vec::new(),
         }
@@ -346,12 +339,6 @@ impl Pm2Config {
     /// Builder: heartbeat beacon period (detector armed only).
     pub fn with_heartbeat_every(mut self, every: Duration) -> Self {
         self.heartbeat_every = every;
-        self
-    }
-
-    /// Builder: spill-log compaction threshold (0 disables).
-    pub fn with_spill_compact_after(mut self, records: usize) -> Self {
-        self.spill_compact_after = records;
         self
     }
 
@@ -558,13 +545,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Spill-log compaction threshold; 0 disables (see
-    /// [`Pm2Config::spill_compact_after`]).
-    pub fn spill_compact_after(mut self, records: usize) -> Self {
-        self.cfg.spill_compact_after = records;
-        self
-    }
-
     /// Install a seeded message-level fault plan on the fabric (see
     /// [`Pm2Config::fault_plan`]).
     pub fn fault_plan(mut self, plan: madeleine::FaultPlan) -> Self {
@@ -702,18 +682,12 @@ mod tests {
     fn chaos_knobs_roundtrip() {
         let plan = madeleine::FaultPlan::lossy(7, 0.01);
         let c = MachineBuilder::new(4)
-            .spill_compact_after(128)
             .fault_plan(plan.clone())
             .into_config();
-        assert_eq!(c.spill_compact_after, 128);
         assert_eq!(c.fault_plan.as_ref().map(|p| p.seed()), Some(7));
         let d = Pm2Config::new(4);
-        assert_eq!(d.spill_compact_after, 0, "compaction is opt-in");
         assert!(d.fault_plan.is_none(), "perfect wire by default");
-        let e = Pm2Config::test(2)
-            .with_spill_compact_after(9)
-            .with_fault_plan(plan);
-        assert_eq!(e.spill_compact_after, 9);
+        let e = Pm2Config::test(2).with_fault_plan(plan);
         assert!(e.fault_plan.is_some());
     }
 

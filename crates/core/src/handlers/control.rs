@@ -73,9 +73,10 @@ pub(crate) fn on_load_req(ctx: &mut NodeCtx, m: &Message) {
             if peers.is_empty() {
                 return None;
             }
-            let pack_cost = crate::migration::pack_cost_hint(d, slot_size, ctx.cfg.pack_full_slots)
-                .unwrap_or(usize::MAX)
-                .min(u32::MAX as usize) as u32;
+            let pack_cost =
+                crate::migration::thread_pack_hint(d, slot_size, ctx.cfg.pack_full_slots)
+                    .unwrap_or(usize::MAX)
+                    .min(u32::MAX as usize) as u32;
             Some(proto::AffinityEdge {
                 tid,
                 pack_cost,

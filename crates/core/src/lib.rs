@@ -251,7 +251,7 @@
 //!   common case), and per-node tables indexed by peer id (O(p) memory,
 //!   O(1) access).
 //!
-//! `BENCH_scale.json` (`cargo run --release -p pm2-bench --bin scale`)
+//! `BENCH_scale.json` (`cargo run --release -p pm2-bench -- scale`)
 //! tracks the result: idle per-node traffic, hop/evacuation/negotiation
 //! per-op cost and harness max-RPS at p = 16/64/256, with the p = 256
 //! machine running all drills on a pool of a few workers and per-node
@@ -296,7 +296,7 @@
 //!
 //! All knobs live on [`loadbal::BalancerConfig`] (`affinity` toggles
 //! the pass; `aff_decay_shift`, `aff_cooldown`, `aff_min_score` tune
-//! it), and `--bin affinity` judges the result end to end — scattered
+//! it), and `pm2-bench -- affinity` judges the result end to end — scattered
 //! producer/consumer rings and an all-to-one hotspot, affinity on vs
 //! off (`BENCH_affinity.json`, a CI artifact): the rings run 1.8–2.1×
 //! the baseline ops/s at p = 4/8 by turning ~90 % remote traffic into

@@ -126,7 +126,7 @@ pub struct BalancerConfig {
     /// size (clamped to p); see the module notes on sampled probing.
     pub sample: usize,
     /// Run the affinity pass (false = the pre-affinity pure-load
-    /// balancer, the ablation baseline of `--bin affinity`).
+    /// balancer, the ablation baseline of `pm2-bench -- affinity`).
     pub affinity: bool,
     /// Per-epoch decay shift applied to every thread's affinity counts
     /// (`msgs >>= shift`) by each probed node; 0 disables decay.

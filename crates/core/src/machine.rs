@@ -991,11 +991,9 @@ fn collect_ranges(n_slots: usize, pred: impl Fn(usize) -> bool) -> Vec<SlotRange
 }
 
 /// Host-side dead-owner-aware completion wait (the host twin of the green
-/// `wait_exit`): poll the registry in short slices; when the node last
-/// known to host `tid` is dead, give recovery one `grace` window to
-/// re-adopt it (the location moves to a survivor), then complete the
-/// thread as failed-on-that-node.  Recovered value or typed error — never
-/// a hang.  Panics after five minutes like the pre-fault-tolerance waits.
+/// `wait_exit`): block on the registry in short slices, applying
+/// [`Registry::fail_if_owner_dead`] with one `grace_window` between them.
+/// Panics after five minutes like the pre-fault-tolerance waits.
 fn wait_exit_host(
     registry: &Registry,
     watch: &madeleine::DeathWatch,
@@ -1003,24 +1001,12 @@ fn wait_exit_host(
     tid: u64,
 ) -> ThreadExit {
     let overall = Instant::now() + Duration::from_secs(300);
-    let mut grace: Option<(usize, Instant)> = None;
+    let mut grace = None;
     loop {
         if let Some(e) = registry.wait(tid, Duration::from_millis(10)) {
             return e;
         }
-        match registry.location(tid).filter(|&n| watch.is_dead(n)) {
-            Some(n) => {
-                let (owner, until) = grace.get_or_insert((n, Instant::now() + grace_window));
-                if *owner != n {
-                    // Re-adopted by a survivor that then also died: re-arm.
-                    *owner = n;
-                    *until = Instant::now() + grace_window;
-                } else if Instant::now() > *until {
-                    registry.complete_if_absent(ThreadExit::node_failed(tid, n));
-                }
-            }
-            None => grace = None,
-        }
+        registry.fail_if_owner_dead(tid, |n| watch.is_dead(n), grace_window, &mut grace);
         assert!(Instant::now() < overall, "thread {tid:#x} never completed");
     }
 }

@@ -70,11 +70,20 @@ pub(crate) struct TrainOutcome {
     pub rejected: Vec<(u64, String)>,
 }
 
-/// Occupancy hint for one thread's record group (stack + heap slots).
+/// Occupancy hint for one thread's record group (stack + heap slots), in
+/// bytes: what sizes the train buffer, and the balancer's cold-heap-first
+/// signal (a thread with a slim stack and an empty heap ships orders of
+/// magnitude cheaper than a heap hoarder).
 ///
 /// # Safety
-/// `d` must be a frozen thread resident on the packing node.
-unsafe fn thread_pack_hint(d: DescPtr, slot_size: usize, pack_full_slots: bool) -> Result<usize> {
+/// `d` must be a resident, non-running thread (frozen, Ready or Blocked)
+/// on the calling node — the driver's pump never overlaps its green
+/// threads, so descriptor and heap hints are stable.
+pub(crate) unsafe fn thread_pack_hint(
+    d: DescPtr,
+    slot_size: usize,
+    pack_full_slots: bool,
+) -> Result<usize> {
     let desc = &*d;
     if pack_full_slots {
         let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap));
@@ -88,91 +97,20 @@ unsafe fn thread_pack_hint(d: DescPtr, slot_size: usize, pack_full_slots: bool) 
     }
 }
 
-/// Price the migration train a thread would need right now, in bytes —
-/// the balancer's cold-heap-first signal (a thread with a slim stack and
-/// an empty heap ships orders of magnitude cheaper than a heap hoarder).
-///
-/// # Safety
-/// `d` must be a resident, non-running thread (Ready/Blocked) on the
-/// calling node — the driver's pump never overlaps its green threads, so
-/// descriptor and heap hints are stable.
-pub(crate) unsafe fn pack_cost_hint(
-    d: DescPtr,
-    slot_size: usize,
-    pack_full_slots: bool,
-) -> Result<usize> {
-    thread_pack_hint(d, slot_size, pack_full_slots)
-}
-
-/// Append one thread's slot records to `buf` and unmap its slots on the
-/// source node.  Ownership stays with the thread (no bitmap change).
+/// Append one thread's slot records to `buf`: stack slot first (so the
+/// receiver can locate the descriptor early), then each heap slot.  Nothing
+/// is unmapped and no bitmap changes — the bytes are a position-independent
+/// record group whether the thread then departs or keeps running here.
 ///
 /// # Safety
 /// As in [`pack_threads`], for the single thread `d`.
 unsafe fn pack_thread_records(
     d: DescPtr,
-    mgr: &mut NodeSlotManager,
+    slot_size: usize,
     pack_full_slots: bool,
     buf: &mut Vec<u8>,
 ) -> Result<()> {
     let desc = &*d;
-    let slot_size = mgr.slot_size();
-    let area_base = mgr.area_base();
-    let stack_extents = desc.stack_extents();
-    let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap));
-    // Stack slot first so the receiver can locate the descriptor early.
-    if pack_full_slots {
-        pack_full(
-            desc.stack_base,
-            SlotKind::Stack as u32,
-            desc.stack_slots,
-            slot_size,
-            buf,
-        );
-    } else {
-        pack_raw_extents(
-            desc.stack_base,
-            SlotKind::Stack as u32,
-            desc.stack_slots,
-            &stack_extents,
-            buf,
-        );
-    }
-    for &(base, n) in &heap_slots {
-        if pack_full_slots {
-            pack_full(base, SlotKind::Heap as u32, n, slot_size, buf);
-        } else {
-            pack_heap_slot(base, slot_size, buf)?;
-        }
-    }
-    // Unmap everything; ownership stays with the thread (no bitmap change).
-    let stack_first = (desc.stack_base - area_base) / slot_size;
-    mgr.surrender(SlotRange::new(stack_first, desc.stack_slots))?;
-    for &(base, n) in &heap_slots {
-        let first = (base - area_base) / slot_size;
-        mgr.surrender(SlotRange::new(first, n))?;
-    }
-    Ok(())
-}
-
-/// [`pack_thread_records`] minus the surrenders: serialize the thread's
-/// slots *without* unmapping anything.  This is the checkpoint pack — the
-/// thread keeps running on this node afterwards, and the bytes are an
-/// ordinary train record group (position-independent, replayable through
-/// `unpack_threads` on any survivor).
-///
-/// # Safety
-/// `d` must be a frozen (not currently running) thread resident on `mgr`'s
-/// node for the duration of the call.
-unsafe fn snapshot_thread_records(
-    d: DescPtr,
-    mgr: &NodeSlotManager,
-    pack_full_slots: bool,
-    buf: &mut Vec<u8>,
-) -> Result<()> {
-    let desc = &*d;
-    let slot_size = mgr.slot_size();
-    let stack_extents = desc.stack_extents();
     let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap));
     if pack_full_slots {
         pack_full(
@@ -187,7 +125,7 @@ unsafe fn snapshot_thread_records(
             desc.stack_base,
             SlotKind::Stack as u32,
             desc.stack_slots,
-            &stack_extents,
+            &desc.stack_extents(),
             buf,
         );
     }
@@ -201,42 +139,26 @@ unsafe fn snapshot_thread_records(
     Ok(())
 }
 
-/// Pack a train of threads **without unmapping their slots** — the
-/// checkpoint gather.  Wire-identical to [`pack_threads`] output, so a
-/// spilled checkpoint replays through the normal `MIGRATION` arrival path;
-/// the threads keep running here, and the bytes merely go stale as they do.
+/// Unmap every slot of the packed threads `ds` on the source node — the
+/// departure half of a migration, run once [`pack_threads`] has the image.
+/// Ownership stays with each thread (no bitmap change).
 ///
 /// # Safety
-/// Every descriptor must be resident on `mgr`'s node and not running for
-/// the duration of the call (the checkpoint runs on the driver thread, so
-/// no green thread is mid-quantum).
-pub(crate) unsafe fn pack_threads_snapshot(
-    ds: &[DescPtr],
-    mgr: &NodeSlotManager,
-    pack_full_slots: bool,
-    pool: &BufPool,
-) -> Result<Payload> {
-    debug_assert!(!ds.is_empty(), "empty checkpoint train");
-    let slot_size = mgr.slot_size();
-    let header_len = TRAIN_HDR + ds.len() * TRAIN_ENTRY;
-    let mut hint = header_len;
+/// As in [`pack_threads`]; afterwards none of the threads' memory may be
+/// touched on this node.
+pub(crate) unsafe fn surrender_threads(ds: &[DescPtr], mgr: &mut NodeSlotManager) -> Result<()> {
+    let (slot_size, area_base) = (mgr.slot_size(), mgr.area_base());
+    let range = |base: usize, n: usize| SlotRange::new((base - area_base) / slot_size, n);
     for &d in ds {
-        hint += thread_pack_hint(d, slot_size, pack_full_slots)?;
+        // The descriptor lives in the stack slot: read everything first.
+        let stack = range((*d).stack_base, (*d).stack_slots);
+        let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!((*d).heap));
+        mgr.surrender(stack)?;
+        for (base, n) in heap_slots {
+            mgr.surrender(range(base, n))?;
+        }
     }
-    let mut buf = pool.checkout(hint);
-    buf.extend_from_slice(&(ds.len() as u32).to_le_bytes());
-    buf.resize(header_len, 0);
-    for (i, &d) in ds.iter().enumerate() {
-        let tid = (*d).tid;
-        let off = buf.len();
-        snapshot_thread_records(d, mgr, pack_full_slots, &mut buf)?;
-        let len = buf.len() - off;
-        let e = TRAIN_HDR + i * TRAIN_ENTRY;
-        buf[e..e + 8].copy_from_slice(&tid.to_le_bytes());
-        buf[e + 8..e + 12].copy_from_slice(&(off as u32).to_le_bytes());
-        buf[e + 12..e + 16].copy_from_slice(&(len as u32).to_le_bytes());
-    }
-    Ok(buf.freeze())
+    Ok(())
 }
 
 /// Read a train's table without touching the records: `(tid, off, len)`
@@ -283,10 +205,13 @@ pub(crate) fn build_train(groups: &[(u64, &[u8])]) -> Vec<u8> {
     buf
 }
 
-/// Pack a train of frozen threads into one pooled payload and unmap their
-/// slots on the source node.  The buffer is a pool checkout sized from the
-/// occupancy hints; the per-thread table is backpatched once each group's
-/// length is known.
+/// Pack a train of frozen threads into one pooled payload — the one
+/// serialiser behind both a departure and a checkpoint.  Nothing is
+/// unmapped: a departure follows up with [`surrender_threads`]; a
+/// checkpoint is a train that is not shipped, so its threads keep running
+/// here and the spilled bytes replay through the normal `MIGRATION` arrival
+/// path.  The buffer is a pool checkout sized from the occupancy hints; the
+/// per-thread table is backpatched once each group's length is known.
 ///
 /// `fault_truncate` names tids whose record group is deliberately truncated
 /// after packing — the test hook behind the train fault-isolation
@@ -294,11 +219,10 @@ pub(crate) fn build_train(groups: &[(u64, &[u8])]) -> Vec<u8> {
 ///
 /// # Safety
 /// Every descriptor must be a frozen (not running) thread resident on
-/// `mgr`'s node; after this call, none of their memory may be touched on
-/// this node.
+/// `mgr`'s node for the duration of the call.
 pub(crate) unsafe fn pack_threads(
     ds: &[DescPtr],
-    mgr: &mut NodeSlotManager,
+    mgr: &NodeSlotManager,
     pack_full_slots: bool,
     pool: &BufPool,
     fault_truncate: &HashSet<u64>,
@@ -316,12 +240,12 @@ pub(crate) unsafe fn pack_threads(
     for (i, &d) in ds.iter().enumerate() {
         let tid = (*d).tid;
         let off = buf.len();
-        pack_thread_records(d, mgr, pack_full_slots, &mut buf)?;
+        pack_thread_records(d, slot_size, pack_full_slots, &mut buf)?;
         if fault_truncate.contains(&tid) {
             // Test hook: chop the tail off this thread's group so its last
-            // record claims more bytes than the group holds.  The slots
-            // are already surrendered — the thread is genuinely lost, as
-            // in a real corruption.
+            // record claims more bytes than the group holds.  The departure
+            // surrenders the slots regardless — the thread is genuinely
+            // lost, as in a real corruption.
             let cut = buf.len().saturating_sub(16).max(off);
             buf.truncate(cut);
         }
@@ -464,4 +388,77 @@ unsafe fn unpack_records(
         )));
     }
     Ok(desc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::train_table;
+    use crate::api::{pm2_isomalloc, pm2_yield};
+    use crate::proto::tag;
+    use crate::Pm2Config;
+    use marcel::ThreadState;
+    use std::iter::zip;
+
+    /// `(tid, record group)` per thread of a train, sorted by tid (a
+    /// checkpoint walks the thread table, a departure the run queue).
+    fn groups(train: &[u8]) -> Vec<(u64, &[u8])> {
+        let mut g: Vec<_> = train_table(train)
+            .expect("readable train table")
+            .into_iter()
+            .map(|(tid, off, len)| (tid, &train[off..off + len]))
+            .collect();
+        g.sort();
+        g
+    }
+
+    /// A checkpoint is a train that is not shipped: the image
+    /// `checkpoint_now` spills for a frozen thread set is, thread for
+    /// thread, the bytes the same set then departs in — but for the one
+    /// descriptor byte that says why the thread is frozen (`Ready` in a
+    /// checkpoint, `Migrating` in a departure).
+    #[test]
+    fn checkpoint_image_is_the_departure_train() {
+        let dir = std::env::temp_dir().join(format!("pm2-pack-path-{}", std::process::id()));
+        let (mut ctx, ep1, _host) =
+            crate::tests::bare_node(Pm2Config::test(2).with_spill_dir(&dir));
+        let tids = [0x101u64, 0x102, 0x103];
+        for (i, &tid) in tids.iter().enumerate() {
+            let body = move || {
+                // A heap of its own, so the image has heap-slot records too.
+                let p = pm2_isomalloc(600 * (i + 1)).unwrap();
+                unsafe { std::ptr::write_bytes(p, 0xA0 + i as u8, 600 * (i + 1)) };
+                loop {
+                    pm2_yield();
+                }
+            };
+            ctx.try_spawn_boxed(tid, 0, Box::new(body)).unwrap();
+        }
+        for _ in 0..tids.len() {
+            assert!(ctx.step(), "each thread runs to its first yield");
+        }
+        // Flag first, so both images carry the same `migrate_dest`.
+        assert_eq!(ctx.request_migrations(tids.to_vec(), 1), 3);
+        assert_eq!(ctx.checkpoint_now().unwrap(), 3);
+        let log = crate::spill::replay(&dir.join("node0.log")).unwrap();
+        let image = &log.records.last().expect("one checkpoint record").train;
+
+        assert!(ctx.step(), "the flagged threads leave as one train");
+        let train = ep1
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("migration train");
+        assert_eq!(train.tag, tag::MIGRATION);
+        assert_eq!(image.len(), train.payload.len());
+        let states = (&(ThreadState::Ready as u8), &(ThreadState::Migrating as u8));
+        for ((ck_tid, ck), (tr_tid, tr)) in zip(groups(image), groups(&train.payload)) {
+            assert_eq!((ck_tid, ck.len()), (tr_tid, tr.len()));
+            let diff: Vec<_> = zip(ck, tr).filter(|(a, b)| a != b).collect();
+            assert_eq!(
+                diff,
+                [states],
+                "tid {ck_tid:#x}: only the state byte differs"
+            );
+        }
+        assert!(ctx.threads.is_empty(), "all three departed");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

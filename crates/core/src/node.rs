@@ -1035,15 +1035,21 @@ impl NodeCtx {
         // the driver's point of view — the pump never runs while a green
         // thread runs.
         let buf = unsafe {
-            migration::pack_threads_snapshot(&ds, &self.mgr, self.cfg.pack_full_slots, &self.pool)?
+            migration::pack_threads(
+                &ds,
+                &self.mgr,
+                self.cfg.pack_full_slots,
+                &self.pool,
+                &HashSet::new(),
+            )?
         };
         let epoch = self.ckpt_epoch;
         let log = self.spill.as_mut().expect("spill checked above");
         log.append(epoch, &buf)?;
-        // Periodic checkpointing grows the log without bound (every epoch
-        // re-writes every live thread); compaction rewrites it down to the
-        // newest record per tid once it crosses the knob.
-        if self.cfg.spill_compact_after > 0 && log.records() > self.cfg.spill_compact_after {
+        // Checkpointing grows the log without bound (every epoch re-writes
+        // every live thread); compaction rewrites it down to the newest
+        // record per tid once enough superseded frames have piled up.
+        if log.compact_due() {
             if let Err(e) = log.compact() {
                 self.out
                     .printf(self.node, &format!("spill compaction failed: {e}"));
@@ -1347,12 +1353,13 @@ impl NodeCtx {
             let t0 = Instant::now();
             let buf = migration::pack_threads(
                 ds,
-                &mut self.mgr,
+                &self.mgr,
                 self.cfg.pack_full_slots,
                 &self.pool,
                 &self.fault_corrupt_pack,
             )
             .expect("packing migration train");
+            migration::surrender_threads(ds, &mut self.mgr).expect("unmapping the departed train");
             self.stats
                 .migration_pack_ns
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -1365,7 +1372,7 @@ impl NodeCtx {
                 .fetch_add(buf.len() as u64, Ordering::Relaxed);
             if let Err(e) = self.ep.send_batched(dest, tag::MIGRATION, buf, ds.len()) {
                 // An endpoint died between staging and shipping.  The
-                // pack already surrendered the slots with the image, so
+                // slots were already surrendered with the image, so
                 // the threads are gone with the train; complete them as
                 // failed-on-`dest` (first-write-wins — a join never
                 // hangs) instead of panicking the survivor.

@@ -174,18 +174,9 @@ impl Registry {
     /// Block the calling *host* thread until `tid` completes (never call
     /// from a Marcel thread — those must poll + yield).
     pub fn wait(&self, tid: u64, timeout: Duration) -> Option<ThreadExit> {
-        let deadline = Instant::now() + timeout;
-        let mut done = self.done.lock().unwrap();
-        loop {
-            if let Some(e) = done.get(&tid) {
-                return Some(e.clone());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            done = self.cv.wait_timeout(done, deadline - now).unwrap().0;
-        }
+        self.wait_completed(tid, timeout)
+            .then(|| self.poll(tid))
+            .flatten()
     }
 
     /// Block the calling *host* thread until `tid` completes, copying
@@ -203,6 +194,35 @@ impl Registry {
                 return false;
             }
             done = self.cv.wait_timeout(done, deadline - now).unwrap().0;
+        }
+    }
+
+    /// The one dead-owner rule, shared by the green and the host join
+    /// (which differ only in how they wait between calls — yield vs
+    /// condvar).  When the node last known to host `tid` is dead, recovery
+    /// gets one `window` of grace to re-adopt the thread from a checkpoint
+    /// (the location moves to a survivor and `grace` disarms); a new corpse
+    /// — the adopter died too — re-arms it; an owner still dead when it
+    /// closes completes the thread as failed-on-that-node (first write
+    /// wins): a recovered value or a typed error, never a hang.
+    pub fn fail_if_owner_dead(
+        &self,
+        tid: u64,
+        is_dead: impl Fn(usize) -> bool,
+        window: Duration,
+        grace: &mut Option<(usize, Instant)>,
+    ) {
+        let Some(n) = self.location(tid).filter(|&n| is_dead(n)) else {
+            *grace = None;
+            return;
+        };
+        match grace {
+            Some((owner, until)) if *owner == n => {
+                if Instant::now() > *until {
+                    self.complete_if_absent(ThreadExit::node_failed(tid, n));
+                }
+            }
+            _ => *grace = Some((n, Instant::now() + window)),
         }
     }
 

@@ -52,14 +52,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Frames a log may gain on top of what its last compaction left before
+/// [`SpillLog::compact_due`] asks for the next one (every checkpoint epoch
+/// re-writes every live thread).  Growth is measured from that floor, not
+/// from zero, so the rewrite stays amortised when many epochs keep a survivor.
+pub const COMPACT_AFTER: usize = 64;
+
 /// Append handle for one node's spill log.
 pub struct SpillLog {
     path: PathBuf,
     file: File,
     /// Whole frames currently in the log (pre-existing ones counted on
-    /// open; compaction resets it).  Drives the `spill_compact_after`
-    /// trigger without re-scanning the file.
+    /// open; compaction resets it), so the compaction trigger never
+    /// re-scans the file.
     records: usize,
+    /// Frames the last compaction left behind (0 until one has run).
+    compacted_to: usize,
 }
 
 impl SpillLog {
@@ -85,6 +93,7 @@ impl SpillLog {
             path: path.to_path_buf(),
             file,
             records,
+            compacted_to: 0,
         })
     }
 
@@ -113,6 +122,12 @@ impl SpillLog {
     /// Whole frames currently in the log.
     pub fn records(&self) -> usize {
         self.records
+    }
+
+    /// Whether the log has outgrown its last compaction by more than
+    /// [`COMPACT_AFTER`] frames — checked after every checkpoint append.
+    pub fn compact_due(&self) -> bool {
+        self.records > self.compacted_to + COMPACT_AFTER
     }
 
     /// Rewrite the log down to the newest record group per tid.  Every
@@ -151,6 +166,7 @@ impl SpillLog {
         let reopened = SpillLog::open(&self.path)?;
         self.file = reopened.file;
         self.records = reopened.records;
+        self.compacted_to = reopened.records;
         Ok(())
     }
 }
@@ -443,6 +459,22 @@ mod tests {
         log.append(4, &fake_train(7, 0x44)).unwrap();
         assert_eq!(log.records(), 3);
         assert_eq!(replay(&p).unwrap().latest_by_tid()[&7].0, 4);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn compaction_comes_due_relative_to_the_last_floor() {
+        let p = scratch("due");
+        let mut log = SpillLog::open(&p).unwrap();
+        // Every epoch keeps a survivor, so compaction cannot shrink the log.
+        for epoch in 1..=COMPACT_AFTER as u64 + 1 {
+            assert!(!log.compact_due());
+            log.append(epoch, &fake_train(epoch, 0x11)).unwrap();
+        }
+        assert!(log.compact_due());
+        log.compact().unwrap();
+        assert_eq!(log.records(), COMPACT_AFTER + 1);
+        assert!(!log.compact_due(), "the floor moved up with the survivors");
         std::fs::remove_file(&p).unwrap();
     }
 

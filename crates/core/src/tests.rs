@@ -2,7 +2,9 @@
 //! workspace-level `tests/` directory).
 
 use crate::api::*;
+use crate::node::NodeCtx;
 use crate::{Machine, MachineMode, Pm2Config};
+use madeleine::Endpoint;
 
 fn test_machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -185,17 +187,18 @@ fn audit_passes_on_idle_machine() {
     m.shutdown();
 }
 
-/// Build a bare NodeCtx (node 0 of 2) plus a "host" endpoint feeding it —
-/// the harness for white-box pump tests below.
-fn bare_node(pump_budget: usize) -> (crate::node::NodeCtx, madeleine::Endpoint) {
+/// Build a bare NodeCtx (node 0 of 2, configured by `cfg`) plus node 1's
+/// endpoint and a "host" endpoint feeding it — the harness for the
+/// white-box pump tests below and the pack-path test in `migration.rs`.
+pub(crate) fn bare_node(cfg: Pm2Config) -> (NodeCtx, Endpoint, Endpoint) {
     use std::sync::Arc;
-    let cfg = Arc::new(Pm2Config::test(2).with_pump_budget(pump_budget));
+    let cfg = Arc::new(cfg);
     let area = Arc::new(isoaddr::IsoArea::with_strategy(cfg.area, cfg.map_strategy).unwrap());
     let mut eps = madeleine::Fabric::new(3, madeleine::NetProfile::instant());
     let host = eps.pop().unwrap();
-    let _ep1 = eps.pop().unwrap();
+    let ep1 = eps.pop().unwrap();
     let ep0 = eps.pop().unwrap();
-    let ctx = crate::node::NodeCtx::new(
+    let ctx = NodeCtx::new(
         &cfg,
         0,
         area,
@@ -206,13 +209,13 @@ fn bare_node(pump_budget: usize) -> (crate::node::NodeCtx, madeleine::Endpoint) 
         crate::registry::ServiceTable::new_shared(),
         crate::service::TypedServiceTable::new_shared(),
     );
-    (ctx, host)
+    (ctx, ep1, host)
 }
 
 #[test]
 fn pump_handles_control_before_a_data_flood() {
     use crate::proto::tag;
-    let (mut ctx, host) = bare_node(1);
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(1));
     // A data-class flood (junk RPC_RESP: no pending caller, dropped on
     // handling)… then one control-class SHUTDOWN, enqueued LAST.
     for _ in 0..16 {
@@ -238,7 +241,7 @@ fn pump_handles_control_before_a_data_flood() {
 #[test]
 fn pump_budget_bounds_one_drain() {
     use crate::proto::tag;
-    let (mut ctx, host) = bare_node(4);
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(4));
     for _ in 0..10 {
         host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
     }
@@ -255,7 +258,7 @@ fn pump_budget_bounds_one_drain() {
 fn migration_class_sits_between_control_and_data() {
     use crate::proto::tag;
     use madeleine::Wire;
-    let (mut ctx, host) = bare_node(1);
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(1));
     // Enqueue in worst-case order: data, then migration, then control.
     host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
     let cmd = crate::proto::MigrateCmd {

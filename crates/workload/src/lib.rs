@@ -1,11 +1,13 @@
 //! # pm2-workload — ramping mixed-workload harness with SLO gates
 //!
-//! Every bench in `pm2-bench` is a fixed-shape microbench; this crate
-//! answers the production question: **what request rate can a p-node
-//! machine sustain?**  The design follows the Internet Computer
-//! scalability suite's workload experiments: declare a workload, ramp its
-//! rate round by round, gate each round on failure-rate and p99-latency
-//! SLOs, and report the last passing round as the machine's capacity.
+//! Most rows of `pm2-bench`'s drill table (`cargo run -p pm2-bench -- list`)
+//! are fixed-shape microbenches; this crate answers the production
+//! question: **what request rate can a p-node machine sustain?**  (The
+//! `workload`, `scale` and `chaos` rows drive it.)  The design follows the
+//! Internet Computer scalability suite's workload experiments: declare a
+//! workload, ramp its rate round by round, gate each round on failure-rate
+//! and p99-latency SLOs, and report the last passing round as the machine's
+//! capacity.
 //!
 //! The pieces:
 //!

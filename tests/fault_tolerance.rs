@@ -441,3 +441,69 @@ fn periodic_checkpoints_cover_recovery_without_explicit_requests() {
     m.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn compacted_spill_log_stays_bounded_and_recovers_the_newest_epoch() {
+    let dir = scratch_dir("compact");
+    let mut m = Machine::launch(
+        Pm2Config::test(2)
+            .with_reply_deadline(Duration::from_secs(2))
+            .with_spill_dir(&dir),
+    )
+    .unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let phase = Arc::new(AtomicU64::new(0));
+    // Each thread mirrors `phase` into an iso cell until told to stop, and
+    // reports what it mirrored last; its return value is whatever the cell
+    // held in the image it resumed from.
+    let mut threads = Vec::new();
+    for _ in 0..3 {
+        let (stop, phase) = (Arc::clone(&stop), Arc::clone(&phase));
+        let seen = Arc::new(AtomicU64::new(u64::MAX));
+        let seen2 = Arc::clone(&seen);
+        let h = m
+            .spawn_on_ret(1, move || {
+                let mut cell = pm2::IsoBox::new(0u64).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    *cell = phase.load(Ordering::SeqCst);
+                    seen2.store(*cell, Ordering::SeqCst);
+                    marcel::yield_now();
+                }
+                *cell
+            })
+            .unwrap();
+        threads.push((h, seen));
+    }
+    // One checkpoint per phase, well past the compaction threshold.
+    let epochs = 2 * pm2::spill::COMPACT_AFTER as u64 + 10;
+    for k in 1..=epochs {
+        phase.store(k, Ordering::SeqCst);
+        while threads
+            .iter()
+            .any(|(_, seen)| seen.load(Ordering::SeqCst) != k)
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(m.checkpoint_node(1).unwrap(), 3);
+    }
+    let frames = pm2::spill::replay(&dir.join("node1.log"))
+        .unwrap()
+        .records
+        .len();
+    assert!(
+        frames <= pm2::spill::COMPACT_AFTER + 2,
+        "{epochs} checkpoints must compact down, found {frames} frames"
+    );
+
+    m.kill_node(1).unwrap();
+    // Resumed threads see `stop` first and return their image's cell.
+    phase.store(u64::MAX, Ordering::SeqCst);
+    stop.store(true, Ordering::SeqCst);
+    let rep = m.recover_node(1).unwrap();
+    assert_eq!(rep.threads_recovered, 3, "{rep:?}");
+    for (h, _) in threads {
+        assert_eq!(h.join().unwrap(), epochs, "resumed from the newest epoch");
+    }
+    m.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
