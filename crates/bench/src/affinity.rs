@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use pm2::api::{pm2_rpc_call, pm2_thread_location, pm2_yield};
 use pm2::loadbal::BalancerConfig;
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, Echo};
 
 /// Members per ring (scattered over min(RING_SIZE, p) distinct nodes).
@@ -70,17 +70,13 @@ pub struct AffinityOutcome {
 }
 
 fn launch(p: usize) -> Machine {
-    let cfg = Pm2Config::new(p)
-        .with_net(NetProfile::myrinet_bip())
-        .with_mode(MachineMode::Threaded)
-        .with_reply_deadline(Duration::from_secs(2));
-    let m = Machine::launch(cfg).expect("launch");
+    let m = Machine::builder(p)
+        .net(NetProfile::myrinet_bip())
+        .reply_deadline(Duration::from_secs(2))
+        .launch()
+        .expect("launch");
     register_services(&m);
     m
-}
-
-fn balancer_cfg(affinity: bool) -> BalancerConfig {
-    BalancerConfig::default().with_affinity(affinity)
 }
 
 /// Shared state of one looping caller thread.
@@ -144,7 +140,11 @@ fn run_callers(
     for (i, t) in threads.iter().enumerate() {
         tids[i].store(t.tid, Ordering::Release);
     }
-    let bal = pm2::loadbal::start_balancer(m, balancer_cfg(affinity)).expect("balancer");
+    let cfg = BalancerConfig {
+        affinity,
+        ..Default::default()
+    };
+    let bal = pm2::loadbal::start_balancer(m, cfg).expect("balancer");
     start.store(true, Ordering::Release);
 
     std::thread::sleep(WARMUP);

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 
 use crate::harness::paper_area;
 
@@ -54,13 +54,13 @@ struct RunStats {
 /// it.  `batched`: group commands + trains; otherwise the per-thread
 /// baseline.
 fn evacuate_once(net: NetProfile, batched: bool) -> RunStats {
-    let cfg = Pm2Config::new(4)
-        .with_area(paper_area())
-        .with_net(net)
-        .with_mode(MachineMode::Threaded)
-        .with_slot_cache(0)
-        .with_max_train(if batched { EVAC_THREADS } else { 1 });
-    let mut m = Machine::launch(cfg).expect("launch");
+    let mut m = Machine::builder(4)
+        .area(paper_area())
+        .net(net)
+        .slot_cache(0)
+        .max_train(if batched { EVAC_THREADS } else { 1 })
+        .launch()
+        .expect("launch");
 
     // The evacuees: plain yield-loops on node 0 until told to finish —
     // Ready at every instant, no migration code of their own.

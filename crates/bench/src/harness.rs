@@ -8,7 +8,8 @@ use std::time::Instant;
 
 use pm2::api::*;
 use pm2::{
-    AreaConfig, Distribution, FitPolicy, Machine, MachineMode, MapStrategy, NetProfile, Pm2Config,
+    AreaConfig, Distribution, FitPolicy, Machine, MachineBuilder, MapStrategy, NetProfile,
+    Pm2Config,
 };
 
 /// Paper-scale area: 3.5 GB of iso-address space in 64 KiB slots, giving
@@ -20,14 +21,13 @@ pub fn paper_area() -> AreaConfig {
     }
 }
 
-/// The machine configuration used by the paper's experiments: round-robin
-/// distribution, first-fit blocks, threaded nodes.
-pub fn paper_config(nodes: usize, net: NetProfile) -> Pm2Config {
-    Pm2Config::new(nodes)
-        .with_area(paper_area())
-        .with_net(net)
-        .with_mode(MachineMode::Threaded)
-        .with_slot_cache(0)
+/// The machine the paper's experiments run on, ready for one more knob:
+/// round-robin distribution, first-fit blocks, threaded nodes.
+pub fn paper_machine(nodes: usize, net: NetProfile) -> MachineBuilder {
+    Machine::builder(nodes)
+        .area(paper_area())
+        .net(net)
+        .slot_cache(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ pub struct MigrationBreakdown {
 /// nodes is less than 75 µs … measured by means of a thread ping-pong
 /// between two nodes" — `payload = 0` reproduces that configuration (E5).
 pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> MigrationBreakdown {
-    let mut m = Machine::launch(paper_config(2, net)).expect("launch");
+    let mut m = paper_machine(2, net).launch().expect("launch");
     let total_us = m
         .run_on(0, move || {
             let block = if payload > 0 {
@@ -141,7 +141,10 @@ pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> Migr
 pub fn negotiation_us(p: usize, net: NetProfile, rounds: usize) -> f64 {
     // Trading is pinned off: E6 measures the paper's §4.4 global protocol
     // itself (the trade-vs-global comparison lives in `negotiate.rs`).
-    let mut m = Machine::launch(paper_config(p, net).with_slot_trade(false)).expect("launch");
+    let mut m = paper_machine(p, net)
+        .slot_trade(false)
+        .launch()
+        .expect("launch");
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         // Keep every block live so each allocation needs fresh contiguous
@@ -221,7 +224,10 @@ fn alloc_point_us(
 ) -> f64 {
     // Trading pinned off: Fig. 11 reproduces the paper's isomalloc cost
     // curve, whose multi-slot knee *is* the negotiation.
-    let mut m = Machine::launch(paper_config(2, net).with_slot_trade(false)).expect("launch");
+    let mut m = paper_machine(2, net)
+        .slot_trade(false)
+        .launch()
+        .expect("launch");
     let sizes_owned: Vec<usize> = vec![size];
     let out = m
         .run_on(0, move || {
@@ -347,12 +353,11 @@ pub fn distribution_outcome(dist: Distribution, p: usize, net: NetProfile) -> Di
     // Trading pinned off: A1 measures how each *distribution* interacts
     // with the paper's negotiation protocol (with trades on, round-robin's
     // multi-slot weakness is absorbed by one batch trade instead).
-    let mut m = Machine::launch(
-        paper_config(p, net)
-            .with_distribution(dist)
-            .with_slot_trade(false),
-    )
-    .expect("launch");
+    let mut m = paper_machine(p, net)
+        .distribution(dist)
+        .slot_trade(false)
+        .launch()
+        .expect("launch");
     let slot = m.area().slot_size();
     let mean_alloc_us = m
         .run_on(0, move || {
@@ -385,18 +390,16 @@ pub fn distribution_outcome(dist: Distribution, p: usize, net: NetProfile) -> Di
 /// under the *Syscall* map strategy (where the mmap cost the cache avoids
 /// is real).
 pub fn slot_cache_cycle_us(cache_capacity: usize, cycles: usize) -> f64 {
-    let mut m = Machine::launch(
-        Pm2Config::new(1)
-            .with_area(AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 1024,
-            })
-            .with_net(NetProfile::instant())
-            .with_mode(MachineMode::Threaded)
-            .with_slot_cache(cache_capacity)
-            .with_map_strategy(MapStrategy::Syscall),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(1)
+        .area(AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 1024,
+        })
+        .net(NetProfile::instant())
+        .slot_cache(cache_capacity)
+        .map_strategy(MapStrategy::Syscall)
+        .launch()
+        .expect("launch");
     let slot = m.area().slot_size();
     let us = m
         .run_on(0, move || {
@@ -430,17 +433,15 @@ pub struct FitOutcome {
 /// Fragmentation-heavy alloc/free pattern under a fit policy; reports mean
 /// allocation time and the number of slots the heap had to acquire.
 pub fn fit_policy_outcome(fit: FitPolicy, ops: usize) -> FitOutcome {
-    let mut m = Machine::launch(
-        Pm2Config::new(1)
-            .with_area(AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 4096,
-            })
-            .with_net(NetProfile::instant())
-            .with_mode(MachineMode::Threaded)
-            .with_fit(fit),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(1)
+        .area(AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 4096,
+        })
+        .net(NetProfile::instant())
+        .fit(fit)
+        .launch()
+        .expect("launch");
     let (us, _) = m
         .run_on(0, move || {
             let mut rng = testkit::StdRng::seed_from_u64(42);
@@ -482,9 +483,10 @@ pub fn fit_policy_outcome(fit: FitPolicy, ops: usize) -> FitOutcome {
 /// sparse heap, with and without the "send only allocated blocks"
 /// optimization.
 pub fn pack_outcome(pack_full: bool, heap_bytes: usize, hops: usize) -> (u64, f64) {
-    let mut m =
-        Machine::launch(paper_config(2, NetProfile::myrinet_bip()).with_pack_full(pack_full))
-            .expect("launch");
+    let mut m = paper_machine(2, NetProfile::myrinet_bip())
+        .pack_full_slots(pack_full)
+        .launch()
+        .expect("launch");
     let us = m
         .run_on(0, move || {
             // A sparse heap: allocate 2×, free every other block.
@@ -527,14 +529,12 @@ pub fn pack_outcome(pack_full: bool, heap_bytes: usize, hops: usize) -> (u64, f6
 /// size induces).
 pub fn slot_size_outcome(slot_size: usize, net: NetProfile) -> (u64, f64) {
     let n_slots = (256 * 1024 * 1024) / slot_size; // constant 256 MB area
-    let mut m = Machine::launch(
-        Pm2Config::new(2)
-            .with_area(AreaConfig { slot_size, n_slots })
-            .with_net(net)
-            .with_mode(MachineMode::Threaded)
-            .with_slot_trade(false),
-    )
-    .expect("launch");
+    let mut m = Machine::builder(2)
+        .area(AreaConfig { slot_size, n_slots })
+        .net(net)
+        .slot_trade(false)
+        .launch()
+        .expect("launch");
     let mean_us = m
         .run_on(0, move || {
             // Mixed block sizes up to 256 KB — crossing most slot sizes.
@@ -569,8 +569,11 @@ pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
 /// Spin-measured context-switch cost (yield round-robin between two
 /// threads), in nanoseconds — PM2's "very efficient … context switching".
 pub fn ctx_switch_ns(iters: usize) -> f64 {
-    let mut m =
-        Machine::launch(Pm2Config::test(1).with_mode(MachineMode::Threaded)).expect("launch");
+    let mut m = Machine::builder(1)
+        .test_profile()
+        .threaded()
+        .launch()
+        .expect("launch");
     let partner = m
         .spawn_on(0, move || {
             // Partner yields forever until its peer finishes; it exits when

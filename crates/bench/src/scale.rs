@@ -42,7 +42,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::{AreaConfig, Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{AreaConfig, Machine, NetProfile};
 use pm2_workload::{register_services, run_ramp, RampConfig, WorkloadSpec};
 
 /// The tracked machine sizes.
@@ -92,21 +92,21 @@ pub struct ScaleRow {
 /// 64 stacks must fit node 0's own share) as p grows.  The area is a
 /// lazy virtual reservation; unused slots cost no memory.
 fn launch(p: usize) -> Machine {
-    let cfg = Pm2Config::new(p)
-        .with_net(NetProfile::instant())
-        .with_mode(MachineMode::Threaded)
-        .with_area(AreaConfig {
+    Machine::builder(p)
+        .net(NetProfile::instant())
+        .area(AreaConfig {
             slot_size: 64 * 1024,
             n_slots: (128 * p).max(256),
         })
-        .with_failure_timeout(Duration::from_secs(2))
-        .with_reply_deadline(Duration::from_secs(5))
+        .failure_timeout(Duration::from_secs(2))
+        .reply_deadline(Duration::from_secs(5))
         // No watermark prefetch: the negotiation drill measures the
         // *synchronous* demand-trade RTT per acquisition, not how well
         // the background prefetcher hides it (that amortization is the
         // negotiate bench's subject).
-        .with_slot_watermarks(0, 0);
-    Machine::launch(cfg).expect("launch")
+        .slot_watermarks(0, 0)
+        .launch()
+        .expect("launch")
 }
 
 /// Sum (steps, driver_parks) over a node range.

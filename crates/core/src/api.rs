@@ -10,7 +10,7 @@
 //! | `pm2_self()`                    | [`pm2_self`]                  |
 //! | `marcel_self()`                 | [`pm2_self_tid`]              |
 //! | `pm2_printf(...)`               | [`pm2_printf!`](crate::pm2_printf) |
-//! | `pm2_register_pointer`          | [`pm2_register_pointer`] (legacy) |
+//! | `pm2_register_pointer`          | none needed — pointers stay valid (Fig. 3) |
 //! | `malloc` (non-migrating)        | [`node_malloc`] (see `nodeheap`) |
 
 use std::collections::HashSet;
@@ -399,22 +399,6 @@ pub fn pm2_set_migratable(migratable: bool) -> bool {
 /// so long-running compute in it would starve the machine.
 pub fn pm2_set_control_priority(control: bool) -> bool {
     set_own_flag(marcel::thread::flags::CONTROL, control)
-}
-
-/// Legacy early-PM2 API (paper Fig. 3): register the address of a pointer
-/// variable so the runtime can fix it after a relocating migration.  Under
-/// iso-address migration this is a no-op kept for the ablation baseline.
-pub fn pm2_register_pointer(ptr_addr: usize) -> Option<u32> {
-    let d = marcel::current_desc();
-    // SAFETY: own descriptor.
-    unsafe { (*d).register_pointer(ptr_addr) }
-}
-
-/// Legacy: unregister a pointer registered with [`pm2_register_pointer`].
-pub fn pm2_unregister_pointer(key: u32) {
-    let d = marcel::current_desc();
-    // SAFETY: own descriptor.
-    unsafe { (*d).unregister_pointer(key) }
 }
 
 /// Allocate from the node-private heap — the paper's plain `malloc`.  The

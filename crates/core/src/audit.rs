@@ -12,11 +12,16 @@
 
 use isoaddr::{SlotBitmap, SlotRange};
 use madeleine::message::{PayloadReader, PayloadWriter};
+use madeleine::Wire;
 
 use crate::node::NodeCtx;
+use crate::proto::{tag, Msg, Ranges};
 
-/// One node's declared ownership.
-#[derive(Debug, Clone)]
+/// One node's declared ownership — the `AUDIT_RESP` message.  On the wire:
+/// the node id (u32), the bitmap length-prefixed in [`SlotBitmap`]'s own
+/// serialized form, then `cached` and `threads` under the ordinary
+/// [`Wire`] framing.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeAudit {
     /// Node id.
     pub node: usize,
@@ -25,7 +30,31 @@ pub struct NodeAudit {
     /// Slots sitting in the node's mmapped-slot cache.
     pub cached: Vec<usize>,
     /// Resident threads and the slot ranges they own (stack + heap).
-    pub threads: Vec<(u64, Vec<SlotRange>)>,
+    pub threads: Vec<(u64, Ranges)>,
+}
+
+impl Wire for NodeAudit {
+    fn encode(&self, w: &mut PayloadWriter) {
+        w.u32(self.node as u32).lp_bytes(&self.bitmap.to_bytes());
+        self.cached.encode(w);
+        self.threads.encode(w);
+    }
+    fn decode(r: &mut PayloadReader<'_>) -> Option<Self> {
+        Some(NodeAudit {
+            node: r.u32()? as usize,
+            bitmap: SlotBitmap::from_bytes(r.lp_bytes()?)?,
+            cached: Wire::decode(r)?,
+            threads: Wire::decode(r)?,
+        })
+    }
+    fn size_hint(&self) -> usize {
+        4 + 4 + self.bitmap.wire_len() + self.cached.size_hint() + self.threads.size_hint()
+    }
+}
+
+impl Msg for NodeAudit {
+    const TAG: u16 = tag::AUDIT_RESP;
+    const NAME: &'static str = "NodeAudit";
 }
 
 /// Whole-machine audit result.
@@ -63,7 +92,7 @@ impl AuditReport {
                 }
             }
             for (tid, ranges) in &na.threads {
-                for r in ranges {
+                for r in &ranges.0 {
                     for slot in r.iter() {
                         owners[slot].push(format!("thread{tid:#x}@node{}", na.node));
                     }
@@ -99,80 +128,38 @@ impl AuditReport {
     }
 }
 
-/// Build the wire form of a node's audit report (pooled buffer).
-pub(crate) fn encode_node_report(ctx: &NodeCtx) -> madeleine::Payload {
-    let mut w = PayloadWriter::pooled(&ctx.pool, 1024);
-    w.u32(ctx.node as u32);
-    w.lp_bytes(&ctx.mgr.bitmap_bytes());
-    let cached: Vec<usize> = ctx.mgr.iter_cached().collect();
-    w.u32(cached.len() as u32);
-    for c in cached {
-        w.u64(c as u64);
-    }
-    w.u32(ctx.threads.len() as u32);
-    let slot_size = ctx.mgr.area().slot_size();
-    let area_base = ctx.mgr.area().base();
-    for (&tid, &d) in &ctx.threads {
-        w.u64(tid);
-        // SAFETY: resident descriptors; the pump runs with no thread active.
-        let ranges = unsafe {
-            let desc = &*d;
+impl NodeAudit {
+    /// What `ctx` owns right now.
+    pub(crate) fn of(ctx: &NodeCtx) -> NodeAudit {
+        let slot_size = ctx.mgr.area().slot_size();
+        let area_base = ctx.mgr.area().base();
+        let slots_of = |&d: &marcel::DescPtr| {
+            // SAFETY: resident descriptors; the pump runs with no thread active.
+            let desc = unsafe { &*d };
             let mut rs = vec![SlotRange::new(
                 (desc.stack_base - area_base) / slot_size,
                 desc.stack_slots,
             )];
-            for (base, n) in isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap)) {
+            // SAFETY: as above — the heap chain is not being mutated.
+            for (base, n) in unsafe { isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap)) } {
                 rs.push(SlotRange::new((base - area_base) / slot_size, n));
             }
-            rs
+            Ranges(rs)
         };
-        w.u32(ranges.len() as u32);
-        for r in &ranges {
-            w.u64(r.first as u64).u64(r.count as u64);
+        NodeAudit {
+            node: ctx.node,
+            bitmap: ctx.mgr.bitmap().clone(),
+            cached: ctx.mgr.iter_cached().collect(),
+            threads: ctx.threads.iter().map(|(&t, d)| (t, slots_of(d))).collect(),
         }
     }
-    w.finish()
-}
-
-/// Parse a node audit report.
-pub fn decode_node_report(buf: &[u8]) -> Option<NodeAudit> {
-    let mut r = PayloadReader::new(buf);
-    let node = r.u32()? as usize;
-    let bitmap = SlotBitmap::from_bytes(r.lp_bytes()?)?;
-    let n_cached = r.u32()? as usize;
-    let mut cached = Vec::with_capacity(n_cached);
-    for _ in 0..n_cached {
-        cached.push(r.u64()? as usize);
-    }
-    let n_threads = r.u32()? as usize;
-    let mut threads = Vec::with_capacity(n_threads);
-    for _ in 0..n_threads {
-        let tid = r.u64()?;
-        let n_ranges = r.u32()? as usize;
-        let mut ranges = Vec::with_capacity(n_ranges);
-        for _ in 0..n_ranges {
-            let first = r.u64()? as usize;
-            let count = r.u64()? as usize;
-            ranges.push(SlotRange::new(first, count));
-        }
-        threads.push((tid, ranges));
-    }
-    Some(NodeAudit {
-        node,
-        bitmap,
-        cached,
-        threads,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn audit_with(
-        bitmaps: Vec<SlotBitmap>,
-        threads: Vec<Vec<(u64, Vec<SlotRange>)>>,
-    ) -> AuditReport {
+    fn audit_with(bitmaps: Vec<SlotBitmap>, threads: Vec<Vec<(u64, Ranges)>>) -> AuditReport {
         let n_slots = bitmaps[0].len();
         AuditReport {
             nodes: bitmaps
@@ -205,7 +192,7 @@ mod tests {
         b0.clear(0);
         let rep = audit_with(
             vec![b0, b1],
-            vec![vec![], vec![(0xA, vec![SlotRange::single(0)])]],
+            vec![vec![], vec![(0xA, Ranges(vec![SlotRange::single(0)]))]],
         );
         let s = rep.check_partition().unwrap();
         assert_eq!(s.node_owned, 7);

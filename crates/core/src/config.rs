@@ -1,9 +1,19 @@
-//! Machine configuration: the raw [`Pm2Config`] record and the fluent
-//! [`MachineBuilder`] over it.
+//! Machine configuration, spelled once.
 //!
-//! New code should start at [`crate::Machine::builder`]; `Pm2Config` stays
-//! public as the paper-faithful, field-poking layer and for embedders that
-//! persist configurations.
+//! [`Pm2Config`] is the plain record: public fields, [`Pm2Config::new`] for
+//! the paper-faithful defaults, [`Pm2Config::test`] for the small
+//! deterministic machine tests use, and struct-update syntax for anything
+//! else (`Pm2Config { slot_trade: false, ..Pm2Config::test(2) }`).
+//! [`MachineBuilder`] ([`crate::Machine::builder`]) is the only fluent
+//! surface — one setter per knob, none on the record itself.
+//!
+//! A value is a knob only while a `pm2-bench` drill, a `pm2-workload` run,
+//! a `benchmark/` workload or a test assertion needs it off its default;
+//! everything else is a documented constant next to the code that reads it
+//! (CHANGES.md, PR 18, has the per-knob ledger).  Timers the runtime can
+//! work out are not knobs either: both driver modes park for the fastest
+//! armed protocol timer (`machine::executor_tick`), so arming the failure
+//! detector never requires also shortening `idle_park`.
 
 use std::time::Duration;
 
@@ -26,7 +36,7 @@ pub enum MachineMode {
 }
 
 /// Top-level configuration of a PM2 machine (a simulated cluster).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pm2Config {
     /// Number of nodes.
     pub nodes: usize,
@@ -44,15 +54,10 @@ pub struct Pm2Config {
     pub net: NetProfile,
     /// Block-placement policy for thread heaps (§4.3; paper: first-fit).
     pub fit: FitPolicy,
-    /// Release fully-free heap slots to the hosting node eagerly.
-    pub trim: bool,
     /// Scheduler driving mode.
     pub mode: MachineMode,
     /// Ship whole slots instead of busy blocks only (ablation A6).
     pub pack_full_slots: bool,
-    /// Echo `pm2_printf` lines to the process stdout as well as capturing
-    /// them.
-    pub echo_output: bool,
     /// How long a green thread waits for a protocol reply (negotiation,
     /// load probes, typed LRPC) before declaring the machine wedged.
     /// Tests want it short so a deadlock fails fast; stress runs want it
@@ -72,7 +77,10 @@ pub struct Pm2Config {
     /// re-checking the world.  This is a liveness backstop, **not** a poll
     /// period: every send rings the destination's doorbell, so real
     /// traffic wakes a parked driver immediately and a quiescent machine
-    /// wakes only once per `idle_park`.
+    /// wakes only once per `idle_park`.  In both driver modes the park is
+    /// shortened to the fastest armed protocol timer (`heartbeat_every`
+    /// when gossip or the detector runs, `checkpoint_every` when set), so
+    /// those timers never depend on this value.
     pub idle_park: Duration,
     /// Worker threads the threaded-mode executor multiplexes the node
     /// drivers onto.  `0` (the default) sizes the pool automatically:
@@ -159,10 +167,8 @@ impl Pm2Config {
             slot_cache: 32,
             net: NetProfile::myrinet_bip(),
             fit: FitPolicy::FirstFit,
-            trim: true,
             mode: MachineMode::Threaded,
             pack_full_slots: false,
-            echo_output: false,
             reply_deadline: Duration::from_secs(30),
             max_rpc_payload: 1 << 20,
             pump_budget: 64,
@@ -182,19 +188,10 @@ impl Pm2Config {
         }
     }
 
-    /// Small, instant-network, deterministic machine for tests.
+    /// Small, instant-network, deterministic machine for tests: the
+    /// defaults under [`MachineBuilder::test_profile`].
     pub fn test(nodes: usize) -> Self {
-        Pm2Config {
-            area: AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 256,
-            },
-            net: NetProfile::instant(),
-            mode: MachineMode::Deterministic,
-            slot_cache: 0,
-            reply_deadline: Duration::from_secs(10),
-            ..Pm2Config::new(nodes)
-        }
+        MachineBuilder::new(nodes).test_profile().cfg
     }
 
     /// The configuration as the runtime reads it: each knob documented as
@@ -205,153 +202,6 @@ impl Pm2Config {
         self.max_train = self.max_train.max(1);
         self.trade_batch = self.trade_batch.max(1);
         self.slot_high_watermark = self.slot_high_watermark.max(self.slot_low_watermark);
-        self
-    }
-
-    /// Builder: set the area geometry.
-    pub fn with_area(mut self, area: AreaConfig) -> Self {
-        self.area = area;
-        self
-    }
-
-    /// Builder: set the slot map strategy.
-    pub fn with_map_strategy(mut self, s: MapStrategy) -> Self {
-        self.map_strategy = s;
-        self
-    }
-
-    /// Builder: set the slot distribution.
-    pub fn with_distribution(mut self, d: Distribution) -> Self {
-        self.distribution = d;
-        self
-    }
-
-    /// Builder: set the wire model.
-    pub fn with_net(mut self, net: NetProfile) -> Self {
-        self.net = net;
-        self
-    }
-
-    /// Builder: set the fit policy.
-    pub fn with_fit(mut self, fit: FitPolicy) -> Self {
-        self.fit = fit;
-        self
-    }
-
-    /// Builder: set the scheduling mode.
-    pub fn with_mode(mut self, mode: MachineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Builder: set the slot cache capacity.
-    pub fn with_slot_cache(mut self, cap: usize) -> Self {
-        self.slot_cache = cap;
-        self
-    }
-
-    /// Builder: echo output lines to stdout.
-    pub fn with_echo(mut self, echo: bool) -> Self {
-        self.echo_output = echo;
-        self
-    }
-
-    /// Builder: pack whole slots on migration (ablation A6).
-    pub fn with_pack_full(mut self, full: bool) -> Self {
-        self.pack_full_slots = full;
-        self
-    }
-
-    /// Builder: protocol reply deadline.
-    pub fn with_reply_deadline(mut self, deadline: Duration) -> Self {
-        self.reply_deadline = deadline;
-        self
-    }
-
-    /// Builder: typed-LRPC payload ceiling.
-    pub fn with_max_rpc_payload(mut self, bytes: usize) -> Self {
-        self.max_rpc_payload = bytes;
-        self
-    }
-
-    /// Builder: per-pump message budget.
-    pub fn with_pump_budget(mut self, budget: usize) -> Self {
-        self.pump_budget = budget;
-        self
-    }
-
-    /// Builder: idle-park backstop duration.
-    pub fn with_idle_park(mut self, park: Duration) -> Self {
-        self.idle_park = park;
-        self
-    }
-
-    /// Builder: executor worker-pool size (0 = auto-size to the host).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Builder: migration-train size cap (1 disables coalescing).
-    pub fn with_max_train(mut self, max: usize) -> Self {
-        self.max_train = max;
-        self
-    }
-
-    /// Builder: trade-first remote slot acquisition on/off (`false`
-    /// forces the §4.4 global negotiation on every shortfall).
-    pub fn with_slot_trade(mut self, on: bool) -> Self {
-        self.slot_trade = on;
-        self
-    }
-
-    /// Builder: reserve low/high watermarks (prefetch trigger and target).
-    pub fn with_slot_watermarks(mut self, low: usize, high: usize) -> Self {
-        self.slot_low_watermark = low;
-        self.slot_high_watermark = high;
-        self
-    }
-
-    /// Builder: demand-trade batch size.
-    pub fn with_trade_batch(mut self, batch: usize) -> Self {
-        self.trade_batch = batch;
-        self
-    }
-
-    /// Builder: spill-log directory (enables checkpointing).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.spill_dir = Some(dir.into());
-        self
-    }
-
-    /// Builder: periodic checkpoint interval.
-    pub fn with_checkpoint_every(mut self, every: Duration) -> Self {
-        self.checkpoint_every = Some(every);
-        self
-    }
-
-    /// Builder: arm the failure detector with a silence threshold.
-    pub fn with_failure_timeout(mut self, timeout: Duration) -> Self {
-        self.failure_timeout = Some(timeout);
-        self
-    }
-
-    /// Builder: heartbeat beacon period (detector armed only).
-    pub fn with_heartbeat_every(mut self, every: Duration) -> Self {
-        self.heartbeat_every = every;
-        self
-    }
-
-    /// Builder: install a seeded fault plan on the fabric (chaos).
-    pub fn with_fault_plan(mut self, plan: madeleine::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Builder: pack-corruption fault hook (tests only).
-    #[doc(hidden)]
-    pub fn with_fault_corrupt_pack(mut self, tids: Vec<u64>) -> Self {
-        self.fault_corrupt_pack = tids;
         self
     }
 }
@@ -368,9 +218,11 @@ impl Pm2Config {
 ///     .unwrap();
 /// ```
 ///
-/// Every knob of [`Pm2Config`] is reachable; unset knobs keep the
-/// paper-faithful defaults of [`Pm2Config::new`].  [`MachineBuilder::launch`]
-/// consumes the builder and starts the node drivers.
+/// One setter per knob of [`Pm2Config`] (the record itself has none);
+/// unset knobs keep the paper-faithful defaults of [`Pm2Config::new`].
+/// [`MachineBuilder::launch`] consumes the builder and starts the node
+/// drivers; [`MachineBuilder::into_config`] hands back the record for
+/// callers that launch later ([`Machine::launch`]).
 #[derive(Debug, Clone)]
 pub struct MachineBuilder {
     cfg: Pm2Config,
@@ -438,18 +290,6 @@ impl MachineBuilder {
     /// Ship whole slots instead of busy blocks only (ablation A6).
     pub fn pack_full_slots(mut self, full: bool) -> Self {
         self.cfg.pack_full_slots = full;
-        self
-    }
-
-    /// Release fully-free heap slots to the hosting node eagerly.
-    pub fn trim(mut self, trim: bool) -> Self {
-        self.cfg.trim = trim;
-        self
-    }
-
-    /// Echo `pm2_printf` lines to stdout as well as capturing them.
-    pub fn echo(mut self, echo: bool) -> Self {
-        self.cfg.echo_output = echo;
         self
     }
 
@@ -552,17 +392,19 @@ impl MachineBuilder {
         self
     }
 
-    /// The small deterministic instant-network profile tests use (the
-    /// knobs of [`Pm2Config::test`]).  Overlays only the profile's own
-    /// knobs (area, net, mode, slot cache, reply deadline); anything else
-    /// set on the builder is kept, in either call order.
+    /// The small deterministic instant-network profile tests use: a
+    /// 256-slot area, the instant wire, one driver thread, no slot cache,
+    /// a 10 s reply deadline.  Overlays only those five knobs; anything
+    /// else set on the builder is kept, in either call order.
     pub fn test_profile(mut self) -> Self {
-        let t = Pm2Config::test(self.cfg.nodes);
-        self.cfg.area = t.area;
-        self.cfg.net = t.net;
-        self.cfg.mode = t.mode;
-        self.cfg.slot_cache = t.slot_cache;
-        self.cfg.reply_deadline = t.reply_deadline;
+        self.cfg.area = AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 256,
+        };
+        self.cfg.net = NetProfile::instant();
+        self.cfg.mode = MachineMode::Deterministic;
+        self.cfg.slot_cache = 0;
+        self.cfg.reply_deadline = Duration::from_secs(10);
         self
     }
 
@@ -588,107 +430,75 @@ mod tests {
         assert_eq!(c.distribution, Distribution::RoundRobin);
         assert_eq!(c.fit, FitPolicy::FirstFit);
         assert_eq!(c.net.name, "myrinet-bip");
+        assert_eq!(c.workers, 0, "auto-sized pool is the default");
+        assert!(c.slot_trade, "trade-first is the default");
+        assert!(c.slot_low_watermark <= c.slot_high_watermark);
+        assert!(c.spill_dir.is_none(), "checkpointing is opt-in");
+        assert!(c.failure_timeout.is_none(), "detection is opt-in");
+        assert!(c.fault_plan.is_none(), "perfect wire by default");
     }
 
-    #[test]
-    fn builders_compose() {
-        let c = Pm2Config::test(2)
-            .with_distribution(Distribution::BlockCyclic(8))
-            .with_slot_cache(4)
-            .with_fit(FitPolicy::BestFit);
-        assert_eq!(c.distribution, Distribution::BlockCyclic(8));
-        assert_eq!(c.slot_cache, 4);
-        assert_eq!(c.fit, FitPolicy::BestFit);
-        assert_eq!(c.mode, MachineMode::Deterministic);
+    /// `setter(args) => field = value, …`: the setter, applied to the
+    /// defaults, gives the defaults with exactly those fields changed.  The
+    /// whole-record comparison catches a setter that also touches a
+    /// neighbour, and one that touches nothing.
+    macro_rules! sets {
+        ($setter:ident($($arg:expr),*) => $($field:ident = $val:expr),+) => {{
+            let built = MachineBuilder::new(3).$setter($($arg),*).into_config();
+            let mut poked = Pm2Config::new(3);
+            $(poked.$field = $val;)+
+            assert_ne!(poked, Pm2Config::new(3), "{}: not off its default", stringify!($setter));
+            assert_eq!(built, poked, "{} sets exactly its own field", stringify!($setter));
+        }};
     }
 
+    /// The builder is the record plus one setter per knob, nothing more.
     #[test]
-    fn machine_builder_roundtrips_to_config() {
-        let c = MachineBuilder::new(3)
-            .deterministic()
-            .net(NetProfile::instant())
-            .slot_cache(2)
-            .reply_deadline(Duration::from_millis(1500))
-            .max_rpc_payload(4096)
-            .pump_budget(7)
-            .idle_park(Duration::from_millis(40))
-            .max_train(5)
-            .echo(true)
-            .into_config();
-        assert_eq!(c.nodes, 3);
-        assert_eq!(c.pump_budget, 7);
-        assert_eq!(c.max_train, 5);
-        assert_eq!(c.idle_park, Duration::from_millis(40));
-        assert_eq!(c.mode, MachineMode::Deterministic);
-        assert_eq!(c.net.name, "instant");
-        assert_eq!(c.slot_cache, 2);
-        assert_eq!(c.reply_deadline, Duration::from_millis(1500));
-        assert_eq!(c.max_rpc_payload, 4096);
-        assert!(c.echo_output);
-    }
-
-    #[test]
-    fn workers_knob_roundtrips() {
-        let c = MachineBuilder::new(8).workers(3).into_config();
-        assert_eq!(c.workers, 3);
-        let d = Pm2Config::new(8);
-        assert_eq!(d.workers, 0, "auto-sized pool is the default");
-        assert_eq!(Pm2Config::new(8).with_workers(2).workers, 2);
-    }
-
-    #[test]
-    fn slot_economy_knobs_roundtrip() {
-        let c = MachineBuilder::new(2)
-            .slot_trade(false)
-            .slot_watermarks(8, 64)
-            .trade_batch(32)
-            .into_config();
-        assert!(!c.slot_trade);
-        assert_eq!(c.slot_low_watermark, 8);
-        assert_eq!(c.slot_high_watermark, 64);
-        assert_eq!(c.trade_batch, 32);
-        let d = Pm2Config::new(2);
-        assert!(d.slot_trade, "trade-first is the default");
-        assert!(d.slot_low_watermark <= d.slot_high_watermark);
-        let e = Pm2Config::test(2)
-            .with_slot_trade(false)
-            .with_trade_batch(7);
-        assert!(!e.slot_trade);
-        assert_eq!(e.trade_batch, 7);
-    }
-
-    #[test]
-    fn fault_tolerance_knobs_roundtrip() {
-        let c = MachineBuilder::new(4)
-            .spill_dir("/tmp/pm2-spill")
-            .checkpoint_every(Duration::from_millis(10))
-            .failure_timeout(Duration::from_millis(200))
-            .heartbeat_every(Duration::from_millis(25))
-            .into_config();
+    fn builder_is_the_record_with_one_setter_per_knob() {
+        assert_eq!(MachineBuilder::new(4).into_config(), Pm2Config::new(4));
         assert_eq!(
-            c.spill_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/pm2-spill"))
+            MachineBuilder::new(4).test_profile().into_config(),
+            Pm2Config::test(4)
         );
-        assert_eq!(c.checkpoint_every, Some(Duration::from_millis(10)));
-        assert_eq!(c.failure_timeout, Some(Duration::from_millis(200)));
-        assert_eq!(c.heartbeat_every, Duration::from_millis(25));
-        let d = Pm2Config::new(4);
-        assert!(d.spill_dir.is_none(), "checkpointing is opt-in");
-        assert!(d.checkpoint_every.is_none());
-        assert!(d.failure_timeout.is_none(), "detection is opt-in");
-    }
-
-    #[test]
-    fn chaos_knobs_roundtrip() {
-        let plan = madeleine::FaultPlan::lossy(7, 0.01);
-        let c = MachineBuilder::new(4)
-            .fault_plan(plan.clone())
+        // The profile overlays only its own knobs, in either call order.
+        let late = MachineBuilder::new(4).workers(2).test_profile();
+        let early = MachineBuilder::new(4).test_profile().workers(2);
+        assert_eq!(late.into_config(), early.into_config());
+        // `threaded()` is the default, so it shows only against the profile.
+        let c = MachineBuilder::new(3)
+            .test_profile()
+            .threaded()
             .into_config();
-        assert_eq!(c.fault_plan.as_ref().map(|p| p.seed()), Some(7));
-        let d = Pm2Config::new(4);
-        assert!(d.fault_plan.is_none(), "perfect wire by default");
-        let e = Pm2Config::test(2).with_fault_plan(plan);
-        assert!(e.fault_plan.is_some());
+        assert_eq!(c.mode, MachineMode::Threaded);
+
+        let ms = Duration::from_millis;
+        let plan = madeleine::FaultPlan::lossy(7, 0.01);
+        let area = AreaConfig {
+            slot_size: 16 * 1024,
+            n_slots: 512,
+        };
+        sets!(deterministic() => mode = MachineMode::Deterministic);
+        sets!(net(NetProfile::instant()) => net = NetProfile::instant());
+        sets!(area(area) => area = area);
+        sets!(distribution(Distribution::BlockCyclic(8)) => distribution = Distribution::BlockCyclic(8));
+        sets!(map_strategy(MapStrategy::Syscall) => map_strategy = MapStrategy::Syscall);
+        sets!(fit(FitPolicy::BestFit) => fit = FitPolicy::BestFit);
+        sets!(slot_cache(2) => slot_cache = 2);
+        sets!(pack_full_slots(true) => pack_full_slots = true);
+        sets!(reply_deadline(ms(1500)) => reply_deadline = ms(1500));
+        sets!(max_rpc_payload(4096) => max_rpc_payload = 4096);
+        sets!(pump_budget(7) => pump_budget = 7);
+        sets!(idle_park(ms(40)) => idle_park = ms(40));
+        sets!(workers(3) => workers = 3);
+        sets!(max_train(5) => max_train = 5);
+        sets!(slot_trade(false) => slot_trade = false);
+        sets!(slot_watermarks(8, 64) => slot_low_watermark = 8, slot_high_watermark = 64);
+        sets!(trade_batch(32) => trade_batch = 32);
+        sets!(spill_dir("/tmp/pm2-spill") => spill_dir = Some("/tmp/pm2-spill".into()));
+        sets!(checkpoint_every(ms(10)) => checkpoint_every = Some(ms(10)));
+        sets!(failure_timeout(ms(200)) => failure_timeout = Some(ms(200)));
+        sets!(heartbeat_every(ms(25)) => heartbeat_every = ms(25));
+        sets!(fault_plan(plan.clone()) => fault_plan = Some(plan.clone()));
     }
 
     #[test]
@@ -702,16 +512,5 @@ mod tests {
         let n = c.normalized();
         assert_eq!((n.pump_budget, n.max_train, n.trade_batch), (1, 1, 1));
         assert_eq!(n.slot_high_watermark, 9, "clamped up to the low mark");
-    }
-
-    #[test]
-    fn builder_defaults_match_paper_defaults() {
-        let built = MachineBuilder::new(4).into_config();
-        let base = Pm2Config::new(4);
-        assert_eq!(built.area.slot_size, base.area.slot_size);
-        assert_eq!(built.distribution, base.distribution);
-        assert_eq!(built.fit, base.fit);
-        assert_eq!(built.net.name, base.net.name);
-        assert_eq!(built.reply_deadline, base.reply_deadline);
     }
 }

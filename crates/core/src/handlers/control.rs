@@ -38,8 +38,8 @@ pub(crate) fn on_gossip(ctx: &mut NodeCtx, m: &Message) {
 }
 
 pub(crate) fn on_audit_req(ctx: &mut NodeCtx, from: usize) {
-    let report = crate::audit::encode_node_report(ctx);
-    let _ = ctx.ep.send(from, tag::AUDIT_RESP, report);
+    let report = crate::audit::NodeAudit::of(ctx);
+    let _ = ctx.send_msg(from, &report);
 }
 
 /// Most affinity records one `LOAD_RESP` carries.  The planner only ever

@@ -61,7 +61,7 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
                 // dead-owner join checks depend on this being current.
                 ctx.registry.set_location((*d).tid, ctx.node);
                 // Arrival starts the hysteresis cooldown clock: the
-                // balancer won't re-plan this thread until `aff_cooldown`
+                // balancer won't re-plan this thread until `AFF_COOLDOWN`
                 // epochs elapse, so chatty-both-ways threads settle
                 // instead of ping-ponging.
                 (*d).aff_epoch = 0;

@@ -53,7 +53,7 @@
 //!
 //! | paper C API                          | v1 typed API                                        |
 //! |--------------------------------------|-----------------------------------------------------|
-//! | `Pm2Config` field poking             | [`Machine::builder`] → [`MachineBuilder`]           |
+//! | a `Pm2Config` record, fields set by hand | [`Machine::builder`] → [`MachineBuilder`], the one fluent surface |
 //! | `pm2_isomalloc` / `pm2_isofree`      | [`iso::IsoBox`], [`iso::IsoVec`], [`iso::IsoList`]  |
 //! | `pm2_thread_create` (fire-and-forget)| [`api::pm2_thread_create_ret`] → [`api::pm2_join_value`] |
 //! | `Machine::spawn_on` + `join` (bool)  | [`Machine::spawn_on_ret`] → [`machine::JoinHandle`] |
@@ -76,7 +76,9 @@
 //! * each node's pump ingests messages into three **priority lanes**
 //!   (control > migration > data) and drains them in class order under a
 //!   budget, so a flood of application traffic can never delay SHUTDOWN
-//!   or negotiation — `pump_budget` and `idle_park` are builder knobs;
+//!   or negotiation — [`MachineBuilder::pump_budget`] sets the budget,
+//!   and an idle driver parks for [`MachineBuilder::idle_park`] or the
+//!   fastest armed protocol timer, whichever is shorter;
 //! * the marcel scheduler runs a **control lane** (bounded bursts, never
 //!   starving compute): LRPC handlers and daemons flagged via
 //!   [`api::pm2_set_control_priority`] overtake compute quanta;
@@ -96,8 +98,8 @@
 //!
 //! * the departure side sweeps every ready thread already flagged for
 //!   preemptive migration into the message being packed
-//!   (`max_train` builder knob caps the train length; 1 restores the
-//!   per-thread-message baseline, which the evacuation benchmark
+//!   ([`MachineBuilder::max_train`] caps the train length; 1 restores
+//!   the per-thread-message baseline, which the evacuation benchmark
 //!   measures);
 //! * arrival adopts the whole train into the scheduler in one batch, and
 //!   fault isolation is per record group: a corrupt record rolls back and
@@ -123,7 +125,7 @@
 //! demoted to a *fallback*; the hot path is a lease-style trade economy:
 //!
 //! * every node keeps a free-slot **reserve** with low/high watermarks
-//!   (`slot_watermarks` builder knob) and an O(1) reserve counter;
+//!   ([`MachineBuilder::slot_watermarks`]) and an O(1) reserve counter;
 //! * **wealth hints** — each node's free-slot count — piggyback on
 //!   existing traffic (`SLOT_TRADE_*`, `LOAD_RESP`, `MIGRATE_CMD_ACK`),
 //!   so picking the richest lender needs no extra round trips, and the
@@ -136,8 +138,8 @@
 //!   so a slot has exactly one bitmap owner at every instant — in-flight
 //!   ranges are owned by the trade message, like thread-owned slots
 //!   mid-migration) — no lock, no freeze, no gather, O(1) messages per
-//!   acquire, and the batch (`trade_batch` knob) amortizes the round
-//!   trip over many later allocations;
+//!   acquire, and the batch ([`MachineBuilder::trade_batch`]) amortizes
+//!   the round trip over many later allocations;
 //! * dropping below the low watermark triggers an **asynchronous
 //!   prefetch** trade from the driver, so steady-state allocators rarely
 //!   block at all;
@@ -159,18 +161,22 @@
 //! * **checkpoints + spill log** — each node (when launched with a
 //!   `spill_dir`) appends non-destructive snapshots of its migratable
 //!   threads to an append-only, checksummed, epoch-framed log
-//!   ([`spill`]); snapshots are taken periodically (`checkpoint_every`
-//!   builder knob) or on demand ([`Machine::checkpoint_node`] /
+//!   ([`spill`]); snapshots are taken periodically
+//!   ([`MachineBuilder::checkpoint_every`]) or on demand ([`Machine::checkpoint_node`] /
 //!   [`Machine::checkpoint_all`]).  Replay tolerates a torn tail (crash
 //!   mid-append) and skips checksum-corrupt frames; newer epochs
 //!   supersede older ones per thread;
 //! * **kill switch + failure detector** — [`Machine::kill_node`] pulls a
 //!   node's cord and announces `NODE_DEAD`;
 //!   [`Machine::kill_node_silent`] leaves discovery to the heartbeat
-//!   detector (`failure_timeout` / `heartbeat_every` knobs): survivors
-//!   declare a silent peer dead, broadcast the death certificate, and
-//!   the fabric thereafter refuses sends to *and from* the corpse while
-//!   dispatch drops in-flight zombie messages;
+//!   detector ([`MachineBuilder::failure_timeout`] /
+//!   [`MachineBuilder::heartbeat_every`]): survivors declare a silent
+//!   peer dead, broadcast the death certificate, and the fabric
+//!   thereafter refuses sends to *and from* the corpse while dispatch
+//!   drops in-flight zombie messages.  The verdict also *fences* the
+//!   node it names: one that is in fact still running (a false suspicion,
+//!   the far side of a partition) stops as if killed, so a thread
+//!   recovery re-adopts never runs twice and shutdown never waits on it;
 //! * **no hang, ever** — joins, RPC calls and `pm2_join_value` on a
 //!   thread whose host died resolve with typed
 //!   [`Pm2Error::NodeFailed`] after one reply-deadline grace window
@@ -216,7 +222,7 @@
 //! drivers are *tasks* on a shared work-stealing pool (`executor`,
 //! crate-internal): each node carries an atomic run-state
 //! (idle/queued/running/notified), a doorbell enqueues it when traffic
-//! arrives, and `workers` pool threads (builder knob, default
+//! arrives, and [`MachineBuilder::workers`] pool threads (default
 //! `available_parallelism`) dispatch ready nodes round-robin with a
 //! fairness budget of 32 driver steps per dispatch — one flooded node
 //! cannot starve the other 255 (`tests/scale.rs` pins this).  A
@@ -242,8 +248,8 @@
 //! * **sampled economics** — above 16 nodes the trader's
 //!   `richest_peer` draws a bounded random sample of the gossiped
 //!   wealth table instead of scanning it, and the load balancer probes
-//!   a power-of-two-choices style sample of peers (`loadbal`'s `sample`
-//!   knob) instead of all p;
+//!   a power-of-two-choices style sample of 8 peers instead of all p
+//!   (the machine size selects; there is no knob);
 //! * **what stays O(p), deliberately** — death certificates and
 //!   recovery broadcasts (rare, correctness-critical), the §4.4 global
 //!   negotiation fallback (round-robin slot interleaving makes
@@ -294,9 +300,9 @@
 //!   heartbeat and the hint is unremarkable, the round trusts it and
 //!   skips that `LOAD_REQ` entirely (`BalancerHandle::probes_saved`).
 //!
-//! All knobs live on [`loadbal::BalancerConfig`] (`affinity` toggles
-//! the pass; `aff_decay_shift`, `aff_cooldown`, `aff_min_score` tune
-//! it), and `pm2-bench -- affinity` judges the result end to end — scattered
+//! [`loadbal::BalancerConfig`]'s `affinity` field toggles the pass (the
+//! decay shift, cooldown and score floor are constants in `loadbal`), and
+//! `pm2-bench -- affinity` judges the result end to end — scattered
 //! producer/consumer rings and an all-to-one hotspot, affinity on vs
 //! off (`BENCH_affinity.json`, a CI artifact): the rings run 1.8–2.1×
 //! the baseline ops/s at p = 4/8 by turning ~90 % remote traffic into
@@ -308,7 +314,8 @@
 //!   bitmap + Madeleine endpoint per node, driven by the event-driven
 //!   core above (`node.rs` is the dispatch core; per-tag handlers live in
 //!   the `handlers/` tree);
-//! * [`config`] — [`MachineBuilder`] and the raw [`Pm2Config`] record;
+//! * [`config`] — the [`Pm2Config`] record and [`MachineBuilder`], its
+//!   one setter per knob;
 //! * [`api`] — the green-side programming interface (§3.4 plus the typed
 //!   v1 calls) for code running inside Marcel threads;
 //! * [`service`] — the typed request/reply LRPC layer ([`Service`]);
@@ -364,6 +371,6 @@ pub use service::{service_id, Service};
 mod tests;
 
 // Re-export the substrate types an embedder is likely to need.
-pub use isoaddr::{AreaConfig, Distribution, MapStrategy, SlotRange};
+pub use isoaddr::{AreaConfig, Distribution, MapStrategy, SlotBitmap, SlotRange};
 pub use isomalloc::FitPolicy;
 pub use madeleine::{BufPool, BufPoolStats, FaultPlan, NetProfile, Payload, Wire};

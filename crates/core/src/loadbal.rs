@@ -43,11 +43,14 @@
 //! partners on both sides:
 //!
 //! * **decay** — each balancer probe of a node ages its threads' tables
-//!   (`msgs >>= aff_decay_shift`), so affinity reflects *recent* traffic;
+//!   (`msgs >>= AFF_DECAY_SHIFT`), so affinity reflects *recent* traffic;
 //! * **cooldown + floor** — a thread is not re-planned until
-//!   `aff_cooldown` epochs after its last migration, and never for a net
-//!   score below `aff_min_score` (a thread equally chatty toward two
+//!   `AFF_COOLDOWN` epochs after its last migration, and never for a net
+//!   score below `AFF_MIN_SCORE` (a thread equally chatty toward two
 //!   nodes nets ≈ 0 and stays put).
+//!
+//! The brakes are constants: the only comparison any drill or test makes
+//! is the whole pass on or off ([`BalancerConfig::affinity`]).
 //!
 //! ## The plan/ack round protocol
 //!
@@ -78,14 +81,15 @@
 //!
 //! Probing all p nodes per round is the balancer's own O(p) tax, and at
 //! p = 256 it dominates the round.  Above [`FULL_PROBE_MAX`] nodes the
-//! gather switches to a **gossip-informed sample**: draw a seeded
-//! handful of candidate peers, rank them by the epidemic load hints
-//! every node already maintains, and probe only the most- and
+//! gather switches to a **gossip-informed sample** of `PROBE_SAMPLE`
+//! peers: draw a seeded handful of candidates, rank them by the epidemic
+//! load hints every node already maintains, and probe only the most- and
 //! least-loaded halves — the power-of-two-choices insight that comparing
 //! a few sampled extremes balances almost as well as comparing everyone.
 //! Rounds are O(k) on the wire regardless of p; successive rounds draw
 //! fresh samples, so every imbalance is eventually visible.  Machines at
-//! or below `FULL_PROBE_MAX` keep the exact full-probe behaviour.
+//! or below `FULL_PROBE_MAX` keep the exact full-probe behaviour; the
+//! machine size alone selects the path.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -97,13 +101,25 @@ use madeleine::Wire;
 use crate::api::{self, send_msg, wait_reply_until};
 use crate::error::Result;
 use crate::machine::Machine;
+use crate::node::FULL_PROBE_MAX;
 use crate::proto::{self, tag, AffinityEdge};
 
-/// Re-export of the "0 = auto" full-probe threshold so callers tuning
-/// [`BalancerConfig::sample`] can name it instead of hard-coding 16.
-pub use crate::node::FULL_PROBE_MAX;
+/// Peers probed per round above [`FULL_PROBE_MAX`] nodes.
+const PROBE_SAMPLE: usize = 8;
+/// Per-epoch decay applied to every thread's affinity counts by each
+/// probed node (`msgs >>= shift`).
+const AFF_DECAY_SHIFT: u32 = 1;
+/// Epochs a freshly migrated thread sits out before the affinity pass may
+/// plan it again (never-migrated threads are exempt).
+const AFF_COOLDOWN: u32 = 2;
+/// Minimum `remote_msgs_saved − local_msgs_broken` for an affinity move.
+/// A thread equally chatty toward both sides nets ≈ 0, but strict
+/// alternation still leaves a ±2 transient in any snapshot (two legs per
+/// in-flight call), so the floor sits above that jitter band.
+const AFF_MIN_SCORE: i64 = 4;
 
-/// Balancer tuning.
+/// Balancer tuning.  A plain record: set fields with struct-update syntax
+/// (`BalancerConfig { affinity: false, ..Default::default() }`).
 #[derive(Debug, Clone)]
 pub struct BalancerConfig {
     /// Poll period.
@@ -120,31 +136,10 @@ pub struct BalancerConfig {
     /// answer instead of wedging the daemon until the machine-wide reply
     /// deadline.
     pub round_deadline: Duration,
-    /// Peers probed per round.  `0` = auto: every node on machines up to
-    /// [`FULL_PROBE_MAX`] nodes, a gossip-informed sample of
-    /// [`AUTO_SAMPLE`] beyond that.  An explicit value forces that sample
-    /// size (clamped to p); see the module notes on sampled probing.
-    pub sample: usize,
     /// Run the affinity pass (false = the pre-affinity pure-load
     /// balancer, the ablation baseline of `pm2-bench -- affinity`).
     pub affinity: bool,
-    /// Per-epoch decay shift applied to every thread's affinity counts
-    /// (`msgs >>= shift`) by each probed node; 0 disables decay.
-    pub aff_decay_shift: u32,
-    /// Epochs a freshly migrated thread sits out before the affinity
-    /// pass may plan it again (hysteresis; never-migrated threads are
-    /// exempt).
-    pub aff_cooldown: u32,
-    /// Minimum `remote_msgs_saved − local_msgs_broken` for an affinity
-    /// move — the other hysteresis brake.  A thread equally chatty toward
-    /// both sides nets ≈ 0, but strict alternation still leaves a ±2
-    /// transient in any snapshot (two legs per in-flight call), so the
-    /// default sits above that jitter band.
-    pub aff_min_score: i64,
 }
-
-/// Default probe-sample size above [`FULL_PROBE_MAX`] nodes.
-pub const AUTO_SAMPLE: usize = 8;
 
 impl Default for BalancerConfig {
     fn default() -> Self {
@@ -153,68 +148,8 @@ impl Default for BalancerConfig {
             threshold: 1,
             max_moves_per_round: 8,
             round_deadline: Duration::from_millis(250),
-            sample: 0,
             affinity: true,
-            aff_decay_shift: 1,
-            aff_cooldown: 2,
-            aff_min_score: 4,
         }
-    }
-}
-
-impl BalancerConfig {
-    /// Set the poll period.
-    pub fn with_period(mut self, period: Duration) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Set the overload threshold.
-    pub fn with_threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
-    /// Set the per-round move budget.
-    pub fn with_max_moves(mut self, max_moves_per_round: usize) -> Self {
-        self.max_moves_per_round = max_moves_per_round;
-        self
-    }
-
-    /// Set the per-round time budget.
-    pub fn with_round_deadline(mut self, round_deadline: Duration) -> Self {
-        self.round_deadline = round_deadline;
-        self
-    }
-
-    /// Set the probe-sample size (0 = auto, see [`BalancerConfig::sample`]).
-    pub fn with_sample(mut self, sample: usize) -> Self {
-        self.sample = sample;
-        self
-    }
-
-    /// Enable or disable the affinity pass.
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// Set the per-epoch affinity decay shift.
-    pub fn with_aff_decay_shift(mut self, shift: u32) -> Self {
-        self.aff_decay_shift = shift;
-        self
-    }
-
-    /// Set the post-migration cooldown, in epochs.
-    pub fn with_aff_cooldown(mut self, epochs: u32) -> Self {
-        self.aff_cooldown = epochs;
-        self
-    }
-
-    /// Set the minimum net score for an affinity move.
-    pub fn with_aff_min_score(mut self, score: i64) -> Self {
-        self.aff_min_score = score;
-        self
     }
 }
 
@@ -338,7 +273,7 @@ fn pick_sample(
     k: usize,
     me: usize,
     hints: &[u32],
-    dead: &std::collections::HashSet<usize>,
+    dead: &HashSet<usize>,
     rng: &crate::rng::SplitMix64,
 ) -> Vec<usize> {
     let mut cand: Vec<usize> = Vec::with_capacity(2 * k);
@@ -394,7 +329,7 @@ fn plan_moves(
         for src_i in 0..loads.len() {
             for e in &loads[src_i].edges {
                 // Hysteresis: freshly moved threads sit out the cooldown.
-                if e.epochs_since_move != u32::MAX && e.epochs_since_move < cfg.aff_cooldown {
+                if e.epochs_since_move != u32::MAX && e.epochs_since_move < AFF_COOLDOWN {
                     continue;
                 }
                 if !loads[src_i].migratable.contains(&e.tid) {
@@ -427,7 +362,7 @@ fn plan_moves(
                 let net = remote - local;
                 // Hysteresis floor: an ≈ 0 net (equally chatty toward
                 // both sides) never justifies a train.
-                if net < cfg.aff_min_score {
+                if net < AFF_MIN_SCORE {
                     continue;
                 }
                 let cost = (e.pack_cost as i64).max(1);
@@ -513,17 +448,14 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // Gather loads (the daemon itself counts towards node 0's load; the
     // threshold absorbs it).  A probe refused with a death certificate
     // drops that node from the round — corpses have no load to balance.
-    // Above FULL_PROBE_MAX nodes (or with an explicit `sample` knob) the
-    // gather probes a gossip-informed sample instead of all p.
-    let k = match cfg.sample {
-        0 if p <= FULL_PROBE_MAX => p,
-        0 => AUTO_SAMPLE,
-        k => k,
-    };
-    let targets: Vec<usize> = if k >= p {
+    // Above FULL_PROBE_MAX nodes the gather probes a gossip-informed
+    // sample instead of all p.
+    let targets: Vec<usize> = if p <= FULL_PROBE_MAX {
         (0..p).collect()
     } else {
-        crate::node::with_ctx(|c| pick_sample(p, k, c.node, &c.peer_load, &c.dead_nodes, &c.rng))
+        crate::node::with_ctx(|c| {
+            pick_sample(p, PROBE_SAMPLE, c.node, &c.peer_load, &c.dead_nodes, &c.rng)
+        })
     };
     // Probe-saving: a peer whose gossiped load entry is younger than one
     // heartbeat interval and marks it a non-source (at or below the mean
@@ -549,7 +481,7 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     let mut loads: Vec<Load> = Vec::with_capacity(targets.len());
     let mut probed = 0usize;
     let probe = proto::LoadReq {
-        decay_shift: if cfg.affinity { cfg.aff_decay_shift } else { 0 },
+        decay_shift: if cfg.affinity { AFF_DECAY_SHIFT } else { 0 },
     };
     for &(peer, hint) in &fresh {
         if let Some(h) = hint {
@@ -734,7 +666,10 @@ mod tests {
     fn planner_cold_heap_beats_hot_heap_when_equally_chatty() {
         // Two equally chatty threads, one with a 100× cheaper train; a
         // budget of 1 must pick the cold-heap one.
-        let cfg = BalancerConfig::default().with_max_moves(1);
+        let cfg = BalancerConfig {
+            max_moves_per_round: 1,
+            ..Default::default()
+        };
         let mut loads = vec![
             load(
                 0,
@@ -850,7 +785,10 @@ mod tests {
 
     #[test]
     fn planner_affinity_off_is_the_pure_load_baseline() {
-        let cfg = BalancerConfig::default().with_affinity(false);
+        let cfg = BalancerConfig {
+            affinity: false,
+            ..Default::default()
+        };
         let mut loads = vec![
             load(0, 3, vec![7], vec![edge(7, 4096, u32::MAX, vec![(1, 40)])]),
             load(1, 3, vec![], vec![]),

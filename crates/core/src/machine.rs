@@ -3,7 +3,7 @@
 //! [`Machine::launch`] reserves the iso-address area, wires the Madeleine
 //! fabric (one endpoint per node plus a host control endpoint), and starts
 //! the node drivers — a worker pool multiplexing every node driver in
-//! threaded mode (see [`crate::executor`]), or a single OS thread driving
+//! threaded mode (see `executor`), or a single OS thread driving
 //! every node round-robin in deterministic mode.  The host talks to nodes
 //! exclusively through control messages, like any other fabric participant.
 
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use isoaddr::{IsoArea, SlotRange, SlotStatsSnapshot};
 use madeleine::{Endpoint, Fabric, Message, Payload, Wire};
 
-use crate::audit::{decode_node_report, AuditReport};
+use crate::audit::{AuditReport, NodeAudit};
 use crate::config::{MachineBuilder, MachineMode, Pm2Config};
 use crate::error::{Pm2Error, Result};
 use crate::node::{NodeCtx, NodeStats, NodeStatsSnapshot};
@@ -146,8 +146,8 @@ impl Machine {
         MachineBuilder::new(nodes)
     }
 
-    /// Launch a machine from an explicit configuration (the paper-faithful
-    /// layer; [`Machine::builder`] is the fluent equivalent).
+    /// Launch a machine from an explicit configuration record
+    /// ([`Machine::builder`] is the fluent way to make one).
     pub fn launch(cfg: Pm2Config) -> Result<Machine> {
         assert!(cfg.nodes >= 1, "a machine needs at least one node");
         let cfg = Arc::new(cfg.normalized());
@@ -179,7 +179,7 @@ impl Machine {
             }
         };
         let host_ep = eps.pop().expect("host endpoint");
-        let out = OutputSink::new(cfg.echo_output);
+        let out = OutputSink::new();
         let registry = Registry::new_shared();
         let spawn_table = SpawnTable::new_shared();
         let services = ServiceTable::new_shared();
@@ -627,8 +627,7 @@ impl Machine {
             let m = self
                 .recv_control(tag::AUDIT_RESP, deadline)
                 .ok_or_else(|| Pm2Error::Net("audit timed out".into()))?;
-            let report = decode_node_report(&m.payload)
-                .ok_or_else(|| Pm2Error::Net("malformed audit response".into()))?;
+            let report = NodeAudit::from_payload(&m.payload)?;
             reports.insert(report.node, report);
         }
         Ok(AuditReport {
@@ -820,7 +819,7 @@ impl Machine {
                 survivor_committed[c] = true;
             }
             for (_tid, ranges) in &na.threads {
-                for r in ranges {
+                for r in &ranges.0 {
                     for slot in r.iter() {
                         survivor_committed[slot] = true;
                     }
@@ -896,7 +895,7 @@ impl Machine {
                 owned[slot] = true;
             }
             for (_tid, ranges) in &na.threads {
-                for r in ranges {
+                for r in &ranges.0 {
                     for slot in r.iter() {
                         owned[slot] = true;
                     }
@@ -1025,11 +1024,12 @@ fn effective_workers(cfg: &Pm2Config) -> usize {
     w.clamp(1, cfg.nodes.max(1))
 }
 
-/// Executor tick (worker pop timeout / idle-node sweep cadence): the
-/// `idle_park` backstop, tightened to the fastest armed protocol timer so
-/// a quiet node's failure detector, gossip rounds and periodic
-/// checkpoints still fire on schedule — the multiplexed twin of
-/// `drive_one`'s park timeout.
+/// How long an idle driver parks — the executor's worker pop timeout and
+/// idle-node sweep cadence in threaded mode, the shared-doorbell park in
+/// deterministic mode: the `idle_park` backstop, tightened to the fastest
+/// armed protocol timer so a quiet node's failure detector, gossip rounds
+/// and periodic checkpoints still fire on schedule.  Derived here, once,
+/// so no caller has to remember to shorten `idle_park` when it arms one.
 fn executor_tick(cfg: &Pm2Config) -> Duration {
     let mut tick = cfg.idle_park;
     if cfg.failure_timeout.is_some() || cfg.nodes > crate::node::FULL_PROBE_MAX {
@@ -1052,7 +1052,7 @@ fn executor_tick(cfg: &Pm2Config) -> Duration {
 /// without another wait.
 fn drive_all(ctxs: &mut [NodeCtx]) {
     let bell = ctxs[0].ep.doorbell().clone();
-    let idle_park = ctxs[0].cfg.idle_park;
+    let tick = executor_tick(&ctxs[0].cfg);
     loop {
         let seen = bell.rings();
         let mut any = false;
@@ -1069,7 +1069,7 @@ fn drive_all(ctxs: &mut [NodeCtx]) {
                     .driver_parks
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            bell.wait_past(seen, idle_park);
+            bell.wait_past(seen, tick);
             for ctx in ctxs.iter_mut() {
                 ctx.stats
                     .driver_wakeups

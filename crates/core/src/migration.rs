@@ -44,8 +44,6 @@
 //! per-slot `free_blocks`/`used_bytes` hint), so the pack never regrows
 //! the buffer, and the receiver's drop recycles it for the next train.
 
-use std::collections::HashSet;
-
 use isoaddr::{NodeSlotManager, SlotProvider, SlotRange};
 use isomalloc::layout::SlotKind;
 use isomalloc::pack::{
@@ -225,7 +223,7 @@ pub(crate) unsafe fn pack_threads(
     mgr: &NodeSlotManager,
     pack_full_slots: bool,
     pool: &BufPool,
-    fault_truncate: &HashSet<u64>,
+    fault_truncate: &[u64],
 ) -> Result<Payload> {
     debug_assert!(!ds.is_empty(), "empty migration train");
     let slot_size = mgr.slot_size();
@@ -419,8 +417,10 @@ mod tests {
     #[test]
     fn checkpoint_image_is_the_departure_train() {
         let dir = std::env::temp_dir().join(format!("pm2-pack-path-{}", std::process::id()));
-        let (mut ctx, ep1, _host) =
-            crate::tests::bare_node(Pm2Config::test(2).with_spill_dir(&dir));
+        let (mut ctx, ep1, _host) = crate::tests::bare_node(Pm2Config {
+            spill_dir: Some(dir.clone()),
+            ..Pm2Config::test(2)
+        });
         let tids = [0x101u64, 0x102, 0x103];
         for (i, &tid) in tids.iter().enumerate() {
             let body = move || {

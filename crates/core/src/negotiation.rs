@@ -5,7 +5,7 @@
 //! node 0 until it dies), a gather of all `p − 1` bitmaps, a
 //! global OR, a first-fit, per-seller buys, and a freeze of every node's
 //! allocator for the duration — the measured "another 165 µs per extra
-//! node" affine cost.  That protocol survives below ([`run_global`]), but
+//! node" affine cost.  That protocol survives below (`run_global`), but
 //! it is now the *fallback*, not the hot path.
 //!
 //! ## The trade-first hot path
@@ -29,7 +29,7 @@
 //!
 //! ## When the paper's protocol still runs
 //!
-//! [`run_global`] is entered only when the trade could not help:
+//! `run_global` is entered only when the trade could not help:
 //!
 //! * the chosen lender **refused** (it was frozen inside someone's
 //!   critical section, or granting would take it below its own low

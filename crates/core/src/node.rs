@@ -4,7 +4,7 @@
 //! running at each node" (§2): it owns the node's slot bitmap, its thread
 //! scheduler, its private heap and its network endpoint.  Exactly one OS
 //! thread drives it *at a time* — in threaded mode the node is a state
-//! machine multiplexed onto the [`crate::executor`] worker pool (a rung
+//! machine multiplexed onto the `executor` worker pool (a rung
 //! doorbell queues the node; a worker locks it, steps it up to a fairness
 //! budget, and parks it again), and in deterministic mode one OS thread
 //! drives every node round-robin.  Either way Marcel threads and the
@@ -23,16 +23,16 @@
 //!   wakes its handler at futex-wake-up latency.  The
 //!   [`NodeStats::driver_parks`]/[`NodeStats::driver_wakeups`] counters
 //!   make the parking observable in both modes.
-//! * **Class-prioritized pump** — [`NodeCtx::pump`] ingests deliverable
-//!   messages into three priority lanes (see [`crate::handlers::Class`]:
+//! * **Class-prioritized pump** — `NodeCtx::pump` ingests deliverable
+//!   messages into three priority lanes (see `handlers::Class`:
 //!   control > migration > data) and drains them in class order under a
 //!   per-pump budget (`pump_budget` knob), so a flood of data messages can
 //!   never delay SHUTDOWN or negotiation traffic.  Within a class, per-pair
 //!   FIFO order is preserved.
 //! * **Handler dispatch table** — the per-tag protocol logic lives in the
-//!   [`crate::handlers`] module tree (`spawn`/`rpc`, `migration`,
+//!   `handlers` module tree (`spawn`/`rpc`, `migration`,
 //!   `negotiation`, `control`), entered through
-//!   [`crate::handlers::dispatch`]; `node.rs` itself is only the dispatch
+//!   `handlers::dispatch`; `node.rs` itself is only the dispatch
 //!   core: scheduler interleaving, thread lifecycle, and the lanes.
 //!
 //! ## Gossip-scale protocols
@@ -74,7 +74,7 @@
 //! wire message for k threads (capped by the `max_train` knob).
 //!
 //! While a Marcel thread runs, it reaches its node through an OS-thread-
-//! local pointer (see [`with_ctx`]); the same aliasing discipline as in
+//! local pointer (see `with_ctx`); the same aliasing discipline as in
 //! `marcel::sched` applies — short raw-pointer accesses, nothing cached
 //! across yields.
 
@@ -107,8 +107,8 @@ thread_local! {
 /// nodes `richest_peer` scans the whole table and the balancer probes
 /// every peer (preserving the small-machine ablation numbers); above it
 /// both sample, and gossip dissemination turns on even without a detector.
-/// This is the "0 = auto" threshold behind [`crate::loadbal::BalancerConfig`]'s
-/// `sample` field (re-exported there as `loadbal::FULL_PROBE_MAX`).
+/// The machine size alone makes the choice — something the code observes,
+/// not something a user sets.
 pub const FULL_PROBE_MAX: usize = 16;
 /// Peers a gossip round pushes the digest to.
 const GOSSIP_FANOUT: usize = 2;
@@ -124,6 +124,9 @@ const GOSSIP_RELAY_MAX: usize = 32;
 const SCAN_CHUNK: usize = 4;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
+/// Thread heaps hand a fully-free slot back to the hosting node at once
+/// (§4.3).
+const HEAP_TRIM: bool = true;
 
 /// The per-node counters, declared once: the live atomics ([`NodeStats`],
 /// shared with the host), the plain copy ([`NodeStatsSnapshot`]),
@@ -233,7 +236,7 @@ counters! {
     dup_dropped,
     /// Messages dropped by a handler as malformed: a payload that does not
     /// decode or names something this node does not have, or a tag with
-    /// no handler (see [`crate::handlers`]).  Zero on a healthy machine.
+    /// no handler (see `handlers`).  Zero on a healthy machine.
     malformed_dropped,
     /// Re-sends of at-least-once control requests after a lost request or
     /// reply: trades and probes issued by this node's threads, checkpoint
@@ -424,9 +427,6 @@ pub(crate) struct NodeCtx {
     /// The machine's configuration, normalised once at launch
     /// ([`Pm2Config::normalized`]) and shared by every node.
     pub cfg: Arc<Pm2Config>,
-    /// Fault-injection hook: tids whose packed record group is truncated
-    /// on departure (tests only; see `Pm2Config::fault_corrupt_pack`).
-    pub fault_corrupt_pack: HashSet<u64>,
 }
 
 // SAFETY: a NodeCtx is owned and driven by exactly one OS thread at a time.
@@ -557,7 +557,6 @@ impl NodeCtx {
             last_probe: vec![now; cfg.nodes],
             rng: crate::rng::SplitMix64::new(0xC0FF_EE00 ^ (node as u64) << 17),
             cfg: Arc::clone(cfg),
-            fault_corrupt_pack: cfg.fault_corrupt_pack.iter().copied().collect(),
         }
     }
 
@@ -1035,13 +1034,7 @@ impl NodeCtx {
         // the driver's point of view — the pump never runs while a green
         // thread runs.
         let buf = unsafe {
-            migration::pack_threads(
-                &ds,
-                &self.mgr,
-                self.cfg.pack_full_slots,
-                &self.pool,
-                &HashSet::new(),
-            )?
+            migration::pack_threads(&ds, &self.mgr, self.cfg.pack_full_slots, &self.pool, &[])?
         };
         let epoch = self.ckpt_epoch;
         let log = self.spill.as_mut().expect("spill checked above");
@@ -1145,6 +1138,12 @@ impl NodeCtx {
     /// One scheduling step: pump, then run one thread quantum.  Returns true
     /// if any work was done.
     pub(crate) fn step(&mut self) -> bool {
+        // Fenced: a node its peers (or the host) declared dead is dead, even
+        // if the verdict was a false suspicion or the minority side of a
+        // partition — the fabric already refuses its traffic and recovery
+        // may re-adopt its checkpoint, so running on would fork its threads.
+        // `mark_dead` rings this node's doorbell, so a parked driver sees it.
+        self.killed |= self.ep.is_dead(self.node);
         if self.killed {
             return false;
         }
@@ -1356,7 +1355,7 @@ impl NodeCtx {
                 &self.mgr,
                 self.cfg.pack_full_slots,
                 &self.pool,
-                &self.fault_corrupt_pack,
+                &self.cfg.fault_corrupt_pack,
             )
             .expect("packing migration train");
             migration::surrender_threads(ds, &mut self.mgr).expect("unmapping the departed train");
@@ -1424,12 +1423,11 @@ impl NodeCtx {
     }
 
     fn finish_spawn(&mut self, tid: u64, d: DescPtr) {
-        // Apply the machine's heap policy (the substrate defaults to
-        // first-fit + trim; the heap is still empty here).
+        // Apply the machine's fit policy (the heap is still empty here).
         // SAFETY: freshly spawned descriptor, not yet run.
         unsafe {
             let heap = std::ptr::addr_of_mut!((*d).heap);
-            isomalloc::heap::heap_init(heap, self.cfg.fit, self.cfg.trim);
+            isomalloc::heap::heap_init(heap, self.cfg.fit, HEAP_TRIM);
         }
         self.threads.insert(tid, d);
         self.registry.set_location(tid, self.node);

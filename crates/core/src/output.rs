@@ -1,9 +1,10 @@
 //! `pm2_printf`-style output capture.
 //!
 //! The paper's examples print through `pm2_printf`, which prefixes each line
-//! with the node it executed on (`[node0] value = 1`).  The sink both
-//! captures lines (so tests can assert on execution traces exactly like the
-//! paper's Fig. 8) and optionally echoes them to stdout.
+//! with the node it executed on (`[node0] value = 1`).  The sink captures
+//! lines, so tests can assert on execution traces exactly like the paper's
+//! Fig. 8 and a program prints them when it wants to
+//! ([`crate::Machine::output_lines`]).
 
 use std::sync::{Arc, Mutex};
 
@@ -11,29 +12,18 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Default)]
 pub struct OutputSink {
     lines: Mutex<Vec<String>>,
-    echo: bool,
 }
 
 impl OutputSink {
-    /// Create a sink; `echo` also prints each line to stdout.
-    pub fn new(echo: bool) -> Arc<Self> {
-        Arc::new(OutputSink {
-            lines: Mutex::new(Vec::new()),
-            echo,
-        })
-    }
-
-    /// Record a line already prefixed with its node tag.
-    pub fn push(&self, line: String) {
-        if self.echo {
-            println!("{line}");
-        }
-        self.lines.lock().unwrap().push(line);
+    /// Create an empty sink.
+    pub fn new() -> Arc<Self> {
+        Arc::new(OutputSink::default())
     }
 
     /// Record `text` as printed by `node`.
     pub fn printf(&self, node: usize, text: &str) {
-        self.push(format!("[node{node}] {text}"));
+        let line = format!("[node{node}] {text}");
+        self.lines.lock().unwrap().push(line);
     }
 
     /// Snapshot of all captured lines.
@@ -63,7 +53,7 @@ mod tests {
 
     #[test]
     fn captures_in_order_with_node_prefix() {
-        let sink = OutputSink::new(false);
+        let sink = OutputSink::new();
         sink.printf(0, "value = 1");
         sink.printf(1, "value = 1");
         assert_eq!(sink.lines(), vec!["[node0] value = 1", "[node1] value = 1"]);

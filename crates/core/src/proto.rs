@@ -5,8 +5,8 @@
 //!
 //! * the **tag table** (`tags!` below) — one row per message kind: its
 //!   tag number, the priority class the pump drains it in, and whether a
-//!   fault plan may touch it.  The `tag::*` constants, [`classify`] and
-//!   [`exactly_once`] are all generated from it;
+//!   fault plan may touch it.  The `tag::*` constants, `classify` and
+//!   `exactly_once` are all generated from it;
 //! * the **message structs** (`message!`) — fields in wire order.  The
 //!   struct *is* the layout: its [`Wire`] impl (encoder, decoder, exact
 //!   size hint) is generated from the field list, so the two sides of an
@@ -28,11 +28,12 @@
 //! Three payloads keep bespoke framing, for a reason each: `RPC_CALL` /
 //! `RPC_RESP` write the typed body in place behind a back-patched length
 //! and decode it borrowed (the LRPC fast path — one pass per leg);
-//! `MIGRATION_NAK` ends in a rest-of-buffer text; and `MIGRATION`,
-//! `NEG_BITMAP_RESP` and `AUDIT_RESP` carry a train, a `SlotBitmap` and an
-//! audit report in those types' own serialized forms.  Tags with no row in
-//! the struct list (`NEG_LOCK_REQ`, `SHUTDOWN`, `KILL`, …) are bare
-//! commands: the tag is the whole message.
+//! `MIGRATION_NAK` ends in a rest-of-buffer text; and `MIGRATION` and
+//! `NEG_BITMAP_RESP` carry a train and a `SlotBitmap` in those types' own
+//! serialized forms.  (`AUDIT_RESP` is [`crate::audit::NodeAudit`], a
+//! [`Msg`] declared beside the audit it reports.)  Tags with no row in the
+//! struct list (`NEG_LOCK_REQ`, `SHUTDOWN`, `KILL`, …) are bare commands:
+//! the tag is the whole message.
 
 use isoaddr::SlotRange;
 use madeleine::message::{PayloadReader, PayloadWriter};

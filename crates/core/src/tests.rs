@@ -3,7 +3,7 @@
 
 use crate::api::*;
 use crate::node::NodeCtx;
-use crate::{Machine, MachineMode, Pm2Config};
+use crate::{Machine, Pm2Config};
 use madeleine::Endpoint;
 
 fn test_machine(nodes: usize) -> Machine {
@@ -20,7 +20,11 @@ fn launch_and_shutdown_empty() {
 
 #[test]
 fn threaded_mode_launch_and_shutdown() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let v = m.run_on(2, pm2_self).unwrap();
     assert_eq!(v, 2);
     m.shutdown();
@@ -97,7 +101,11 @@ fn printf_is_captured_with_node_prefix() {
 fn negotiation_supplies_multislot_allocation() {
     // Round-robin, 2 nodes, trading disabled: any multi-slot allocation
     // must run the paper's §4.4 global negotiation.
-    let mut m = Machine::launch(Pm2Config::test(2).with_slot_trade(false)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .slot_trade(false)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let p = pm2_isomalloc(3 * slot).unwrap();
@@ -203,7 +211,7 @@ pub(crate) fn bare_node(cfg: Pm2Config) -> (NodeCtx, Endpoint, Endpoint) {
         0,
         area,
         ep0,
-        crate::output::OutputSink::new(false),
+        crate::output::OutputSink::new(),
         crate::registry::Registry::new_shared(),
         crate::registry::SpawnTable::new_shared(),
         crate::registry::ServiceTable::new_shared(),
@@ -215,7 +223,10 @@ pub(crate) fn bare_node(cfg: Pm2Config) -> (NodeCtx, Endpoint, Endpoint) {
 #[test]
 fn pump_handles_control_before_a_data_flood() {
     use crate::proto::tag;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(1));
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
+        pump_budget: 1,
+        ..Pm2Config::test(2)
+    });
     // A data-class flood (junk RPC_RESP: no pending caller, dropped on
     // handling)… then one control-class SHUTDOWN, enqueued LAST.
     for _ in 0..16 {
@@ -241,7 +252,10 @@ fn pump_handles_control_before_a_data_flood() {
 #[test]
 fn pump_budget_bounds_one_drain() {
     use crate::proto::tag;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(4));
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
+        pump_budget: 4,
+        ..Pm2Config::test(2)
+    });
     for _ in 0..10 {
         host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
     }
@@ -258,7 +272,10 @@ fn pump_budget_bounds_one_drain() {
 fn migration_class_sits_between_control_and_data() {
     use crate::proto::tag;
     use madeleine::Wire;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2).with_pump_budget(1));
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
+        pump_budget: 1,
+        ..Pm2Config::test(2)
+    });
     // Enqueue in worst-case order: data, then migration, then control.
     host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
     let cmd = crate::proto::MigrateCmd {

@@ -281,17 +281,13 @@ impl NodeSlotManager {
         self.area.commit_slots(range)
     }
 
-    /// Serialize the private bitmap for a negotiation gather (step b).
-    pub fn bitmap_bytes(&self) -> Vec<u8> {
-        self.bitmap.to_bytes()
-    }
-
     /// Serialized bitmap size ([`Self::bitmap_bytes_into`]'s contribution).
     pub fn bitmap_wire_len(&self) -> usize {
         self.bitmap.wire_len()
     }
 
-    /// Append the serialized bitmap to a caller-supplied (pooled) buffer.
+    /// Append the serialized bitmap to a caller-supplied (pooled) buffer —
+    /// the negotiation gather's reply (step b).
     pub fn bitmap_bytes_into(&self, out: &mut Vec<u8>) {
         self.bitmap.write_bytes(out);
     }

@@ -14,7 +14,7 @@
 //!             │ SlotHeader (kind = Stack)   │ 64 B — chain links
 //!             ├─────────────────────────────┤
 //!             │ ThreadDescriptor            │ saved context, heap state,
-//!             │                             │ registered pointers, …
+//!             │                             │ affinity table, …
 //!             ├─────────────────────────────┤
 //!             │ spawn closure (moved here)  │ variable, 16-aligned
 //!             ├─────────────────────────────┤
@@ -35,9 +35,6 @@ pub const DESC_MAGIC: u64 = 0x4D41_5243_454C_0001; // "MARCEL", v1
 
 /// Stack canary value.
 pub const STACK_CANARY: u64 = 0xCAFE_F00D_DEAD_C0DE;
-
-/// Maximum registered user pointers (legacy early-PM2 migration scheme).
-pub const MAX_REGISTERED: usize = 16;
 
 /// Peer-node entries tracked in the per-thread communication-affinity table.
 ///
@@ -149,11 +146,6 @@ pub struct ThreadDescriptor {
     pub cur_node: u32,
     /// [`flags`] bits.
     pub flags: u32,
-    /// Number of live registered pointers (legacy migration scheme).
-    pub n_registered: u32,
-    /// Addresses *of pointer variables* registered via the legacy
-    /// `pm2_register_pointer` API (early-PM2 baseline, paper Fig. 3).
-    pub registered: [VAddr; MAX_REGISTERED],
     /// Communication-affinity table keys: peer node ids this thread
     /// exchanges messages with ([`AFF_EMPTY`] = unused slot).
     pub aff_nodes: [u32; AFF_TOP_K],
@@ -237,18 +229,6 @@ impl ThreadDescriptor {
         b.finish()
     }
 
-    /// Register a pointer variable for the legacy migration scheme.
-    /// Returns a key for unregistering, or `None` if the table is full.
-    pub fn register_pointer(&mut self, ptr_addr: VAddr) -> Option<u32> {
-        let n = self.n_registered as usize;
-        if n >= MAX_REGISTERED {
-            return None;
-        }
-        self.registered[n] = ptr_addr;
-        self.n_registered += 1;
-        Some(n as u32)
-    }
-
     /// Record one message exchanged with `node` in the affinity table.
     ///
     /// Bounded top-k with the *space-saving* replacement rule: an existing
@@ -298,17 +278,6 @@ impl ThreadDescriptor {
         (0..AFF_TOP_K)
             .filter(|&i| self.aff_nodes[i] != AFF_EMPTY && self.aff_msgs[i] > 0)
             .map(|i| (self.aff_nodes[i], self.aff_msgs[i]))
-    }
-
-    /// Unregister a previously registered pointer by key.
-    pub fn unregister_pointer(&mut self, key: u32) {
-        let n = self.n_registered as usize;
-        let k = key as usize;
-        if k < n {
-            self.registered[k] = self.registered[n - 1];
-            self.registered[n - 1] = 0;
-            self.n_registered -= 1;
-        }
     }
 }
 
@@ -405,8 +374,6 @@ pub unsafe fn init_stack_slot(
         home_node,
         cur_node: home_node,
         flags: flags::MIGRATABLE,
-        n_registered: 0,
-        registered: [0; MAX_REGISTERED],
         aff_nodes: [AFF_EMPTY; AFF_TOP_K],
         aff_msgs: [0; AFF_TOP_K],
         aff_epoch: u32::MAX,
@@ -443,22 +410,6 @@ mod tests {
         assert!(stack_layout(0x10000, 1, 16384, 12 * 1024).is_none());
         // But a plain 16 KiB slot is fine.
         assert!(stack_layout(0x10000, 1, 16384, 0).is_some());
-    }
-
-    #[test]
-    fn register_unregister_pointers() {
-        let mut d: ThreadDescriptor = unsafe { std::mem::zeroed() };
-        let k0 = d.register_pointer(0x1000).unwrap();
-        let _k1 = d.register_pointer(0x2000).unwrap();
-        assert_eq!(d.n_registered, 2);
-        d.unregister_pointer(k0);
-        assert_eq!(d.n_registered, 1);
-        assert_eq!(d.registered[0], 0x2000, "swap-remove keeps the table dense");
-        for i in 0..MAX_REGISTERED {
-            d.register_pointer(0x3000 + i);
-        }
-        assert_eq!(d.n_registered as usize, MAX_REGISTERED);
-        assert!(d.register_pointer(0x9999).is_none(), "table full");
     }
 
     fn blank_affinity() -> ThreadDescriptor {

@@ -21,14 +21,14 @@ use std::time::Duration;
 use pm2::api::*;
 use pm2::iso::IsoVec;
 use pm2::loadbal::{start_balancer, BalancerConfig};
-use pm2::{Machine, MachineMode, Pm2Config};
+use pm2::Machine;
 
 const VPS: usize = 16;
 const BLOCK: usize = 4096; // array elements per virtual processor
 const ITERATIONS: usize = 30;
 
 fn main() {
-    let mut machine = Machine::launch(Pm2Config::new(4).with_mode(MachineMode::Threaded)).unwrap();
+    let mut machine = Machine::builder(4).launch().unwrap();
     let balancer = start_balancer(
         &machine,
         BalancerConfig {

@@ -37,10 +37,11 @@ impl Service for Stats {
 
 fn main() {
     // Two nodes, the paper's defaults (64 KiB slots, round-robin
-    // distribution, BIP/Myrinet wire model), echoing pm2_printf to stdout.
+    // distribution, BIP/Myrinet wire model); pm2_printf lines are captured
+    // and printed as one trace further down.
     // `workers(2)` pins the executor pool: the nodes are multiplexed onto
     // that many OS threads (default: one per core, never more than nodes).
-    let mut machine = Machine::builder(2).echo(true).workers(2).launch().unwrap();
+    let mut machine = Machine::builder(2).workers(2).launch().unwrap();
     machine.register::<Stats>(Stats);
 
     // A value-returning thread: the typed handle's result rides the

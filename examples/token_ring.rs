@@ -9,14 +9,14 @@
 use std::time::Instant;
 
 use pm2::api::*;
-use pm2::{pm2_printf, Machine, NetProfile, Pm2Config};
+use pm2::{pm2_printf, Machine, NetProfile};
 
 const LAPS: usize = 50;
 
 fn main() {
     for profile in [NetProfile::myrinet_bip(), NetProfile::instant()] {
         let nodes = 4;
-        let mut machine = Machine::launch(Pm2Config::new(nodes).with_net(profile)).unwrap();
+        let mut machine = Machine::builder(nodes).net(profile).launch().unwrap();
 
         let (hops, total_us) = machine
             .run_on(0, move || {

@@ -17,17 +17,17 @@
 
 use std::time::Duration;
 
-use pm2::{Machine, MachineMode, NetProfile, Pm2Config};
+use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, run_ramp, RampConfig, WorkloadSpec};
 
 fn main() {
     // A small machine on the instant wire profile: the ramp measures the
     // runtime, not the modelled network.
-    let cfg = Pm2Config::new(4)
-        .with_net(NetProfile::instant())
-        .with_mode(MachineMode::Threaded)
-        .with_reply_deadline(Duration::from_secs(2));
-    let mut m = Machine::launch(cfg).unwrap();
+    let mut m = Machine::builder(4)
+        .net(NetProfile::instant())
+        .reply_deadline(Duration::from_secs(2))
+        .launch()
+        .unwrap();
     register_services(&m);
 
     // A short ramp: 200 ms rounds, 100 → 600 rps in 100 rps steps, the

@@ -1,5 +1,5 @@
 //! API semantics and edge cases: error paths, ownership rules, statistics,
-//! output capture, RPC services, and the registered-pointer table.
+//! output capture and RPC services.
 
 use pm2::api::*;
 use pm2::{Machine, NetProfile, Pm2Config};
@@ -109,28 +109,6 @@ fn probe_load_counts_residents() {
 }
 
 #[test]
-fn registered_pointer_table_capacity() {
-    let mut m = machine(1);
-    m.run_on(0, || {
-        let mut keys = Vec::new();
-        let dummy = 0usize;
-        for _ in 0..marcel::thread::MAX_REGISTERED {
-            keys.push(pm2_register_pointer(&dummy as *const _ as usize).unwrap());
-        }
-        assert!(
-            pm2_register_pointer(&dummy as *const _ as usize).is_none(),
-            "table full must be reported"
-        );
-        for k in keys {
-            pm2_unregister_pointer(k);
-        }
-        assert!(pm2_register_pointer(&dummy as *const _ as usize).is_some());
-    })
-    .unwrap();
-    m.shutdown();
-}
-
-#[test]
 fn output_lines_capture_across_nodes_in_order() {
     let mut m = machine(3);
     m.run_on(0, || {
@@ -182,7 +160,11 @@ fn node_stats_and_slot_stats_are_exposed() {
 #[test]
 fn myrinet_profile_machine_works_end_to_end() {
     // Same semantics under the calibrated wire model (timing differs only).
-    let mut m = Machine::launch(Pm2Config::test(2).with_net(NetProfile::myrinet_bip())).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .net(NetProfile::myrinet_bip())
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         let p = pm2_isomalloc(1000).unwrap() as *mut u64;
         unsafe { p.write(7) };
@@ -197,8 +179,11 @@ fn myrinet_profile_machine_works_end_to_end() {
 #[test]
 fn syscall_map_strategy_machine_works_end_to_end() {
     use pm2::MapStrategy;
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_map_strategy(MapStrategy::Syscall)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .map_strategy(MapStrategy::Syscall)
+        .launch()
+        .unwrap();
     m.run_on(0, || {
         let p = pm2_isomalloc(5000).unwrap();
         unsafe { std::ptr::write_bytes(p, 0x3A, 5000) };

@@ -6,7 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use pm2::{Machine, Pm2Config};
+use pm2::Machine;
 use pm2_workload::{
     register_services, run_kill_node, run_partition, RampConfig, Verdict, CHAOS_RESIDENTS,
 };
@@ -25,12 +25,12 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
 #[test]
 fn kill_node_under_load_passes_the_slo_gates() {
     let dir = scratch_dir("kill");
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_reply_deadline(Duration::from_secs(5))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     register_services(&m);
 
     // A modest fixed rate: the gate should judge fault handling, not
@@ -73,13 +73,13 @@ fn kill_node_under_load_passes_the_slo_gates() {
 fn transient_partition_heals_and_reconverges_under_load() {
     // Detector armed with a timeout well beyond the cut window: the
     // drill must ride the partition out without declaring anyone dead.
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_reply_deadline(Duration::from_secs(5))
-            .with_failure_timeout(Duration::from_secs(30))
-            .with_heartbeat_every(Duration::from_millis(25)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(5))
+        .failure_timeout(Duration::from_secs(30))
+        .heartbeat_every(Duration::from_millis(25))
+        .launch()
+        .unwrap();
     register_services(&m);
 
     let cfg = RampConfig {

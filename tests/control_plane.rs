@@ -6,8 +6,12 @@ use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
 use pm2::api::{pm2_isofree, pm2_isomalloc, pm2_migrate, pm2_probe_load, pm2_rpc_call, pm2_self};
+use pm2::audit::NodeAudit;
 use pm2::proto::{self, tag, Msg};
-use pm2::{BufPool, FaultPlan, Machine, Pm2Config, Pm2Error, Service, SlotRange, ThreadExit, Wire};
+use pm2::{
+    BufPool, FaultPlan, Machine, Pm2Config, Pm2Error, Service, SlotBitmap, SlotRange, ThreadExit,
+    Wire,
+};
 use testkit::alloc::{largest_alloc_in, Watching};
 use testkit::{cases, StdRng};
 
@@ -131,6 +135,26 @@ fn every_message(v: &mut impl Visit) {
           \x01\x26\x00\x00\x00node 3 failed before the thread exited\x00\
           \x01\x03\x00\x00\x00\x00\x00\x00\x00",
     );
+    // The audit report: node id, the bitmap length-prefixed in its own
+    // form (bit count, then words), the cached slots, then per thread its
+    // tid and ranges.
+    let mut bitmap = SlotBitmap::new_clear(10);
+    for bit in [0, 3, 9] {
+        bitmap.set(bit);
+    }
+    v.row(
+        NodeAudit {
+            node: 2,
+            bitmap,
+            cached: vec![3],
+            threads: vec![(0x2A, ranges(&[(4, 2)]))],
+        },
+        b"\x02\x00\x00\x00\x10\x00\x00\x00\
+          \x0a\x00\x00\x00\x00\x00\x00\x00\x09\x02\x00\x00\x00\x00\x00\x00\
+          \x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\
+          \x01\x00\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\
+          \x04\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00",
+    );
     v.row(proto::NodeDead { node: 3 }, b"\x03\x00\x00\x00");
     v.row(
         proto::CkptReq { req_id: 0xC0FFEE },
@@ -196,13 +220,12 @@ const BARE: &[u16] = &[
 ];
 
 /// Tags whose payload is framed outside the message table: the migration
-/// train codec, `SlotBitmap`'s and the audit report's own forms, the LRPC
-/// fast path, the NAK's trailing text, and the heartbeat's ping byte.
+/// train codec, `SlotBitmap`'s own form, the LRPC fast path, the NAK's
+/// trailing text, and the heartbeat's ping byte.
 const OWN_FRAMING: &[u16] = &[
     tag::MIGRATION,
     tag::MIGRATION_NAK,
     tag::NEG_BITMAP_RESP,
-    tag::AUDIT_RESP,
     tag::RPC_CALL,
     tag::RPC_RESP,
     tag::HEARTBEAT,
@@ -494,12 +517,12 @@ fn garbage_under_every_tag_is_dropped_and_the_node_lives_on() {
 #[test]
 fn a_fabric_that_eats_every_request_exhausts_each_exchange_typed() {
     let deadline = Duration::from_millis(300);
-    let mut m = Machine::launch(
-        Pm2Config::test(3)
-            .with_reply_deadline(deadline)
-            .with_fault_plan(FaultPlan::new(7).with_drop(1.0)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(deadline)
+        .fault_plan(FaultPlan::new(7).with_drop(1.0))
+        .launch()
+        .unwrap();
     let within_one_deadline = |t0: Instant, what: &str| {
         let took = t0.elapsed();
         assert!(

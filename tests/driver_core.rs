@@ -19,14 +19,14 @@ fn flood(m: &Machine, node: usize, count: usize) {
 
 #[test]
 fn quiescent_threaded_machine_parks_its_drivers() {
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Threaded)
-            // Park longer than the observation window: a parked driver
-            // then shows ~zero wake-ups while we watch.
-            .with_idle_park(Duration::from_secs(5)),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        // Park longer than the observation window: a parked driver
+        // then shows ~zero wake-ups while we watch.
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
     // Let the drivers reach their parks, then watch a quiet window.
     std::thread::sleep(Duration::from_millis(100));
     let before: Vec<_> = (0..2).map(|n| m.node_stats(n)).collect();
@@ -62,7 +62,11 @@ fn quiescent_threaded_machine_parks_its_drivers() {
 
 #[test]
 fn quiescent_deterministic_machine_parks_its_driver() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_idle_park(Duration::from_secs(5))).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
     std::thread::sleep(Duration::from_millis(100));
     let before = m.node_stats(0);
     std::thread::sleep(Duration::from_millis(300));
@@ -86,7 +90,11 @@ fn quiescent_deterministic_machine_parks_its_driver() {
 
 #[test]
 fn data_flood_does_not_starve_shutdown_deterministic() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_pump_budget(8)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .pump_budget(8)
+        .launch()
+        .unwrap();
     flood(&m, 0, 4000);
     flood(&m, 1, 4000);
     let t0 = Instant::now();
@@ -100,12 +108,12 @@ fn data_flood_does_not_starve_shutdown_deterministic() {
 
 #[test]
 fn data_flood_does_not_starve_shutdown_threaded() {
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Threaded)
-            .with_pump_budget(8),
-    )
-    .unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .pump_budget(8)
+        .launch()
+        .unwrap();
     flood(&m, 0, 4000);
     flood(&m, 1, 4000);
     let t0 = Instant::now();
@@ -125,12 +133,12 @@ fn data_flood_does_not_starve_negotiation() {
     // junk.  The control-class NEG exchange must overtake the flood and
     // complete within the (test-profile, 10 s) reply deadline.
     for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m = Machine::launch(
-            Pm2Config::test(2)
-                .with_mode(mode)
-                .with_pump_budget(8)
-                .with_slot_trade(false),
-        )
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            pump_budget: 8,
+            slot_trade: false,
+            ..Pm2Config::test(2)
+        })
         .unwrap();
         let slot = m.area().slot_size();
         flood(&m, 1, 5000);
@@ -149,8 +157,12 @@ fn tiny_pump_budget_still_runs_everything() {
     // Budget 1 (one message per pump) must be merely slow, never wrong:
     // spawns, migration and typed joins all keep working.
     for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m =
-            Machine::launch(Pm2Config::test(2).with_mode(mode).with_pump_budget(1)).unwrap();
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            pump_budget: 1,
+            ..Pm2Config::test(2)
+        })
+        .unwrap();
         let h = m
             .spawn_on_ret(0, || {
                 pm2_migrate(1).unwrap();
@@ -171,7 +183,11 @@ fn migration_hops_are_not_poll_bound() {
     // noise; the polled baseline needed ~2.2 s of driver latency alone
     // for the same work at its measured 1,079 µs/hop — and the wakeup
     // counters prove the event-driven path was the one taken.
-    let mut m = Machine::launch(Pm2Config::test(2).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let t0 = Instant::now();
     m.run_on(0, || {
         for _ in 0..200 {

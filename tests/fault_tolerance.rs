@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::{Distribution, Machine, Pm2Config, Pm2Error, Service};
+use pm2::{Distribution, Machine, MachineBuilder, Pm2Config, Pm2Error, Service};
 
 /// Fresh scratch directory for a spill log.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -28,8 +28,7 @@ fn loop_until(stop: &AtomicBool) {
 
 #[test]
 fn killed_node_fails_host_join_within_grace() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(300)))
-        .unwrap();
+    let mut m = machine(2, Duration::from_millis(300)).launch().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let t = m.spawn_on(1, move || loop_until(&stop2)).unwrap();
@@ -49,8 +48,7 @@ fn killed_node_fails_host_join_within_grace() {
 
 #[test]
 fn killed_node_fails_typed_join_with_node_failed() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(300)))
-        .unwrap();
+    let mut m = machine(2, Duration::from_millis(300)).launch().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let h = m
@@ -84,8 +82,7 @@ impl Service for Stuck {
 
 #[test]
 fn killed_callee_fails_host_rpc_with_node_failed() {
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_secs(10))).unwrap();
+    let mut m = machine(2, Duration::from_secs(10)).launch().unwrap();
     m.register(Stuck);
     // Kill before the call: the send itself is refused with the death
     // certificate, well before any deadline.
@@ -101,8 +98,7 @@ fn killed_callee_fails_host_rpc_with_node_failed() {
 
 #[test]
 fn killed_callee_fails_green_rpc_mid_call() {
-    let mut m =
-        Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_secs(30))).unwrap();
+    let mut m = machine(3, Duration::from_secs(30)).launch().unwrap();
     m.register(Stuck);
     // A green thread on node 0 calls the never-replying service on node 2;
     // the kill lands mid-call.  Node 0 hears the NODE_DEAD broadcast and
@@ -124,8 +120,7 @@ fn killed_callee_fails_green_rpc_mid_call() {
 
 #[test]
 fn killed_owner_fails_green_join_mid_wait() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_millis(300)))
-        .unwrap();
+    let mut m = machine(3, Duration::from_millis(300)).launch().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let a = m
@@ -149,29 +144,84 @@ fn killed_owner_fails_green_join_mid_wait() {
     m.shutdown();
 }
 
+/// The test-profile machine with a reply deadline of the test's choosing
+/// (it is also the grace a join gives recovery before failing).
+fn machine(nodes: usize, reply_deadline: Duration) -> MachineBuilder {
+    Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(reply_deadline)
+}
+
+/// A deterministic machine with the detector armed — timeout below the
+/// default `idle_park` — and nothing else set.
+fn detector_armed(nodes: usize) -> Machine {
+    Machine::builder(nodes)
+        .test_profile()
+        .failure_timeout(Duration::from_millis(300))
+        .heartbeat_every(Duration::from_millis(50))
+        .launch()
+        .unwrap()
+}
+
+/// `shutdown()` on its own thread, so a hang fails the test instead of
+/// hanging the suite.
+fn shutdown_within(mut m: Machine, limit: Duration) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        m.shutdown();
+        let _ = tx.send(());
+    });
+    assert!(
+        rx.recv_timeout(limit).is_ok(),
+        "shutdown hung past {limit:?}"
+    );
+}
+
 #[test]
 fn heartbeat_detector_declares_a_silent_node_dead() {
-    let mut m = Machine::launch(
-        Pm2Config::test(3)
-            .with_failure_timeout(Duration::from_millis(300))
-            .with_heartbeat_every(Duration::from_millis(50))
-            .with_idle_park(Duration::from_millis(50)),
-    )
-    .unwrap();
-    // No NODE_DEAD announcement: the survivors must notice the silence.
+    let mut m = detector_armed(3);
+    // The driver parks for the fastest armed timer, not the raw
+    // `idle_park`: a quiet machine keeps gossiping, so silence alone kills
+    // nobody…
+    std::thread::sleep(Duration::from_millis(1500));
+    for node in 0..3 {
+        assert!(!m.is_node_dead(node), "quiet node {node} was declared dead");
+    }
+    // …and a real death (no NODE_DEAD announcement: the survivors must
+    // notice the silence) is declared at the timeout, not at the next park.
+    let t0 = Instant::now();
     m.kill_node_silent(2).unwrap();
     assert!(
         m.wait_node_dead(2, Duration::from_secs(20)),
         "survivors must declare the silent corpse dead via heartbeats"
     );
+    let took = t0.elapsed();
+    assert!(took < Duration::from_millis(450), "detected after {took:?}");
     assert!(m.is_node_dead(2));
-    m.shutdown();
+    assert!(!m.is_node_dead(0) && !m.is_node_dead(1));
+    shutdown_within(m, Duration::from_secs(5));
+}
+
+#[test]
+fn a_node_declared_dead_while_running_is_fenced_and_shutdown_returns() {
+    let m = detector_armed(3);
+    // Cut node 2 off until the majority's detectors give up on it.  It is
+    // still running — nobody sent it KILL — and from here on nobody will
+    // send it SHUTDOWN either.
+    m.partition_nodes(&[0, 1], &[2]);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !m.is_node_dead(2) {
+        assert!(Instant::now() < deadline, "the cut was never noticed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    m.heal_partition();
+    // The verdict fences it: it stops as if killed, so its driver exits.
+    shutdown_within(m, Duration::from_secs(5));
 }
 
 #[test]
 fn balancer_survives_a_node_death() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_reply_deadline(Duration::from_millis(500)))
-        .unwrap();
+    let mut m = machine(3, Duration::from_millis(500)).launch().unwrap();
     let bal = pm2::loadbal::start_balancer(
         &m,
         pm2::loadbal::BalancerConfig {
@@ -195,12 +245,10 @@ fn balancer_survives_a_node_death() {
 #[test]
 fn checkpointed_threads_survive_their_node() {
     let dir = scratch_dir("recover");
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = machine(4, Duration::from_secs(2))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
 
     // Four iso-allocating threads on node 1, each holding a value in the
@@ -278,8 +326,7 @@ fn checkpointed_threads_survive_their_node() {
 
 #[test]
 fn recovery_without_spill_loses_everything_but_hangs_nothing() {
-    let mut m = Machine::launch(Pm2Config::test(2).with_reply_deadline(Duration::from_millis(500)))
-        .unwrap();
+    let mut m = machine(2, Duration::from_millis(500)).launch().unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let h = m
@@ -319,13 +366,11 @@ fn coordinator_death_elects_successor_and_negotiations_complete() {
     // negotiation completes under the successor.  Round-robin with
     // trading off forces every multi-slot allocation through the global
     // protocol.
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::RoundRobin)
-            .with_slot_trade(false)
-            .with_reply_deadline(Duration::from_secs(2)),
-    )
-    .unwrap();
+    let mut m = machine(4, Duration::from_secs(2))
+        .distribution(Distribution::RoundRobin)
+        .slot_trade(false)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let storm = |iters: usize, slots: usize| {
         move || {
@@ -369,12 +414,10 @@ fn coordinator_death_elects_successor_and_negotiations_complete() {
 #[test]
 fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
     let dir = scratch_dir("ckpt-race");
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_reply_deadline(Duration::from_millis(500))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = machine(2, Duration::from_millis(500))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let _t = m.spawn_on(1, move || loop_until(&stop2)).unwrap();
@@ -412,13 +455,11 @@ fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
 #[test]
 fn periodic_checkpoints_cover_recovery_without_explicit_requests() {
     let dir = scratch_dir("periodic");
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_spill_dir(&dir)
-            .with_checkpoint_every(Duration::from_millis(50)),
-    )
-    .unwrap();
+    let mut m = machine(2, Duration::from_secs(2))
+        .spill_dir(&dir)
+        .checkpoint_every(Duration::from_millis(50))
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
     let h = m
@@ -445,12 +486,10 @@ fn periodic_checkpoints_cover_recovery_without_explicit_requests() {
 #[test]
 fn compacted_spill_log_stays_bounded_and_recovers_the_newest_epoch() {
     let dir = scratch_dir("compact");
-    let mut m = Machine::launch(
-        Pm2Config::test(2)
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_spill_dir(&dir),
-    )
-    .unwrap();
+    let mut m = machine(2, Duration::from_secs(2))
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
     let stop = Arc::new(AtomicBool::new(false));
     let phase = Arc::new(AtomicU64::new(0));
     // Each thread mirrors `phase` into an iso cell until told to stop, and

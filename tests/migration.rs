@@ -3,7 +3,7 @@
 //! transfer on remote death.
 
 use pm2::api::*;
-use pm2::{Machine, MachineMode, Pm2Config};
+use pm2::{Machine, Pm2Config};
 
 fn machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -206,7 +206,11 @@ fn many_threads_migrate_concurrently() {
 
 #[test]
 fn threaded_mode_migration_works_in_parallel() {
-    let mut m = Machine::launch(Pm2Config::test(3).with_mode(MachineMode::Threaded)).unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .threaded()
+        .launch()
+        .unwrap();
     let mut handles = Vec::new();
     for i in 0..9usize {
         handles.push(
@@ -333,8 +337,11 @@ fn corrupt_record_mid_train_costs_only_its_thread() {
     // Host-assigned tids are deterministic: 1<<63 | spawn-order.  The
     // second worker's packed records will be truncated on departure.
     let corrupt_tid: u64 = (1 << 63) | 2;
-    let mut m =
-        Machine::launch(Pm2Config::test(2).with_fault_corrupt_pack(vec![corrupt_tid])).unwrap();
+    let mut m = Machine::launch(Pm2Config {
+        fault_corrupt_pack: vec![corrupt_tid],
+        ..Pm2Config::test(2)
+    })
+    .unwrap();
 
     let finished = Arc::new(AtomicUsize::new(0));
     let mut workers = Vec::new();

@@ -59,20 +59,22 @@ fn fig2_pointer_to_stack_survives() {
     m.shutdown();
 }
 
-/// Figure 3: the legacy register/unregister API still exists (for the
-/// ablation baseline) and the program behaves identically under iso-address
-/// migration — registration is simply unnecessary.
+/// Figure 3 is Figure 2's program wrapped in `pm2_register_pointer` /
+/// `pm2_unregister_pointer`, so the early runtime could find `ptr` and
+/// rewrite it on arrival.  Here the calls are simply gone: the pointer
+/// variable sits at the same address on both nodes and holds the same
+/// value, so there is nothing to register and nothing to rewrite.
 #[test]
 fn fig3_registered_pointer_program() {
     let mut m = machine(2);
     m.run_on(0, || {
         let x: i32 = 1;
         let ptr = &x as *const i32;
-        let key = pm2_register_pointer(&ptr as *const _ as usize).unwrap();
+        let (cell, target) = (&ptr as *const _ as usize, ptr as usize);
         pm2_printf!("value = {}", unsafe { *ptr });
         pm2_migrate(1).unwrap();
         pm2_printf!("value = {}", unsafe { *ptr });
-        pm2_unregister_pointer(key);
+        assert_eq!((&ptr as *const _ as usize, ptr as usize), (cell, target));
     })
     .unwrap();
     assert_eq!(

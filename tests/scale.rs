@@ -8,14 +8,15 @@ use std::time::{Duration, Instant};
 
 use pm2::api::*;
 use pm2::proto::tag;
-use pm2::{AreaConfig, Machine, MachineMode, Pm2Config};
+use pm2::{AreaConfig, Machine, MachineBuilder};
 
 /// A p-node threaded machine with per-node slot ownership held constant
 /// (8 slots each) so spawns at p = 256 don't all funnel through trades.
-fn scale_cfg(p: usize) -> Pm2Config {
-    Pm2Config::test(p)
-        .with_mode(MachineMode::Threaded)
-        .with_area(AreaConfig {
+fn scale_machine(p: usize) -> MachineBuilder {
+    Machine::builder(p)
+        .test_profile()
+        .threaded()
+        .area(AreaConfig {
             slot_size: 64 * 1024,
             n_slots: (8 * p).max(256),
         })
@@ -51,7 +52,7 @@ fn live_threads_settle_at(prefix: &str, n: usize) -> bool {
 /// Full round trips on a sample of nodes: value-returning spawns that
 /// migrate one hop, plus a host RPC, on a machine whose pool is ≪ p.
 fn smoke(p: usize) {
-    let mut m = Machine::launch(scale_cfg(p)).unwrap();
+    let mut m = scale_machine(p).launch().unwrap();
     assert!(
         m.worker_threads() < p,
         "pool of {} workers for {p} nodes is not multiplexing",
@@ -105,8 +106,10 @@ fn executor_p256_smoke() {
 fn quiescent_p256_machine_parks_its_workers() {
     // Gossip is on (p > 16), so idle nodes still tick at the heartbeat
     // cadence — the machine must idle at that bounded rate, not spin.
-    let mut m =
-        Machine::launch(scale_cfg(256).with_heartbeat_every(Duration::from_millis(100))).unwrap();
+    let mut m = scale_machine(256)
+        .heartbeat_every(Duration::from_millis(100))
+        .launch()
+        .unwrap();
     std::thread::sleep(Duration::from_millis(300)); // settle
     let before: Vec<_> = (0..256).map(|n| m.node_stats(n)).collect();
     std::thread::sleep(Duration::from_millis(400));
@@ -138,7 +141,7 @@ fn flooded_node_does_not_starve_the_quiet_ones() {
     // One node buried under data-class junk; RPCs to a sample of the
     // other 255 must still complete promptly — the fairness budget swaps
     // the flooded node to the back of the queue every 32 steps.
-    let mut m = Machine::launch(scale_cfg(256).with_pump_budget(8)).unwrap();
+    let mut m = scale_machine(256).pump_budget(8).launch().unwrap();
     for _ in 0..10_000 {
         m.inject_raw(7, tag::RPC_RESP, vec![0u8; 8]).unwrap();
     }

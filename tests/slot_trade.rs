@@ -7,10 +7,10 @@
 //! the hot path and the boundary between the two.
 
 use pm2::api::*;
-use pm2::{AreaConfig, Distribution, Machine, MachineMode, Pm2Config};
+use pm2::{AreaConfig, Distribution, Machine, Pm2Config};
 
-fn machine(cfg: Pm2Config) -> Machine {
-    Machine::launch(cfg).unwrap()
+fn machine(nodes: usize) -> Machine {
+    Machine::launch(Pm2Config::test(nodes)).unwrap()
 }
 
 #[test]
@@ -19,7 +19,7 @@ fn trade_covers_shortfall_with_one_exchange_and_no_freeze() {
     // can never be satisfied locally.  One trade with node 1 merges the
     // lent odd slots with the local evens into contiguous runs — no lock,
     // no gather, no freeze anywhere.
-    let mut m = machine(Pm2Config::test(2));
+    let mut m = machine(2);
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let p = pm2_isomalloc(slot + 1).unwrap(); // 2 slots
@@ -41,7 +41,11 @@ fn trade_covers_shortfall_with_one_exchange_and_no_freeze() {
 fn trade_batch_amortizes_across_subsequent_allocations() {
     // The batch that rides the first trade covers later shortfalls: many
     // multi-slot allocations, O(1) trades.
-    let mut m = machine(Pm2Config::test(2).with_trade_batch(24));
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .trade_batch(24)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let mut live = Vec::new();
@@ -71,11 +75,12 @@ fn concurrent_trades_from_three_starving_nodes_do_not_double_grant() {
     // then with each other as wealth shifts).  The iso-address invariant
     // — every slot owned by exactly one agent — must hold at quiescence,
     // and every thread's heap must verify structurally after the churn.
-    let mut m = machine(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::Partitioned)
-            .with_trade_batch(8),
-    );
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .distribution(Distribution::Partitioned)
+        .trade_batch(8)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let quarter = m.area().n_slots() / 4; // 64 slots per node
                                           // Each worker holds ~1.2× its node's share in whole-slot blocks, so
@@ -128,9 +133,11 @@ fn refused_trade_falls_back_to_global_negotiation() {
     // it below its own low water).  The demand trade is refused and the
     // request falls through to the §4.4 protocol — whose NEG_BUYs ignore
     // watermarks, because it is the authority of last resort.
-    let mut m = machine(
-        Pm2Config::test(2).with_slot_watermarks(1024, 1024), // 256-slot area: everyone is "poor"
-    );
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .slot_watermarks(1024, 1024) // 256-slot area: everyone is "poor"
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let p = pm2_isomalloc(slot + 1).unwrap();
@@ -157,7 +164,7 @@ fn fragmented_cluster_needs_the_global_first_fit() {
     // so the trade lands but cannot satisfy the contiguity and the global
     // first-fit over the OR of all bitmaps is the only way to assemble
     // the run — the "cluster genuinely fragmented" case.
-    let mut m = machine(Pm2Config::test(4));
+    let mut m = machine(4);
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let p = pm2_isomalloc(7 * slot).unwrap(); // 8 slots
@@ -179,11 +186,12 @@ fn watermark_prefetch_tops_up_the_reserve_asynchronously() {
     // single-slot allocations (yielding like a real workload); once the
     // reserve dips below the low watermark the driver prefetches a batch
     // from node 1 *before* the allocator ever blocks on a shortfall.
-    let mut m = machine(
-        Pm2Config::test(2)
-            .with_distribution(Distribution::Partitioned)
-            .with_slot_watermarks(16, 48),
-    );
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .distribution(Distribution::Partitioned)
+        .slot_watermarks(16, 48)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let share = m.area().n_slots() / 2;
     m.run_on(0, move || {
@@ -219,7 +227,7 @@ fn wealth_piggybacks_on_load_probes() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let mut m = machine(Pm2Config::test(3));
+    let mut m = machine(3);
     let slot = m.area().slot_size();
     let n_slots = m.area().n_slots();
     // The prior is the even split…
@@ -262,11 +270,12 @@ fn stacked_requesters_park_instead_of_spinning() {
     // first claims the acquire path, the rest park on the waiter queue
     // (no spin-yield storm) and are woken FIFO — and typically satisfied
     // straight from the first requester's trade batch.
-    let mut m = machine(
-        Pm2Config::test(2)
-            .with_mode(MachineMode::Deterministic)
-            .with_trade_batch(32),
-    );
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .deterministic()
+        .trade_batch(32)
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let mut ts = Vec::new();
     for _ in 0..6 {
@@ -297,14 +306,15 @@ fn stacked_requesters_park_instead_of_spinning() {
 fn forced_global_still_handles_everything_trade_would() {
     // The slot_trade(false) baseline serves the same workload purely via
     // §4.4 — the fallback is a complete protocol, not a vestige.
-    let mut m = machine(
-        Pm2Config::test(2)
-            .with_slot_trade(false)
-            .with_area(AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 64,
-            }),
-    );
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .slot_trade(false)
+        .area(AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 64,
+        })
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let mut live = Vec::new();

@@ -66,15 +66,15 @@ fn random_walk(seed: u64, nodes: usize, steps: usize) {
 }
 
 fn stress(nodes: usize, threads: usize, steps: usize, seed: u64, mode: MachineMode) {
-    let mut m = Machine::launch(
-        Pm2Config::test(nodes)
-            .with_mode(mode)
-            .with_slot_cache(8)
-            .with_area(pm2::AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 512,
-            }),
-    )
+    let mut m = Machine::launch(Pm2Config {
+        mode,
+        slot_cache: 8,
+        area: pm2::AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 512,
+        },
+        ..Pm2Config::test(nodes)
+    })
     .unwrap();
     let mut handles = Vec::new();
     for t in 0..threads {
@@ -117,15 +117,15 @@ fn stress_threaded_3_nodes() {
 #[test]
 fn stress_threaded_large_allocations() {
     // Mix in occasionally huge (multi-slot, negotiated) blocks.
-    let mut m = Machine::launch(
-        Pm2Config::test(3)
-            .with_mode(MachineMode::Threaded)
-            .with_area(pm2::AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 512,
-            }),
-    )
-    .unwrap();
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .threaded()
+        .area(pm2::AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 512,
+        })
+        .launch()
+        .unwrap();
     let slot = m.area().slot_size();
     let mut handles = Vec::new();
     for t in 0..6usize {
@@ -163,15 +163,15 @@ fn stress_threaded_large_allocations() {
 
 #[test]
 fn stress_block_cyclic_distribution() {
-    let mut m = Machine::launch(
-        Pm2Config::test(4)
-            .with_distribution(Distribution::BlockCyclic(8))
-            .with_area(pm2::AreaConfig {
-                slot_size: 64 * 1024,
-                n_slots: 512,
-            }),
-    )
-    .unwrap();
+    let mut m = Machine::builder(4)
+        .test_profile()
+        .distribution(Distribution::BlockCyclic(8))
+        .area(pm2::AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 512,
+        })
+        .launch()
+        .unwrap();
     let mut handles = Vec::new();
     for t in 0..8usize {
         handles.push(

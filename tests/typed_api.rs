@@ -32,7 +32,7 @@ fn builder_launches_a_working_machine() {
 #[test]
 fn builder_config_roundtrip_drives_launch() {
     // into_config → launch must behave exactly like launch-from-builder.
-    let cfg = Machine::builder(2).test_profile().echo(false).into_config();
+    let cfg = Machine::builder(2).test_profile().into_config();
     assert_eq!(cfg.mode, MachineMode::Deterministic);
     let m = Machine::launch(cfg).unwrap();
     assert_eq!(m.run_on(1, pm2_self).unwrap(), 1);
