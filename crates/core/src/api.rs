@@ -21,9 +21,10 @@ use std::time::{Duration, Instant};
 use madeleine::{Message, Payload, Wire};
 
 use crate::error::{Pm2Error, Result};
-use crate::node::{with_ctx, PendingCall};
+use crate::node::with_ctx;
 use crate::proto::{self, rpc_status, tag, Msg};
 use crate::service::{service_id, Service};
+use crate::wait::{For, Wait};
 
 /// Node currently hosting the calling thread (the paper's `pm2_self()`).
 pub fn pm2_self() -> usize {
@@ -44,14 +45,12 @@ pub fn pm2_nodes() -> usize {
 pub use marcel::yield_now as pm2_yield;
 
 /// Wait until the local bitmap is not frozen by a negotiation.  Between the
-/// successful check and the next yield the pump cannot run, so the frozen
-/// flag cannot flip under the caller.
-fn wait_unfrozen() {
-    loop {
-        if with_ctx(|c| !c.frozen) {
-            return;
-        }
-        marcel::yield_now();
+/// successful check and the caller's next wait the pump cannot run, so the
+/// frozen flag cannot flip under the caller.
+pub(crate) fn wait_unfrozen() {
+    // `while`: the pump may freeze again before the woken thread runs.
+    while with_ctx(|c| c.frozen) {
+        let _ = Wait::open(For::Thaw, None).next();
     }
 }
 
@@ -140,8 +139,8 @@ pub fn pm2_migrate_thread(tid: u64, dest: usize) -> Result<()> {
 /// (one wire message per destination, not per thread), so evacuating k
 /// threads costs one message latency per destination.  When `src` is the
 /// calling thread's own node the threads are flagged locally with no wire
-/// traffic at all; otherwise the call blocks (poll + yield) until the
-/// batched ack arrives or the reply deadline passes.
+/// traffic at all; otherwise the caller is parked until the batched ack
+/// arrives or the reply deadline passes.
 pub fn pm2_group_migrate(src: usize, dest: usize, tids: &[u64]) -> Result<usize> {
     let n_nodes = with_ctx(|c| c.n_nodes);
     if dest >= n_nodes {
@@ -156,21 +155,15 @@ pub fn pm2_group_migrate(src: usize, dest: usize, tids: &[u64]) -> Result<usize>
     if src == pm2_self() {
         return Ok(with_ctx(|c| c.request_migrations(tids.to_vec(), dest)) as usize);
     }
-    let (cmd_id, deadline) = with_ctx(|c| (c.next_call_id(), c.cfg.reply_deadline));
+    let cmd_id = with_ctx(|c| c.next_call_id());
     let cmd = proto::MigrateCmd {
         cmd_id,
         dest: dest as u32,
         tids: tids.to_vec(),
     };
-    // Pin the caller for the exchange: the ack is addressed to this node.
-    let was_migratable = pm2_set_migratable(false);
-    let result = call::<proto::MigrateAck>(src, &cmd, Some(cmd_id), Instant::now() + deadline)
-        .and_then(|ack| ack.ok_or_else(|| timed_out(tag::MIGRATE_CMD_ACK)))
-        .map(|ack| ack.accepted as usize);
-    if was_migratable {
-        pm2_set_migratable(true);
-    }
-    result
+    call::<proto::MigrateAck>(src, &cmd, Some(cmd_id), reply_deadline())?
+        .map(|ack| ack.accepted as usize)
+        .ok_or_else(|| timed_out(tag::MIGRATE_CMD_ACK))
 }
 
 /// Spawn a thread on the current node (the paper's `pm2_thread_create`).
@@ -226,8 +219,8 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
     send_msg(node, &proto::RpcSpawn { service, args })
 }
 
-/// Typed request/reply LRPC: call service `S` on `node`, blocking the
-/// calling green thread (poll + yield, so this node keeps serving) until
+/// Typed request/reply LRPC: call service `S` on `node`, parking the
+/// calling green thread (so this node keeps serving, at no cost) until
 /// the response arrives or the configured reply deadline passes.
 ///
 /// The handler runs as a freshly spawned Marcel thread on `node`.  Errors
@@ -245,52 +238,17 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
         return Err(Pm2Error::NoSuchNode(node));
     }
     let call = proto::encode_rpc_call(&pool, call_id, reply_to, service_id::<S>(), &req, max)?;
-    // The callee node rides along so a death can synthesize a NODE_FAILED
-    // reply for every call aimed at the corpse.
-    with_ctx(|c| {
-        let pending = PendingCall {
-            callee: node,
-            reply: None,
-        };
-        c.pending_calls.insert(call_id, pending)
-    });
     // One call = one request out + one reply back: both legs land on the
     // same peer node, so account the pair up front in the caller's
     // affinity table (the handler side separately accounts its reply).
     note_rpc_traffic(node);
     note_rpc_traffic(node);
-    // Pin the caller for the duration of the exchange: the response is
-    // addressed to `reply_to`, so a preemptive migration mid-wait would
-    // strand it in the old node's pending-call table.
-    let was_migratable = pm2_set_migratable(false);
-    let result = send_to(node, tag::RPC_CALL, call)
-        .and_then(|()| wait_rpc_reply(call_id))
-        .and_then(|m| decode_rpc_outcome::<S>(&m.payload));
-    // Withdraw the pending entry (still on `reply_to` — we are pinned), so
-    // a reply landing after a timeout is dropped, not parked forever.
-    with_ctx(|c| c.pending_calls.remove(&call_id));
-    if was_migratable {
-        pm2_set_migratable(true);
-    }
-    result
-}
-
-/// Wait (poll + yield) for the response the pump files under `call_id`
-/// (see `handlers::control::park_rpc_resp`), up to the machine's
-/// `reply_deadline`.  Handlers may migrate before replying, so the match is
-/// on the call id alone, not the source node.
-fn wait_rpc_reply(call_id: u64) -> Result<Message> {
-    let deadline = Instant::now() + with_ctx(|c| c.cfg.reply_deadline);
-    loop {
-        let reply = with_ctx(|c| c.pending_calls.get_mut(&call_id)?.reply.take());
-        if let Some(m) = reply {
-            return Ok(m);
-        }
-        if Instant::now() > deadline {
-            return Err(timed_out(tag::RPC_RESP));
-        }
-        marcel::yield_now();
-    }
+    // Handlers may migrate before replying, so the response is matched on
+    // the call id alone; `node` is named so that its death fails the call.
+    let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), reply_deadline());
+    send_to(node, tag::RPC_CALL, call)?;
+    let m = reply.next()?.ok_or_else(|| timed_out(tag::RPC_RESP))?;
+    decode_rpc_outcome::<S>(&m.payload)
 }
 
 /// Shared RPC_RESP → typed result mapping (green and host callers),
@@ -301,12 +259,6 @@ pub(crate) fn decode_rpc_outcome<S: Service>(payload: &[u8]) -> Result<S::Resp> 
     match status {
         rpc_status::OK => S::Resp::decode_vec(bytes).ok_or(Pm2Error::Decode("rpc response body")),
         rpc_status::NO_SUCH_SERVICE => Err(Pm2Error::NoSuchService(service_id::<S>())),
-        rpc_status::NODE_FAILED => {
-            // Synthesized when the callee died mid-call; the dead node's
-            // id rides in the body.
-            let n = bytes.try_into().map(u64::from_le_bytes).unwrap_or(0);
-            Err(Pm2Error::NodeFailed(n as usize))
-        }
         _ => Err(Pm2Error::Rpc(String::from_utf8_lossy(bytes).into_owned())),
     }
 }
@@ -339,7 +291,8 @@ pub fn pm2_join_value<R: Wire>(tid: u64) -> Result<R> {
 /// Poll + yield until `tid` completes; returns the metadata record (no
 /// value bytes — they stay in the registry until a typed join takes them).
 /// A dead owner is resolved by `Registry::fail_if_owner_dead` with one
-/// reply-deadline of grace.
+/// reply-deadline of grace.  Not a [`Wait`]: no message is addressed to a
+/// joiner, and it must stay `Ready` for the balancer and checkpoints (§2).
 fn wait_exit(tid: u64) -> crate::registry::ThreadExit {
     let mut grace = None;
     loop {
@@ -435,15 +388,15 @@ macro_rules! pm2_printf {
 }
 
 /// Diagnostic: one request/reply round trip to `peer` using the same
-/// parked-reply mechanics as the negotiation gather (a `LOAD_REQ`).
+/// wait mechanics as the negotiation gather (a `LOAD_REQ`).
 /// Returns the peer's resident thread count.  (The reply also piggybacks
 /// the peer's free-slot wealth, which the dispatch layer absorbs into the
-/// trader's hint table before the reply is parked.)
+/// trader's hint table before the reply is filed.)
 pub fn pm2_probe_load(peer: usize) -> Result<usize> {
     // At-least-once under a fault plan: re-send on a lost request or
-    // reply.  A duplicated probe costs one redundant LOAD_RESP, which a
-    // later probe of the same peer consumes (the answer is a load *hint*,
-    // so a slightly stale one is harmless).
+    // reply.  A duplicated probe costs one redundant LOAD_RESP, dropped
+    // on arrival unless a later probe of the same peer is waiting by then
+    // (the answer is a load *hint*, so a slightly stale one is harmless).
     let (total, stats) = with_ctx(|c| (c.cfg.reply_deadline, Arc::clone(&c.stats)));
     let probe = proto::LoadReq { decay_shift: 0 };
     let resp: proto::LoadResp = retry("load probe", total, &stats.ctrl_retries, |deadline| {
@@ -456,11 +409,6 @@ pub fn pm2_probe_load(peer: usize) -> Result<usize> {
 /// exchange: slot trades, load probes, checkpoint requests and recovery's
 /// slot reclaim.
 pub(crate) const CONTROL_ATTEMPTS: u32 = 3;
-
-/// Longest a wait that names its peers goes without re-checking that they
-/// are alive, so a death mid-wait fails the wait promptly (typed) instead
-/// of at the deadline (opaque).
-pub(crate) const LIVENESS_SLICE: Duration = Duration::from_millis(20);
 
 /// Attempt `i`'s slice of one reply deadline: exponentially growing shares
 /// (1, 2, 4 of 7), so a full retry budget never waits longer in total than
@@ -538,10 +486,10 @@ pub(crate) fn send_msg<M: Msg>(dst: usize, msg: &M) -> Result<()> {
     Ok(())
 }
 
-/// One green-side request/reply exchange: send `req` to `peer` and wait,
-/// yielding, until `deadline` for the `R` it answers with — matched by
-/// tag, by sender, and by the correlation id `id` when the reply leads
-/// with one.  `Ok(None)` means no reply came in time (lost, or merely
+/// One green-side request/reply exchange: send `req` to `peer` and park
+/// until `deadline` for the `R` it answers with — matched by the
+/// correlation id `id` when the reply leads with one, by tag and sender
+/// otherwise.  `Ok(None)` means no reply came in time (lost, or merely
 /// late); a dead peer fails fast with [`Pm2Error::NodeFailed`], a reply
 /// that does not decode with [`Pm2Error::Decode`].
 pub(crate) fn call<R: Msg>(
@@ -550,11 +498,15 @@ pub(crate) fn call<R: Msg>(
     id: Option<u64>,
     deadline: Instant,
 ) -> Result<Option<R>> {
+    let reply = Wait::for_reply(R::TAG, Some(peer), id, deadline);
     send_msg(peer, req)?;
-    let reply = wait_reply_until(R::TAG, Some(peer), deadline, |m| {
-        id.is_none() || proto::peek_id(&m.payload) == id
-    })?;
+    let reply = reply.next()?;
     reply.map(|m| R::from_payload(&m.payload)).transpose()
+}
+
+/// When a wait opened now runs out of the machine's `reply_deadline`.
+pub(crate) fn reply_deadline() -> Instant {
+    Instant::now() + with_ctx(|c| c.cfg.reply_deadline)
 }
 
 /// The error of a green-side wait whose reply deadline passed.
@@ -562,97 +514,32 @@ pub(crate) fn timed_out(tag: u16) -> Pm2Error {
     Pm2Error::Net(format!("timed out waiting for reply tag {tag}"))
 }
 
-/// Wait up to the machine's `reply_deadline` for a parked reply matching
-/// `tag` (and `src`, if given), yielding so the node keeps serving.
-pub(crate) fn wait_reply(tag: u16, src: Option<usize>) -> Result<Message> {
-    let deadline = Instant::now() + with_ctx(|c| c.cfg.reply_deadline);
-    wait_reply_until(tag, src, deadline, |_| true)?.ok_or_else(|| timed_out(tag))
-}
-
-/// Wait until `deadline` for a reply parked by the pump under `tag` (from
-/// `src`, if given) that satisfies `pred`; `Ok(None)` when the deadline
-/// passes first.  For callers running their own time budget (e.g. a
-/// load-balancer round that must degrade — not wedge — when one node
-/// stops answering).
-pub(crate) fn wait_reply_until(
+/// Scatter/gather (the §4.4 bitmap and buy-ack rounds, the balancer's
+/// probes): open a wait for everybody's `tag` replies, `ask` each of
+/// `peers`, and hand `on_reply` one reply from every peer asked.  Returns
+/// the peers whose reply is never coming — they could not be asked, or
+/// died owing it; errors when `deadline` passes with live peers owing.
+pub(crate) fn gather(
     tag: u16,
-    src: Option<usize>,
     deadline: Instant,
-    pred: impl Fn(&Message) -> bool,
-) -> Result<Option<Message>> {
-    loop {
-        let hit = with_ctx(|c| {
-            let idx = c
-                .replies
-                .iter()
-                .position(|m| m.tag == tag && src.is_none_or(|s| m.src == s) && pred(m))?;
-            c.replies.remove(idx)
-        });
-        if hit.is_some() {
-            return Ok(hit);
-        }
-        // A reply expected from a named dead peer is never coming: fail
-        // now (typed), not at the deadline (opaque).  Checked *after* the
-        // scan so a reply that raced the death still wins.
-        if let Some(s) = src {
-            if with_ctx(|c| c.dead_nodes.contains(&s) || c.ep.is_dead(s)) {
-                return Err(Pm2Error::NodeFailed(s));
-            }
-        }
-        if Instant::now() > deadline {
-            return Ok(None);
-        }
-        marcel::yield_now();
-    }
-}
-
-/// Collect one `tag` reply from every peer in `owing`, handing each to
-/// `on_reply` — the gather half of a scatter/gather (the §4.4 bitmap and
-/// buy-ack rounds).  Liveness is re-checked every [`LIVENESS_SLICE`]:
-/// peers that die mid-wait are dropped from `owing` and returned, since
-/// their reply is never coming.  Errors when the machine's
-/// `reply_deadline` passes with live peers still owing.
-///
-/// Call it before the first yield after the scatter: replies are parked
-/// only while the caller is switched out, so anything already parked under
-/// `tag` is left over from an earlier round that erred out, and is
-/// discarded rather than matched into this one.
-pub(crate) fn gather_replies(
-    tag: u16,
-    owing: &mut HashSet<usize>,
+    peers: impl IntoIterator<Item = usize>,
+    mut ask: impl FnMut(usize) -> Result<()>,
     mut on_reply: impl FnMut(Message) -> Result<()>,
 ) -> Result<Vec<usize>> {
-    let overall = Instant::now()
-        + with_ctx(|c| {
-            c.replies.retain(|m| m.tag != tag);
-            c.cfg.reply_deadline
-        });
-    let mut died = Vec::new();
+    let replies = Wait::for_reply(tag, None, None, deadline);
+    let (asked, mut lost): (Vec<_>, Vec<_>) = peers.into_iter().partition(|&p| ask(p).is_ok());
+    let mut owing: HashSet<usize> = asked.into_iter().collect();
     while !owing.is_empty() {
-        let slice = overall.min(Instant::now() + LIVENESS_SLICE);
-        match wait_reply_until(tag, None, slice, |_| true)? {
-            Some(m) => {
-                if owing.remove(&m.src) {
-                    on_reply(m)?;
-                }
-            }
-            None => {
-                with_ctx(|c| {
-                    owing.retain(|peer| {
-                        let dead = c.dead_nodes.contains(peer);
-                        if dead {
-                            died.push(*peer);
-                        }
-                        !dead
-                    })
-                });
-                if Instant::now() >= overall && !owing.is_empty() {
-                    return Err(timed_out(tag));
-                }
-            }
+        match replies.next() {
+            Ok(Some(m)) if owing.remove(&m.src) => on_reply(m)?,
+            Ok(Some(_)) => {}
+            Ok(None) => return Err(timed_out(tag)),
+            Err(Pm2Error::NodeFailed(dead)) if owing.remove(&dead) => lost.push(dead),
+            Err(Pm2Error::NodeFailed(_)) => {}
+            Err(e) => return Err(e),
         }
     }
-    Ok(died)
+    Ok(lost)
 }
 
 #[cfg(test)]

@@ -32,7 +32,10 @@
 //!   nodes nobody sends to.  Workers pop with a timeout; on timeout one of
 //!   them (rate-limited) requeues every `Idle` node, which is exactly the
 //!   park-timeout semantics `drive_one` had — counted as a
-//!   `driver_wakeups` tick, like a timed-out park.
+//!   `driver_wakeups` tick, like a timed-out park.  A node that parks
+//!   while a green thread waits out a deadline in its wait table pulls
+//!   the next sweep forward to that deadline, so the wait times out on
+//!   time, not at the next tick.
 //!
 //! Deterministic mode is untouched: it still round-robins every node on
 //! one OS thread with the machine-wide shared doorbell.
@@ -64,6 +67,12 @@ const DONE: u8 = 4;
 /// messages plus `FAIRNESS` thread quanta.
 const FAIRNESS: usize = 32;
 
+/// How long a worker that found the ready queue empty keeps looking before
+/// it sleeps: about what a futex sleep and wake cost, so looking costs at
+/// most twice the better choice.  A node whose green threads all wait for
+/// replies is idle, and the reply is usually nearer than that.
+const LOOK_AGAIN: Duration = Duration::from_micros(20);
+
 struct Inner {
     /// One slot per node.  The mutex is uncontended by construction (the
     /// state machine admits one runner); it exists to make cross-worker
@@ -80,7 +89,8 @@ struct Inner {
     /// Worker pop timeout and sweep cadence — the executor twin of the
     /// `idle_park` backstop, tightened to the fastest armed protocol timer.
     tick_every: Duration,
-    /// Next allowed tick sweep (rate limit: one sweeper per period).
+    /// Next tick sweep (rate limit: one sweeper per period), or sooner: the
+    /// earliest wait deadline a parking node left behind.
     next_tick: Mutex<Instant>,
 }
 
@@ -192,6 +202,7 @@ impl Inner {
         // Nothing to do: try to park.  A ring that landed mid-run left
         // Notified, in which case requeue instead — the deferred wakeup.
         self.stats[id].driver_parks.fetch_add(1, Ordering::Relaxed);
+        let wake_by = ctx.waits.next_deadline();
         drop(ctx);
         if self.states[id]
             .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
@@ -203,6 +214,14 @@ impl Inner {
                 .fetch_add(1, Ordering::Relaxed);
             self.states[id].store(QUEUED, Ordering::SeqCst);
             self.push(id);
+        } else if let Some(at) = wake_by {
+            // Folded in only once the node is `Idle`, so that a sweep which
+            // resets `next_tick` now also finds the node to requeue.
+            let mut next = self.next_tick.lock().unwrap();
+            if at < *next {
+                *next = at;
+                self.cv.notify_one(); // a sleeping worker re-reads its timeout
+            }
         }
     }
 
@@ -210,6 +229,7 @@ impl Inner {
         loop {
             let popped = {
                 let mut q = self.ready.lock().unwrap();
+                let mut look_until = None;
                 loop {
                     if self.live.load(Ordering::SeqCst) == 0 {
                         return;
@@ -217,7 +237,16 @@ impl Inner {
                     if let Some(id) = q.pop_front() {
                         break Some(id);
                     }
-                    let (guard, timeout) = self.cv.wait_timeout(q, self.tick_every).unwrap();
+                    let now = Instant::now();
+                    if now < *look_until.get_or_insert(now + LOOK_AGAIN) {
+                        drop(q);
+                        std::hint::spin_loop();
+                        q = self.ready.lock().unwrap();
+                        continue;
+                    }
+                    let due = *self.next_tick.lock().unwrap();
+                    let idle = due.saturating_duration_since(now);
+                    let (guard, timeout) = self.cv.wait_timeout(q, idle).unwrap();
                     q = guard;
                     if timeout.timed_out() {
                         break None;

@@ -1,6 +1,8 @@
 //! Control-plane handlers: shutdown, audit, load reporting, cross-node
-//! completions, and the parking of protocol replies for green threads
-//! blocked in a request/reply exchange.
+//! completions, and the filing of protocol replies for green threads
+//! parked in a request/reply exchange.
+
+use std::sync::atomic::Ordering;
 
 use isoaddr::SlotProvider;
 use madeleine::Message;
@@ -52,12 +54,15 @@ pub(crate) fn on_load_req(ctx: &mut NodeCtx, m: &Message) {
         return;
     };
     // Migratable, currently-ready threads — with their descriptor pointers
-    // so the affinity section below can read each one's top-k table.
+    // so the affinity section below can read each one's top-k table.  A
+    // thread is offered only once it has run: its first quantum is on the
+    // node it was spawned on, so one that pins itself first never moves.
     let migratable: Vec<(u64, marcel::DescPtr)> = ctx
         .threads
         .iter()
         .filter(|(_, &d)| unsafe {
             (*d).thread_state() == ThreadState::Ready
+                && (*d).started()
                 && (*d).flags & marcel::thread::flags::MIGRATABLE != 0
         })
         .map(|(&tid, &d)| (tid, d))
@@ -114,19 +119,13 @@ pub(crate) fn on_thread_exit(ctx: &mut NodeCtx, m: Message) {
     }
 }
 
-/// Park a reply for a green thread blocked in a protocol exchange
-/// (negotiation, load probe, migrate command).
+/// File a protocol reply (negotiation, load probe, migrate command, typed
+/// LRPC) under the wait of the green thread it answers and wake it.  A
+/// reply nobody waits for — it landed after its caller's deadline, or
+/// answers a request twice — is dropped here and counted, not kept.
 pub(crate) fn park_reply(ctx: &mut NodeCtx, m: Message) {
-    ctx.replies.push_back(m);
-}
-
-/// File a typed-LRPC response under its call id, where the waiting caller
-/// takes it.  A reply landing after its caller's deadline finds no entry
-/// and is dropped; so is a second reply to a call already answered.
-pub(crate) fn park_rpc_resp(ctx: &mut NodeCtx, m: Message) {
-    let pending = proto::peek_id(&m.payload).and_then(|id| ctx.pending_calls.get_mut(&id));
-    if let Some(call) = pending {
-        call.reply.get_or_insert(m);
+    if ctx.waits.file(&ctx.sched, m).is_some() {
+        ctx.stats.replies_unclaimed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -175,18 +174,9 @@ pub(crate) fn on_node_reclaim(ctx: &mut NodeCtx, m: Message) {
     let slots = match ctx.done_reclaims.get(&reclaim_id) {
         Some(&recorded) => recorded,
         None => {
-            let ranges = ranges.0;
-            let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
-            let adopted = if ctx.frozen {
-                ctx.pending_adopts.extend(ranges.iter().copied());
-                total as u32
-            } else if ctx.mgr.adopt_batch(&ranges) {
-                total as u32
-            } else {
-                ctx.out
-                    .printf(ctx.node, "dropped invalid reclaim grant from the host");
-                0
-            };
+            let total: usize = ranges.0.iter().map(|r| r.count).sum();
+            let adopted = ctx.adopt_grant(&ranges.0, "reclaim grant from the host");
+            let adopted = if adopted { total as u32 } else { 0 };
             ctx.done_reclaims.insert(reclaim_id, adopted);
             adopted
         }

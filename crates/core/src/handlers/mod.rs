@@ -13,8 +13,8 @@
 //!   critical-section fallback: `NEG_LOCK_*`, `NEG_BITMAP_REQ`,
 //!   `NEG_BUY`, `NEG_DONE`;
 //! * [`control`] — machine control and observability: `SHUTDOWN`,
-//!   `AUDIT_REQ`, `LOAD_REQ`, `THREAD_EXIT`, and the parking of protocol
-//!   replies for blocked green threads.
+//!   `AUDIT_REQ`, `LOAD_REQ`, `THREAD_EXIT`, and the filing of protocol
+//!   replies for parked green threads.
 //!
 //! New subsystems plug in by adding a module + tag arm here; the pump,
 //! budget, and priority machinery in `node.rs` need no change.
@@ -170,7 +170,7 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::LOAD_REQ => control::on_load_req(ctx, &m),
         tag::THREAD_EXIT => control::on_thread_exit(ctx, m),
         // Replies that piggyback free-slot wealth refresh the trader's
-        // hint table on the way to the reply queue — one freshness source
+        // hint table on the way to the waiting thread — one freshness source
         // for the balancer and the trader.
         tag::LOAD_RESP => {
             negotiation::note_load_wealth(ctx, &m);
@@ -180,10 +180,9 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
             negotiation::note_ack_wealth(ctx, &m);
             control::park_reply(ctx, m)
         }
-        tag::NEG_LOCK_GRANT | tag::NEG_BITMAP_RESP | tag::NEG_BUY_ACK => {
+        tag::NEG_LOCK_GRANT | tag::NEG_BITMAP_RESP | tag::NEG_BUY_ACK | tag::RPC_RESP => {
             control::park_reply(ctx, m)
         }
-        tag::RPC_RESP => control::park_rpc_resp(ctx, m),
         tag::KILL => control::on_kill(ctx),
         tag::NODE_DEAD => control::on_node_dead(ctx, &m),
         tag::CKPT_REQ => control::on_ckpt_req(ctx, m),

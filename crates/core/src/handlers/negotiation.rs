@@ -34,7 +34,7 @@
 //! `MIGRATE_CMD_ACK` message, so choosing the richest peer needs no extra
 //! round trips: the balancer's probes and the trader share one freshness
 //! source (see [`note_load_wealth`] / [`note_ack_wealth`], called from the
-//! dispatch table before replies are parked).
+//! dispatch table before replies are filed).
 
 use std::sync::atomic::Ordering;
 
@@ -111,11 +111,7 @@ pub(crate) fn on_buy(ctx: &mut NodeCtx, m: Message) {
 }
 
 pub(crate) fn on_neg_done(ctx: &mut NodeCtx) {
-    // Unfreeze; the dispatch core replays deferred spawn-class messages,
-    // applies deferred trade adoptions, and reaps frozen-era zombies on
-    // its next step.
-    ctx.frozen = false;
-    ctx.frozen_by = None;
+    ctx.thaw();
     // If we are the coordinator, the freeze may have been the one thing
     // deferring a grant (e.g. a holder inherited from a dead predecessor
     // just finished its critical section).
@@ -160,57 +156,43 @@ pub(crate) fn on_slot_trade_req(ctx: &mut NodeCtx, m: Message) {
     let _ = ctx.send_msg(m.src, &resp);
 }
 
-/// A trade reply arrives.  Replies whose id sits in `prefetch_pending`
-/// (the in-flight watermark prefetch, or a timed-out demand trade whose
-/// late grant must still land) are consumed here: adopt the granted
-/// ranges — deferred if the bitmap is frozen.  Everything else is parked
-/// for the green thread blocked in `negotiation::try_trade`.
+/// A trade reply arrives.  The pump adopts what it grants, for every id in
+/// `prefetch_pending` alike — the watermark prefetch, a demand trade, one
+/// whose thread gave up waiting — and then files the reply for the thread
+/// in `negotiation::try_trade`, if one still waits.  Any other reply
+/// answers a trade twice.
 pub(crate) fn on_slot_trade_resp(ctx: &mut NodeCtx, m: Message) {
     let Some(id) = proto::peek_id(&m.payload) else {
         return drop_malformed(ctx);
     };
     if !ctx.prefetch_pending.remove(&id) {
-        super::control::park_reply(ctx, m);
-        return;
+        return super::control::park_reply(ctx, m);
     }
-    // Only the actual prefetch's own reply re-arms the prefetcher; a late
-    // demand reply routed through this path must not.
+    // Only the actual prefetch's own reply re-arms the prefetcher; a
+    // demand reply must not.
     let was_prefetch = ctx.prefetch_inflight == Some(id);
     if was_prefetch {
         ctx.prefetch_inflight = None;
         ctx.prefetch_target = None;
     }
-    let Some(proto::SlotTradeResp { wealth, ranges, .. }) = decode(ctx, &m) else {
-        return;
-    };
-    let ranges = ranges.0;
-    ctx.set_peer_wealth(m.src, wealth as u64);
-    if ranges.is_empty() {
-        return; // refused; the wealth update steers the next attempt away
+    if let Some(proto::SlotTradeResp { wealth, ranges, .. }) = decode(ctx, &m) {
+        ctx.set_peer_wealth(m.src, wealth as u64);
+        // (Nothing granted: the wealth update steers the next attempt away.)
+        let ranges = ranges.0;
+        let what = format!("slot grant from node {}", m.src);
+        if !ranges.is_empty() && ctx.adopt_grant(&ranges, &what) {
+            if was_prefetch {
+                ctx.stats.prefetch_fills.fetch_add(1, Ordering::Relaxed);
+            }
+            let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
+            ctx.stats.trade_slots_in.fetch_add(total, Ordering::Relaxed);
+        }
     }
-    if ctx.frozen {
-        // Adoption would mutate the bitmap inside a §4.4 critical
-        // section; park the ranges until NEG_DONE (like zombie reaping).
-        // They are re-validated at adoption time.
-        ctx.pending_adopts.extend(ranges.iter().copied());
-    } else if !ctx.mgr.adopt_batch(&ranges) {
-        // A corrupt grant (out-of-area or overlapping ranges) costs the
-        // grant, never the node — like a corrupt migration record.
-        ctx.out.printf(
-            ctx.node,
-            &format!("dropped invalid slot grant from node {}", m.src),
-        );
-        return;
-    }
-    if was_prefetch {
-        ctx.stats.prefetch_fills.fetch_add(1, Ordering::Relaxed);
-    }
-    let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
-    ctx.stats.trade_slots_in.fetch_add(total, Ordering::Relaxed);
+    let _ = ctx.waits.file(&ctx.sched, m);
 }
 
 /// Refresh the wealth and load hint tables from a `LOAD_RESP` on its way
-/// to the reply queue — a direct probe answer is at least as fresh as any
+/// to the waiting thread — a direct probe answer is at least as fresh as any
 /// gossiped entry about the same peer.
 pub(crate) fn note_load_wealth(ctx: &mut NodeCtx, m: &Message) {
     // The `(resident, wealth)` pair leads the payload: read just those
@@ -225,7 +207,7 @@ pub(crate) fn note_load_wealth(ctx: &mut NodeCtx, m: &Message) {
 }
 
 /// Refresh the wealth hint table from a `MIGRATE_CMD_ACK` on its way to
-/// the reply queue.
+/// the waiting thread.
 pub(crate) fn note_ack_wealth(ctx: &mut NodeCtx, m: &Message) {
     if let Some(ack) = proto::MigrateAck::decode_vec(&m.payload) {
         ctx.set_peer_wealth(m.src, ack.wealth as u64);

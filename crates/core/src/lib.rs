@@ -85,8 +85,11 @@
 //! * per-tag protocol logic lives in the `handlers/` module tree
 //!   (spawn/rpc, migration, negotiation, control) behind one dispatch
 //!   table — new subsystems plug in without touching the dispatch core;
-//! * host-side waits (registry joins, control replies) block on condvars
-//!   and channel parks; nothing in the runtime sleep-polls.
+//! * a green thread waiting for a reply, a thaw, its turn or a time is
+//!   parked in its node's wait table (the crate-private `wait` module)
+//!   until the pump unblocks it, at no scheduling steps (`pm2_join` alone
+//!   polls, to stay migratable); host-side waits (registry joins, control
+//!   replies) block on condvars and channel parks; nothing sleep-polls.
 //!
 //! ## Group migration trains
 //!
@@ -359,6 +362,7 @@ pub mod registry;
 pub(crate) mod rng;
 pub mod service;
 pub mod spill;
+pub(crate) mod wait;
 
 pub use config::{MachineBuilder, MachineMode, Pm2Config};
 pub use error::{Pm2Error, Result};

@@ -98,11 +98,12 @@ use std::time::{Duration, Instant};
 
 use madeleine::Wire;
 
-use crate::api::{self, send_msg, wait_reply_until};
+use crate::api::{self, send_msg};
 use crate::error::Result;
 use crate::machine::Machine;
 use crate::node::FULL_PROBE_MAX;
 use crate::proto::{self, tag, AffinityEdge};
+use crate::wait::{For, Wait};
 
 /// Peers probed per round above [`FULL_PROBE_MAX`] nodes.
 const PROBE_SAMPLE: usize = 8;
@@ -241,13 +242,8 @@ fn daemon(cfg: BalancerConfig, stop: Arc<AtomicBool>, counters: Arc<Counters>) {
             }
         }
         counters.rounds.fetch_add(1, Ordering::SeqCst);
-        // Sleep cooperatively until the next round.
-        while round_started.elapsed() < cfg.period {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            marcel::yield_now();
-        }
+        // Sleep, parked, until the next round.
+        let _ = Wait::open(For::Time, Some(round_started + cfg.period)).next();
     }
 }
 
@@ -479,13 +475,13 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
         known.iter().map(|&h| h as usize).sum::<usize>() / known.len()
     };
     let mut loads: Vec<Load> = Vec::with_capacity(targets.len());
-    let mut probed = 0usize;
+    let mut to_probe = Vec::new();
     let probe = proto::LoadReq {
         decay_shift: if cfg.affinity { AFF_DECAY_SHIFT } else { 0 },
     };
     for &(peer, hint) in &fresh {
-        if let Some(h) = hint {
-            if (h as usize) <= hint_mean + cfg.threshold {
+        match hint {
+            Some(h) if (h as usize) <= hint_mean + cfg.threshold => {
                 loads.push(Load {
                     node: peer,
                     resident: h as usize,
@@ -495,41 +491,27 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
                     edges: Vec::new(),
                 });
                 counters.probes_saved.fetch_add(1, Ordering::SeqCst);
-                continue;
             }
-        }
-        if send_msg(peer, &probe).is_ok() {
-            probed += 1;
+            _ => to_probe.push(peer),
         }
     }
     // Collect until every probed node answered or the round deadline
-    // passes; a node that answers late (or never) simply sits this round
-    // out.  Responses are keyed by node so a straggler reply from a
-    // *previous* degraded round only refreshes that node's entry.
-    let mut answered = 0usize;
-    while answered < probed {
-        let Ok(Some(m)) = wait_reply_until(tag::LOAD_RESP, None, deadline, |_| true) else {
-            break; // Deadline: balance whoever answered.
-        };
-        // (The reply also piggybacked the node's free-slot wealth, which
-        // the dispatch layer absorbed into the trader's hint table before
-        // parking it — the balancer's probes double as the slot economy's
-        // freshness source.)
-        let Some(resp) = proto::LoadResp::decode_vec(&m.payload) else {
-            continue;
-        };
-        answered += 1;
-        let load = Load {
-            node: m.src,
-            resident: resp.resident as usize,
-            migratable: resp.tids,
-            edges: resp.aff,
-        };
-        match loads.iter_mut().find(|l| l.node == m.src) {
-            Some(l) => *l = load,
-            None => loads.push(load),
+    // passes (the error ignored here); a node that answers late, never, or
+    // dies simply sits this round out.  (The dispatch layer absorbed each
+    // reply's piggybacked free-slot wealth into the trader's hint table:
+    // the balancer's probes double as the slot economy's freshness source.)
+    let ask = |peer| send_msg(peer, &probe);
+    let _ = api::gather(tag::LOAD_RESP, deadline, to_probe, ask, |m| {
+        if let Some(resp) = proto::LoadResp::decode_vec(&m.payload) {
+            loads.push(Load {
+                node: m.src,
+                resident: resp.resident as usize,
+                migratable: resp.tids,
+                edges: resp.aff,
+            });
         }
-    }
+        Ok(())
+    });
     if loads.len() < 2 {
         return Ok(()); // Nobody to trade with this round.
     }
@@ -547,6 +529,7 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
 
     // Command: every source concurrently, one MIGRATE_CMD per pair with
     // the full tid list — no per-thread (or even per-pair) RTT gaps.
+    let acks = Wait::for_reply(tag::MIGRATE_CMD_ACK, None, None, deadline);
     let mut pending: HashMap<u64, usize> = HashMap::new(); // cmd id → tids sent
     for ((src, dest), tids) in plan {
         let cmd = proto::MigrateCmd {
@@ -565,21 +548,22 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     }
 
     // Collect: batched acks matched by cmd id until the deadline.  Ids
-    // are node-unique and never reused, so an ack parked by an abandoned
+    // are node-unique and never reused, so a late ack to an abandoned
     // round can never be credited to this one.
     while !pending.is_empty() {
-        let Ok(Some(m)) = wait_reply_until(tag::MIGRATE_CMD_ACK, None, deadline, |m| {
-            proto::peek_id(&m.payload).is_some_and(|id| pending.contains_key(&id))
-        }) else {
+        let Some(m) = acks.next().transpose() else {
             break; // Deadline: the unanswered sources degrade the round.
         };
-        let Some(ack) = proto::MigrateAck::decode_vec(&m.payload) else {
+        // (An error is a death: a dead source's ack is one the deadline
+        // gives up on.)
+        let Some(ack) = (m.ok()).and_then(|m| proto::MigrateAck::decode_vec(&m.payload)) else {
             continue;
         };
-        pending.remove(&ack.cmd_id);
-        counters
-            .moves
-            .fetch_add(ack.accepted as u64, Ordering::SeqCst);
+        if pending.remove(&ack.cmd_id).is_some() {
+            counters
+                .moves
+                .fetch_add(ack.accepted as u64, Ordering::SeqCst);
+        }
     }
     Ok(())
 }

@@ -8,6 +8,7 @@
 //! exclusively through control messages, like any other fabric participant.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -525,8 +526,8 @@ impl Machine {
     /// until `deadline` for the `resp_tag` message that leads with `id`
     /// (from anyone — an LRPC handler may migrate before replying).
     /// `Ok(None)` means no reply came in time; a `node` that dies mid-wait
-    /// fails the exchange promptly with [`Pm2Error::NodeFailed`], because
-    /// the wait re-checks liveness every `LIVENESS_SLICE`.
+    /// fails the exchange promptly with [`Pm2Error::NodeFailed`]: the
+    /// `NODE_DEAD` certificate reaches the host endpoint like any reply.
     fn exchange(
         &mut self,
         node: usize,
@@ -541,20 +542,18 @@ impl Machine {
         // exchange that was abandoned: drop it rather than accumulate it.
         self.stash.retain(|m| m.tag != resp_tag);
         self.host_ep.send(node, req_tag, req)?;
-        loop {
-            let slice = deadline.min(Instant::now() + crate::api::LIVENESS_SLICE);
-            let reply = self
-                .recv_control_matching(resp_tag, slice, |m| proto::peek_id(&m.payload) == Some(id));
-            if reply.is_some() {
-                return Ok(reply);
+        while let Some(m) = self.host_ep.recv_until(deadline) {
+            if m.tag == resp_tag && proto::peek_id(&m.payload) == Some(id) {
+                return Ok(Some(m));
             }
-            if self.host_ep.is_dead(node) {
+            let died = certifies_death(&m, node);
+            // Everything else — the certificate too, for `wait_node_dead`.
+            self.stash.push(m);
+            if died {
                 return Err(Pm2Error::NodeFailed(node));
             }
-            if Instant::now() >= deadline {
-                return Ok(None);
-            }
         }
+        Ok(None)
     }
 
     /// An at-least-once [`Machine::exchange`] over declared messages: `req`
@@ -708,11 +707,8 @@ impl Machine {
     /// observe the heartbeat detector after [`Machine::kill_node_silent`].
     pub fn wait_node_dead(&mut self, node: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let certificate = proto::NodeDead { node: node as u32 };
-        self.recv_control_matching(tag::NODE_DEAD, deadline, |m| {
-            proto::NodeDead::decode_vec(&m.payload).as_ref() == Some(&certificate)
-        })
-        .is_some()
+        self.recv_control_matching(tag::NODE_DEAD, deadline, |m| certifies_death(m, node))
+            .is_some()
     }
 
     /// Ask `node` to checkpoint its migratable threads to its spill log
@@ -826,7 +822,7 @@ impl Machine {
                 }
             }
         }
-        let corpse_mapped = collect_ranges(pre.n_slots, |s| {
+        let corpse_mapped = collect_ranges(0..pre.n_slots, |s| {
             self.area.is_committed(s) && !survivor_committed[s]
         });
         for range in &corpse_mapped {
@@ -858,19 +854,16 @@ impl Machine {
         let deadline = Instant::now() + self.cfg.reply_deadline;
         let mut threads_recovered = 0usize;
         for tid in shipped {
-            let mut moved = false;
-            loop {
-                if self.registry.location(tid) != Some(dead)
-                    || self.registry.poll_meta(tid).is_some()
-                {
-                    moved = true;
-                    break;
+            // Completion rings the registry's condvar; an adoption is
+            // looked for between 1 ms slices of that wait.
+            let moved = loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let gone = self.registry.location(tid) != Some(dead)
+                    || (self.registry).wait_completed(tid, left.min(Duration::from_millis(1)));
+                if gone || left.is_zero() {
+                    break gone;
                 }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            };
             if moved {
                 threads_recovered += 1;
             } else {
@@ -902,7 +895,7 @@ impl Machine {
                 }
             }
         }
-        let orphans = collect_ranges(report.n_slots, |s| !owned[s]);
+        let orphans = collect_ranges(0..report.n_slots, |s| !owned[s]);
         let mut slots_reclaimed = 0usize;
         if !orphans.is_empty() {
             // At-least-once with a sticky heir: always the same survivor,
@@ -971,17 +964,24 @@ impl Drop for Machine {
     }
 }
 
-/// Compress the slots where `pred` holds into maximal contiguous ranges.
-fn collect_ranges(n_slots: usize, pred: impl Fn(usize) -> bool) -> Vec<SlotRange> {
+/// Is `m` a `NODE_DEAD` certificate naming `node`?
+fn certifies_death(m: &Message, node: usize) -> bool {
+    let certificate = proto::NodeDead { node: node as u32 };
+    m.tag == tag::NODE_DEAD && proto::NodeDead::decode_vec(&m.payload) == Some(certificate)
+}
+
+/// Compress those of `slots` where `pred` holds into maximal contiguous
+/// ranges.
+pub(crate) fn collect_ranges(slots: Range<usize>, pred: impl Fn(usize) -> bool) -> Vec<SlotRange> {
     let mut ranges = Vec::new();
-    let mut i = 0;
-    while i < n_slots {
+    let mut i = slots.start;
+    while i < slots.end {
         if !pred(i) {
             i += 1;
             continue;
         }
         let first = i;
-        while i < n_slots && pred(i) {
+        while i < slots.end && pred(i) {
             i += 1;
         }
         ranges.push(SlotRange::new(first, i - first));
@@ -1049,7 +1049,8 @@ fn executor_tick(cfg: &Pm2Config) -> Duration {
 /// lands mid-sweep (from the host or a node) makes the park return
 /// immediately — and the final SHUTDOWN_ACK needs no park at all: the
 /// sweep that handles SHUTDOWN also observes `finished()` and exits
-/// without another wait.
+/// without another wait.  The park is one tick, or less if a green
+/// thread's wait deadline comes first.
 fn drive_all(ctxs: &mut [NodeCtx]) {
     let bell = ctxs[0].ep.doorbell().clone();
     let tick = executor_tick(&ctxs[0].cfg);
@@ -1069,7 +1070,11 @@ fn drive_all(ctxs: &mut [NodeCtx]) {
                     .driver_parks
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
-            bell.wait_past(seen, tick);
+            // (A killed node never steps again: its waits stay overdue.)
+            let live = ctxs.iter().filter(|c| !c.killed);
+            let wake_by = live.filter_map(|c| c.waits.next_deadline()).min();
+            let until = |at: Instant| at.saturating_duration_since(Instant::now());
+            bell.wait_past(seen, wake_by.map_or(tick, |at| tick.min(until(at))));
             for ctx in ctxs.iter_mut() {
                 ctx.stats
                     .driver_wakeups

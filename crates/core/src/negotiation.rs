@@ -59,68 +59,42 @@
 //!
 //! ## Local serialization
 //!
-//! One remote acquisition at a time per node: later requesters park on a
-//! waiter queue (`marcel::block_current`, woken FIFO by the finishing
-//! holder) instead of burning scheduler quanta in a spin — and when woken
-//! they re-check the bitmap first, because the previous holder's batch
-//! usually covers them.
+//! One remote acquisition at a time per node: later requesters park in
+//! the node's wait table under `For::Turn` (the `wait` module) and the
+//! finishing holder hands the turn to the oldest — and when woken they
+//! re-check the bitmap first, because the previous holder's batch usually
+//! covers them.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use isoaddr::{SlotBitmap, SlotRange};
 
-use crate::api::{call, gather_replies, retry, send_msg, send_to, wait_reply};
+use crate::api::{
+    call, gather, reply_deadline, retry, send_msg, send_to, timed_out, wait_unfrozen,
+};
 use crate::error::{Pm2Error, Result};
+use crate::machine::collect_ranges;
 use crate::node::with_ctx;
 use crate::proto::{self, tag};
+use crate::wait::{For, Wait};
 
 /// Acquire ownership of `requested` contiguous slots into the calling
 /// node's bitmap.  On success the local bitmap is guaranteed to contain a
 /// run of `requested` set bits.  Runs on the requesting green thread;
-/// while it waits for replies it yields, so its node keeps pumping
+/// while it waits for replies it is parked, so its node keeps pumping
 /// messages and running other threads.
 pub(crate) fn acquire_remote(requested: usize) -> Result<()> {
-    claim();
-    let result = run_acquire(requested);
-    release();
-    result
-}
-
-/// One remote acquisition at a time per node.  Contending requesters park
-/// (no spinning); each is woken FIFO and re-claims.
-fn claim() {
-    loop {
-        let acquired = with_ctx(|c| {
-            if c.negotiating {
-                c.neg_waiters.push_back(marcel::current_desc());
-                false
-            } else {
-                c.negotiating = true;
-                true
-            }
-        });
-        if acquired {
-            return;
-        }
-        // Cooperative single-driver model: nothing can pop us off the
-        // waiter queue between the push above and this park, because the
-        // holder only runs after we switch out.
-        marcel::block_current();
+    // One remote acquisition at a time per node: a contending requester
+    // parks until the holder hands it the turn (`negotiating` stays set).
+    if with_ctx(|c| std::mem::replace(&mut c.negotiating, true)) {
+        let _ = Wait::open(For::Turn, None).next();
     }
-}
-
-fn release() {
-    with_ctx(|c| {
-        c.negotiating = false;
-        if let Some(d) = c.neg_waiters.pop_front() {
-            // SAFETY: `d` parked itself via block_current on this node
-            // and cannot run (or migrate) until unblocked.
-            unsafe { c.sched.unblock(d) };
-        }
-    });
+    let result = run_acquire(requested);
+    // Pass the turn to the oldest waiter, or give it up.
+    with_ctx(|c| c.negotiating = c.waits.wake(&c.sched, For::Turn));
+    result
 }
 
 fn run_acquire(requested: usize) -> Result<()> {
@@ -180,60 +154,31 @@ fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
             min_contig: requested as u32,
             wealth: c.mgr.free_slots() as u32,
         };
+        // The pump adopts the grant when the answer lands — in time, or
+        // after this attempt gave up on it: the lender has cleared the
+        // slots either way — and then tells whoever still waits.
+        c.prefetch_pending.insert(req.trade_id);
+        c.stats.trades.fetch_add(1, Ordering::Relaxed);
         Some((peer, req))
     });
     let Some((peer, req)) = setup else {
         return Some(false); // nobody plausibly rich: straight to global
     };
-    with_ctx(|c| c.stats.trades.fetch_add(1, Ordering::Relaxed));
-    let resp = match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), deadline) {
-        Ok(Some(resp)) => resp,
+    match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), deadline) {
         // An answer that does not decode is still an answer.
-        Err(Pm2Error::Decode(_)) => return Some(false),
-        Ok(None) | Err(_) => {
-            // Timed out, or the peer died under us (a retry re-picks).  A
-            // grant may still be in flight, and its slots were already
-            // cleared at the lender: hand the trade id to the prefetch
-            // machinery so a late reply is adopted by the pump instead of
-            // stranding the slots (or the parked-reply queue).
-            with_ctx(|c| c.prefetch_pending.insert(req.trade_id));
-            return None;
-        }
-    };
-    let (peer_wealth, ranges) = (resp.wealth, resp.ranges.0);
-    let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
-    // Adopt once the bitmap is not frozen (a global negotiation may have
-    // frozen us while we waited; adoption inside the critical section
-    // would mutate a bitmap the initiator already gathered).
-    loop {
-        let done = with_ctx(|c| {
-            if c.frozen {
-                return None;
-            }
-            c.set_peer_wealth(peer, peer_wealth as u64);
-            if !ranges.is_empty() {
-                // A corrupt grant (out-of-area or overlapping ranges) is
-                // refused whole by adopt_batch; the trade then simply
-                // reports failure and the global fallback takes over.
-                if c.mgr.adopt_batch(&ranges) {
-                    c.stats.trade_slots_in.fetch_add(total, Ordering::Relaxed);
-                } else {
-                    c.out.printf(
-                        c.node,
-                        &format!("dropped invalid slot grant from node {peer}"),
-                    );
-                }
-            }
-            c.stats
-                .trade_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            Some(c.mgr.bitmap().find_first_fit(requested, 0).is_some())
-        });
-        match done {
-            Some(satisfied) => return Some(satisfied),
-            None => marcel::yield_now(),
-        }
+        Ok(Some(_)) | Err(Pm2Error::Decode(_)) => {}
+        // Timed out, or the peer died under us (a retry re-picks).
+        Ok(None) | Err(_) => return None,
     }
+    // A grant that landed inside a critical section (a global negotiation
+    // may have frozen us while we waited) is adopted at the thaw.
+    wait_unfrozen();
+    with_ctx(|c| {
+        c.stats
+            .trade_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        Some(c.mgr.bitmap().find_first_fit(requested, 0).is_some())
+    })
 }
 
 /// The paper's global negotiation (§4.4), verbatim in protocol shape:
@@ -280,10 +225,10 @@ fn run_global_protocol(requested: usize) -> Result<()> {
     let mut grant_attempts = 0usize;
     loop {
         let coord = with_ctx(|c| c.coordinator());
-        match send_to(coord, tag::NEG_LOCK_REQ, Vec::new())
-            .and_then(|()| wait_reply(tag::NEG_LOCK_GRANT, Some(coord)))
-        {
-            Ok(_) => break,
+        let grant = Wait::for_reply(tag::NEG_LOCK_GRANT, Some(coord), None, reply_deadline());
+        match send_to(coord, tag::NEG_LOCK_REQ, Vec::new()).and_then(|()| grant.next()) {
+            Ok(Some(_)) => break,
+            Ok(None) => return Err(timed_out(tag::NEG_LOCK_GRANT)),
             Err(Pm2Error::NodeFailed(n)) => {
                 grant_attempts += 1;
                 if grant_attempts >= p {
@@ -311,7 +256,7 @@ fn run_global_protocol(requested: usize) -> Result<()> {
                 let _ = c.ep.send(peer, tag::NEG_DONE, Vec::new());
             }
         }
-        c.frozen = false;
+        c.thaw();
     });
     let _ = send_to(
         with_ctx(|c| c.coordinator()),
@@ -330,15 +275,11 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
     // (b) gather the bitmaps of every *live* peer.  A send refused with a
     // death certificate drops that peer from the gather: a corpse's slots
     // are reclaimed by recovery (`Machine::recover_node`), never bought.
-    let mut owing: HashSet<usize> = HashSet::new();
-    for peer in 0..p {
-        if peer != me && send_to(peer, tag::NEG_BITMAP_REQ, Vec::new()).is_ok() {
-            owing.insert(peer);
-        }
-    }
     let mut bitmaps: Vec<Option<SlotBitmap>> = (0..p).map(|_| None).collect();
     bitmaps[me] = Some(with_ctx(|c| c.mgr.bitmap().clone()));
-    gather_replies(tag::NEG_BITMAP_RESP, &mut owing, |m| {
+    let peers = (0..p).filter(|&peer| peer != me);
+    let ask = |peer| send_to(peer, tag::NEG_BITMAP_REQ, Vec::new());
+    gather(tag::NEG_BITMAP_RESP, reply_deadline(), peers, ask, |m| {
         let bm = SlotBitmap::from_bytes(&m.payload)
             .ok_or_else(|| Pm2Error::Net("malformed bitmap response".into()))?;
         bitmaps[m.src] = Some(bm);
@@ -368,47 +309,17 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
             let range = SlotRange::new(first, requested);
             // Group the range into per-owner sub-ranges and buy the
             // non-local ones.
+            let slots = range.first..range.end();
             let mut sellers: Vec<(usize, Vec<SlotRange>)> = Vec::new();
-            let mut run_owner: Option<usize> = None;
-            let mut run_start = range.first;
-            for slot in range.iter() {
-                let o = owner[slot] as usize;
-                debug_assert_ne!(o, u16::MAX as usize, "slot set in OR but unowned");
-                match run_owner {
-                    Some(prev) if prev == o => {}
-                    Some(prev) => {
-                        push_run(
-                            &mut sellers,
-                            prev,
-                            SlotRange::new(run_start, slot - run_start),
-                        );
-                        run_owner = Some(o);
-                        run_start = slot;
-                    }
-                    None => {
-                        run_owner = Some(o);
-                        run_start = slot;
-                    }
+            for o in slots.clone().map(|slot| owner[slot] as usize) {
+                if o != me && sellers.iter().all(|(seller, _)| *seller != o) {
+                    sellers.push((o, collect_ranges(slots.clone(), |s| owner[s] as usize == o)));
                 }
             }
-            if let Some(o) = run_owner {
-                push_run(
-                    &mut sellers,
-                    o,
-                    SlotRange::new(run_start, range.end() - run_start),
-                );
-            }
-            let mut pending: HashMap<usize, Vec<SlotRange>> = HashMap::new();
-            for (owner, ranges) in sellers {
-                if owner == me {
-                    continue;
-                }
-                let buy = proto::NegBuy {
-                    ranges: proto::Ranges(ranges),
-                };
-                send_msg(owner, &buy)?;
-                pending.insert(owner, buy.ranges.0);
-            }
+            let ranges_of = |seller: usize| {
+                let sale = sellers.iter().find(|(owner, _)| *owner == seller);
+                sale.map_or(&[][..], |(_, ranges)| ranges)
+            };
             // Grant per *acked* seller: an ack proves that seller cleared
             // its bits, so its ranges transfer even if another seller
             // dies (or the round times out).  A dead seller's ranges stay
@@ -416,10 +327,14 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
             // so they fall to corpse reclamation — and the negotiation
             // reports the death typed (the caller may retry; our NEG_DONE
             // fan-out still runs).
-            let mut owing: HashSet<usize> = pending.keys().copied().collect();
             let mut bought: Vec<SlotRange> = Vec::new();
-            let lost_sellers = gather_replies(tag::NEG_BUY_ACK, &mut owing, |m| {
-                bought.extend(pending.remove(&m.src).unwrap_or_default());
+            let buy = |seller| {
+                let ranges = proto::Ranges(ranges_of(seller).to_vec());
+                send_msg(seller, &proto::NegBuy { ranges })
+            };
+            let asked = sellers.iter().map(|(owner, _)| *owner);
+            let lost_sellers = gather(tag::NEG_BUY_ACK, reply_deadline(), asked, buy, |m| {
+                bought.extend_from_slice(ranges_of(m.src));
                 Ok(())
             });
             with_ctx(|c| {
@@ -432,13 +347,5 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
                 None => Ok(()),
             }
         }
-    }
-}
-
-fn push_run(sellers: &mut Vec<(usize, Vec<SlotRange>)>, owner: usize, run: SlotRange) {
-    if let Some((_, rs)) = sellers.iter_mut().find(|(o, _)| *o == owner) {
-        rs.push(run);
-    } else {
-        sellers.push((owner, vec![run]));
     }
 }

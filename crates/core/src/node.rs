@@ -13,7 +13,7 @@
 //!
 //! ## The event-driven core
 //!
-//! The node is **event-driven, not polled**.  Three pieces cooperate:
+//! The node is **event-driven, not polled**.  Four pieces cooperate:
 //!
 //! * **Doorbell** — every [`madeleine::Endpoint::send`] rings the
 //!   destination's [`madeleine::Doorbell`]; an idle driver *parks* (the
@@ -34,6 +34,11 @@
 //!   `negotiation`, `control`), entered through
 //!   `handlers::dispatch`; `node.rs` itself is only the dispatch
 //!   core: scheduler interleaving, thread lifecycle, and the lanes.
+//! * **Wait table** — a green thread waiting on its node (for a reply,
+//!   the bitmap to thaw, its turn at a remote acquisition, a time) is
+//!   parked in `NodeCtx::waits` (the `wait` module) until the pump
+//!   unblocks it, so a node whose threads all wait is idle and its driver
+//!   parks, until the earliest deadline.  Only `pm2_join` still polls.
 //!
 //! ## Gossip-scale protocols
 //!
@@ -98,6 +103,7 @@ use crate::proto::{self, tag, Msg};
 use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
 use crate::service::{panic_text, TypedServiceTable};
 use crate::spill::SpillLog;
+use crate::wait::{For, WaitTable};
 
 thread_local! {
     static CURRENT_NODE: Cell<*mut NodeCtx> = const { Cell::new(std::ptr::null_mut()) };
@@ -253,6 +259,9 @@ counters! {
     /// Affinity decay sweeps applied (one per LOAD_REQ-carried balancer
     /// epoch observed by this node).
     aff_decays,
+    /// Protocol replies dropped at dispatch because no green thread had a
+    /// wait open for them (an ack after its caller timed out, a duplicate).
+    replies_unclaimed,
 }
 
 impl NodeStatsSnapshot {
@@ -309,8 +318,9 @@ pub(crate) struct NodeCtx {
     /// ([`handlers::Class`]); the pump drains control before migration
     /// before data.
     pub inbox: [VecDeque<Message>; N_CLASSES],
-    /// Replies parked for green threads blocked in a protocol exchange.
-    pub replies: VecDeque<Message>,
+    /// Green threads parked on this node, each filed under what it waits
+    /// for (see [`crate::wait`]).
+    pub waits: WaitTable,
     /// Spawn-bearing messages (SPAWN_KEY / RPC_SPAWN / RPC_CALL) received
     /// while the bitmap was frozen; replayed after NEG_DONE.  Never
     /// re-sent to self — a self-send is immediately deliverable, so the
@@ -323,12 +333,8 @@ pub(crate) struct NodeCtx {
     /// `NEG_DONE`, so its death unfreezes us.
     pub frozen_by: Option<usize>,
     /// A local thread currently runs the remote-acquire protocol (trade
-    /// or global negotiation).
+    /// or global negotiation); the others wait their turn.
     pub negotiating: bool,
-    /// Green threads waiting their turn at the remote-acquire protocol,
-    /// parked via `marcel::block_current` (no spinning); the finishing
-    /// holder unblocks the head.
-    pub neg_waiters: VecDeque<DescPtr>,
     /// Last-known free-slot counts per node, refreshed by every
     /// piggybacked wealth hint (shared with the host for observability).
     pub peer_wealth: Arc<Vec<AtomicU64>>,
@@ -341,10 +347,10 @@ pub(crate) struct NodeCtx {
     /// (None = never heard).  A balancer probe younger than one heartbeat
     /// interval reuses this instead of a LOAD_REQ round trip.
     pub hint_at: Vec<Option<Instant>>,
-    /// Trade ids whose responses the pump consumes directly instead of
-    /// parking for a green thread: the in-flight watermark prefetch plus
-    /// any timed-out demand trades (their late grants must still be
-    /// adopted or the lender's cleared slots would be stranded).
+    /// Trade ids in flight, whose grant the pump adopts when the answer
+    /// lands: the watermark prefetch and every demand trade, timed-out
+    /// ones included (a late grant must still be adopted, or the slots the
+    /// lender cleared would be stranded).
     pub prefetch_pending: HashSet<u64>,
     /// Trade id of the one in-flight watermark prefetch, if any; only its
     /// own reply re-arms the prefetcher (a late demand-trade reply must
@@ -389,12 +395,6 @@ pub(crate) struct NodeCtx {
     pub dead_nodes: HashSet<usize>,
     /// Monotonic source of node-unique typed-LRPC call ids.
     call_counter: u64,
-    /// Typed-LRPC calls issued from this node whose green caller is still
-    /// waiting, by call id.  The pump files a response under its call id
-    /// and the waiter takes it from there; a response whose call id is
-    /// absent (the caller already timed out) is dropped, so late replies
-    /// accumulate nowhere.
-    pub pending_calls: HashMap<u64, PendingCall>,
     /// Spill log this node checkpoints into (None disables checkpointing).
     pub spill: Option<SpillLog>,
     /// Epoch stamped on the next checkpoint record; replay keeps the
@@ -431,14 +431,6 @@ pub(crate) struct NodeCtx {
 
 // SAFETY: a NodeCtx is owned and driven by exactly one OS thread at a time.
 unsafe impl Send for NodeCtx {}
-
-/// One typed-LRPC call in flight from this node.
-pub(crate) struct PendingCall {
-    /// The node called: its death synthesizes a `NODE_FAILED` reply.
-    pub callee: usize,
-    /// The `RPC_RESP`, once it has arrived (or been synthesized).
-    pub reply: Option<Message>,
-}
 
 /// Wrap a thread body so a panic records its message in the hosting node's
 /// exit notes before re-raising (marcel's entry shim then marks the
@@ -517,11 +509,10 @@ impl NodeCtx {
             exit_notes: HashMap::new(),
             inbox: Default::default(),
             deferred: VecDeque::new(),
-            replies: VecDeque::new(),
+            waits: WaitTable::default(),
             frozen: false,
             frozen_by: None,
             negotiating: false,
-            neg_waiters: VecDeque::new(),
             peer_wealth,
             affinity: Arc::new((0..cfg.nodes).map(|_| AtomicU64::new(0)).collect()),
             hint_at: vec![None; cfg.nodes],
@@ -543,7 +534,6 @@ impl NodeCtx {
             killed: false,
             dead_nodes: HashSet::new(),
             call_counter: 0,
-            pending_calls: HashMap::new(),
             spill,
             ckpt_epoch: 0,
             last_checkpoint: now,
@@ -589,6 +579,23 @@ impl NodeCtx {
             None => false,
         });
         accepted.count() as u32
+    }
+
+    /// Adopt `ranges` granted by a lender or the host — at the thaw, when
+    /// the bitmap is frozen (a §4.4 critical section must not see it
+    /// change; they are re-validated then).  `false`: refused whole as
+    /// out-of-area or overlapping, which costs the grant, never the node.
+    pub(crate) fn adopt_grant(&mut self, ranges: &[SlotRange], what: &str) -> bool {
+        if self.frozen {
+            self.pending_adopts.extend_from_slice(ranges);
+            return true;
+        }
+        let valid = self.mgr.adopt_batch(ranges);
+        if !valid {
+            self.out
+                .printf(self.node, &format!("dropped invalid {what}"));
+        }
+        valid
     }
 
     /// Record a piggybacked free-slot count for `node`.
@@ -908,26 +915,9 @@ impl NodeCtx {
             }
             self.prefetch_target = None;
         }
-        // Synthesize NODE_FAILED replies for typed-LRPC calls aimed at the
-        // corpse, so green callers resolve immediately instead of eating
-        // their full reply deadline.
-        for (&id, call) in &mut self.pending_calls {
-            if call.callee == dead && call.reply.is_none() {
-                call.reply = Some(Message {
-                    src: dead,
-                    dst: self.node,
-                    tag: tag::RPC_RESP,
-                    seq: 0,
-                    wire_ns: 0,
-                    payload: proto::encode_rpc_resp(
-                        &self.pool,
-                        id,
-                        proto::rpc_status::NODE_FAILED,
-                        &(dead as u64).to_le_bytes(),
-                    ),
-                });
-            }
-        }
+        // Green threads waiting on the corpse resolve now (typed), not at
+        // their reply deadline.
+        self.waits.fail_peer(&self.sched, dead);
         // Lock service: a corpse can neither hold nor want the
         // global-negotiation lock.
         self.lock_queue.retain(|&w| w != dead);
@@ -945,10 +935,18 @@ impl NodeCtx {
         // If the dead node froze our bitmap as a negotiation initiator it
         // can never send NEG_DONE; unfreeze, or this node wedges forever.
         if self.frozen && self.frozen_by == Some(dead) {
-            self.frozen = false;
-            self.frozen_by = None;
+            self.thaw();
         }
         self.service_lock_queue();
+    }
+
+    /// Leave the critical section that froze the bitmap and wake the
+    /// threads waiting for that; the next step replays what the freeze
+    /// deferred (spawn-class messages, trade adoptions, zombies).
+    pub(crate) fn thaw(&mut self) {
+        self.frozen = false;
+        self.frozen_by = None;
+        while self.waits.wake(&self.sched, For::Thaw) {}
     }
 
     /// The §4.4 lock-service coordinator: the lowest-id node not known to
@@ -1152,6 +1150,7 @@ impl NodeCtx {
         if self.killed {
             return false;
         }
+        self.waits.expire(&self.sched, |n| self.ep.is_dead(n));
         self.fault_tick();
         self.maybe_checkpoint();
         if !self.lock_queue.is_empty() {
@@ -1163,16 +1162,11 @@ impl NodeCtx {
             self.reap_zombies();
         }
         if !self.frozen && !self.pending_adopts.is_empty() {
-            // Trade grants that landed during a critical section: the
-            // lender already cleared its bits, so adoption completes the
-            // transfer the moment the freeze lifts.
+            // Grants that landed during a critical section: the lender
+            // already cleared its bits, so adoption completes the transfer
+            // the moment the freeze lifts.
             let ranges = std::mem::take(&mut self.pending_adopts);
-            if !self.mgr.adopt_batch(&ranges) {
-                // A grant that no longer validates costs the grant, never
-                // the node (mirrors the corrupt-migration discipline).
-                self.out
-                    .printf(self.node, "dropped invalid deferred slot grant");
-            }
+            self.adopt_grant(&ranges, "deferred slot grant");
         }
         if !self.frozen && !self.deferred.is_empty() {
             // Replay spawns parked during the critical section.  Handling
@@ -1231,10 +1225,9 @@ impl NodeCtx {
             RunOutcome::MigrateSelf(d, dest) | RunOutcome::PreemptMigrate(d, dest) => {
                 self.depart(d, dest)
             }
-            RunOutcome::Blocked(_) => {
-                // Waiting threads re-enter via Scheduler::unblock; the PM2
-                // layer itself only uses poll+yield waits.
-            }
+            // Parked in a `wait::Wait`: whatever completes its entry in
+            // the wait table unblocks it.
+            RunOutcome::Blocked(_) => {}
         }
     }
 

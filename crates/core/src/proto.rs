@@ -412,10 +412,6 @@ pub mod rpc_status {
     /// The serving side failed (decode error, handler panic, oversized
     /// response); the bytes are a UTF-8 message.
     pub const REMOTE_ERROR: u8 = 2;
-    /// The serving node died before replying; callers map this to
-    /// `Pm2Error::NodeFailed`.  Synthesized locally when a `NODE_DEAD`
-    /// lands while calls to the corpse are pending.
-    pub const NODE_FAILED: u8 = 3;
 }
 
 /// Encode a `MIGRATION_NAK` payload: the tids lost from a train plus a

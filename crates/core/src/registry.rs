@@ -172,7 +172,7 @@ impl Registry {
     }
 
     /// Block the calling *host* thread until `tid` completes (never call
-    /// from a Marcel thread — those must poll + yield).
+    /// from a Marcel thread — `pm2_join` is the green-side wait).
     pub fn wait(&self, tid: u64, timeout: Duration) -> Option<ThreadExit> {
         self.wait_completed(tid, timeout)
             .then(|| self.poll(tid))

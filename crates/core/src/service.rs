@@ -8,7 +8,7 @@
 //! with [`Wire`]-encodable request and response types, registered *by
 //! type*, and [`crate::api::pm2_rpc_call`] /
 //! [`crate::machine::Machine::rpc_call`] perform a typed round trip built
-//! on the same parked-reply pump mechanics as the negotiation gather.
+//! on the same wait-table mechanics as the negotiation gather.
 //!
 //! Handlers still run as freshly spawned Marcel threads on the serving
 //! node — PM2's LRPC model — so a handler may itself allocate iso-address

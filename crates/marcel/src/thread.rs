@@ -196,6 +196,11 @@ impl ThreadDescriptor {
         ThreadState::from_u32(self.state).expect("corrupt thread state")
     }
 
+    /// Has the thread run a first quantum (it has switched out once)?
+    pub fn started(&self) -> bool {
+        self.switch_reason != 0
+    }
+
     /// Is the canary intact?
     ///
     /// # Safety

@@ -5,7 +5,10 @@
 use std::fmt::Debug;
 use std::time::{Duration, Instant};
 
-use pm2::api::{pm2_isofree, pm2_isomalloc, pm2_migrate, pm2_probe_load, pm2_rpc_call, pm2_self};
+use pm2::api::{
+    pm2_group_migrate, pm2_isofree, pm2_isomalloc, pm2_migrate, pm2_probe_load, pm2_rpc_call,
+    pm2_self,
+};
 use pm2::audit::NodeAudit;
 use pm2::proto::{self, tag, Msg};
 use pm2::{
@@ -507,6 +510,32 @@ fn garbage_under_every_tag_is_dropped_and_the_node_lives_on() {
     );
     // Nothing the garbage named was lent, sold, adopted or frozen.
     m.audit().unwrap().check_partition().unwrap();
+
+    // Well-formed replies nobody is waiting for — acks to commands whose
+    // caller gave up long ago — are dropped where they land, one count
+    // each, instead of being kept for every later wait to walk past; the
+    // next exchanges on the same tags go through.
+    let unclaimed = m.node_stats(1).replies_unclaimed;
+    for cmd_id in 0..1000u64 {
+        let late = proto::MigrateAck {
+            cmd_id: 0xDEAD_0000 + cmd_id,
+            accepted: 1,
+            total: 1,
+            wealth: 3,
+        };
+        m.inject_raw(1, tag::MIGRATE_CMD_ACK, late.encode_vec())
+            .unwrap();
+    }
+    let after = m
+        .run_on(1, || {
+            (
+                pm2_group_migrate(0, 1, &[0xBAD]),
+                pm2_rpc_call::<Echo>(0, 1),
+            )
+        })
+        .unwrap();
+    assert_eq!(after, (Ok(0), Ok(2)));
+    assert_eq!(m.node_stats(1).replies_unclaimed, unclaimed + 1000);
     m.shutdown();
 }
 

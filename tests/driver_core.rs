@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use pm2::api::*;
 use pm2::proto::tag;
-use pm2::{Machine, MachineMode, Pm2Config};
+use pm2::{FaultPlan, Machine, MachineMode, Pm2Config, Pm2Error, Service};
 
 /// Junk RPC_RESP bytes: data-class on the wire, dropped on handling (no
 /// pending caller), so floods exercise the queueing layer only.
@@ -208,4 +208,81 @@ fn migration_hops_are_not_poll_bound() {
         s0.driver_parks + s1.driver_parks
     );
     m.shutdown();
+}
+
+/// Answers after 200 ms of native sleep (its node's worker sleeps with it).
+struct Slow;
+impl Service for Slow {
+    const NAME: &'static str = "driver_core.slow";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        std::thread::sleep(Duration::from_millis(200));
+        req + 1
+    }
+}
+
+#[test]
+fn a_waiting_rpc_caller_is_parked_not_polling() {
+    // The caller is node 0's only thread: while its call is out the node
+    // has nothing to run, so its driver parks instead of stepping a poll
+    // loop (thousands of steps per 100 ms before the wait table).
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .threaded()
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
+    m.register(Slow);
+    std::thread::sleep(Duration::from_millis(50));
+    let idle = m.node_stats(0);
+    let h = m
+        .spawn_on_ret(0, || pm2_rpc_call::<Slow>(1, 41).unwrap())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50)); // call in flight
+    let before = m.node_stats(0);
+    std::thread::sleep(Duration::from_millis(100));
+    let after = m.node_stats(0);
+    assert!(
+        after.steps - before.steps <= 8,
+        "node 0 took {} steps while its caller waited",
+        after.steps - before.steps
+    );
+    assert!(
+        after.driver_parks > idle.driver_parks,
+        "node 0 never parked with the call out"
+    );
+    assert_eq!(h.join().unwrap(), 42);
+    m.shutdown();
+}
+
+#[test]
+fn a_wait_deadline_ends_an_idle_park_on_time() {
+    // Every probe is eaten, so each of the three attempts runs out its
+    // slice of the 105 ms reply deadline on a machine where nothing else
+    // happens: the drivers must park until the deadline, not until the
+    // 5 s `idle_park` tick.
+    for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            idle_park: Duration::from_secs(5),
+            reply_deadline: Duration::from_millis(105),
+            fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
+            ..Pm2Config::test(2)
+        })
+        .unwrap();
+        let t0 = Instant::now();
+        let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
+        let took = t0.elapsed();
+        let exhausted = Pm2Error::RetriesExhausted {
+            op: "load probe",
+            attempts: 3,
+        };
+        assert_eq!(probe, Err(exhausted), "{mode:?}");
+        assert!(
+            took >= Duration::from_millis(100) && took < Duration::from_millis(600),
+            "{mode:?}: three slices of 105 ms took {took:?}"
+        );
+        m.shutdown();
+    }
 }

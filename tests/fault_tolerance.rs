@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::{Distribution, Machine, MachineBuilder, Pm2Config, Pm2Error, Service};
+use pm2::{Distribution, Machine, MachineBuilder, MachineMode, Pm2Config, Pm2Error, Service};
 
 /// Fresh scratch directory for a spill log.
 fn scratch_dir(name: &str) -> PathBuf {
@@ -116,6 +116,73 @@ fn killed_callee_fails_green_rpc_mid_call() {
     assert_eq!(h.join().unwrap(), 1, "caller must see NodeFailed(2)");
     assert!(t0.elapsed() < Duration::from_secs(10));
     m.shutdown();
+}
+
+/// The same death, seen from the wait table: the caller is *parked* on
+/// the corpse-to-be — its node takes no scheduling steps for it — and the
+/// `NODE_DEAD` certificate itself wakes it, with no liveness poll between.
+#[test]
+fn a_waiter_parked_on_a_peer_that_dies_fails_typed_at_once() {
+    let mut m = machine(3, Duration::from_secs(30))
+        .threaded()
+        .idle_park(Duration::from_secs(5))
+        .launch()
+        .unwrap();
+    m.register(Stuck);
+    let h = m
+        .spawn_on_ret(0, || match pm2_rpc_call::<Stuck>(2, 5) {
+            Err(Pm2Error::NodeFailed(2)) => 1u64,
+            _ => 0u64,
+        })
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100)); // call in flight
+    let before = m.node_stats(0);
+    std::thread::sleep(Duration::from_millis(100));
+    let waited = m.node_stats(0).steps - before.steps;
+    assert!(waited <= 8, "the parked caller cost node 0 {waited} steps");
+    let t0 = Instant::now();
+    m.kill_node(2).unwrap();
+    assert_eq!(h.join().unwrap(), 1, "caller must see NodeFailed(2)");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "the certificate wakes the waiter, not a tick: {:?}",
+        t0.elapsed()
+    );
+    m.shutdown();
+}
+
+/// A death nobody announces — no certificate, no detector armed — still
+/// fails the parked waiter typed: its node looks at the fabric whenever it
+/// steps, the `idle_park` tick at the latest, not at the reply deadline.
+#[test]
+fn a_silent_death_fails_the_parked_waiter_at_the_next_tick() {
+    for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
+        let mut m = Machine::launch(Pm2Config {
+            mode,
+            idle_park: Duration::from_millis(100),
+            reply_deadline: Duration::from_secs(30),
+            ..Pm2Config::test(3)
+        })
+        .unwrap();
+        m.register(Stuck);
+        let h = m
+            .spawn_on_ret(0, || match pm2_rpc_call::<Stuck>(2, 5) {
+                Err(Pm2Error::NodeFailed(2)) => 1u64,
+                _ => 0u64,
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(100)); // call in flight
+        let t0 = Instant::now();
+        m.kill_node_silent(2).unwrap();
+        assert_eq!(
+            h.join().unwrap(),
+            1,
+            "{mode:?}: caller must see NodeFailed(2)"
+        );
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "{mode:?}: {took:?}");
+        m.shutdown();
+    }
 }
 
 #[test]
