@@ -22,7 +22,7 @@ pub fn paper_area() -> AreaConfig {
 }
 
 /// The machine the paper's experiments run on, ready for one more knob:
-/// round-robin distribution, first-fit blocks, threaded nodes.
+/// round-robin distribution, first-fit blocks, auto-sized worker pool.
 pub fn paper_machine(nodes: usize, net: NetProfile) -> MachineBuilder {
     Machine::builder(nodes)
         .area(paper_area())
@@ -569,11 +569,7 @@ pub fn linear_slope(points: &[(f64, f64)]) -> f64 {
 /// Spin-measured context-switch cost (yield round-robin between two
 /// threads), in nanoseconds — PM2's "very efficient … context switching".
 pub fn ctx_switch_ns(iters: usize) -> f64 {
-    let mut m = Machine::builder(1)
-        .test_profile()
-        .threaded()
-        .launch()
-        .expect("launch");
+    let mut m = Machine::builder(1).test_profile().launch().expect("launch");
     let partner = m
         .spawn_on(0, move || {
             // Partner yields forever until its peer finishes; it exits when

@@ -188,7 +188,7 @@ pub fn write_negotiation_json() {
     crate::report::emit_json(
         "BENCH_negotiation.json",
         "negotiation",
-        "mean µs per live 2-slot acquisition on node 0 of a round-robin threaded machine \
+        "mean µs per live 2-slot acquisition on node 0 of a round-robin machine \
          (myrinet_bip wire model): trade = decentralized slot economy (one SLOT_TRADE \
          batch per shortfall, O(1) messages per acquire), global = slot_trade(false) \
          forcing the paper's §4.4 lock+gather+freeze protocol on every allocation; \

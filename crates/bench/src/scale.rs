@@ -85,7 +85,7 @@ pub struct ScaleRow {
     pub rps_rounds: usize,
 }
 
-/// The scale-drill machine: threaded (executor pool auto-sized), instant
+/// The scale-drill machine: executor pool auto-sized, instant
 /// wire, detector armed so the full gossip/suspicion machinery runs, and
 /// an area that keeps per-node slot ownership constant (128 slots each —
 /// remote spawns fail typed rather than trade, so the evacuation drill's
@@ -374,7 +374,7 @@ pub fn write_scale_json() {
     crate::report::emit_json(
         "BENCH_scale.json",
         "scale",
-        "machine-size scaling on the multiplexed executor (threaded mode, auto worker \
+        "machine-size scaling on the multiplexed executor (auto worker \
          pool, instant wire profile, failure detector armed at 2 s / 50 ms heartbeats): \
          idle_* = per-node background driver steps and wire messages per second in a \
          quiet 700 ms window (gossip-scale protocols keep this flat in p); hop/evac/neg \

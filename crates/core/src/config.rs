@@ -2,7 +2,7 @@
 //!
 //! [`Pm2Config`] is the plain record: public fields, [`Pm2Config::new`] for
 //! the paper-faithful defaults, [`Pm2Config::test`] for the small
-//! deterministic machine tests use, and struct-update syntax for anything
+//! one-worker machine tests use, and struct-update syntax for anything
 //! else (`Pm2Config { slot_trade: false, ..Pm2Config::test(2) }`).
 //! [`MachineBuilder`] ([`crate::Machine::builder`]) is the only fluent
 //! surface — one setter per knob, none on the record itself.
@@ -11,8 +11,8 @@
 //! a `benchmark/` workload or a test assertion needs it off its default;
 //! everything else is a documented constant next to the code that reads it
 //! (CHANGES.md, PR 18, has the per-knob ledger).  Timers the runtime can
-//! work out are not knobs either: both driver modes park for the fastest
-//! armed protocol timer (`machine::executor_tick`), so arming the failure
+//! work out are not knobs either: the driver parks for the fastest armed
+//! protocol timer (`machine::executor_tick`), so arming the failure
 //! detector never requires also shortening `idle_park`.
 
 use std::time::Duration;
@@ -23,17 +23,6 @@ use madeleine::NetProfile;
 
 use crate::error::Result;
 use crate::machine::Machine;
-
-/// How node schedulers are driven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MachineMode {
-    /// One OS thread per node (the default; nodes run in parallel like the
-    /// paper's cluster).
-    Threaded,
-    /// A single OS thread drives all nodes round-robin.  Fully deterministic
-    /// interleaving; used by tests.
-    Deterministic,
-}
 
 /// Top-level configuration of a PM2 machine (a simulated cluster).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +43,6 @@ pub struct Pm2Config {
     pub net: NetProfile,
     /// Block-placement policy for thread heaps (§4.3; paper: first-fit).
     pub fit: FitPolicy,
-    /// Scheduler driving mode.
-    pub mode: MachineMode,
     /// Ship whole slots instead of busy blocks only (ablation A6).
     pub pack_full_slots: bool,
     /// How long a green thread waits for a protocol reply (negotiation,
@@ -77,17 +64,19 @@ pub struct Pm2Config {
     /// re-checking the world.  This is a liveness backstop, **not** a poll
     /// period: every send rings the destination's doorbell, so real
     /// traffic wakes a parked driver immediately and a quiescent machine
-    /// wakes only once per `idle_park`.  In both driver modes the park is
-    /// shortened to the fastest armed protocol timer (`heartbeat_every`
-    /// when gossip or the detector runs, `checkpoint_every` when set), so
-    /// those timers never depend on this value.
+    /// wakes only once per `idle_park`.  The park is shortened to the
+    /// fastest armed protocol timer (`heartbeat_every` when gossip or the
+    /// detector runs, `checkpoint_every` when set), so those timers never
+    /// depend on this value.
     pub idle_park: Duration,
-    /// Worker threads the threaded-mode executor multiplexes the node
-    /// drivers onto.  `0` (the default) sizes the pool automatically:
-    /// `min(available cores, nodes)`.  Deterministic mode ignores it (one
-    /// driver thread by definition).  A p = 256 machine on a laptop runs
-    /// on a handful of workers; nodes are state machines woken by their
-    /// doorbells, not threads.
+    /// Worker threads the executor multiplexes the node drivers onto.
+    /// `0` (the default) sizes the pool automatically: the available
+    /// cores (at least 2), never more than nodes.  `1` is the
+    /// single-threaded machine: one OS thread runs every node and every
+    /// green thread in ready-queue order, a function of the message history
+    /// when the host is quiet.
+    /// A p = 256 machine on a laptop runs on a handful of workers; nodes
+    /// are state machines woken by their doorbells, not threads.
     pub workers: usize,
     /// Upper bound on threads coalesced into one migration *train* (one
     /// `MIGRATION` wire message).  When a departure is packed, every other
@@ -145,7 +134,7 @@ pub struct Pm2Config {
     /// certificates, and the §4.4 negotiation itself) and lets chaos
     /// loose on the at-least-once control plane — which retries above
     /// and deduplicates at the receiver.  Same seed ⇒ byte-identical
-    /// fault schedule in deterministic mode.
+    /// fault schedule on one worker.
     pub fault_plan: Option<madeleine::FaultPlan>,
     /// Fault-injection hook for tests: tids whose packed record group is
     /// deliberately truncated on departure, exercising the per-record
@@ -157,7 +146,7 @@ pub struct Pm2Config {
 impl Pm2Config {
     /// A machine with `nodes` nodes and paper-faithful defaults: 64 KiB
     /// slots, round-robin distribution, first-fit blocks, slot cache on,
-    /// BIP/Myrinet wire model, threaded scheduling.
+    /// BIP/Myrinet wire model, an auto-sized worker pool.
     pub fn new(nodes: usize) -> Self {
         Pm2Config {
             nodes,
@@ -167,7 +156,6 @@ impl Pm2Config {
             slot_cache: 32,
             net: NetProfile::myrinet_bip(),
             fit: FitPolicy::FirstFit,
-            mode: MachineMode::Threaded,
             pack_full_slots: false,
             reply_deadline: Duration::from_secs(30),
             max_rpc_payload: 1 << 20,
@@ -188,7 +176,7 @@ impl Pm2Config {
         }
     }
 
-    /// Small, instant-network, deterministic machine for tests: the
+    /// Small, instant-network, one-worker machine for tests: the
     /// defaults under [`MachineBuilder::test_profile`].
     pub fn test(nodes: usize) -> Self {
         MachineBuilder::new(nodes).test_profile().cfg
@@ -212,7 +200,7 @@ impl Pm2Config {
 /// use pm2::{Machine, NetProfile};
 ///
 /// let machine = Machine::builder(4)
-///     .deterministic()
+///     .workers(1)
 ///     .net(NetProfile::instant())
 ///     .launch()
 ///     .unwrap();
@@ -237,17 +225,11 @@ impl MachineBuilder {
         }
     }
 
-    /// Drive all nodes round-robin on one OS thread (fully deterministic
-    /// interleaving; what tests want).
-    pub fn deterministic(mut self) -> Self {
-        self.cfg.mode = MachineMode::Deterministic;
-        self
-    }
-
-    /// One OS thread per node (the default; nodes run in parallel like the
-    /// paper's cluster).
-    pub fn threaded(mut self) -> Self {
-        self.cfg.mode = MachineMode::Threaded;
+    /// Does nothing: every machine runs on the executor.  Kept only because
+    /// the frozen `benchmark/` package calls it (`benchmark/src/harness.rs`);
+    /// nothing in this workspace may, and it goes in the next PR that is
+    /// allowed to edit `benchmark/`.
+    pub fn threaded(self) -> Self {
         self
     }
 
@@ -320,8 +302,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Executor worker-pool size for threaded mode; 0 auto-sizes to
-    /// `min(cores, nodes)` (see [`Pm2Config::workers`]).
+    /// Executor worker-pool size; 0 auto-sizes to `min(cores, nodes)`, 1 is
+    /// the single-threaded machine (see [`Pm2Config::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -392,8 +374,8 @@ impl MachineBuilder {
         self
     }
 
-    /// The small deterministic instant-network profile tests use: a
-    /// 256-slot area, the instant wire, one driver thread, no slot cache,
+    /// The small one-worker instant-network profile tests use: a
+    /// 256-slot area, the instant wire, one executor worker, no slot cache,
     /// a 10 s reply deadline.  Overlays only those five knobs; anything
     /// else set on the builder is kept, in either call order.
     pub fn test_profile(mut self) -> Self {
@@ -402,7 +384,7 @@ impl MachineBuilder {
             n_slots: 256,
         };
         self.cfg.net = NetProfile::instant();
-        self.cfg.mode = MachineMode::Deterministic;
+        self.cfg.workers = 1;
         self.cfg.slot_cache = 0;
         self.cfg.reply_deadline = Duration::from_secs(10);
         self
@@ -461,15 +443,10 @@ mod tests {
             Pm2Config::test(4)
         );
         // The profile overlays only its own knobs, in either call order.
-        let late = MachineBuilder::new(4).workers(2).test_profile();
-        let early = MachineBuilder::new(4).test_profile().workers(2);
+        let late = MachineBuilder::new(4).pump_budget(2).test_profile();
+        let early = MachineBuilder::new(4).test_profile().pump_budget(2);
         assert_eq!(late.into_config(), early.into_config());
-        // `threaded()` is the default, so it shows only against the profile.
-        let c = MachineBuilder::new(3)
-            .test_profile()
-            .threaded()
-            .into_config();
-        assert_eq!(c.mode, MachineMode::Threaded);
+        assert_eq!(Pm2Config::test(4).workers, 1, "tests run on one worker");
 
         let ms = Duration::from_millis;
         let plan = madeleine::FaultPlan::lossy(7, 0.01);
@@ -477,7 +454,6 @@ mod tests {
             slot_size: 16 * 1024,
             n_slots: 512,
         };
-        sets!(deterministic() => mode = MachineMode::Deterministic);
         sets!(net(NetProfile::instant()) => net = NetProfile::instant());
         sets!(area(area) => area = area);
         sets!(distribution(Distribution::BlockCyclic(8)) => distribution = Distribution::BlockCyclic(8));

@@ -1,10 +1,12 @@
-//! The multiplexed node executor: M node drivers on N worker threads.
+//! The node executor — the one driver: M node drivers on N worker threads.
 //!
 //! Thread-per-node stops scaling long before the paper-sized p = 256: the
 //! OS pays a stack and a scheduler entity per node, and a mostly-idle
-//! machine still wakes hundreds of threads to do nothing.  This executor
-//! keeps the *driver loop* of `drive_one` but turns each node into a state
-//! machine scheduled onto a fixed worker pool:
+//! machine still wakes hundreds of threads to do nothing.  So each node is
+//! a state machine scheduled onto a fixed worker pool, and every machine
+//! runs on it.  With one worker (`workers(1)`, what the test profile sets)
+//! a single OS thread runs every node and every green thread in ready-queue
+//! (ring) order — a function of the message history when the host is quiet:
 //!
 //! ```text
 //!            ring (doorbell listener)          pop + CAS
@@ -19,7 +21,7 @@
 //!   `Idle → Queued` and pushes it on the shared ready queue.  Because a
 //!   sender enqueues its message *before* ringing, a node observed `Idle`
 //!   by the listener has the message already visible to its next pump —
-//!   the same no-lost-wakeup argument as the parked-thread protocol.
+//!   no wakeup is lost.
 //! * A ring landing while the node runs flips it `Running → Notified`;
 //!   the worker's park attempt (`Running → Idle`) then fails and requeues
 //!   instead — the wakeup is deferred, never dropped.
@@ -29,16 +31,15 @@
 //!   worth of latency per lap, instead of starving them outright.
 //! * **Tick sweep**: protocol timers (failure detector, gossip rounds,
 //!   periodic checkpoints, the `idle_park` liveness backstop) must fire on
-//!   nodes nobody sends to.  Workers pop with a timeout; on timeout one of
-//!   them (rate-limited) requeues every `Idle` node, which is exactly the
-//!   park-timeout semantics `drive_one` had — counted as a
+//!   nodes nobody sends to.  When the sweep is due one worker
+//!   (rate-limited) requeues every `Idle` node — counted as a
 //!   `driver_wakeups` tick, like a timed-out park.  A node that parks
 //!   while a green thread waits out a deadline in its wait table pulls
 //!   the next sweep forward to that deadline, so the wait times out on
-//!   time, not at the next tick.
-//!
-//! Deterministic mode is untouched: it still round-robins every node on
-//! one OS thread with the machine-wide shared doorbell.
+//!   time, not at the next tick.  The sweep is due by the clock: a
+//!   sleeping worker times out at it, and a worker that never sleeps looks
+//!   at it every [`FAIRNESS`] dispatches, so a busy pool's idle nodes keep
+//!   their timers too.
 //!
 //! `NodeCtx` stays single-driver: the state machine guarantees a node is
 //! `Running` on at most one worker, and the per-node mutex (uncontended in
@@ -136,7 +137,8 @@ impl Inner {
     /// Timer backstop: requeue every idle node so its protocol timers
     /// (detector scan, gossip round, periodic checkpoint) get a step, just
     /// as a park timeout would have stepped it under thread-per-node.
-    /// Rate-limited so a large pool doesn't multiply the sweeps.
+    /// Returns at once when no sweep is due; rate-limited so a large pool
+    /// doesn't multiply the sweeps.
     fn tick_sweep(&self) {
         {
             let mut next = self.next_tick.lock().unwrap();
@@ -226,6 +228,7 @@ impl Inner {
     }
 
     fn worker_loop(self: &Arc<Inner>) {
+        let mut dispatches = 0usize;
         loop {
             let popped = {
                 let mut q = self.ready.lock().unwrap();
@@ -254,7 +257,16 @@ impl Inner {
                 }
             };
             match popped {
-                Some(id) => self.run_node(id),
+                Some(id) => {
+                    self.run_node(id);
+                    // A worker that always finds work never times out
+                    // asleep, so it asks the clock itself now and then (the
+                    // sweep returns at once when not due).
+                    dispatches += 1;
+                    if dispatches.is_multiple_of(FAIRNESS) {
+                        self.tick_sweep();
+                    }
+                }
                 None => self.tick_sweep(),
             }
         }
@@ -264,7 +276,7 @@ impl Inner {
 /// Pools launched by this process so far: the `m` in a worker's name.
 static POOLS: AtomicUsize = AtomicUsize::new(0);
 
-/// Launch the worker pool for a threaded-mode machine.  Installs a
+/// Launch the worker pool for a machine.  Installs a
 /// doorbell listener per node, seeds the ready queue with every node (so
 /// initial timers and any pre-launch traffic get a first step), and spawns
 /// `workers` OS threads named `pm2-m<pool>-w<i>` — the pool number is

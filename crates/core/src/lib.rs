@@ -29,7 +29,7 @@
 //!     fn handle(&self, req: u64) -> u64 { req * req }
 //! }
 //!
-//! let mut machine = Machine::builder(2).deterministic().launch().unwrap();
+//! let mut machine = Machine::builder(2).workers(1).launch().unwrap();
 //! machine.register::<Square>(Square);
 //!
 //! // Typed value-returning spawn: the result rides the exit protocol home.
@@ -68,11 +68,10 @@
 //! burn ~zero CPU and hop latency is hardware-bound, not poll-bound:
 //!
 //! * every `madeleine` send rings the destination endpoint's **doorbell**
-//!   ([`madeleine::Doorbell`]); idle node drivers *park* on it (threaded
-//!   mode: one bell per node; deterministic mode: one shared bell for the
-//!   single round-robin driver) and wake at futex latency — the polled
-//!   baseline paid ~1 ms of driver latency per migration hop where the
-//!   event-driven core pays a few µs (see `BENCH_latency.json`);
+//!   ([`madeleine::Doorbell`], one per node), which queues the node on
+//!   the executor; idle node drivers *park* and wake at futex latency —
+//!   the polled baseline paid ~1 ms of driver latency per migration hop
+//!   where the event-driven core pays a few µs (see `BENCH_latency.json`);
 //! * each node's pump ingests messages into three **priority lanes**
 //!   (control > migration > data) and drains them in class order under a
 //!   budget, so a flood of application traffic can never delay SHUTDOWN
@@ -219,7 +218,7 @@
 //!
 //! ## The multiplexed executor: p = 256 nodes on N cores
 //!
-//! Threaded mode used to pin one OS thread per simulated node, so the
+//! The runtime used to pin one OS thread per simulated node, so the
 //! machine size was capped by what the host could context-switch —
 //! p = 256 meant 256 competing driver threads.  Since ISSUE 8 the node
 //! drivers are *tasks* on a shared work-stealing pool (`executor`,
@@ -231,8 +230,11 @@
 //! cannot starve the other 255 (`tests/scale.rs` pins this).  A
 //! quiescent machine parks the whole pool on a condvar; a periodic tick
 //! requeues nodes only when gossip, detector or checkpoint work is
-//! actually due.  Deterministic mode is untouched: same dispatch core,
-//! single-stepped round-robin, no pool.
+//! actually due.  It is the only driver: [`MachineBuilder::workers`]`(1)`
+//! (what [`MachineBuilder::test_profile`] sets) is the single-threaded
+//! machine — one OS thread runs every node and every green thread, in
+//! ready-queue (ring) order, a function of the message history when the
+//! host is quiet.
 //!
 //! Multiplexing the drivers is only half of scaling p; the protocols
 //! must also shed their O(p)-per-node costs ([`node`]'s module header
@@ -352,7 +354,7 @@ pub(crate) mod handlers;
 pub mod iso;
 pub mod loadbal;
 pub mod machine;
-mod migration;
+pub mod migration;
 pub mod negotiation;
 pub mod node;
 pub mod nodeheap;
@@ -364,7 +366,7 @@ pub mod service;
 pub mod spill;
 pub(crate) mod wait;
 
-pub use config::{MachineBuilder, MachineMode, Pm2Config};
+pub use config::{MachineBuilder, Pm2Config};
 pub use error::{Pm2Error, Result};
 pub use iso::{IsoBox, IsoList, IsoVec};
 pub use machine::{JoinHandle, Machine, Pm2Thread, RecoveryReport};

@@ -1,11 +1,11 @@
 //! The machine: a simulated PM2 cluster inside one process.
 //!
 //! [`Machine::launch`] reserves the iso-address area, wires the Madeleine
-//! fabric (one endpoint per node plus a host control endpoint), and starts
-//! the node drivers — a worker pool multiplexing every node driver in
-//! threaded mode (see `executor`), or a single OS thread driving
-//! every node round-robin in deterministic mode.  The host talks to nodes
-//! exclusively through control messages, like any other fabric participant.
+//! fabric (one endpoint per node plus a host control endpoint), and hands
+//! the node drivers to the one driver there is: the `executor` worker pool
+//! (`workers(1)` is a single OS thread running every node in ready-queue
+//! order).  The host talks to nodes exclusively through control messages,
+//! like any other fabric participant.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -17,7 +17,7 @@ use isoaddr::{IsoArea, SlotRange, SlotStatsSnapshot};
 use madeleine::{Endpoint, Fabric, Message, Payload, Wire};
 
 use crate::audit::{AuditReport, NodeAudit};
-use crate::config::{MachineBuilder, MachineMode, Pm2Config};
+use crate::config::{MachineBuilder, Pm2Config};
 use crate::error::{Pm2Error, Result};
 use crate::node::{NodeCtx, NodeStats, NodeStatsSnapshot};
 use crate::output::OutputSink;
@@ -131,8 +131,7 @@ pub struct Machine {
     /// Cheap-clone handles on each node's payload pool (observability).
     pools: Vec<madeleine::BufPool>,
     drivers: Vec<std::thread::JoinHandle<()>>,
-    /// OS threads actually driving nodes (executor workers in threaded
-    /// mode, 1 in deterministic mode).
+    /// OS threads actually driving nodes (the executor's workers).
     n_workers: usize,
     next_tid: AtomicU64,
     stopped: bool,
@@ -153,11 +152,6 @@ impl Machine {
         assert!(cfg.nodes >= 1, "a machine needs at least one node");
         let cfg = Arc::new(cfg.normalized());
         let area = Arc::new(IsoArea::with_strategy(cfg.area, cfg.map_strategy)?);
-        // Threaded mode: one doorbell per endpoint, each driver parks on
-        // its own.  Deterministic mode: one shared doorbell, so the single
-        // round-robin driver parks once for the whole fabric and any send
-        // (including the host's) wakes it.
-        //
         // A configured fault plan gets the exactly-once tags (the `once`
         // rows of the tag table) stamped protected before it reaches the
         // fabric: they move state that is never retried, so losing or
@@ -169,15 +163,9 @@ impl Machine {
             .filter(|&t| proto::exactly_once(t))
             .collect();
         let plan = cfg.fault_plan.clone().map(|p| p.protect_tags(&once));
-        let mut eps = match (cfg.mode, plan) {
-            (MachineMode::Threaded, None) => Fabric::new(cfg.nodes + 1, cfg.net),
-            (MachineMode::Threaded, Some(p)) => Fabric::new_chaotic(cfg.nodes + 1, cfg.net, p),
-            (MachineMode::Deterministic, None) => {
-                Fabric::new_shared_doorbell(cfg.nodes + 1, cfg.net)
-            }
-            (MachineMode::Deterministic, Some(p)) => {
-                Fabric::new_shared_doorbell_chaotic(cfg.nodes + 1, cfg.net, p)
-            }
+        let mut eps = match plan {
+            None => Fabric::new(cfg.nodes + 1, cfg.net),
+            Some(p) => Fabric::new_chaotic(cfg.nodes + 1, cfg.net, p),
         };
         let host_ep = eps.pop().expect("host endpoint");
         let out = OutputSink::new();
@@ -186,7 +174,7 @@ impl Machine {
         let services = ServiceTable::new_shared();
         let typed_services = TypedServiceTable::new_shared();
 
-        let mut ctxs: Vec<NodeCtx> = eps
+        let ctxs: Vec<NodeCtx> = eps
             .into_iter()
             .map(|ep| {
                 NodeCtx::new(
@@ -208,20 +196,8 @@ impl Machine {
         let affinity = ctxs.iter().map(|c| Arc::clone(&c.affinity)).collect();
         let pools = ctxs.iter().map(|c| c.pool.clone()).collect();
 
-        let (drivers, n_workers) = match cfg.mode {
-            MachineMode::Threaded => {
-                let workers = effective_workers(&cfg);
-                let tick = executor_tick(&cfg);
-                (crate::executor::spawn_pool(ctxs, workers, tick), workers)
-            }
-            MachineMode::Deterministic => (
-                vec![std::thread::Builder::new()
-                    .name("pm2-nodes".into())
-                    .spawn(move || drive_all(&mut ctxs))
-                    .expect("spawning driver thread")],
-                1,
-            ),
-        };
+        let n_workers = effective_workers(&cfg);
+        let drivers = crate::executor::spawn_pool(ctxs, n_workers, executor_tick(&cfg));
 
         Ok(Machine {
             cfg,
@@ -256,9 +232,8 @@ impl Machine {
     }
 
     /// OS threads driving the node state machines: the executor pool size
-    /// in threaded mode (the `workers` knob, auto-sized at 0), or 1 in
-    /// deterministic mode.  On any realistic host this is ≪ nodes — the
-    /// point of the multiplexed executor.
+    /// (the `workers` knob, auto-sized at 0).  On any realistic host this
+    /// is ≪ nodes — the point of the multiplexed executor.
     pub fn worker_threads(&self) -> usize {
         self.n_workers
     }
@@ -582,26 +557,25 @@ impl Machine {
     }
 
     fn recv_control(&mut self, want: u16, deadline: Instant) -> Option<Message> {
-        self.recv_control_matching(want, deadline, |_| true)
+        self.recv_matching(deadline, |m| m.tag == want)
     }
 
-    /// Wait for a matching control message.  The wait is event-driven: the
-    /// host parks inside [`madeleine::Endpoint::recv_until`] (a condvar
+    /// Wait for a control message `pred` accepts.  The wait is event-driven:
+    /// the host parks inside [`madeleine::Endpoint::recv_until`] (a condvar
     /// wait under the hood) and is woken per arriving message — there is
     /// no poll slicing, so an arriving reply costs a wake-up, not a poll
     /// interval.
-    fn recv_control_matching(
+    fn recv_matching(
         &mut self,
-        want: u16,
         deadline: Instant,
         pred: impl Fn(&Message) -> bool,
     ) -> Option<Message> {
-        if let Some(i) = self.stash.iter().position(|m| m.tag == want && pred(m)) {
+        if let Some(i) = self.stash.iter().position(&pred) {
             return Some(self.stash.remove(i));
         }
         loop {
             match self.host_ep.recv_until(deadline) {
-                Some(m) if m.tag == want && pred(&m) => return Some(m),
+                Some(m) if pred(&m) => return Some(m),
                 Some(m) => self.stash.push(m),
                 None => return None,
             }
@@ -644,15 +618,6 @@ impl Machine {
         (0..self.cfg.nodes)
             .filter(|&n| !self.host_ep.is_dead(n))
             .collect()
-    }
-
-    /// Count of live nodes without materializing the id list (the
-    /// shutdown ack loop re-evaluates this every 50 ms slice — at p = 256
-    /// the Vec-per-slice added up).
-    fn alive_count(&self) -> usize {
-        (0..self.cfg.nodes)
-            .filter(|&n| !self.host_ep.is_dead(n))
-            .count()
     }
 
     /// Whether `node` has been declared dead (by [`Machine::kill_node`] or
@@ -707,7 +672,7 @@ impl Machine {
     /// observe the heartbeat detector after [`Machine::kill_node_silent`].
     pub fn wait_node_dead(&mut self, node: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        self.recv_control_matching(tag::NODE_DEAD, deadline, |m| certifies_death(m, node))
+        self.recv_matching(deadline, |m| certifies_death(m, node))
             .is_some()
     }
 
@@ -933,23 +898,21 @@ impl Machine {
         for node in self.alive_nodes() {
             let _ = self.host_ep.send(node, tag::SHUTDOWN, Vec::new());
         }
+        // Only survivors can ack, and a node may die mid-shutdown: its
+        // `NODE_DEAD` certificate reaches this endpoint like an ack does,
+        // so either message ends the wait and only a death recounts.
         let deadline = Instant::now() + Duration::from_secs(60);
+        let mut expected = self.alive_nodes().len();
         let mut acked = 0usize;
-        loop {
-            // Only survivors can ack — and a node may die mid-shutdown,
-            // so the expectation is re-evaluated every slice.
-            let expected = self.alive_count();
-            if acked >= expected {
-                break;
-            }
-            let slice = deadline.min(Instant::now() + Duration::from_millis(50));
-            match self.recv_control(tag::SHUTDOWN_ACK, slice) {
-                Some(_) => acked += 1,
-                None if Instant::now() >= deadline => {
+        let event = |m: &Message| m.tag == tag::SHUTDOWN_ACK || m.tag == tag::NODE_DEAD;
+        while acked < expected {
+            match self.recv_matching(deadline, event) {
+                Some(m) if m.tag == tag::SHUTDOWN_ACK => acked += 1,
+                Some(_) => expected = self.alive_nodes().len(),
+                None => {
                     eprintln!("pm2: warning: node shutdown ack missing");
                     break;
                 }
-                None => {}
             }
         }
         for h in self.drivers.drain(..) {
@@ -1025,10 +988,9 @@ fn effective_workers(cfg: &Pm2Config) -> usize {
 }
 
 /// How long an idle driver parks — the executor's worker pop timeout and
-/// idle-node sweep cadence in threaded mode, the shared-doorbell park in
-/// deterministic mode: the `idle_park` backstop, tightened to the fastest
-/// armed protocol timer so a quiet node's failure detector, gossip rounds
-/// and periodic checkpoints still fire on schedule.  Derived here, once,
+/// idle-node sweep cadence: the `idle_park` backstop, tightened to the
+/// fastest armed protocol timer so a quiet node's failure detector, gossip
+/// rounds and periodic checkpoints still fire on schedule.  Derived here, once,
 /// so no caller has to remember to shorten `idle_park` when it arms one.
 fn executor_tick(cfg: &Pm2Config) -> Duration {
     let mut tick = cfg.idle_park;
@@ -1041,45 +1003,4 @@ fn executor_tick(cfg: &Pm2Config) -> Duration {
         }
     }
     tick.max(Duration::from_millis(1))
-}
-
-/// Deterministic-mode driver: all nodes round-robin on one OS thread,
-/// parking on the machine's **shared** doorbell when no node has work.
-/// The ring-counter snapshot is taken *before* the sweep, so any send that
-/// lands mid-sweep (from the host or a node) makes the park return
-/// immediately — and the final SHUTDOWN_ACK needs no park at all: the
-/// sweep that handles SHUTDOWN also observes `finished()` and exits
-/// without another wait.  The park is one tick, or less if a green
-/// thread's wait deadline comes first.
-fn drive_all(ctxs: &mut [NodeCtx]) {
-    let bell = ctxs[0].ep.doorbell().clone();
-    let tick = executor_tick(&ctxs[0].cfg);
-    loop {
-        let seen = bell.rings();
-        let mut any = false;
-        for ctx in ctxs.iter_mut() {
-            any |= ctx.step();
-            ctx.maybe_ack_shutdown();
-        }
-        if ctxs.iter().all(|c| c.finished()) {
-            break;
-        }
-        if !any {
-            for ctx in ctxs.iter_mut() {
-                ctx.stats
-                    .driver_parks
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            // (A killed node never steps again: its waits stay overdue.)
-            let live = ctxs.iter().filter(|c| !c.killed);
-            let wake_by = live.filter_map(|c| c.waits.next_deadline()).min();
-            let until = |at: Instant| at.saturating_duration_since(Instant::now());
-            bell.wait_past(seen, wake_by.map_or(tick, |at| tick.min(until(at))));
-            for ctx in ctxs.iter_mut() {
-                ctx.stats
-                    .driver_wakeups
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    }
 }

@@ -159,27 +159,46 @@ pub(crate) unsafe fn surrender_threads(ds: &[DescPtr], mgr: &mut NodeSlotManager
     Ok(())
 }
 
-/// Read a train's table without touching the records: `(tid, off, len)`
-/// per thread, or `None` if the buffer cannot hold its own header.  The
-/// spill-log reader uses this to index checkpointed threads by tid.
-pub(crate) fn train_table(buf: &[u8]) -> Option<Vec<(u64, usize, usize)>> {
-    let count = buf
-        .get(..TRAIN_HDR)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")) as usize)?;
-    let header_len = TRAIN_HDR + count.checked_mul(TRAIN_ENTRY)?;
+/// Read a train's table without touching the records: each thread's tid
+/// with its record group, in table order.  `Err` if the buffer cannot hold
+/// its own table (no tids can be named); a group is `Err` when the table
+/// places it over the table or past the end of the buffer.  This is the one
+/// reader of the format: arrival, the spill-log index and the tests all see
+/// a train through it, and it allocates nothing.
+pub fn train_groups(buf: &[u8]) -> Result<impl Iterator<Item = (u64, Result<&[u8]>)>> {
+    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte slice")) as usize;
+    let count = buf.get(..TRAIN_HDR).map_or(0, le32);
+    let header_len = TRAIN_HDR.saturating_add(count.saturating_mul(TRAIN_ENTRY));
     if count == 0 || buf.len() < header_len {
-        return None;
+        return Err(Pm2Error::Net(format!(
+            "migration train claims {count} threads, buffer has {} bytes",
+            buf.len()
+        )));
     }
-    let mut table = Vec::with_capacity(count);
-    for i in 0..count {
-        let e = TRAIN_HDR + i * TRAIN_ENTRY;
-        let tid = u64::from_le_bytes(buf[e..e + 8].try_into().expect("8-byte slice"));
-        let off = u32::from_le_bytes(buf[e + 8..e + 12].try_into().expect("4-byte slice")) as usize;
-        let len =
-            u32::from_le_bytes(buf[e + 12..e + 16].try_into().expect("4-byte slice")) as usize;
-        table.push((tid, off, len));
-    }
-    Some(table)
+    Ok(buf[TRAIN_HDR..header_len]
+        .chunks_exact(TRAIN_ENTRY)
+        .map(move |e| {
+            let tid = u64::from_le_bytes(e[..8].try_into().expect("8-byte slice"));
+            let (off, len) = (le32(&e[8..12]), le32(&e[12..16]));
+            let group = (off >= header_len)
+                .then(|| buf.get(off..)?.get(..len))
+                .flatten()
+                .ok_or_else(|| {
+                    Pm2Error::Net(format!(
+                        "record group [{off}, {off}+{len}) escapes the train"
+                    ))
+                });
+            (tid, group)
+        }))
+}
+
+/// Fill in entry `i` of the table at the head of `buf`: the one writer of
+/// the entry layout [`train_groups`] reads.
+fn write_entry(buf: &mut [u8], i: usize, tid: u64, off: usize, len: usize) {
+    let e = &mut buf[TRAIN_HDR + i * TRAIN_ENTRY..][..TRAIN_ENTRY];
+    e[..8].copy_from_slice(&tid.to_le_bytes());
+    e[8..12].copy_from_slice(&(off as u32).to_le_bytes());
+    e[12..].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Assemble a fresh train from already-packed record groups (recovery:
@@ -195,10 +214,7 @@ pub(crate) fn build_train(groups: &[(u64, &[u8])]) -> Vec<u8> {
     for (i, (tid, group)) in groups.iter().enumerate() {
         let off = buf.len();
         buf.extend_from_slice(group);
-        let e = TRAIN_HDR + i * TRAIN_ENTRY;
-        buf[e..e + 8].copy_from_slice(&tid.to_le_bytes());
-        buf[e + 8..e + 12].copy_from_slice(&(off as u32).to_le_bytes());
-        buf[e + 12..e + 16].copy_from_slice(&(group.len() as u32).to_le_bytes());
+        write_entry(&mut buf, i, *tid, off, group.len());
     }
     buf
 }
@@ -248,10 +264,7 @@ pub(crate) unsafe fn pack_threads(
             buf.truncate(cut);
         }
         let len = buf.len() - off;
-        let e = TRAIN_HDR + i * TRAIN_ENTRY;
-        buf[e..e + 8].copy_from_slice(&tid.to_le_bytes());
-        buf[e + 8..e + 12].copy_from_slice(&(off as u32).to_le_bytes());
-        buf[e + 12..e + 16].copy_from_slice(&(len as u32).to_le_bytes());
+        write_entry(&mut buf, i, tid, off, len);
     }
     debug_assert!(
         buf.len() <= hint || pack_full_slots || !fault_truncate.is_empty(),
@@ -275,35 +288,9 @@ pub(crate) unsafe fn pack_threads(
 /// payload; the slot ranges its healthy records name must be unmapped on
 /// this node (guaranteed by the iso-address discipline).
 pub(crate) unsafe fn unpack_threads(buf: &[u8], mgr: &mut NodeSlotManager) -> Result<TrainOutcome> {
-    let count = buf
-        .get(..TRAIN_HDR)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")) as usize)
-        .ok_or_else(|| Pm2Error::Net("migration train shorter than its header".into()))?;
-    let header_len = TRAIN_HDR + count * TRAIN_ENTRY;
-    if count == 0 || buf.len() < header_len {
-        return Err(Pm2Error::Net(format!(
-            "migration train claims {count} threads, buffer has {} bytes",
-            buf.len()
-        )));
-    }
     let mut outcome = TrainOutcome::default();
-    for i in 0..count {
-        let e = TRAIN_HDR + i * TRAIN_ENTRY;
-        let tid = u64::from_le_bytes(buf[e..e + 8].try_into().expect("8-byte slice"));
-        let off = u32::from_le_bytes(buf[e + 8..e + 12].try_into().expect("4-byte slice")) as usize;
-        let len =
-            u32::from_le_bytes(buf[e + 12..e + 16].try_into().expect("4-byte slice")) as usize;
-        let Some(group) = (off >= header_len)
-            .then(|| buf.get(off..off + len))
-            .flatten()
-        else {
-            outcome.rejected.push((
-                tid,
-                format!("record group [{off}, {off}+{len}) escapes the train"),
-            ));
-            continue;
-        };
-        match unpack_thread(group, tid, mgr) {
+    for (tid, group) in train_groups(buf)? {
+        match group.and_then(|g| unpack_thread(g, tid, mgr)) {
             Ok(d) => outcome.adopted.push(d),
             Err(e) => outcome.rejected.push((tid, e.to_string())),
         }
@@ -390,7 +377,7 @@ unsafe fn unpack_records(
 
 #[cfg(test)]
 mod tests {
-    use super::train_table;
+    use super::train_groups;
     use crate::api::{pm2_isomalloc, pm2_yield};
     use crate::proto::tag;
     use crate::Pm2Config;
@@ -400,13 +387,39 @@ mod tests {
     /// `(tid, record group)` per thread of a train, sorted by tid (a
     /// checkpoint walks the thread table, a departure the run queue).
     fn groups(train: &[u8]) -> Vec<(u64, &[u8])> {
-        let mut g: Vec<_> = train_table(train)
+        let mut g: Vec<_> = train_groups(train)
             .expect("readable train table")
-            .into_iter()
-            .map(|(tid, off, len)| (tid, &train[off..off + len]))
+            .map(|(tid, group)| (tid, group.expect("group inside the train")))
             .collect();
         g.sort();
         g
+    }
+
+    /// One bounds rule for every consumer: a group must lie behind the
+    /// table and inside the buffer, and a bad entry costs only its thread.
+    #[test]
+    fn a_group_over_the_table_or_past_the_end_is_refused_alone() {
+        let mut train = super::build_train(&[(7, &[0x17; 24]), (8, &[0x18; 24])]);
+        assert_eq!(groups(&train), [(7, &[0x17; 24][..]), (8, &[0x18; 24][..])]);
+        let intact = train.clone();
+        super::write_entry(&mut train, 0, 7, super::TRAIN_HDR, 24); // over the table
+        super::write_entry(&mut train, 1, 8, intact.len() - 23, 24); // one byte past the end
+        let verdicts: Vec<_> = train_groups(&train)
+            .unwrap()
+            .map(|(tid, group)| (tid, group.is_ok()))
+            .collect();
+        assert_eq!(verdicts, [(7, false), (8, false)]);
+        super::write_entry(&mut train, 1, 8, intact.len() - 24, 24);
+        assert_eq!(
+            train_groups(&train)
+                .unwrap()
+                .filter(|g| g.1.is_ok())
+                .count(),
+            1
+        );
+        // No table, no tids.
+        assert!(train_groups(&intact[..super::TRAIN_HDR + 31]).is_err());
+        assert!(train_groups(&[0, 0, 0, 0, 9, 9]).is_err(), "empty train");
     }
 
     /// A checkpoint is a train that is not shipped: the image

@@ -3,13 +3,14 @@
 //! One `NodeCtx` is the reproduction of the paper's "single (heavy) process
 //! running at each node" (§2): it owns the node's slot bitmap, its thread
 //! scheduler, its private heap and its network endpoint.  Exactly one OS
-//! thread drives it *at a time* — in threaded mode the node is a state
-//! machine multiplexed onto the `executor` worker pool (a rung
-//! doorbell queues the node; a worker locks it, steps it up to a fairness
-//! budget, and parks it again), and in deterministic mode one OS thread
-//! drives every node round-robin.  Either way Marcel threads and the
-//! message pump interleave but never run concurrently, which is exactly
-//! the concurrency model of a user-level thread runtime.
+//! thread drives it *at a time*: the node is a state machine multiplexed
+//! onto the `executor` worker pool (a rung doorbell queues the node; a
+//! worker locks it, steps it up to a fairness budget, and parks it
+//! again).  With one worker a single OS thread runs every node and every
+//! green thread, in ready-queue (ring) order — a function of the message
+//! history when the host is quiet.  Marcel threads and the message pump
+//! interleave but never run concurrently, which is exactly the concurrency
+//! model of a user-level thread runtime.
 //!
 //! ## The event-driven core
 //!
@@ -17,12 +18,12 @@
 //!
 //! * **Doorbell** — every [`madeleine::Endpoint::send`] rings the
 //!   destination's [`madeleine::Doorbell`]; an idle driver *parks* (the
-//!   executor marks the node `Idle` and the worker moves on; the
-//!   deterministic driver parks the OS thread) instead of spin- or
-//!   sleep-polling, so a quiescent machine burns ~zero CPU and a message
-//!   wakes its handler at futex-wake-up latency.  The
+//!   executor marks the node `Idle` and the worker moves on, sleeping
+//!   when every node is idle) instead of spin- or sleep-polling, so a
+//!   quiescent machine burns ~zero CPU and a message wakes its handler at
+//!   futex-wake-up latency.  The
 //!   [`NodeStats::driver_parks`]/[`NodeStats::driver_wakeups`] counters
-//!   make the parking observable in both modes.
+//!   make the parking observable.
 //! * **Class-prioritized pump** — `NodeCtx::pump` ingests deliverable
 //!   messages into three priority lanes (see `handlers::Class`:
 //!   control > migration > data) and drains them in class order under a

@@ -199,11 +199,11 @@ impl SpillReplay {
     pub fn latest_by_tid(&self) -> HashMap<u64, (u64, &[u8])> {
         let mut newest: HashMap<u64, (u64, &[u8])> = HashMap::new();
         for rec in &self.records {
-            let Some(table) = crate::migration::train_table(&rec.train) else {
+            let Ok(groups) = crate::migration::train_groups(&rec.train) else {
                 continue; // checksum passed but the table is unreadable
             };
-            for (tid, off, len) in table {
-                let Some(group) = rec.train.get(off..off + len) else {
+            for (tid, group) in groups {
+                let Ok(group) = group else {
                     continue;
                 };
                 match newest.get(&tid) {

@@ -19,10 +19,10 @@ fn launch_and_shutdown_empty() {
 }
 
 #[test]
-fn threaded_mode_launch_and_shutdown() {
+fn two_worker_launch_and_shutdown() {
     let mut m = Machine::builder(3)
         .test_profile()
-        .threaded()
+        .workers(2)
         .launch()
         .unwrap();
     let v = m.run_on(2, pm2_self).unwrap();

@@ -8,7 +8,7 @@
 //! `marcel::block_current`; the pump — the only other party on the node —
 //! completes the entry and unblocks the thread: a reply is filed, the
 //! bitmap thaws, the acquire turn passes on, a named peer dies, or the
-//! deadline passes (both drivers bound an idle node's park by
+//! deadline passes (the executor bounds an idle node's park by
 //! [`WaitTable::next_deadline`]).  A reply no wait is open for is not
 //! kept.  A thread with a wait open is pinned: the reply comes here.
 

@@ -14,7 +14,7 @@
 //! `(plan seed, src, dst)`, and decisions are drawn one per eligible send
 //! in send order.  Two fabrics built from the same plan and driven with
 //! the same per-endpoint send sequences therefore inject byte-identical
-//! fault schedules — chaos runs replay exactly in deterministic mode.
+//! fault schedules — chaos runs replay exactly on a one-worker machine.
 //! (Scheduled partition windows are the one wall-clock element; replay
 //! tests use the RNG-driven faults.)
 //!

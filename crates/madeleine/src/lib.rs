@@ -47,13 +47,14 @@
 //! ## Doorbells: event-driven receivers
 //!
 //! Every send rings the destination endpoint's [`Doorbell`] *after*
-//! enqueuing the message, so an idle driver parks (futex wait) instead of
-//! spin- or sleep-polling — on a loaded host the difference between a
-//! ~1 ms OS-timeslice of added latency per message and a few-µs wake-up.
-//! The two-phase snapshot/re-check/park protocol (see [`doorbell`]) makes
-//! the park race-free, [`Endpoint::recv_until`] gives a deadline-bounded
-//! blocking receive, and [`Fabric::new_shared_doorbell`] aliases one bell
-//! across every endpoint for single-driver (deterministic) embedders.
+//! enqueuing the message, and the ring calls the listener the receiving
+//! driver installed (an executor queues the node), so an idle driver sleeps
+//! instead of spin- or sleep-polling — on a loaded host the difference
+//! between a ~1 ms OS-timeslice of added latency per message and a few-µs
+//! wake-up.  Enqueue-then-ring means the pump a ring provokes always finds
+//! the message (see [`doorbell`]); nobody parks on the bell itself, and
+//! [`Endpoint::recv_until`] gives a deadline-bounded blocking receive on
+//! the channel.
 //!
 //! ## The fault model
 //!

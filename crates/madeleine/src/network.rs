@@ -66,8 +66,7 @@ struct Shared {
     senders: Vec<Sender<Message>>,
     profile: NetProfile,
     stats: Vec<Arc<EndpointStats>>,
-    /// Doorbell rung when a message is enqueued for node *i*.  Entries may
-    /// alias one shared bell (deterministic-mode single driver).
+    /// Doorbell rung when a message is enqueued for node *i*.
     doorbells: Vec<Doorbell>,
     /// Death certificates, one per node.  Set once (never cleared) by
     /// [`Endpoint::mark_dead`]; the send path refuses traffic to *and from*
@@ -95,16 +94,7 @@ impl Fabric {
     /// factory and holds no state.)
     #[allow(clippy::new_ret_no_self)]
     pub fn new(n: usize, profile: NetProfile) -> Vec<Endpoint> {
-        Fabric::build(n, profile, (0..n).map(|_| Doorbell::new()).collect(), None)
-    }
-
-    /// [`Fabric::new`], but every endpoint rings — and can park on — one
-    /// **shared** doorbell.  This is what a single OS thread driving all
-    /// nodes round-robin wants: it parks once for the whole fabric and any
-    /// send to any node wakes it.
-    pub fn new_shared_doorbell(n: usize, profile: NetProfile) -> Vec<Endpoint> {
-        let bell = Doorbell::new();
-        Fabric::build(n, profile, vec![bell; n], None)
+        Fabric::build(n, profile, None)
     }
 
     /// [`Fabric::new`] under a seeded [`FaultPlan`]: the send path may
@@ -112,30 +102,10 @@ impl Fabric {
     /// plan's scheduled partition windows cut traffic (see
     /// [`crate::chaos`]).
     pub fn new_chaotic(n: usize, profile: NetProfile, plan: FaultPlan) -> Vec<Endpoint> {
-        Fabric::build(
-            n,
-            profile,
-            (0..n).map(|_| Doorbell::new()).collect(),
-            Some(plan),
-        )
+        Fabric::build(n, profile, Some(plan))
     }
 
-    /// [`Fabric::new_shared_doorbell`] under a seeded [`FaultPlan`].
-    pub fn new_shared_doorbell_chaotic(
-        n: usize,
-        profile: NetProfile,
-        plan: FaultPlan,
-    ) -> Vec<Endpoint> {
-        let bell = Doorbell::new();
-        Fabric::build(n, profile, vec![bell; n], Some(plan))
-    }
-
-    fn build(
-        n: usize,
-        profile: NetProfile,
-        doorbells: Vec<Doorbell>,
-        plan: Option<FaultPlan>,
-    ) -> Vec<Endpoint> {
+    fn build(n: usize, profile: NetProfile, plan: Option<FaultPlan>) -> Vec<Endpoint> {
         assert!(n >= 1, "a fabric needs at least one node");
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
@@ -150,7 +120,7 @@ impl Fabric {
             senders,
             profile,
             stats,
-            doorbells,
+            doorbells: (0..n).map(|_| Doorbell::new()).collect(),
             dead,
             partition_on: AtomicBool::new(false),
             partition: Mutex::new(vec![WILD_GROUP; n]),
@@ -370,9 +340,8 @@ impl Endpoint {
         self.shared.senders[dst]
             .send(msg)
             .map_err(|_| NetError::Disconnected(dst))?;
-        // Ring strictly *after* the enqueue: a driver that snapshots the
-        // ring counter, finds its inbox empty and parks is then guaranteed
-        // to observe either the message or the ring (see `doorbell`).
+        // Ring strictly *after* the enqueue: the pump the ring provokes is
+        // then guaranteed to find the message (see `doorbell`).
         self.shared.doorbells[dst].ring();
         self.shared.stats[self.node].on_send(len);
         Ok(())
@@ -462,8 +431,8 @@ impl Endpoint {
     pub fn mark_dead(&self, node: usize) {
         if let Some(flag) = self.shared.dead.get(node) {
             flag.store(true, Ordering::Release);
-            // Wake the corpse's driver (and any shared-bell driver) so it
-            // can observe the death instead of parking forever.
+            // Wake the corpse's driver so it can observe the death instead
+            // of parking forever.
             self.shared.doorbells[node].ring();
         }
     }
@@ -506,10 +475,8 @@ impl Endpoint {
         self.recv_timeout(deadline - now)
     }
 
-    /// The doorbell rung whenever a message is enqueued for this endpoint.
-    /// Drivers park on it when both the inbox and the local scheduler are
-    /// idle; under [`Fabric::new_shared_doorbell`] all endpoints return
-    /// handles to the same bell.
+    /// The doorbell rung whenever a message is enqueued for this endpoint:
+    /// a driver installs its listener here to be scheduled on arrival.
     pub fn doorbell(&self) -> &Doorbell {
         &self.shared.doorbells[self.node]
     }
@@ -680,23 +647,18 @@ mod tests {
 
     #[test]
     fn send_rings_destination_doorbell() {
+        use std::sync::atomic::AtomicUsize;
         let eps = Fabric::new(3, NetProfile::instant());
-        let before = eps[1].doorbell().rings();
+        let rings = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&rings);
+        eps[1].doorbell().set_listener(Arc::new(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        }));
         eps[0].send(1, 0, Vec::new()).unwrap();
-        assert_eq!(eps[1].doorbell().rings(), before + 1);
-        // Node 2's bell is untouched: per-endpoint bells are independent.
-        assert_eq!(eps[2].doorbell().rings(), 0);
-        assert!(!eps[1].doorbell().same_bell(eps[2].doorbell()));
-    }
-
-    #[test]
-    fn shared_doorbell_covers_every_endpoint() {
-        let eps = Fabric::new_shared_doorbell(3, NetProfile::instant());
-        assert!(eps[0].doorbell().same_bell(eps[2].doorbell()));
-        let seen = eps[0].doorbell().rings();
-        eps[1].send(2, 0, Vec::new()).unwrap();
-        // A send to *any* node moves the one shared counter.
-        assert_eq!(eps[0].doorbell().rings(), seen + 1);
+        assert_eq!(rings.load(Ordering::SeqCst), 1);
+        // A send to node 2 rings node 2's bell only: bells are per endpoint.
+        eps[0].send(2, 0, Vec::new()).unwrap();
+        assert_eq!(rings.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -705,11 +667,6 @@ mod tests {
         let e1 = eps.pop().unwrap();
         let e0 = eps.pop().unwrap();
         let t = std::thread::spawn(move || {
-            // Park on the doorbell with the two-phase protocol, then drain.
-            let seen = e1.doorbell().rings();
-            if e1.try_recv().is_none() {
-                e1.doorbell().wait_past(seen, Duration::from_secs(5));
-            }
             e1.recv_until(Instant::now() + Duration::from_secs(5))
                 .expect("woken with a message pending")
         });

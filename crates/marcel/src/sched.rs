@@ -124,7 +124,8 @@ impl Scheduler {
 
     /// Bind this scheduler to the calling OS thread.  Must be called by the
     /// driving thread before `run_one`, and again whenever the driving
-    /// thread switches between schedulers (deterministic single-thread mode).
+    /// thread switches between schedulers (an executor worker runs many
+    /// nodes).
     pub fn activate(&self) {
         CURRENT_SCHED.with(|c| c.set(self.ptr()));
     }

@@ -4,7 +4,7 @@
 //! payload-size distribution, and a node-targeting policy.  The driver
 //! samples concrete operations from it with testkit's seeded SplitMix64,
 //! so a given `(spec, round, injector)` triple always produces the same
-//! op sequence — deterministic-mode machines replay a workload exactly,
+//! op sequence — one-worker machines replay a workload exactly,
 //! and a saturation point found once is found again.
 
 use testkit::StdRng;

@@ -439,6 +439,84 @@ fn damaged_messages_decode_to_none_or_reencode_and_never_overallocate() {
     });
 }
 
+/// A real two-thread train out of `pack_threads`: a checkpoint is a train
+/// that is not shipped, so the spill log hands one over intact.
+fn captured_train() -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("pm2-train-fuzz-{}", std::process::id()));
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .spill_dir(&dir)
+        .launch()
+        .unwrap();
+    for fill in [0xA1u8, 0xB2] {
+        m.spawn_on(0, move || {
+            let p = pm2_isomalloc(700).unwrap();
+            unsafe { std::ptr::write_bytes(p, fill, 700) };
+            loop {
+                pm2::api::pm2_yield();
+            }
+        })
+        .unwrap();
+    }
+    while m.checkpoint_node(0).unwrap() < 2 {}
+    m.kill_node(0).unwrap(); // the two loops never end
+    m.shutdown();
+    let log = pm2::spill::replay(&dir.join("node0.log")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    log.records
+        .last()
+        .expect("a checkpoint record")
+        .train
+        .clone()
+}
+
+/// The migration decoders face the wire and the spill log too.  The table
+/// reader and the record-header reader are pure, so they can be shown any
+/// bytes: a damaged train is refused, or every group it yields lies inside
+/// the buffer behind the table and every record header it accepts ends
+/// inside its group — never a panic, never a length-driven allocation.
+/// (`unpack_threads` maps memory on their say-so and is not driven here.)
+#[test]
+fn damaged_trains_yield_only_in_bounds_groups_and_records() {
+    use isomalloc::pack::peek_header;
+    use pm2::migration::train_groups;
+
+    let train = captured_train();
+    // Walk `bytes` the way arrival does; returns (groups, records) accepted.
+    let walk = |bytes: &[u8]| {
+        let (mut groups, mut records) = (0, 0);
+        let Ok(table) = train_groups(bytes) else {
+            return (groups, records);
+        };
+        let span = bytes.as_ptr_range();
+        for (_tid, group) in table {
+            let Ok(group) = group else { continue };
+            let g = group.as_ptr_range();
+            assert!(
+                span.start <= g.start && g.end <= span.end,
+                "group in bounds"
+            );
+            groups += 1;
+            let mut rest = group;
+            while !rest.is_empty() {
+                let Ok(info) = peek_header(rest) else { break };
+                assert!(info.n_slots >= 1 && info.record_len <= rest.len());
+                rest = &rest[info.record_len..];
+                records += 1;
+            }
+        }
+        (groups, records)
+    };
+    let (groups, records) = walk(&train);
+    assert_eq!(groups, 2, "two threads");
+    assert!(records >= 4, "a stack and a heap record each: {records}");
+    cases(2000, |rng| {
+        let bytes = mutate(rng, &train);
+        let (_, largest) = largest_alloc_in(|| walk(&bytes));
+        assert_bounded(largest, &bytes, "MIGRATION train");
+    });
+}
+
 struct Echo;
 impl Service for Echo {
     const NAME: &'static str = "control_plane.echo";

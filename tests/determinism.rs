@@ -1,6 +1,6 @@
-//! Deterministic mode: a single OS thread drives all nodes round-robin, so
-//! identical programs produce identical interleavings — run-to-run and
-//! against a golden trace.
+//! One worker: a single OS thread runs every node and every green thread in
+//! ready-queue order, so identical programs produce identical interleavings
+//! — run-to-run and against a golden trace.
 
 use pm2::api::*;
 use pm2::{pm2_printf, Machine, Pm2Config};

@@ -1,13 +1,17 @@
 //! The event-driven driver core, observed from outside: quiescent
 //! machines park their drivers (near-zero wake-ups, no spinning), parked
 //! drivers wake promptly on traffic, and a flood of data-class messages
-//! cannot starve shutdown or negotiation (ISSUE 3).
+//! cannot starve shutdown or negotiation (ISSUE 3).  Machines here run on
+//! the test profile's one worker (what `_deterministic` in a test name
+//! means) unless the assertion needs two nodes running at once.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
 use pm2::proto::tag;
-use pm2::{FaultPlan, Machine, MachineMode, Pm2Config, Pm2Error, Service};
+use pm2::{FaultPlan, Machine, Pm2Config, Pm2Error, Service};
 
 /// Junk RPC_RESP bytes: data-class on the wire, dropped on handling (no
 /// pending caller), so floods exercise the queueing layer only.
@@ -18,10 +22,9 @@ fn flood(m: &Machine, node: usize, count: usize) {
 }
 
 #[test]
-fn quiescent_threaded_machine_parks_its_drivers() {
+fn quiescent_deterministic_machine_parks_its_driver() {
     let mut m = Machine::builder(2)
         .test_profile()
-        .threaded()
         // Park longer than the observation window: a parked driver
         // then shows ~zero wake-ups while we watch.
         .idle_park(Duration::from_secs(5))
@@ -57,28 +60,9 @@ fn quiescent_threaded_machine_parks_its_drivers() {
         "wake-from-park took {:?}",
         t0.elapsed()
     );
-    m.shutdown();
-}
-
-#[test]
-fn quiescent_deterministic_machine_parks_its_driver() {
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .idle_park(Duration::from_secs(5))
-        .launch()
-        .unwrap();
+    // Shutdown of the re-parked machine needs no park-timeout to complete:
+    // the SHUTDOWN sends ring the nodes' doorbells.
     std::thread::sleep(Duration::from_millis(100));
-    let before = m.node_stats(0);
-    std::thread::sleep(Duration::from_millis(300));
-    let after = m.node_stats(0);
-    assert!(after.driver_parks >= 1, "shared-bell driver never parked");
-    assert!(
-        after.driver_wakeups - before.driver_wakeups <= 2,
-        "driver woke {} times in a quiet 300 ms window",
-        after.driver_wakeups - before.driver_wakeups
-    );
-    // Shutdown needs no park-timeout to complete: the SHUTDOWN sends ring
-    // the shared doorbell and the final sweep observes `finished()`.
     let t0 = Instant::now();
     m.shutdown();
     assert!(
@@ -107,85 +91,60 @@ fn data_flood_does_not_starve_shutdown_deterministic() {
 }
 
 #[test]
-fn data_flood_does_not_starve_shutdown_threaded() {
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .threaded()
-        .pump_budget(8)
-        .launch()
-        .unwrap();
-    flood(&m, 0, 4000);
-    flood(&m, 1, 4000);
-    let t0 = Instant::now();
-    m.shutdown();
-    assert!(
-        t0.elapsed() < Duration::from_secs(30),
-        "shutdown starved behind the flood: {:?}",
-        t0.elapsed()
-    );
-}
-
-#[test]
 fn data_flood_does_not_starve_negotiation() {
     // Node 0's allocation needs slots node 1 owns (round-robin ⇒ every
     // multi-slot negotiates; trading is pinned off so the §4.4 exchange
     // really runs); node 1 is simultaneously buried under data-class
     // junk.  The control-class NEG exchange must overtake the flood and
     // complete within the (test-profile, 10 s) reply deadline.
-    for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m = Machine::launch(Pm2Config {
-            mode,
-            pump_budget: 8,
-            slot_trade: false,
-            ..Pm2Config::test(2)
-        })
-        .unwrap();
-        let slot = m.area().slot_size();
-        flood(&m, 1, 5000);
-        m.run_on(0, move || {
-            let p = pm2_isomalloc(slot + 1).unwrap();
-            pm2_isofree(p).unwrap();
-        })
-        .unwrap();
-        assert_eq!(m.node_stats(0).negotiations, 1);
-        m.shutdown();
-    }
+    let mut m = Machine::launch(Pm2Config {
+        pump_budget: 8,
+        slot_trade: false,
+        ..Pm2Config::test(2)
+    })
+    .unwrap();
+    let slot = m.area().slot_size();
+    flood(&m, 1, 5000);
+    m.run_on(0, move || {
+        let p = pm2_isomalloc(slot + 1).unwrap();
+        pm2_isofree(p).unwrap();
+    })
+    .unwrap();
+    assert_eq!(m.node_stats(0).negotiations, 1);
+    m.shutdown();
 }
 
 #[test]
 fn tiny_pump_budget_still_runs_everything() {
     // Budget 1 (one message per pump) must be merely slow, never wrong:
     // spawns, migration and typed joins all keep working.
-    for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
-        let mut m = Machine::launch(Pm2Config {
-            mode,
-            pump_budget: 1,
-            ..Pm2Config::test(2)
+    let mut m = Machine::launch(Pm2Config {
+        pump_budget: 1,
+        ..Pm2Config::test(2)
+    })
+    .unwrap();
+    let h = m
+        .spawn_on_ret(0, || {
+            pm2_migrate(1).unwrap();
+            pm2_self() as u64
         })
         .unwrap();
-        let h = m
-            .spawn_on_ret(0, || {
-                pm2_migrate(1).unwrap();
-                pm2_self() as u64
-            })
-            .unwrap();
-        assert_eq!(h.join().unwrap(), 1);
-        m.shutdown();
-    }
+    assert_eq!(h.join().unwrap(), 1);
+    m.shutdown();
 }
 
 #[test]
 fn migration_hops_are_not_poll_bound() {
-    // The acceptance gate of ISSUE 3 in miniature: a threaded-mode hop on
-    // the instant profile must cost µs, not the ~1 ms a sleep-polling
-    // driver pays per hop on a busy host.  200 round trips finishing in
+    // The acceptance gate of ISSUE 3 in miniature: a hop between two
+    // workers on the instant profile must cost µs, not the ~1 ms a
+    // sleep-polling driver pays per hop on a busy host.  200 round trips in
     // < 2 s bounds the mean one-way hop at < 5 ms even under heavy CI
     // noise; the polled baseline needed ~2.2 s of driver latency alone
     // for the same work at its measured 1,079 µs/hop — and the wakeup
     // counters prove the event-driven path was the one taken.
     let mut m = Machine::builder(2)
         .test_profile()
-        .threaded()
+        .workers(2)
         .launch()
         .unwrap();
     let t0 = Instant::now();
@@ -226,10 +185,11 @@ impl Service for Slow {
 fn a_waiting_rpc_caller_is_parked_not_polling() {
     // The caller is node 0's only thread: while its call is out the node
     // has nothing to run, so its driver parks instead of stepping a poll
-    // loop (thousands of steps per 100 ms before the wait table).
+    // loop (thousands of steps per 100 ms before the wait table).  Two
+    // workers, so node 0 stays schedulable while the handler sleeps.
     let mut m = Machine::builder(2)
         .test_profile()
-        .threaded()
+        .workers(2)
         .idle_park(Duration::from_secs(5))
         .launch()
         .unwrap();
@@ -262,27 +222,68 @@ fn a_wait_deadline_ends_an_idle_park_on_time() {
     // slice of the 105 ms reply deadline on a machine where nothing else
     // happens: the drivers must park until the deadline, not until the
     // 5 s `idle_park` tick.
-    for mode in [MachineMode::Deterministic, MachineMode::Threaded] {
+    let mut m = Machine::launch(Pm2Config {
+        idle_park: Duration::from_secs(5),
+        reply_deadline: Duration::from_millis(105),
+        fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
+        ..Pm2Config::test(2)
+    })
+    .unwrap();
+    let t0 = Instant::now();
+    let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
+    let took = t0.elapsed();
+    let exhausted = Pm2Error::RetriesExhausted {
+        op: "load probe",
+        attempts: 3,
+    };
+    assert_eq!(probe, Err(exhausted));
+    assert!(
+        took >= Duration::from_millis(100) && took < Duration::from_millis(600),
+        "three slices of 105 ms took {took:?}"
+    );
+    m.shutdown();
+}
+
+#[test]
+fn a_wait_deadline_is_served_while_every_worker_is_busy() {
+    // As above, but node 2 yields in a loop the whole time, so no worker
+    // ever finds the ready queue empty and times out asleep: the sweep that
+    // requeues idle node 0 at its wait deadline must be due by the clock.
+    for workers in [1, 2] {
         let mut m = Machine::launch(Pm2Config {
-            mode,
+            workers,
             idle_park: Duration::from_secs(5),
             reply_deadline: Duration::from_millis(105),
             fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
-            ..Pm2Config::test(2)
+            ..Pm2Config::test(3)
         })
         .unwrap();
+        // Spins until the probe is back — or 2 s, so that a probe waiting
+        // on the spinner to stop fails the bound instead of hanging.
+        let done = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&done);
+        let spinner = m
+            .spawn_on(2, move || {
+                let t0 = Instant::now();
+                while !stop.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(2) {
+                    pm2_yield();
+                }
+            })
+            .unwrap();
         let t0 = Instant::now();
         let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
         let took = t0.elapsed();
+        done.store(true, Ordering::SeqCst);
         let exhausted = Pm2Error::RetriesExhausted {
             op: "load probe",
             attempts: 3,
         };
-        assert_eq!(probe, Err(exhausted), "{mode:?}");
+        assert_eq!(probe, Err(exhausted), "{workers} worker(s)");
         assert!(
-            took >= Duration::from_millis(100) && took < Duration::from_millis(600),
-            "{mode:?}: three slices of 105 ms took {took:?}"
+            took < Duration::from_millis(600),
+            "{workers} worker(s): three slices of 105 ms took {took:?}"
         );
+        assert!(!m.join(spinner).panicked);
         m.shutdown();
     }
 }

@@ -9,15 +9,15 @@ use pm2::api::*;
 use pm2::loadbal::{start_balancer, BalancerConfig};
 use pm2::{Machine, MachineBuilder};
 
-/// The test-profile machine on the threaded driver: balancing moves
-/// threads between nodes that really run side by side.
-fn threaded(nodes: usize) -> MachineBuilder {
-    Machine::builder(nodes).test_profile().threaded()
+/// The test-profile machine on two workers: balancing moves threads
+/// between nodes that really run side by side.
+fn two_workers(nodes: usize) -> MachineBuilder {
+    Machine::builder(nodes).test_profile().workers(2)
 }
 
 #[test]
 fn balancer_spreads_a_hot_node() {
-    let mut m = threaded(4).launch().unwrap();
+    let mut m = two_workers(4).launch().unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -79,7 +79,7 @@ fn balancer_spreads_a_hot_node() {
 
 #[test]
 fn balancer_is_quiet_on_balanced_load() {
-    let mut m = threaded(2).launch().unwrap();
+    let mut m = two_workers(2).launch().unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -122,7 +122,7 @@ fn balancer_is_quiet_on_balanced_load() {
 /// migration messages carry more than one thread.
 #[test]
 fn balancer_batches_commands_and_forms_trains() {
-    let mut m = threaded(4).launch().unwrap();
+    let mut m = two_workers(4).launch().unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -197,7 +197,7 @@ fn balancer_batches_commands_and_forms_trains() {
 /// must not wedge, and the load still spreads to the nodes that answer.
 #[test]
 fn frozen_destination_degrades_round_not_daemon() {
-    let mut m = threaded(3).launch().unwrap();
+    let mut m = two_workers(3).launch().unwrap();
     // Hog node 2's driver: a thread that never yields for a while.  While
     // it runs, node 2 answers no LOAD_REQ and adopts no trains.
     let hog = m
@@ -263,7 +263,7 @@ fn frozen_destination_degrades_round_not_daemon() {
 
 #[test]
 fn non_migratable_threads_stay_put() {
-    let mut m = threaded(2).launch().unwrap();
+    let mut m = two_workers(2).launch().unwrap();
     let bal = start_balancer(
         &m,
         BalancerConfig {
@@ -313,7 +313,7 @@ fn non_migratable_threads_stay_put() {
 /// of strict alternation; the cooldown would brake any stray move.
 #[test]
 fn symmetric_chatter_settles_under_hysteresis() {
-    let mut m = threaded(2).launch().unwrap();
+    let mut m = two_workers(2).launch().unwrap();
     pm2_workload::register_services(&m);
     let bal = start_balancer(
         &m,
@@ -359,7 +359,7 @@ fn symmetric_chatter_settles_under_hysteresis() {
 /// machine every hint is both fresh and boring, so savings accrue fast.
 #[test]
 fn fresh_gossip_hints_save_balancer_probes() {
-    let mut m = threaded(4)
+    let mut m = two_workers(4)
         // Gossip only runs with the failure detector armed on a
         // small machine; fast heartbeats keep the hints fresh.
         .failure_timeout(Duration::from_millis(900))

@@ -208,7 +208,7 @@ fn many_threads_migrate_concurrently() {
 fn threaded_mode_migration_works_in_parallel() {
     let mut m = Machine::builder(3)
         .test_profile()
-        .threaded()
+        .workers(2)
         .launch()
         .unwrap();
     let mut handles = Vec::new();

@@ -119,7 +119,7 @@ fn fig4_fig9_malloc_data_lost() {
 /// captured trace must match the paper's Fig. 8 shape exactly.
 #[test]
 fn fig7_fig8_isomalloc_list_traversal() {
-    // The paper uses 100'000 elements; 3'000 keeps the deterministic-mode
+    // The paper uses 100'000 elements; 3'000 keeps the one-worker
     // test fast while exercising multiple slots.
     const NB_ELEMENTS: usize = 3_000;
 

@@ -10,12 +10,13 @@ use pm2::api::*;
 use pm2::proto::tag;
 use pm2::{AreaConfig, Machine, MachineBuilder};
 
-/// A p-node threaded machine with per-node slot ownership held constant
-/// (8 slots each) so spawns at p = 256 don't all funnel through trades.
+/// A p-node machine on a two-worker pool, with per-node slot ownership held
+/// constant (8 slots each) so spawns at p = 256 don't all funnel through
+/// trades.
 fn scale_machine(p: usize) -> MachineBuilder {
     Machine::builder(p)
         .test_profile()
-        .threaded()
+        .workers(2)
         .area(AreaConfig {
             slot_size: 64 * 1024,
             n_slots: (8 * p).max(256),

@@ -186,10 +186,14 @@ fn watermark_prefetch_tops_up_the_reserve_asynchronously() {
     // single-slot allocations (yielding like a real workload); once the
     // reserve dips below the low watermark the driver prefetches a batch
     // from node 1 *before* the allocator ever blocks on a shortfall.
+    // The low watermark is the headroom the fill has to land in: a worker
+    // may run node 0 for the executor's whole `FAIRNESS` budget (32 quanta,
+    // one slot each here) before the lender is dispatched at all, so the
+    // reserve must outlast more than one budget.
     let mut m = Machine::builder(2)
         .test_profile()
         .distribution(Distribution::Partitioned)
-        .slot_watermarks(16, 48)
+        .slot_watermarks(40, 72)
         .launch()
         .unwrap();
     let slot = m.area().slot_size();
@@ -272,7 +276,6 @@ fn stacked_requesters_park_instead_of_spinning() {
     // straight from the first requester's trade batch.
     let mut m = Machine::builder(2)
         .test_profile()
-        .deterministic()
         .trade_batch(32)
         .launch()
         .unwrap();

@@ -5,7 +5,7 @@
 use testkit::StdRng;
 
 use pm2::api::*;
-use pm2::{Distribution, Machine, MachineMode, Pm2Config};
+use pm2::{Distribution, Machine, Pm2Config};
 
 /// One thread's random walk: keep a set of live iso blocks (each filled
 /// with a seed-derived pattern), randomly allocate, free, verify, migrate
@@ -65,9 +65,9 @@ fn random_walk(seed: u64, nodes: usize, steps: usize) {
     }
 }
 
-fn stress(nodes: usize, threads: usize, steps: usize, seed: u64, mode: MachineMode) {
+fn stress(nodes: usize, threads: usize, steps: usize, seed: u64, workers: usize) {
     let mut m = Machine::launch(Pm2Config {
-        mode,
+        workers,
         slot_cache: 8,
         area: pm2::AreaConfig {
             slot_size: 64 * 1024,
@@ -101,17 +101,17 @@ fn stress(nodes: usize, threads: usize, steps: usize, seed: u64, mode: MachineMo
 
 #[test]
 fn stress_deterministic_2_nodes() {
-    stress(2, 8, 300, 0xA11CE, MachineMode::Deterministic);
+    stress(2, 8, 300, 0xA11CE, 1);
 }
 
 #[test]
 fn stress_deterministic_4_nodes() {
-    stress(4, 12, 250, 0xB0B5EED, MachineMode::Deterministic);
+    stress(4, 12, 250, 0xB0B5EED, 1);
 }
 
 #[test]
 fn stress_threaded_3_nodes() {
-    stress(3, 9, 300, 0xC0FFEE, MachineMode::Threaded);
+    stress(3, 9, 300, 0xC0FFEE, 2);
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn stress_threaded_large_allocations() {
     // Mix in occasionally huge (multi-slot, negotiated) blocks.
     let mut m = Machine::builder(3)
         .test_profile()
-        .threaded()
+        .workers(2)
         .area(pm2::AreaConfig {
             slot_size: 64 * 1024,
             n_slots: 512,

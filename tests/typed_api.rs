@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use pm2::api::*;
-use pm2::{Machine, MachineMode, NetProfile, Pm2Error, Service, Wire};
+use pm2::{Machine, NetProfile, Pm2Error, Service, Wire};
 use testkit::{cases, StdRng};
 
 // ---------------------------------------------------------------------------
@@ -16,14 +16,14 @@ use testkit::{cases, StdRng};
 #[test]
 fn builder_launches_a_working_machine() {
     let m = Machine::builder(3)
-        .deterministic()
+        .workers(1)
         .net(NetProfile::instant())
         .slot_cache(0)
         .reply_deadline(Duration::from_secs(5))
         .launch()
         .unwrap();
     assert_eq!(m.nodes(), 3);
-    assert_eq!(m.config().mode, MachineMode::Deterministic);
+    assert_eq!((m.config().workers, m.worker_threads()), (1, 1));
     assert_eq!(m.config().reply_deadline, Duration::from_secs(5));
     let where_am_i = m.run_on(2, pm2_self).unwrap();
     assert_eq!(where_am_i, 2);
@@ -33,7 +33,7 @@ fn builder_launches_a_working_machine() {
 fn builder_config_roundtrip_drives_launch() {
     // into_config → launch must behave exactly like launch-from-builder.
     let cfg = Machine::builder(2).test_profile().into_config();
-    assert_eq!(cfg.mode, MachineMode::Deterministic);
+    assert_eq!(cfg.workers, 1);
     let m = Machine::launch(cfg).unwrap();
     assert_eq!(m.run_on(1, pm2_self).unwrap(), 1);
 }
@@ -456,7 +456,7 @@ fn rpc_survives_negotiation_freezes() {
     use std::sync::Arc;
 
     let m = Machine::builder(3)
-        .deterministic()
+        .workers(1)
         .net(NetProfile::instant())
         .area(pm2::AreaConfig {
             slot_size: 64 * 1024,
@@ -569,8 +569,8 @@ impl Service for Slow {
     type Req = ();
     type Resp = ();
     fn handle(&self, _: ()) {
-        // Stall well past the caller's deadline (blocks this node's
-        // driver; threaded mode keeps the others responsive).
+        // Stall well past the caller's deadline (blocks the worker driving
+        // this node; a second worker keeps the others responsive).
         std::thread::sleep(Duration::from_millis(600));
     }
 }
@@ -579,7 +579,7 @@ impl Service for Slow {
 fn short_reply_deadline_times_out_cleanly() {
     let mut m = Machine::builder(2)
         .test_profile()
-        .threaded()
+        .workers(2)
         .reply_deadline(Duration::from_millis(120))
         .launch()
         .unwrap();

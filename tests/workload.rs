@@ -1,5 +1,5 @@
 //! End-to-end tests of the `pm2-workload` capacity harness: a tiny ramp
-//! on a deterministic-mode machine, plus the host-side counter reset the
+//! on a one-worker machine, plus the host-side counter reset the
 //! per-round machine reports depend on.
 
 use std::time::Duration;
@@ -8,7 +8,7 @@ use pm2::api::*;
 use pm2::{Machine, Pm2Config};
 use pm2_workload::{register_services, run_ramp, RampConfig, Verdict, WorkloadSpec};
 
-/// A two-round mixed ramp on a deterministic 2-node machine: both rounds
+/// A two-round mixed ramp on a one-worker 2-node machine: both rounds
 /// must pass the (generous) SLOs, every op must be accounted for, and the
 /// last round is the max sustainable rate.
 #[test]
