@@ -210,11 +210,14 @@ pub fn write_evacuation_json() {
     crate::report::emit_json(
         "BENCH_evacuation.json",
         "evacuation",
-        "wall-clock ms to drain 64 threads off node 0 of a 4-node machine onto \
-         nodes 1-3, per net profile; batched = group MIGRATE_CMD per destination + \
-         migration trains, per_thread = the pre-train baseline (one command and one wire \
-         message per thread, serialized acks, max_train=1); threads_per_message > 1 proves \
-         trains formed",
+        &format!(
+            "wall-clock ms to drain 64 threads off node 0 of a 4-node machine onto \
+             nodes 1-3, per net profile; batched = group MIGRATE_CMD per destination + \
+             migration trains, per_thread = the pre-train baseline (one command and one \
+             wire message per thread, serialized acks, max_train=1); threads_per_message \
+             > 1 proves trains formed; {}",
+            crate::report::one_host_note()
+        ),
         &out,
     );
 }

@@ -88,10 +88,13 @@ pub fn write_latency_json() {
     crate::report::emit_json(
         "BENCH_latency.json",
         "latency",
-        "one-way hop latency of a zero-payload 2-node ping-pong (auto worker pool) per net \
-         profile; driver_parks/driver_wakeups count doorbell parks of the event-driven \
-         drivers — a polling driver would show zero parks and orders of magnitude more \
-         steps_per_hop",
+        &format!(
+            "one-way hop latency of a zero-payload 2-node ping-pong (auto worker pool) per \
+             net profile; driver_parks/driver_wakeups count doorbell parks of the \
+             event-driven drivers — a polling driver would show zero parks and orders of \
+             magnitude more steps_per_hop; {}",
+            crate::report::one_host_note()
+        ),
         &out,
     );
 }

@@ -50,8 +50,11 @@ pub fn write_migration_json() {
     crate::report::emit_json(
         "BENCH_migration.json",
         "migration",
-        "per-stage means over all migrations in a 2-node ping-pong; wire time is the \
-         calibrated model charged at the receiver",
+        &format!(
+            "per-stage means over all migrations in a 2-node ping-pong; wire time is the \
+             calibrated model charged at the receiver; {}",
+            crate::report::one_host_note()
+        ),
         &rows,
     );
 }

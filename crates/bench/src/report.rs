@@ -85,6 +85,19 @@ impl Table {
     }
 }
 
+/// Closing clause of the `unit_note` of the four files that time the
+/// migration path — BENCH_evacuation, BENCH_latency, BENCH_migration and
+/// BENCH_scale.  A null hop is a row of three of them, and the rows can only
+/// be read against each other when one host wrote them in one sitting, so
+/// whoever commits one of the four re-runs and commits all four.
+pub fn one_host_note() -> String {
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    format!(
+        "committed with BENCH_evacuation, BENCH_latency, BENCH_migration and BENCH_scale \
+         from one run on one host ({cpus} CPUs), so the four read against each other"
+    )
+}
+
 /// Write one repo-root `BENCH_*.json` perf-trajectory file.
 ///
 /// Every tracked benchmark shares this envelope — `bench` id, a

@@ -374,7 +374,8 @@ pub fn write_scale_json() {
     crate::report::emit_json(
         "BENCH_scale.json",
         "scale",
-        "machine-size scaling on the multiplexed executor (auto worker \
+        &format!(
+            "machine-size scaling on the multiplexed executor (auto worker \
          pool, instant wire profile, failure detector armed at 2 s / 50 ms heartbeats): \
          idle_* = per-node background driver steps and wire messages per second in a \
          quiet 700 ms window (gossip-scale protocols keep this flat in p); hop/evac/neg \
@@ -383,7 +384,9 @@ pub fn write_scale_json() {
          evac_msgs is the scalability signal; neg_* = single-slot acquisitions on node 0 \
          past its own share, each fed synchronously by the demand-trade path (watermark \
          prefetch disabled); max_rps from the \
-         SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes",
+         SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes; {}",
+            crate::report::one_host_note()
+        ),
         &out,
     );
 }

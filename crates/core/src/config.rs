@@ -32,8 +32,13 @@ pub struct Pm2Config {
     /// Geometry of the iso-address area.
     pub area: AreaConfig,
     /// How slot commit/decommit maps onto the host kernel (see
-    /// [`MapStrategy`]; `Resident` keeps host-kernel page-table costs out
-    /// of measurements, `Syscall` is the faithful mmap path).
+    /// [`MapStrategy`]).  `Resident`, the default, makes both accounting
+    /// only, so neither page-table costs nor memsets sit in a measurement:
+    /// a slot is zero-filled when it changes owner (its next fresh commit),
+    /// never when a migrating thread carries it, and a stray read of an
+    /// uncommitted slot sees stale bytes.  `Syscall` is the faithful mmap
+    /// path: the kernel drops the pages and such a read faults.  Either way
+    /// a fresh commit reads zeroes and a double commit is caught.
     pub map_strategy: MapStrategy,
     /// Initial slot distribution (§4.1; the paper uses round-robin).
     pub distribution: Distribution,

@@ -5,12 +5,17 @@
 //!    we serialize its stack slot (metadata + live stack only) and each of
 //!    its heap slots (metadata + busy blocks only, the §6 optimization),
 //!    then unmap everything on the source node.  No bitmap changes: the
-//!    slots still belong to the thread.
+//!    slots still belong to the thread — and, for the same reason, nothing
+//!    is zero-filled: under the default `MapStrategy::Resident` an unmap is
+//!    accounting, and a slot is scrubbed only when it changes owner.
 //! 2. **Send** — the buffer crosses the Madeleine fabric.
 //! 3. **Adopt & unpack** — the destination maps the same slot ranges at the
-//!    same virtual addresses, copies the extents back, and enqueues the
-//!    thread.  Because every pointer in the thread's universe is an
-//!    iso-address, *nothing* is fixed up: "an iso-address copy is enough".
+//!    same virtual addresses (through the double-commit accounting, without
+//!    a scrub), copies the extents back, and enqueues the thread.  What
+//!    lies between the extents — free-block payloads, dead stack — is the
+//!    thread's own indeterminate memory.  Because every pointer in the
+//!    thread's universe is an iso-address, *nothing* is fixed up: "an
+//!    iso-address copy is enough".
 //!
 //! ## Migration trains
 //!
@@ -45,6 +50,7 @@
 //! the buffer, and the receiver's drop recycles it for the next train.
 
 use isoaddr::{NodeSlotManager, SlotProvider, SlotRange};
+use isomalloc::heap::iter_slot_runs;
 use isomalloc::layout::SlotKind;
 use isomalloc::pack::{
     full_record_size, heap_pack_hint, pack_full, pack_heap_slot, pack_raw_extents, peek_header,
@@ -83,15 +89,14 @@ pub(crate) unsafe fn thread_pack_hint(
     pack_full_slots: bool,
 ) -> Result<usize> {
     let desc = &*d;
+    let heap = std::ptr::addr_of!(desc.heap);
     if pack_full_slots {
-        let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap));
         Ok(full_record_size(desc.stack_slots, slot_size)
-            + heap_slots
-                .iter()
-                .map(|&(_, n)| full_record_size(n, slot_size))
+            + iter_slot_runs(heap)
+                .map(|(_, n)| full_record_size(n, slot_size))
                 .sum::<usize>())
     } else {
-        Ok(record_size(&desc.stack_extents()) + heap_pack_hint(std::ptr::addr_of!(desc.heap))?)
+        Ok(record_size(&desc.stack_extents()) + heap_pack_hint(heap)?)
     }
 }
 
@@ -109,7 +114,6 @@ unsafe fn pack_thread_records(
     buf: &mut Vec<u8>,
 ) -> Result<()> {
     let desc = &*d;
-    let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!(desc.heap));
     if pack_full_slots {
         pack_full(
             desc.stack_base,
@@ -127,7 +131,7 @@ unsafe fn pack_thread_records(
             buf,
         );
     }
-    for &(base, n) in &heap_slots {
+    for (base, n) in iter_slot_runs(std::ptr::addr_of!(desc.heap)) {
         if pack_full_slots {
             pack_full(base, SlotKind::Heap as u32, n, slot_size, buf);
         } else {
@@ -139,7 +143,8 @@ unsafe fn pack_thread_records(
 
 /// Unmap every slot of the packed threads `ds` on the source node — the
 /// departure half of a migration, run once [`pack_threads`] has the image.
-/// Ownership stays with each thread (no bitmap change).
+/// Ownership stays with each thread (no bitmap change), and so do the bytes:
+/// a surrender scrubs nothing (see [`NodeSlotManager::surrender`]).
 ///
 /// # Safety
 /// As in [`pack_threads`]; afterwards none of the threads' memory may be
@@ -148,13 +153,14 @@ pub(crate) unsafe fn surrender_threads(ds: &[DescPtr], mgr: &mut NodeSlotManager
     let (slot_size, area_base) = (mgr.slot_size(), mgr.area_base());
     let range = |base: usize, n: usize| SlotRange::new((base - area_base) / slot_size, n);
     for &d in ds {
-        // The descriptor lives in the stack slot: read everything first.
+        // The heap chain is rooted in the descriptor, which lives in the
+        // stack slot, and each link in the slot before it: the walk reads a
+        // link before that slot is unmapped, and the stack slot goes last.
         let stack = range((*d).stack_base, (*d).stack_slots);
-        let heap_slots = isomalloc::heap::heap_slots(std::ptr::addr_of!((*d).heap));
-        mgr.surrender(stack)?;
-        for (base, n) in heap_slots {
+        for (base, n) in iter_slot_runs(std::ptr::addr_of!((*d).heap)) {
             mgr.surrender(range(base, n))?;
         }
+        mgr.surrender(stack)?;
     }
     Ok(())
 }

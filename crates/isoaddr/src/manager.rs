@@ -14,6 +14,8 @@
 //!   migrating thread's slots *without touching any bitmap* (the thread
 //!   still owns them; "the bitmaps do not undergo any change on thread
 //!   migration"); the destination node maps them back at the same addresses.
+//!   Every other commit is for a new owner and reads zero; these two move a
+//!   slot with its owner, so nothing is scrubbed between them.
 //! * **lend / adopt-batch** — the decentralized slot economy: a node lends
 //!   a batch of contiguous ranges to a trading peer ([`lend_batch`]
 //!   clears the bits *before* the reply leaves, so a slot is set in at
@@ -154,30 +156,29 @@ impl NodeSlotManager {
         self.cache.iter()
     }
 
+    /// Commit `range` for a new owner (it reads zero afterwards), counting
+    /// the commit and whatever the area had to scrub for it.
+    fn commit_fresh(&self, range: SlotRange) -> Result<()> {
+        SlotStats::bump(&self.stats.commits);
+        let scrubbed = self.area.commit(range, true)?;
+        SlotStats::add(&self.stats.scrubs, scrubbed as u64);
+        Ok(())
+    }
+
     /// Commit a slot range, reusing any cached (already-committed) slots
     /// inside it.  The range's bits must already be cleared from the bitmap.
     fn commit_with_cache(&mut self, range: SlotRange) -> Result<VAddr> {
         // Cached slots inside the range are already mapped; commit the gaps.
         let cached = self.cache.remove_in_range(range);
-        if cached.is_empty() {
-            SlotStats::bump(&self.stats.commits);
-            return self.area.commit_slots(range);
-        }
         let mut run_start = range.first;
-        for idx in range.iter() {
-            if cached.contains(&idx) {
-                if idx > run_start {
-                    SlotStats::bump(&self.stats.commits);
-                    self.area
-                        .commit_slots(SlotRange::new(run_start, idx - run_start))?;
-                }
-                run_start = idx + 1;
+        for idx in range.iter().filter(|idx| cached.contains(idx)) {
+            if idx > run_start {
+                self.commit_fresh(SlotRange::new(run_start, idx - run_start))?;
             }
+            run_start = idx + 1;
         }
         if range.end() > run_start {
-            SlotStats::bump(&self.stats.commits);
-            self.area
-                .commit_slots(SlotRange::new(run_start, range.end() - run_start))?;
+            self.commit_fresh(SlotRange::new(run_start, range.end() - run_start))?;
         }
         Ok(self.area.slot_addr(range.first))
     }
@@ -258,7 +259,10 @@ impl NodeSlotManager {
     }
 
     /// Unmap a migrating thread's slots on departure.  Ownership stays with
-    /// the thread; no bitmap is touched (paper §4.2).
+    /// the thread; no bitmap is touched (paper §4.2).  Under
+    /// `MapStrategy::Resident` nothing is zero-filled either: the thread
+    /// carries its slots, and only if it never arrives — so the range is
+    /// later granted to a node and committed afresh — are they scrubbed.
     pub fn surrender(&mut self, range: SlotRange) -> Result<()> {
         debug_assert!(
             self.bitmap.all_clear(range),
@@ -270,7 +274,11 @@ impl NodeSlotManager {
     }
 
     /// Map an arriving migrated thread's slots.  Ownership stays with the
-    /// thread; no bitmap is touched.
+    /// thread; no bitmap is touched, and — the owner being who it was —
+    /// nothing is scrubbed ([`IsoArea::recommit_slots`]): it still passes
+    /// through the double-commit accounting, but the caller must unpack the
+    /// thread's extents into the range before anything reads it; the gaps
+    /// between them (free-block payloads, dead stack) are indeterminate.
     pub fn adopt(&mut self, range: SlotRange) -> Result<VAddr> {
         debug_assert!(
             self.bitmap.all_clear(range),
@@ -278,7 +286,7 @@ impl NodeSlotManager {
             self.node
         );
         SlotStats::bump(&self.stats.commits);
-        self.area.commit_slots(range)
+        self.area.recommit_slots(range)
     }
 
     /// Serialized bitmap size ([`Self::bitmap_bytes_into`]'s contribution).
@@ -568,10 +576,43 @@ mod tests {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), addr1 as *mut u8, 64);
             assert_eq!((addr1 as *const u64).read(), 0xC0FFEE);
         }
+        // The slot moved with its owner: both commits were counted, neither
+        // scrubbed anything.
+        assert_eq!(m0.stats_snapshot().commits + m1.stats_snapshot().commits, 2);
+        assert_eq!(m0.stats_snapshot().scrubs + m1.stats_snapshot().scrubs, 0);
         // Thread dies on node 1: slots released THERE (Fig. 6 step 4).
         m1.release(r).unwrap();
         assert!(m1.bitmap().get(0), "node 1 now owns slot 0");
         assert!(!m0.bitmap().get(0), "node 0 no longer tracks slot 0");
+    }
+
+    /// A thread lost in flight: its slots were surrendered with their bytes
+    /// in them and nobody adopted them.  Once recovery grants the range to a
+    /// node, the next owner's acquisition reads zero — the scrub a hop no
+    /// longer pays is paid here, once, by the commit that changes owner.
+    #[test]
+    fn a_surrendered_range_nobody_adopted_is_scrubbed_for_its_next_owner() {
+        use crate::area::MapStrategy;
+        for (strategy, scrubs) in [(MapStrategy::Resident, 2), (MapStrategy::Syscall, 0)] {
+            let area = Arc::new(IsoArea::with_strategy(AreaConfig::small(), strategy).unwrap());
+            let mut m0 =
+                NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::Partitioned, 0);
+            let mut m1 =
+                NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::Partitioned, 0);
+            let AcquireOutcome::Acquired(r, addr) = m0.try_acquire(2).unwrap() else {
+                panic!()
+            };
+            let len = 2 * m0.slot_size();
+            unsafe { std::ptr::write_bytes(addr as *mut u8, 0x77, len) };
+            m0.surrender(r).unwrap();
+            m1.grant(r);
+            assert_eq!(m1.acquire_specific(r).unwrap(), addr);
+            let got = unsafe { std::slice::from_raw_parts(addr as *const u8, len) };
+            assert!(got.iter().all(|&b| b == 0), "{strategy:?}");
+            assert_eq!(m1.stats_snapshot().scrubs, scrubs, "{strategy:?}");
+            assert_eq!(m0.stats_snapshot().scrubs, 0);
+            m1.release(r).unwrap();
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub struct SlotStats {
     pub commits: AtomicU64,
     /// munmap-equivalent (decommit) calls issued.
     pub decommits: AtomicU64,
+    /// Slots zero-filled by a fresh commit because their last owner left
+    /// bytes in them (`MapStrategy::Resident`; the kernel scrubs under
+    /// `Syscall`, so it stays 0 there).  A migration adds none.
+    pub scrubs: AtomicU64,
 }
 
 impl SlotStats {
@@ -67,6 +71,7 @@ impl SlotStats {
             slots_adopted: self.slots_adopted.load(Ordering::Relaxed),
             commits: self.commits.load(Ordering::Relaxed),
             decommits: self.decommits.load(Ordering::Relaxed),
+            scrubs: self.scrubs.load(Ordering::Relaxed),
         }
     }
 }
@@ -86,6 +91,7 @@ pub struct SlotStatsSnapshot {
     pub slots_adopted: u64,
     pub commits: u64,
     pub decommits: u64,
+    pub scrubs: u64,
 }
 
 impl std::fmt::Display for SlotStatsSnapshot {
@@ -94,7 +100,7 @@ impl std::fmt::Display for SlotStatsSnapshot {
             f,
             "acquires: {} local / {} multi / {} needing negotiation; releases: {}; \
              cache: {} hits / {} misses; negotiated: {} sold / {} bought; \
-             traded: {} lent / {} adopted; mmap: {} commits / {} decommits",
+             traded: {} lent / {} adopted; mmap: {} commits / {} decommits / {} scrubs",
             self.local_acquires,
             self.multi_acquires,
             self.negotiation_required,
@@ -107,6 +113,7 @@ impl std::fmt::Display for SlotStatsSnapshot {
             self.slots_adopted,
             self.commits,
             self.decommits,
+            self.scrubs,
         )
     }
 }

@@ -184,15 +184,23 @@ pub unsafe fn iter_slots(h: *const IsoHeapState) -> impl Iterator<Item = VAddr> 
     })
 }
 
-/// List of `(slot base, n raw slots)` owned by the heap — the thread's
-/// private slots of Fig. 10, used by the migration engine.
+/// Iterate the heap's slots as `(slot base, n raw slots)` — the thread's
+/// private slots of Fig. 10, as the migration engine walks them.  A slot's
+/// header is read for the last time before the slot is yielded, so the
+/// caller may unmap each slot as it receives it.
+///
+/// # Safety
+/// The chain must be well formed.
+pub unsafe fn iter_slot_runs(h: *const IsoHeapState) -> impl Iterator<Item = (VAddr, usize)> {
+    iter_slots(h).map(|s| (s, (*(s as *const SlotHeader)).n_slots as usize))
+}
+
+/// [`iter_slot_runs`] collected into a list.
 ///
 /// # Safety
 /// The chain must be well formed.
 pub unsafe fn heap_slots(h: *const IsoHeapState) -> Vec<(VAddr, usize)> {
-    iter_slots(h)
-        .map(|s| (s, (*(s as *const SlotHeader)).n_slots as usize))
-        .collect()
+    iter_slot_runs(h).collect()
 }
 
 unsafe fn find_in_slot(slot: VAddr, req: usize) -> Option<*mut BlockHeader> {

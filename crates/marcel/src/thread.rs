@@ -108,6 +108,19 @@ pub mod flags {
     pub const DETACHED: u32 = 4;
 }
 
+/// What [`ThreadDescriptor::stack_extents`] returns: one or two
+/// `(offset, length)` extents held inline, read as a slice — it is computed
+/// on every hop, so it does not allocate.
+#[derive(Debug, Clone, Copy)]
+pub struct StackExtents([(u32, u32); 2], usize);
+
+impl std::ops::Deref for StackExtents {
+    type Target = [(u32, u32)];
+    fn deref(&self) -> &[(u32, u32)] {
+        &self.0[..self.1]
+    }
+}
+
 /// The thread descriptor.  Lives inside the stack slot; every pointer field
 /// is an iso-address, so the descriptor survives migration verbatim.
 #[repr(C)]
@@ -221,17 +234,22 @@ impl ThreadDescriptor {
 
     /// Extent list for packing this thread's stack slot: the metadata
     /// prefix (slot header + descriptor + closure + canary) and the live
-    /// stack.  Offsets are relative to the slot base.
-    pub fn stack_extents(&self) -> Vec<(u32, u32)> {
-        let meta_end = self.canary_addr + 8 - self.stack_base;
+    /// stack, merged into one extent when they touch.  Offsets are relative
+    /// to the slot base.
+    pub fn stack_extents(&self) -> StackExtents {
+        let meta_end = (self.canary_addr + 8 - self.stack_base) as u32;
         let (live_lo, live_hi) = self.live_stack_range();
-        let mut b = isomalloc::pack::ExtentBuilder::new();
-        b.push(0, meta_end as u32);
-        b.push(
+        let (lo, hi) = (
             (live_lo - self.stack_base) as u32,
-            (live_hi - live_lo) as u32,
+            (live_hi - self.stack_base) as u32,
         );
-        b.finish()
+        if hi <= lo {
+            StackExtents([(0, meta_end), (0, 0)], 1)
+        } else if lo <= meta_end {
+            StackExtents([(0, meta_end.max(hi)), (0, 0)], 1)
+        } else {
+            StackExtents([(0, meta_end), (lo, hi - lo)], 2)
+        }
     }
 
     /// Record one message exchanged with `node` in the affinity table.

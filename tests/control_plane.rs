@@ -3,6 +3,7 @@
 //! under every tag, and every at-least-once exchange gives up typed.
 
 use std::fmt::Debug;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use pm2::api::{
@@ -448,15 +449,22 @@ fn captured_train() -> Vec<u8> {
         .spill_dir(&dir)
         .launch()
         .unwrap();
+    // A thread checkpointed before its first quantum has no heap record
+    // yet: wait until both have allocated.
+    static HEAPS: AtomicUsize = AtomicUsize::new(0);
     for fill in [0xA1u8, 0xB2] {
         m.spawn_on(0, move || {
             let p = pm2_isomalloc(700).unwrap();
             unsafe { std::ptr::write_bytes(p, fill, 700) };
+            HEAPS.fetch_add(1, Ordering::SeqCst);
             loop {
                 pm2::api::pm2_yield();
             }
         })
         .unwrap();
+    }
+    while HEAPS.load(Ordering::SeqCst) < 2 {
+        std::thread::yield_now();
     }
     while m.checkpoint_node(0).unwrap() < 2 {}
     m.kill_node(0).unwrap(); // the two loops never end

@@ -474,6 +474,56 @@ fn pooled_migration_roundtrip_with_heap_verify() {
     m.shutdown();
 }
 
+/// A migrating thread carries its slots, it does not launder them: every
+/// arrival passes through the double-commit accounting (two commits a hop,
+/// stack slot + heap slot) and none of them zero-fills anything.  A slot is
+/// scrubbed when it changes owner — here, when the bouncer has exited (the
+/// test profile runs without the §6 cache, so its slots are decommitted) and
+/// a new thread takes them.
+#[test]
+fn a_thousand_hops_scrub_nothing_and_a_new_owner_scrubs_what_it_takes() {
+    const HOPS: usize = 1000;
+    const BLOCK: usize = 4096;
+    let mut m = machine(2);
+    let stats = |m: &Machine| [m.slot_stats(0), m.slot_stats(1)];
+    let commits = |m: &Machine| stats(m).iter().map(|s| s.commits).sum::<u64>();
+    let before = commits(&m);
+    m.run_on(0, || {
+        let p = pm2_isomalloc(BLOCK).unwrap();
+        unsafe { std::ptr::write_bytes(p, 0xC3, BLOCK) };
+        for hop in 0..HOPS {
+            pm2_migrate(1 - (hop % 2)).unwrap();
+            assert_eq!(unsafe { (*p, *p.add(BLOCK - 1)) }, (0xC3, 0xC3));
+        }
+        // Exits holding the block: both its slots are released here.
+    })
+    .unwrap();
+    assert_eq!(
+        commits(&m) - before,
+        2 + 2 * HOPS as u64,
+        "the spawn's two fresh commits, then two adoptions per hop"
+    );
+    assert_eq!(stats(&m).map(|s| s.scrubs), [0, 0]);
+
+    // First fit hands the next thread on node 0 the same two slots.
+    m.run_on(0, || {
+        let p = pm2_isomalloc(BLOCK).unwrap();
+        let block = unsafe { std::slice::from_raw_parts(p, BLOCK) };
+        assert!(
+            block.iter().all(|&b| b == 0),
+            "the last owner's bytes leaked"
+        );
+    })
+    .unwrap();
+    assert_eq!(
+        stats(&m).map(|s| s.scrubs),
+        [2, 0],
+        "exactly the stack and heap slot that changed owner"
+    );
+    m.audit().unwrap().check_partition().unwrap();
+    m.shutdown();
+}
+
 /// A migration NAK must complete every lost thread in the registry so
 /// joiners surface an error instead of hanging.
 #[test]
