@@ -40,6 +40,19 @@
 //!   sleeping worker times out at it, and a worker that never sleeps looks
 //!   at it every [`FAIRNESS`] dispatches, so a busy pool's idle nodes keep
 //!   their timers too.
+//! * **What a push costs.**  Queueing a node is a lock, a `push_back` and
+//!   an unlock; a system call (`futex_wake`, several times the rest) is
+//!   made only when a worker is asleep to receive it, and after the lock is
+//!   released.  The workers count themselves: one adds itself to the
+//!   queue's sleeper count, under the queue's lock, on its way into
+//!   `wait_timeout` and takes itself off on the way out, so a push that
+//!   reads zero under that lock knows every worker has yet to look at the
+//!   queue and will find the node there.  One worker that is never idle —
+//!   a hop's ping-pong on `workers(1)` — therefore pays no system call per
+//!   message.  `driver_wakeups` / `driver_parks` count the node's state
+//!   transitions as before, not these.  The sweep instant lives under the
+//!   same lock, so a deadline pulled forward is either read by a worker
+//!   before it sleeps or wakes it after.
 //!
 //! `NodeCtx` stays single-driver: the state machine guarantees a node is
 //! `Running` on at most one worker, and the per-node mutex (uncontended in
@@ -50,7 +63,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use crate::node::{NodeCtx, NodeStats};
@@ -74,6 +87,149 @@ const FAIRNESS: usize = 32;
 /// replies is idle, and the reply is usually nearer than that.
 const LOOK_AGAIN: Duration = Duration::from_micros(20);
 
+/// The ready queue: node ids waiting for a worker, the workers asleep
+/// waiting for one, and the instant they must wake regardless — one mutex,
+/// so each of the three is published against the other two.
+struct ReadyQueue {
+    state: Mutex<Ready>,
+    cv: Condvar,
+    /// `Ready::queue`'s length, for a worker that is looking again: it
+    /// watches this instead of taking `state` from the worker that pushes
+    /// and pops.  Only a hint, so `Relaxed` — ids are read under the mutex.
+    len: AtomicUsize,
+}
+
+struct Ready {
+    queue: VecDeque<usize>,
+    /// Workers inside `wait_timeout`, or committed to entering it: counted
+    /// by the worker itself, up before it waits and down after, under the
+    /// lock.  What a push reads to decide whether anyone needs a wake-up.
+    sleepers: usize,
+    /// Next tick sweep (rate limit: one sweeper per period), or sooner: the
+    /// earliest wait deadline a parking node left behind.
+    next_tick: Instant,
+    /// The last node retired: workers leave instead of sleeping.
+    closed: bool,
+}
+
+/// What a worker came back from [`ReadyQueue::pop`] with.
+#[derive(Debug, PartialEq, Eq)]
+enum Popped {
+    Node(usize),
+    /// Slept until `next_tick`: a sweep is due.
+    TimedOut,
+    Closed,
+}
+
+impl ReadyQueue {
+    fn new(queue: VecDeque<usize>, next_tick: Instant) -> ReadyQueue {
+        ReadyQueue {
+            len: AtomicUsize::new(queue.len()),
+            state: Mutex::new(Ready {
+                queue,
+                sleepers: 0,
+                next_tick,
+                closed: false,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Ready> {
+        self.state.lock().expect("a worker panicked in the queue")
+    }
+
+    /// Queue `id`; true if a sleeping worker was notified for it (the
+    /// `futex_wake`, made after the lock is released).  A worker that is
+    /// not counted asleep has yet to look at the queue under the lock, and
+    /// will find `id` there.
+    fn push(&self, id: usize) -> bool {
+        let asleep = {
+            let mut r = self.lock();
+            r.queue.push_back(id);
+            self.len.store(r.queue.len(), Ordering::Relaxed);
+            r.sleepers > 0
+        };
+        if asleep {
+            self.cv.notify_one();
+        }
+        asleep
+    }
+
+    /// The next queued id.  An empty queue is watched for [`LOOK_AGAIN`],
+    /// then slept on until a push, [`ReadyQueue::close`], a deadline pulled
+    /// forward, or `next_tick`.
+    fn pop(&self) -> Popped {
+        let mut r = self.lock();
+        let mut look_until = None;
+        loop {
+            if r.closed {
+                return Popped::Closed;
+            }
+            if let Some(id) = r.queue.pop_front() {
+                self.len.store(r.queue.len(), Ordering::Relaxed);
+                return Popped::Node(id);
+            }
+            let now = Instant::now();
+            let until = *look_until.get_or_insert(now + LOOK_AGAIN);
+            if now < until {
+                drop(r);
+                while self.len.load(Ordering::Relaxed) == 0 && Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+                r = self.lock();
+                continue;
+            }
+            let idle = r.next_tick.saturating_duration_since(now);
+            r.sleepers += 1;
+            let (guard, timeout) = self
+                .cv
+                .wait_timeout(r, idle)
+                .expect("a worker panicked in the queue");
+            r = guard;
+            r.sleepers -= 1;
+            if timeout.timed_out() {
+                return Popped::TimedOut;
+            }
+        }
+    }
+
+    /// Pull the next sweep forward to `at`.  A worker reads `next_tick`
+    /// under the lock it then sleeps on, so it either sees `at` before it
+    /// sleeps or is counted asleep here and woken to read its timeout again.
+    fn wake_by(&self, at: Instant) {
+        let asleep = {
+            let mut r = self.lock();
+            if at >= r.next_tick {
+                return;
+            }
+            r.next_tick = at;
+            r.sleepers > 0
+        };
+        if asleep {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Is a sweep due?  If so the next one is `every` from now, and the
+    /// caller is the one sweeper of this period.
+    fn sweep_due(&self, every: Duration) -> bool {
+        let mut r = self.lock();
+        let now = Instant::now();
+        if now < r.next_tick {
+            return false;
+        }
+        r.next_tick = now + every;
+        true
+    }
+
+    /// Send every worker home, the sleeping ones included.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.cv.notify_all();
+    }
+}
+
 struct Inner {
     /// One slot per node.  The mutex is uncontended by construction (the
     /// state machine admits one runner); it exists to make cross-worker
@@ -83,25 +239,16 @@ struct Inner {
     /// Shared handles on each node's stats, so state transitions can count
     /// parks/wakeups without locking the node.
     stats: Vec<Arc<NodeStats>>,
-    ready: Mutex<VecDeque<usize>>,
-    cv: Condvar,
-    /// Nodes not yet `Done`; at zero the pool drains and exits.
+    ready: ReadyQueue,
+    /// Nodes not yet `Done`; at zero the ready queue closes and the pool
+    /// exits.
     live: AtomicUsize,
     /// Worker pop timeout and sweep cadence — the executor twin of the
     /// `idle_park` backstop, tightened to the fastest armed protocol timer.
     tick_every: Duration,
-    /// Next tick sweep (rate limit: one sweeper per period), or sooner: the
-    /// earliest wait deadline a parking node left behind.
-    next_tick: Mutex<Instant>,
 }
 
 impl Inner {
-    fn push(&self, id: usize) {
-        let mut q = self.ready.lock().unwrap();
-        q.push_back(id);
-        self.cv.notify_one();
-    }
-
     /// Doorbell listener body: route a ring on `id`'s bell into the ready
     /// queue (or defer it if the node is mid-run).
     fn notify(&self, id: usize) {
@@ -115,7 +262,7 @@ impl Inner {
                         self.stats[id]
                             .driver_wakeups
                             .fetch_add(1, Ordering::Relaxed);
-                        self.push(id);
+                        self.ready.push(id);
                         return;
                     }
                 }
@@ -140,13 +287,8 @@ impl Inner {
     /// Returns at once when no sweep is due; rate-limited so a large pool
     /// doesn't multiply the sweeps.
     fn tick_sweep(&self) {
-        {
-            let mut next = self.next_tick.lock().unwrap();
-            let now = Instant::now();
-            if now < *next {
-                return;
-            }
-            *next = now + self.tick_every;
+        if !self.ready.sweep_due(self.tick_every) {
+            return;
         }
         for id in 0..self.states.len() {
             if self.states[id]
@@ -156,7 +298,7 @@ impl Inner {
                 self.stats[id]
                     .driver_wakeups
                     .fetch_add(1, Ordering::Relaxed);
-                self.push(id);
+                self.ready.push(id);
             }
         }
     }
@@ -187,8 +329,7 @@ impl Inner {
             drop(ctx);
             if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last node retired: wake every parked worker to exit.
-                let _q = self.ready.lock().unwrap();
-                self.cv.notify_all();
+                self.ready.close();
             }
             return;
         }
@@ -198,7 +339,7 @@ impl Inner {
             // Overwrites a concurrent Notified, which is then redundant.
             drop(ctx);
             self.states[id].store(QUEUED, Ordering::SeqCst);
-            self.push(id);
+            self.ready.push(id);
             return;
         }
         // Nothing to do: try to park.  A ring that landed mid-run left
@@ -215,49 +356,19 @@ impl Inner {
                 .driver_wakeups
                 .fetch_add(1, Ordering::Relaxed);
             self.states[id].store(QUEUED, Ordering::SeqCst);
-            self.push(id);
+            self.ready.push(id);
         } else if let Some(at) = wake_by {
             // Folded in only once the node is `Idle`, so that a sweep which
             // resets `next_tick` now also finds the node to requeue.
-            let mut next = self.next_tick.lock().unwrap();
-            if at < *next {
-                *next = at;
-                self.cv.notify_one(); // a sleeping worker re-reads its timeout
-            }
+            self.ready.wake_by(at);
         }
     }
 
     fn worker_loop(self: &Arc<Inner>) {
         let mut dispatches = 0usize;
         loop {
-            let popped = {
-                let mut q = self.ready.lock().unwrap();
-                let mut look_until = None;
-                loop {
-                    if self.live.load(Ordering::SeqCst) == 0 {
-                        return;
-                    }
-                    if let Some(id) = q.pop_front() {
-                        break Some(id);
-                    }
-                    let now = Instant::now();
-                    if now < *look_until.get_or_insert(now + LOOK_AGAIN) {
-                        drop(q);
-                        std::hint::spin_loop();
-                        q = self.ready.lock().unwrap();
-                        continue;
-                    }
-                    let due = *self.next_tick.lock().unwrap();
-                    let idle = due.saturating_duration_since(now);
-                    let (guard, timeout) = self.cv.wait_timeout(q, idle).unwrap();
-                    q = guard;
-                    if timeout.timed_out() {
-                        break None;
-                    }
-                }
-            };
-            match popped {
-                Some(id) => {
+            match self.ready.pop() {
+                Popped::Node(id) => {
                     self.run_node(id);
                     // A worker that always finds work never times out
                     // asleep, so it asks the clock itself now and then (the
@@ -267,7 +378,8 @@ impl Inner {
                         self.tick_sweep();
                     }
                 }
-                None => self.tick_sweep(),
+                Popped::TimedOut => self.tick_sweep(),
+                Popped::Closed => return,
             }
         }
     }
@@ -296,11 +408,9 @@ pub(crate) fn spawn_pool(
         nodes: ctxs.into_iter().map(Mutex::new).collect(),
         states: (0..n).map(|_| AtomicU8::new(QUEUED)).collect(),
         stats,
-        ready: Mutex::new((0..n).collect()),
-        cv: Condvar::new(),
+        ready: ReadyQueue::new((0..n).collect(), Instant::now() + tick_every),
         live: AtomicUsize::new(n),
         tick_every,
-        next_tick: Mutex::new(Instant::now() + tick_every),
     });
     // Listeners hold a Weak: the bells live inside the fabric the nodes
     // themselves own, so a strong reference would be a cycle that leaks
@@ -323,4 +433,113 @@ pub(crate) fn spawn_pool(
                 .expect("spawning executor worker")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, AtomicU8};
+    use std::thread;
+
+    fn queue(tick: Duration) -> ReadyQueue {
+        ReadyQueue::new(VecDeque::new(), Instant::now() + tick)
+    }
+
+    /// Returns once `n` workers are counted asleep — each is then inside
+    /// `wait_timeout`, or holds the lock on its way in.
+    fn until_asleep(q: &ReadyQueue, n: usize) {
+        while q.lock().sleepers < n {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_push_notifies_only_a_worker_that_sleeps() {
+        let q = queue(Duration::from_secs(60));
+        assert!(!q.push(3), "nobody asleep: no wake-up to pay for");
+        assert_eq!(q.pop(), Popped::Node(3));
+        thread::scope(|s| {
+            let sleeper = s.spawn(|| q.pop());
+            until_asleep(&q, 1);
+            assert!(q.push(7), "one asleep: it is woken");
+            assert_eq!(sleeper.join().unwrap(), Popped::Node(7));
+        });
+        assert_eq!(q.lock().sleepers, 0);
+    }
+
+    #[test]
+    fn a_deadline_pulled_forward_wakes_the_sleeper_to_it() {
+        let q = queue(Duration::from_secs(60));
+        thread::scope(|s| {
+            let sleeper = s.spawn(|| q.pop());
+            until_asleep(&q, 1);
+            let t0 = Instant::now();
+            q.wake_by(t0 + Duration::from_millis(5));
+            assert_eq!(sleeper.join().unwrap(), Popped::TimedOut);
+            assert!(t0.elapsed() < Duration::from_secs(30), "not at the tick");
+        });
+        assert!(q.sweep_due(Duration::from_secs(60)), "the deadline passed");
+        assert!(
+            !q.sweep_due(Duration::from_secs(60)),
+            "one sweeper a period"
+        );
+    }
+
+    #[test]
+    fn closing_wakes_every_sleeper() {
+        let q = queue(Duration::from_secs(60));
+        thread::scope(|s| {
+            let sleepers = [s.spawn(|| q.pop()), s.spawn(|| q.pop())];
+            until_asleep(&q, 2);
+            q.close();
+            for sleeper in sleepers {
+                assert_eq!(sleeper.join().unwrap(), Popped::Closed);
+            }
+        });
+    }
+
+    /// Two producers, two consumers, 100 k ids each way: every id comes out
+    /// once, and no consumer sleeps through a push — one that did would lie
+    /// until the tick, a minute away, and be counted.
+    #[test]
+    fn no_id_is_lost_or_doubled_and_no_push_is_slept_through() {
+        const PER_PRODUCER: usize = 100_000;
+        let q = queue(Duration::from_secs(60));
+        let seen: Vec<AtomicU8> = (0..2 * PER_PRODUCER).map(|_| AtomicU8::new(0)).collect();
+        let (popped, timeouts) = (AtomicUsize::new(0), AtomicU64::new(0));
+        thread::scope(|s| {
+            for producer in 0..2 {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        q.push(producer * PER_PRODUCER + i);
+                        if i % 4096 == 0 {
+                            // Long enough for the consumers to stop
+                            // looking and go to sleep.
+                            thread::sleep(5 * LOOK_AGAIN);
+                        }
+                    }
+                });
+            }
+            for _ in 0..2 {
+                s.spawn(|| loop {
+                    match q.pop() {
+                        Popped::Node(id) => {
+                            seen[id].fetch_add(1, Ordering::Relaxed);
+                            if popped.fetch_add(1, Ordering::SeqCst) + 1 == seen.len() {
+                                q.close();
+                            }
+                        }
+                        Popped::TimedOut => {
+                            timeouts.fetch_add(1, Ordering::Relaxed);
+                            q.sweep_due(Duration::from_secs(60));
+                        }
+                        Popped::Closed => return,
+                    }
+                });
+            }
+        });
+        assert!(seen.iter().all(|n| n.load(Ordering::Relaxed) == 1));
+        assert_eq!(timeouts.load(Ordering::Relaxed), 0);
+    }
 }

@@ -32,24 +32,23 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
     // SAFETY: buffer from a peer's pack_threads (or, under fault
     // injection, arbitrary bytes — unpack_threads validates and rolls
     // back per record group rather than trusting them).
-    let unpacked = unsafe { crate::migration::unpack_threads(&m.payload, &mut ctx.mgr) };
+    let unpacked =
+        unsafe { crate::migration::unpack_threads(&m.payload, &mut ctx.mgr, &mut ctx.arrival) };
     ctx.stats
         .migration_unpack_ns
         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    let outcome = match unpacked {
-        Ok(o) => o,
-        Err(e) => {
-            // The train table itself was unreadable: there are no tids to
-            // name, so NAK the whole message anonymously.  Costs the
-            // train, never the node.
-            ctx.stats.migrations_failed.fetch_add(1, Ordering::Relaxed);
-            let text = format!("rejected corrupt migration from node {}: {e}", m.src);
-            ctx.out.printf(ctx.node, &text);
-            let nak = proto::encode_migration_nak(&ctx.pool, &[], &text);
-            let _ = ctx.ep.send(m.src, tag::MIGRATION_NAK, nak);
-            return;
-        }
-    };
+    if let Err(e) = unpacked {
+        // The train table itself was unreadable: there are no tids to
+        // name, so NAK the whole message anonymously.  Costs the
+        // train, never the node.
+        ctx.stats.migrations_failed.fetch_add(1, Ordering::Relaxed);
+        let text = format!("rejected corrupt migration from node {}: {e}", m.src);
+        ctx.out.printf(ctx.node, &text);
+        let nak = proto::encode_migration_nak(&ctx.pool, &[], &text);
+        let _ = ctx.ep.send(m.src, tag::MIGRATION_NAK, nak);
+        return;
+    }
+    let outcome = &ctx.arrival;
     if !outcome.adopted.is_empty() {
         // SAFETY: unpack succeeded for these; live resident descriptors.
         unsafe {

@@ -43,11 +43,21 @@
 //! for its own header) rejects the train as a whole — there are no tids to
 //! name in that case.
 //!
-//! The gather is **single-pass and allocation-free in steady state**: the
-//! buffer is checked out of the sending endpoint's [`BufPool`] and sized
-//! up front from each thread's occupancy (live stack extents plus the O(1)
-//! per-slot `free_blocks`/`used_bytes` hint), so the pack never regrows
-//! the buffer, and the receiver's drop recycles it for the next train.
+//! The whole hop is **single-pass and allocation-free in steady state**,
+//! departure to arrival.  The train buffer is checked out of the sending
+//! endpoint's [`BufPool`] and sized up front from each thread's occupancy
+//! (live stack extents plus the O(1) per-slot `free_blocks`/`used_bytes`
+//! hint), so the pack never regrows it, a heap slot's extent table is
+//! written straight into it, and the receiver's drop recycles it for the
+//! next train.  The lists a hop fills — the departures staged for one
+//! step (`NodeCtx::depart`), the threads an arriving train landed and the
+//! slot ranges a record group must give back if it fails
+//! (`TrainOutcome`) — belong to the node and keep their room from one
+//! hop to the next.  `a_hop_allocates_nothing_in_steady_state` (below)
+//! counts: ten thousand hops of a null thread, and of one carrying three
+//! half-free heap slots, ask the allocator for nothing beyond the block the
+//! fabric's `std` channel takes every 31 messages whatever they carry; a
+//! 32-thread train asks for what an 8-thread one does.
 
 use isoaddr::{NodeSlotManager, SlotProvider, SlotRange};
 use isomalloc::heap::iter_slot_runs;
@@ -67,11 +77,16 @@ const TRAIN_HDR: usize = 4;
 const TRAIN_ENTRY: usize = 8 + 4 + 4;
 
 /// What a train unpack produced: the threads that landed and the threads
-/// whose record groups were rejected (with the reason, for the NAK).
+/// whose record groups were rejected (with the reason, for the NAK).  Owned
+/// by the node and refilled train after train, so an arrival allocates only
+/// when it rejects a group.
 #[derive(Debug, Default)]
 pub(crate) struct TrainOutcome {
     pub adopted: Vec<DescPtr>,
     pub rejected: Vec<(u64, String)>,
+    /// Slot ranges adopted so far for the record group being unpacked: what
+    /// rolling that group back surrenders.
+    group_ranges: Vec<SlotRange>,
 }
 
 /// Occupancy hint for one thread's record group (stack + heap slots), in
@@ -280,11 +295,11 @@ pub(crate) unsafe fn pack_threads(
     Ok(buf.freeze())
 }
 
-/// Map and unpack an arriving train.  Record-group failures are isolated:
-/// each failed thread is rolled back (its partially adopted ranges
-/// surrendered again) and reported in `rejected`, while the rest of the
-/// train lands in `adopted` (descriptors at the same virtual addresses
-/// they had on the source node).
+/// Map and unpack an arriving train into `outcome` (whatever it held is
+/// dropped first).  Record-group failures are isolated: each failed thread
+/// is rolled back (its partially adopted ranges surrendered again) and
+/// reported in `rejected`, while the rest of the train lands in `adopted`
+/// (descriptors at the same virtual addresses they had on the source node).
 ///
 /// Returns `Err` only when the train table itself is unreadable — no tids
 /// can be named, so the caller NAKs the train anonymously.
@@ -293,36 +308,42 @@ pub(crate) unsafe fn pack_threads(
 /// `buf` must be (possibly corrupt) bytes received as a `MIGRATION`
 /// payload; the slot ranges its healthy records name must be unmapped on
 /// this node (guaranteed by the iso-address discipline).
-pub(crate) unsafe fn unpack_threads(buf: &[u8], mgr: &mut NodeSlotManager) -> Result<TrainOutcome> {
-    let mut outcome = TrainOutcome::default();
+pub(crate) unsafe fn unpack_threads(
+    buf: &[u8],
+    mgr: &mut NodeSlotManager,
+    outcome: &mut TrainOutcome,
+) -> Result<()> {
+    outcome.adopted.clear();
+    outcome.rejected.clear();
     for (tid, group) in train_groups(buf)? {
-        match group.and_then(|g| unpack_thread(g, tid, mgr)) {
+        match group.and_then(|g| unpack_thread(g, tid, mgr, &mut outcome.group_ranges)) {
             Ok(d) => outcome.adopted.push(d),
             Err(e) => outcome.rejected.push((tid, e.to_string())),
         }
     }
-    Ok(outcome)
+    Ok(())
 }
 
 /// Map and unpack one thread's record group; returns its descriptor, which
 /// sits at the same virtual address it had on the source node.
 ///
 /// A malformed or truncated group returns `Err` without wedging the node:
-/// any slot ranges already adopted for the partial unpack are surrendered
-/// again (best effort) so the node's mapping state stays consistent and
-/// the caller can NAK just this thread.
-unsafe fn unpack_thread(buf: &[u8], expect_tid: u64, mgr: &mut NodeSlotManager) -> Result<DescPtr> {
-    let mut adopted: Vec<SlotRange> = Vec::new();
-    match unpack_records(buf, expect_tid, mgr, &mut adopted) {
-        Ok(desc) => Ok(desc),
-        Err(e) => {
-            // Roll the partial arrival back: unmap whatever was adopted.
-            for r in adopted {
-                let _ = mgr.surrender(r);
-            }
-            Err(e)
+/// any slot ranges already adopted for the partial unpack (`adopted`, which
+/// this call refills) are surrendered again (best effort) so the node's
+/// mapping state stays consistent and the caller can NAK just this thread.
+unsafe fn unpack_thread(
+    buf: &[u8],
+    expect_tid: u64,
+    mgr: &mut NodeSlotManager,
+    adopted: &mut Vec<SlotRange>,
+) -> Result<DescPtr> {
+    adopted.clear();
+    unpack_records(buf, expect_tid, mgr, adopted).inspect_err(|_| {
+        // Roll the partial arrival back: unmap whatever was adopted.
+        for &r in adopted.iter() {
+            let _ = mgr.surrender(r);
         }
-    }
+    })
 }
 
 unsafe fn unpack_records(
@@ -385,8 +406,10 @@ unsafe fn unpack_records(
 mod tests {
     use super::train_groups;
     use crate::api::{pm2_isomalloc, pm2_yield};
+    use crate::node::NodeCtx;
     use crate::proto::tag;
     use crate::Pm2Config;
+    use madeleine::Payload;
     use marcel::ThreadState;
     use std::iter::zip;
 
@@ -479,5 +502,113 @@ mod tests {
         }
         assert!(ctx.threads.is_empty(), "all three departed");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hop allocates nothing of its own once the two nodes have seen one:
+    /// the staging list, the arrival's outcome and rollback list are the
+    /// node's and reused, a heap slot's extent table is written into the
+    /// pooled train buffer, and that buffer goes round.  Counted on the
+    /// thread that steps both nodes, so every stage of the hop is in.
+    ///
+    /// The fabric's links are `std` channels, which take a block from the
+    /// allocator every few dozen messages whatever those carry.  That is
+    /// measured first, on the same links, and is all a hop may ask for —
+    /// give or take one block per link, for where in a block a count starts.
+    #[test]
+    fn a_hop_allocates_nothing_in_steady_state() {
+        use crate::api::{pm2_isofree, pm2_migrate, pm2_self};
+        use testkit::alloc::allocs_in;
+        const HOPS: u64 = 10_000;
+
+        let (mut n0, mut n1, _host) = crate::tests::bare_pair(Pm2Config::test(2));
+        let ((), wire) = allocs_in(|| {
+            for _ in 0..HOPS / 2 {
+                n0.ep.send(1, tag::MIGRATION, Payload::empty()).unwrap();
+                n1.ep.try_recv().expect("a message for node 1");
+                n1.ep.send(0, tag::MIGRATION, Payload::empty()).unwrap();
+                n0.ep.try_recv().expect("a message for node 0");
+            }
+        });
+        let hopper = || loop {
+            pm2_migrate(1 - pm2_self()).unwrap();
+        };
+        // One step per hop: a thread arrives, runs, and leaves again.
+        let hops = |n0: &mut NodeCtx, n1: &mut NodeCtx, n: u64| {
+            let arrivals = |n: &NodeCtx| n.stats.snapshot().migrations_in;
+            let before = arrivals(n0) + arrivals(n1);
+            for _ in 0..n / 2 {
+                assert!(n1.step() && n0.step());
+            }
+            assert_eq!(arrivals(n0) + arrivals(n1) - before, n);
+        };
+
+        // A null thread…
+        n0.try_spawn_boxed(0x201, 0, Box::new(hopper)).unwrap();
+        assert!(n0.step(), "runs to its first hop");
+        hops(&mut n0, &mut n1, 16);
+        let ((), allocs) = allocs_in(|| hops(&mut n0, &mut n1, HOPS));
+        assert!(allocs <= wire + 2, "null thread: {allocs} > {wire} + 2");
+
+        // …and with it one that carries a heap: three slots, every other
+        // block free.
+        let heavy = move || {
+            let blocks: Vec<_> = (0..60).map(|_| pm2_isomalloc(3000).unwrap()).collect();
+            for &p in blocks.iter().step_by(2) {
+                pm2_isofree(p).unwrap();
+            }
+            drop(blocks);
+            hopper()
+        };
+        n0.try_spawn_boxed(0x202, 0, Box::new(heavy)).unwrap();
+        hops(&mut n0, &mut n1, 16);
+        let d = n0.threads[&0x202];
+        let heap = unsafe { isomalloc::heap::heap_slots(std::ptr::addr_of!((*d).heap)) };
+        assert!(heap.len() >= 2, "heap slots: {heap:?}");
+        let ((), allocs) = allocs_in(|| hops(&mut n0, &mut n1, HOPS));
+        assert!(allocs <= wire + 2, "heap owner: {allocs} > {wire} + 2");
+    }
+
+    /// Nor does a train pay per thread: moving 32 threads there and back in
+    /// one message each way asks the allocator for what moving 8 does —
+    /// nothing (eight messages do not reach the end of a link's first block).
+    #[test]
+    fn a_train_allocates_no_more_for_more_threads() {
+        let (mut n0, mut n1, _host) = crate::tests::bare_pair(Pm2Config::test(2));
+        let mut tids = Vec::new();
+        let mut round_trip_allocs = |k: u64| {
+            while (tids.len() as u64) < k {
+                tids.push(0x300 + tids.len() as u64);
+                let body = || loop {
+                    pm2_yield();
+                };
+                n0.try_spawn_boxed(*tids.last().unwrap(), 0, Box::new(body))
+                    .unwrap();
+            }
+            for _ in 0..k {
+                assert!(n0.step(), "each thread runs to a yield");
+            }
+            // Every thread is flagged, so the first one a step finds takes
+            // the rest with it; the arrival then runs one of them a quantum.
+            let round_trip = |n0: &mut NodeCtx, n1: &mut NodeCtx| {
+                let (out, back) = (tids.clone(), tids.clone());
+                testkit::alloc::allocs_in(|| {
+                    assert_eq!(n0.request_migrations(out, 1), k as u32);
+                    assert!(n0.step() && n1.step());
+                    assert_eq!(n1.request_migrations(back, 0), k as u32);
+                    assert!(n1.step() && n0.step());
+                })
+                .1
+            };
+            round_trip(&mut n0, &mut n1); // the buffers grow to fit once
+            let allocs = round_trip(&mut n0, &mut n1);
+            let trains = n0.stats.snapshot().trains_in + n1.stats.snapshot().trains_in;
+            (allocs, trains)
+        };
+        let (few, trains) = round_trip_allocs(8);
+        assert_eq!(trains, 4, "one train each way, twice");
+        let (many, trains) = round_trip_allocs(32);
+        assert_eq!(trains, 8);
+        assert_eq!(n0.stats.snapshot().migrations_in, 2 * (8 + 32));
+        assert_eq!((few, many), (0, 0), "8 threads, and 32");
     }
 }

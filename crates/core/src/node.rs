@@ -384,6 +384,13 @@ pub(crate) struct NodeCtx {
     pub done_reclaims: HashMap<u64, u32>,
     /// Threads that exited while the bitmap was frozen; released later.
     pub zombies: Vec<DescPtr>,
+    /// The departures one scheduling step produced, while [`NodeCtx::depart`]
+    /// groups them into trains; empty between steps.  Kept, like `arrival`,
+    /// so that a hop reuses the room the last one left (see
+    /// `crate::migration`).
+    departing: Vec<DescPtr>,
+    /// What the last arriving train unpacked to.
+    pub arrival: migration::TrainOutcome,
     pub shutdown: bool,
     shutdown_acked: bool,
     /// This node was killed (power-cord semantics): the driver stops
@@ -530,6 +537,8 @@ impl NodeCtx {
             ],
             done_reclaims: HashMap::new(),
             zombies: Vec::new(),
+            departing: Vec::new(),
+            arrival: Default::default(),
             shutdown: false,
             shutdown_acked: false,
             killed: false,
@@ -1223,9 +1232,8 @@ impl NodeCtx {
             // SAFETY: `d` came from this scheduler's run_one.
             RunOutcome::Yielded(d) => unsafe { self.sched.requeue(d) },
             RunOutcome::Exited(d) => self.finish_thread(d),
-            RunOutcome::MigrateSelf(d, dest) | RunOutcome::PreemptMigrate(d, dest) => {
-                self.depart(d, dest)
-            }
+            // Either way the descriptor names its destination itself.
+            RunOutcome::MigrateSelf(d, _) | RunOutcome::PreemptMigrate(d, _) => self.depart(d),
             // Parked in a `wait::Wait`: whatever completes its entry in
             // the wait table unblocks it.
             RunOutcome::Blocked(_) => {}
@@ -1289,27 +1297,43 @@ impl NodeCtx {
     /// already flagged for preemptive migration out of the scheduler, so
     /// same-destination departures produced by one pump drain (a batched
     /// `MIGRATE_CMD`, say) leave in one wire message each instead of k.
-    fn depart(&mut self, d: DescPtr, dest: usize) {
-        let mut trains: Vec<(usize, Vec<DescPtr>)> = Vec::new();
-        self.stage_departure(d, dest, &mut trains);
+    fn depart(&mut self, d: DescPtr) {
+        let mut staged = std::mem::take(&mut self.departing);
+        staged.push(d);
         if self.cfg.max_train > 1 {
-            for (d2, dest2) in self.sched.take_migrating(self.cfg.max_train - 1) {
-                self.stage_departure(d2, dest2, &mut trains);
+            self.sched
+                .take_migrating(self.cfg.max_train - 1, &mut staged);
+        }
+        staged.retain(|&d| self.stage_departure(d));
+        // SAFETY: every staged thread is resident, frozen and unsent.
+        let dest_of = |d: DescPtr| unsafe { (*d).migrate_dest };
+        // One train per destination, in the order the destinations first
+        // appear, each in queue order: its threads are moved to the front
+        // of what is still unsent.
+        let mut unsent = &mut staged[..];
+        while let Some(&first) = unsent.first() {
+            let dest = dest_of(first);
+            let mut n = 1;
+            for i in 1..unsent.len() {
+                if dest_of(unsent[i]) == dest {
+                    unsent[n..=i].rotate_right(1);
+                    n += 1;
+                }
             }
+            let (train, rest) = unsent.split_at_mut(n);
+            self.send_train(dest as usize, train);
+            unsent = rest;
         }
-        for (dest, ds) in trains {
-            self.send_train(dest, &ds);
-        }
+        staged.clear();
+        self.departing = staged;
         self.maybe_ack_shutdown();
     }
 
-    /// Validate one departure and append it to its destination's train.
-    fn stage_departure(
-        &mut self,
-        d: DescPtr,
-        dest: usize,
-        trains: &mut Vec<(usize, Vec<DescPtr>)>,
-    ) {
+    /// Validate one departure: true if `d` may leave for the node it names
+    /// and so stays staged; otherwise it goes back on the run queue.
+    fn stage_departure(&mut self, d: DescPtr) -> bool {
+        // SAFETY: `d` is a frozen thread resident here.
+        let dest = unsafe { (*d).migrate_dest } as usize;
         if dest == self.node || dest >= self.n_nodes || self.dead_nodes.contains(&dest) {
             // Self-migration is a no-op; bogus or dead destinations are
             // dropped back into the run queue rather than losing the
@@ -1320,12 +1344,9 @@ impl NodeCtx {
             }
             // SAFETY: `d` is resident here and was just marked Ready.
             unsafe { self.sched.requeue(d) };
-            return;
+            return false;
         }
-        match trains.iter_mut().find(|(t, _)| *t == dest) {
-            Some((_, ds)) => ds.push(d),
-            None => trains.push((dest, vec![d])),
-        }
+        true
     }
 
     /// Freeze, pack, and ship one train of threads to `dest`.
@@ -1333,10 +1354,8 @@ impl NodeCtx {
         // SAFETY: every thread is frozen (Migrating or tagged-Ready) and
         // was removed from the scheduler's queues.
         unsafe {
-            let mut tids = Vec::with_capacity(ds.len());
             for &d in ds {
                 let tid = (*d).tid;
-                tids.push(tid);
                 (*d).state = ThreadState::Migrating as u32;
                 self.sched.note_gone();
                 self.threads.remove(&tid);
@@ -1344,7 +1363,7 @@ impl NodeCtx {
                 self.nodeheap.poison_departed(tid);
             }
             let t0 = Instant::now();
-            let buf = migration::pack_threads(
+            let train = migration::pack_threads(
                 ds,
                 &self.mgr,
                 self.cfg.pack_full_slots,
@@ -1362,17 +1381,22 @@ impl NodeCtx {
             self.stats.trains_out.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .migration_bytes_out
-                .fetch_add(buf.len() as u64, Ordering::Relaxed);
-            if let Err(e) = self.ep.send_batched(dest, tag::MIGRATION, buf, ds.len()) {
+                .fetch_add(train.len() as u64, Ordering::Relaxed);
+            let sent = self
+                .ep
+                .send_batched(dest, tag::MIGRATION, train.clone(), ds.len());
+            if let Err(e) = sent {
                 // An endpoint died between staging and shipping.  The
                 // slots were already surrendered with the image, so
                 // the threads are gone with the train; complete them as
                 // failed-on-`dest` (first-write-wins — a join never
-                // hangs) instead of panicking the survivor.
+                // hangs) instead of panicking the survivor.  The
+                // descriptors are unmapped: the train's table names them.
                 self.stats
                     .migrations_failed
-                    .fetch_add(tids.len() as u64, Ordering::Relaxed);
-                for tid in tids {
+                    .fetch_add(ds.len() as u64, Ordering::Relaxed);
+                let lost = migration::train_groups(&train).expect("the table just written");
+                for (tid, _) in lost {
                     self.registry
                         .complete_if_absent(ThreadExit::node_failed(tid, dest));
                 }

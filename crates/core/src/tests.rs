@@ -6,6 +6,11 @@ use crate::node::NodeCtx;
 use crate::{Machine, Pm2Config};
 use madeleine::Endpoint;
 
+/// Counts this binary's allocations per thread, for the tests that claim a
+/// path makes none (`migration.rs`'s hop test).
+#[global_allocator]
+static ALLOC: testkit::alloc::Watching = testkit::alloc::Watching;
+
 fn test_machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
 }
@@ -218,6 +223,25 @@ pub(crate) fn bare_node(cfg: Pm2Config) -> (NodeCtx, Endpoint, Endpoint) {
         crate::service::TypedServiceTable::new_shared(),
     );
     (ctx, ep1, host)
+}
+
+/// [`bare_node`]'s node 0 with node 1 built around the endpoint beside it:
+/// a two-node machine with no driver, which the test thread steps itself.
+pub(crate) fn bare_pair(cfg: Pm2Config) -> (NodeCtx, NodeCtx, Endpoint) {
+    use std::sync::Arc;
+    let (n0, ep1, host) = bare_node(cfg);
+    let n1 = NodeCtx::new(
+        &n0.cfg,
+        1,
+        Arc::clone(n0.mgr.area()),
+        ep1,
+        Arc::clone(&n0.out),
+        Arc::clone(&n0.registry),
+        Arc::clone(&n0.spawn_table),
+        Arc::clone(&n0.services),
+        Arc::clone(&n0.typed_services),
+    );
+    (n0, n1, host)
 }
 
 #[test]

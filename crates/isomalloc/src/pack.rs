@@ -23,7 +23,8 @@
 
 use crate::error::{AllocError, Result};
 use crate::layout::{
-    block_area_start, check_block, check_slot, slot_end, SlotKind, BLOCK_HDR_SIZE, SLOT_HDR_SIZE,
+    block_area_start, check_block, check_slot, slot_end, SlotHeader, SlotKind, BLOCK_HDR_SIZE,
+    SLOT_HDR_SIZE,
 };
 use isoaddr::VAddr;
 
@@ -69,17 +70,20 @@ pub fn full_record_size(n_slots: usize, slot_size: usize) -> usize {
 /// # Safety
 /// `slot_addr` must point at a live heap slot with a well-formed free list.
 pub unsafe fn heap_slot_pack_hint(slot_addr: VAddr) -> Result<usize> {
-    let slot = check_slot(slot_addr)?;
+    Ok(pack_hint(check_slot(slot_addr)?))
+}
+
+fn pack_hint(slot: &SlotHeader) -> usize {
     let n_free = slot.free_blocks as usize;
     // Payload bytes are exact: the slot header, every busy block
     // (used_bytes includes their headers), and one header per free block.
     // The extent table is bounded by one extent per free block plus one per
     // busy run (≤ free blocks + 1), plus the leading header extent.
-    Ok(PREFIX_LEN
+    PREFIX_LEN
         + (2 * n_free + 2) * 8
         + SLOT_HDR_SIZE
         + slot.used_bytes as usize
-        + n_free * BLOCK_HDR_SIZE)
+        + n_free * BLOCK_HDR_SIZE
 }
 
 /// Upper bound on the total packed size of every slot in the heap chain at
@@ -96,39 +100,69 @@ pub unsafe fn heap_pack_hint(h: *const crate::heap::IsoHeapState) -> Result<usiz
     Ok(total)
 }
 
-/// Incrementally builds a merged extent list.
-#[derive(Debug, Default)]
-pub struct ExtentBuilder {
-    extents: Vec<(u32, u32)>,
+/// Writes a merged extent table straight into the record being packed: the
+/// extent still growing is held back until one that does not touch it
+/// arrives, so the table is never built anywhere else first.
+struct ExtentTable<'a> {
+    out: &'a mut Vec<u8>,
+    growing: (u32, u32),
+    written: u32,
 }
 
-impl ExtentBuilder {
-    /// New empty builder.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> ExtentTable<'a> {
+    /// A table at the end of `out` whose first extent is `[off, off+len)`.
+    fn begin(out: &'a mut Vec<u8>, off: u32, len: u32) -> Self {
+        ExtentTable {
+            out,
+            growing: (off, len),
+            written: 0,
+        }
+    }
+
+    fn write(&mut self) {
+        self.out.extend_from_slice(&self.growing.0.to_le_bytes());
+        self.out.extend_from_slice(&self.growing.1.to_le_bytes());
+        self.written += 1;
     }
 
     /// Add `[off, off+len)`, merging with the previous extent when adjacent
     /// or overlapping.  Offsets must be pushed in non-decreasing order.
-    pub fn push(&mut self, off: u32, len: u32) {
+    fn push(&mut self, off: u32, len: u32) {
         if len == 0 {
             return;
         }
-        if let Some(last) = self.extents.last_mut() {
-            debug_assert!(off >= last.0, "extents must be pushed in order");
-            if off <= last.0 + last.1 {
-                let end = (off + len).max(last.0 + last.1);
-                last.1 = end - last.0;
-                return;
-            }
+        let (last_off, last_len) = self.growing;
+        debug_assert!(off >= last_off, "extents must be pushed in order");
+        if off <= last_off + last_len {
+            self.growing.1 = (off + len).max(last_off + last_len) - last_off;
+        } else {
+            self.write();
+            self.growing = (off, len);
         }
-        self.extents.push((off, len));
     }
 
-    /// Finish and return the extent list.
-    pub fn finish(self) -> Vec<(u32, u32)> {
-        self.extents
+    /// Write the last extent; the number of extents in the table.
+    fn finish(mut self) -> u32 {
+        self.write();
+        self.written
     }
+}
+
+/// Append a record's fixed-size prefix: the one writer of what
+/// [`peek_header`] reads.
+fn put_prefix(
+    out: &mut Vec<u8>,
+    base: VAddr,
+    n_slots: usize,
+    kind: u32,
+    n_extents: usize,
+    total: usize,
+) {
+    out.extend_from_slice(&(base as u64).to_le_bytes());
+    out.extend_from_slice(&(n_slots as u32).to_le_bytes());
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&(n_extents as u32).to_le_bytes());
+    out.extend_from_slice(&(total as u32).to_le_bytes());
 }
 
 /// Serialize a record from an explicit extent list, reading the bytes at
@@ -145,11 +179,7 @@ pub unsafe fn pack_raw_extents(
 ) {
     let total: usize = extents.iter().map(|&(_, l)| l as usize).sum();
     out.reserve(PREFIX_LEN + extents.len() * 8 + total);
-    out.extend_from_slice(&(base as u64).to_le_bytes());
-    out.extend_from_slice(&(n_slots as u32).to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&(extents.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(total as u32).to_le_bytes());
+    put_prefix(out, base, n_slots, kind, extents.len(), total);
     for &(off, len) in extents {
         out.extend_from_slice(&off.to_le_bytes());
         out.extend_from_slice(&len.to_le_bytes());
@@ -160,7 +190,11 @@ pub unsafe fn pack_raw_extents(
     }
 }
 
-/// Pack a heap slot: header + block headers + busy payloads only.
+/// Pack a heap slot: header + block headers + busy payloads only.  One walk
+/// over the blocks writes the merged extent table into `out`, a second over
+/// that table appends the bytes; nothing is allocated but `out`'s own room,
+/// which [`heap_slot_pack_hint`] reserves at once.  On `Err`, `out` is as it
+/// was.
 ///
 /// # Safety
 /// `slot_addr` must point at a live, verified heap slot.
@@ -172,22 +206,41 @@ pub unsafe fn pack_heap_slot(slot_addr: VAddr, slot_size: usize, out: &mut Vec<u
             what: "pack_heap_slot on a non-heap slot".into(),
         });
     }
+    let record = out.len();
+    out.reserve(pack_hint(slot));
+    // `n_extents` and `total_len` are known, and filled in, below.
     let n_slots = slot.n_slots as usize;
+    put_prefix(out, slot_addr, n_slots, SlotKind::Heap as u32, 0, 0);
     let end = slot_end(slot_addr, slot_size);
-    let mut b = ExtentBuilder::new();
-    b.push(0, SLOT_HDR_SIZE as u32);
+    let mut table = ExtentTable::begin(out, 0, SLOT_HDR_SIZE as u32);
     let mut cur = block_area_start(slot_addr);
     while cur < end {
-        let blk = check_block(cur)?;
+        let blk = match check_block(cur) {
+            Ok(blk) => blk,
+            Err(e) => {
+                out.truncate(record);
+                return Err(e);
+            }
+        };
         let off = (cur - slot_addr) as u32;
         if blk.is_free() {
-            b.push(off, BLOCK_HDR_SIZE as u32);
+            table.push(off, BLOCK_HDR_SIZE as u32);
         } else {
-            b.push(off, blk.size as u32);
+            table.push(off, blk.size as u32);
         }
         cur += blk.size as usize;
     }
-    pack_raw_extents(slot_addr, SlotKind::Heap as u32, n_slots, &b.finish(), out);
+    let n_extents = table.finish();
+    let mut total = 0u32;
+    for i in 0..n_extents as usize {
+        let at = record + PREFIX_LEN + i * 8;
+        let (off, len) = (rd_u32(out, at)?, rd_u32(out, at + 4)?);
+        let src = std::slice::from_raw_parts((slot_addr + off as usize) as *const u8, len as usize);
+        out.extend_from_slice(src);
+        total += len;
+    }
+    out[record + 16..record + 20].copy_from_slice(&n_extents.to_le_bytes());
+    out[record + 20..record + 24].copy_from_slice(&total.to_le_bytes());
     Ok(())
 }
 
@@ -289,15 +342,20 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn extent_builder_merges() {
-        let mut b = ExtentBuilder::new();
-        b.push(0, 64);
-        b.push(64, 64); // adjacent → merged
-        b.push(256, 32);
-        b.push(288, 16); // adjacent → merged
-        b.push(512, 0); // empty → ignored
-        b.push(1024, 8);
-        assert_eq!(b.finish(), vec![(0, 128), (256, 48), (1024, 8)]);
+    fn extent_table_merges() {
+        let mut out = vec![0xEE];
+        let mut t = ExtentTable::begin(&mut out, 0, 64);
+        t.push(64, 64); // adjacent → merged
+        t.push(256, 32);
+        t.push(288, 16); // adjacent → merged
+        t.push(512, 0); // empty → ignored
+        t.push(1024, 8);
+        assert_eq!(t.finish(), 3);
+        let words: Vec<u32> = out[1..]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().unwrap()))
+            .collect();
+        assert_eq!(words, [0, 128, 256, 48, 1024, 8]);
     }
 
     #[test]

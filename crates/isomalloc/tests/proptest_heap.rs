@@ -11,8 +11,12 @@ use testkit::{cases, StdRng};
 
 use isoaddr::{AreaConfig, Distribution, IsoArea, NodeSlotManager, SlotProvider, SlotRange};
 use isomalloc::heap::{heap_init, heap_slots, isofree, isomalloc, FitPolicy, IsoHeapState};
-use isomalloc::pack::{pack_heap_slot, peek_header, unpack_into_mapped};
+use isomalloc::layout::{block_area_start, check_block, slot_end, BLOCK_HDR_SIZE, SLOT_HDR_SIZE};
+use isomalloc::pack::{
+    heap_slot_pack_hint, pack_heap_slot, pack_raw_extents, peek_header, unpack_into_mapped,
+};
 use isomalloc::verify::verify_heap;
+use isomalloc::SlotKind;
 
 fn provider(n_slots: usize) -> NodeSlotManager {
     let area = Arc::new(
@@ -23,6 +27,33 @@ fn provider(n_slots: usize) -> NodeSlotManager {
         .unwrap(),
     );
     NodeSlotManager::new(0, 1, area, Distribution::RoundRobin, 0)
+}
+
+/// The record `pack_heap_slot` must produce, built the plain way: the
+/// merged extent list in a vector of its own, then serialised.
+unsafe fn reference_record(base: usize, slot_size: usize) -> Vec<u8> {
+    let mut extents: Vec<(u32, u32)> = vec![(0, SLOT_HDR_SIZE as u32)];
+    let mut cur = block_area_start(base);
+    while cur < slot_end(base, slot_size) {
+        let blk = check_block(cur).unwrap();
+        let off = (cur - base) as u32;
+        let len = if blk.is_free() {
+            BLOCK_HDR_SIZE as u32
+        } else {
+            blk.size as u32
+        };
+        let last = extents.last_mut().unwrap();
+        if off <= last.0 + last.1 {
+            last.1 = (off + len).max(last.0 + last.1) - last.0;
+        } else {
+            extents.push((off, len));
+        }
+        cur += blk.size as usize;
+    }
+    let n_slots = (slot_end(base, slot_size) - base) / slot_size;
+    let mut record = Vec::new();
+    pack_raw_extents(base, SlotKind::Heap as u32, n_slots, &extents, &mut record);
+    record
 }
 
 #[derive(Debug, Clone)]
@@ -106,7 +137,9 @@ fn random_ops_keep_heap_sound() {
 }
 
 /// Pack → unmap → remap → unpack is lossless for busy payloads and
-/// produces a structurally identical heap.
+/// produces a structurally identical heap; each packed record is, byte for
+/// byte, the reference's (same merged extents, same order) and inside its
+/// occupancy hint.
 #[test]
 fn pack_roundtrip_preserves_heap() {
     cases(64, |rng| {
@@ -146,7 +179,10 @@ fn pack_roundtrip_preserves_heap() {
             let slots = heap_slots(h.as_ref());
             let mut buf = Vec::new();
             for &(base, _) in &slots {
+                let at = buf.len();
                 pack_heap_slot(base, m0.slot_size(), &mut buf).unwrap();
+                assert!(buf[at..] == reference_record(base, m0.slot_size())[..]);
+                assert!(heap_slot_pack_hint(base).unwrap() >= buf.len() - at);
             }
             for &(base, n) in &slots {
                 let first = (base - area.base()) / m0.slot_size();

@@ -293,22 +293,25 @@ impl Scheduler {
     }
 
     /// Pull every *ready* thread currently flagged for preemptive migration
-    /// out of both lanes (up to `max` of them), returning `(descriptor,
-    /// destination)` pairs in queue order.  None of them has been run since
-    /// being flagged — exactly the [`RunOutcome::PreemptMigrate`] contract.
+    /// out of both lanes (up to `max` of them), appending the descriptors to
+    /// `out` in queue order; each names its destination in `migrate_dest`.
+    /// None of them has been run since being flagged — exactly the
+    /// [`RunOutcome::PreemptMigrate`] contract.
     ///
     /// This is the group-migration sweep: when one departure is already
     /// being packed, the embedder collects every other thread bound for the
     /// wire in the same drain and ships same-destination ones as a single
     /// message (a *train*) instead of paying per-thread message latency.
-    pub fn take_migrating(&self, max: usize) -> Vec<(DescPtr, usize)> {
-        let mut out = Vec::new();
+    /// It runs on every hop, so it fills the caller's buffer rather than
+    /// allocating one.
+    pub fn take_migrating(&self, max: usize, out: &mut Vec<DescPtr>) {
+        let full = out.len().saturating_add(max);
         unsafe {
             let inner = &mut *self.ptr();
             for q in [&mut inner.ctl_queue, &mut inner.run_queue] {
                 q.retain(|&d| {
-                    if out.len() < max && (*d).migrate_dest >= 0 {
-                        out.push((d, (*d).migrate_dest as usize));
+                    if out.len() < full && (*d).migrate_dest >= 0 {
+                        out.push(d);
                         false
                     } else {
                         true
@@ -316,7 +319,6 @@ impl Scheduler {
                 });
             }
         }
-        out
     }
 
     /// Account a thread leaving this node (migration departure or exit).

@@ -556,14 +556,18 @@ fn take_migrating_sweeps_flagged_ready_threads() {
         assert!(s.request_migration(descs[1], 1));
         assert!(s.request_migration(descs[3], 1));
     }
-    // A capped sweep takes only the first flagged thread…
-    let first = s.take_migrating(1);
-    assert_eq!(first.len(), 1);
-    assert_eq!(first[0], (descs[1], 1));
+    // A capped sweep takes only the first flagged thread, and appends it
+    // to what the caller already staged…
+    let mut swept = vec![descs[0]];
+    s.take_migrating(1, &mut swept);
+    assert_eq!(swept, [descs[0], descs[1]]);
+    assert_eq!(unsafe { (*descs[1]).migrate_dest }, 1);
     // …a follow-up sweep takes the rest; unflagged threads are untouched.
-    let rest = s.take_migrating(usize::MAX);
-    assert_eq!(rest, vec![(descs[3], 1)]);
-    assert!(s.take_migrating(usize::MAX).is_empty());
+    swept.clear();
+    s.take_migrating(usize::MAX, &mut swept);
+    assert_eq!(swept, [descs[3]]);
+    s.take_migrating(usize::MAX, &mut swept);
+    assert_eq!(swept, [descs[3]], "nothing left to sweep");
     assert_eq!(s.queue_len(), 2, "unflagged threads stay queued");
     // The embedder un-counts swept threads when it packs them…
     s.note_gone();
@@ -571,7 +575,7 @@ fn take_migrating_sweeps_flagged_ready_threads() {
     assert_eq!(s.resident(), 2);
     // …and the destination re-adopts the whole train in one batch, which
     // makes them runnable again and clears the migration flag.
-    unsafe { s.adopt_arrivals(&[first[0].0, rest[0].0]) };
+    unsafe { s.adopt_arrivals(&[descs[1], descs[3]]) };
     assert_eq!(
         s.resident(),
         4,

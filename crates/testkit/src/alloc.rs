@@ -1,4 +1,5 @@
-//! An allocation-size witness for decoder tests.
+//! An allocation witness: how large, for decoder tests, and how many, for
+//! hot-path tests.
 //!
 //! A decoder that believes a length prefix before seeing the bytes behind
 //! it can be made to reserve gigabytes by four corrupt bytes.  A test
@@ -9,6 +10,9 @@
 //! #[global_allocator]
 //! static ALLOC: testkit::alloc::Watching = testkit::alloc::Watching;
 //! ```
+//!
+//! A path that claims to allocate nothing in steady state is wrapped in
+//! [`allocs_in`], which counts the requests the calling thread made.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,6 +21,8 @@ thread_local! {
     /// Largest single allocation this thread has asked for since the cell
     /// was last zeroed.
     static LARGEST_ALLOC: Cell<usize> = const { Cell::new(0) };
+    /// Allocations and reallocations this thread has asked for, ever.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The system allocator, noting each request's size on the way through.
@@ -25,11 +31,12 @@ pub struct Watching;
 fn note(size: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = LARGEST_ALLOC.try_with(|c| c.set(c.get().max(size)));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; `note` touches only a const-initialised
-// thread-local `Cell` without a destructor, so it neither allocates nor
+// `GlobalAlloc` contract; `note` touches only const-initialised
+// thread-local `Cell`s without a destructor, so it neither allocates nor
 // unwinds.
 unsafe impl GlobalAlloc for Watching {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -54,4 +61,13 @@ pub fn largest_alloc_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
     LARGEST_ALLOC.with(|c| c.set(0));
     let r = f();
     (r, LARGEST_ALLOC.with(Cell::get))
+}
+
+/// `f`'s result and how many times the calling thread asked the allocator
+/// for memory (fresh or regrown) while it ran.  Reads zero unless
+/// [`Watching`] is the global allocator.
+pub fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (r, ALLOCS.with(Cell::get) - before)
 }

@@ -245,6 +245,40 @@ fn a_wait_deadline_ends_an_idle_park_on_time() {
 }
 
 #[test]
+fn a_wait_deadline_is_not_missed_between_two_idle_workers() {
+    // Two workers, nothing to do: whichever ran the prober parks its node
+    // with a 5 ms wait deadline (a third of the reply deadline) while the
+    // other is on its way to sleep until the 200 ms tick.  The deadline
+    // must reach that one too — seen before it sleeps, or woken after —
+    // every time: a round that misses it runs a whole tick late, which no
+    // scheduling noise on a 15 ms round explains.
+    let (tick, reply_deadline) = (Duration::from_millis(200), Duration::from_millis(15));
+    let mut m = Machine::launch(Pm2Config {
+        workers: 2,
+        idle_park: tick,
+        reply_deadline,
+        fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
+        ..Pm2Config::test(2)
+    })
+    .unwrap();
+    let mut rounds: Vec<Duration> = (0..200)
+        .map(|_| {
+            let t0 = Instant::now();
+            assert!(m.run_on(0, || pm2_probe_load(1)).unwrap().is_err());
+            t0.elapsed()
+        })
+        .collect();
+    rounds.sort();
+    let (median, worst) = (rounds[100], rounds[199]);
+    assert!(
+        median >= reply_deadline && median < 2 * reply_deadline,
+        "three waits of 5 ms took {median:?} in the median"
+    );
+    assert!(worst < tick / 2, "the slowest round took {worst:?}");
+    m.shutdown();
+}
+
+#[test]
 fn a_wait_deadline_is_served_while_every_worker_is_busy() {
     // As above, but node 2 yields in a loop the whole time, so no worker
     // ever finds the ready queue empty and times out asleep: the sweep that
