@@ -378,7 +378,11 @@ pub fn write_scale_json() {
             "machine-size scaling on the multiplexed executor (auto worker \
          pool, instant wire profile, failure detector armed at 2 s / 50 ms heartbeats): \
          idle_* = per-node background driver steps and wire messages per second in a \
-         quiet 700 ms window (gossip-scale protocols keep this flat in p); hop/evac/neg \
+         quiet 700 ms window that closes one second after launch (gossip is 2 msgs per \
+         node per round at every p; at p = 256 the window's last round can also be the first \
+         of the detector's suspicion probes, due timeout / 2 after launch, and a node whose \
+         round no longer coincides with its peers' takes two steps per digest received \
+         instead of merging it into its own round's step); hop/evac/neg \
          costs are per-op deltas over the participating nodes only; evac_steps includes \
          the evacuees' own yield-loop spinning and so tracks drill duration, not p — \
          evac_msgs is the scalability signal; neg_* = single-slot acquisitions on node 0 \

@@ -10,10 +10,9 @@
 //! A value is a knob only while a `pm2-bench` drill, a `pm2-workload` run,
 //! a `benchmark/` workload or a test assertion needs it off its default;
 //! everything else is a documented constant next to the code that reads it
-//! (CHANGES.md, PR 18, has the per-knob ledger).  Timers the runtime can
-//! work out are not knobs either: the driver parks for the fastest armed
-//! protocol timer (`machine::executor_tick`), so arming the failure
-//! detector never requires also shortening `idle_park`.
+//! (CHANGES.md, PR 18, has the per-knob ledger).  How long an idle driver
+//! parks is not a knob either: until the earliest timer it has armed, and
+//! for good when it has none.
 
 use std::time::Duration;
 
@@ -65,15 +64,6 @@ pub struct Pm2Config {
     /// can hold the scheduler off without ever letting data traffic
     /// delay control traffic.  Values < 1 are treated as 1.
     pub pump_budget: usize,
-    /// Longest time an idle driver parks on its endpoint doorbell before
-    /// re-checking the world.  This is a liveness backstop, **not** a poll
-    /// period: every send rings the destination's doorbell, so real
-    /// traffic wakes a parked driver immediately and a quiescent machine
-    /// wakes only once per `idle_park`.  The park is shortened to the
-    /// fastest armed protocol timer (`heartbeat_every` when gossip or the
-    /// detector runs, `checkpoint_every` when set), so those timers never
-    /// depend on this value.
-    pub idle_park: Duration,
     /// Worker threads the executor multiplexes the node drivers onto.
     /// `0` (the default) sizes the pool automatically: the available
     /// cores (at least 2), never more than nodes.  `1` is the
@@ -128,9 +118,14 @@ pub struct Pm2Config {
     /// disables detection — deaths are then only declared explicitly via
     /// [`crate::Machine::kill_node`].
     pub failure_timeout: Option<Duration>,
-    /// How often a node beacons `HEARTBEAT` to its peers while the
-    /// detector is armed.  Must be well under `failure_timeout`; ignored
-    /// when detection is off.
+    /// Period of a node's gossip round — one epidemic digest pushed, and
+    /// with the detector armed one silence scan of the peer table — so a
+    /// death is declared within `failure_timeout` plus one period, and it
+    /// must be well under `failure_timeout`.  Rounds run when the detector
+    /// is armed, and without one on machines above
+    /// [`crate::node::FULL_PROBE_MAX`] nodes (the trader and the balancer
+    /// live off the gossiped hints there).  It is also how long a gossiped
+    /// load hint stays fresh enough to save the balancer a probe.
     pub heartbeat_every: Duration,
     /// Seeded message-level fault plan for the fabric (chaos testing).
     /// `None` (the default) keeps every link a perfect wire.  When set,
@@ -165,7 +160,6 @@ impl Pm2Config {
             reply_deadline: Duration::from_secs(30),
             max_rpc_payload: 1 << 20,
             pump_budget: 64,
-            idle_park: Duration::from_millis(500),
             workers: 0,
             max_train: 64,
             slot_trade: true,
@@ -300,13 +294,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Longest doorbell park of an idle driver — a liveness backstop, not
-    /// a poll period (see [`Pm2Config::idle_park`]).
-    pub fn idle_park(mut self, park: Duration) -> Self {
-        self.cfg.idle_park = park;
-        self
-    }
-
     /// Executor worker-pool size; 0 auto-sizes to `min(cores, nodes)`, 1 is
     /// the single-threaded machine (see [`Pm2Config::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
@@ -365,8 +352,8 @@ impl MachineBuilder {
         self
     }
 
-    /// Heartbeat beacon period while the detector is armed (see
-    /// [`Pm2Config::heartbeat_every`]).
+    /// Period of the gossip round and, with the detector armed, of its
+    /// silence scan (see [`Pm2Config::heartbeat_every`]).
     pub fn heartbeat_every(mut self, every: Duration) -> Self {
         self.cfg.heartbeat_every = every;
         self
@@ -469,7 +456,6 @@ mod tests {
         sets!(reply_deadline(ms(1500)) => reply_deadline = ms(1500));
         sets!(max_rpc_payload(4096) => max_rpc_payload = 4096);
         sets!(pump_budget(7) => pump_budget = 7);
-        sets!(idle_park(ms(40)) => idle_park = ms(40));
         sets!(workers(3) => workers = 3);
         sets!(max_train(5) => max_train = 5);
         sets!(slot_trade(false) => slot_trade = false);

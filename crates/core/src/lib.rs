@@ -76,8 +76,9 @@
 //!   (control > migration > data) and drains them in class order under a
 //!   budget, so a flood of application traffic can never delay SHUTDOWN
 //!   or negotiation — [`MachineBuilder::pump_budget`] sets the budget,
-//!   and an idle driver parks for [`MachineBuilder::idle_park`] or the
-//!   fastest armed protocol timer, whichever is shorter;
+//!   and an idle driver parks until the earliest timer it has armed (a
+//!   wait deadline, a gossip round, a periodic checkpoint), for good when
+//!   it has none: a quiet default machine makes no wake-ups at all;
 //! * the marcel scheduler runs a **control lane** (bounded bursts, never
 //!   starving compute): LRPC handlers and daemons flagged via
 //!   [`api::pm2_set_control_priority`] overtake compute quanta;
@@ -228,9 +229,10 @@
 //! `available_parallelism`) dispatch ready nodes round-robin with a
 //! fairness budget of 32 driver steps per dispatch — one flooded node
 //! cannot starve the other 255 (`tests/scale.rs` pins this).  A
-//! quiescent machine parks the whole pool on a condvar; a periodic tick
-//! requeues nodes only when gossip, detector or checkpoint work is
-//! actually due.  It is the only driver: [`MachineBuilder::workers`]`(1)`
+//! quiescent machine parks the whole pool on a condvar, until the
+//! earliest instant a parked node filed for its gossip, detector,
+//! checkpoint or wait-deadline work — for good when none did.  It is the
+//! only driver: [`MachineBuilder::workers`]`(1)`
 //! (what [`MachineBuilder::test_profile`] sets) is the single-threaded
 //! machine — one OS thread runs every node and every green thread, in
 //! ready-queue (ring) order, a function of the message history when the
@@ -247,14 +249,13 @@
 //!   random live peers — O(1) messages per node per round, machine-wide
 //!   convergence in O(log p) rounds.  The old all-pairs HEARTBEAT
 //!   beacon is gone; direct probes go only to *suspects* (silent past
-//!   half the timeout), at most a handful per scan, and an incremental
-//!   cursor spreads the silence scan over driver steps instead of
-//!   walking all p stamps per tick;
+//!   half the timeout), at most a handful per scan, and the silence
+//!   scan walks the p stamps once per round instead of on every step;
 //! * **sampled economics** — above 16 nodes the trader's
 //!   `richest_peer` draws a bounded random sample of the gossiped
-//!   wealth table instead of scanning it, and the load balancer probes
-//!   a power-of-two-choices style sample of 8 peers instead of all p
-//!   (the machine size selects; there is no knob);
+//!   wealth table instead of scanning it (the machine size selects;
+//!   there is no knob), and the load balancer skips the probe of every
+//!   peer a fresh gossiped hint stands in for;
 //! * **what stays O(p), deliberately** — death certificates and
 //!   recovery broadcasts (rare, correctness-critical), the §4.4 global
 //!   negotiation fallback (round-robin slot interleaving makes

@@ -77,19 +77,13 @@
 //!    deadline passes.  A straggler ack from an abandoned round has a
 //!    stale cmd id and is ignored, never credited to a later round.
 //!
-//! ## Sampled probing at scale
+//! ## The balancer's limit
 //!
-//! Probing all p nodes per round is the balancer's own O(p) tax, and at
-//! p = 256 it dominates the round.  Above [`FULL_PROBE_MAX`] nodes the
-//! gather switches to a **gossip-informed sample** of `PROBE_SAMPLE`
-//! peers: draw a seeded handful of candidates, rank them by the epidemic
-//! load hints every node already maintains, and probe only the most- and
-//! least-loaded halves — the power-of-two-choices insight that comparing
-//! a few sampled extremes balances almost as well as comparing everyone.
-//! Rounds are O(k) on the wire regardless of p; successive rounds draw
-//! fresh samples, so every imbalance is eventually visible.  Machines at
-//! or below `FULL_PROBE_MAX` keep the exact full-probe behaviour; the
-//! machine size alone selects the path.
+//! A round probes every node: one `LOAD_REQ` per peer no fresh gossip hint
+//! stands in for, so the gather is O(p) on the wire in the worst case and
+//! the daemon is meant for machines where that is cheap (no drill runs it
+//! above 16 nodes).  On larger machines gossip runs without a detector and
+//! the hints carry most of the round.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,12 +95,9 @@ use madeleine::Wire;
 use crate::api::{self, send_msg};
 use crate::error::Result;
 use crate::machine::Machine;
-use crate::node::FULL_PROBE_MAX;
 use crate::proto::{self, tag, AffinityEdge};
 use crate::wait::{For, Wait};
 
-/// Peers probed per round above [`FULL_PROBE_MAX`] nodes.
-const PROBE_SAMPLE: usize = 8;
 /// Per-epoch decay applied to every thread's affinity counts by each
 /// probed node (`msgs >>= shift`).
 const AFF_DECAY_SHIFT: u32 = 1;
@@ -254,44 +245,6 @@ struct Load {
     migratable: Vec<u64>,
     /// Hottest thread→node affinity edges the node reported.
     edges: Vec<AffinityEdge>,
-}
-
-/// Choose this round's probe targets from a seeded candidate draw ranked
-/// by the gossiped load hints: the `k/2` least-loaded (destination
-/// candidates) plus the `k/2` most-loaded (source candidates), self
-/// always included.  Pure so the bias is unit-testable; the draw budget
-/// is bounded, never a scan, so a machine of corpses costs O(k) too.
-/// With an all-zero hint table (gossip not yet converged) the bias
-/// degenerates to a uniform random sample, which still converges —
-/// successive rounds draw fresh candidates.
-fn pick_sample(
-    p: usize,
-    k: usize,
-    me: usize,
-    hints: &[u32],
-    dead: &HashSet<usize>,
-    rng: &crate::rng::SplitMix64,
-) -> Vec<usize> {
-    let mut cand: Vec<usize> = Vec::with_capacity(2 * k);
-    for _ in 0..(4 * k) {
-        if cand.len() >= 2 * k {
-            break;
-        }
-        let n = rng.below(p);
-        if n == me || dead.contains(&n) || cand.contains(&n) {
-            continue;
-        }
-        cand.push(n);
-    }
-    cand.sort_by_key(|&n| hints.get(n).copied().unwrap_or(0));
-    let lo = k / 2;
-    let hi = k - lo;
-    let mut targets: Vec<usize> = cand.iter().take(lo).copied().collect();
-    targets.extend(cand.iter().rev().take(hi));
-    targets.push(me);
-    targets.sort_unstable();
-    targets.dedup();
-    targets
 }
 
 /// Fixed-point scale for the msgs-per-byte score (score arithmetic stays
@@ -444,29 +397,14 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // Gather loads (the daemon itself counts towards node 0's load; the
     // threshold absorbs it).  A probe refused with a death certificate
     // drops that node from the round — corpses have no load to balance.
-    // Above FULL_PROBE_MAX nodes the gather probes a gossip-informed
-    // sample instead of all p.
-    let targets: Vec<usize> = if p <= FULL_PROBE_MAX {
-        (0..p).collect()
-    } else {
-        crate::node::with_ctx(|c| {
-            pick_sample(p, PROBE_SAMPLE, c.node, &c.peer_load, &c.dead_nodes, &c.rng)
-        })
-    };
     // Probe-saving: a peer whose gossiped load entry is younger than one
     // heartbeat interval and marks it a non-source (at or below the mean
     // of the fresh hints plus the threshold) contributes its hint as a
     // destination-only snapshot entry instead of paying a round trip.
     // Self is always probed — the reply is a local self-send anyway.
-    let me = crate::node::with_ctx(|c| c.node);
     let fresh: Vec<(usize, Option<u32>)> = crate::node::with_ctx(|c| {
-        targets
-            .iter()
-            .map(|&peer| {
-                let h = (peer != me).then(|| c.fresh_load_hint(peer)).flatten();
-                (peer, h)
-            })
-            .collect()
+        let hint = |peer| (peer != c.node).then(|| c.fresh_load_hint(peer)).flatten();
+        (0..p).map(|peer| (peer, hint(peer))).collect()
     });
     let known: Vec<u32> = fresh.iter().filter_map(|&(_, h)| h).collect();
     let hint_mean = if known.is_empty() {
@@ -474,7 +412,7 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     } else {
         known.iter().map(|&h| h as usize).sum::<usize>() / known.len()
     };
-    let mut loads: Vec<Load> = Vec::with_capacity(targets.len());
+    let mut loads: Vec<Load> = Vec::with_capacity(p);
     let mut to_probe = Vec::new();
     let probe = proto::LoadReq {
         decay_shift: if cfg.affinity { AFF_DECAY_SHIFT } else { 0 },
@@ -571,42 +509,6 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn sample_is_bounded_deduped_and_skips_self_and_dead() {
-        let rng = crate::rng::SplitMix64::new(7);
-        let hints = vec![0u32; 256];
-        let dead: HashSet<usize> = [3, 4, 5].into_iter().collect();
-        let t = pick_sample(256, 8, 0, &hints, &dead, &rng);
-        assert!(t.len() <= 9, "k targets plus self at most, got {t:?}");
-        assert!(t.contains(&0), "self is always probed");
-        assert!(t.iter().all(|n| !dead.contains(n)), "corpses are skipped");
-        let mut u = t.clone();
-        u.dedup();
-        assert_eq!(u, t, "targets are deduped");
-    }
-
-    #[test]
-    fn sample_prefers_the_hinted_extremes() {
-        let rng = crate::rng::SplitMix64::new(42);
-        // One wildly overloaded peer and one empty peer among a uniform
-        // middle: whenever the draw sees them, both ends must survive the
-        // cut.  Run a few rounds so the draw does see them.
-        let mut hints = vec![50u32; 64];
-        hints[17] = 500;
-        hints[23] = 0;
-        let dead = HashSet::new();
-        let mut hit_hi = false;
-        let mut hit_lo = false;
-        for _ in 0..32 {
-            let t = pick_sample(64, 4, 0, &hints, &dead, &rng);
-            hit_hi |= t.contains(&17);
-            hit_lo |= t.contains(&23);
-        }
-        assert!(hit_hi, "the most-loaded peer is sampled as a source");
-        assert!(hit_lo, "the least-loaded peer is sampled as a destination");
-    }
 
     // -- white-box planner tests ----------------------------------------
 

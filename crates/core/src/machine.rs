@@ -197,7 +197,7 @@ impl Machine {
         let pools = ctxs.iter().map(|c| c.pool.clone()).collect();
 
         let n_workers = effective_workers(&cfg);
-        let drivers = crate::executor::spawn_pool(ctxs, n_workers, executor_tick(&cfg));
+        let drivers = crate::executor::spawn_pool(ctxs, n_workers);
 
         Ok(Machine {
             cfg,
@@ -985,22 +985,4 @@ fn effective_workers(cfg: &Pm2Config) -> usize {
         .max(2);
     let w = if cfg.workers == 0 { auto } else { cfg.workers };
     w.clamp(1, cfg.nodes.max(1))
-}
-
-/// How long an idle driver parks — the executor's worker pop timeout and
-/// idle-node sweep cadence: the `idle_park` backstop, tightened to the
-/// fastest armed protocol timer so a quiet node's failure detector, gossip
-/// rounds and periodic checkpoints still fire on schedule.  Derived here, once,
-/// so no caller has to remember to shorten `idle_park` when it arms one.
-fn executor_tick(cfg: &Pm2Config) -> Duration {
-    let mut tick = cfg.idle_park;
-    if cfg.failure_timeout.is_some() || cfg.nodes > crate::node::FULL_PROBE_MAX {
-        tick = tick.min(cfg.heartbeat_every);
-    }
-    if cfg.spill_dir.is_some() {
-        if let Some(every) = cfg.checkpoint_every {
-            tick = tick.min(every);
-        }
-    }
-    tick.max(Duration::from_millis(1))
 }

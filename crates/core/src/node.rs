@@ -41,6 +41,13 @@
 //!   unblocks it, so a node whose threads all wait is idle and its driver
 //!   parks, until the earliest deadline.  Only `pm2_join` still polls.
 //!
+//! What no message brings is a timer, and a parking node names the instant
+//! it next needs a step for one (`NodeCtx::next_timer`: the earliest wait
+//! deadline, the gossip/detector round, the periodic checkpoint and the
+//! coordinator's grant embargo, each only while armed); `NodeCtx::step`
+//! runs those duties once their instant has passed.  With nothing armed —
+//! the default — a step reads no clock and a quiet node is never stepped.
+//!
 //! ## Gossip-scale protocols
 //!
 //! Per-node protocol cost must stay (amortized) O(1) in the node count or
@@ -59,12 +66,12 @@
 //!   node pushes its own free-slot and resident-thread counts, plus a few
 //!   relayed table entries, to `GOSSIP_FANOUT` random live peers — O(1)
 //!   messages per node per round, O(log p) rounds to saturate the machine.
-//! * **The silence scan** walks a cursor over the peer table, a chunk per
-//!   driver step (sized so one lap completes per `heartbeat_every` even on
-//!   a sparsely-ticked idle node) instead of scanning all p every tick.
-//! * **Sampling**: `richest_peer` and the balancer probe a random sample
-//!   above `FULL_PROBE_MAX` nodes (power-of-two-choices style) instead of
-//!   scanning/probing everyone.
+//! * **The silence scan** walks the peer table once per round — one lap
+//!   per `heartbeat_every`, busy node or idle — with a capped number of
+//!   suspicion probes per lap, instead of scanning all p every step.
+//! * **Sampling**: `richest_peer` draws a random sample above
+//!   `FULL_PROBE_MAX` nodes (power-of-two-choices style) instead of
+//!   scanning everyone.
 //!
 //! The remaining O(p) structures are deliberate: the `peer_wealth` /
 //! `peer_seq` / `last_heard` tables are one word-ish per peer (a few KB at
@@ -110,10 +117,10 @@ thread_local! {
     static CURRENT_NODE: Cell<*mut NodeCtx> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// Largest machine the exact all-peer paths still run on: up to this many
-/// nodes `richest_peer` scans the whole table and the balancer probes
-/// every peer (preserving the small-machine ablation numbers); above it
-/// both sample, and gossip dissemination turns on even without a detector.
+/// Largest machine the exact all-peer path still runs on: up to this many
+/// nodes `richest_peer` scans the whole table (preserving the
+/// small-machine ablation numbers); above it it samples, and gossip
+/// dissemination turns on even without a detector.
 /// The machine size alone makes the choice — something the code observes,
 /// not something a user sets.
 pub const FULL_PROBE_MAX: usize = 16;
@@ -127,8 +134,8 @@ const GOSSIP_RELAY: usize = 6;
 /// Cap on the relay budget: a digest never exceeds `1 + 32` entries
 /// (~500 B), whatever the machine size.
 const GOSSIP_RELAY_MAX: usize = 32;
-/// Minimum silence-scan advance per driver step ("a few peers per step").
-const SCAN_CHUNK: usize = 4;
+/// Most suspicion probes one silence scan sends.
+const SCAN_PROBES: usize = 4;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
 /// Thread heaps hand a fully-free slot back to the hosting node at once
@@ -233,10 +240,11 @@ counters! {
     steps,
     /// Times the driver parked on the doorbell with nothing to do.
     driver_parks,
-    /// Times the driver came back from a park (ring or park-timeout).
+    /// Times the driver came back from a park: rung, or requeued because
+    /// the instant it filed on parking had passed.
     /// `driver_parks − driver_wakeups ∈ {0, 1}` at any instant; a
-    /// quiescent machine accumulates (almost) none of either beyond the
-    /// initial park.
+    /// quiescent machine with no timer armed accumulates none of either
+    /// beyond the initial park.
     driver_wakeups,
     /// Messages dropped by the per-(source, class) dedup window — chaos
     /// duplicates (same fabric seq) caught before they reached a handler.
@@ -372,7 +380,8 @@ pub(crate) struct NodeCtx {
     /// frozen us yet; granting a second holder inside that window would
     /// run two critical sections at once.  Until the instant passes (or
     /// the in-flight holder's gather freezes us, which also defers
-    /// grants), the queue waits.
+    /// grants), the queue waits; a timer while it does
+    /// ([`NodeCtx::next_timer`]).
     pub coord_settle_until: Option<Instant>,
     /// Per-(source, class) receive dedup windows, indexed
     /// `src * N_CLASSES + class`.  Chaos duplicates reuse the original's
@@ -408,9 +417,13 @@ pub(crate) struct NodeCtx {
     /// Epoch stamped on the next checkpoint record; replay keeps the
     /// newest epoch per tid, so a checkpoint is superseded, never mutated.
     ckpt_epoch: u64,
-    last_checkpoint: Instant,
-    /// Last time this node pushed a gossip digest.
-    last_gossip: Instant,
+    /// When the next periodic checkpoint is due; `None` unless both
+    /// `checkpoint_every` and a spill log are set, and after SHUTDOWN.
+    next_checkpoint: Option<Instant>,
+    /// When the next gossip round and silence scan are due; `None` unless
+    /// the detector is armed or the machine is above [`FULL_PROBE_MAX`]
+    /// nodes, and after SHUTDOWN.
+    next_round: Option<Instant>,
     /// Last time any message arrived from each peer (direct evidence), or
     /// a strictly-newer gossip entry about it was merged (indirect).
     last_heard: Vec<Instant>,
@@ -421,13 +434,9 @@ pub(crate) struct NodeCtx {
     /// strictly-newer-wins, so relays of a corpse's stale rounds can never
     /// refresh its entry.
     peer_seq: Vec<u32>,
-    /// Last gossiped resident-thread count per peer (load hint for the
-    /// balancer's power-of-two-choices sampling).
+    /// Last gossiped resident-thread count per peer (the load hint that,
+    /// while fresh, saves the balancer a probe).
     pub peer_load: Vec<u32>,
-    /// Silence-scan cursor: the next peer the incremental detector looks
-    /// at.  Advanced a chunk per driver step instead of all p per tick.
-    scan_cursor: usize,
-    last_scan: Instant,
     /// Per-peer suspicion-probe rate limit.
     last_probe: Vec<Instant>,
     /// Protocol sampling RNG (node-seeded, deterministic per node).
@@ -499,6 +508,10 @@ impl NodeCtx {
             }
         });
         let now = Instant::now();
+        let gossips = cfg.failure_timeout.is_some() || cfg.nodes > FULL_PROBE_MAX;
+        let next_round = (cfg.nodes >= 2 && gossips).then(|| now + cfg.heartbeat_every);
+        let checkpoints = cfg.checkpoint_every.filter(|_| spill.is_some());
+        let next_checkpoint = checkpoints.map(|every| now + every);
         NodeCtx {
             node,
             n_nodes: cfg.nodes,
@@ -546,14 +559,12 @@ impl NodeCtx {
             call_counter: 0,
             spill,
             ckpt_epoch: 0,
-            last_checkpoint: now,
-            last_gossip: now,
+            next_checkpoint,
+            next_round,
             last_heard: vec![now; cfg.nodes],
             gossip_seq: 0,
             peer_seq: vec![0; cfg.nodes],
             peer_load: vec![0; cfg.nodes],
-            scan_cursor: (node + 1) % cfg.nodes.max(1),
-            last_scan: now,
             last_probe: vec![now; cfg.nodes],
             rng: crate::rng::SplitMix64::new(0xC0FF_EE00 ^ (node as u64) << 17),
             cfg: Arc::clone(cfg),
@@ -729,37 +740,48 @@ impl NodeCtx {
 
     // -- fault tolerance & epidemic dissemination ---------------------------
 
-    /// Gossip round + incremental silence detector.  Replaces the old
-    /// beacon tick that sent HEARTBEATs to all p peers and scanned all p
-    /// silence stamps on every tick — O(p) per node per tick, O(p²) per
-    /// machine, the cost that made p = 256 infeasible.  Now the per-step
-    /// cost is O(fanout + chunk):
-    ///
-    /// * once per `heartbeat_every`, push an epidemic digest to a few
-    ///   random peers ([`NodeCtx::gossip_round`]) — also enabled without a
-    ///   detector on machines above [`FULL_PROBE_MAX`] nodes, where the
-    ///   balancer and trader live off the gossiped hints;
-    /// * when the detector is armed, advance the silence-scan cursor a
-    ///   chunk of peers per step ([`NodeCtx::silence_scan`]), probing
-    ///   suspects directly and declaring death purely by silence timeout,
-    ///   exactly as before.
-    fn fault_tick(&mut self) {
-        if self.n_nodes < 2 || self.shutdown {
+    /// When this node next needs a step that no message will bring, if it
+    /// does: the earliest of its armed timers.  What a parking node files
+    /// with the executor; [`NodeCtx::run_timers`] is the other half.
+    pub(crate) fn next_timer(&self) -> Option<Instant> {
+        let embargoed = !self.lock_queue.is_empty();
+        let timers = [
+            self.waits.next_deadline(),
+            self.next_round,
+            self.next_checkpoint,
+            self.coord_settle_until.filter(|_| embargoed),
+        ];
+        timers.into_iter().flatten().min()
+    }
+
+    /// Run the duties whose instant has passed by `now` and move each on,
+    /// so that [`NodeCtx::next_timer`] never names a past instant twice.
+    fn run_timers(&mut self, now: Instant) {
+        let due = |at: Option<Instant>| at.is_some_and(|at| at <= now);
+        self.waits.expire(&self.sched, now, |n| self.ep.is_dead(n));
+        if self.shutdown {
             // Shutdown drains nodes at different speeds; a node that
             // finished early is quiet, not dead.
-            return;
+            (self.next_round, self.next_checkpoint) = (None, None);
         }
-        let detector = self.cfg.failure_timeout.is_some();
-        if !detector && self.n_nodes <= FULL_PROBE_MAX {
-            return;
-        }
-        let now = Instant::now();
-        if now.duration_since(self.last_gossip) >= self.cfg.heartbeat_every {
-            self.last_gossip = now;
+        if due(self.next_round) {
+            self.next_round = Some(now + self.cfg.heartbeat_every);
             self.gossip_round();
+            if self.cfg.failure_timeout.is_some() {
+                self.silence_scan(now);
+            }
         }
-        if detector {
-            self.silence_scan(now);
+        if due(self.next_checkpoint) {
+            self.next_checkpoint = self.cfg.checkpoint_every.map(|every| now + every);
+            if let Err(e) = self.checkpoint_now() {
+                self.out
+                    .printf(self.node, &format!("checkpoint failed: {e}"));
+            }
+        }
+        if due(self.coord_settle_until) {
+            // Nothing arrives to trigger the grant the embargo deferred.
+            self.coord_settle_until = None;
+            self.service_lock_queue();
         }
     }
 
@@ -848,41 +870,30 @@ impl NodeCtx {
         }
     }
 
-    /// Incremental silence scan: advance a cursor over the peer table,
-    /// checking a chunk per driver step instead of all p per tick.  The
-    /// chunk is sized proportionally to the time since the last scan so a
-    /// busy node pays only [`SCAN_CHUNK`] peers per step while a sparsely
-    /// ticked idle node still completes a full lap about once per
-    /// `heartbeat_every` — detection latency is unchanged from the
-    /// all-pairs scan.  A peer silent past *half* the timeout gets a
-    /// direct suspicion probe (HEARTBEAT ping byte, answered with a pong);
-    /// death is declared purely on the silence timeout, never on a
-    /// transport error.  At most [`SCAN_CHUNK`] probes go out per scan —
-    /// with normal gossip coverage suspects are rare and the cap is
-    /// invisible, but if the whole table somehow goes stale at once (a
-    /// long host stall, a just-launched giant machine) it bounds the
-    /// probe rate at O(1) per node per tick instead of O(p); the deferred
-    /// suspects are reached on the next laps, well inside the timeout.
+    /// The silence scan, once per round: one lap of the peer table, so
+    /// detection latency is `failure_timeout` plus at most a round.  A peer
+    /// silent past *half* the timeout gets a direct suspicion probe
+    /// (HEARTBEAT ping byte, answered with a pong); death is declared
+    /// purely on the silence timeout, never on a transport error.  At most
+    /// [`SCAN_PROBES`] probes go out per lap — with normal gossip coverage
+    /// suspects are rare and the cap is invisible, but if the whole table
+    /// somehow goes stale at once (a long host stall, a just-launched giant
+    /// machine) it bounds the probe rate at O(1) per node per round instead
+    /// of O(p); the deferred suspects are reached on the next laps, well
+    /// inside the timeout.
     fn silence_scan(&mut self, now: Instant) {
         let timeout = self.cfg.failure_timeout.expect("detector armed");
-        let dt = now.duration_since(self.last_scan);
-        self.last_scan = now;
-        let per_lap = self.cfg.heartbeat_every.as_nanos().max(1);
-        let k = ((self.n_nodes as u128 * dt.as_nanos()) / per_lap)
-            .max(SCAN_CHUNK as u128)
-            .min(self.n_nodes as u128) as usize;
+        let (me, n) = (self.node, self.n_nodes);
         let mut probes = 0usize;
-        for _ in 0..k {
-            let p = self.scan_cursor;
-            self.scan_cursor = (self.scan_cursor + 1) % self.n_nodes;
-            if p == self.node || self.dead_nodes.contains(&p) {
+        for p in (1..n).map(|i| (me + i) % n) {
+            if self.dead_nodes.contains(&p) {
                 continue;
             }
             let age = now.duration_since(self.last_heard[p]);
             if age > timeout {
                 self.declare_dead(p);
             } else if age >= timeout / 2
-                && probes < SCAN_CHUNK
+                && probes < SCAN_PROBES
                 && now.duration_since(self.last_probe[p]) >= self.cfg.heartbeat_every
             {
                 self.last_probe[p] = now;
@@ -980,7 +991,7 @@ impl NodeCtx {
     /// we are the coordinator, no holder is out, no settle embargo is in
     /// force, and no in-flight critical section has our bitmap frozen.
     /// Called from every event that could unblock a grant (request,
-    /// release, NEG_DONE, a death, the step loop for embargo expiry).
+    /// release, NEG_DONE, a death, the embargo's expiry).
     pub(crate) fn service_lock_queue(&mut self) {
         if self.lock_holder.is_some()
             || self.lock_queue.is_empty()
@@ -998,21 +1009,6 @@ impl NodeCtx {
         if let Some(next) = self.lock_queue.pop_front() {
             self.lock_holder = Some(next);
             let _ = self.ep.send(next, tag::NEG_LOCK_GRANT, Vec::new());
-        }
-    }
-
-    /// Periodic checkpoint tick (the `checkpoint_every` knob).
-    fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.cfg.checkpoint_every else {
-            return;
-        };
-        if self.spill.is_none() || self.shutdown || self.last_checkpoint.elapsed() < every {
-            return;
-        }
-        self.last_checkpoint = Instant::now();
-        if let Err(e) = self.checkpoint_now() {
-            self.out
-                .printf(self.node, &format!("checkpoint failed: {e}"));
         }
     }
 
@@ -1160,13 +1156,9 @@ impl NodeCtx {
         if self.killed {
             return false;
         }
-        self.waits.expire(&self.sched, |n| self.ep.is_dead(n));
-        self.fault_tick();
-        self.maybe_checkpoint();
-        if !self.lock_queue.is_empty() {
-            // Inherited-coordinator embargo expiry: no message may arrive
-            // to trigger the deferred grant, so the step loop must.
-            self.service_lock_queue();
+        // One clock read, and none with nothing armed.
+        if self.next_timer().is_some() {
+            self.run_timers(Instant::now());
         }
         if !self.frozen && !self.zombies.is_empty() {
             self.reap_zombies();

@@ -8,8 +8,8 @@
 //! `marcel::block_current`; the pump — the only other party on the node —
 //! completes the entry and unblocks the thread: a reply is filed, the
 //! bitmap thaws, the acquire turn passes on, a named peer dies, or the
-//! deadline passes (the executor bounds an idle node's park by
-//! [`WaitTable::next_deadline`]).  A reply no wait is open for is not
+//! deadline passes (an idle node's park is bounded by
+//! [`WaitTable::next_deadline`], one of the timers it names the executor).  A reply no wait is open for is not
 //! kept.  A thread with a wait open is pinned: the reply comes here.
 
 use std::collections::VecDeque;
@@ -122,14 +122,15 @@ impl WaitTable {
         }
     }
 
-    /// Wake every parked thread whose deadline has passed, and fail the
-    /// parked reply waits whose peer is dead without `fail_peer` having
-    /// said so (a silent death: no certificate has come).
-    pub(crate) fn expire(&mut self, sched: &Scheduler, is_dead: impl Fn(usize) -> bool) {
-        if !self.open.iter().any(|e| e.parked) {
-            return;
-        }
-        let now = Instant::now();
+    /// Wake every parked thread whose deadline has passed by `now`, and
+    /// fail the parked reply waits whose peer is dead without `fail_peer`
+    /// having said so (a silent death: no certificate has come).
+    pub(crate) fn expire(
+        &mut self,
+        sched: &Scheduler,
+        now: Instant,
+        is_dead: impl Fn(usize) -> bool,
+    ) {
         for e in self.open.iter_mut().filter(|e| e.parked) {
             match e.what {
                 For::Reply { peer: Some(p), .. } if is_dead(p) => {

@@ -429,11 +429,14 @@ impl Endpoint {
     /// (they were "on the wire" when the node died); embedders drop those
     /// at dispatch by checking the source against their own dead set.
     pub fn mark_dead(&self, node: usize) {
-        if let Some(flag) = self.shared.dead.get(node) {
-            flag.store(true, Ordering::Release);
-            // Wake the corpse's driver so it can observe the death instead
-            // of parking forever.
-            self.shared.doorbells[node].ring();
+        let Some(flag) = self.shared.dead.get(node) else {
+            return;
+        };
+        if !flag.swap(true, Ordering::AcqRel) {
+            // News, and nobody polls for it: wake every driver — the
+            // corpse's to observe its own death instead of parking forever,
+            // the survivors' to fail what they have waiting on it.
+            self.shared.doorbells.iter().for_each(|bell| bell.ring());
         }
     }
 

@@ -4,6 +4,7 @@
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use pm2::api::{
@@ -12,6 +13,7 @@ use pm2::api::{
 };
 use pm2::audit::NodeAudit;
 use pm2::proto::{self, tag, Msg};
+use pm2::spill;
 use pm2::{
     BufPool, FaultPlan, Machine, Pm2Config, Pm2Error, Service, SlotBitmap, SlotRange, ThreadExit,
     Wire,
@@ -440,9 +442,16 @@ fn damaged_messages_decode_to_none_or_reencode_and_never_overallocate() {
     });
 }
 
-/// A real two-thread train out of `pack_threads`: a checkpoint is a train
-/// that is not shipped, so the spill log hands one over intact.
-fn captured_train() -> Vec<u8> {
+/// A real spill log, three checkpoints of two threads through
+/// `SpillLog::append`, and the train in its last record — a checkpoint is a
+/// train out of `pack_threads` that is not shipped, so the log hands one
+/// over intact.  Captured once for the tests that damage them.
+fn captured_log_and_train() -> &'static (Vec<u8>, Vec<u8>) {
+    static CAPTURED: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+    CAPTURED.get_or_init(capture_log_and_train)
+}
+
+fn capture_log_and_train() -> (Vec<u8>, Vec<u8>) {
     let dir = std::env::temp_dir().join(format!("pm2-train-fuzz-{}", std::process::id()));
     let mut m = Machine::builder(2)
         .test_profile()
@@ -466,16 +475,17 @@ fn captured_train() -> Vec<u8> {
     while HEAPS.load(Ordering::SeqCst) < 2 {
         std::thread::yield_now();
     }
-    while m.checkpoint_node(0).unwrap() < 2 {}
+    for _ in 0..3 {
+        while m.checkpoint_node(0).unwrap() < 2 {}
+    }
     m.kill_node(0).unwrap(); // the two loops never end
     m.shutdown();
-    let log = pm2::spill::replay(&dir.join("node0.log")).unwrap();
+    let path = dir.join("node0.log");
+    let log = std::fs::read(&path).unwrap();
+    let mut records = spill::replay(&path).unwrap().records;
     let _ = std::fs::remove_dir_all(&dir);
-    log.records
-        .last()
-        .expect("a checkpoint record")
-        .train
-        .clone()
+    assert!(records.len() >= 3, "a record per checkpoint");
+    (log, records.pop().expect("counted").train)
 }
 
 /// The migration decoders face the wire and the spill log too.  The table
@@ -489,7 +499,7 @@ fn damaged_trains_yield_only_in_bounds_groups_and_records() {
     use isomalloc::pack::peek_header;
     use pm2::migration::train_groups;
 
-    let train = captured_train();
+    let (_, train) = captured_log_and_train();
     // Walk `bytes` the way arrival does; returns (groups, records) accepted.
     let walk = |bytes: &[u8]| {
         let (mut groups, mut records) = (0, 0);
@@ -515,14 +525,63 @@ fn damaged_trains_yield_only_in_bounds_groups_and_records() {
         }
         (groups, records)
     };
-    let (groups, records) = walk(&train);
+    let (groups, records) = walk(train);
     assert_eq!(groups, 2, "two threads");
     assert!(records >= 4, "a stack and a heap record each: {records}");
     cases(2000, |rng| {
-        let bytes = mutate(rng, &train);
+        let bytes = mutate(rng, train);
         let (_, largest) = largest_alloc_in(|| walk(&bytes));
         assert_bounded(largest, &bytes, "MIGRATION train");
     });
+}
+
+/// The spill log is read back after a crash, so its reader faces torn and
+/// rotten bytes.  Whatever happened to the file, `replay` neither panics
+/// nor allocates on a length field's say-so; every record it returns sits
+/// in the file, in order, behind a header carrying its length, epoch and
+/// checksum; and `SpillLog::open` cuts the file back to a prefix that
+/// replays to the same records with no tear left.
+#[test]
+fn damaged_spill_logs_replay_only_what_the_file_vouches_for() {
+    // The frame header of spill.rs's module doc.
+    let header = |rec: &spill::SpillRecord| {
+        let (len, sum) = (rec.train.len() as u32, spill::fnv1a(&rec.train));
+        let fields = [
+            &b"PMSP"[..],
+            &len.to_le_bytes(),
+            &rec.epoch.to_le_bytes(),
+            &sum.to_le_bytes(),
+        ];
+        fields.concat()
+    };
+    let contents = |r: &spill::SpillReplay| {
+        let records = r.records.iter().map(|rec| (rec.epoch, rec.train.clone()));
+        (records.collect::<Vec<_>>(), r.corrupt_skipped)
+    };
+    let (log, _) = captured_log_and_train();
+    let path = std::env::temp_dir().join(format!("pm2-spill-fuzz-{}.log", std::process::id()));
+    cases(2000, |rng| {
+        let bytes = mutate(rng, log);
+        std::fs::write(&path, &bytes).unwrap();
+        let (replayed, largest) = largest_alloc_in(|| spill::replay(&path).unwrap());
+        assert_bounded(largest, &bytes, "spill log");
+        let mut rest = &bytes[..];
+        for rec in &replayed.records {
+            let frame = [header(rec), rec.train.clone()].concat();
+            let at = rest.windows(frame.len()).position(|w| w == frame);
+            let at = at.expect("a returned record is in the file, checksummed");
+            rest = &rest[at + frame.len()..];
+        }
+        drop(spill::SpillLog::open(&path).unwrap());
+        assert!(
+            bytes.starts_with(&std::fs::read(&path).unwrap()),
+            "cut, not rewritten"
+        );
+        let reopened = spill::replay(&path).unwrap();
+        assert!(!reopened.torn_tail);
+        assert_eq!(contents(&reopened), contents(&replayed));
+    });
+    std::fs::remove_file(&path).unwrap();
 }
 
 struct Echo;

@@ -23,34 +23,45 @@ fn flood(m: &Machine, node: usize, count: usize) {
 
 #[test]
 fn quiescent_deterministic_machine_parks_its_driver() {
-    let mut m = Machine::builder(2)
-        .test_profile()
-        // Park longer than the observation window: a parked driver
-        // then shows ~zero wake-ups while we watch.
-        .idle_park(Duration::from_secs(5))
-        .launch()
-        .unwrap();
+    // The default configuration: nothing is armed, so no node names an
+    // instant when it parks and nothing steps it again.
+    let mut m = Machine::builder(16).launch().unwrap();
     // Let the drivers reach their parks, then watch a quiet window.
     std::thread::sleep(Duration::from_millis(100));
-    let before: Vec<_> = (0..2).map(|n| m.node_stats(n)).collect();
-    std::thread::sleep(Duration::from_millis(300));
+    let before: Vec<_> = (0..16).map(|n| m.node_stats(n)).collect();
+    std::thread::sleep(Duration::from_secs(1));
     for (node, s0) in before.iter().enumerate() {
         let s1 = m.node_stats(node);
         assert!(
             s1.driver_parks >= 1,
             "node {node} driver never parked: {s1:?}"
         );
-        assert!(
-            s1.driver_wakeups - s0.driver_wakeups <= 2,
-            "node {node} woke {} times in a quiet 300 ms window",
-            s1.driver_wakeups - s0.driver_wakeups
-        );
-        assert!(
-            s1.steps - s0.steps <= 8,
-            "node {node} kept stepping ({} steps) while idle — spinning?",
-            s1.steps - s0.steps
+        assert_eq!(
+            (s1.driver_wakeups - s0.driver_wakeups, s1.steps - s0.steps),
+            (0, 0),
+            "node {node} (wake-ups, steps) in a quiet second"
         );
     }
+    // With the detector armed the same quiet second is twenty rounds: each
+    // node is stepped for its own, and for the digests and the odd probe
+    // the others' rounds send it — and for nothing else.
+    let mut armed = Machine::builder(4)
+        .failure_timeout(Duration::from_millis(300))
+        .heartbeat_every(Duration::from_millis(50))
+        .launch()
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let before: Vec<_> = (0..4).map(|n| armed.node_stats(n)).collect();
+    std::thread::sleep(Duration::from_secs(1));
+    for (node, s0) in before.iter().enumerate() {
+        let steps = armed.node_stats(node).steps - s0.steps;
+        assert!(
+            (10..=120).contains(&steps),
+            "armed node {node} took {steps} steps in a quiet second of 20 rounds"
+        );
+        assert!(!armed.is_node_dead(node), "quiet node {node} declared dead");
+    }
+    armed.shutdown();
     // A parked driver still wakes promptly for real work.
     let t0 = Instant::now();
     let v = m.run_on(1, || 6 * 7).unwrap();
@@ -190,7 +201,6 @@ fn a_waiting_rpc_caller_is_parked_not_polling() {
     let mut m = Machine::builder(2)
         .test_profile()
         .workers(2)
-        .idle_park(Duration::from_secs(5))
         .launch()
         .unwrap();
     m.register(Slow);
@@ -220,10 +230,8 @@ fn a_waiting_rpc_caller_is_parked_not_polling() {
 fn a_wait_deadline_ends_an_idle_park_on_time() {
     // Every probe is eaten, so each of the three attempts runs out its
     // slice of the 105 ms reply deadline on a machine where nothing else
-    // happens: the drivers must park until the deadline, not until the
-    // 5 s `idle_park` tick.
+    // happens: the deadline is the only thing that ends node 0's park.
     let mut m = Machine::launch(Pm2Config {
-        idle_park: Duration::from_secs(5),
         reply_deadline: Duration::from_millis(105),
         fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
         ..Pm2Config::test(2)
@@ -248,14 +256,13 @@ fn a_wait_deadline_ends_an_idle_park_on_time() {
 fn a_wait_deadline_is_not_missed_between_two_idle_workers() {
     // Two workers, nothing to do: whichever ran the prober parks its node
     // with a 5 ms wait deadline (a third of the reply deadline) while the
-    // other is on its way to sleep until the 200 ms tick.  The deadline
-    // must reach that one too — seen before it sleeps, or woken after —
-    // every time: a round that misses it runs a whole tick late, which no
-    // scheduling noise on a 15 ms round explains.
-    let (tick, reply_deadline) = (Duration::from_millis(200), Duration::from_millis(15));
+    // other is on its way to sleep for good.  The deadline must reach that
+    // one too — seen before it sleeps, or woken after — every time: a round
+    // that misses it never ends, and one that is late by more than
+    // scheduling noise on a 15 ms round fails the bound.
+    let reply_deadline = Duration::from_millis(15);
     let mut m = Machine::launch(Pm2Config {
         workers: 2,
-        idle_park: tick,
         reply_deadline,
         fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
         ..Pm2Config::test(2)
@@ -274,19 +281,21 @@ fn a_wait_deadline_is_not_missed_between_two_idle_workers() {
         median >= reply_deadline && median < 2 * reply_deadline,
         "three waits of 5 ms took {median:?} in the median"
     );
-    assert!(worst < tick / 2, "the slowest round took {worst:?}");
+    assert!(
+        worst < Duration::from_millis(100),
+        "the slowest round took {worst:?}"
+    );
     m.shutdown();
 }
 
 #[test]
 fn a_wait_deadline_is_served_while_every_worker_is_busy() {
     // As above, but node 2 yields in a loop the whole time, so no worker
-    // ever finds the ready queue empty and times out asleep: the sweep that
-    // requeues idle node 0 at its wait deadline must be due by the clock.
+    // ever finds the ready queue empty and times out asleep: the instant
+    // node 0 filed must be looked at by the clock between dispatches.
     for workers in [1, 2] {
         let mut m = Machine::launch(Pm2Config {
             workers,
-            idle_park: Duration::from_secs(5),
             reply_deadline: Duration::from_millis(105),
             fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
             ..Pm2Config::test(3)

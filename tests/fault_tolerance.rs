@@ -123,10 +123,7 @@ fn killed_callee_fails_green_rpc_mid_call() {
 /// `NODE_DEAD` certificate itself wakes it, with no liveness poll between.
 #[test]
 fn a_waiter_parked_on_a_peer_that_dies_fails_typed_at_once() {
-    let mut m = machine(3, Duration::from_secs(30))
-        .idle_park(Duration::from_secs(5))
-        .launch()
-        .unwrap();
+    let mut m = machine(3, Duration::from_secs(30)).launch().unwrap();
     m.register(Stuck);
     let h = m
         .spawn_on_ret(0, || match pm2_rpc_call::<Stuck>(2, 5) {
@@ -151,12 +148,12 @@ fn a_waiter_parked_on_a_peer_that_dies_fails_typed_at_once() {
 }
 
 /// A death nobody announces — no certificate, no detector armed — still
-/// fails the parked waiter typed: its node looks at the fabric whenever it
-/// steps, the `idle_park` tick at the latest, not at the reply deadline.
+/// fails the parked waiter typed, and at once: marking a node dead on the
+/// fabric rings every bell, and a node looks at the fabric whenever it
+/// steps.  Nothing else would step node 0 before the reply deadline.
 #[test]
 fn a_silent_death_fails_the_parked_waiter_at_the_next_tick() {
     let mut m = Machine::launch(Pm2Config {
-        idle_park: Duration::from_millis(100),
         reply_deadline: Duration::from_secs(30),
         ..Pm2Config::test(3)
     })
@@ -173,7 +170,7 @@ fn a_silent_death_fails_the_parked_waiter_at_the_next_tick() {
     m.kill_node_silent(2).unwrap();
     assert_eq!(h.join().unwrap(), 1, "caller must see NodeFailed(2)");
     let took = t0.elapsed();
-    assert!(took < Duration::from_secs(2), "{took:?}");
+    assert!(took < Duration::from_millis(500), "{took:?}");
     m.shutdown();
 }
 
@@ -211,8 +208,8 @@ fn machine(nodes: usize, reply_deadline: Duration) -> MachineBuilder {
         .reply_deadline(reply_deadline)
 }
 
-/// A one-worker machine with the detector armed — timeout below the
-/// default `idle_park` — and nothing else set.
+/// A one-worker machine with the detector armed (300 ms / 50 ms) and
+/// nothing else set.
 fn detector_armed(nodes: usize) -> Machine {
     Machine::builder(nodes)
         .test_profile()
@@ -241,9 +238,8 @@ fn shutdown_within(mut m: Machine, limit: Duration) -> Duration {
 #[test]
 fn heartbeat_detector_declares_a_silent_node_dead() {
     let mut m = detector_armed(3);
-    // The driver parks for the fastest armed timer, not the raw
-    // `idle_park`: a quiet machine keeps gossiping, so silence alone kills
-    // nobody…
+    // Each parked node names its next round, so a quiet machine keeps
+    // gossiping and silence alone kills nobody…
     std::thread::sleep(Duration::from_millis(1500));
     for node in 0..3 {
         assert!(!m.is_node_dead(node), "quiet node {node} was declared dead");
@@ -459,13 +455,22 @@ fn coordinator_death_elects_successor_and_negotiations_complete() {
         t0.elapsed() < Duration::from_secs(30),
         "no waiter may hang past its deadline"
     );
-    // A fresh negotiation after the dust settles goes straight through
-    // the successor.
+    // A fresh negotiation goes through the successor — once its embargo
+    // is over: it holds grants back for 50 ms from the death, and then has
+    // nothing to do (its one requester waits on it), so the expiry itself
+    // must step it.  What this bounds is the kill to that grant's
+    // negotiation completing: a grant that left at some periodic wake-up
+    // instead (every 500 ms, once) would show here.
     m.run_on(1, move || {
         let p = pm2_isomalloc(2 * slot).unwrap();
         pm2_isofree(p).unwrap();
     })
     .unwrap();
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "the first grant after the election left {took:?} after the death"
+    );
     // Reclaim the corpse's slots so the ownership partition is whole
     // again, then audit it.
     let rep = m.recover_node(0).unwrap();
