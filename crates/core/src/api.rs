@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use madeleine::{Message, Payload, Wire};
 
@@ -23,7 +23,7 @@ use crate::error::{Pm2Error, Result};
 use crate::node::with_ctx;
 use crate::proto::{self, rpc_status, tag, Msg};
 use crate::service::{service_id, Service};
-use crate::wait::{For, Wait};
+use crate::wait::{Due, For, Wait};
 
 /// Node currently hosting the calling thread (the paper's `pm2_self()`).
 pub fn pm2_self() -> usize {
@@ -228,15 +228,16 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
 /// ([`Pm2Error::PayloadTooLarge`] / [`Pm2Error::Rpc`]), a handler panic
 /// ([`Pm2Error::Rpc`]), and a timeout ([`Pm2Error::Net`]).
 pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
-    let (n_nodes, max, reply_to, pool, call_id) = with_ctx(|c| {
-        let pool = c.pool.clone();
-        let max = c.cfg.max_rpc_payload;
-        (c.n_nodes, max, c.node, pool, c.next_call_id())
-    });
-    if node >= n_nodes {
-        return Err(Pm2Error::NoSuchNode(node));
-    }
-    let call = proto::encode_rpc_call(&pool, call_id, reply_to, service_id::<S>(), &req, max)?;
+    // Encoded straight into a buffer from the node's pool (the encoder
+    // cannot yield, so the node is borrowed for no longer than that).
+    let (call_id, call, patience) = with_ctx(|c| {
+        if node >= c.n_nodes {
+            return Err(Pm2Error::NoSuchNode(node));
+        }
+        let (call_id, max) = (c.next_call_id(), c.cfg.max_rpc_payload);
+        let call = proto::encode_rpc_call(&c.pool, call_id, c.node, service_id::<S>(), &req, max)?;
+        Ok((call_id, call, c.cfg.reply_deadline))
+    })?;
     // One call = one request out + one reply back: both legs land on the
     // same peer node, so account the pair up front in the caller's
     // affinity table (the handler side separately accounts its reply).
@@ -244,7 +245,9 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     note_rpc_traffic(node);
     // Handlers may migrate before replying, so the response is matched on
     // the call id alone; `node` is named so that its death fails the call.
-    let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), reply_deadline());
+    // The deadline is a span: no clock is read for it here.
+    let due = Due::After(patience);
+    let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), due);
     send_to(node, tag::RPC_CALL, call)?;
     let m = reply.next()?.ok_or_else(|| timed_out(tag::RPC_RESP))?;
     decode_rpc_outcome::<S>(&m.payload)
@@ -397,8 +400,9 @@ pub fn pm2_probe_load(peer: usize) -> Result<usize> {
     // on arrival unless a later probe of the same peer is waiting by then
     // (the answer is a load *hint*, so a slightly stale one is harmless).
     let probe = proto::LoadReq { decay_shift: 0 };
-    let resp: proto::LoadResp =
-        green_retry("load probe", |deadline| call(peer, &probe, None, deadline))?;
+    let resp: proto::LoadResp = green_retry("load probe", |slice| {
+        call(peer, &probe, None, Due::After(slice))
+    })?;
     Ok(resp.resident as usize)
 }
 
@@ -417,11 +421,11 @@ fn retry_slice(total: Duration, i: u32) -> Duration {
 }
 
 /// The retry driver of every at-least-once exchange, green side and host
-/// side.  `attempt` is handed the deadline of its slice of `total` and
-/// reports `Ok(None)` when the exchange was lost in transit (a re-send is
-/// worthwhile); an answer or an error ends the loop.  Re-sends are added
-/// to `resent`, and a spent budget surfaces as
-/// [`Pm2Error::RetriesExhausted`].
+/// side.  `attempt` is handed its slice of `total` — how long it may wait,
+/// counted from when it starts to — and reports `Ok(None)` when the
+/// exchange was lost in transit (a re-send is worthwhile); an answer or an
+/// error ends the loop.  Re-sends are added to `resent`, and a spent budget
+/// surfaces as [`Pm2Error::RetriesExhausted`].
 ///
 /// `resent` is the caller's to account, once the exchange is over: a green
 /// thread may wake on another node than it started on, and the host is
@@ -430,14 +434,13 @@ pub(crate) fn retry<T>(
     op: &'static str,
     total: Duration,
     resent: &mut u64,
-    mut attempt: impl FnMut(Instant) -> Result<Option<T>>,
+    mut attempt: impl FnMut(Duration) -> Result<Option<T>>,
 ) -> Result<T> {
     for i in 0..CONTROL_ATTEMPTS {
         if i > 0 {
             *resent += 1;
         }
-        let deadline = Instant::now() + retry_slice(total, i);
-        if let Some(answer) = attempt(deadline)? {
+        if let Some(answer) = attempt(retry_slice(total, i))? {
             return Ok(answer);
         }
     }
@@ -451,7 +454,7 @@ pub(crate) fn retry<T>(
 /// count on the node it runs on when the exchange is over.
 pub(crate) fn green_retry<T>(
     op: &'static str,
-    attempt: impl FnMut(Instant) -> Result<Option<T>>,
+    attempt: impl FnMut(Duration) -> Result<Option<T>>,
 ) -> Result<T> {
     let total = with_ctx(|c| c.cfg.reply_deadline);
     let mut resent = 0;
@@ -501,26 +504,27 @@ pub(crate) fn send_msg<M: Msg>(dst: usize, msg: &M) -> Result<()> {
 }
 
 /// One green-side request/reply exchange: send `req` to `peer` and park
-/// until `deadline` for the `R` it answers with — matched by the
-/// correlation id `id` when the reply leads with one, by tag and sender
-/// otherwise.  `Ok(None)` means no reply came in time (lost, or merely
-/// late); a dead peer fails fast with [`Pm2Error::NodeFailed`], a reply
-/// that does not decode with [`Pm2Error::Decode`].
+/// until `due` for the `R` it answers with — matched by the correlation id
+/// `id` when the reply leads with one, by tag and sender otherwise.
+/// `Ok(None)` means no reply came in time (lost, or merely late); a dead
+/// peer fails fast with [`Pm2Error::NodeFailed`], a reply that does not
+/// decode with [`Pm2Error::Decode`].
 pub(crate) fn call<R: Msg>(
     peer: usize,
     req: &impl Msg,
     id: Option<u64>,
-    deadline: Instant,
+    due: Due,
 ) -> Result<Option<R>> {
-    let reply = Wait::for_reply(R::TAG, Some(peer), id, deadline);
+    let reply = Wait::for_reply(R::TAG, Some(peer), id, due);
     send_msg(peer, req)?;
     let reply = reply.next()?;
     reply.map(|m| R::from_payload(&m.payload)).transpose()
 }
 
-/// When a wait opened now runs out of the machine's `reply_deadline`.
-pub(crate) fn reply_deadline() -> Instant {
-    Instant::now() + with_ctx(|c| c.cfg.reply_deadline)
+/// The machine's `reply_deadline`, as a wait's span: it runs from the
+/// node's next clock read, and reading none here is the point.
+pub(crate) fn reply_deadline() -> Due {
+    Due::After(with_ctx(|c| c.cfg.reply_deadline))
 }
 
 /// The error of a green-side wait whose reply deadline passed.
@@ -532,15 +536,15 @@ pub(crate) fn timed_out(tag: u16) -> Pm2Error {
 /// probes): open a wait for everybody's `tag` replies, `ask` each of
 /// `peers`, and hand `on_reply` one reply from every peer asked.  Returns
 /// the peers whose reply is never coming — they could not be asked, or
-/// died owing it; errors when `deadline` passes with live peers owing.
+/// died owing it; errors when `due` passes with live peers owing.
 pub(crate) fn gather(
     tag: u16,
-    deadline: Instant,
+    due: Due,
     peers: impl IntoIterator<Item = usize>,
     mut ask: impl FnMut(usize) -> Result<()>,
     mut on_reply: impl FnMut(Message) -> Result<()>,
 ) -> Result<Vec<usize>> {
-    let replies = Wait::for_reply(tag, None, None, deadline);
+    let replies = Wait::for_reply(tag, None, None, due);
     let (asked, mut lost): (Vec<_>, Vec<_>) = peers.into_iter().partition(|&p| ask(p).is_ok());
     let mut owing: HashSet<usize> = asked.into_iter().collect();
     while !owing.is_empty() {
@@ -567,9 +571,8 @@ mod tests {
         let total = Duration::from_millis(700);
         let mut resent = 0;
         let mut slices = Vec::new();
-        let t0 = Instant::now();
-        let spent: Result<()> = retry("drill", total, &mut resent, |deadline| {
-            slices.push(deadline.duration_since(t0));
+        let spent: Result<()> = retry("drill", total, &mut resent, |slice| {
+            slices.push(slice);
             Ok(None)
         });
         assert_eq!(
@@ -582,11 +585,9 @@ mod tests {
         assert_eq!(slices.len() as u32, CONTROL_ATTEMPTS);
         assert_eq!(resent, (CONTROL_ATTEMPTS - 1) as u64);
         assert!(slices.windows(2).all(|w| w[0] < w[1]), "slices grow");
-        // No attempt waited here, so each deadline is its slice (plus the
-        // microseconds the loop itself took).
         let sum: Duration = slices.iter().sum();
         assert!(sum >= total - Duration::from_millis(1), "sum {sum:?}");
-        assert!(sum < total + Duration::from_millis(50), "sum {sum:?}");
+        assert!(sum <= total, "sum {sum:?}");
     }
 
     #[test]

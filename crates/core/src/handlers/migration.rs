@@ -11,8 +11,6 @@
 //! only the corrupt groups are NAKed back — by tid, which the fixed-size
 //! train table preserves even when the records behind it are garbage.
 
-use std::time::Instant;
-
 use madeleine::Message;
 
 use super::{decode, drop_malformed};
@@ -26,13 +24,13 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
     // even inside a negotiation ("the bitmaps do not undergo any change
     // on thread migration", §4.2).
     ctx.stats.migration_wire_ns.add(m.wire_ns);
-    let t0 = migration::stamped(ctx.stats.trains_in.get()).then(Instant::now);
+    let t0 = migration::stamped(ctx.stats.trains_in.get()).then(|| ctx.now());
     // SAFETY: buffer from a peer's pack_threads (or, under fault
     // injection, arbitrary bytes — unpack_threads validates and rolls
     // back per record group rather than trusting them).
     let unpacked = unsafe { migration::unpack_threads(&m.payload, &mut ctx.mgr, &mut ctx.arrival) };
     if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
+        let ns = ctx.now().duration_since(t0).as_nanos() as u64;
         ctx.stats
             .migration_unpack_ns
             .add(ns * migration::STAMP_EVERY);

@@ -35,7 +35,7 @@ pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
     // overload (the workload harness past saturation) spawn failures are
     // expected, and the host is blocked on this tid — complete it as a
     // failed exit so joiners observe a typed failure instead of a hang.
-    if let Err(e) = ctx.try_spawn_boxed(tid, 0, f) {
+    if let Err(e) = ctx.try_spawn(tid, 0, f) {
         ctx.registry.complete(crate::registry::ThreadExit {
             tid,
             panicked: true,
@@ -65,7 +65,7 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
         return drop_malformed(ctx);
     };
     let tid = ctx.sched.next_tid();
-    if let Err(e) = ctx.try_spawn_boxed(tid, 0, Box::new(move || f(args))) {
+    if let Err(e) = ctx.try_spawn(tid, 0, move || f(args)) {
         // Out of stack slots under a spawn flood: the request is lost
         // (nobody awaits it), the node is not.
         ctx.out.printf(ctx.node, &format!("dropped rpc spawn: {e}"));
@@ -94,7 +94,7 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
         );
         return;
     }
-    let Some(handler) = ctx.typed_services.get(service) else {
+    let Some(handler) = ctx.typed_service(service) else {
         let _ = ctx.ep.send(
             reply_to,
             tag::RPC_RESP,
@@ -111,19 +111,14 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     let max = ctx.cfg.max_rpc_payload;
     let pool = ctx.pool.clone();
     let tid = ctx.sched.next_tid();
-    let spawned = ctx.try_spawn_boxed(
-        tid,
-        flags::CONTROL | flags::DETACHED,
-        Box::new(move || {
-            let reply =
-                proto::encode_rpc_reply(&pool, call_id, max, |w| handler(&m.payload[req], w));
-            // The reply is RPC-shaped traffic too: account it on the
-            // serving side (from wherever the handler ended up) so both
-            // ends of a chatty pair accumulate affinity toward each other.
-            crate::api::note_rpc_traffic(reply_to);
-            let _ = crate::api::send_to(reply_to, tag::RPC_RESP, reply);
-        }),
-    );
+    let spawned = ctx.try_spawn(tid, flags::CONTROL | flags::DETACHED, move || {
+        let reply = proto::encode_rpc_reply(&pool, call_id, max, |w| handler(&m.payload[req], w));
+        // The reply is RPC-shaped traffic too: account it on the serving
+        // side (from wherever the handler ended up) so both ends of a
+        // chatty pair accumulate affinity toward each other.
+        crate::api::note_rpc_traffic(reply_to);
+        let _ = crate::api::send_to(reply_to, tag::RPC_RESP, reply);
+    });
     if let Err(e) = spawned {
         // Out of stack slots: the caller gets a typed remote error
         // instead of a wedged machine and an opaque timeout.

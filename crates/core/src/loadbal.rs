@@ -88,15 +88,16 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use madeleine::Wire;
 
 use crate::api::{self, send_msg};
 use crate::error::Result;
 use crate::machine::Machine;
+use crate::node::with_ctx;
 use crate::proto::{self, tag, AffinityEdge};
-use crate::wait::{For, Wait};
+use crate::wait::{Due, For, Wait};
 
 /// Per-epoch decay applied to every thread's affinity counts by each
 /// probed node (`msgs >>= shift`).
@@ -210,7 +211,7 @@ fn daemon(cfg: BalancerConfig, stop: Arc<AtomicBool>, counters: Arc<Counters>) {
     api::pm2_set_control_priority(true);
     let p = api::pm2_nodes();
     while !stop.load(Ordering::SeqCst) {
-        let round_started = Instant::now();
+        let round_started = with_ctx(|c| c.now());
         if let Err(e) = balance_round(p, &cfg, &counters) {
             // A node dying mid-round degrades that round, not the daemon:
             // the next round simply plans around the corpse.  Anything
@@ -222,7 +223,7 @@ fn daemon(cfg: BalancerConfig, stop: Arc<AtomicBool>, counters: Arc<Counters>) {
         }
         counters.rounds.add(1);
         // Sleep, parked, until the next round.
-        let _ = Wait::open(For::Time, Some(round_started + cfg.period)).next();
+        let _ = Wait::open(For::Time, Some(Due::At(round_started + cfg.period))).next();
     }
 }
 
@@ -381,7 +382,8 @@ fn plan_moves(
 }
 
 fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<()> {
-    let deadline = Instant::now() + cfg.round_deadline;
+    // One deadline for the whole round: the probes' and the commands'.
+    let deadline = Due::At(with_ctx(|c| c.now()) + cfg.round_deadline);
     // Gather loads (the daemon itself counts towards node 0's load; the
     // threshold absorbs it).  A probe refused with a death certificate
     // drops that node from the round — corpses have no load to balance.

@@ -519,8 +519,9 @@ impl Machine {
         id: u64,
     ) -> Result<R> {
         let mut resent = 0;
-        let reply = crate::api::retry(op, self.cfg.reply_deadline, &mut resent, |deadline| {
+        let reply = crate::api::retry(op, self.cfg.reply_deadline, &mut resent, |slice| {
             let payload = proto::encode(self.host_ep.pool(), req);
+            let deadline = Instant::now() + slice;
             self.exchange(node, Q::TAG, payload, R::TAG, id, deadline)?
                 .map(|m| R::from_payload(&m.payload))
                 .transpose()

@@ -55,9 +55,9 @@
 //! (`TrainOutcome`) — belong to the node and keep their room from one
 //! hop to the next.  `a_hop_allocates_nothing_in_steady_state` (below)
 //! counts: ten thousand hops of a null thread, and of one carrying three
-//! half-free heap slots, ask the allocator for nothing beyond the block the
-//! fabric's `std` channel takes every 31 messages whatever they carry; a
-//! 32-thread train asks for what an 8-thread one does.
+//! half-free heap slots, ask the allocator for nothing — nor does the
+//! fabric, whose inboxes keep their room — and a 32-thread train asks for
+//! what an 8-thread one does.
 
 use isoaddr::{NodeSlotManager, SlotProvider, SlotRange};
 use isomalloc::heap::iter_slot_runs;
@@ -421,7 +421,6 @@ mod tests {
     use crate::node::NodeCtx;
     use crate::proto::tag;
     use crate::Pm2Config;
-    use madeleine::Payload;
     use marcel::ThreadState;
     use std::iter::zip;
 
@@ -485,7 +484,7 @@ mod tests {
                     pm2_yield();
                 }
             };
-            ctx.try_spawn_boxed(tid, 0, Box::new(body)).unwrap();
+            ctx.try_spawn(tid, 0, body).unwrap();
         }
         for _ in 0..tids.len() {
             assert!(ctx.step(), "each thread runs to its first yield");
@@ -519,13 +518,9 @@ mod tests {
     /// A hop allocates nothing of its own once the two nodes have seen one:
     /// the staging list, the arrival's outcome and rollback list are the
     /// node's and reused, a heap slot's extent table is written into the
-    /// pooled train buffer, and that buffer goes round.  Counted on the
-    /// thread that steps both nodes, so every stage of the hop is in.
-    ///
-    /// The fabric's links are `std` channels, which take a block from the
-    /// allocator every few dozen messages whatever those carry.  That is
-    /// measured first, on the same links, and is all a hop may ask for —
-    /// give or take one block per link, for where in a block a count starts.
+    /// pooled train buffer, and that buffer goes round, through inboxes
+    /// that keep their room.  Counted on the thread that steps both nodes,
+    /// so every stage of the hop is in.
     #[test]
     fn a_hop_allocates_nothing_in_steady_state() {
         use crate::api::{pm2_isofree, pm2_migrate, pm2_self};
@@ -533,14 +528,6 @@ mod tests {
         const HOPS: u64 = 10_000;
 
         let (mut n0, mut n1, _host) = crate::tests::bare_pair(Pm2Config::test(2));
-        let ((), wire) = allocs_in(|| {
-            for _ in 0..HOPS / 2 {
-                n0.ep.send(1, tag::MIGRATION, Payload::empty()).unwrap();
-                n1.ep.try_recv().expect("a message for node 1");
-                n1.ep.send(0, tag::MIGRATION, Payload::empty()).unwrap();
-                n0.ep.try_recv().expect("a message for node 0");
-            }
-        });
         let hopper = || loop {
             pm2_migrate(1 - pm2_self()).unwrap();
         };
@@ -555,11 +542,11 @@ mod tests {
         };
 
         // A null thread…
-        n0.try_spawn_boxed(0x201, 0, Box::new(hopper)).unwrap();
+        n0.try_spawn(0x201, 0, hopper).unwrap();
         assert!(n0.step(), "runs to its first hop");
         hops(&mut n0, &mut n1, 16);
         let ((), allocs) = allocs_in(|| hops(&mut n0, &mut n1, HOPS));
-        assert!(allocs <= wire + 2, "null thread: {allocs} > {wire} + 2");
+        assert_eq!(allocs, 0, "null thread");
 
         // …and with it one that carries a heap: three slots, every other
         // block free.
@@ -571,13 +558,13 @@ mod tests {
             drop(blocks);
             hopper()
         };
-        n0.try_spawn_boxed(0x202, 0, Box::new(heavy)).unwrap();
+        n0.try_spawn(0x202, 0, heavy).unwrap();
         hops(&mut n0, &mut n1, 16);
         let d = n0.threads[&0x202];
         let heap = unsafe { isomalloc::heap::heap_slots(std::ptr::addr_of!((*d).heap)) };
         assert!(heap.len() >= 2, "heap slots: {heap:?}");
         let ((), allocs) = allocs_in(|| hops(&mut n0, &mut n1, HOPS));
-        assert!(allocs <= wire + 2, "heap owner: {allocs} > {wire} + 2");
+        assert_eq!(allocs, 0, "heap owner");
     }
 
     /// The stage clocks are sampled per node and direction: the 64th,
@@ -593,9 +580,7 @@ mod tests {
         let hopper = || loop {
             pm2_migrate(1 - pm2_self()).unwrap();
         };
-        nodes[0]
-            .try_spawn_boxed(0x401, 0, Box::new(hopper))
-            .unwrap();
+        nodes[0].try_spawn(0x401, 0, hopper).unwrap();
         // Stamps seen per node: (packs, unpacks).
         let mut stamps = [(0u64, 0u64); 2];
         for hop in 0..HOPS {
@@ -623,7 +608,7 @@ mod tests {
 
     /// Nor does a train pay per thread: moving 32 threads there and back in
     /// one message each way asks the allocator for what moving 8 does —
-    /// nothing (eight messages do not reach the end of a link's first block).
+    /// nothing.
     #[test]
     fn a_train_allocates_no_more_for_more_threads() {
         let (mut n0, mut n1, _host) = crate::tests::bare_pair(Pm2Config::test(2));
@@ -634,8 +619,7 @@ mod tests {
                 let body = || loop {
                     pm2_yield();
                 };
-                n0.try_spawn_boxed(*tids.last().unwrap(), 0, Box::new(body))
-                    .unwrap();
+                n0.try_spawn(*tids.last().unwrap(), 0, body).unwrap();
             }
             for _ in 0..k {
                 assert!(n0.step(), "each thread runs to a yield");

@@ -65,7 +65,7 @@
 //! re-check the bitmap first, because the previous holder's batch usually
 //! covers them.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use isoaddr::{SlotBitmap, SlotRange};
 
@@ -76,7 +76,7 @@ use crate::error::{Pm2Error, Result};
 use crate::machine::collect_ranges;
 use crate::node::with_ctx;
 use crate::proto::{self, tag};
-use crate::wait::{For, Wait};
+use crate::wait::{Due, For, Wait};
 
 /// Acquire ownership of `requested` contiguous slots into the calling
 /// node's bitmap.  On success the local bitmap is guaranteed to contain a
@@ -131,16 +131,12 @@ fn run_acquire(requested: usize) -> Result<()> {
 /// spent retry budget: either way the caller falls back to the global
 /// protocol.
 fn try_trade(requested: usize) -> bool {
-    green_retry("slot trade", |deadline| {
-        Ok(try_trade_once(requested, deadline))
-    })
-    .unwrap_or(false)
+    green_retry("slot trade", |slice| Ok(try_trade_once(requested, slice))).unwrap_or(false)
 }
 
 /// One attempt of [`try_trade`]: `Some(satisfied)` on a received answer,
 /// `None` when the exchange was lost and a retry is worthwhile.
-fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
-    let t0 = Instant::now();
+fn try_trade_once(requested: usize, patience: Duration) -> Option<bool> {
     let setup = with_ctx(|c| {
         let peer = c.richest_peer(0)?;
         let req = proto::SlotTradeReq {
@@ -156,12 +152,13 @@ fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
         // slots either way — and then tells whoever still waits.
         c.prefetch_pending.insert(req.trade_id);
         c.stats.trades.add(1);
-        Some((peer, req))
+        Some((peer, req, c.now()))
     });
-    let Some((peer, req)) = setup else {
+    let Some((peer, req, t0)) = setup else {
         return Some(false); // nobody plausibly rich: straight to global
     };
-    match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), deadline) {
+    let due = Due::After(patience);
+    match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), due) {
         // An answer that does not decode is still an answer.
         Ok(Some(_)) | Err(Pm2Error::Decode(_)) => {}
         // Timed out, or the peer died under us (a retry re-picks).
@@ -171,7 +168,8 @@ fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
     // may have frozen us while we waited) is adopted at the thaw.
     wait_unfrozen();
     with_ctx(|c| {
-        c.stats.trade_ns.add(t0.elapsed().as_nanos() as u64);
+        let spent = c.now().duration_since(t0);
+        c.stats.trade_ns.add(spent.as_nanos() as u64);
         Some(c.mgr.bitmap().find_first_fit(requested, 0).is_some())
     })
 }
@@ -197,11 +195,12 @@ fn try_trade_once(requested: usize, deadline: Instant) -> Option<bool> {
 /// per extra node" — which is exactly why this runs only when a trade
 /// could not help.
 fn run_global(requested: usize) -> Result<()> {
-    let t0 = Instant::now();
+    let t0 = with_ctx(|c| c.now());
     let result = run_global_protocol(requested);
     with_ctx(|c| {
+        let spent = c.now().duration_since(t0);
         c.stats.negotiations.add(1);
-        c.stats.negotiation_ns.add(t0.elapsed().as_nanos() as u64);
+        c.stats.negotiation_ns.add(spent.as_nanos() as u64);
     });
     result
 }

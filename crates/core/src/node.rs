@@ -45,8 +45,13 @@
 //! it next needs a step for one (`NodeCtx::next_timer`: the earliest wait
 //! deadline, the gossip/detector round, the periodic checkpoint and the
 //! coordinator's grant embargo, each only while armed); `NodeCtx::step`
-//! runs those duties once their instant has passed.  With nothing armed —
-//! the default — a step reads no clock and a quiet node is never stepped.
+//! runs those duties once their instant has passed.  The node reads the
+//! clock through one door, `NodeCtx::now` (counted in
+//! [`NodeStats::clock_reads`]), and rarely: while a timer is armed a busy
+//! node runs its timers one step in [`CLOCK_EVERY`], and an idle one runs
+//! them once before it parks, so the instant it files is current.  With
+//! nothing armed — the default — a step reads no clock and a quiet node is
+//! never stepped.
 //!
 //! ## Gossip-scale protocols
 //!
@@ -108,8 +113,8 @@ use crate::migration;
 use crate::nodeheap::NodeHeap;
 use crate::output::OutputSink;
 use crate::proto::{self, tag, Msg};
-use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
-use crate::service::{panic_text, TypedServiceTable};
+use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit, TidMap};
+use crate::service::{panic_text, ErasedHandler, TypedServiceTable};
 use crate::spill::SpillLog;
 use crate::wait::{For, WaitTable};
 
@@ -138,9 +143,11 @@ const GOSSIP_RELAY_MAX: usize = 32;
 const SCAN_PROBES: usize = 4;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
-/// Thread heaps hand a fully-free slot back to the hosting node at once
-/// (§4.3).
-const HEAP_TRIM: bool = true;
+/// A busy node with a timer armed runs its timers — and so reads the clock
+/// — one step in this many, counted on its own `steps`; an idle one runs
+/// them before it parks.  A deadline is therefore late by at most this many
+/// busy steps (see `crate::wait`).
+pub const CLOCK_EVERY: u64 = 64;
 
 counters! {
     /// Live runtime counters for one node (shared with the host).
@@ -246,6 +253,12 @@ counters! {
         /// Protocol replies dropped at dispatch because no green thread had a
         /// wait open for them (an ack after its caller timed out, a duplicate).
         replies_unclaimed,
+        /// Clock reads, each one through the node's one clock door: its
+        /// timer runs (one busy step in [`CLOCK_EVERY`] and once per park
+        /// while a timer is armed), the sampled stage clocks, trade and
+        /// negotiation timings, and the failure detector's stamps.  With
+        /// nothing armed a step reads none.
+        clock_reads,
     }
 }
 
@@ -293,12 +306,16 @@ pub(crate) struct NodeCtx {
     pub spawn_table: Arc<SpawnTable>,
     pub services: Arc<ServiceTable>,
     pub typed_services: Arc<TypedServiceTable>,
+    /// The typed services this node has served, copied out of
+    /// `typed_services` on first use: a service cannot be registered twice,
+    /// so the copy never goes stale, and a call takes no lock to find it.
+    served: TidMap<u32, ErasedHandler>,
     pub nodeheap: NodeHeap,
     pub stats: Arc<NodeStats>,
     /// Threads resident on this node, by tid.
-    pub threads: HashMap<u64, DescPtr>,
+    pub threads: TidMap<u64, DescPtr>,
     /// Panic messages / return values of threads mid-exit (see [`ExitNote`]).
-    pub exit_notes: HashMap<u64, ExitNote>,
+    pub exit_notes: TidMap<u64, ExitNote>,
     /// Ingested-but-unhandled messages, one FIFO lane per priority class
     /// ([`handlers::Class`]); the pump drains control before migration
     /// before data.
@@ -430,7 +447,7 @@ unsafe impl Send for NodeCtx {}
 /// dies on — the same node whose `finish_thread` consumes it.
 pub(crate) fn instrument_body(
     tid: u64,
-    f: Box<dyn FnOnce() + Send + 'static>,
+    f: impl FnOnce() + Send + 'static,
 ) -> impl FnOnce() + Send + 'static {
     move || {
         if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
@@ -499,10 +516,11 @@ impl NodeCtx {
             spawn_table,
             services,
             typed_services,
+            served: TidMap::default(),
             nodeheap: NodeHeap::default(),
             stats: Arc::new(NodeStats::default()),
-            threads: HashMap::new(),
-            exit_notes: HashMap::new(),
+            threads: TidMap::default(),
+            exit_notes: TidMap::default(),
             inbox: Default::default(),
             deferred: VecDeque::new(),
             waits: WaitTable::default(),
@@ -544,6 +562,24 @@ impl NodeCtx {
             rng: crate::rng::SplitMix64::new(0xC0FF_EE00 ^ (node as u64) << 17),
             cfg: Arc::clone(cfg),
         }
+    }
+
+    /// The time.  Every clock read of the node's own goes through here, so
+    /// [`NodeStats::clock_reads`] counts them all.
+    pub(crate) fn now(&self) -> Instant {
+        self.stats.clock_reads.add(1);
+        Instant::now()
+    }
+
+    /// The handler of typed service `id`, if one is registered: from this
+    /// node's copy, filled from the machine's table on first use.
+    pub(crate) fn typed_service(&mut self, id: u32) -> Option<ErasedHandler> {
+        if let Some(h) = self.served.get(&id) {
+            return Some(Arc::clone(h));
+        }
+        let h = self.typed_services.get(id)?;
+        self.served.insert(id, Arc::clone(&h));
+        Some(h)
     }
 
     /// Send a declared message under its tag, encoded into a buffer from
@@ -631,7 +667,7 @@ impl NodeCtx {
     /// reuse instead of paying a LOAD_REQ round trip.
     pub(crate) fn fresh_load_hint(&self, peer: usize) -> Option<u32> {
         let at = (*self.hint_at.get(peer)?)?;
-        if at.elapsed() <= self.cfg.heartbeat_every {
+        if self.now().duration_since(at) <= self.cfg.heartbeat_every {
             Some(self.peer_load[peer])
         } else {
             None
@@ -712,9 +748,19 @@ impl NodeCtx {
 
     // -- fault tolerance & epidemic dissemination ---------------------------
 
+    /// Is any timer armed?  Flags and a count, no clock: what decides
+    /// whether a step runs [`NodeCtx::run_timers`] at all.
+    fn timers_armed(&self) -> bool {
+        self.waits.timed()
+            || self.next_round.is_some()
+            || self.next_checkpoint.is_some()
+            || self.coord_settle_until.is_some() && !self.lock_queue.is_empty()
+    }
+
     /// When this node next needs a step that no message will bring, if it
-    /// does: the earliest of its armed timers.  What a parking node files
-    /// with the executor; [`NodeCtx::run_timers`] is the other half.
+    /// does: the earliest of its armed timers, as of the last
+    /// [`NodeCtx::run_timers`] (an idle node runs them just before it
+    /// parks).  What a parking node files with the executor.
     pub(crate) fn next_timer(&self) -> Option<Instant> {
         let embargoed = !self.lock_queue.is_empty();
         let timers = [
@@ -727,7 +773,8 @@ impl NodeCtx {
     }
 
     /// Run the duties whose instant has passed by `now` and move each on,
-    /// so that [`NodeCtx::next_timer`] never names a past instant twice.
+    /// so that [`NodeCtx::next_timer`] never names a past instant twice;
+    /// fix the deadlines of waits opened since the last run (`crate::wait`).
     fn run_timers(&mut self, now: Instant) {
         let due = |at: Option<Instant>| at.is_some_and(|at| at <= now);
         self.waits.expire(&self.sched, now, |n| self.ep.is_dead(n));
@@ -832,12 +879,13 @@ impl NodeCtx {
             return;
         }
         if e.seq > self.peer_seq[n] {
+            let now = self.now();
             self.peer_seq[n] = e.seq;
             self.peer_load[n] = e.load;
-            self.hint_at[n] = Some(Instant::now());
+            self.hint_at[n] = Some(now);
             self.set_peer_wealth(n, e.wealth as u64);
             if self.cfg.failure_timeout.is_some() {
-                self.last_heard[n] = Instant::now();
+                self.last_heard[n] = now;
             }
         }
     }
@@ -923,7 +971,7 @@ impl NodeCtx {
         // assert itself before we would start a second one.
         if dead < self.node && self.is_coordinator() {
             let settle = Duration::from_millis(50).min(self.cfg.reply_deadline / 4);
-            self.coord_settle_until = Some(Instant::now() + settle);
+            self.coord_settle_until = Some(self.now() + settle);
         }
         // If the dead node froze our bitmap as a negotiation initiator it
         // can never send NEG_DONE; unfreeze, or this node wedges forever.
@@ -973,7 +1021,7 @@ impl NodeCtx {
             return;
         }
         if let Some(until) = self.coord_settle_until {
-            if Instant::now() < until {
+            if self.now() < until {
                 return;
             }
             self.coord_settle_until = None;
@@ -1055,7 +1103,7 @@ impl NodeCtx {
             if self.cfg.failure_timeout.is_some() && m.src < self.n_nodes {
                 // Any arrival is a liveness proof; the detector only fires
                 // on total silence.
-                self.last_heard[m.src] = Instant::now();
+                self.last_heard[m.src] = self.now();
             }
             let class = proto::classify(m.tag);
             // Dedup guard: drop chaos duplicates (same fabric seq as a
@@ -1126,9 +1174,10 @@ impl NodeCtx {
         if self.killed {
             return false;
         }
-        // One clock read, and none with nothing armed.
-        if self.next_timer().is_some() {
-            self.run_timers(Instant::now());
+        // A busy node's clock read: one step in CLOCK_EVERY, none with
+        // nothing armed.  (An idle node's is in `idle_timers`.)
+        if self.stats.steps.get().is_multiple_of(CLOCK_EVERY) && self.timers_armed() {
+            self.run_timers(self.now());
         }
         if !self.frozen && !self.zombies.is_empty() {
             self.reap_zombies();
@@ -1155,8 +1204,19 @@ impl NodeCtx {
                 self.handle_outcome(outcome);
                 true
             }
-            None => pumped,
+            None => pumped || self.idle_timers(),
         }
+    }
+
+    /// The node is about to report no work: run its armed timers on a
+    /// fresh clock read, so that the instant [`NodeCtx::next_timer`] then
+    /// names is current, and report work after all if that woke a thread.
+    fn idle_timers(&mut self) -> bool {
+        if !self.timers_armed() {
+            return false;
+        }
+        self.run_timers(self.now());
+        self.sched.has_ready()
     }
 
     /// Ready to stop?  (Also false while any ingested message awaits its
@@ -1211,7 +1271,9 @@ impl NodeCtx {
             let detached = (*d).flags & marcel::thread::flags::DETACHED != 0;
             self.sched.note_gone();
             self.threads.remove(&tid);
-            self.nodeheap.release_thread(tid);
+            if !self.nodeheap.is_empty() {
+                self.nodeheap.release_thread(tid);
+            }
             if self.frozen {
                 // Slot release would mutate the bitmap inside a system-wide
                 // critical section; defer ("no slot management" rule, §4.4).
@@ -1220,7 +1282,11 @@ impl NodeCtx {
                 marcel::release_thread_resources(d, &mut self.mgr)
                     .expect("releasing thread resources");
             }
-            let note = self.exit_notes.remove(&tid).unwrap_or_default();
+            let note = if self.exit_notes.is_empty() {
+                ExitNote::default()
+            } else {
+                self.exit_notes.remove(&tid).unwrap_or_default()
+            };
             if detached && !panicked {
                 // Nobody holds this tid, so nobody can ask how it ended:
                 // a clean exit is forgotten, here and at home.
@@ -1326,7 +1392,7 @@ impl NodeCtx {
                 // Fig. 4/9: node-local malloc data does NOT follow the thread.
                 self.nodeheap.poison_departed(tid);
             }
-            let t0 = migration::stamped(self.stats.trains_out.get()).then(Instant::now);
+            let t0 = migration::stamped(self.stats.trains_out.get()).then(|| self.now());
             let train = migration::pack_threads(
                 ds,
                 &self.mgr,
@@ -1337,7 +1403,7 @@ impl NodeCtx {
             .expect("packing migration train");
             migration::surrender_threads(ds, &mut self.mgr).expect("unmapping the departed train");
             if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
+                let ns = self.now().duration_since(t0).as_nanos() as u64;
                 self.stats
                     .migration_pack_ns
                     .add(ns * migration::STAMP_EVERY);
@@ -1365,20 +1431,23 @@ impl NodeCtx {
 
     // -- spawn plumbing (shared by the spawn/rpc handlers and spawn_local) --
 
-    /// Spawn with extra marcel descriptor flags (`flags::CONTROL` puts a
-    /// protocol handler into the scheduler's control lane from birth).
-    pub(crate) fn try_spawn_boxed(
+    /// Spawn `f` as thread `tid`, with extra marcel descriptor flags
+    /// (`flags::CONTROL` puts a protocol handler into the scheduler's
+    /// control lane from birth).  The closure moves straight into the
+    /// thread's stack slot: a spawn allocates nothing of its own.
+    pub(crate) fn try_spawn<F>(
         &mut self,
         tid: u64,
         extra_flags: u32,
-        f: Box<dyn FnOnce() + Send + 'static>,
-    ) -> Result<(), marcel::SpawnError> {
-        let d = self.sched.spawn_with_tid_flags(
-            &mut self.mgr,
-            tid,
-            extra_flags,
-            instrument_body(tid, f),
-        )?;
+        f: F,
+    ) -> Result<(), marcel::SpawnError>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        let body = instrument_body(tid, f);
+        let d = self
+            .sched
+            .spawn_with_tid_flags(&mut self.mgr, tid, extra_flags, body)?;
         self.finish_spawn(tid, d);
         Ok(())
     }
@@ -1389,20 +1458,15 @@ impl NodeCtx {
         F: FnOnce() + Send + 'static,
     {
         let tid = self.sched.next_tid();
-        let d = self
-            .sched
-            .spawn_with_tid(&mut self.mgr, tid, instrument_body(tid, Box::new(f)))?;
-        self.finish_spawn(tid, d);
+        self.try_spawn(tid, 0, f)?;
         Ok(tid)
     }
 
     fn finish_spawn(&mut self, tid: u64, d: DescPtr) {
-        // Apply the machine's fit policy (the heap is still empty here).
+        // Marcel initialised the (still empty) heap, trimming; apply the
+        // machine's fit policy on top.
         // SAFETY: freshly spawned descriptor, not yet run.
-        unsafe {
-            let heap = std::ptr::addr_of_mut!((*d).heap);
-            isomalloc::heap::heap_init(heap, self.cfg.fit, HEAP_TRIM);
-        }
+        unsafe { (*d).heap.policy = self.cfg.fit as u32 };
         self.threads.insert(tid, d);
         self.registry.set_location(tid, self.node);
         self.stats.spawns.add(1);

@@ -113,6 +113,11 @@ impl NodeHeap {
         self.blocks.get(&(ptr as usize)).is_some_and(|b| !b.lost)
     }
 
+    /// No block is allocated here: nothing to poison or release.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
     /// Live (allocated, possibly lost) byte count.
     pub fn live_bytes(&self) -> usize {
         self.live_bytes

@@ -17,9 +17,50 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// The hasher of maps keyed by ids the runtime mints itself — tids, spawn
+/// keys, service ids: one multiply and a rotate.  Nobody outside picks
+/// these keys, so SipHash's defence against chosen collisions buys
+/// nothing, and it costs several times more per lookup.  The rotate brings
+/// the product's well-mixed top bits down to the bucket index, so ids that
+/// differ only above bit 40 (the node in a tid) still spread.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct TidHash(u64);
+
+impl Hasher for TidHash {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.write_u64(id as u64);
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.write_u64(id as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by a runtime-minted id (see [`TidHash`]).
+pub(crate) type TidMap<K, V> = HashMap<K, V, BuildHasherDefault<TidHash>>;
 
 crate::proto::message! {
     /// Completion record of a finished thread — and, field for field in
@@ -98,20 +139,20 @@ impl ThreadExit {
 /// Machine-wide completion registry.
 #[derive(Default)]
 pub struct Registry {
-    done: Mutex<HashMap<u64, ThreadExit>>,
+    done: Mutex<TidMap<u64, ThreadExit>>,
     cv: Condvar,
     /// Host-side value mailbox for [`Machine::run_on`]: arbitrary (non-
     /// `Wire`) values cannot travel through byte messages, so `run_on`
     /// threads park them here under their tid — the documented in-process
     /// shortcut, exactly like [`SpawnTable`] for closures.
-    values: Mutex<HashMap<u64, Box<dyn Any + Send>>>,
+    values: Mutex<TidMap<u64, Box<dyn Any + Send>>>,
     /// Thread location table: tid → node currently (believed to be)
     /// hosting it.  Written at spawn-send time (optimistically, so a spawn
     /// in flight toward a dying node is still accounted for), updated on
     /// train adoption, cleared on completion.  Recovery reads it to learn
     /// which tids the dead node owned; on a real cluster this would be the
     /// home-node forwarding table the paper assumes.
-    locations: Mutex<HashMap<u64, usize>>,
+    locations: Mutex<TidMap<u64, usize>>,
 }
 
 impl Registry {
@@ -280,7 +321,7 @@ pub struct SpawnTable {
     /// Key counter — a plain atomic, not a mutex: `park` is called from
     /// arbitrarily many host threads at once and only needs uniqueness.
     next: AtomicU64,
-    table: Mutex<HashMap<u64, Box<dyn FnOnce() + Send + 'static>>>,
+    table: Mutex<TidMap<u64, Box<dyn FnOnce() + Send + 'static>>>,
 }
 
 impl SpawnTable {
@@ -311,7 +352,7 @@ impl SpawnTable {
 /// request/reply facade lives in [`crate::service`].
 #[derive(Default)]
 pub struct ServiceTable {
-    table: Mutex<HashMap<u32, RawService>>,
+    table: Mutex<TidMap<u32, RawService>>,
 }
 
 /// A byte-level fire-and-forget service body.
@@ -384,6 +425,24 @@ mod tests {
         let k = t.park(Box::new(|| {}));
         assert!(t.take(k).is_some());
         assert!(t.take(k).is_none());
+    }
+
+    /// Ids that differ only in their node bits, or only by one in their
+    /// counter, land in different buckets of a small table.
+    #[test]
+    fn tid_hash_spreads_the_ids_the_runtime_mints() {
+        use std::hash::BuildHasher;
+        let hash = |id: u64| BuildHasherDefault::<TidHash>::default().hash_one(id);
+        let buckets = |ids: &[u64]| {
+            let mut low: Vec<u64> = ids.iter().map(|&id| hash(id) & 63).collect();
+            low.sort_unstable();
+            low.dedup();
+            low.len()
+        };
+        let by_node: Vec<u64> = (0..16).map(|node| node << 40 | 1).collect();
+        let by_count: Vec<u64> = (1..=16).map(|count| 3 << 40 | count).collect();
+        assert!(buckets(&by_node) >= 12, "node bits: {}", buckets(&by_node));
+        assert!(buckets(&by_count) >= 12, "counter: {}", buckets(&by_count));
     }
 
     #[test]

@@ -329,3 +329,47 @@ fn migration_class_sits_between_control_and_data() {
     assert!(ctx.pump());
     assert!(!ctx.inbox_pending());
 }
+
+/// Doubles its request: the smallest typed service.
+struct Double;
+impl crate::Service for Double {
+    const NAME: &'static str = "tests.double";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, x: u64) -> u64 {
+        2 * x
+    }
+}
+
+/// An LRPC round trip allocates nothing once the pair has served a few:
+/// request and reply are pooled buffers, the handler's closure moves into
+/// its stack slot, the caller's wait reuses a closed wait's queue, the
+/// serving node finds the handler in its own copy of the service table,
+/// and the fabric's inboxes keep their room.  Counted on the thread that
+/// steps both nodes, so both legs, the handler's spawn and its exit are in.
+#[test]
+fn an_rpc_round_trip_allocates_nothing_in_steady_state() {
+    use testkit::alloc::allocs_in;
+    const CALLS: u64 = 10_000;
+    let (mut n0, mut n1, _host) = bare_pair(Pm2Config::test(2));
+    n0.typed_services.register(Double);
+    let caller = || {
+        for x in 0.. {
+            assert_eq!(pm2_rpc_call::<Double>(1, x), Ok(2 * x));
+        }
+    };
+    n0.try_spawn(0x501, 0, caller).unwrap();
+    // A call is one step of each node: the caller files the last reply and
+    // sends its next request, the server spawns and runs the handler.
+    let calls = |n0: &mut NodeCtx, n1: &mut NodeCtx, k: u64| {
+        let served = |n: &NodeCtx| n.stats.snapshot().spawns;
+        let before = served(n1);
+        for _ in 0..k {
+            assert!(n0.step() && n1.step());
+        }
+        assert_eq!(served(n1) - before, k);
+    };
+    calls(&mut n0, &mut n1, 64);
+    let ((), allocs) = allocs_in(|| calls(&mut n0, &mut n1, CALLS));
+    assert_eq!(allocs, 0, "{CALLS} calls");
+}

@@ -8,12 +8,24 @@
 //! `marcel::block_current`; the pump — the only other party on the node —
 //! completes the entry and unblocks the thread: a reply is filed, the
 //! bitmap thaws, the acquire turn passes on, a named peer dies, or the
-//! deadline passes (an idle node's park is bounded by
-//! [`WaitTable::next_deadline`], one of the timers it names the executor).  A reply no wait is open for is not
-//! kept.  A thread with a wait open is pinned: the reply comes here.
+//! deadline passes.  A reply no wait is open for is not kept.  A thread
+//! with a wait open is pinned: the reply comes here.
+//!
+//! ## Deadlines
+//!
+//! Nothing here reads the clock.  A deadline is [`Due::At`] an instant or
+//! [`Due::After`] a span; the node's timer run ([`WaitTable::expire`], on
+//! the node's own clock read) fixes an `After` at that read plus the span
+//! and marks each wait whose instant has passed, and a poll reads the
+//! mark.  So a wait opened with `After(d)` — an LRPC call, a negotiation
+//! grant — costs its thread no clock read, never gives up earlier than `d`
+//! after it opened, and gives up late by at most the node's timer period:
+//! `CLOCK_EVERY` busy steps, or none for an idle node, which runs its
+//! timers before it parks and then files the earliest fixed instant with
+//! the executor ([`WaitTable::next_deadline`]).
 
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use madeleine::Message;
 use marcel::{DescPtr, Scheduler};
@@ -43,14 +55,27 @@ pub(crate) enum For {
     Time,
 }
 
+/// When a wait gives up, if nothing completes it first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Due {
+    /// At this instant.
+    At(Instant),
+    /// This long after the node's next clock read (see the module notes).
+    After(Duration),
+}
+
+/// What has happened, in order, that a waiter has not seen yet: a reply
+/// filed, the event (`Ok(None)`), a named peer's death.
+type Filed = VecDeque<Result<Option<Message>>>;
+
 struct Entry {
     key: u64,
     what: For,
     waiter: DescPtr,
-    deadline: Option<Instant>,
-    /// What has happened, in order, that the waiter has not seen yet: a
-    /// reply filed, the event (`Ok(None)`), a named peer's death.
-    ready: VecDeque<Result<Option<Message>>>,
+    due: Option<Due>,
+    /// The node's last timer run found `due` passed.
+    expired: bool,
+    ready: Filed,
     /// The waiter is switched out in `block_current`, to be unblocked.
     parked: bool,
 }
@@ -89,6 +114,11 @@ impl Entry {
 pub(crate) struct WaitTable {
     open: Vec<Entry>,
     keys: u64,
+    /// Open waits with a deadline: while there is one, the node has a
+    /// timer armed.
+    timed: usize,
+    /// The queues of closed waits, for the next opens to reuse.
+    spare: Vec<Filed>,
 }
 
 impl WaitTable {
@@ -122,58 +152,84 @@ impl WaitTable {
         }
     }
 
-    /// Wake every parked thread whose deadline has passed by `now`, and
-    /// fail the parked reply waits whose peer is dead without `fail_peer`
-    /// having said so (a silent death: no certificate has come).
+    /// The node read its clock: `now`.  Fix every `Due::After` at it, mark
+    /// the waits whose deadline has passed and wake their parked threads,
+    /// and fail the parked reply waits whose peer is dead without
+    /// `fail_peer` having said so (a silent death: no certificate has come).
     pub(crate) fn expire(
         &mut self,
         sched: &Scheduler,
         now: Instant,
         is_dead: impl Fn(usize) -> bool,
     ) {
-        for e in self.open.iter_mut().filter(|e| e.parked) {
+        for e in &mut self.open {
+            if let Some(Due::After(span)) = e.due {
+                e.due = Some(Due::At(now + span));
+            }
+            e.expired |= matches!(e.due, Some(Due::At(at)) if at <= now);
+            if !e.parked {
+                continue;
+            }
             match e.what {
                 For::Reply { peer: Some(p), .. } if is_dead(p) => {
                     e.complete(sched, Err(Pm2Error::NodeFailed(p)))
                 }
-                _ if e.deadline.is_some_and(|d| d <= now) => e.rouse(sched),
+                _ if e.expired => e.rouse(sched),
                 _ => {}
             }
         }
     }
 
-    /// The earliest deadline a parked thread is waiting out, if any: an
-    /// idle node's driver must step it again by then.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        let parked = self.open.iter().filter(|e| e.parked);
-        parked.filter_map(|e| e.deadline).min()
+    /// Is any open wait timed?  What makes the node run its timers.
+    pub(crate) fn timed(&self) -> bool {
+        self.timed > 0
     }
 
-    fn open(&mut self, what: For, waiter: DescPtr, deadline: Option<Instant>) -> u64 {
+    /// The earliest deadline a parked thread is waiting out, as fixed by
+    /// the last [`WaitTable::expire`]: an idle node's driver must step it
+    /// again by then.
+    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+        let parked = self.open.iter().filter(|e| e.parked);
+        let due = parked.filter_map(|e| match e.due {
+            Some(Due::At(at)) => Some(at),
+            _ => None,
+        });
+        due.min()
+    }
+
+    fn open(&mut self, what: For, waiter: DescPtr, due: Option<Due>) -> u64 {
         self.keys += 1;
+        self.timed += due.is_some() as usize;
         self.open.push(Entry {
             key: self.keys,
             what,
             waiter,
-            deadline,
-            ready: VecDeque::new(),
+            due,
+            expired: false,
+            ready: self.spare.pop().unwrap_or_default(),
             parked: false,
         });
         self.keys
     }
 
     fn close(&mut self, key: u64) {
-        self.open.retain(|e| e.key != key);
+        let Some(at) = self.open.iter().position(|e| e.key == key) else {
+            return;
+        };
+        let mut e = self.open.remove(at);
+        self.timed -= e.due.is_some() as usize;
+        e.ready.clear();
+        self.spare.push(e.ready);
     }
 
-    /// What `key`'s wait has for its thread, oldest first; at the deadline
-    /// `Ok(None)`; otherwise `None`, and the entry is marked parked.
+    /// What `key`'s wait has for its thread, oldest first; once it has
+    /// expired, `Ok(None)`; otherwise `None`, and the entry is marked
+    /// parked.
     fn poll(&mut self, key: u64) -> Option<Result<Option<Message>>> {
         let e = self.open.iter_mut().find(|e| e.key == key);
         let e = e.expect("polled by the Wait that holds it open");
-        let expired = || e.deadline.is_some_and(|d| d <= Instant::now());
-        let filed = e.ready.pop_front();
-        let has = filed.or_else(|| expired().then_some(Ok(None)));
+        let has = e.ready.pop_front();
+        let has = has.or_else(|| e.expired.then_some(Ok(None)));
         e.parked = has.is_none();
         has
     }
@@ -189,22 +245,23 @@ impl Wait {
     /// File the calling thread under `what` on its node.  Open the wait
     /// before sending the request it answers (the send itself is what
     /// fails when the peer is already dead).
-    pub(crate) fn open(what: For, deadline: Option<Instant>) -> Wait {
+    pub(crate) fn open(what: For, due: Option<Due>) -> Wait {
         let unpin = pm2_set_migratable(false);
         let waiter = marcel::current_desc();
-        let key = with_ctx(|c| c.waits.open(what, waiter, deadline));
+        let key = with_ctx(|c| c.waits.open(what, waiter, due));
         Wait { key, unpin }
     }
 
     /// [`Wait::open`] for replies (see [`For::Reply`]).
-    pub(crate) fn for_reply(tag: u16, peer: Option<usize>, id: Option<u64>, due: Instant) -> Wait {
+    pub(crate) fn for_reply(tag: u16, peer: Option<usize>, id: Option<u64>, due: Due) -> Wait {
         Wait::open(For::Reply { tag, peer, id }, Some(due))
     }
 
     /// Park — at no scheduling steps to the node — until the wait has
     /// something: the next filed reply, `Ok(None)` once the event happened
-    /// or the deadline passed, or [`Pm2Error::NodeFailed`] when a peer it
-    /// names died; never a reply to somebody else's exchange.
+    /// or the node's timers found the deadline passed, or
+    /// [`Pm2Error::NodeFailed`] when a peer it names died; never a reply to
+    /// somebody else's exchange.
     pub(crate) fn next(&self) -> Result<Option<Message>> {
         loop {
             if let Some(outcome) = with_ctx(|c| c.waits.poll(self.key)) {
@@ -318,15 +375,48 @@ mod tests {
             [Some(Ok(None)), Some(Ok(None))]
         );
 
-        // A deadline in the past reads as `Ok(None)`; only a parked wait
-        // holds its node's driver to one.
-        let late = t.open(For::Time, nobody, Some(Instant::now()));
-        assert_eq!(t.next_deadline(), None);
-        assert_eq!(t.poll(late), Some(Ok(None)));
-
-        for key in [a, b, all, one, other, turn[0], turn[1], late] {
+        for key in [a, b, all, one, other, turn[0], turn[1]] {
             t.close(key);
         }
         assert!(t.open.is_empty(), "closing every wait empties the table");
+        assert!(!t.timed(), "none of them had a deadline");
+    }
+
+    /// A deadline is a mark the node's timer run sets: a past one reads as
+    /// `Ok(None)` only after the next `expire`, and a span is fixed there,
+    /// at the node's clock read.  Only a parked wait holds its node's
+    /// driver to an instant.
+    #[test]
+    fn a_deadline_is_read_at_the_nodes_next_expire() {
+        let (sched, mut t) = (Scheduler::new(0), WaitTable::default());
+        let nobody = std::ptr::null_mut();
+        // Instants come from a node's clock read, as in `NodeCtx::step`.
+        let (node, _, _) = crate::tests::bare_node(crate::Pm2Config::test(2));
+        let (t0, minute) = (node.now(), Duration::from_secs(60));
+        let late = t.open(For::Time, nobody, Some(Due::At(t0)));
+        let span = t.open(For::Time, nobody, Some(Due::After(minute)));
+        assert!(t.timed());
+        assert_eq!(t.next_deadline(), None, "nobody parked yet");
+        assert!(t.poll(late).is_none(), "no clock read: not yet expired");
+        assert_eq!(t.next_deadline(), Some(t0));
+        assert!(t.poll(span).is_none());
+        assert_eq!(t.next_deadline(), Some(t0), "a span has no instant yet");
+        ready(&mut t);
+
+        t.expire(&sched, t0, |_| false);
+        assert_eq!(t.poll(late), Some(Ok(None)));
+        assert_eq!(t.poll(late), Some(Ok(None)), "and stays expired");
+        assert!(t.poll(span).is_none(), "fixed at the read, a minute on");
+        assert_eq!(t.next_deadline(), Some(t0 + minute));
+        ready(&mut t);
+
+        // A closed wait's queue is kept for the next open.
+        t.close(late);
+        t.close(span);
+        assert!(!t.timed());
+        assert_eq!(t.spare.len(), 2);
+        let again = t.open(For::Time, nobody, None);
+        assert_eq!(t.spare.len(), 1);
+        t.close(again);
     }
 }

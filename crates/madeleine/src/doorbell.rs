@@ -9,11 +9,11 @@
 //! migration latency on a busy host against a few µs).
 //!
 //! Nobody parks *on* a bell: a driver sleeps in its own ready queue and a
-//! blocking receiver in its channel ([`crate::Endpoint::recv_until`]).
+//! blocking receiver on its inbox ([`crate::Endpoint::recv_until`]).
 //! Because a sender enqueues the message *before* ringing, a listener that
 //! schedules the receiving driver can never lose a wakeup — the message is
 //! visible to the pump the ring provokes.  A bell without a listener is
-//! silent; its endpoint's owner polls or blocks on the channel.
+//! silent; its endpoint's owner polls or blocks on the inbox.
 
 use std::sync::{Arc, OnceLock};
 

@@ -9,7 +9,7 @@
 //!
 //! This reproduction keeps the *interface* (typed point-to-point messages
 //! between nodes, blocking and polling receives) and replaces the wire with
-//! an in-process fabric of lock-free channels plus a **calibrated wire
+//! an in-process fabric of locked per-node inboxes plus a **calibrated wire
 //! model**: each message records `latency + bytes × per-byte cost` and the
 //! receiver busy-waits it as it dequeues (receiver-clocked, like polled BIP
 //! receives), using published BIP/Myrinet figures
@@ -54,7 +54,7 @@
 //! wake-up.  Enqueue-then-ring means the pump a ring provokes always finds
 //! the message (see [`doorbell`]); nobody parks on the bell itself, and
 //! [`Endpoint::recv_until`] gives a deadline-bounded blocking receive on
-//! the channel.
+//! the inbox.
 //!
 //! ## The fault model
 //!

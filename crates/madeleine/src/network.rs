@@ -1,8 +1,11 @@
 //! The in-process fabric.
 //!
-//! [`Fabric::new`] wires `n` endpoints together with unbounded lock-free
-//! channels (one inbox per node).  Message order is preserved per
-//! sender/receiver pair, as on a real Myrinet source-routed network.
+//! [`Fabric::new`] wires `n` endpoints together, one inbox per node: an
+//! unbounded FIFO behind one mutex, its length mirrored in an atomic so an
+//! empty poll takes no lock.  A message costs its sender one lock and its
+//! receiver one lock, and allocates nothing once the inbox has grown to its
+//! working size.  Message order is preserved per sender/receiver pair, as
+//! on a real Myrinet source-routed network.
 //!
 //! The wire model is **receiver-clocked**: a send is asynchronous (BIP DMAs
 //! the frame out), and the destination pays `latency + bytes × per-byte
@@ -19,12 +22,10 @@
 //! to their origin endpoint's free list when the receiver drops them.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::time::Instant;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use crate::buf::{BufPool, Payload};
 use crate::chaos::{EndpointChaos, FaultPlan, Verdict};
@@ -62,8 +63,110 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// One endpoint's inbox.  Senders push under the lock and the owning
+/// endpoint pops under it; a host receiver with nothing to pop sleeps on
+/// the condvar, counted asleep under the lock first (as the executor's
+/// ready queue counts its workers), so a send pays for a `notify` only
+/// when somebody sleeps.
+struct Inbox {
+    queue: Mutex<Queue>,
+    /// `Queue::msgs`' length, stored under the lock after every push and
+    /// pop: an empty poll is one load.  A sender stores it before it rings
+    /// the doorbell, so the pump the ring provokes reads it non-zero.
+    len: AtomicUsize,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct Queue {
+    msgs: VecDeque<Message>,
+    /// The owner is inside the condvar wait (an endpoint is not `Sync`, so
+    /// it is the only receiver).
+    asleep: bool,
+    /// The owning endpoint was dropped: sends fail with
+    /// [`NetError::Disconnected`].
+    closed: bool,
+}
+
+impl Inbox {
+    fn new() -> Inbox {
+        Inbox {
+            queue: Mutex::new(Queue::default()),
+            len: AtomicUsize::new(0),
+            arrived: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // A panic under this lock leaves the queue whole: push and pop are
+        // single `VecDeque` calls.
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Append `msg`; `false` if the owner is gone.  Wakes the owner only if
+    /// it is counted asleep, after the unlock.
+    fn push(&self, msg: Message) -> bool {
+        let asleep = {
+            let mut q = self.lock();
+            if q.closed {
+                return false;
+            }
+            q.msgs.push_back(msg);
+            self.len.store(q.msgs.len(), Ordering::Release);
+            q.asleep
+        };
+        if asleep {
+            self.arrived.notify_one();
+        }
+        true
+    }
+
+    fn pop_locked(&self, q: &mut Queue) -> Option<Message> {
+        let m = q.msgs.pop_front()?;
+        self.len.store(q.msgs.len(), Ordering::Release);
+        Some(m)
+    }
+
+    fn try_pop(&self) -> Option<Message> {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        self.pop_locked(&mut self.lock())
+    }
+
+    /// Pop, sleeping for a push until `deadline`.
+    fn pop_until(&self, deadline: Instant) -> Option<Message> {
+        let mut q = self.lock();
+        loop {
+            if let Some(m) = self.pop_locked(&mut q) {
+                return Some(m);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            q.asleep = true;
+            q = self
+                .arrived
+                .wait_timeout(q, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            q.asleep = false;
+        }
+    }
+
+    /// The owner is gone: refuse further sends and drop what is queued
+    /// (pooled payloads go home now, not when the fabric dies).
+    fn close(&self) {
+        let mut q = self.lock();
+        q.closed = true;
+        q.msgs.clear();
+        self.len.store(0, Ordering::Release);
+    }
+}
+
 struct Shared {
-    senders: Vec<Sender<Message>>,
+    inboxes: Vec<Inbox>,
     profile: NetProfile,
     stats: Vec<Arc<EndpointStats>>,
     /// Doorbell rung when a message is enqueued for node *i*.
@@ -107,17 +210,10 @@ impl Fabric {
 
     fn build(n: usize, profile: NetProfile, plan: Option<FaultPlan>) -> Vec<Endpoint> {
         assert!(n >= 1, "a fabric needs at least one node");
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
         let stats: Vec<_> = (0..n).map(|_| Arc::new(EndpointStats::default())).collect();
         let dead = (0..n).map(|_| AtomicBool::new(false)).collect();
         let shared = Arc::new(Shared {
-            senders,
+            inboxes: (0..n).map(|_| Inbox::new()).collect(),
             profile,
             stats,
             doorbells: (0..n).map(|_| Doorbell::new()).collect(),
@@ -127,12 +223,9 @@ impl Fabric {
             plan,
             t0: Instant::now(),
         });
-        receivers
-            .into_iter()
-            .enumerate()
-            .map(|(node, rx)| Endpoint {
+        (0..n)
+            .map(|node| Endpoint {
                 node,
-                rx,
                 chaos: shared
                     .plan
                     .as_ref()
@@ -148,7 +241,7 @@ impl Fabric {
 /// A cheap, cloneable, `Send + Sync` view of the fabric's death
 /// certificates.  Lets host-side handles (a typed join handle, say)
 /// observe node deaths without holding an [`Endpoint`] — an endpoint owns
-/// its receiver and cannot be cloned.
+/// its inbox and cannot be cloned.
 #[derive(Clone)]
 pub struct DeathWatch {
     shared: Arc<Shared>,
@@ -167,7 +260,6 @@ impl DeathWatch {
 /// One node's attachment to the fabric.
 pub struct Endpoint {
     node: usize,
-    rx: Receiver<Message>,
     shared: Arc<Shared>,
     /// This endpoint's payload-buffer free list: outgoing traffic checks
     /// out of it, and receivers' drops recycle into it.
@@ -191,7 +283,7 @@ impl Endpoint {
 
     /// Number of nodes on the fabric.
     pub fn n_nodes(&self) -> usize {
-        self.shared.senders.len()
+        self.shared.inboxes.len()
     }
 
     /// The wire model in force.
@@ -224,7 +316,7 @@ impl Endpoint {
     }
 
     fn send_payload(&self, dst: usize, tag: u16, payload: Payload) -> Result<(), NetError> {
-        if dst >= self.shared.senders.len() {
+        if dst >= self.shared.inboxes.len() {
             return Err(NetError::NoSuchNode(dst));
         }
         // A dead destination is unreachable; a dead *source* is a zombie
@@ -242,9 +334,9 @@ impl Endpoint {
             self.shared.stats[self.node].chaos_cut.add(1);
             return Ok(());
         }
-        let len = payload.len();
-        let mut wire_ns = if dst != self.node {
-            self.shared.profile.delay_for(len).as_nanos() as u64
+        let profile = &self.shared.profile;
+        let mut wire_ns = if dst != self.node && !profile.is_instant() {
+            profile.delay_for(payload.len()).as_nanos() as u64
         } else {
             0
         };
@@ -315,16 +407,17 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Enqueue one message on the destination's channel, ring its bell,
+    /// Enqueue one message in the destination's inbox, ring its bell,
     /// count the send.  The chaos layer funnels every actual delivery —
     /// originals, duplicates, released holdbacks — through here.
     fn enqueue(&self, msg: Message) -> Result<(), NetError> {
         let (dst, len) = (msg.dst, msg.len());
-        self.shared.senders[dst]
-            .send(msg)
-            .map_err(|_| NetError::Disconnected(dst))?;
-        // Ring strictly *after* the enqueue: the pump the ring provokes is
-        // then guaranteed to find the message (see `doorbell`).
+        if !self.shared.inboxes[dst].push(msg) {
+            return Err(NetError::Disconnected(dst));
+        }
+        // Ring strictly *after* the enqueue, and outside the inbox lock:
+        // the pump the ring provokes is then guaranteed to find the
+        // message (see `doorbell`), and takes that lock uncontended.
         self.shared.doorbells[dst].ring();
         let stats = &self.shared.stats[self.node];
         stats.msgs_sent.add(1);
@@ -398,14 +491,17 @@ impl Endpoint {
     /// The payload is sealed **once**; each destination receives a
     /// refcount bump of the same buffer, so fan-out cost is independent of
     /// the payload size and no per-destination copies are made.
+    ///
+    /// Every survivor gets it: a destination that is dead or dropped —
+    /// known before the fan-out or found during it — is skipped, not an
+    /// abort (the NODE_DEAD announcement itself must reach the rest).  Only
+    /// the sender's own death fails the call.
     pub fn broadcast(&self, tag: u16, payload: impl Into<Payload>) -> Result<(), NetError> {
         let payload = payload.into();
-        for dst in 0..self.n_nodes() {
-            // Skip corpses: a broadcast reaches every *survivor* (e.g. the
-            // NODE_DEAD announcement itself) instead of aborting at the
-            // first dead destination.
-            if dst != self.node && !self.is_dead(dst) {
-                self.send_payload(dst, tag, payload.clone())?;
+        for dst in (0..self.n_nodes()).filter(|&dst| dst != self.node) {
+            match self.send_payload(dst, tag, payload.clone()) {
+                Err(e @ NetError::NodeDead(n)) if n == self.node => return Err(e),
+                _ => {}
             }
         }
         Ok(())
@@ -436,34 +532,31 @@ impl Endpoint {
             .is_some_and(|f| f.load(Ordering::Acquire))
     }
 
+    fn inbox(&self) -> &Inbox {
+        &self.shared.inboxes[self.node]
+    }
+
     /// Non-blocking poll.  If a message is pending, the caller pays its
     /// modelled wire time (the receive is where a BIP node spends the CPU).
+    /// An empty inbox costs one atomic load.
     pub fn try_recv(&self) -> Option<Message> {
-        match self.rx.try_recv() {
-            Ok(m) => Some(self.charge_and_count(m)),
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
+        let m = self.inbox().try_pop()?;
+        Some(self.charge_and_count(m))
     }
 
-    /// Blocking receive with a timeout; `None` on timeout or teardown.
-    /// The wait is a genuine park (no polling): the channel wakes the
-    /// caller the moment a message is enqueued.
+    /// Blocking receive with a timeout; `None` on timeout.  The wait is a
+    /// genuine park (no polling): a send wakes the caller the moment the
+    /// message is enqueued.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Some(self.charge_and_count(m)),
-            Err(_) => None,
-        }
+        self.recv_until(Instant::now() + timeout)
     }
 
-    /// Blocking receive until `deadline`; `None` once the deadline passes
-    /// (or on teardown).  Like [`Endpoint::recv_timeout`], this parks — it
-    /// never slices the wait into polls.
+    /// Blocking receive until `deadline`; `None` once the deadline passes.
+    /// Like [`Endpoint::recv_timeout`], this parks — it never slices the
+    /// wait into polls — and a past deadline is a non-blocking poll.
     pub fn recv_until(&self, deadline: Instant) -> Option<Message> {
-        let now = Instant::now();
-        if now >= deadline {
-            return self.try_recv();
-        }
-        self.recv_timeout(deadline - now)
+        let m = self.inbox().pop_until(deadline)?;
+        Some(self.charge_and_count(m))
     }
 
     /// The doorbell rung whenever a message is enqueued for this endpoint:
@@ -480,6 +573,12 @@ impl Endpoint {
     /// Statistics for an arbitrary node (host-side reporting).
     pub fn stats_of(&self, node: usize) -> Option<EndpointStatsSnapshot> {
         self.shared.stats.get(node).map(|s| s.snapshot())
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.inbox().close();
     }
 }
 
@@ -588,6 +687,23 @@ mod tests {
                 assert_eq!(ep.try_recv().unwrap().tag, 5);
             }
         }
+    }
+
+    /// A destination that fails during the fan-out is skipped: the
+    /// survivors behind it still get the broadcast, and only the sender's
+    /// own death fails the call.
+    #[test]
+    fn broadcast_reaches_the_survivors_behind_a_dropped_endpoint() {
+        let mut eps = Fabric::new(4, NetProfile::instant());
+        drop(eps.remove(1));
+        let (e0, survivors) = (&eps[0], &eps[1..]);
+        assert_eq!(e0.send(1, 0, Vec::new()), Err(NetError::Disconnected(1)));
+        e0.broadcast(5, vec![9]).unwrap();
+        for ep in survivors {
+            assert_eq!(ep.try_recv().map(|m| (m.src, m.tag)), Some((0, 5)));
+        }
+        survivors[0].mark_dead(0);
+        assert_eq!(e0.broadcast(5, Vec::new()), Err(NetError::NodeDead(0)));
     }
 
     #[test]

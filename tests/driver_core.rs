@@ -331,6 +331,131 @@ fn a_wait_deadline_is_served_while_every_worker_is_busy() {
     }
 }
 
+/// Answers after 120 ms asleep in native code: past the deadline of a call
+/// whose machine gives it 50 ms, and past the slack that call may take.
+struct Asleep;
+impl Service for Asleep {
+    const NAME: &'static str = "driver_core.asleep";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        std::thread::sleep(Duration::from_millis(120));
+        req
+    }
+}
+
+/// A call's deadline is a span its node fixes at its next clock read, with
+/// no clock read of the caller's own: so it is never early, and late by at
+/// most one timer period — none for an idle caller node, which runs its
+/// timers just before it parks and files the instant, and `CLOCK_EVERY`
+/// steps for one kept busy by a yielding thread.  Two workers, so the
+/// caller's node runs while the handler sleeps on the other.
+#[test]
+fn an_rpc_deadline_is_never_early_and_only_briefly_late() {
+    const DEADLINE: Duration = Duration::from_millis(50);
+    const SLACK: Duration = Duration::from_millis(40);
+    for busy in [false, true] {
+        let mut m = Machine::builder(2)
+            .test_profile()
+            .workers(2)
+            .reply_deadline(DEADLINE)
+            .launch()
+            .unwrap();
+        m.register(Asleep);
+        let done = Arc::new(AtomicBool::new(false));
+        let stop = Arc::clone(&done);
+        let yielder = busy.then(|| {
+            m.spawn_on(0, move || {
+                while !stop.load(Ordering::SeqCst) {
+                    pm2_yield();
+                }
+            })
+            .unwrap()
+        });
+        let calls = m
+            .run_on(0, || {
+                (0..3)
+                    .map(|i| {
+                        let t0 = Instant::now();
+                        let outcome = pm2_rpc_call::<Asleep>(1, i);
+                        (t0.elapsed(), outcome)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .unwrap();
+        done.store(true, Ordering::SeqCst);
+        for (took, outcome) in calls {
+            let what = format!("busy {busy}: {outcome:?} after {took:?}");
+            assert!(matches!(outcome, Err(Pm2Error::Net(_))), "{what}");
+            assert!(took >= DEADLINE, "early: {what}");
+            assert!(took < DEADLINE + SLACK, "late: {what}");
+        }
+        if let Some(t) = yielder {
+            assert!(!m.join(t).panicked);
+        }
+        m.shutdown();
+    }
+}
+
+/// Answers at once.
+struct Echo;
+impl Service for Echo {
+    const NAME: &'static str = "driver_core.echo";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        req
+    }
+}
+
+/// A call reads no clock of its own.  The caller's node reads one while a
+/// wait is open, once each time it goes idle (before it parks) and once
+/// every `CLOCK_EVERY` steps while busy; the serving node, with nothing
+/// armed, reads none.  Ten thousand calls from `rpc_fanin`'s eight clients
+/// on one worker, none of them near its deadline.
+#[test]
+fn an_rpc_costs_its_node_no_clock_read_of_its_own() {
+    const CLIENTS: u64 = 8;
+    const CALLS: u64 = 10_000;
+    let mut m = Machine::builder(2).test_profile().launch().unwrap();
+    m.register(Echo);
+    let stats = |m: &Machine| [m.node_stats(0), m.node_stats(1)];
+    let before = stats(&m);
+    let client = || {
+        for i in 0..CALLS / CLIENTS {
+            assert_eq!(pm2_rpc_call::<Echo>(1, i), Ok(i));
+        }
+    };
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| m.spawn_on(0, client).unwrap())
+        .collect();
+    for tid in clients {
+        assert!(!m.join(tid).panicked);
+    }
+    let after = stats(&m);
+    for node in 0..2 {
+        let d = after[node].since(&before[node]);
+        let budget = d.driver_parks + d.steps / pm2::node::CLOCK_EVERY + 2;
+        assert!(
+            d.clock_reads <= budget,
+            "node {node}: {} clock reads over {} parks and {} steps",
+            d.clock_reads,
+            d.driver_parks,
+            d.steps
+        );
+    }
+    assert!(
+        after[0].since(&before[0]).clock_reads > 0,
+        "the caller's node keeps its timers"
+    );
+    assert_eq!(
+        after[1].since(&before[1]).clock_reads,
+        0,
+        "nothing armed on the server"
+    );
+    m.shutdown();
+}
+
 /// Leaves the serving node before answering, so its reply is checked out
 /// of the serving node's payload pool by whichever worker runs the node it
 /// moved to.
