@@ -1,4 +1,4 @@
-//! Node-death recovery benchmark: heartbeat detection latency, spill-log
+//! Node-death recovery benchmark: gossip-detector latency, spill-log
 //! replay + survivor re-adoption, and orphan-slot reclamation, at p = 4
 //! and p = 8.
 //!
@@ -8,8 +8,10 @@
 //! they are unrecoverable by construction), the victim's power cord is
 //! pulled **silently**, and the clock runs on three phases:
 //!
-//! * **detect** — kill → the survivors' heartbeat detector declares the
-//!   corpse dead (`Machine::wait_node_dead` observes the broadcast);
+//! * **detect** — kill → the survivors' gossip detector declares the
+//!   corpse dead once its sequence number has stopped moving for the
+//!   200 ms timeout (8 rounds of 25 ms; `Machine::wait_node_dead`
+//!   observes the broadcast);
 //! * **recover** — spill replay + re-adoption `MIGRATION` trains until
 //!   every checkpointed thread's location points at a survivor;
 //! * **reclaim** — survivor audit + orphan-range grant until the
@@ -101,7 +103,7 @@ pub fn recovery_drill(nodes: usize) -> RecoveryRun {
     m.kill_node_silent(victim).expect("kill");
     assert!(
         m.wait_node_dead(victim, Duration::from_secs(30)),
-        "heartbeat detector must declare the corpse dead"
+        "the gossip detector must declare the corpse dead"
     );
     let detect_ms = t0.elapsed().as_secs_f64() * 1e3;
 
@@ -177,9 +179,12 @@ pub fn write_recovery_json() {
     crate::report::emit_json(
         "BENCH_recovery.json",
         "recovery",
-        "node-death drill: silent kill → heartbeat detection → spill-log replay + \
+        "node-death drill: silent kill → gossip-detector verdict → spill-log replay + \
          survivor re-adoption → orphan-slot reclamation; detect_ms is kill-to-NODE_DEAD \
-         at the host, recover_ms is replay + re-adoption, reclaim_ms is audit + grant; \
+         at the host, with a 200 ms failure timeout counted as 8 of the survivors' own \
+         25 ms gossip rounds since the corpse's sequence number last advanced (so about \
+         the timeout, plus at most a round, less the time since the corpse's last round); \
+         recover_ms is replay + re-adoption, reclaim_ms is audit + grant; \
          8 checkpointed threads must all survive, 2 post-checkpoint threads are lost by \
          construction; instant wire profile",
         &rows,

@@ -4,15 +4,18 @@
 //! nodes on one worker pool, with the per-node cost counters that prove
 //! the gossip-scale protocols hold — per-node background traffic and
 //! per-op driver work must stay *flat-ish* as p grows 16×, and the whole
-//! matrix must finish in CI seconds (instant wire profile, failure
-//! detector armed so liveness + gossip + silence scans are all on).
+//! matrix must finish in CI seconds (instant wire profile, gossip
+//! detector armed).
 //!
 //! Drills per node count:
 //!
-//! * **idle** — a quiet window on a freshly launched machine: per-node
-//!   driver steps/s and wire messages/s.  Under the old all-pairs beacon
-//!   this grew linearly in p (every node messaged every node each tick);
-//!   under gossip fan-out it is O(1) per node by construction.
+//! * **idle** — a quiet second on a freshly launched machine, opening past
+//!   half the failure timeout and closing past the whole of it: per-node
+//!   driver steps/s, wire messages/s and wire bytes/s.  Under the old
+//!   all-pairs beacon messages grew linearly in p (every node messaged
+//!   every node each tick); under gossip fan-out they are O(1) per node by
+//!   construction, while the detector's digest carries the whole table,
+//!   so the bytes grow as p.
 //! * **hop** — 100 ping-pong migrations between nodes 0 and 1 (µs per
 //!   hop, plus steps/parks/messages per hop summed over the two
 //!   participants — the other p − 2 nodes' background is not billed to
@@ -73,6 +76,7 @@ pub struct ScaleRow {
     pub workers: usize,
     pub idle_steps_per_node_s: f64,
     pub idle_msgs_per_node_s: f64,
+    pub idle_bytes_per_node_s: f64,
     pub hop_us: f64,
     pub hop_steps_per_op: f64,
     pub hop_parks_per_op: f64,
@@ -87,8 +91,11 @@ pub struct ScaleRow {
     pub rps_rounds: usize,
 }
 
+/// The failure timeout of the scale-drill machines.
+const TIMEOUT: Duration = Duration::from_secs(2);
+
 /// The scale-drill machine: executor pool auto-sized, instant
-/// wire, detector armed so the full gossip/suspicion machinery runs, and
+/// wire, gossip detector armed (50 ms rounds, the default), and
 /// an area that keeps per-node slot ownership constant (128 slots each —
 /// remote spawns fail typed rather than trade, so the evacuation drill's
 /// 64 stacks must fit node 0's own share) as p grows.  The area is a
@@ -100,7 +107,7 @@ fn launch(p: usize) -> Machine {
             slot_size: 64 * 1024,
             n_slots: (128 * p).max(256),
         })
-        .failure_timeout(Duration::from_secs(2))
+        .failure_timeout(TIMEOUT)
         .reply_deadline(Duration::from_secs(5))
         // No watermark prefetch: the negotiation drill measures the
         // *synchronous* demand-trade RTT per acquisition, not how well
@@ -128,19 +135,30 @@ fn counts_since(m: &Machine, nodes: Range<usize>, before: &Counts) -> Counts {
 /// Measure one machine size end to end.
 pub fn scale_row(p: usize) -> ScaleRow {
     eprintln!("scale [p={p}]: launching");
+    let launched = Instant::now();
     let mut m = launch(p);
     let workers = m.worker_threads();
     assert!(workers < p.max(2), "the pool must multiplex, not 1:1");
 
     // -- idle: per-node background cost in a quiet window ------------------
-    std::thread::sleep(Duration::from_millis(300)); // settle gossip/detector
+    // It opens past half the timeout, where a detector that probes its
+    // suspects would start probing, and closes past the timeout, where a
+    // false death would show.
+    let opens = TIMEOUT / 2 + Duration::from_millis(100);
+    std::thread::sleep(opens.saturating_sub(launched.elapsed()));
     let before = counts(&m, 0..p);
-    let window = Duration::from_millis(700);
-    std::thread::sleep(window);
+    let t0 = Instant::now();
+    std::thread::sleep(Duration::from_secs(1));
     let (stats, net) = counts_since(&m, 0..p, &before);
-    let per_node_s = 1.0 / (window.as_secs_f64() * p as f64);
+    let per_node_s = 1.0 / (t0.elapsed().as_secs_f64() * p as f64);
     let idle_steps_per_node_s = stats.steps as f64 * per_node_s;
     let idle_msgs_per_node_s = net.msgs_sent as f64 * per_node_s;
+    let idle_bytes_per_node_s = net.bytes_sent as f64 * per_node_s;
+    let dead: Vec<usize> = (0..p).filter(|&n| m.is_node_dead(n)).collect();
+    assert!(
+        dead.is_empty(),
+        "p = {p}: an idle machine declared {dead:?} dead"
+    );
 
     eprintln!("scale [p={p}]: hop drill");
     // -- hop: 0 ↔ 1 ping-pong migration ------------------------------------
@@ -284,6 +302,7 @@ pub fn scale_row(p: usize) -> ScaleRow {
         workers,
         idle_steps_per_node_s,
         idle_msgs_per_node_s,
+        idle_bytes_per_node_s,
         hop_us,
         hop_steps_per_op,
         hop_parks_per_op,
@@ -307,13 +326,14 @@ pub fn write_scale_json() {
     let mut out = Vec::new();
     for r in &rows {
         println!(
-            "scale [p={} workers={}]: idle {:.1} steps/s {:.1} msgs/s per node; \
+            "scale [p={} workers={}]: idle {:.1} steps/s {:.1} msgs/s {:.0} B/s per node; \
              hop {:.1} µs ({:.1} steps, {:.1} msgs/op); evac {:.1} ms \
              ({:.1} steps/thread); neg {:.1} µs ({:.1} msgs/acquire); max {} rps",
             r.p,
             r.workers,
             r.idle_steps_per_node_s,
             r.idle_msgs_per_node_s,
+            r.idle_bytes_per_node_s,
             r.hop_us,
             r.hop_steps_per_op,
             r.hop_msgs_per_op,
@@ -327,7 +347,8 @@ pub fn write_scale_json() {
         );
         out.push(format!(
             "{{\"p\": {}, \"workers\": {}, \"idle_steps_per_node_s\": {:.2}, \
-             \"idle_msgs_per_node_s\": {:.2}, \"hop_us\": {:.2}, \
+             \"idle_msgs_per_node_s\": {:.2}, \"idle_bytes_per_node_s\": {:.0}, \
+             \"hop_us\": {:.2}, \
              \"hop_steps_per_op\": {:.2}, \"hop_parks_per_op\": {:.2}, \
              \"hop_msgs_per_op\": {:.2}, \"evac_ms\": {:.2}, \
              \"evac_steps_per_op\": {:.2}, \"evac_msgs_per_op\": {:.2}, \
@@ -337,6 +358,7 @@ pub fn write_scale_json() {
             r.workers,
             r.idle_steps_per_node_s,
             r.idle_msgs_per_node_s,
+            r.idle_bytes_per_node_s,
             r.hop_us,
             r.hop_steps_per_op,
             r.hop_parks_per_op,
@@ -371,13 +393,13 @@ pub fn write_scale_json() {
         "scale",
         &format!(
             "machine-size scaling on the multiplexed executor (auto worker \
-         pool, instant wire profile, failure detector armed at 2 s / 50 ms heartbeats): \
-         idle_* = per-node background driver steps and wire messages per second in a \
-         quiet 700 ms window that closes one second after launch (gossip is 2 msgs per \
-         node per round at every p; at p = 256 the window's last round can also be the first \
-         of the detector's suspicion probes, due timeout / 2 after launch, and a node whose \
-         round no longer coincides with its peers' takes two steps per digest received \
-         instead of merging it into its own round's step); hop/evac/neg \
+         pool, instant wire profile, gossip detector armed at 2 s / 50 ms rounds): \
+         idle_* = per-node background driver steps, wire messages and wire bytes per second \
+         in a quiet 1 s window from 1.1 s to 2.1 s after launch, past half the timeout and \
+         past all of it, in which no node may be declared dead (gossip is 2 msgs per node \
+         per round at every p, a round being 50 ms plus the node's wake-up lateness, so \
+         msgs/s sits just under 40; an armed digest is 16 B per peer the sender has heard \
+         from, so the bytes grow as p); hop/evac/neg \
          costs are per-op deltas over the participating nodes only; evac_steps includes \
          the evacuees' own yield-loop spinning and so tracks drill duration, not p — \
          evac_msgs is the scalability signal; neg_* = single-slot acquisitions on node 0 \

@@ -112,20 +112,29 @@ pub struct Pm2Config {
     /// default) means checkpoints happen only on demand
     /// ([`crate::Machine::checkpoint_node`]).  Requires `spill_dir`.
     pub checkpoint_every: Option<Duration>,
-    /// Silence threshold of the failure detector: a node that has heard
-    /// nothing from a peer for longer than this declares it dead (marks
-    /// the fabric and broadcasts `NODE_DEAD`).  `None` (the default)
+    /// Silence threshold of the gossip detector: a node whose digests have
+    /// not advanced a peer's sequence number for longer than this declares
+    /// it dead (marks the fabric and broadcasts `NODE_DEAD`).  It is
+    /// counted in the node's own gossip rounds — converted once at launch
+    /// to `ceil(failure_timeout / heartbeat_every)` of them — so the
+    /// detector reads no clock, and a node that is itself stalled stops
+    /// counting instead of condemning its peers.  `None` (the default)
     /// disables detection — deaths are then only declared explicitly via
     /// [`crate::Machine::kill_node`].
     pub failure_timeout: Option<Duration>,
-    /// Period of a node's gossip round — one epidemic digest pushed, and
-    /// with the detector armed one silence scan of the peer table — so a
-    /// death is declared within `failure_timeout` plus one period, and it
-    /// must be well under `failure_timeout`.  Rounds run when the detector
-    /// is armed, and without one on machines above
-    /// [`crate::node::FULL_PROBE_MAX`] nodes (the trader and the balancer
-    /// live off the gossiped hints there).  It is also how long a gossiped
-    /// load hint stays fresh enough to save the balancer a probe.
+    /// Period of a node's gossip round — one digest pushed to
+    /// [`crate::node::GOSSIP_FANOUT`] peers, and with the detector armed
+    /// its verdicts — so a death is declared within `failure_timeout` plus
+    /// one period, and it must be well under `failure_timeout`.  With the
+    /// detector armed a digest carries the node's whole table, 16 B per
+    /// peer (≈ 4 KB at p = 256), so the gossip cost is O(1) messages but
+    /// O(p) bytes per node per period; without it, only the node's own
+    /// entry.  Rounds run when the detector is armed, and without one on
+    /// machines above [`crate::node::FULL_PROBE_MAX`] nodes (the trader
+    /// and the balancer live off the gossiped hints there).  A load hint
+    /// that advanced in the node's current round or the previous one
+    /// (so under two periods ago) is fresh enough to save the balancer a
+    /// probe.
     pub heartbeat_every: Duration,
     /// Seeded message-level fault plan for the fabric (chaos testing).
     /// `None` (the default) keeps every link a perfect wire.  When set,
@@ -345,15 +354,15 @@ impl MachineBuilder {
         self
     }
 
-    /// Arm the failure detector: silence beyond `timeout` declares a peer
-    /// dead (see [`Pm2Config::failure_timeout`]).
+    /// Arm the gossip detector: a peer whose sequence number stops moving
+    /// for `timeout` is declared dead (see [`Pm2Config::failure_timeout`]).
     pub fn failure_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.failure_timeout = Some(timeout);
         self
     }
 
-    /// Period of the gossip round and, with the detector armed, of its
-    /// silence scan (see [`Pm2Config::heartbeat_every`]).
+    /// Period of the gossip round, the unit the detector counts its
+    /// timeout in (see [`Pm2Config::heartbeat_every`]).
     pub fn heartbeat_every(mut self, every: Duration) -> Self {
         self.cfg.heartbeat_every = every;
         self

@@ -8,22 +8,11 @@ use marcel::ThreadState;
 
 use super::decode;
 use crate::node::NodeCtx;
-use crate::proto::{self, tag};
+use crate::proto;
 
 pub(crate) fn on_shutdown(ctx: &mut NodeCtx) {
     ctx.shutdown = true;
     ctx.maybe_ack_shutdown();
-}
-
-/// Liveness probe.  The arrival itself already refreshed the sender's
-/// last-heard stamp in `ingest`; a payload byte of 1 is a suspicion ping
-/// that asks for an answering pong (empty payload), so a suspected but
-/// healthy node clears the suspicion with exactly one message.  Probes
-/// are rate-limited per suspect by the sender, so pongs cannot flood.
-pub(crate) fn on_heartbeat(ctx: &mut NodeCtx, m: &Message) {
-    if m.payload.first() == Some(&1) && m.src != ctx.node && m.src < ctx.n_nodes {
-        let _ = ctx.ep.send(m.src, tag::HEARTBEAT, Vec::new());
-    }
 }
 
 /// Epidemic digest: merge every entry (strictly-newer sequence wins; see

@@ -186,9 +186,6 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::NODE_DEAD => control::on_node_dead(ctx, &m),
         tag::CKPT_REQ => control::on_ckpt_req(ctx, m),
         tag::NODE_RECLAIM => control::on_node_reclaim(ctx, m),
-        // Arrival already refreshed the sender's last-heard stamp in
-        // ingest; a ping byte additionally requests an answering pong.
-        tag::HEARTBEAT => control::on_heartbeat(ctx, &m),
         tag::GOSSIP => control::on_gossip(ctx, &m),
         // No handler: an unassigned tag, or one only the host receives.
         _ => drop_malformed(ctx),
@@ -209,7 +206,6 @@ mod tests {
         assert_eq!(classify(tag::SLOT_TRADE_REQ), Class::Control);
         assert_eq!(classify(tag::SLOT_TRADE_RESP), Class::Control);
         assert_eq!(classify(tag::GOSSIP), Class::Control);
-        assert_eq!(classify(tag::HEARTBEAT), Class::Control);
         assert_eq!(classify(tag::MIGRATION), Class::Migration);
         assert_eq!(classify(tag::MIGRATE_CMD), Class::Migration);
         assert_eq!(

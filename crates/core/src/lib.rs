@@ -171,7 +171,7 @@
 //!   supersede older ones per thread;
 //! * **kill switch + failure detector** — [`Machine::kill_node`] pulls a
 //!   node's cord and announces `NODE_DEAD`;
-//!   [`Machine::kill_node_silent`] leaves discovery to the heartbeat
+//!   [`Machine::kill_node_silent`] leaves discovery to the gossip
 //!   detector ([`MachineBuilder::failure_timeout`] /
 //!   [`MachineBuilder::heartbeat_every`]): survivors declare a silent
 //!   peer dead, broadcast the death certificate, and the fabric
@@ -242,15 +242,17 @@
 //! must also shed their O(p)-per-node costs ([`node`]'s module header
 //! has the full accounting):
 //!
-//! * **liveness piggybacks + gossip** — any received message refreshes
-//!   the sender's silence stamp, and once per heartbeat interval each
-//!   node pushes an epidemic digest (own wealth/load claim + a relayed
-//!   sample of its table, budget growing as p/8 up to 32 entries) to 2
-//!   random live peers — O(1) messages per node per round, machine-wide
-//!   convergence in O(log p) rounds.  The old all-pairs HEARTBEAT
-//!   beacon is gone; direct probes go only to *suspects* (silent past
-//!   half the timeout), at most a handful per scan, and the silence
-//!   scan walks the p stamps once per round instead of on every step;
+//! * **one gossip digest for wealth, load and liveness** — once per
+//!   heartbeat interval each node pushes a digest to 2 distinct random
+//!   live peers, O(1) messages per node per round.  With the failure
+//!   detector armed the digest is the node's whole table (its own
+//!   wealth/load claim under a fresh sequence number plus its newest entry
+//!   for every live peer, 16 B each): O(p) bytes, machine-wide convergence
+//!   in O(log p) rounds, and the gossip detector reads it — a peer whose
+//!   sequence number has not moved for the failure timeout, counted in the
+//!   node's own rounds, is dead.  No probe, no per-message stamp and no
+//!   clock read takes part.  Without the detector the digest is the
+//!   node's own entry alone;
 //! * **sampled economics** — above 16 nodes the trader's
 //!   `richest_peer` draws a bounded random sample of the gossiped
 //!   wealth table instead of scanning it (the machine size selects;
@@ -301,9 +303,10 @@
 //!   balancer epoch (`LOAD_REQ` carries the shift), so stale
 //!   friendships fade;
 //! * **probe saving** — when gossip (armed by the failure detector or
-//!   large p) has delivered a peer's load hint younger than one
-//!   heartbeat and the hint is unremarkable, the round trusts it and
-//!   skips that `LOAD_REQ` entirely (`BalancerStats::probes_saved`).
+//!   large p) has advanced a peer's load hint in the node's current
+//!   gossip round or the previous one (under two rounds ago) and the hint
+//!   is unremarkable, the round trusts it and skips that `LOAD_REQ`
+//!   entirely (`BalancerStats::probes_saved`).
 //!
 //! [`loadbal::BalancerConfig`]'s `affinity` field toggles the pass (the
 //! decay shift, cooldown and score floor are constants in `loadbal`), and

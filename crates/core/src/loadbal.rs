@@ -61,9 +61,10 @@
 //! 1. **Gather** — `LOAD_REQ` (carrying this epoch's decay shift) to
 //!    every node; replies collected until all answer or the round
 //!    deadline passes (a frozen node sits the round out; < 2 responders
-//!    skips the round).  A peer whose *gossiped* load hint is younger
-//!    than one heartbeat interval and marks it a non-source is not
-//!    probed at all — its hint stands in as a destination-only entry
+//!    skips the round).  A peer whose *gossiped* load hint advanced in
+//!    the current gossip round or the previous one (under two rounds ago)
+//!    and marks it a non-source is not probed at all — its hint stands in
+//!    as a destination-only entry
 //!    (counted in [`BalancerStats::probes_saved`]).
 //! 2. **Plan** — affinity pass then load pass, executed against the
 //!    snapshot: a move plan keyed by (src, dest) pair, each entry
@@ -171,7 +172,8 @@ counters! {
         /// commands sent; the pure-load walk accounts for the rest).
         affinity_moves,
         /// `LOAD_REQ` round trips skipped because a gossiped load hint
-        /// younger than one heartbeat interval stood in for the probe.
+        /// that advanced in the current gossip round or the previous one
+        /// stood in for the probe.
         probes_saved,
     }
 }
@@ -387,8 +389,9 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // Gather loads (the daemon itself counts towards node 0's load; the
     // threshold absorbs it).  A probe refused with a death certificate
     // drops that node from the round — corpses have no load to balance.
-    // Probe-saving: a peer whose gossiped load entry is younger than one
-    // heartbeat interval and marks it a non-source (at or below the mean
+    // Probe-saving: a peer whose gossiped load entry advanced in the
+    // current gossip round or the previous one (under two rounds ago) and
+    // marks it a non-source (at or below the mean
     // of the fresh hints plus the threshold) contributes its hint as a
     // destination-only snapshot entry instead of paying a round trip.
     // Self is always probed — the reply is a local self-send anyway.

@@ -607,7 +607,7 @@ impl Machine {
     /// machine looks like to the rest of the cluster.  The fabric refuses
     /// sends to and from the corpse from this call on, and a `NODE_DEAD`
     /// broadcast tells every survivor at once (use
-    /// [`Machine::kill_node_silent`] to leave discovery to the heartbeat
+    /// [`Machine::kill_node_silent`] to leave discovery to the gossip
     /// detector instead).  Threads resident on the victim are *not*
     /// completed here — that is [`Machine::recover_node`]'s job, or the
     /// dead-owner grace logic in the join paths.
@@ -616,8 +616,9 @@ impl Machine {
     }
 
     /// [`Machine::kill_node`] without the `NODE_DEAD` announcement: the
-    /// survivors must notice the silence themselves via the heartbeat
-    /// failure detector (`failure_timeout` must be configured for that).
+    /// survivors must notice themselves, through the gossip detector, that
+    /// the corpse's sequence number stopped moving (`failure_timeout` must
+    /// be configured for that; it takes the timeout plus at most a round).
     pub fn kill_node_silent(&mut self, node: usize) -> Result<()> {
         self.kill_inner(node, false)
     }
@@ -643,7 +644,7 @@ impl Machine {
     /// Block until some survivor (or the host) has declared `node` dead —
     /// the `NODE_DEAD` broadcast reaches the host endpoint like any other
     /// control message.  Returns `false` on timeout.  This is how tests
-    /// observe the heartbeat detector after [`Machine::kill_node_silent`].
+    /// observe the gossip detector after [`Machine::kill_node_silent`].
     pub fn wait_node_dead(&mut self, node: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.recv_matching(deadline, |m| certifies_death(m, node))

@@ -55,34 +55,35 @@
 //!
 //! ## Gossip-scale protocols
 //!
-//! Per-node protocol cost must stay (amortized) O(1) in the node count or
-//! p = 256 machines drown in their own bookkeeping, so everything that was
-//! all-pairs is now epidemic or sampled:
+//! Per-node protocol cost must stay (amortized) O(1) messages in the node
+//! count or p = 256 machines drown in their own bookkeeping, so everything
+//! that was all-pairs is now epidemic or sampled:
 //!
-//! * **Liveness** is piggybacked: any arriving message refreshes the
-//!   sender's `last_heard` stamp, and a strictly-newer gossiped sequence
-//!   number counts as (indirect) evidence too — a peer cannot produce a
-//!   fresh round number after dying.  HEARTBEATs are no longer beaconed to
-//!   all p peers; they are *suspicion probes* sent only to a peer that has
-//!   been silent past half the failure timeout (a ping byte requesting a
-//!   pong), and death is still declared purely by silence timeout.
-//! * **Wealth/load dissemination** is an epidemic digest
-//!   ([`crate::proto::Gossip`]): once per `heartbeat_every` each
-//!   node pushes its own free-slot and resident-thread counts, plus a few
-//!   relayed table entries, to `GOSSIP_FANOUT` random live peers — O(1)
-//!   messages per node per round, O(log p) rounds to saturate the machine.
-//! * **The silence scan** walks the peer table once per round — one lap
-//!   per `heartbeat_every`, busy node or idle — with a capped number of
-//!   suspicion probes per lap, instead of scanning all p every step.
+//! * **One digest** ([`crate::proto::Gossip`]) carries wealth, load and
+//!   liveness: once per `heartbeat_every` each node bumps its own sequence
+//!   number and pushes a digest to [`GOSSIP_FANOUT`] distinct random live
+//!   peers: O(1) messages per node per round.  With the detector armed the
+//!   digest is its whole table — its own free-slot and resident-thread
+//!   counts plus its newest entry for every live peer it has heard from,
+//!   O(p) bytes (16 B an entry, ≈ 4 KB at p = 256), which the receiver pays
+//!   for in wire time — and a sequence number reaches the whole machine in
+//!   O(log p) rounds.  Without the detector (above `FULL_PROBE_MAX` nodes)
+//!   the digest is the node's own entry alone.
+//! * **The gossip detector** is van Renesse, Minsky & Hayden's (Middleware
+//!   '98): a peer is dead once its sequence number has stopped moving for
+//!   `failure_timeout`, counted in this node's own rounds.  Its one datum
+//!   is `advanced_at`, the round at which each peer's number last strictly
+//!   advanced; the verdict loop reads it once per round, so it needs no
+//!   clock, and a transport error never declares a death.
 //! * **Sampling**: `richest_peer` draws a random sample above
 //!   `FULL_PROBE_MAX` nodes (power-of-two-choices style) instead of
 //!   scanning everyone.
 //!
-//! The remaining O(p) structures are deliberate: the `peer_wealth` /
-//! `peer_seq` / `last_heard` tables are one word-ish per peer (a few KB at
-//! p = 256, refreshed — never scanned — on the hot path), broadcast
-//! fan-out is O(p) but only on rare machine-wide events (NODE_DEAD,
-//! SHUTDOWN), and the §4.4 all-peer bitmap gather survives as the
+//! The remaining O(p) structures are deliberate: the armed digest's bytes,
+//! the `peer_wealth` / `peer_seq` / `advanced_at` tables (one word-ish per
+//! peer, a few KB at p = 256), the walk that builds a digest and judges
+//! silence once per round, broadcast fan-out on rare machine-wide events
+//! (NODE_DEAD, SHUTDOWN), and the §4.4 all-peer bitmap gather, the
 //! documented *fallback* path when trading cannot satisfy a request.
 //!
 //! The migration *departure* side also lives here (`NodeCtx::depart`): a
@@ -129,18 +130,9 @@ thread_local! {
 /// The machine size alone makes the choice — something the code observes,
 /// not something a user sets.
 pub const FULL_PROBE_MAX: usize = 16;
-/// Peers a gossip round pushes the digest to.
-const GOSSIP_FANOUT: usize = 2;
-/// Minimum relayed table entries riding along with the self-entry in a
-/// digest; the actual budget grows with the machine ([`relay_budget`]) so
-/// indirect liveness evidence keeps the whole table fresher than the
-/// suspicion-probe threshold even at p = 256.
-const GOSSIP_RELAY: usize = 6;
-/// Cap on the relay budget: a digest never exceeds `1 + 32` entries
-/// (~500 B), whatever the machine size.
-const GOSSIP_RELAY_MAX: usize = 32;
-/// Most suspicion probes one silence scan sends.
-const SCAN_PROBES: usize = 4;
+/// Distinct live peers a gossip round pushes the digest to (fewer only
+/// when fewer are alive).
+pub const GOSSIP_FANOUT: usize = 2;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
 /// A busy node with a timer armed runs its timers — and so reads the clock
@@ -255,10 +247,12 @@ counters! {
         replies_unclaimed,
         /// Clock reads, each one through the node's one clock door: its
         /// timer runs (one busy step in [`CLOCK_EVERY`] and once per park
-        /// while a timer is armed), the sampled stage clocks, trade and
-        /// negotiation timings, and the failure detector's stamps.  With
-        /// nothing armed a step reads none.
+        /// while a timer is armed), the sampled stage clocks, and trade and
+        /// negotiation timings.  With nothing armed a step reads none.
         clock_reads,
+        /// Gossip rounds run: each sends one digest to each of
+        /// [`GOSSIP_FANOUT`] distinct live peers, and nothing else.
+        gossip_rounds,
     }
 }
 
@@ -340,10 +334,6 @@ pub(crate) struct NodeCtx {
     /// Last-known free-slot counts per node, refreshed by every
     /// piggybacked wealth hint (shared with the host for observability).
     pub peer_wealth: Arc<Vec<AtomicU64>>,
-    /// When each peer's gossiped load/wealth entry was last refreshed
-    /// (None = never heard).  A balancer probe younger than one heartbeat
-    /// interval reuses this instead of a LOAD_REQ round trip.
-    pub hint_at: Vec<Option<Instant>>,
     /// Trade ids in flight, whose grant the pump adopts when the answer
     /// lands: the watermark prefetch and every demand trade, timed-out
     /// ones included (a late grant must still be adopted, or the slots the
@@ -412,25 +402,26 @@ pub(crate) struct NodeCtx {
     /// When the next periodic checkpoint is due; `None` unless both
     /// `checkpoint_every` and a spill log are set, and after SHUTDOWN.
     next_checkpoint: Option<Instant>,
-    /// When the next gossip round and silence scan are due; `None` unless
-    /// the detector is armed or the machine is above [`FULL_PROBE_MAX`]
-    /// nodes, and after SHUTDOWN.
+    /// When the next gossip round (and with the detector armed, its
+    /// verdicts) is due; `None` unless the detector is armed or the machine
+    /// is above [`FULL_PROBE_MAX`] nodes, and after SHUTDOWN.
     next_round: Option<Instant>,
-    /// Last time any message arrived from each peer (direct evidence), or
-    /// a strictly-newer gossip entry about it was merged (indirect).
-    last_heard: Vec<Instant>,
+    /// `failure_timeout` in this node's own rounds, rounded up; `None`
+    /// when the detector is not armed.
+    timeout_rounds: Option<u32>,
     /// This node's own gossip round counter (monotonic; stamped on the
-    /// self-entry of every digest it originates).
+    /// self-entry of every digest it originates) — the detector's clock.
     gossip_seq: u32,
     /// Newest gossip sequence number seen per origin; the merge rule is
     /// strictly-newer-wins, so relays of a corpse's stale rounds can never
     /// refresh its entry.
     peer_seq: Vec<u32>,
+    /// The detector's one datum: the value of `gossip_seq` when each peer's
+    /// `peer_seq` last strictly advanced (0 until it first does).
+    advanced_at: Vec<u32>,
     /// Last gossiped resident-thread count per peer (the load hint that,
     /// while fresh, saves the balancer a probe).
     pub peer_load: Vec<u32>,
-    /// Per-peer suspicion-probe rate limit.
-    last_probe: Vec<Instant>,
     /// Protocol sampling RNG (node-seeded, deterministic per node).
     pub(crate) rng: crate::rng::SplitMix64,
     /// The machine's configuration, normalised once at launch
@@ -502,6 +493,10 @@ impl NodeCtx {
         let now = Instant::now();
         let gossips = cfg.failure_timeout.is_some() || cfg.nodes > FULL_PROBE_MAX;
         let next_round = (cfg.nodes >= 2 && gossips).then(|| now + cfg.heartbeat_every);
+        let every = cfg.heartbeat_every.as_nanos().max(1);
+        let timeout_rounds = cfg
+            .failure_timeout
+            .map(|t| t.as_nanos().div_ceil(every).min(u32::MAX as u128) as u32);
         let checkpoints = cfg.checkpoint_every.filter(|_| spill.is_some());
         let next_checkpoint = checkpoints.map(|every| now + every);
         NodeCtx {
@@ -528,7 +523,6 @@ impl NodeCtx {
             frozen_by: None,
             negotiating: false,
             peer_wealth,
-            hint_at: vec![None; cfg.nodes],
             prefetch_pending: HashSet::new(),
             prefetch_inflight: None,
             prefetch_target: None,
@@ -554,11 +548,11 @@ impl NodeCtx {
             ckpt_epoch: 0,
             next_checkpoint,
             next_round,
-            last_heard: vec![now; cfg.nodes],
+            timeout_rounds,
             gossip_seq: 0,
             peer_seq: vec![0; cfg.nodes],
+            advanced_at: vec![0; cfg.nodes],
             peer_load: vec![0; cfg.nodes],
-            last_probe: vec![now; cfg.nodes],
             rng: crate::rng::SplitMix64::new(0xC0FF_EE00 ^ (node as u64) << 17),
             cfg: Arc::clone(cfg),
         }
@@ -662,16 +656,14 @@ impl NodeCtx {
         self.stats.aff_decays.add(1);
     }
 
-    /// A gossiped load hint for `peer` younger than one heartbeat
-    /// interval, if we hold one — fresh enough for a balancer round to
-    /// reuse instead of paying a LOAD_REQ round trip.
+    /// The gossiped load hint for `peer`, if its entry advanced in this
+    /// round or the previous one (so it is under two rounds old) — fresh
+    /// enough for a balancer round to reuse instead of paying a LOAD_REQ
+    /// round trip.
     pub(crate) fn fresh_load_hint(&self, peer: usize) -> Option<u32> {
-        let at = (*self.hint_at.get(peer)?)?;
-        if self.now().duration_since(at) <= self.cfg.heartbeat_every {
-            Some(self.peer_load[peer])
-        } else {
-            None
-        }
+        let heard = *self.peer_seq.get(peer)? > 0;
+        let age = self.gossip_seq.wrapping_sub(self.advanced_at[peer]);
+        (heard && age <= 1).then(|| self.peer_load[peer])
     }
 
     /// The peer with the largest known free-slot reserve strictly above
@@ -786,9 +778,7 @@ impl NodeCtx {
         if due(self.next_round) {
             self.next_round = Some(now + self.cfg.heartbeat_every);
             self.gossip_round();
-            if self.cfg.failure_timeout.is_some() {
-                self.silence_scan(now);
-            }
+            self.silence_scan();
         }
         if due(self.next_checkpoint) {
             self.next_checkpoint = self.cfg.checkpoint_every.map(|every| now + every);
@@ -804,121 +794,92 @@ impl NodeCtx {
         }
     }
 
-    /// Relayed entries per digest: [`GOSSIP_RELAY`] on small machines,
-    /// growing as p/8 up to [`GOSSIP_RELAY_MAX`].  Scaling the *payload*
-    /// (cheap bytes) instead of the *fanout* (messages) keeps per-node
-    /// message rate O(1) while the per-entry refresh interval stays well
-    /// under the suspicion-probe threshold — otherwise a p = 256 machine
-    /// ages most of its table past `timeout / 2` between refreshes and
-    /// the detector degenerates into an all-pairs probe storm.
-    fn relay_budget(&self) -> usize {
-        (self.n_nodes / 8).clamp(GOSSIP_RELAY, GOSSIP_RELAY_MAX)
-    }
-
-    /// One epidemic round: bump our sequence number and push a digest —
-    /// our own wealth/load claim plus up to [`relay_budget`](Self::relay_budget)
-    /// relayed table entries — to [`GOSSIP_FANOUT`] random live peers.
-    /// O(1) messages per node per round regardless of p; a digest reaches
-    /// the whole machine in O(log p) rounds with high probability.
-    fn gossip_round(&mut self) {
-        self.gossip_seq += 1;
-        let relay = self.relay_budget();
-        let mut entries = Vec::with_capacity(1 + relay);
+    /// One epidemic round: bump our sequence number and push a digest to
+    /// [`GOSSIP_FANOUT`] distinct live peers drawn uniformly (fewer if
+    /// fewer are alive) — O(1) messages per node per round.  With the
+    /// detector armed the digest is the whole table: our own wealth/load
+    /// claim plus our newest entry for every live peer we have heard from,
+    /// O(p) bytes, so every sequence number reaches the whole machine in
+    /// O(log p) rounds.  Without it the digest is our own claim alone:
+    /// wealth and load hints only steer the trader and the balancer, which
+    /// also refresh them on their own traffic, and every relayed byte costs
+    /// its receiver wire time.
+    pub(crate) fn gossip_round(&mut self) {
+        self.gossip_seq = self.gossip_seq.wrapping_add(1);
+        let relays = self.timeout_rounds.is_some();
+        let mut entries = Vec::with_capacity(if relays { self.n_nodes } else { 1 });
         entries.push(proto::GossipEntry {
             node: self.node as u32,
             seq: self.gossip_seq,
             wealth: self.mgr.free_slots() as u32,
             load: self.sched.resident() as u32,
         });
-        for _ in 0..(2 * relay) {
-            if entries.len() > relay {
-                break;
+        // One walk builds the digest and draws the recipients: `to` is a
+        // reservoir sample of the live peers, so they are distinct.
+        let mut to = [0usize; GOSSIP_FANOUT];
+        let mut live = 0usize;
+        for p in (0..self.n_nodes).filter(|&p| p != self.node && !self.dead_nodes.contains(&p)) {
+            let slot = if live < GOSSIP_FANOUT {
+                live
+            } else {
+                self.rng.below(live + 1)
+            };
+            if let Some(t) = to.get_mut(slot) {
+                *t = p;
             }
-            let p = self.rng.below(self.n_nodes);
-            // Relay only what we actually learned (seq 0 = never heard);
-            // duplicates across draws are harmless, the merge is idempotent.
-            if p == self.node || self.dead_nodes.contains(&p) || self.peer_seq[p] == 0 {
-                continue;
+            live += 1;
+            // Relay only what we actually learned (seq 0 = never heard).
+            if relays && self.peer_seq[p] > 0 {
+                entries.push(proto::GossipEntry {
+                    node: p as u32,
+                    seq: self.peer_seq[p],
+                    wealth: self.peer_wealth[p].load(Ordering::Relaxed) as u32,
+                    load: self.peer_load[p],
+                });
             }
-            entries.push(proto::GossipEntry {
-                node: p as u32,
-                seq: self.peer_seq[p],
-                wealth: self.peer_wealth[p].load(Ordering::Relaxed) as u32,
-                load: self.peer_load[p],
-            });
         }
+        // The payload is refcounted, so the fanout shares one buffer.
         let buf = proto::encode(&self.pool, &proto::Gossip { entries });
-        let mut sent = 0usize;
-        // The payload is refcounted, so the fanout shares one buffer.  A
-        // bounded number of draws, not a scan: on a machine of corpses the
-        // loop gives up instead of hunting for a live peer.
-        for _ in 0..(GOSSIP_FANOUT * 4) {
-            if sent >= GOSSIP_FANOUT {
-                break;
-            }
-            let p = self.rng.below(self.n_nodes);
-            if p == self.node || self.dead_nodes.contains(&p) {
-                continue;
-            }
+        self.stats.gossip_rounds.add(1);
+        for &p in &to[..live.min(GOSSIP_FANOUT)] {
             let _ = self.ep.send(p, tag::GOSSIP, buf.clone());
-            sent += 1;
         }
     }
 
     /// Merge one epidemic digest entry.  Strictly-newer sequence numbers
     /// win; entries about nodes already declared dead are ignored (no
-    /// resurrection by stale relay).  A newer sequence number is indirect
-    /// *liveness evidence* — the origin cannot have produced a fresh round
-    /// after dying, and a corpse's counter stops advancing, so relays of
-    /// its old rounds never refresh it.  Staleness of the indirect path is
-    /// bounded by the O(log p) propagation time, far below any configured
-    /// `failure_timeout` (timeouts are ≥ 6× the round cadence).
+    /// resurrection by stale relay).  A newer sequence number is the
+    /// detector's only *liveness evidence* — the origin cannot have
+    /// produced a fresh round after dying, and a corpse's counter stops
+    /// advancing, so relays of its old rounds never refresh it.  The
+    /// advance is stamped with this node's own round, not a clock.
     pub(crate) fn absorb_gossip(&mut self, e: proto::GossipEntry) {
         let n = e.node as usize;
-        if n == self.node || n >= self.n_nodes || self.dead_nodes.contains(&n) {
+        let newer = n != self.node && self.peer_seq.get(n).is_some_and(|&seq| e.seq > seq);
+        if !newer || self.dead_nodes.contains(&n) {
             return;
         }
-        if e.seq > self.peer_seq[n] {
-            let now = self.now();
-            self.peer_seq[n] = e.seq;
-            self.peer_load[n] = e.load;
-            self.hint_at[n] = Some(now);
-            self.set_peer_wealth(n, e.wealth as u64);
-            if self.cfg.failure_timeout.is_some() {
-                self.last_heard[n] = now;
-            }
-        }
+        self.peer_seq[n] = e.seq;
+        self.advanced_at[n] = self.gossip_seq;
+        self.peer_load[n] = e.load;
+        self.set_peer_wealth(n, e.wealth as u64);
     }
 
-    /// The silence scan, once per round: one lap of the peer table, so
-    /// detection latency is `failure_timeout` plus at most a round.  A peer
-    /// silent past *half* the timeout gets a direct suspicion probe
-    /// (HEARTBEAT ping byte, answered with a pong); death is declared
-    /// purely on the silence timeout, never on a transport error.  At most
-    /// [`SCAN_PROBES`] probes go out per lap — with normal gossip coverage
-    /// suspects are rare and the cap is invisible, but if the whole table
-    /// somehow goes stale at once (a long host stall, a just-launched giant
-    /// machine) it bounds the probe rate at O(1) per node per round instead
-    /// of O(p); the deferred suspects are reached on the next laps, well
-    /// inside the timeout.
-    fn silence_scan(&mut self, now: Instant) {
-        let timeout = self.cfg.failure_timeout.expect("detector armed");
+    /// The detector's verdicts, once per round after this node's digest
+    /// went out: a live peer whose sequence number has not advanced for
+    /// more than `failure_timeout` worth of this node's own rounds is
+    /// declared dead — so at least the timeout has passed since the last
+    /// evidence, and at most one round more.  A transport error never
+    /// declares a death.
+    fn silence_scan(&mut self) {
+        let Some(limit) = self.timeout_rounds else {
+            return;
+        };
         let (me, n) = (self.node, self.n_nodes);
-        let mut probes = 0usize;
         for p in (1..n).map(|i| (me + i) % n) {
-            if self.dead_nodes.contains(&p) {
-                continue;
-            }
-            let age = now.duration_since(self.last_heard[p]);
-            if age > timeout {
+            let silent = self.gossip_seq.wrapping_sub(self.advanced_at[p]);
+            if silent > limit && !self.dead_nodes.contains(&p) {
                 self.declare_dead(p);
-            } else if age >= timeout / 2
-                && probes < SCAN_PROBES
-                && now.duration_since(self.last_probe[p]) >= self.cfg.heartbeat_every
-            {
-                self.last_probe[p] = now;
-                probes += 1;
-                let _ = self.ep.send(p, tag::HEARTBEAT, vec![1u8]);
             }
         }
     }
@@ -1100,11 +1061,6 @@ impl NodeCtx {
     /// old drain did.
     fn ingest(&mut self) {
         while let Some(m) = self.ep.try_recv() {
-            if self.cfg.failure_timeout.is_some() && m.src < self.n_nodes {
-                // Any arrival is a liveness proof; the detector only fires
-                // on total silence.
-                self.last_heard[m.src] = self.now();
-            }
             let class = proto::classify(m.tag);
             // Dedup guard: drop chaos duplicates (same fabric seq as a
             // message this window already admitted) before any handler

@@ -176,18 +176,13 @@ tags! {
     NODE_RECLAIM = 44, Control, retry;
     /// Node → host: reclamation done.
     RECLAIM_ACK = 45, Control, retry;
-    /// Node → node: liveness probe for the failure detector.  Arrival (of
-    /// *any* message) refreshes the sender's last-heard stamp; since the
-    /// gossip rework HEARTBEATs flow only toward *suspected* peers — a
-    /// payload byte of 1 is a ping that requests an answering pong (empty
-    /// payload), clearing the suspicion with one message.
-    HEARTBEAT = 46, Control, retry;
     /// Node → node: epidemic digest (see [`Gossip`](super::Gossip)).
     /// Carries the sender's own wealth/load under a fresh sequence number
-    /// plus a few relayed table entries, so wealth hints, load snapshots
-    /// and liveness evidence spread in O(fanout) messages per node per
-    /// round instead of the balancer probing — or the detector beaconing
-    /// — all p peers.
+    /// plus, with the failure detector armed, its newest entry for every
+    /// live peer it has heard from, so wealth hints, load snapshots and
+    /// the gossip detector's only liveness evidence spread in O(fanout)
+    /// messages per node per round (O(p) bytes each when armed) instead of
+    /// the balancer probing — or the detector pinging — all p peers.
     GOSSIP = 47, Control, retry;
 }
 
@@ -399,7 +394,9 @@ message! {
         load: u32,
     }
 
-    /// An epidemic digest: the sender's own entry plus relayed ones.
+    /// An epidemic digest: the sender's own entry first, then — with the
+    /// failure detector armed — the whole table it relays (one entry per
+    /// live peer it has heard from).
     Gossip = GOSSIP { entries: Vec<GossipEntry> }
 }
 

@@ -330,6 +330,37 @@ fn migration_class_sits_between_control_and_data() {
     assert!(!ctx.inbox_pending());
 }
 
+/// A gossip round sends its digest to distinct peers: on a two-node
+/// machine the only live peer gets exactly one copy per round.  Its own
+/// entry leads; the entry it heard from its peer rides along only with the
+/// detector armed, since every relayed byte costs the receiver wire time.
+#[test]
+fn a_gossip_round_sends_one_digest_per_distinct_peer() {
+    use crate::proto::{tag, Gossip, GossipEntry};
+    use madeleine::Wire;
+    let armed = Some(std::time::Duration::from_secs(1));
+    for (failure_timeout, relayed) in [(armed, 1), (None, 0)] {
+        let (mut ctx, ep1, _host) = bare_node(Pm2Config {
+            failure_timeout,
+            ..Pm2Config::test(2)
+        });
+        let (node, seq, wealth, load) = (1, 3, 7, 0);
+        ctx.absorb_gossip(GossipEntry {
+            node,
+            seq,
+            wealth,
+            load,
+        });
+        ctx.gossip_round();
+        let digests: Vec<_> = std::iter::from_fn(|| ep1.try_recv()).collect();
+        assert_eq!(digests.len(), 1, "one round, one live peer, one digest");
+        assert_eq!(digests[0].tag, tag::GOSSIP);
+        let Gossip { entries } = Gossip::decode_vec(&digests[0].payload).expect("digest decodes");
+        assert_eq!((entries[0].node, entries[0].seq), (0, 1), "own entry first");
+        assert_eq!(entries.len(), 1 + relayed, "{failure_timeout:?}");
+    }
+}
+
 /// Doubles its request: the smallest typed service.
 struct Double;
 impl crate::Service for Double {

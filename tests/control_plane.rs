@@ -226,15 +226,14 @@ const BARE: &[u16] = &[
 ];
 
 /// Tags whose payload is framed outside the message table: the migration
-/// train codec, `SlotBitmap`'s own form, the LRPC fast path, the NAK's
-/// trailing text, and the heartbeat's ping byte.
+/// train codec, `SlotBitmap`'s own form, the LRPC fast path and the NAK's
+/// trailing text.
 const OWN_FRAMING: &[u16] = &[
     tag::MIGRATION,
     tag::MIGRATION_NAK,
     tag::NEG_BITMAP_RESP,
     tag::RPC_CALL,
     tag::RPC_RESP,
-    tag::HEARTBEAT,
 ];
 
 /// Golden bytes, exact size hint, round trip through the pooled encoder.

@@ -43,8 +43,8 @@ fn quiescent_deterministic_machine_parks_its_driver() {
         );
     }
     // With the detector armed the same quiet second is twenty rounds: each
-    // node is stepped for its own, and for the digests and the odd probe
-    // the others' rounds send it — and for nothing else.
+    // node is stepped for its own, and for the digests the others' rounds
+    // send it — and for nothing else.
     let mut armed = Machine::builder(4)
         .failure_timeout(Duration::from_millis(300))
         .heartbeat_every(Duration::from_millis(50))

@@ -250,7 +250,7 @@ fn heartbeat_detector_declares_a_silent_node_dead() {
     m.kill_node_silent(2).unwrap();
     assert!(
         m.wait_node_dead(2, Duration::from_secs(20)),
-        "survivors must declare the silent corpse dead via heartbeats"
+        "survivors must declare the silent corpse dead via the gossip detector"
     );
     let took = t0.elapsed();
     assert!(took < Duration::from_millis(450), "detected after {took:?}");

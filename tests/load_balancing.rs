@@ -359,8 +359,9 @@ fn symmetric_chatter_settles_under_hysteresis() {
 }
 
 /// Probe saving (PR 10): with gossip armed, a balancer round skips the
-/// LOAD_REQ for peers whose gossiped load hint is younger than one
-/// heartbeat and unremarkable, and counts the probe saved.  On an idle
+/// LOAD_REQ for peers whose gossiped load hint advanced in the current
+/// gossip round or the previous one and is unremarkable, and counts the
+/// probe saved.  On an idle
 /// machine every hint is both fresh and boring, so savings accrue fast.
 #[test]
 fn fresh_gossip_hints_save_balancer_probes() {

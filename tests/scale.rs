@@ -2,11 +2,13 @@
 //! 256 nodes run on a worker pool ≪ p, complete the full
 //! spawn/RPC/migrate/join round trips, park when quiescent, shut down by
 //! joining the pool without leaking OS threads — and one flooded node
-//! cannot starve the other 255.
+//! cannot starve the other 255.  At p = 64 the gossip detector costs its
+//! digests and nothing more.
 
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
+use pm2::node::GOSSIP_FANOUT;
 use pm2::proto::tag;
 use pm2::{AreaConfig, Machine, MachineBuilder};
 
@@ -134,6 +136,60 @@ fn quiescent_p256_machine_parks_its_workers() {
         "wake-from-park took {:?}",
         t0.elapsed()
     );
+    m.shutdown();
+}
+
+/// Per node, (gossip rounds run, messages sent).
+fn gossip_counts(m: &Machine) -> Vec<(u64, u64)> {
+    (0..m.nodes())
+        .map(|n| {
+            let sent = m.net_stats(n).expect("a node's endpoint").msgs_sent;
+            (m.node_stats(n).gossip_rounds, sent)
+        })
+        .collect()
+}
+
+/// The gossip detector at scale (1 s timeout, 25 ms rounds, p = 64).  Past
+/// half the timeout, where a probing detector starts probing the peers it
+/// has not heard from, a quiet machine sends its digests and nothing else —
+/// `GOSSIP_FANOUT` messages per node per round — and declares nobody dead;
+/// a silent corpse is declared dead within the timeout plus a few rounds.
+#[test]
+fn the_gossip_detector_at_p64_sends_only_digests_and_finds_a_silent_corpse() {
+    let (timeout, round) = (Duration::from_secs(1), Duration::from_millis(25));
+    let launched = Instant::now();
+    let mut m = scale_machine(64)
+        .failure_timeout(timeout)
+        .heartbeat_every(round)
+        .launch()
+        .unwrap();
+    std::thread::sleep((timeout / 2 + 2 * round).saturating_sub(launched.elapsed()));
+    let before = gossip_counts(&m);
+    std::thread::sleep((timeout * 3 / 2).saturating_sub(launched.elapsed()));
+    let after = gossip_counts(&m);
+    let fanout = GOSSIP_FANOUT as u64;
+    for (node, (&(r0, s0), &(r1, s1))) in before.iter().zip(&after).enumerate() {
+        let (rounds, sent) = (r1 - r0, s1 - s0);
+        assert!(rounds > 0, "node {node} ran no gossip round in the window");
+        // A read can land between a round's count and its sends, so each
+        // end of the window may be short by up to one round's digests.
+        assert!(
+            sent.abs_diff(fanout * rounds) <= fanout,
+            "node {node} sent {sent} messages in {rounds} rounds"
+        );
+    }
+    let dead: Vec<usize> = (0..64).filter(|&n| m.is_node_dead(n)).collect();
+    assert!(dead.is_empty(), "a quiet machine declared {dead:?} dead");
+
+    let victim = 37;
+    let bound = timeout + 12 * round;
+    let t0 = Instant::now();
+    m.kill_node_silent(victim).unwrap();
+    assert!(
+        m.wait_node_dead(victim, bound),
+        "the silent corpse was not declared dead within {bound:?}"
+    );
+    eprintln!("p = 64: silent kill declared dead after {:?}", t0.elapsed());
     m.shutdown();
 }
 
