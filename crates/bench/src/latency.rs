@@ -92,7 +92,8 @@ pub fn write_latency_json() {
             "one-way hop latency of a zero-payload 2-node ping-pong (auto worker pool) per \
              net profile; driver_parks/driver_wakeups count doorbell parks of the \
              event-driven drivers — a polling driver would show zero parks and orders of \
-             magnitude more steps_per_hop; {}; {}",
+             magnitude more steps_per_hop; {}; {}; {}",
+            crate::report::null_hop_note(),
             crate::report::stage_sampling_note(),
             crate::report::one_host_note()
         ),

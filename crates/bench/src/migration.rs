@@ -52,7 +52,8 @@ pub fn write_migration_json() {
         "migration",
         &format!(
             "per-stage means over all migrations in a 2-node ping-pong; wire time is the \
-             calibrated model charged at the receiver; {}; {}",
+             calibrated model charged at the receiver; {}; {}; {}",
+            crate::report::null_hop_note(),
             crate::report::stage_sampling_note(),
             crate::report::one_host_note()
         ),

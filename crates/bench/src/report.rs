@@ -85,6 +85,18 @@ impl Table {
     }
 }
 
+/// How the `instant` null row of BENCH_latency and BENCH_migration reads
+/// against the repo benchmark's `pm2.migration.hop_null_2workers_us_p50`
+/// probe, which times the same hop on the same two workers.
+pub fn null_hop_note() -> &'static str {
+    "the instant null row times the hop the repo benchmark's \
+     pm2.migration.hop_null_2workers_us_p50 probe times, on two workers too, and agrees with \
+     it: a ring from a departure is handed to the worker that made it, so the ping-pong stays \
+     on one worker (before that hand-off the row read about 1 us more than the probe, each hop \
+     crossing workers); the row is a mean of 12800 hops after 16 warm-up hops, the probe a \
+     median of 20000 after 2000, so a host hiccup moves the row more"
+}
+
 /// Closing clause of the `unit_note` of the four files that time the
 /// migration path — BENCH_evacuation, BENCH_latency, BENCH_migration and
 /// BENCH_scale.  A null hop is a row of three of them, and the rows can only

@@ -97,13 +97,19 @@ pub fn pm2_isofree(ptr: *mut u8) -> Result<()> {
 }
 
 /// Migrate the calling thread to `dest` (the paper's
-/// `pm2_migrate(marcel_self(), dest)`).  On return the thread is executing
-/// on `dest`; all its pointers are intact.
+/// `pm2_migrate(marcel_self(), dest)`).  On `Ok` the thread is executing
+/// on `dest` (already being there is a no-op); all its pointers are
+/// intact.  A destination known to be dead refuses the thread, which stays
+/// where it was: [`Pm2Error::NodeFailed`].
 pub fn pm2_migrate(dest: usize) -> Result<()> {
     if dest >= with_ctx(|c| c.n_nodes) {
         return Err(Pm2Error::NoSuchNode(dest));
     }
     marcel::migrate_self(dest);
+    // Refused departures are requeued here (`NodeCtx::stage_departure`).
+    if pm2_self() != dest {
+        return Err(Pm2Error::NodeFailed(dest));
+    }
     Ok(())
 }
 

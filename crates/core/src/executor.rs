@@ -5,8 +5,10 @@
 //! machine still wakes hundreds of threads to do nothing.  So each node is
 //! a state machine scheduled onto a fixed worker pool, and every machine
 //! runs on it.  With one worker (`workers(1)`, what the test profile sets)
-//! a single OS thread runs every node and every green thread in ready-queue
-//! (ring) order — a function of the message history when the host is quiet:
+//! a single OS thread runs every node and every green thread in ring order
+//! — the ready queue's, except that a node woken by another node's driver
+//! code runs right after it (the hand-off, below) — a function of the
+//! message history when the host is quiet:
 //!
 //! ```text
 //!            ring (doorbell listener)          pop + CAS
@@ -28,6 +30,25 @@
 //! * A ring landing while the node runs flips it `Running → Notified`;
 //!   the worker's park attempt (`Running → Idle`) then fails and requeues
 //!   instead — the wakeup is deferred, never dropped.
+//! * **The hand-off**: a ring made by *driver code* — a message handler in
+//!   the pump, or a departure in `NodeCtx::step`'s outcome handling (see
+//!   [`driver_code`]) — does not go to the shared queue.  The worker holds
+//!   the woken node in a one-entry slot of its own.  The held ring goes to
+//!   the shared queue before the ringing node's next green-thread quantum
+//!   (a thread that sends and then computes must not delay its receiver)
+//!   and at the end of the step, unless the ringing node then has nothing
+//!   left to do (`NodeCtx::quiet`: no ready thread, no queued message,
+//!   nothing deferred, no zombie, no timer armed).  A quiet node — held
+//!   ring or not — parks at once, without the empty step that would find
+//!   it quiet, and the worker runs the held node next: a hop on one worker
+//!   is one step, one park and one wake-up, and on two workers it stays on
+//!   the worker that ran the departure instead of crossing to the other's
+//!   vCPU.  A ring from a green thread's quantum, the host or a timer goes
+//!   to the shared queue, so the other workers serve it.  A worker makes
+//!   at most [`FAIRNESS`] hand-offs in a row; then the woken node joins the
+//!   back of the queue as the worker pops, under the one lock and without
+//!   waking a sleeping worker for a node it may take itself, and the filed
+//!   instants and the other queued nodes are served.
 //! * **Fairness budget**: a worker steps one node at most [`FAIRNESS`]
 //!   times per dispatch, then swaps it to the *tail* of the queue.  One
 //!   flooded node therefore costs every quiet node at most one budget's
@@ -40,44 +61,52 @@
 //!   with nothing to pop sleeps until the earliest filed instant —
 //!   indefinitely when none is filed — and requeues exactly the nodes whose
 //!   instant has passed, counted as a `driver_wakeups` like a ring.  A
-//!   worker that never sleeps looks at the filed instants every
-//!   [`FAIRNESS`] pops, so a busy pool's idle nodes keep their timers too.
-//!   That is the only way a timer reaches the executor: the queue's
-//!   earliest filed instant is the machine's next event.  A quiet machine
-//!   with nothing armed (the default) files none and makes no wake-ups at
-//!   all; an armed one steps each node once per `heartbeat_every`.
-//! * **What a push costs.**  Queueing a node is a lock, a `push_back` and
-//!   an unlock; a system call (`futex_wake`, several times the rest) is
-//!   made only when a worker is asleep to receive it, and after the lock is
-//!   released.  The workers count themselves: one adds itself to the
-//!   queue's sleeper count, under the queue's lock, on its way into the
-//!   wait and takes itself off on the way out, so a push that reads zero
-//!   under that lock knows every worker has yet to look at the queue and
-//!   will find the node there.  One worker that is never idle — a hop's
-//!   ping-pong on `workers(1)` — therefore pays no system call per
-//!   message, and a park that names no instant takes no lock at all.
-//!   `driver_wakeups` / `driver_parks` count the node's state transitions,
-//!   not these, each a plain store by its one writer (`counters.rs`):
-//!   a park is counted under the node's mutex, a wake-up — which a ring
-//!   on any thread may cause — under the queue's lock, by the push or the
-//!   pop that queues the node.  The filed instants live under the same lock,
-//!   and a node goes `Idle` under it when it files one, so an instant is
-//!   either read by a worker before it sleeps or wakes it after, and a
-//!   node popped since is never requeued for an instant it no longer has.
+//!   worker that never sleeps looks at the filed instants once every
+//!   [`FAIRNESS`] dispatches — pops and hand-offs alike — so a busy pool's
+//!   idle nodes keep their timers too.  That is the only way a timer
+//!   reaches the executor: the queue's earliest filed instant is the
+//!   machine's next event.  A quiet machine with nothing armed (the
+//!   default) files none and makes no wake-ups at all; an armed one steps
+//!   each node once per `heartbeat_every`.
+//! * **What a push costs.**  A hand-off costs nothing shared: the held
+//!   node is the worker's, and it runs it without the queue.  Queueing a
+//!   node on the shared queue is a lock, a `push_back` and an unlock; a
+//!   system call (`futex_wake`, several times the rest) is made only when
+//!   a worker is asleep to receive it, and after the lock is released.  The
+//!   workers count themselves: one adds itself to the queue's sleeper
+//!   count, under the queue's lock, on its way into the wait and takes
+//!   itself off on the way out, so a push that reads zero under that lock
+//!   knows every worker has yet to look at the queue and will find the
+//!   node there.  A hop's ping-pong therefore takes no lock and makes no
+//!   system call in the executor, and a park that names no instant takes
+//!   no lock at all.  `driver_wakeups` / `driver_parks` count the node's
+//!   state transitions, each a plain store by its one writer
+//!   (`counters.rs`): a park is counted under the node's mutex, a wake-up
+//!   by the thread whose transition queued the node — the claim
+//!   `Idle → Queued`, whichever thread's ring or due instant made it, or
+//!   the worker requeueing a node rung mid-run — and the state machine
+//!   admits one such transition at a time, each ordered after the last.
+//!   The filed instants live under the queue's lock, and a node goes
+//!   `Idle` under it when it files one, so an instant is either read by a
+//!   worker before it sleeps or wakes it after, and a node popped since is
+//!   never requeued for an instant it no longer has.
 //!
 //! `NodeCtx` stays single-driver: the state machine guarantees a node is
 //! `Running` on at most one worker, and the per-node mutex (uncontended in
 //! steady state) makes that ownership transfer a proper happens-before
 //! edge, so green-thread stacks and the scheduler migrate between workers
 //! safely — `NodeCtx::activate` rebinds the TLS pointers on every
-//! dispatch, and marcel caches nothing across context switches.
+//! step, and marcel caches nothing across context switches.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ptr;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::counters::Counter;
+use madeleine::BufPool;
+
 use crate::node::{NodeCtx, NodeStats};
 
 /// Node driver states (see the module diagram).
@@ -122,13 +151,17 @@ struct Ready {
     sleepers: usize,
     /// Per node, the instant it filed when it last parked; taken back when
     /// the node is popped, so `Some` means parked (or rung since and about
-    /// to be popped) with that timer pending.
+    /// to be popped) with that timer pending.  A node a hand-off ran keeps
+    /// its entry until it parks with another or the instant passes; if it
+    /// is parked by then, that costs it one step with nothing to do.
     filed: Vec<Option<Instant>>,
     /// No filed instant is earlier (one popped since may have been): what a
     /// worker sleeps until, and `None` only when none is filed.
     earliest: Option<Instant>,
-    /// Ids popped so far; every [`FAIRNESS`]th pop reads the clock.
-    pops: usize,
+    /// Dispatches since a worker last read the clock here: the pops, and
+    /// the hand-offs workers made without popping, which they report at
+    /// their next pop.  Past [`FAIRNESS`] the next pop reads it.
+    since_look: usize,
     /// The last node retired: workers leave instead of sleeping.
     closed: bool,
 }
@@ -143,7 +176,7 @@ impl ReadyQueue {
                 sleepers: 0,
                 filed: vec![None; nodes],
                 earliest: None,
-                pops: 0,
+                since_look: FAIRNESS,
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -154,18 +187,13 @@ impl ReadyQueue {
         self.state.lock().expect(POISONED)
     }
 
-    /// Queue `id`, adding one to `wakeup` (its node's `driver_wakeups`) if
-    /// this is a wake-up: the lock is that counter's owner, since a ring
-    /// comes from any thread.  True if a sleeping worker was notified for
-    /// it (the `futex_wake`, made after the lock is released).  A worker
-    /// that is not counted asleep has yet to look at the queue under the
-    /// lock, and will find `id` there.
-    fn push(&self, id: usize, wakeup: Option<&Counter>) -> bool {
+    /// Queue `id`.  True if a sleeping worker was notified for it (the
+    /// `futex_wake`, made after the lock is released).  A worker that is
+    /// not counted asleep has yet to look at the queue under the lock, and
+    /// will find `id` there.
+    fn push(&self, id: usize) -> bool {
         let asleep = {
             let mut r = self.lock();
-            if let Some(wakeups) = wakeup {
-                wakeups.add(1);
-            }
             r.queue.push_back(id);
             self.len.store(r.queue.len(), Ordering::Relaxed);
             r.sleepers > 0
@@ -181,18 +209,33 @@ impl ReadyQueue {
     /// [`ReadyQueue::close`] or the earliest filed instant — indefinitely
     /// when none is filed.  A node whose filed instant has passed is queued
     /// if `wake` (its `Idle → Queued` transition) says it was still parked;
-    /// the clock is read for that when there is nothing to pop, and every
-    /// [`FAIRNESS`] pops when there always is.
-    fn pop(&self, wake: impl Fn(usize) -> bool) -> Option<usize> {
+    /// the clock is read for that when there is nothing to pop, and once
+    /// [`FAIRNESS`] dispatches have passed when there always is — the
+    /// caller's `handed` hand-offs since its last pop among them.
+    ///
+    /// `queued` is a node the caller ended a run of hand-offs on: it joins
+    /// the back of the queue under the same lock, and wakes a sleeping
+    /// worker only if something else is popped in its place — the caller
+    /// is about to pop, so a sleeper woken for it would find nothing.
+    fn pop(
+        &self,
+        handed: usize,
+        queued: Option<usize>,
+        wake: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
         let mut r = self.lock();
+        r.since_look += handed;
+        r.queue.extend(queued);
         let mut look_until = None;
         loop {
             if r.closed {
                 return None;
             }
-            let look =
-                r.queue.is_empty() || r.earliest.is_some() && r.pops.is_multiple_of(FAIRNESS);
+            let look = r.queue.is_empty() || r.earliest.is_some() && r.since_look >= FAIRNESS;
             let now = look.then(Instant::now);
+            if look {
+                r.since_look = 0;
+            }
             if let Some(now) = now.filter(|&now| r.earliest.is_some_and(|at| at <= now)) {
                 r.requeue_due(now, &wake);
                 if r.sleepers > 0 && r.queue.len() > 1 {
@@ -202,7 +245,12 @@ impl ReadyQueue {
             if let Some(id) = r.queue.pop_front() {
                 self.len.store(r.queue.len(), Ordering::Relaxed);
                 r.filed[id] = None;
-                r.pops = r.pops.wrapping_add(1);
+                r.since_look += 1;
+                let pass_on = queued.is_some_and(|q| q != id) && r.sleepers > 0;
+                drop(r);
+                if pass_on {
+                    self.cv.notify_one();
+                }
                 return Some(id);
             }
             let now = now.expect("read for an empty queue");
@@ -287,27 +335,89 @@ struct Bells {
     ready: ReadyQueue,
 }
 
-impl Bells {
-    /// `Idle → Queued`; false if `id` was not idle.
-    fn claim(&self, id: usize) -> bool {
-        self.states[id]
-            .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-    }
+/// A worker's hand-off slot (see the module notes): which pool's worker
+/// runs on this thread, whether it is running driver code, and the one
+/// node a ring from that code woke and the worker holds.
+#[derive(Clone, Copy)]
+struct Handoff {
+    bells: *const Bells,
+    driving: bool,
+    held: Option<usize>,
+}
 
-    /// Queue `id`, counted as a wake-up of its driver.
-    fn push_woken(&self, id: usize) {
-        self.ready.push(id, Some(&self.stats[id].driver_wakeups));
+thread_local! {
+    static HANDOFF: Cell<Handoff> = const {
+        Cell::new(Handoff {
+            bells: ptr::null(),
+            driving: false,
+            held: None,
+        })
+    };
+}
+
+/// Run `f` as driver code: a ring it makes that wakes a node of this
+/// worker's pool is held for the worker — the first one; the rest are
+/// queued — instead of going to the shared ready queue.  A message handler
+/// in the pump and a departure are driver code; a green thread's quantum
+/// is not.  Off an executor worker (a test stepping a node by hand) this
+/// is just `f()`.
+pub(crate) fn driver_code<R>(f: impl FnOnce() -> R) -> R {
+    let was = HANDOFF.get();
+    HANDOFF.set(Handoff {
+        driving: true,
+        ..was
+    });
+    let out = f();
+    HANDOFF.set(Handoff {
+        driving: was.driving,
+        ..HANDOFF.get()
+    });
+    out
+}
+
+/// Send a held ring to the shared ready queue: before a green-thread
+/// quantum, which must not delay the node it woke.
+pub(crate) fn release_held() {
+    if let Some(id) = take_held() {
+        let bells = HANDOFF.get().bells;
+        // SAFETY: a ring is held only on a worker of a pool, whose `Bells`
+        // outlive the worker (`Inner` owns them).
+        unsafe { (*bells).ready.push(id) };
+    }
+}
+
+/// The ring this thread holds, taken out of the slot.
+fn take_held() -> Option<usize> {
+    let h = HANDOFF.get();
+    HANDOFF.set(Handoff { held: None, ..h });
+    h.held
+}
+
+impl Bells {
+    /// `Idle → Queued`; false if `id` was not idle.  The thread whose claim
+    /// succeeds counts the wake-up: the state machine admits one claim at a
+    /// time, and orders each after the last.
+    fn claim(&self, id: usize) -> bool {
+        let claimed = self.states[id]
+            .compare_exchange(IDLE, QUEUED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        if claimed {
+            self.stats[id].driver_wakeups.add(1);
+        }
+        claimed
     }
 
     /// Doorbell listener body: route a ring on `id`'s bell into the ready
-    /// queue (or defer it if the node is mid-run).
+    /// queue — or this worker's hand-off slot, from driver code — or defer
+    /// it if the node is mid-run.
     fn notify(&self, id: usize) {
         loop {
             match self.states[id].load(Ordering::SeqCst) {
                 IDLE => {
                     if self.claim(id) {
-                        self.push_woken(id);
+                        if !self.hold(id) {
+                            self.ready.push(id);
+                        }
                         return;
                     }
                 }
@@ -325,6 +435,21 @@ impl Bells {
             }
         }
     }
+
+    /// Hold the just-claimed `id` in this thread's hand-off slot, if the
+    /// thread is a worker of this pool running driver code with the slot
+    /// free.
+    fn hold(&self, id: usize) -> bool {
+        let h = HANDOFF.get();
+        let held = h.driving && ptr::eq(h.bells, self) && h.held.is_none();
+        if held {
+            HANDOFF.set(Handoff {
+                held: Some(id),
+                ..h
+            });
+        }
+        held
+    }
 }
 
 struct Inner {
@@ -340,8 +465,10 @@ struct Inner {
 
 impl Inner {
     /// One dispatch: run `id` for up to the fairness budget, then park,
-    /// requeue, or retire it.
-    fn run_node(&self, id: usize) {
+    /// requeue, or retire it.  Returns the node a ring of its driver code
+    /// woke, if `id` then had nothing left to do: `id` is parked already,
+    /// and the worker may run that node next (the hand-off).
+    fn run_node(&self, id: usize) -> Option<usize> {
         let Bells {
             states,
             stats,
@@ -353,18 +480,30 @@ impl Inner {
         {
             // Only Done can be observed here (each queue entry corresponds
             // to exactly one Idle/Running→Queued transition).
-            return;
+            return None;
         }
         let mut ctx = self.nodes[id].lock().unwrap();
-        ctx.activate();
         let mut worked = false;
+        let mut handoff = None;
         for _ in 0..FAIRNESS {
             worked = ctx.step();
-            if !worked {
+            let woke = take_held();
+            if !worked || ctx.quiet() {
+                // Nothing left for this node but the empty step that would
+                // find so: it parks now, and the worker runs the node its
+                // driver code woke, if any.
+                handoff = woke;
+                worked = false;
                 break;
+            }
+            if let Some(woke) = woke {
+                ready.push(woke);
             }
         }
         ctx.maybe_ack_shutdown();
+        // The dispatch ends here: the node's buffers are no longer this
+        // thread's to recycle into.
+        BufPool::undrive();
         if ctx.finished() {
             states[id].store(DONE, Ordering::SeqCst);
             drop(ctx);
@@ -372,7 +511,7 @@ impl Inner {
                 // Last node retired: wake every parked worker to exit.
                 ready.close();
             }
-            return;
+            return handoff;
         }
         if worked {
             // Budget exhausted with work still pending: back of the line
@@ -380,8 +519,8 @@ impl Inner {
             // Overwrites a concurrent Notified, which is then redundant.
             drop(ctx);
             states[id].store(QUEUED, Ordering::SeqCst);
-            ready.push(id, None);
-            return;
+            ready.push(id);
+            return None;
         }
         // Nothing to do: try to park — until the instant the node names, if
         // it has a timer pending.  A ring that landed mid-run left Notified,
@@ -400,24 +539,38 @@ impl Inner {
             None => go_idle(),
         };
         if !parked {
-            // Went Notified; the park was momentary.
+            // Went Notified; the park was momentary.  This worker queues the
+            // node, so it counts the wake-up.
             states[id].store(QUEUED, Ordering::SeqCst);
-            self.bells.push_woken(id);
+            stats[id].driver_wakeups.add(1);
+            ready.push(id);
         }
+        handoff
     }
 
     fn worker_loop(&self) {
         let bells = &*self.bells;
-        // A due instant's wake-up is counted here, under the queue's lock.
-        let wake = |id: usize| {
-            let woke = bells.claim(id);
-            if woke {
-                bells.stats[id].driver_wakeups.add(1);
+        HANDOFF.set(Handoff {
+            bells,
+            driving: false,
+            held: None,
+        });
+        // A due instant's wake-up is a claim like a ring's.
+        let wake = |id: usize| bells.claim(id);
+        let (mut handed, mut queued) = (0, None);
+        while let Some(id) = bells.ready.pop(handed, queued.take(), wake) {
+            // Run the popped node, then the nodes it hands off to, at most
+            // FAIRNESS in a row: then the woken node queues like any other,
+            // and the filed instants get their look.
+            handed = 0;
+            let mut next = Some(id);
+            while let Some(id) = next {
+                next = self.run_node(id);
+                if next.is_some() && handed == FAIRNESS {
+                    queued = next.take();
+                }
+                handed += next.is_some() as usize;
             }
-            woke
-        };
-        while let Some(id) = bells.ready.pop(wake) {
-            self.run_node(id);
         }
     }
 }
@@ -476,7 +629,7 @@ mod tests {
 
     /// Every node is parked: a passed instant always requeues it.
     fn pop(q: &ReadyQueue) -> Option<usize> {
-        q.pop(|_| true)
+        q.pop(0, None, |_| true)
     }
 
     /// Returns once `n` workers are counted asleep — each is then inside
@@ -490,12 +643,12 @@ mod tests {
     #[test]
     fn a_push_notifies_only_a_worker_that_sleeps() {
         let q = queue();
-        assert!(!q.push(3, None), "nobody asleep: no wake-up to pay for");
+        assert!(!q.push(3), "nobody asleep: no wake-up to pay for");
         assert_eq!(pop(&q), Some(3));
         thread::scope(|s| {
             let sleeper = s.spawn(|| pop(&q));
             until_asleep(&q, 1);
-            assert!(q.push(7, None), "one asleep: it is woken");
+            assert!(q.push(7), "one asleep: it is woken");
             assert_eq!(sleeper.join().unwrap(), Some(7));
         });
         assert_eq!(q.lock().sleepers, 0);
@@ -522,7 +675,7 @@ mod tests {
                 "woke with nothing to wake for"
             );
             assert_eq!(q.lock().earliest, None);
-            q.push(5, None);
+            q.push(5);
             while !q.lock().queue.is_empty() {
                 thread::yield_now();
             }
@@ -570,11 +723,11 @@ mod tests {
     fn a_re_park_replaces_the_instant_the_pop_took_back() {
         let q = queue();
         // (One pop behind it, the queue is not about to read the clock.)
-        q.push(0, None);
+        q.push(0);
         assert_eq!(pop(&q), Some(0));
         let t0 = Instant::now();
         assert!(q.park_until(3, t0 + Duration::from_millis(5), || true));
-        q.push(3, None);
+        q.push(3);
         assert_eq!(pop(&q), Some(3));
         assert_eq!(q.lock().filed[3], None);
         let late = t0 + Duration::from_secs(60);
@@ -584,7 +737,7 @@ mod tests {
         thread::scope(|s| {
             let sleeper = s.spawn(|| {
                 // Node 1 was rung and queued by somebody else meanwhile.
-                let popped = q.pop(|id| id != 1);
+                let popped = q.pop(0, None, |id| id != 1);
                 back.store(true, Ordering::SeqCst);
                 popped
             });
@@ -605,20 +758,57 @@ mod tests {
     }
 
     /// A worker that always finds work looks at the filed instants by the
-    /// clock every `FAIRNESS` pops: a due node is queued behind what is
-    /// there, without anybody having slept.
+    /// clock every `FAIRNESS` dispatches: a due node is queued behind what
+    /// is there, without anybody having slept.  Hand-offs count as
+    /// dispatches: a pop after a full run of them looks at once.
     #[test]
     fn a_busy_queue_still_serves_a_filed_instant() {
         let q = queue();
         assert!(q.park_until(7, Instant::now(), || true));
         let popped: Vec<_> = (0..=FAIRNESS)
             .map(|_| {
-                q.push(0, None);
+                q.push(0);
                 pop(&q).unwrap()
             })
             .collect();
         assert_eq!(popped.iter().filter(|&&id| id == 7).count(), 1);
         assert_eq!(q.lock().earliest, None);
+        // A fresh look, an instant that passes at once, and a pop: too soon
+        // to look again.  A full run of hand-offs later, the pop looks.
+        let q = queue();
+        assert!(q.park_until(7, Instant::now() + Duration::from_secs(60), || true));
+        q.push(0);
+        assert_eq!(pop(&q), Some(0), "looked: 7 is not due");
+        assert!(q.park_until(6, Instant::now(), || true));
+        q.push(1);
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(q.lock().queue.len(), 0, "6 waits for the next look");
+        q.push(2);
+        assert_eq!(
+            q.pop(FAIRNESS, None, |_| true),
+            Some(2),
+            "6 queues behind it"
+        );
+        assert_eq!(pop(&q), Some(6));
+    }
+
+    /// A run of hand-offs ends with its node joining the queue as the
+    /// worker pops: a sleeper is woken for it only if the worker takes
+    /// something else.
+    #[test]
+    fn a_node_queued_at_the_end_of_a_run_wakes_a_sleeper_only_if_passed_on() {
+        let q = queue();
+        thread::scope(|s| {
+            let sleeper = s.spawn(|| pop(&q));
+            until_asleep(&q, 1);
+            assert_eq!(q.pop(FAIRNESS, Some(5), |_| true), Some(5));
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(q.lock().sleepers, 1, "woken for the worker's own node");
+            // Queued behind another node (pushed without a wake-up here).
+            q.lock().queue.push_back(4);
+            assert_eq!(q.pop(FAIRNESS, Some(5), |_| true), Some(4));
+            assert_eq!(sleeper.join().unwrap(), Some(5), "passed on");
+        });
     }
 
     #[test]
@@ -648,7 +838,7 @@ mod tests {
                 let q = &q;
                 s.spawn(move || {
                     for i in 0..PER_PRODUCER {
-                        q.push(producer * PER_PRODUCER + i, None);
+                        q.push(producer * PER_PRODUCER + i);
                         if i % 4096 == 0 {
                             // Long enough for the consumers to stop
                             // looking and go to sleep.

@@ -107,12 +107,13 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     // whatever node it ends up on, matched by call id at the caller.
     // It spawns control-priority so a backlog of compute quanta cannot
     // sit between the request and its reply.  The thread owns the request
-    // message and reads the request bytes where they arrived.
+    // message and reads the request bytes where they arrived, and encodes
+    // its reply through the pool of the node it runs on.
     let max = ctx.cfg.max_rpc_payload;
-    let pool = ctx.pool.clone();
     let tid = ctx.sched.next_tid();
     let spawned = ctx.try_spawn(tid, flags::CONTROL | flags::DETACHED, move || {
-        let reply = proto::encode_rpc_reply(&pool, call_id, max, |w| handler(&m.payload[req], w));
+        let w = crate::node::with_ctx(|c| proto::rpc_reply_writer(&c.pool));
+        let reply = proto::encode_rpc_reply(w, call_id, max, |w| handler(&m.payload[req], w));
         // The reply is RPC-shaped traffic too: account it on the serving
         // side (from wherever the handler ended up) so both ends of a
         // chatty pair accumulate affinity toward each other.

@@ -235,8 +235,8 @@
 //! only driver: [`MachineBuilder::workers`]`(1)`
 //! (what [`MachineBuilder::test_profile`] sets) is the single-threaded
 //! machine — one OS thread runs every node and every green thread, in
-//! ready-queue (ring) order, a function of the message history when the
-//! host is quiet.
+//! ready-queue (ring) order — a node woken by another's driver code runs
+//! next — a function of the message history when the host is quiet.
 //!
 //! Multiplexing the drivers is only half of scaling p; the protocols
 //! must also shed their O(p)-per-node costs ([`node`]'s module header

@@ -7,8 +7,9 @@
 //! onto the `executor` worker pool (a rung doorbell queues the node; a
 //! worker locks it, steps it up to a fairness budget, and parks it
 //! again).  With one worker a single OS thread runs every node and every
-//! green thread, in ready-queue (ring) order — a function of the message
-//! history when the host is quiet.  Marcel threads and the message pump
+//! green thread, in ready-queue (ring) order — a node woken by another's
+//! driver code runs next — a function of the message history when the
+//! host is quiet.  Marcel threads and the message pump
 //! interleave but never run concurrently, which is exactly the concurrency
 //! model of a user-level thread runtime.
 //!
@@ -109,6 +110,7 @@ use madeleine::{BufPool, Endpoint, Message};
 use marcel::{DescPtr, RunOutcome, Scheduler, ThreadState};
 
 use crate::config::Pm2Config;
+use crate::executor;
 use crate::handlers::{self, N_CLASSES};
 use crate::migration;
 use crate::nodeheap::NodeHeap;
@@ -1050,10 +1052,17 @@ impl NodeCtx {
         self.exit_notes.entry(tid).or_default().value = Some(bytes);
     }
 
-    /// Bind this node to the calling OS thread (marcel + pm2 TLS).
+    /// Bind this node to the calling OS thread (marcel + pm2 TLS) and name
+    /// its pool's driver list for it, so the buffers this node's code lets
+    /// go recycle here (see `madeleine::buf`).  The executor clears the name
+    /// when the dispatch ends.
     pub(crate) fn activate(&mut self) {
         self.sched.activate();
         CURRENT_NODE.with(|c| c.set(self as *mut NodeCtx));
+        // SAFETY: the caller drives this node — an executor worker holding
+        // its mutex, which undrives before it lets go, or a test owning it —
+        // so no other thread names this pool meanwhile.
+        unsafe { self.pool.drive() };
     }
 
     /// Pull every deliverable message off the endpoint into its priority
@@ -1114,7 +1123,10 @@ impl NodeCtx {
     }
 
     /// One scheduling step: pump, then run one thread quantum.  Returns true
-    /// if any work was done.
+    /// if any work was done.  The pump's handlers and the quantum's outcome
+    /// are driver code (`executor::driver_code`): a node they wake may be
+    /// handed to this worker — held, and released to the shared queue
+    /// before this node's next quantum.
     pub(crate) fn step(&mut self) -> bool {
         // Fenced: a node its peers (or the host) declared dead is dead, even
         // if the verdict was a false suspicion or the minority side of a
@@ -1125,8 +1137,9 @@ impl NodeCtx {
         if self.killed {
             return false;
         }
+        self.activate();
         self.stats.steps.add(1);
-        let pumped = self.pump();
+        let pumped = executor::driver_code(|| self.pump());
         if self.killed {
             return false;
         }
@@ -1154,14 +1167,32 @@ impl NodeCtx {
             }
         }
         self.maybe_prefetch();
-        self.activate();
+        if self.sched.has_ready() {
+            // A thread that sends and then computes must not delay the
+            // node its driver code woke.
+            executor::release_held();
+        }
         match self.sched.run_one() {
             Some(outcome) => {
-                self.handle_outcome(outcome);
+                executor::driver_code(|| self.handle_outcome(outcome));
                 true
             }
             None => pumped || self.idle_timers(),
         }
+    }
+
+    /// Nothing left to do but report so: no ready thread, no ingested
+    /// message, nothing deferred, no zombie or pending adoption, no timer
+    /// armed.  The executor parks a node that is quiet after a step at
+    /// once, without the empty step that would find this, and runs the node
+    /// its driver code woke next (the hand-off).
+    pub(crate) fn quiet(&self) -> bool {
+        !self.sched.has_ready()
+            && !self.inbox_pending()
+            && self.deferred.is_empty()
+            && self.zombies.is_empty()
+            && self.pending_adopts.is_empty()
+            && !self.timers_armed()
     }
 
     /// The node is about to report no work: run its armed timers on a

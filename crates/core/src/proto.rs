@@ -23,7 +23,8 @@
 //! Payloads are little-endian (see [`madeleine::Wire`] for the framing
 //! rules) and are written into a buffer checked out of the caller's
 //! [`BufPool`], so protocol traffic allocates nothing in steady state: the
-//! receiver's drop recycles the buffer into the sender's free list.
+//! receiver's drop recycles the buffer for its own node's next send (see
+//! `madeleine::buf`).
 //!
 //! Three payloads keep bespoke framing, for a reason each: `RPC_CALL` /
 //! `RPC_RESP` write the typed body in place behind a back-patched length
@@ -495,17 +496,17 @@ pub fn encode_rpc_resp(pool: &BufPool, call_id: u64, status: u8, bytes: &[u8]) -
     w.finish()
 }
 
-/// Encode the `RPC_RESP` of a handler run: `fill` writes the response body
-/// in place behind an `OK` header, and its length is back-patched.  An
-/// `Err` from `fill` (it must then have written nothing), or a body over
-/// `max`, becomes a `REMOTE_ERROR` reply instead.
+/// Encode the `RPC_RESP` of a handler run into `w`, an empty writer (a
+/// pool checkout on the message path): `fill` writes the response body in
+/// place behind an `OK` header, and its length is back-patched.  An `Err`
+/// from `fill` (it must then have written nothing), or a body over `max`,
+/// becomes a `REMOTE_ERROR` reply instead, in the same buffer.
 pub fn encode_rpc_reply(
-    pool: &BufPool,
+    mut w: PayloadWriter,
     call_id: u64,
     max: usize,
     fill: impl FnOnce(&mut PayloadWriter) -> std::result::Result<(), String>,
 ) -> Payload {
-    let mut w = PayloadWriter::pooled(pool, RPC_RESP_HEADER);
     w.u64(call_id).u8(rpc_status::OK).u32(0);
     let error = match fill(&mut w) {
         Ok(()) => {
@@ -520,7 +521,17 @@ pub fn encode_rpc_reply(
         }
         Err(e) => e,
     };
-    encode_rpc_resp(pool, call_id, rpc_status::REMOTE_ERROR, error.as_bytes())
+    w.truncate(0)
+        .u64(call_id)
+        .u8(rpc_status::REMOTE_ERROR)
+        .lp_bytes(error.as_bytes());
+    w.finish()
+}
+
+/// The writer an `RPC_RESP` is encoded into: a checkout of `pool` with
+/// room for the header.
+pub fn rpc_reply_writer(pool: &BufPool) -> PayloadWriter {
+    PayloadWriter::pooled(pool, RPC_RESP_HEADER)
 }
 
 /// Decode an `RPC_RESP` payload into (call id, status, body borrowed from

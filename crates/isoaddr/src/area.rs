@@ -14,8 +14,17 @@
 //! slots are mapped process-wide and fails loudly on any overlap.  A
 //! passing test suite is therefore a machine-checked proof that the
 //! slot-ownership protocol never double-allocates an address.
+//!
+//! The accounting is one bit per slot, updated a 64-slot word at a time: a
+//! range that fits one word — every range a hop moves — costs one atomic
+//! read-modify-write to commit and one to decommit.  Under
+//! [`MapStrategy::Resident`] a second table marks the slots decommitted with
+//! their last owner's bytes in them (*stale*).  Only a fresh commit reads or
+//! takes a mark; a decommit sets it only where it is not already set, and a
+//! migrated thread's arrival leaves it alone, so a slot that hops keeps its
+//! mark and its hops touch nothing but `mapped`.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{IsoAddrError, Result};
 use crate::layout::AreaConfig;
@@ -64,15 +73,16 @@ pub struct IsoArea {
     /// This is *process-global accounting*, not ownership — ownership lives
     /// in the per-node bitmaps and per-thread slot lists.
     mapped: Vec<AtomicU64>,
-    /// One bit per slot, `Resident` only: 1 ⇔ the slot was decommitted with
-    /// its last owner's bytes still in it.  A slot's bit is only ever
-    /// touched by whoever holds its `mapped` bit — set just before the
-    /// release in [`Self::decommit_slots`], taken just after the acquire in
-    /// a commit — so the `AcqRel` hand-over of `mapped` is what publishes
-    /// it, and its own accesses are `Relaxed`.
+    /// One bit per slot, `Resident` only: 1 ⇔ the slot may hold bytes of an
+    /// owner other than the next one to commit it fresh.  Set by
+    /// [`Self::decommit_slots`] (if not set already) just before the
+    /// release, taken by a fresh commit just after the acquire, left as it
+    /// is by [`Self::recommit_slots`] — the owner is the same, and the mark
+    /// is still right when it lets the slot go again.  A slot's bit is only
+    /// ever touched by whoever holds its `mapped` bit, so the `AcqRel`
+    /// hand-over of `mapped` is what publishes it, and its own accesses are
+    /// `Relaxed`.
     stale: Vec<AtomicU64>,
-    /// Running count of committed slots (for stats / leak checks).
-    committed: AtomicUsize,
 }
 
 // SAFETY: all mutation goes through atomics; the raw memory behind `base`
@@ -84,6 +94,23 @@ unsafe impl Sync for IsoArea {}
 #[inline]
 fn word_bit(idx: usize) -> (usize, u64) {
     (idx / 64, 1u64 << (idx % 64))
+}
+
+/// The words of a one-bit-per-slot table that `range` covers, in order,
+/// each with the mask of the range's slots in it.
+#[inline]
+fn word_masks(range: SlotRange) -> impl Iterator<Item = (usize, u64)> {
+    let (first, end) = (range.first, range.end());
+    (first / 64..end.div_ceil(64)).map(move |word| {
+        let lo = first.max(word * 64) - word * 64;
+        let bits = end.min(word * 64 + 64) - word * 64 - lo;
+        let mask = if bits == 64 {
+            !0
+        } else {
+            ((1u64 << bits) - 1) << lo
+        };
+        (word, mask)
+    })
 }
 
 impl IsoArea {
@@ -109,7 +136,6 @@ impl IsoArea {
             strategy,
             mapped: table().collect(),
             stale: table().collect(),
-            committed: AtomicUsize::new(0),
         })
     }
 
@@ -168,9 +194,14 @@ impl IsoArea {
         addr >= self.base && addr < self.base + self.cfg.area_size()
     }
 
-    /// Number of slots currently committed process-wide.
+    /// Number of slots currently committed process-wide: the set bits of
+    /// the accounting table, counted now (for tests and audits — no commit
+    /// keeps a running total).
     pub fn committed_slots(&self) -> usize {
-        self.committed.load(Ordering::Relaxed)
+        self.mapped
+            .iter()
+            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .sum()
     }
 
     /// Reject an empty range or one that leaves the area.
@@ -183,48 +214,55 @@ impl IsoArea {
 
     /// Atomically mark `range` as mapped; error if any slot already was.
     fn account_commit(&self, range: SlotRange) -> Result<()> {
-        // Set bits one slot at a time, checking the previous value.  On
-        // conflict, clear the prefix we set and report the violation.
-        for idx in range.iter() {
-            let (word, bit) = word_bit(idx);
-            if self.mapped[word].fetch_or(bit, Ordering::AcqRel) & bit != 0 {
-                for (word, bit) in (range.first..idx).map(word_bit) {
-                    self.mapped[word].fetch_and(!bit, Ordering::AcqRel);
+        // Set a word's bits at once, checking the previous value.  On
+        // conflict, clear what this call set — the bits of this word that
+        // were clear, every bit of the words before — and report it.
+        for (word, mask) in word_masks(range) {
+            let prev = self.mapped[word].fetch_or(mask, Ordering::AcqRel);
+            if prev & mask != 0 {
+                self.mapped[word].fetch_and(!(mask & !prev), Ordering::AcqRel);
+                for (earlier, mask) in word_masks(range).take_while(|&(w, _)| w < word) {
+                    self.mapped[earlier].fetch_and(!mask, Ordering::AcqRel);
                 }
                 return Err(IsoAddrError::DoubleCommit(range));
             }
         }
-        self.committed.fetch_add(range.count, Ordering::Relaxed);
         Ok(())
     }
 
     /// Atomically mark `range` as unmapped; error if any slot wasn't mapped.
     fn account_decommit(&self, range: SlotRange) -> Result<()> {
         // The mirror image of `account_commit`: on a slot that was not
-        // mapped, set the prefix we cleared again, so a refused decommit
+        // mapped, set again what this call cleared, so a refused decommit
         // leaves the accounting as it found it.
-        for idx in range.iter() {
-            let (word, bit) = word_bit(idx);
-            if self.mapped[word].fetch_and(!bit, Ordering::AcqRel) & bit == 0 {
-                for (word, bit) in (range.first..idx).map(word_bit) {
-                    self.mapped[word].fetch_or(bit, Ordering::AcqRel);
+        for (word, mask) in word_masks(range) {
+            let prev = self.mapped[word].fetch_and(!mask, Ordering::AcqRel);
+            if prev & mask != mask {
+                self.mapped[word].fetch_or(prev & mask, Ordering::AcqRel);
+                for (earlier, mask) in word_masks(range).take_while(|&(w, _)| w < word) {
+                    self.mapped[earlier].fetch_or(mask, Ordering::AcqRel);
                 }
                 return Err(IsoAddrError::NotCommitted(range));
             }
         }
-        self.committed.fetch_sub(range.count, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Take the stale bits of `range` (which the caller has just committed)
-    /// and, if `scrub`, zero-fill each slot that had one.  Returns how many
-    /// slots were zero-filled.  The only place a slot is ever scrubbed.
-    fn take_stale(&self, range: SlotRange, scrub: bool) -> usize {
+    /// Take the stale marks of `range` (which the caller has just committed
+    /// for a new owner) and zero-fill each slot that had one.  Returns how
+    /// many slots were zero-filled.  The only place a slot is ever
+    /// scrubbed, and the only reader of a mark besides the decommit that
+    /// sets it.
+    fn take_stale(&self, range: SlotRange) -> usize {
         let mut scrubbed = 0;
-        for idx in range.iter() {
-            let (word, bit) = word_bit(idx);
-            let was_stale = self.stale[word].fetch_and(!bit, Ordering::Relaxed) & bit != 0;
-            if was_stale && scrub {
+        for (word, mask) in word_masks(range) {
+            if self.stale[word].load(Ordering::Relaxed) & mask == 0 {
+                continue;
+            }
+            let mut marks = self.stale[word].fetch_and(!mask, Ordering::Relaxed) & mask;
+            while marks != 0 {
+                let idx = word * 64 + marks.trailing_zeros() as usize;
+                marks &= marks - 1;
                 // SAFETY: the caller holds the `mapped` bit of `idx`, whose
                 // acquire ordered the last owner's writes before this one,
                 // and under `Resident` the whole area stays mapped RW.
@@ -238,10 +276,11 @@ impl IsoArea {
     }
 
     /// The one commit path, behind [`Self::commit_slots`] (`fresh`) and
-    /// [`Self::recommit_slots`] (not): account, then map (`Syscall`) or
-    /// settle the stale bits (`Resident`; `fresh` says whether stale bytes
-    /// are scrubbed or kept).  Returns the number of slots zero-filled here
-    /// — always 0 under `Syscall`, where the kernel dropped the pages.
+    /// [`Self::recommit_slots`] (not): account, then map (`Syscall`) or, for
+    /// a fresh commit under `Resident`, scrub the stale slots.  Returns the
+    /// number of slots zero-filled here — always 0 under `Syscall`, where
+    /// the kernel dropped the pages, and for a recommit, which keeps the
+    /// owner's bytes and leaves the marks alone.
     pub(crate) fn commit(&self, range: SlotRange, fresh: bool) -> Result<usize> {
         self.check_range(range)?;
         self.account_commit(range)?;
@@ -256,7 +295,8 @@ impl IsoArea {
                 }
                 Ok(0)
             }
-            MapStrategy::Resident => Ok(self.take_stale(range, fresh)),
+            MapStrategy::Resident if fresh => Ok(self.take_stale(range)),
+            MapStrategy::Resident => Ok(0),
         }
     }
 
@@ -293,11 +333,15 @@ impl IsoArea {
         self.check_range(range)?;
         if self.strategy == MapStrategy::Resident {
             // Before the `mapped` bits are released, so that whoever
-            // acquires one next sees its stale bit.  (On a range that then
-            // turns out not to be committed the marks stay: they cost the
-            // next committer of those slots one scrub, nothing else.)
-            for (word, bit) in range.iter().map(word_bit) {
-                self.stale[word].fetch_or(bit, Ordering::Relaxed);
+            // acquires one next sees its stale bit; set only where missing,
+            // so a slot that hops — already marked — costs a load.  (On a
+            // range that then turns out not to be committed the marks stay:
+            // they cost the next committer of those slots one scrub,
+            // nothing else.)
+            for (word, mask) in word_masks(range) {
+                if self.stale[word].load(Ordering::Relaxed) & mask != mask {
+                    self.stale[word].fetch_or(mask, Ordering::Relaxed);
+                }
             }
         }
         self.account_decommit(range)?;
@@ -329,6 +373,7 @@ impl Drop for IsoArea {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     fn small_area() -> IsoArea {
         IsoArea::new(AreaConfig::small()).unwrap()
@@ -504,6 +549,85 @@ mod tests {
         });
         assert_eq!(dirty.into_inner(), 0, "commits that read a peer's bytes");
         assert_eq!(a.committed_slots(), 0);
+    }
+
+    /// A hop leaves the stale mark alone: the slot keeps it through a
+    /// thousand surrenders and arrivals of its owner, which scrub nothing
+    /// and see their bytes; once the owner lets it go, the next owner's
+    /// fresh commit takes the mark and reads zero.
+    #[test]
+    fn a_slot_that_hops_keeps_its_mark_until_a_new_owner_commits_it() {
+        let a = small_area();
+        let r = SlotRange::single(40);
+        let marked = |a: &IsoArea| a.stale[0].load(Ordering::Relaxed) & (1 << 40) != 0;
+        assert_eq!(a.commit(r, true), Ok(0));
+        assert!(!marked(&a));
+        fill(&a, r, 0x5A);
+        for hop in 0..1000 {
+            a.decommit_slots(r).unwrap();
+            assert!(marked(&a), "hop {hop}: surrendered");
+            assert_eq!(
+                a.commit(r, false),
+                Ok(0),
+                "hop {hop}: an arrival scrubs nothing"
+            );
+            assert!(marked(&a), "hop {hop}: arrived");
+        }
+        assert!(bytes(&a, r).iter().all(|&b| b == 0x5A), "the owner's bytes");
+        a.decommit_slots(r).unwrap();
+        assert_eq!(a.commit(r, true), Ok(1), "the new owner's commit scrubs");
+        assert!(bytes(&a, r).iter().all(|&b| b == 0));
+        assert!(!marked(&a));
+        a.decommit_slots(r).unwrap();
+    }
+
+    /// `committed_slots` is counted from the accounting table itself, so it
+    /// is exact after any mix of commits, recommits, decommits, refusals and
+    /// their rollbacks — ranges inside one word, across two, over whole
+    /// words — checked slot by slot against a model.
+    #[test]
+    fn committed_slots_counts_the_table_through_refusals_and_rollbacks() {
+        let cfg = AreaConfig {
+            n_slots: 300,
+            ..AreaConfig::small()
+        };
+        let a = IsoArea::new(cfg).unwrap();
+        let mut model = vec![false; cfg.n_slots];
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % below as u64) as usize
+        };
+        let (mut refused, mut done) = (0, 0);
+        for step in 0..20_000 {
+            let count = [1, 1, 2, 3, 7, 64, 70, 130][next(8)];
+            let r = SlotRange::new(next(cfg.n_slots - count + 1), count);
+            let held = r.iter().filter(|&s| model[s]).count();
+            let (outcome, ok) = match next(3) {
+                0 => (a.commit(r, true).map(|_| ()), held == 0),
+                1 => (a.commit(r, false).map(|_| ()), held == 0),
+                _ => (a.decommit_slots(r), held == count),
+            };
+            assert_eq!(outcome.is_ok(), ok, "step {step}: {r:?} with {held} held");
+            if ok {
+                let commit = held == 0;
+                r.iter().for_each(|s| model[s] = commit);
+                done += 1;
+            } else {
+                refused += 1;
+            }
+            let want = model.iter().filter(|&&m| m).count();
+            assert_eq!(a.committed_slots(), want, "step {step}");
+            if step % 1000 == 0 {
+                assert!((0..cfg.n_slots).all(|s| a.is_committed(s) == model[s]));
+            }
+        }
+        assert!(
+            refused > 1000 && done > 1000,
+            "{refused} refused, {done} done"
+        );
     }
 
     #[test]

@@ -27,18 +27,22 @@
 //!   the executor's node mutex (a green thread bumps through `with_ctx`,
 //!   on the node it runs on *now*).  The one exception is
 //!   `driver_wakeups`, which a ring can cause from any thread: it is
-//!   bumped only under the executor's ready-queue lock.
+//!   bumped by the thread whose transition queues the node (the
+//!   `Idle → Queued` claim, or the worker requeueing a node rung mid-run),
+//!   and the executor's state machine admits one such transition at a
+//!   time, each ordered after the last.
 //! * `EndpointStats` — the `Endpoint`, which is `!Sync`: its one owner
 //!   counts its own sends and receives.
 //! * `SlotStats` — the `NodeSlotManager`, through `&mut`.
 //! * `BalancerStats` — the balancer daemon, one green thread.
-//! * `BufPoolStats` — the pool's free-list lock: every bump happens with
-//!   it held, whichever thread checks out or drops the last payload.
+//! * `BufPoolStats` — two sets per pool, summed when read: the locked free
+//!   list's, bumped with its lock held, and the driver list's, bumped by
+//!   the one thread driving the pool's node.
 //!
 //! A second writer needs an owner (a lock both take, or a tally of its
 //! own summed in at read time, as `Machine` does with the host's control
 //! re-sends); never a `fetch_add` on a counter.  Atomics that are not
-//! counters — a committed-slot total, a tid source — keep theirs.
+//! counters — a tid source — keep theirs.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 

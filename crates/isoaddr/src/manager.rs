@@ -576,14 +576,35 @@ mod tests {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), addr1 as *mut u8, 64);
             assert_eq!((addr1 as *const u64).read(), 0xC0FFEE);
         }
-        // The slot moved with its owner: both commits were counted, neither
-        // scrubbed anything.
-        assert_eq!(m0.stats_snapshot().commits + m1.stats_snapshot().commits, 2);
-        assert_eq!(m0.stats_snapshot().scrubs + m1.stats_snapshot().scrubs, 0);
+        // The slot moves with its owner, hop after hop: every commit is
+        // counted, none scrubs anything.
+        for hop in 0..500 {
+            let (from, to) = if hop % 2 == 0 {
+                (&mut m1, &mut m0)
+            } else {
+                (&mut m0, &mut m1)
+            };
+            from.surrender(r).unwrap();
+            assert_eq!(to.adopt(r).unwrap(), addr);
+        }
+        let scrubs = |m0: &NodeSlotManager, m1: &NodeSlotManager| {
+            [m0, m1].map(|m| m.stats_snapshot().scrubs)
+        };
+        assert_eq!(
+            m0.stats_snapshot().commits + m1.stats_snapshot().commits,
+            502
+        );
+        assert_eq!(scrubs(&m0, &m1), [0, 0]);
+        assert_eq!(unsafe { (addr as *const u64).read() }, 0xC0FFEE);
         // Thread dies on node 1: slots released THERE (Fig. 6 step 4).
         m1.release(r).unwrap();
         assert!(m1.bitmap().get(0), "node 1 now owns slot 0");
         assert!(!m0.bitmap().get(0), "node 0 no longer tracks slot 0");
+        // The next owner's fresh commit pays the one scrub the hops did not.
+        assert_eq!(m1.acquire_specific(r).unwrap(), addr);
+        assert_eq!(unsafe { (addr as *const u64).read() }, 0);
+        assert_eq!(scrubs(&m0, &m1), [0, 1]);
+        m1.release(r).unwrap();
     }
 
     /// A thread lost in flight: its slots were surrendered with their bytes

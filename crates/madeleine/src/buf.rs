@@ -6,16 +6,38 @@
 //! received buffer is dropped on the floor.  This module provides the two
 //! types the whole message path is built on:
 //!
-//! * [`BufPool`] — a per-endpoint free list of byte buffers.  `checkout`
-//!   hands out a writable [`PayloadBuf`]; when the last reader of the
-//!   sealed payload drops, the buffer (capacity intact) returns to the
-//!   free list of the pool it came from.  Steady-state traffic therefore
-//!   performs **zero payload heap allocations**: the same backing buffer
-//!   cycles checkout → send → receive → drop → checkout.
+//! * [`BufPool`] — a per-endpoint store of byte buffers.  `checkout` hands
+//!   out a writable [`PayloadBuf`]; when the last reader of the sealed
+//!   payload drops, the buffer (capacity intact) goes back to a free list.
+//!   Steady-state traffic therefore performs **zero payload heap
+//!   allocations**: the same backing buffer cycles checkout → send →
+//!   receive → drop → checkout.
 //! * [`Payload`] — a sealed, refcounted, read-only byte buffer
 //!   (`Deref<Target = [u8]>`).  `clone` is a refcount bump, never a copy,
 //!   which is what lets `broadcast` fan a single buffer out to `p − 1`
 //!   receivers with one allocation total.
+//!
+//! ## Where a buffer recycles
+//!
+//! A pool keeps two free lists.  The *driver list* belongs to whichever
+//! thread drives the pool's node right now — named for that thread by
+//! [`BufPool::drive`] and cleared by [`BufPool::undrive`] — and takes no
+//! lock, no atomic and no refcount.  The *locked list* serves everyone
+//! else.  A buffer recycles **where it dies**:
+//!
+//! * a payload whose last reader drops on a thread that drives a node goes
+//!   onto that node's driver list, whichever pool it was checked out of;
+//! * a checkout by the thread driving the pool pops the driver list first,
+//!   so in a ping-pong between two nodes the same buffer goes round;
+//! * a drop on a thread that drives no node (the host), or onto a driver
+//!   list that is full, takes the buffer home to the locked list of the
+//!   pool it was first checked out of, and a checkout the driver list
+//!   cannot serve — from another node's pool, or an empty list — locks it.
+//!
+//! `max_free` bounds each list.  Each list has its own counter set with
+//! one writer — the driver for the driver list, the lock for the locked
+//! one — and [`BufPool::stats`] sums them, so `checkouts = reuses + allocs`
+//! holds across both.
 //!
 //! Lifecycle (the aliasing discipline the `unsafe` below relies on):
 //!
@@ -26,67 +48,128 @@
 //!                       Payload ──clone──► Payload …   (shared readers)
 //!                          │ last drop
 //!                          ▼
-//!                 recycled into the origin pool's free list
+//!          the driver list of the dropping thread, or the origin's locked list
 //! ```
 //!
 //! A slab is referenced by **exactly one** of: a `PayloadBuf` (mutable
-//! access), one or more `Payload`s (read-only access), or the pool's free
-//! list (no access).  The transitions are all moves (`checkout` pops a
+//! access), one or more `Payload`s (read-only access), or a free list (no
+//! access).  The transitions are all moves (`checkout` pops a
 //! uniquely-owned slab, `freeze` consumes the writer, recycling requires
-//! `Arc::get_mut` to prove uniqueness), so readers and the writer can never
-//! coexist.
+//! the last reference — no `Weak<Slab>` exists, so a strong count of one
+//! is that proof), so readers and the writer can never coexist.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::ops::{Deref, DerefMut};
+use std::ptr;
+use std::sync::atomic::{fence, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+
+thread_local! {
+    /// The pool whose node the calling thread drives, if any: whose driver
+    /// list a payload dropped here recycles into, and whose checkouts on
+    /// this thread pop it.  Set by [`BufPool::drive`], cleared by
+    /// [`BufPool::undrive`] and by the pool's own teardown.
+    static DRIVEN: Cell<*const PoolShared> = const { Cell::new(ptr::null()) };
+}
 
 /// One pooled backing buffer.  The `UnsafeCell` is what lets the pool hand
 /// the same heap allocation alternately to a unique writer and to shared
 /// readers without re-allocating an `Arc` per cycle.
 struct Slab {
     data: UnsafeCell<Vec<u8>>,
-    /// The pool this slab recycles into (`Weak`: a live payload must not
-    /// keep a dead pool alive).
+    /// The pool this slab was first checked out of, whose locked list it
+    /// goes home to (`Weak`: a live payload must not keep a dead pool
+    /// alive).  Read only off the driver lists' path.
     pool: Weak<PoolShared>,
 }
 
 // SAFETY: access to `data` is governed by the ownership protocol documented
 // on the module: a slab is reachable through exactly one of PayloadBuf
-// (unique `&mut`), Payloads (shared `&`), or the free list (idle), and the
+// (unique `&mut`), Payloads (shared `&`), or a free list (idle), and the
 // transitions between those states are moves.  No state allows a writer and
 // a reader to alias.
 unsafe impl Send for Slab {}
 unsafe impl Sync for Slab {}
 
 counters! {
-    /// A pool's live counters.
+    /// A pool's live counters: one set per free list.
     struct PoolCounters;
     /// Point-in-time counters of a [`BufPool`].
     pub struct BufPoolStats {
         /// Total `checkout` calls.
         checkouts,
-        /// Checkouts served from the free list (no allocation).
+        /// Checkouts served from a free list (no allocation).
         reuses,
         /// Checkouts that had to allocate a fresh buffer.
         allocs,
-        /// Buffers returned to the free list by payload drops.
+        /// Buffers returned to a free list by payload drops.
         recycles,
     }
 }
 
 struct PoolShared {
+    /// The locked free list.
     free: Mutex<Vec<Arc<Slab>>>,
-    /// Free-list capacity: beyond this, returning buffers are simply freed
-    /// (bounds worst-case memory after a traffic burst).
-    max_free: usize,
+    /// Counted with `free`'s lock held: the lock is their one writer.
     counters: PoolCounters,
+    /// The driver list: touched only by the thread whose `DRIVEN` names
+    /// this pool — see [`BufPool::drive`] for why that is one thread at a
+    /// time.
+    local: UnsafeCell<Vec<Arc<Slab>>>,
+    /// Counted on the driver list, by that thread: their one writer.
+    local_counters: PoolCounters,
+    /// Capacity of each list: beyond it, returning buffers go home or are
+    /// freed (bounds worst-case memory after a traffic burst).
+    max_free: usize,
 }
 
-/// A free list of reusable payload buffers, cheaply clonable (`Arc` handle).
+// SAFETY: `local` is touched only by the one thread driving the pool (the
+// contract of `BufPool::drive`); everything else is atomics or behind
+// `free`'s lock.
+unsafe impl Sync for PoolShared {}
+
+impl PoolShared {
+    /// Run `f` on the driver list and its counters, if the calling thread
+    /// drives this pool.  `f` must not drop a payload (which could recycle
+    /// into the list it holds).
+    #[inline]
+    fn on_driver_list<R>(
+        &self,
+        f: impl FnOnce(&mut Vec<Arc<Slab>>, &PoolCounters) -> R,
+    ) -> Option<R> {
+        if DRIVEN.get() != ptr::from_ref(self) {
+            return None;
+        }
+        // SAFETY: `DRIVEN` names this pool on this thread only while no
+        // other thread touches `local` (`BufPool::drive`), and `f` does not
+        // reach it again.
+        Some(f(unsafe { &mut *self.local.get() }, &self.local_counters))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<Slab>>> {
+        self.free.lock().expect("buf pool poisoned")
+    }
+}
+
+impl Drop for PoolShared {
+    fn drop(&mut self) {
+        // A thread must not keep naming a pool that is gone.  (`try_with`:
+        // the thread's own locals may be the ones tearing down.)
+        let me = ptr::from_ref(&*self);
+        let _ = DRIVEN.try_with(|d| {
+            if d.get() == me {
+                d.set(ptr::null());
+            }
+        });
+    }
+}
+
+/// A pair of free lists of reusable payload buffers, cheaply clonable
+/// (`Arc` handle).
 ///
-/// Every [`crate::Endpoint`] owns one (uncontended in steady state: a node's
-/// sends check out of its own endpoint's pool), and upper layers reach it
-/// through [`crate::Endpoint::pool`].
+/// Every [`crate::Endpoint`] owns one, and upper layers reach it through
+/// [`crate::Endpoint::pool`].  See the module notes for which list a
+/// buffer returns to.
 #[derive(Clone)]
 pub struct BufPool {
     shared: Arc<PoolShared>,
@@ -108,39 +191,71 @@ impl std::fmt::Debug for BufPool {
 }
 
 impl BufPool {
-    /// A pool keeping up to 64 idle buffers.
+    /// A pool keeping up to 64 idle buffers per list.
     pub fn new() -> Self {
         BufPool::with_capacity_limit(64)
     }
 
-    /// A pool keeping at most `max_free` idle buffers.
+    /// A pool keeping at most `max_free` idle buffers per list.
     pub fn with_capacity_limit(max_free: usize) -> Self {
         BufPool {
             shared: Arc::new(PoolShared {
                 free: Mutex::new(Vec::new()),
-                max_free,
                 counters: PoolCounters::default(),
+                local: UnsafeCell::new(Vec::new()),
+                local_counters: PoolCounters::default(),
+                max_free,
             }),
         }
+    }
+
+    /// Name this pool's driver list for the calling thread: from now on a
+    /// payload whose last reader drops on this thread recycles into it, and
+    /// this pool's checkouts on this thread pop it first.  Replaces any
+    /// pool the thread named before.
+    ///
+    /// # Safety
+    /// No other thread may name this pool until the calling thread has
+    /// named another or called [`BufPool::undrive`], and the two must be
+    /// ordered (by a lock both take, say): the driver list is then touched
+    /// by one thread at a time.  An executor meets this by naming a node's
+    /// pool only while it holds the node, and clearing the name before it
+    /// lets the node go.
+    pub unsafe fn drive(&self) {
+        DRIVEN.set(Arc::as_ptr(&self.shared));
+    }
+
+    /// The calling thread drives no pool any more: its drops go home to
+    /// their origin's locked list.
+    pub fn undrive() {
+        DRIVEN.set(ptr::null());
     }
 
     /// Check out a writable buffer with at least `cap` bytes of capacity,
     /// reusing a pooled buffer when one is available.
     pub fn checkout(&self, cap: usize) -> PayloadBuf {
-        let recycled = {
-            // The counters' owner is this lock: a pool is checked out of
-            // from whichever worker runs a thread of its node (an LRPC
-            // handler that migrated, say), not only by its endpoint.
-            let mut free = self.shared.free.lock().expect("buf pool poisoned");
-            let c = &self.shared.counters;
-            let slab = free.pop();
-            c.checkouts.add(1);
-            match slab {
-                Some(_) => c.reuses.add(1),
-                None => c.allocs.add(1),
-            }
-            slab
-        };
+        let shared = &*self.shared;
+        let recycled = shared
+            .on_driver_list(|list, c| {
+                let slab = list.pop()?;
+                c.checkouts.add(1);
+                c.reuses.add(1);
+                Some(slab)
+            })
+            .flatten()
+            .or_else(|| {
+                // Not this pool's driver, or its list is empty: the lock
+                // owns these counters.
+                let mut free = shared.lock();
+                let c = &shared.counters;
+                let slab = free.pop();
+                c.checkouts.add(1);
+                match slab {
+                    Some(_) => c.reuses.add(1),
+                    None => c.allocs.add(1),
+                }
+                slab
+            });
         match recycled {
             Some(slab) => {
                 let mut buf = PayloadBuf { slab };
@@ -158,14 +273,17 @@ impl BufPool {
         }
     }
 
-    /// Number of idle buffers currently on the free list.
+    /// Number of idle buffers on the locked list — plus the driver list's,
+    /// when the calling thread drives this pool (nobody else may read it).
     pub fn free_len(&self) -> usize {
-        self.shared.free.lock().expect("buf pool poisoned").len()
+        let local = self.shared.on_driver_list(|list, _| list.len());
+        let local = local.unwrap_or(0);
+        self.shared.lock().len() + local
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: both lists' counts, summed.
     pub fn stats(&self) -> BufPoolStats {
-        self.shared.counters.snapshot()
+        self.shared.counters.snapshot() + self.shared.local_counters.snapshot()
     }
 }
 
@@ -299,22 +417,46 @@ impl Drop for Payload {
     }
 }
 
-/// Return a slab to its origin pool if this was the last reference and the
-/// pool still exists (and has room).  This is the **fast path**: the whole
-/// `Arc` goes back on the free list, so the next checkout allocates
-/// nothing at all.  If two final clones race `Arc::get_mut` here, both
-/// fail and the plain `Arc` teardown runs instead — where [`Slab`]'s
-/// `Drop` still salvages the byte buffer (the allocation that matters).
-fn recycle(mut slab: Arc<Slab>) {
-    // `Arc::get_mut` succeeds only for the sole owner, which is exactly the
-    // proof needed to turn the last reader back into an idle pool entry.
-    if Arc::get_mut(&mut slab).is_none() {
+/// Recycle a slab whose payload just dropped, if that was its last
+/// reference: onto the driver list of the calling thread if it drives a
+/// node and the list has room — no lock, no atomic read-modify-write, no
+/// refcount — and home to its origin's locked list otherwise.  The whole
+/// `Arc` goes back, so the next checkout allocates nothing at all.  If two
+/// final clones race here, both see a count of two and the plain `Arc`
+/// teardown runs instead — where [`Slab`]'s `Drop` still salvages the byte
+/// buffer (the allocation that matters).
+fn recycle(slab: Arc<Slab>) {
+    // Nothing ever downgrades a slab's `Arc`, so a strong count of one is
+    // the proof that this was the last reader; the fence orders the other
+    // readers' accesses (released by their drops) before the buffer's
+    // next writer.
+    if Arc::strong_count(&slab) != 1 {
         return; // not provably last; Slab::drop catches the true last one
     }
+    fence(Ordering::Acquire);
+    let mut slab = Some(slab);
+    // SAFETY: a thread names only a pool that is alive: its teardown
+    // clears the name.
+    if let Some(pool) = unsafe { DRIVEN.get().as_ref() } {
+        pool.on_driver_list(|list, c| {
+            if list.len() < pool.max_free {
+                c.recycles.add(1);
+                list.extend(slab.take());
+            }
+        });
+    }
+    if let Some(slab) = slab {
+        go_home(slab);
+    }
+}
+
+/// The locked path of [`recycle`]: the origin pool's locked list if the
+/// pool still exists and has room; otherwise the buffer is freed.
+fn go_home(mut slab: Arc<Slab>) {
     let Some(pool) = slab.pool.upgrade() else {
         return; // pool torn down; just free the buffer
     };
-    let mut free = pool.free.lock().expect("buf pool poisoned");
+    let mut free = pool.lock();
     if free.len() < pool.max_free {
         pool.counters.recycles.add(1);
         free.push(slab);
@@ -331,9 +473,9 @@ fn recycle(mut slab: Arc<Slab>) {
 impl Drop for Slab {
     /// Slow-path salvage.  Runs when the last reference to a slab dies
     /// without taking the fast path above: a [`PayloadBuf`] dropped before
-    /// `freeze` (error paths), or two final [`Payload`] clones racing
-    /// `Arc::get_mut` (e.g. broadcast receivers on different threads).
-    /// The byte buffer is moved into a fresh slab on the free list, so
+    /// `freeze` (error paths), or two final [`Payload`] clones dropping at
+    /// once (e.g. broadcast receivers on different threads).  The byte
+    /// buffer is moved into a fresh slab on its origin's locked list, so
     /// the heap allocation that backs payloads is never lost to the pool —
     /// only the small refcount block is re-created, and only on this rare
     /// path.
@@ -346,7 +488,7 @@ impl Drop for Slab {
             return;
         }
         let origin = std::mem::replace(&mut self.pool, Weak::new());
-        let mut free = pool.free.lock().expect("buf pool poisoned");
+        let mut free = pool.lock();
         if free.len() < pool.max_free {
             pool.counters.recycles.add(1);
             free.push(Arc::new(Slab {
@@ -558,5 +700,84 @@ mod tests {
         let p = b.freeze();
         std::thread::spawn(move || drop(p)).join().unwrap();
         assert_eq!(pool.free_len(), 1);
+    }
+
+    /// A buffer recycles where it dies: on a thread that drives a node it
+    /// joins that node's driver list whichever pool it came from, and
+    /// serves that node's next checkout; on the host it goes home to the
+    /// pool it was first checked out of.
+    #[test]
+    fn a_payload_recycles_on_its_driver_and_goes_home_from_the_host() {
+        let (a, b) = (BufPool::new(), BufPool::new());
+        let p = a.checkout(64).freeze();
+        let ptr = p.as_ptr() as usize;
+        let driver = b.clone();
+        let back = std::thread::spawn(move || {
+            // SAFETY: no other thread names `b`.
+            unsafe { driver.drive() };
+            drop(p);
+            assert_eq!(driver.free_len(), 1, "on the driver's list");
+            let buf = driver.checkout(16);
+            assert_eq!(buf.as_ptr() as usize, ptr, "a's buffer serves b's node");
+            let q = buf.freeze();
+            BufPool::undrive();
+            q
+        })
+        .join()
+        .unwrap();
+        assert_eq!((a.free_len(), b.free_len()), (0, 0));
+        drop(back);
+        assert_eq!((a.free_len(), b.free_len()), (1, 0), "home to its origin");
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!((sa.checkouts, sa.allocs, sa.recycles), (1, 1, 1));
+        assert_eq!((sb.checkouts, sb.reuses, sb.recycles), (1, 1, 1));
+        assert_eq!(a.checkout(8).as_ptr() as usize, ptr);
+    }
+
+    /// Two nodes driven in turn by one thread, passing payloads back and
+    /// forth: one buffer goes round, off the driver lists, after one
+    /// allocation.
+    #[test]
+    fn a_ping_pong_between_two_drivers_circulates_one_buffer() {
+        let pools = [BufPool::new(), BufPool::new()];
+        let mut inflight = pools[0].checkout(64).freeze();
+        let ptr = inflight.as_ptr();
+        for round in 0..100 {
+            let to = &pools[(round + 1) % 2];
+            // SAFETY: this thread is the only one naming either pool.
+            unsafe { to.drive() };
+            drop(inflight);
+            let mut buf = to.checkout(64);
+            assert_eq!(buf.as_ptr(), ptr, "round {round}");
+            buf.push(round as u8);
+            inflight = buf.freeze();
+        }
+        BufPool::undrive();
+        let total: BufPoolStats = pools.iter().map(BufPool::stats).sum();
+        assert_eq!((total.checkouts, total.allocs, total.reuses), (101, 1, 100));
+        assert_eq!(total.checkouts, total.reuses + total.allocs);
+    }
+
+    /// A full driver list sends the overflow home, and a pool torn down
+    /// while a thread names it is forgotten by that thread.
+    #[test]
+    fn the_driver_list_is_bounded_and_forgotten_with_its_pool() {
+        let origin = BufPool::new();
+        let small = BufPool::with_capacity_limit(2);
+        let payloads: Vec<Payload> = (0..5).map(|_| origin.checkout(8).freeze()).collect();
+        // SAFETY: this thread is the only one naming `small`.
+        unsafe { small.drive() };
+        drop(payloads);
+        assert_eq!(small.free_len(), 2, "the driver list is full at two");
+        BufPool::undrive();
+        assert_eq!((origin.free_len(), small.free_len()), (3, 0));
+        unsafe { small.drive() };
+        drop(small);
+        assert_eq!(origin.free_len(), 5, "its idle buffers went home with it");
+        // The name died with the pool: this drop goes home too.
+        let recycled = origin.stats().recycles;
+        drop(origin.checkout(8).freeze());
+        assert_eq!(origin.stats().recycles, recycled + 1);
+        assert_eq!(origin.free_len(), 5);
     }
 }

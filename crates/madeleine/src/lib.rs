@@ -26,10 +26,10 @@
 //! Payloads are [`Payload`] values (see [`buf`]): sealed, refcounted byte
 //! buffers, usually checked out of a per-endpoint [`BufPool`].  The send
 //! path never copies a sealed buffer — a clone is a refcount bump — and a
-//! pooled buffer returns to its origin endpoint's free list when the last
-//! receiver drops it, so steady-state traffic performs **zero payload heap
-//! allocations**: checkout → send → receive → drop → checkout cycles one
-//! backing buffer.
+//! pooled buffer recycles where the last receiver drops it (the free list
+//! of the node that thread drives, or its origin's on the host), so
+//! steady-state traffic performs **zero payload heap allocations**:
+//! checkout → send → receive → drop → checkout cycles one backing buffer.
 //!
 //! When does [`Endpoint::send`] copy?
 //!

@@ -6,7 +6,8 @@
 //!
 //! Payloads are [`Payload`] values: sealed, refcounted, usually pooled (see
 //! [`crate::buf`]).  Receivers read them through `Deref<Target = [u8]>`;
-//! dropping the message recycles a pooled buffer into its origin pool.
+//! dropping the message recycles a pooled buffer (where it is dropped: see
+//! [`crate::buf`]).
 
 use crate::buf::{BufPool, Payload, PayloadBuf};
 
@@ -157,6 +158,13 @@ impl PayloadWriter {
     /// If `at + 4` exceeds the bytes written so far.
     pub fn patch_u32(&mut self, at: usize, v: u32) -> &mut Self {
         self.vec_mut()[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Keep only the first `len` bytes written (a writer rewinding to
+    /// write something else in the same buffer).
+    pub fn truncate(&mut self, len: usize) -> &mut Self {
+        self.vec_mut().truncate(len);
         self
     }
 

@@ -1,11 +1,16 @@
 //! The in-process fabric.
 //!
-//! [`Fabric::new`] wires `n` endpoints together, one inbox per node: an
-//! unbounded FIFO behind one mutex, its length mirrored in an atomic so an
-//! empty poll takes no lock.  A message costs its sender one lock and its
-//! receiver one lock, and allocates nothing once the inbox has grown to its
-//! working size.  Message order is preserved per sender/receiver pair, as
-//! on a real Myrinet source-routed network.
+//! [`Fabric::new`] wires `n` endpoints together, one inbox per node.  An
+//! inbox is a bounded multi-producer, single-consumer ring of
+//! sequence-numbered slots (Vyukov's bounded queue, with one consumer) and a
+//! locked overflow lane behind it.  A send claims a slot with one
+//! compare-and-swap on the ring's tail and publishes it with a store; a
+//! receive is loads and stores, and an empty poll is one load of the tail.
+//! When the ring is full the overflow lane takes the push, and every push
+//! after it until the owner has drained the lane, so order holds across the
+//! switch.  The lane keeps its room and the ring never grows, so a message
+//! allocates nothing in steady state.  Message order is preserved per
+//! sender/receiver pair, as on a real Myrinet source-routed network.
 //!
 //! The wire model is **receiver-clocked**: a send is asynchronous (BIP DMAs
 //! the frame out), and the destination pays `latency + bytes × per-byte
@@ -18,11 +23,12 @@
 //! The data plane is zero-copy: [`Endpoint::send`] takes anything
 //! convertible [`Into<Payload>`] and ships the sealed buffer by reference
 //! count — no copy on send, one shared buffer for an entire
-//! [`Endpoint::broadcast`], and pooled buffers (see [`crate::buf`]) return
-//! to their origin endpoint's free list when the receiver drops them.
+//! [`Endpoint::broadcast`], and pooled buffers (see [`crate::buf`]) recycle
+//! where the receiver drops them.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -63,105 +69,241 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// One endpoint's inbox.  Senders push under the lock and the owning
-/// endpoint pops under it; a host receiver with nothing to pop sleeps on
-/// the condvar, counted asleep under the lock first (as the executor's
-/// ready queue counts its workers), so a send pays for a `notify` only
-/// when somebody sleeps.
+/// Slots in an inbox's ring (a power of two).  Past this many messages
+/// queued at once, the overflow lane takes the pushes.
+const RING: usize = 64;
+
+/// Flag bits of [`Inbox::tail`], above the push position.
+const CLOSED: usize = 1 << (usize::BITS - 1);
+/// The overflow lane is non-empty (or about to be): every push goes there.
+const OVERFLOW: usize = 1 << (usize::BITS - 2);
+/// The owner is asleep on the condvar, or committed to it.
+const ASLEEP: usize = 1 << (usize::BITS - 3);
+/// The push position: the bits below the flags.
+const POS: usize = ASLEEP - 1;
+
+/// One ring slot.  `seq` says whose turn it is: `pos` while it waits for
+/// the push of position `pos`, `pos + 1` once that push's message is in it,
+/// and `pos + RING` when the owner has taken it (free for the next lap).
+struct Slot {
+    seq: AtomicUsize,
+    msg: UnsafeCell<MaybeUninit<Message>>,
+}
+
+/// One endpoint's inbox.  Any thread pushes; only the owning endpoint pops
+/// (an endpoint is not `Sync`).  Where a push goes and whether the owner
+/// must be woken are both read off `tail` by the push's one
+/// compare-and-swap.
 struct Inbox {
-    queue: Mutex<Queue>,
-    /// `Queue::msgs`' length, stored under the lock after every push and
-    /// pop: an empty poll is one load.  A sender stores it before it rings
-    /// the doorbell, so the pump the ring provokes reads it non-zero.
-    len: AtomicUsize,
+    /// The next push position, with the `CLOSED`, `OVERFLOW` and `ASLEEP`
+    /// flags on top.
+    tail: AtomicUsize,
+    /// The next position to pop; written by the owner only.
+    head: AtomicUsize,
+    ring: Box<[Slot]>,
+    /// The overflow lane, and the lock a host receiver sleeps under.
+    lane: Mutex<VecDeque<Message>>,
     arrived: Condvar,
 }
 
-#[derive(Default)]
-struct Queue {
-    msgs: VecDeque<Message>,
-    /// The owner is inside the condvar wait (an endpoint is not `Sync`, so
-    /// it is the only receiver).
-    asleep: bool,
-    /// The owning endpoint was dropped: sends fail with
-    /// [`NetError::Disconnected`].
-    closed: bool,
-}
+// SAFETY: `tail`, `head` and each `seq` are atomics and the lane is behind
+// its mutex.  A slot's message (`Message` is `Send`) is written only by the
+// push whose tail CAS claimed the slot, before it publishes `seq`, and read
+// only by the owner after it observes `seq`, which it then hands back with
+// a release store: no two threads touch a message at once.
+unsafe impl Sync for Inbox {}
 
 impl Inbox {
     fn new() -> Inbox {
         Inbox {
-            queue: Mutex::new(Queue::default()),
-            len: AtomicUsize::new(0),
+            tail: AtomicUsize::new(0),
+            head: AtomicUsize::new(0),
+            ring: (0..RING)
+                .map(|pos| Slot {
+                    seq: AtomicUsize::new(pos),
+                    msg: UnsafeCell::new(MaybeUninit::uninit()),
+                })
+                .collect(),
+            lane: Mutex::new(VecDeque::new()),
             arrived: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Queue> {
-        // A panic under this lock leaves the queue whole: push and pop are
+    fn lock_lane(&self) -> MutexGuard<'_, VecDeque<Message>> {
+        // A panic under this lock leaves the lane whole: push and pop are
         // single `VecDeque` calls.
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+        self.lane.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append `msg`; `false` if the owner is gone.  Wakes the owner only if
-    /// it is counted asleep, after the unlock.
+    /// Append `msg`; `false` if the owner is gone.  One CAS on the ring's
+    /// tail; the lane's lock only while it is in use, and a wake-up only if
+    /// the owner is counted asleep.
     fn push(&self, msg: Message) -> bool {
-        let asleep = {
-            let mut q = self.lock();
-            if q.closed {
+        let mut t = self.tail.load(Ordering::Relaxed);
+        loop {
+            if t & CLOSED != 0 {
                 return false;
             }
-            q.msgs.push_back(msg);
-            self.len.store(q.msgs.len(), Ordering::Release);
-            q.asleep
-        };
-        if asleep {
+            if t & OVERFLOW != 0 {
+                return self.push_lane(msg);
+            }
+            let pos = t & POS;
+            let slot = &self.ring[pos % RING];
+            let seq = slot.seq.load(Ordering::Acquire);
+            if seq == pos {
+                match self.tail.compare_exchange_weak(
+                    t,
+                    t + 1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => {
+                        // SAFETY: the CAS made this push the one writer of
+                        // the slot, which the owner has emptied (`seq`).
+                        unsafe { (*slot.msg.get()).write(msg) };
+                        slot.seq.store(pos + 1, Ordering::Release);
+                        if t & ASLEEP != 0 {
+                            drop(self.lock_lane());
+                            self.arrived.notify_one();
+                        }
+                        return true;
+                    }
+                    Err(now) => t = now,
+                }
+            } else if (seq.wrapping_sub(pos) as isize) < 0 {
+                // Still holding the message of the last lap: full.
+                return self.push_lane(msg);
+            } else {
+                // Another push claimed it first.
+                t = self.tail.load(Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The overflow lane's push: set `OVERFLOW` (so every later push comes
+    /// here too, behind this one) and append, under the lane's lock.
+    fn push_lane(&self, msg: Message) -> bool {
+        let mut lane = self.lock_lane();
+        let t = self.tail.fetch_or(OVERFLOW, Ordering::AcqRel);
+        if t & CLOSED != 0 {
+            return false;
+        }
+        lane.push_back(msg);
+        if t & ASLEEP != 0 {
             self.arrived.notify_one();
         }
         true
     }
 
-    fn pop_locked(&self, q: &mut Queue) -> Option<Message> {
-        let m = q.msgs.pop_front()?;
-        self.len.store(q.msgs.len(), Ordering::Release);
-        Some(m)
-    }
-
+    /// The next message, if one is published: the ring's, then — once the
+    /// ring is drained — the lane's.  An empty inbox costs one load.
     fn try_pop(&self) -> Option<Message> {
-        if self.len.load(Ordering::Acquire) == 0 {
+        let head = self.head.load(Ordering::Relaxed);
+        let t = self.tail.load(Ordering::Acquire) & (POS | OVERFLOW);
+        if t == head {
             return None;
         }
-        self.pop_locked(&mut self.lock())
+        if t & POS == head {
+            // Every ring push has been taken: the rest is in the lane.
+            return self.pop_lane();
+        }
+        let slot = &self.ring[head % RING];
+        if slot.seq.load(Ordering::Acquire) != head + 1 {
+            // Claimed, not yet published: its push rings the bell (or
+            // wakes a sleeper) once it is.
+            return None;
+        }
+        // SAFETY: `seq` says the message of position `head` is in the slot,
+        // and only the owner takes it.
+        let msg = unsafe { (*slot.msg.get()).assume_init_read() };
+        slot.seq.store(head + RING, Ordering::Release);
+        self.head.store(head + 1, Ordering::Relaxed);
+        Some(msg)
     }
 
-    /// Pop, sleeping for a push until `deadline`.
+    /// The lane's next message; the last one clears `OVERFLOW`, under the
+    /// lock every lane push takes, so the ring takes the pushes again.
+    fn pop_lane(&self) -> Option<Message> {
+        let mut lane = self.lock_lane();
+        let m = lane.pop_front();
+        if lane.is_empty() {
+            self.tail.fetch_and(!OVERFLOW, Ordering::AcqRel);
+        }
+        m
+    }
+
+    /// Pop, sleeping for a push until `deadline`.  The owner counts itself
+    /// asleep by setting `ASLEEP` with the lane's lock held, and only if
+    /// nothing has been pushed since it looked; a push whose CAS then sees
+    /// the flag takes that lock before it notifies, so it cannot slip in
+    /// between the look and the wait.
     fn pop_until(&self, deadline: Instant) -> Option<Message> {
-        let mut q = self.lock();
         loop {
-            if let Some(m) = self.pop_locked(&mut q) {
+            if let Some(m) = self.try_pop() {
                 return Some(m);
             }
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 return None;
             }
-            q.asleep = true;
-            q = self
+            let lane = self.lock_lane();
+            let head = self.head.load(Ordering::Relaxed);
+            let t = self.tail.load(Ordering::Relaxed);
+            let idle = t & (POS | OVERFLOW) == head;
+            if !idle
+                || self
+                    .tail
+                    .compare_exchange(t, t | ASLEEP, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_err()
+            {
+                // A push is on its way (claimed, not yet published), or
+                // one just landed: look again.
+                drop(lane);
+                std::thread::yield_now();
+                continue;
+            }
+            let lane = self
                 .arrived
-                .wait_timeout(q, left)
+                .wait_timeout(lane, left)
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
-            q.asleep = false;
+            self.tail.fetch_and(!ASLEEP, Ordering::AcqRel);
+            drop(lane);
         }
+    }
+
+    /// Take every message the ring holds from `head` up to position `end`,
+    /// waiting out pushes that claimed a slot but have not published it.
+    fn drain_ring(&self, end: usize) {
+        let mut head = self.head.load(Ordering::Relaxed);
+        while head != end {
+            let slot = &self.ring[head % RING];
+            while slot.seq.load(Ordering::Acquire) != head + 1 {
+                std::thread::yield_now();
+            }
+            // SAFETY: published, and only the owner takes it.
+            drop(unsafe { (*slot.msg.get()).assume_init_read() });
+            slot.seq.store(head + RING, Ordering::Release);
+            head += 1;
+        }
+        self.head.store(head, Ordering::Relaxed);
     }
 
     /// The owner is gone: refuse further sends and drop what is queued
     /// (pooled payloads go home now, not when the fabric dies).
     fn close(&self) {
-        let mut q = self.lock();
-        q.closed = true;
-        q.msgs.clear();
-        self.len.store(0, Ordering::Release);
+        let t = self.tail.fetch_or(CLOSED, Ordering::AcqRel);
+        if t & CLOSED == 0 {
+            self.drain_ring(t & POS);
+            self.lock_lane().clear();
+        }
+    }
+}
+
+impl Drop for Inbox {
+    fn drop(&mut self) {
+        // Every endpoint closes its inbox; this is for one that never did.
+        self.close();
     }
 }
 
@@ -261,8 +403,8 @@ impl DeathWatch {
 pub struct Endpoint {
     node: usize,
     shared: Arc<Shared>,
-    /// This endpoint's payload-buffer free list: outgoing traffic checks
-    /// out of it, and receivers' drops recycle into it.
+    /// This endpoint's payload-buffer pool: outgoing traffic checks out of
+    /// it, and drops on the thread driving this node recycle into it.
     pool: BufPool,
     /// The next sequence number per destination: a link's messages are
     /// numbered 0, 1, 2, … on their own, whatever this endpoint sends
@@ -941,6 +1083,95 @@ mod tests {
         eps[0].send(1, 2, Vec::new()).unwrap();
         assert_eq!(eps[1].try_recv().unwrap().tag, 2, "window healed");
         assert_eq!(eps[0].stats().chaos_cut, 1);
+    }
+
+    /// Four producers (three nodes and the host, to the fabric all alike)
+    /// send pooled messages in rounds of bursts that overfill the ring, so
+    /// the overflow lane takes over and is drained again, round after round;
+    /// the consumer closes mid-stream.  Each producer's messages arrive once
+    /// and in its order, every send after the close is refused, and every
+    /// buffer — delivered or still queued at the close — goes home.
+    #[test]
+    fn producers_keep_their_order_through_overflow_and_a_close() {
+        use std::sync::atomic::AtomicU64;
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: u64 = 20_000;
+        const BURST: u64 = 500;
+        const TAKE: u64 = 50_000;
+        let mut eps = Fabric::new(PRODUCERS + 1, NetProfile::instant());
+        let consumer = eps.pop().unwrap();
+        let taken = Arc::new(AtomicU64::new(0));
+        let closed = Arc::new(AtomicBool::new(false));
+        let pools: Vec<BufPool> = (0..PRODUCERS)
+            .map(|_| BufPool::with_capacity_limit(usize::MAX))
+            .collect();
+        let producers: Vec<_> = eps
+            .into_iter()
+            .zip(pools.clone())
+            .map(|(ep, pool)| {
+                let (taken, closed) = (Arc::clone(&taken), Arc::clone(&closed));
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        // A round of bursts starts once the consumer has
+                        // taken the whole last round.
+                        while i % BURST == 0
+                            && taken.load(Ordering::SeqCst) < i * PRODUCERS as u64
+                            && !closed.load(Ordering::SeqCst)
+                        {
+                            std::thread::yield_now();
+                        }
+                        let mut b = pool.checkout(8);
+                        b.extend_from_slice(&i.to_le_bytes());
+                        if let Err(e) = ep.send(PRODUCERS, 1, b) {
+                            assert_eq!(e, NetError::Disconnected(PRODUCERS));
+                            assert_eq!(ep.send(PRODUCERS, 1, vec![1]), Err(e), "still refused");
+                            return i;
+                        }
+                    }
+                    PER_PRODUCER
+                })
+            })
+            .collect();
+        let mut next = [0u64; PRODUCERS];
+        let (mut overflows, mut drains, mut in_lane) = (0, 0, false);
+        for _ in 0..TAKE {
+            let lane = consumer.inbox().tail.load(Ordering::SeqCst) & OVERFLOW != 0;
+            match (in_lane, lane) {
+                (false, true) => overflows += 1,
+                (true, false) => drains += 1,
+                _ => {}
+            }
+            in_lane = lane;
+            let m = consumer
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a producer is still sending");
+            let i = u64::from_le_bytes(m.payload[..].try_into().unwrap());
+            assert_eq!(i, next[m.src], "producer {}: out of order or twice", m.src);
+            next[m.src] += 1;
+            taken.fetch_add(1, Ordering::SeqCst);
+        }
+        closed.store(true, Ordering::SeqCst);
+        drop(consumer);
+        let sent: Vec<u64> = producers.into_iter().map(|p| p.join().unwrap()).collect();
+        assert!(
+            overflows >= 10 && drains >= 10,
+            "{overflows} overflows, {drains} drains"
+        );
+        for (p, pool) in pools.iter().enumerate() {
+            assert!(
+                sent[p] >= next[p],
+                "producer {p}: {} sent, {} taken",
+                sent[p],
+                next[p]
+            );
+            assert!(sent[p] < PER_PRODUCER, "producer {p} never saw the close");
+            let s = pool.stats();
+            assert_eq!(
+                pool.free_len() as u64,
+                s.allocs,
+                "producer {p}: a buffer is lost"
+            );
+        }
     }
 
     #[test]

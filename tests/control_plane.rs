@@ -333,7 +333,7 @@ fn rpc_ceiling_is_on_the_encoded_body() {
         let (_, status, bytes) = proto::decode_rpc_resp(reply).unwrap();
         (status, bytes.to_vec())
     };
-    let ok = proto::encode_rpc_reply(&pool, 1, 64, |w| {
+    let ok = proto::encode_rpc_reply(proto::rpc_reply_writer(&pool), 1, 64, |w| {
         body.encode(w);
         Ok(())
     });
@@ -341,7 +341,7 @@ fn rpc_ceiling_is_on_the_encoded_body() {
         status_and_body(&ok),
         (proto::rpc_status::OK, body.encode_vec())
     );
-    let over = proto::encode_rpc_reply(&pool, 1, 63, |w| {
+    let over = proto::encode_rpc_reply(proto::rpc_reply_writer(&pool), 1, 63, |w| {
         body.encode(w);
         Ok(())
     });
@@ -352,7 +352,8 @@ fn rpc_ceiling_is_on_the_encoded_body() {
             b"response of 64 bytes exceeds ceiling".to_vec()
         )
     );
-    let refused = proto::encode_rpc_reply(&pool, 1, 64, |_| Err("no".into()));
+    let refused =
+        proto::encode_rpc_reply(proto::rpc_reply_writer(&pool), 1, 64, |_| Err("no".into()));
     assert_eq!(
         status_and_body(&refused),
         (proto::rpc_status::REMOTE_ERROR, b"no".to_vec())

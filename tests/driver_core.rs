@@ -10,6 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
+use pm2::node::NodeStatsSnapshot;
 use pm2::proto::tag;
 use pm2::{AreaConfig, FaultPlan, Machine, Pm2Config, Pm2Error, Service};
 
@@ -395,6 +396,126 @@ fn an_rpc_deadline_is_never_early_and_only_briefly_late() {
         }
         m.shutdown();
     }
+}
+
+/// The hand-off takes only rings made by driver code.  A green thread on
+/// node 0 sends a fire-and-forget LRPC to node 1 and then computes for
+/// 50 ms without yielding: its ring goes to the shared queue, so the other
+/// worker runs the handler at once instead of waiting for the quantum.
+#[test]
+fn a_green_threads_ring_is_served_by_the_other_worker_at_once() {
+    const SPIN: Duration = Duration::from_millis(50);
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .workers(2)
+        .launch()
+        .unwrap();
+    let worker = || std::thread::current().name().map(String::from);
+    let (tx, rx) = std::sync::mpsc::channel();
+    m.register_service(7, move |_| tx.send((Instant::now(), worker())).unwrap());
+    // Both workers asleep when the call goes out.
+    std::thread::sleep(Duration::from_millis(50));
+    let (sent, caller) = m
+        .run_on(0, move || {
+            let t0 = Instant::now();
+            pm2_rpc_spawn(1, 7, b"").unwrap();
+            while t0.elapsed() < SPIN {
+                std::hint::spin_loop();
+            }
+            (t0, worker())
+        })
+        .unwrap();
+    let (started, handler) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    let after = started.duration_since(sent);
+    assert!(
+        after < SPIN / 2,
+        "the handler started {after:?} after the send"
+    );
+    assert_ne!(handler, caller, "the handler ran on the caller's worker");
+    m.shutdown();
+}
+
+/// The hand-off does not starve a timer: on one worker two nodes hop a
+/// thread back and forth without pause — every hop a hand-off — while a
+/// third node's thread waits out a 20 ms reply deadline (its probes are
+/// eaten).  The wait ends as late as an idle machine's may, no later.
+#[test]
+fn a_timed_wait_expires_on_time_beside_a_hand_off_ping_pong() {
+    const DEADLINE: Duration = Duration::from_millis(20);
+    const SLACK: Duration = Duration::from_millis(40);
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(DEADLINE)
+        .fault_plan(FaultPlan::new(7).with_drop(1.0))
+        .launch()
+        .unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let halt = Arc::clone(&stop);
+    let hopper = m
+        .spawn_on_ret(0, move || {
+            let mut hops = 0u64;
+            while !halt.load(Ordering::Relaxed) {
+                pm2_migrate(1 - pm2_self()).unwrap();
+                hops += 1;
+            }
+            hops
+        })
+        .unwrap();
+    let before = m.node_stats(0).migrations_out;
+    while m.node_stats(0).migrations_out < before + 1000 {
+        std::thread::yield_now();
+    }
+    let (took, probe) = m
+        .run_on(2, || {
+            let t0 = Instant::now();
+            let probe = pm2_probe_load(0);
+            (t0.elapsed(), probe)
+        })
+        .unwrap();
+    stop.store(true, Ordering::Relaxed);
+    let hops = hopper.join().unwrap();
+    let exhausted = Pm2Error::RetriesExhausted {
+        op: "load probe",
+        attempts: 3,
+    };
+    assert_eq!(probe, Err(exhausted));
+    assert!(took >= DEADLINE, "early: {took:?}");
+    assert!(took < DEADLINE + SLACK, "late: {took:?} beside {hops} hops");
+    m.shutdown();
+}
+
+/// On one worker a hop is one step, one park and one wake-up: the node the
+/// thread leaves parks at once (no empty step), and the worker runs the
+/// node it woke without the shared queue.  Counted over a thousand hops
+/// against a run with none, so the spawn and the join cancel out; each
+/// window opens and closes on a machine whose drivers have parked.
+#[test]
+fn a_hop_on_one_worker_is_one_step_one_park_and_one_wake_up() {
+    const HOPS: u64 = 1000;
+    let mut m = Machine::builder(2).test_profile().launch().unwrap();
+    let counts = |m: &Machine, hops: u64| {
+        let settled = || {
+            std::thread::sleep(Duration::from_millis(20));
+            (0..2).map(|n| m.node_stats(n)).sum::<NodeStatsSnapshot>()
+        };
+        let before = settled();
+        m.run_on(0, move || {
+            for _ in 0..hops {
+                pm2_migrate(1 - pm2_self()).unwrap();
+            }
+        })
+        .unwrap();
+        let d = settled().since(&before);
+        (d.steps, d.driver_parks, d.driver_wakeups)
+    };
+    counts(&m, 2);
+    let (none, hopped) = (counts(&m, 0), counts(&m, HOPS));
+    assert_eq!(
+        (hopped.0 - none.0, hopped.1 - none.1, hopped.2 - none.2),
+        (HOPS, HOPS, HOPS),
+        "(steps, parks, wake-ups): {none:?} without hops, {hopped:?} with"
+    );
+    m.shutdown();
 }
 
 /// Answers at once.

@@ -26,6 +26,25 @@ fn loop_until(stop: &AtomicBool) {
     }
 }
 
+/// A departure to a node known to be dead is refused and the thread stays
+/// where it was, so `pm2_migrate` says so instead of returning `Ok` on the
+/// wrong node; migrating to the node it is on is still a no-op.
+#[test]
+fn migrating_to_a_dead_node_fails_and_the_thread_stays() {
+    let mut m = Machine::launch(Pm2Config::test(3)).unwrap();
+    m.kill_node(1).unwrap();
+    let (to_corpse, here, to_self) = m
+        .run_on(0, || (pm2_migrate(1), pm2_self(), pm2_migrate(0)))
+        .unwrap();
+    assert_eq!(to_corpse, Err(Pm2Error::NodeFailed(1)));
+    assert_eq!((here, to_self), (0, Ok(())));
+    assert_eq!(
+        m.run_on(0, || pm2_migrate(2).map(|()| pm2_self())).unwrap(),
+        Ok(2)
+    );
+    m.shutdown();
+}
+
 #[test]
 fn killed_node_fails_host_join_within_grace() {
     let mut m = machine(2, Duration::from_millis(300)).launch().unwrap();
