@@ -4,22 +4,22 @@
 //! Three drills, all judged by the capacity harness's IC-style SLO gates
 //! (failure rate ≤ 0.2, p99 ≤ 5000 ms):
 //!
-//! * **Lossy ramp** — the mixed chaos workload ramped to its max
-//!   sustainable RPS under a seeded loss plan at 0%, 0.1% and 1% message
-//!   loss, p = 4 and p = 8.  The protected exactly-once tag class and the
-//!   control-plane retry/dedup machinery are what keep the 1% column from
-//!   collapsing: every row records whether at least one SLO-gated round
-//!   passed.
+//! * **Retransmission ramp** — the mixed chaos workload ramped toward its
+//!   max sustainable RPS under a seeded delay plan: 0%, 0.1% and 1% of the
+//!   messages pay one [`RETRANSMIT`] of extra wire time, which is what a
+//!   reliable transport makes of that loss rate; p = 4 and p = 8.  A ramp
+//!   that passes every round up to its ceiling reports `"capped": true`
+//!   and no capacity: the ceiling is the ramp's, not the machine's.
 //! * **Kill-node recovery** — the `pm2-workload` kill drill: baseline
 //!   round, checkpoint, kill node 0 (the §4.4 coordinator — its successor
 //!   is elected), recover, aftermath round.  The headline is the
 //!   disruption window in ms.
-//! * **Partition heal** — cut the fabric in two for 300 ms under load,
-//!   heal, and demand re-convergence: nobody falsely declared dead,
-//!   gossiped wealth fresh everywhere, the same rate sustained post-heal,
-//!   far-side residents intact.
+//! * **Partition heal** — cut the fabric in two for 300 ms under load (the
+//!   cut links stall), heal, and demand re-convergence: nobody falsely
+//!   declared dead, gossiped wealth fresh everywhere, the same rate
+//!   sustained post-heal, far-side residents intact.
 //!
-//! Same seed ⇒ same fault schedule, so a regression in any row replays.
+//! Same seed ⇒ same delay schedule, so a regression in any row replays.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -33,12 +33,16 @@ use pm2_workload::{
 /// Injector threads feeding the issuer per round.
 pub const CHAOS_INJECTORS: usize = 2;
 
-/// The seeded fault schedules: one seed for the whole file, so the
+/// The seeded delay schedules: one seed for the whole file, so the
 /// entire bench replays byte-identically.
 pub const CHAOS_SEED: u64 = 0xB0A7_1999;
 
-/// Loss rates tracked by the ramp matrix: healthy, 0.1%, 1%.
-pub const LOSS_RATES: [f64; 3] = [0.0, 0.001, 0.01];
+/// Retransmission rates tracked by the ramp matrix: healthy, 0.1%, 1%.
+pub const RETRANSMIT_RATES: [f64; 3] = [0.0, 0.001, 0.01];
+
+/// What one retransmission adds to a message's wire time: a retransmit
+/// timeout of a reliable transport, many round trips of the modelled wire.
+pub const RETRANSMIT: Duration = Duration::from_millis(1);
 
 /// Node counts tracked by every drill.
 pub const NODE_COUNTS: [usize; 2] = [4, 8];
@@ -58,10 +62,9 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The CI-sized lossy ramp: 250 ms rounds from 50 rps to a 250 rps
-/// ceiling.  Generous drain/quiet windows — retries through loss take a
-/// retry-slice or two to land and must not be miscounted as timeouts.
-pub fn lossy_ramp() -> RampConfig {
+/// The CI-sized retransmission ramp: 250 ms rounds from 50 rps to a
+/// 250 rps ceiling, with generous drain/quiet windows.
+pub fn retransmit_ramp() -> RampConfig {
     RampConfig {
         initial_rps: 50,
         increment_rps: 100,
@@ -83,17 +86,23 @@ pub fn drill_gate() -> RampConfig {
     }
 }
 
-/// Ramp the mixed chaos workload on a p-node machine under `loss`.
-pub fn run_lossy_ramp(nodes: usize, loss: f64) -> CapacityReport {
+/// Ramp the mixed chaos workload on a p-node machine whose messages are
+/// retransmitted at `rate`.
+pub fn run_retransmit_ramp(nodes: usize, rate: f64) -> CapacityReport {
     let mut b = Machine::builder(nodes)
         .test_profile()
         .reply_deadline(Duration::from_secs(5));
-    if loss > 0.0 {
-        b = b.fault_plan(FaultPlan::lossy(CHAOS_SEED, loss));
+    if rate > 0.0 {
+        b = b.fault_plan(FaultPlan::new(CHAOS_SEED).with_delay(rate, RETRANSMIT));
     }
     let mut m = b.launch().expect("launch");
     register_services(&m);
-    let report = run_ramp(&m, &WorkloadSpec::chaos(), lossy_ramp(), CHAOS_INJECTORS);
+    let report = run_ramp(
+        &m,
+        &WorkloadSpec::chaos(),
+        retransmit_ramp(),
+        CHAOS_INJECTORS,
+    );
     m.shutdown();
     report
 }
@@ -144,7 +153,7 @@ pub fn run_partition_drill(nodes: usize) -> PartitionReport {
     rep
 }
 
-fn ramp_row(loss: f64, r: &CapacityReport) -> String {
+fn ramp_row(rate: f64, r: &CapacityReport) -> String {
     let rounds: Vec<String> = r
         .rounds
         .iter()
@@ -165,19 +174,16 @@ fn ramp_row(loss: f64, r: &CapacityReport) -> String {
             )
         })
         .collect();
-    let max = match r.max_sustainable_rps {
-        Some(rps) => rps.to_string(),
-        None => "null".to_string(),
-    };
     format!(
-        "{{\"drill\": \"lossy_ramp\", \"workload\": \"{}\", \"p\": {}, \
-         \"loss\": {}, \"seed\": {}, \"max_sustainable_rps\": {}, \
+        "{{\"drill\": \"retransmit_ramp\", \"workload\": \"{}\", \"p\": {}, \
+         \"retransmit_rate\": {}, \"retransmit_us\": {}, \"seed\": {}, {}, \
          \"slo_round_passed\": {}, \"rounds\": [{}]}}",
         r.workload,
         r.nodes,
-        loss,
+        rate,
+        RETRANSMIT.as_micros(),
         CHAOS_SEED,
-        max,
+        crate::report::capacity_fields("max_sustainable_rps", r),
         r.max_sustainable_rps.is_some(),
         rounds.join(", ")
     )
@@ -211,7 +217,7 @@ fn partition_row(r: &PartitionReport) -> String {
     format!(
         "{{\"drill\": \"partition\", \"workload\": \"{}\", \"p\": {}, \
          \"rps\": {}, \"baseline_verdict\": \"{}\", \"partition_ms\": {:.3}, \
-         \"messages_cut\": {}, \"false_deaths\": {}, \"wealth_converged\": {}, \
+         \"messages_stalled\": {}, \"false_deaths\": {}, \"wealth_converged\": {}, \
          \"aftermath_verdict\": \"{}\", \"residents_recovered\": {}, \
          \"slo_ok\": {}}}",
         r.workload,
@@ -219,7 +225,7 @@ fn partition_row(r: &PartitionReport) -> String {
         r.rps,
         r.baseline.verdict.label(),
         r.partition_ms,
-        r.messages_cut,
+        r.messages_stalled,
         r.false_deaths,
         r.wealth_converged,
         r.aftermath.verdict.label(),
@@ -235,17 +241,15 @@ pub fn write_chaos_json() {
     let mut rows = Vec::new();
 
     for &nodes in &NODE_COUNTS {
-        for &loss in &LOSS_RATES {
-            let r = run_lossy_ramp(nodes, loss);
+        for &rate in &RETRANSMIT_RATES {
+            let r = run_retransmit_ramp(nodes, rate);
             println!(
-                "chaos [lossy p={} loss={:.1}%]: max sustainable {} rps over {} rounds",
+                "chaos [retransmit p={} rate={:.1}%]: {}",
                 nodes,
-                loss * 100.0,
-                r.max_sustainable_rps
-                    .map_or_else(|| "none".into(), |v| v.to_string()),
-                r.rounds.len()
+                rate * 100.0,
+                r.summary()
             );
-            rows.push(ramp_row(loss, &r));
+            rows.push(ramp_row(rate, &r));
         }
     }
 
@@ -263,11 +267,14 @@ pub fn write_chaos_json() {
         "BENCH_chaos.json",
         "chaos",
         "fault-injected capacity and recovery: max sustainable RPS of the mixed chaos \
-         workload under seeded message loss (0%, 0.1%, 1%; same seed replays the same \
-         schedule), kill-node disruption window in ms (victim 0 = the §4.4 coordinator, \
-         so each run covers election), and transient-partition heal (messages cut, false \
-         deaths, gossip re-convergence); every round SLO-gated at failure_rate ≤ 0.2 \
-         and p99 ≤ 5000 ms",
+         workload when 0%, 0.1% or 1% of messages pay a 1 ms retransmission (a seeded \
+         delay plan: the fabric delivers every message once and in order, so loss is \
+         modelled as the retransmit a reliable transport makes of it; same seed replays \
+         the same schedule; a ramp that passes every round up to its 250 rps ceiling is \
+         capped, not a capacity), kill-node disruption window in ms (victim 0 = the §4.4 \
+         coordinator, so each run covers election), and transient-partition heal \
+         (messages stalled by the cut and delivered at the heal, false deaths, gossip \
+         re-convergence); every round SLO-gated at failure_rate ≤ 0.2 and p99 ≤ 5000 ms",
         &rows,
     );
 }

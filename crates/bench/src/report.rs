@@ -137,8 +137,9 @@ pub fn stage_sampling_note() -> String {
 ///
 /// Every tracked benchmark shares this envelope — `bench` id, a
 /// `unit_note` explaining what the numbers mean, the `generated_by`
-/// command, and a `configs` array of row objects — so the trajectory
-/// files stay mutually greppable.  `generated_by` is formatted here, from
+/// command, the `provenance` of the run (commit, compiler, host), and a
+/// `configs` array of row objects — so the trajectory files stay mutually
+/// greppable.  `generated_by` is formatted here, from
 /// the [`crate::DRILLS`] row that declares it writes `file`, so a JSON can
 /// never name a command that does not exist.  `rows` are pre-rendered JSON
 /// objects *without* indentation (this helper owns the layout);
@@ -148,19 +149,57 @@ pub fn emit_json(file: &str, bench: &str, unit_note: &str, rows: &[String]) {
         .iter()
         .find(|d| d.1 == file)
         .unwrap_or_else(|| panic!("{file} has no writer row in the drill table"));
-    let json = render_json(bench, unit_note, &crate::command(name), rows);
+    let json = render_json(bench, unit_note, &crate::command(name), &provenance(), rows);
     std::fs::write(file, &json).unwrap_or_else(|e| panic!("writing {file}: {e}"));
     println!("wrote {file}");
 }
 
 /// The shared envelope of [`emit_json`], rendered.
-fn render_json(bench: &str, unit_note: &str, generated_by: &str, rows: &[String]) -> String {
+fn render_json(
+    bench: &str,
+    unit_note: &str,
+    generated_by: &str,
+    provenance: &str,
+    rows: &[String],
+) -> String {
     let body: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
     format!(
         "{{\n  \"bench\": \"{bench}\",\n  \"unit_note\": \"{unit_note}\",\n  \
-         \"generated_by\": \"{generated_by}\",\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"generated_by\": \"{generated_by}\",\n  \"provenance\": {provenance},\n  \
+         \"configs\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     )
+}
+
+/// Where a run was made, as a JSON object: the commit (`-dirty` when the
+/// tree had uncommitted changes), `rustc -V`, the CPUs this process may
+/// use (`nproc`) and the CPU model.
+fn provenance() -> String {
+    let run = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok();
+        out.filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().replace('"', ""))
+            .unwrap_or_else(|| "unknown".into())
+    };
+    let commit = run("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
+    let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+    format!(
+        "{{\"commit\": \"{commit}\", \"rustc\": \"{}\", \"nproc\": {cpus}, \"cpu\": \"{}\"}}",
+        run("rustc", &["-V"]),
+        cpu_model()
+    )
+}
+
+/// The capacity of a ramp, as its row's JSON fields: the rate under `key`
+/// and `capped`.  A ramp that passed every round up to its ceiling
+/// ([`pm2_workload::CapacityReport::capped`]) found no capacity, so its
+/// rate is `null`.
+pub fn capacity_fields(key: &str, r: &pm2_workload::CapacityReport) -> String {
+    let max = match r.max_sustainable_rps {
+        Some(rps) if !r.capped() => rps.to_string(),
+        _ => "null".to_string(),
+    };
+    format!("\"{key}\": {max}, \"capped\": {}", r.capped())
 }
 
 /// Format a µs value with sensible precision.
@@ -209,11 +248,13 @@ mod tests {
             "demo",
             "a unit note",
             &crate::command("demo"),
+            "{\"commit\": \"abc\"}",
             &["{\"x\": 1}".to_string(), "{\"x\": 2}".to_string()],
         );
         assert!(text.contains("\"bench\": \"demo\""));
         assert!(text.contains("\"unit_note\": \"a unit note\""));
         assert!(text.contains("\"generated_by\": \"cargo run --release -p pm2-bench -- demo\""));
+        assert!(text.contains("\"provenance\": {\"commit\": \"abc\"},"));
         assert!(text.contains("    {\"x\": 1},\n    {\"x\": 2}"));
         assert!(text.ends_with("  ]\n}\n"));
     }

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use pm2::api::*;
 use pm2::node::NodeStatsSnapshot;
 use pm2::{AreaConfig, EndpointStatsSnapshot, Machine, NetProfile};
-use pm2_workload::{register_services, run_ramp, RampConfig, WorkloadSpec};
+use pm2_workload::{register_services, run_ramp, CapacityReport, RampConfig, WorkloadSpec};
 
 /// The tracked machine sizes.
 pub const PS: [usize; 3] = [16, 64, 256];
@@ -87,8 +87,8 @@ pub struct ScaleRow {
     pub neg_us: f64,
     pub neg_steps_per_op: f64,
     pub neg_msgs_per_op: f64,
-    pub max_rps: Option<u64>,
-    pub rps_rounds: usize,
+    /// The SLO-gated ping-pong ramp.
+    pub ramp: CapacityReport,
 }
 
 /// The failure timeout of the scale-drill machines.
@@ -313,8 +313,7 @@ pub fn scale_row(p: usize) -> ScaleRow {
         neg_us,
         neg_steps_per_op,
         neg_msgs_per_op,
-        max_rps: report.max_sustainable_rps,
-        rps_rounds: report.rounds.len(),
+        ramp: report,
     }
 }
 
@@ -328,7 +327,7 @@ pub fn write_scale_json() {
         println!(
             "scale [p={} workers={}]: idle {:.1} steps/s {:.1} msgs/s {:.0} B/s per node; \
              hop {:.1} µs ({:.1} steps, {:.1} msgs/op); evac {:.1} ms \
-             ({:.1} steps/thread); neg {:.1} µs ({:.1} msgs/acquire); max {} rps",
+             ({:.1} steps/thread); neg {:.1} µs ({:.1} msgs/acquire); {}",
             r.p,
             r.workers,
             r.idle_steps_per_node_s,
@@ -341,9 +340,7 @@ pub fn write_scale_json() {
             r.evac_steps_per_op,
             r.neg_us,
             r.neg_msgs_per_op,
-            r.max_rps
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "<none>".into()),
+            r.ramp.summary(),
         );
         out.push(format!(
             "{{\"p\": {}, \"workers\": {}, \"idle_steps_per_node_s\": {:.2}, \
@@ -353,7 +350,7 @@ pub fn write_scale_json() {
              \"hop_msgs_per_op\": {:.2}, \"evac_ms\": {:.2}, \
              \"evac_steps_per_op\": {:.2}, \"evac_msgs_per_op\": {:.2}, \
              \"neg_us\": {:.2}, \"neg_steps_per_op\": {:.2}, \
-             \"neg_msgs_per_op\": {:.2}, \"max_rps\": {}, \"rps_rounds\": {}}}",
+             \"neg_msgs_per_op\": {:.2}, {}, \"rps_rounds\": {}}}",
             r.p,
             r.workers,
             r.idle_steps_per_node_s,
@@ -369,10 +366,8 @@ pub fn write_scale_json() {
             r.neg_us,
             r.neg_steps_per_op,
             r.neg_msgs_per_op,
-            r.max_rps
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".into()),
-            r.rps_rounds,
+            crate::report::capacity_fields("max_rps", &r.ramp),
+            r.ramp.rounds.len(),
         ));
     }
     let (lo, hi) = (&rows[0], &rows[rows.len() - 1]);
@@ -405,7 +400,8 @@ pub fn write_scale_json() {
          evac_msgs is the scalability signal; neg_* = single-slot acquisitions on node 0 \
          past its own share, each fed synchronously by the demand-trade path (watermark \
          prefetch disabled); max_rps from the \
-         SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes; {}",
+         SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes, null \
+         with capped true when every round passed up to the ramp's ceiling; {}",
             crate::report::one_host_note()
         ),
         &out,

@@ -112,17 +112,13 @@ pub fn report_row(r: &CapacityReport) -> String {
             )
         })
         .collect();
-    let max = match r.max_sustainable_rps {
-        Some(rps) => rps.to_string(),
-        None => "null".to_string(),
-    };
     format!(
         "{{\"workload\": \"{}\", \"p\": {}, \"net\": \"{}\", \
-         \"max_sustainable_rps\": {}, \"rounds\": [{}]}}",
+         {}, \"rounds\": [{}]}}",
         r.workload,
         r.nodes,
         r.net,
-        max,
+        crate::report::capacity_fields("max_sustainable_rps", r),
         rounds.join(", ")
     )
 }

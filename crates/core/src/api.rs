@@ -15,7 +15,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use madeleine::{Message, Payload, Wire};
 
@@ -166,9 +165,8 @@ pub fn pm2_group_migrate(src: usize, dest: usize, tids: &[u64]) -> Result<usize>
         dest: dest as u32,
         tids: tids.to_vec(),
     };
-    call::<proto::MigrateAck>(src, &cmd, Some(cmd_id), reply_deadline())?
-        .map(|ack| ack.accepted as usize)
-        .ok_or_else(|| timed_out(tag::MIGRATE_CMD_ACK))
+    let ack: proto::MigrateAck = call("migrate command", src, &cmd, Some(cmd_id))?;
+    Ok(ack.accepted as usize)
 }
 
 /// Spawn a thread on the current node (the paper's `pm2_thread_create`).
@@ -232,7 +230,8 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
 /// distinguish an unregistered service ([`Pm2Error::NoSuchService`]), an
 /// oversized request — checked locally — or response
 /// ([`Pm2Error::PayloadTooLarge`] / [`Pm2Error::Rpc`]), a handler panic
-/// ([`Pm2Error::Rpc`]), and a timeout ([`Pm2Error::Net`]).
+/// ([`Pm2Error::Rpc`]), and a reply that missed the deadline
+/// ([`Pm2Error::Timeout`]).
 pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     // Encoded straight into a buffer from the node's pool (the encoder
     // cannot yield, so the node is borrowed for no longer than that).
@@ -255,7 +254,7 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     let due = Due::After(patience);
     let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), due);
     send_to(node, tag::RPC_CALL, call)?;
-    let m = reply.next()?.ok_or_else(|| timed_out(tag::RPC_RESP))?;
+    let m = reply.next()?.ok_or(Pm2Error::Timeout { op: "rpc call" })?;
     decode_rpc_outcome::<S>(&m.payload)
 }
 
@@ -401,72 +400,9 @@ macro_rules! pm2_printf {
 /// the peer's free-slot wealth, which the dispatch layer absorbs into the
 /// trader's hint table before the reply is filed.)
 pub fn pm2_probe_load(peer: usize) -> Result<usize> {
-    // At-least-once under a fault plan: re-send on a lost request or
-    // reply.  A duplicated probe costs one redundant LOAD_RESP, dropped
-    // on arrival unless a later probe of the same peer is waiting by then
-    // (the answer is a load *hint*, so a slightly stale one is harmless).
     let probe = proto::LoadReq { decay_shift: 0 };
-    let resp: proto::LoadResp = green_retry("load probe", |slice| {
-        call(peer, &probe, None, Due::After(slice))
-    })?;
+    let resp: proto::LoadResp = call("load probe", peer, &probe, None)?;
     Ok(resp.resident as usize)
-}
-
-/// Total attempts (first try + re-sends) of an at-least-once control
-/// exchange: slot trades, load probes, checkpoint requests and recovery's
-/// slot reclaim.
-pub(crate) const CONTROL_ATTEMPTS: u32 = 3;
-
-/// Attempt `i`'s slice of one reply deadline: exponentially growing shares
-/// (1, 2, 4 of 7), so a full retry budget never waits longer in total than
-/// the single-attempt deadline did — retries redistribute the wait, they
-/// do not extend it.
-fn retry_slice(total: Duration, i: u32) -> Duration {
-    let shares = (1u32 << CONTROL_ATTEMPTS) - 1;
-    total.mul_f64((1u32 << i) as f64 / shares as f64)
-}
-
-/// The retry driver of every at-least-once exchange, green side and host
-/// side.  `attempt` is handed its slice of `total` — how long it may wait,
-/// counted from when it starts to — and reports `Ok(None)` when the
-/// exchange was lost in transit (a re-send is worthwhile); an answer or an
-/// error ends the loop.  Re-sends are added to `resent`, and a spent budget
-/// surfaces as [`Pm2Error::RetriesExhausted`].
-///
-/// `resent` is the caller's to account, once the exchange is over: a green
-/// thread may wake on another node than it started on, and the host is
-/// no node's writer (see `counters.rs`).
-pub(crate) fn retry<T>(
-    op: &'static str,
-    total: Duration,
-    resent: &mut u64,
-    mut attempt: impl FnMut(Duration) -> Result<Option<T>>,
-) -> Result<T> {
-    for i in 0..CONTROL_ATTEMPTS {
-        if i > 0 {
-            *resent += 1;
-        }
-        if let Some(answer) = attempt(retry_slice(total, i))? {
-            return Ok(answer);
-        }
-    }
-    Err(Pm2Error::RetriesExhausted {
-        op,
-        attempts: CONTROL_ATTEMPTS,
-    })
-}
-
-/// [`retry`] from a green thread, within one reply deadline: its re-sends
-/// count on the node it runs on when the exchange is over.
-pub(crate) fn green_retry<T>(
-    op: &'static str,
-    attempt: impl FnMut(Duration) -> Result<Option<T>>,
-) -> Result<T> {
-    let total = with_ctx(|c| c.cfg.reply_deadline);
-    let mut resent = 0;
-    let answer = retry(op, total, &mut resent, attempt);
-    with_ctx(|c| c.stats.ctrl_retries.add(resent));
-    answer
 }
 
 /// Slot-layer statistics of the calling thread's current node: reserve
@@ -509,22 +445,23 @@ pub(crate) fn send_msg<M: Msg>(dst: usize, msg: &M) -> Result<()> {
     Ok(())
 }
 
-/// One green-side request/reply exchange: send `req` to `peer` and park
-/// until `due` for the `R` it answers with — matched by the correlation id
-/// `id` when the reply leads with one, by tag and sender otherwise.
-/// `Ok(None)` means no reply came in time (lost, or merely late); a dead
-/// peer fails fast with [`Pm2Error::NodeFailed`], a reply that does not
-/// decode with [`Pm2Error::Decode`].
+/// One green-side request/reply exchange, `op`: send `req` to `peer` and
+/// park for the `R` it answers with — matched by the correlation id `id`
+/// when the reply leads with one, by tag and sender otherwise — for one
+/// reply deadline.  A missed deadline is [`Pm2Error::Timeout`] (the peer is
+/// slow, or cut off: the fabric loses nothing, so nothing is re-sent); a
+/// dead peer fails fast with [`Pm2Error::NodeFailed`], a reply that does
+/// not decode with [`Pm2Error::Decode`].
 pub(crate) fn call<R: Msg>(
+    op: &'static str,
     peer: usize,
     req: &impl Msg,
     id: Option<u64>,
-    due: Due,
-) -> Result<Option<R>> {
-    let reply = Wait::for_reply(R::TAG, Some(peer), id, due);
+) -> Result<R> {
+    let reply = Wait::for_reply(R::TAG, Some(peer), id, reply_deadline());
     send_msg(peer, req)?;
-    let reply = reply.next()?;
-    reply.map(|m| R::from_payload(&m.payload)).transpose()
+    let m = reply.next()?.ok_or(Pm2Error::Timeout { op })?;
+    R::from_payload(&m.payload)
 }
 
 /// The machine's `reply_deadline`, as a wait's span: it runs from the
@@ -533,82 +470,34 @@ pub(crate) fn reply_deadline() -> Due {
     Due::After(with_ctx(|c| c.cfg.reply_deadline))
 }
 
-/// The error of a green-side wait whose reply deadline passed.
-pub(crate) fn timed_out(tag: u16) -> Pm2Error {
-    Pm2Error::Net(format!("timed out waiting for reply tag {tag}"))
-}
-
 /// Scatter/gather (the §4.4 bitmap and buy-ack rounds, the balancer's
-/// probes): open a wait for everybody's `tag` replies, `ask` each of
-/// `peers`, and hand `on_reply` one reply from every peer asked.  Returns
+/// probes), `op`: open a wait for everybody's `tag` replies (those leading
+/// with `id`, if given), `ask` each of `peers`, and hand `on_reply` one
+/// reply from every peer asked.  Returns
 /// the peers whose reply is never coming — they could not be asked, or
-/// died owing it; errors when `due` passes with live peers owing.
+/// died owing it; [`Pm2Error::Timeout`] when `due` passes with live peers
+/// owing.
 pub(crate) fn gather(
+    op: &'static str,
     tag: u16,
+    id: Option<u64>,
     due: Due,
     peers: impl IntoIterator<Item = usize>,
     mut ask: impl FnMut(usize) -> Result<()>,
     mut on_reply: impl FnMut(Message) -> Result<()>,
 ) -> Result<Vec<usize>> {
-    let replies = Wait::for_reply(tag, None, None, due);
+    let replies = Wait::for_reply(tag, None, id, due);
     let (asked, mut lost): (Vec<_>, Vec<_>) = peers.into_iter().partition(|&p| ask(p).is_ok());
     let mut owing: HashSet<usize> = asked.into_iter().collect();
     while !owing.is_empty() {
         match replies.next() {
             Ok(Some(m)) if owing.remove(&m.src) => on_reply(m)?,
             Ok(Some(_)) => {}
-            Ok(None) => return Err(timed_out(tag)),
+            Ok(None) => return Err(Pm2Error::Timeout { op }),
             Err(Pm2Error::NodeFailed(dead)) if owing.remove(&dead) => lost.push(dead),
             Err(Pm2Error::NodeFailed(_)) => {}
             Err(e) => return Err(e),
         }
     }
     Ok(lost)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Retries redistribute one deadline, they do not extend it; a spent
-    /// budget is typed and names the operation.
-    #[test]
-    fn retry_slices_sum_to_one_deadline_and_exhaustion_is_typed() {
-        let total = Duration::from_millis(700);
-        let mut resent = 0;
-        let mut slices = Vec::new();
-        let spent: Result<()> = retry("drill", total, &mut resent, |slice| {
-            slices.push(slice);
-            Ok(None)
-        });
-        assert_eq!(
-            spent,
-            Err(Pm2Error::RetriesExhausted {
-                op: "drill",
-                attempts: CONTROL_ATTEMPTS
-            })
-        );
-        assert_eq!(slices.len() as u32, CONTROL_ATTEMPTS);
-        assert_eq!(resent, (CONTROL_ATTEMPTS - 1) as u64);
-        assert!(slices.windows(2).all(|w| w[0] < w[1]), "slices grow");
-        let sum: Duration = slices.iter().sum();
-        assert!(sum >= total - Duration::from_millis(1), "sum {sum:?}");
-        assert!(sum <= total, "sum {sum:?}");
-    }
-
-    #[test]
-    fn retry_stops_at_the_first_answer_or_error() {
-        let mut resent = 0;
-        let mut calls = 0;
-        let got = retry("drill", Duration::from_secs(1), &mut resent, |_| {
-            calls += 1;
-            Ok((calls == 2).then_some(7))
-        });
-        assert_eq!((got, calls, resent), (Ok(7), 2, 1));
-        let failed: Result<()> = retry("drill", Duration::from_secs(1), &mut resent, |_| {
-            Err(Pm2Error::NodeFailed(3))
-        });
-        assert_eq!(failed, Err(Pm2Error::NodeFailed(3)));
-        assert_eq!(resent, 1, "an error is not retried");
-    }
 }

@@ -136,14 +136,15 @@ pub struct Pm2Config {
     /// (so under two periods ago) is fresh enough to save the balancer a
     /// probe.
     pub heartbeat_every: Duration,
-    /// Seeded message-level fault plan for the fabric (chaos testing).
-    /// `None` (the default) keeps every link a perfect wire.  When set,
-    /// the machine exempts the exactly-once state-transfer tags
-    /// (migration trains, spawns, thread exits, kill/shutdown, death
-    /// certificates, and the §4.4 negotiation itself) and lets chaos
-    /// loose on the at-least-once control plane — which retries above
-    /// and deduplicates at the receiver.  Same seed ⇒ byte-identical
-    /// fault schedule on one worker.
+    /// Seeded delay plan for the fabric (chaos testing).  `None` (the
+    /// default) keeps every link on its profile's wire time.  A plan only
+    /// makes messages late — extra modelled wire time, charged at the
+    /// receiver — and never breaks the fabric's contract: every tag is
+    /// still delivered once and in order on its link, so a loss rate is
+    /// written as the retransmission a reliable transport turns it into,
+    /// `with_delay(rate, retransmit)`.  Same seed ⇒ byte-identical delay
+    /// schedule on one worker.  (To cut links, see
+    /// [`crate::Machine::partition_nodes`].)
     pub fault_plan: Option<madeleine::FaultPlan>,
     /// Fault-injection hook for tests: tids whose packed record group is
     /// deliberately truncated on departure, exercising the per-record
@@ -368,7 +369,7 @@ impl MachineBuilder {
         self
     }
 
-    /// Install a seeded message-level fault plan on the fabric (see
+    /// Install a seeded delay plan on the fabric (see
     /// [`Pm2Config::fault_plan`]).
     pub fn fault_plan(mut self, plan: madeleine::FaultPlan) -> Self {
         self.cfg.fault_plan = Some(plan);
@@ -450,7 +451,7 @@ mod tests {
         assert_eq!(Pm2Config::test(4).workers, 1, "tests run on one worker");
 
         let ms = Duration::from_millis;
-        let plan = madeleine::FaultPlan::lossy(7, 0.01);
+        let plan = madeleine::FaultPlan::new(7).with_delay(0.01, ms(1));
         let area = AreaConfig {
             slot_size: 16 * 1024,
             n_slots: 512,

@@ -45,15 +45,15 @@ pub enum Pm2Error {
     NodeFailed(usize),
     /// The spill log (checkpoint persistence) failed at the I/O layer.
     Spill(String),
-    /// An at-least-once control exchange (trade, probe, checkpoint,
-    /// reclaim) burned through its whole retry budget without ever seeing
-    /// the reply.  Distinct from [`Pm2Error::NodeFailed`]: the peer is not
-    /// known dead — the messages just kept vanishing.
-    RetriesExhausted {
-        /// The operation that gave up.
+    /// A request/reply exchange (an LRPC, a slot trade, a probe, a
+    /// checkpoint, a reclaim, a §4.4 round) got no reply within its one
+    /// `reply_deadline`: the peer is slow, or a partition has stalled the
+    /// link.  Distinct from [`Pm2Error::NodeFailed`], which a death
+    /// raises at once: the fabric loses nothing, so nothing is re-sent, and
+    /// a reply that lands late is dropped.
+    Timeout {
+        /// The exchange that gave up.
         op: &'static str,
-        /// Total attempts made (first try + re-sends).
-        attempts: u32,
     },
 }
 
@@ -103,9 +103,7 @@ impl fmt::Display for Pm2Error {
             Pm2Error::Decode(what) => write!(f, "malformed wire payload: {what}"),
             Pm2Error::NodeFailed(n) => write!(f, "node {n} failed"),
             Pm2Error::Spill(e) => write!(f, "spill log error: {e}"),
-            Pm2Error::RetriesExhausted { op, attempts } => {
-                write!(f, "{op} got no reply in {attempts} attempts")
-            }
+            Pm2Error::Timeout { op } => write!(f, "{op} got no reply in time"),
         }
     }
 }

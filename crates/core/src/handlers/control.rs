@@ -108,8 +108,8 @@ pub(crate) fn on_thread_exit(ctx: &mut NodeCtx, m: Message) {
 
 /// File a protocol reply (negotiation, load probe, migrate command, typed
 /// LRPC) under the wait of the green thread it answers and wake it.  A
-/// reply nobody waits for — it landed after its caller's deadline, or
-/// answers a request twice — is dropped here and counted, not kept.
+/// reply nobody waits for — it landed after its caller's deadline — is
+/// dropped here and counted, not kept.
 pub(crate) fn park_reply(ctx: &mut NodeCtx, m: Message) {
     if ctx.waits.file(&ctx.sched, m).is_some() {
         ctx.stats.replies_unclaimed.add(1);
@@ -150,23 +150,14 @@ pub(crate) fn on_ckpt_req(ctx: &mut NodeCtx, m: Message) {
 
 /// `NODE_RECLAIM`: adopt a dead node's orphaned slot ranges (the host
 /// computed them from the audit).  Same framing and adoption path as a
-/// trade grant; mid-freeze the adoption is deferred exactly like one.
-/// The reclaim id makes the exchange idempotent: a retried request whose
-/// first ack was lost gets the recorded count re-acked, never a second
-/// adoption of ranges this node already owns.
+/// trade grant; mid-freeze the adoption is deferred exactly like one.  The
+/// reclaim id is the ack's correlation id.
 pub(crate) fn on_node_reclaim(ctx: &mut NodeCtx, m: Message) {
     let Some(proto::NodeReclaim { reclaim_id, ranges }) = decode(ctx, &m) else {
         return;
     };
-    let slots = match ctx.done_reclaims.get(&reclaim_id) {
-        Some(&recorded) => recorded,
-        None => {
-            let total: usize = ranges.0.iter().map(|r| r.count).sum();
-            let adopted = ctx.adopt_grant(&ranges.0, "reclaim grant from the host");
-            let adopted = if adopted { total as u32 } else { 0 };
-            ctx.done_reclaims.insert(reclaim_id, adopted);
-            adopted
-        }
-    };
+    let total: usize = ranges.0.iter().map(|r| r.count).sum();
+    let adopted = ctx.adopt_grant(&ranges.0, "reclaim grant from the host");
+    let slots = if adopted { total as u32 } else { 0 };
     let _ = ctx.send_msg(m.src, &proto::ReclaimAck { reclaim_id, slots });
 }

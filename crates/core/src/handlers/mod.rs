@@ -83,49 +83,6 @@ pub(crate) fn decode<M: Wire>(ctx: &mut NodeCtx, m: &Message) -> Option<M> {
     msg
 }
 
-/// Sliding 64-sequence receive dedup window for one (source, class)
-/// stream.  `top` is the newest sequence number admitted; bit `d` of
-/// `mask` says whether `top − d` was seen.  A chaos-duplicated message
-/// reuses the original's fabric sequence number, so the replay lands on
-/// an already-set bit.  Anything more than 64 behind `top` also reads as
-/// a duplicate: the fabric numbers each link on its own (`Message::seq`),
-/// and per-link FIFO plus its one-slot holdback bound genuine reordering
-/// to a distance of 1 in that numbering, whatever else the sender sends
-/// meanwhile — so nothing real ever falls that far behind.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct DedupWindow {
-    top: u64,
-    mask: u64,
-}
-
-impl DedupWindow {
-    /// Record `seq`; `false` means it was already seen.
-    pub(crate) fn admit(&mut self, seq: u64) -> bool {
-        if self.mask == 0 {
-            self.top = seq;
-            self.mask = 1;
-            return true;
-        }
-        if seq > self.top {
-            let d = seq - self.top;
-            self.mask = if d >= 64 { 0 } else { self.mask << d };
-            self.mask |= 1;
-            self.top = seq;
-            return true;
-        }
-        let d = self.top - seq;
-        if d >= 64 {
-            return false;
-        }
-        let bit = 1u64 << d;
-        if self.mask & bit != 0 {
-            return false;
-        }
-        self.mask |= bit;
-        true
-    }
-}
-
 /// The dispatch table: route one message to its handler.
 pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
     // Zombie guard: a message from a node known to be dead is late mail
@@ -147,9 +104,6 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
     if slot_protocol && m.src >= ctx.n_nodes {
         return drop_malformed(ctx);
     }
-    // (Chaos duplicates were already dropped at ingest — dedup must run
-    // once per fabric *arrival*, not per dispatch, because messages
-    // deferred during a freeze come back through here a second time.)
     match m.tag {
         tag::SPAWN_KEY => spawn::on_spawn_key(ctx, m),
         tag::RPC_SPAWN => spawn::on_rpc_spawn(ctx, m),
@@ -157,10 +111,11 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::MIGRATION => migration::on_migration(ctx, m),
         tag::MIGRATION_NAK => migration::on_migration_nak(ctx, m),
         tag::MIGRATE_CMD => migration::on_migrate_cmd(ctx, m),
-        tag::NEG_LOCK_REQ => negotiation::on_lock_req(ctx, m.src),
+        tag::NEG_LOCK_REQ => negotiation::on_lock_req(ctx, &m),
         tag::NEG_LOCK_RELEASE => negotiation::on_lock_release(ctx, m.src),
-        tag::NEG_BITMAP_REQ => negotiation::on_bitmap_req(ctx, m.src),
+        tag::NEG_BITMAP_REQ => negotiation::on_bitmap_req(ctx, &m),
         tag::NEG_BUY => negotiation::on_buy(ctx, m),
+        tag::NEG_BUY_ACK => negotiation::on_buy_ack(ctx, m),
         tag::NEG_DONE => negotiation::on_neg_done(ctx),
         tag::SLOT_TRADE_REQ => negotiation::on_slot_trade_req(ctx, m),
         tag::SLOT_TRADE_RESP => negotiation::on_slot_trade_resp(ctx, m),
@@ -179,9 +134,7 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
             negotiation::note_ack_wealth(ctx, &m);
             control::park_reply(ctx, m)
         }
-        tag::NEG_LOCK_GRANT | tag::NEG_BITMAP_RESP | tag::NEG_BUY_ACK | tag::RPC_RESP => {
-            control::park_reply(ctx, m)
-        }
+        tag::NEG_LOCK_GRANT | tag::NEG_BITMAP_RESP | tag::RPC_RESP => control::park_reply(ctx, m),
         tag::KILL => control::on_kill(ctx),
         tag::NODE_DEAD => control::on_node_dead(ctx, &m),
         tag::CKPT_REQ => control::on_ckpt_req(ctx, m),
@@ -218,59 +171,5 @@ mod tests {
         assert_eq!(classify(tag::RPC_RESP), Class::Data);
         assert!(Class::Control < Class::Migration);
         assert!(Class::Migration < Class::Data);
-    }
-
-    #[test]
-    fn dedup_window_catches_duplicates_and_tolerates_gaps() {
-        let mut w = DedupWindow::default();
-        assert!(w.admit(0), "first ever sequence admits");
-        assert!(w.admit(1));
-        assert!(!w.admit(1), "immediate duplicate caught");
-        assert!(w.admit(5), "drop-induced gap admits");
-        assert!(w.admit(3), "late (reordered) sequence inside the gap");
-        assert!(!w.admit(3), "its duplicate caught");
-        assert!(!w.admit(0), "old sequence still remembered");
-        assert!(w.admit(4), "unseen in-window sequence admits");
-    }
-
-    #[test]
-    fn dedup_window_handles_reorder_then_duplicate() {
-        // The fabric's holdback swaps adjacent sends: seq 1 arrives
-        // before seq 0, then chaos duplicates both.
-        let mut w = DedupWindow::default();
-        assert!(w.admit(1));
-        assert!(w.admit(0));
-        assert!(!w.admit(1));
-        assert!(!w.admit(0));
-        assert!(w.admit(2));
-    }
-
-    /// A message held back on one link is released behind the sender's
-    /// next message on that link, however much it sent elsewhere
-    /// meanwhile — and must still be admitted, not taken for a replay.
-    #[test]
-    fn a_held_message_behind_a_busy_sender_is_admitted() {
-        use madeleine::{Fabric, FaultPlan, NetProfile};
-        let eps = Fabric::new_chaotic(3, NetProfile::instant(), FaultPlan::new(7).with_hold(1.0));
-        eps[0].send(1, tag::GOSSIP, Vec::new()).unwrap();
-        for _ in 0..100 {
-            eps[0].send(2, tag::GOSSIP, Vec::new()).unwrap();
-        }
-        eps[0].send(1, tag::GOSSIP, Vec::new()).unwrap();
-        let mut w = DedupWindow::default();
-        let admitted: Vec<bool> = std::iter::from_fn(|| eps[1].try_recv())
-            .map(|m| w.admit(m.seq))
-            .collect();
-        assert_eq!(admitted, [true, true], "the held message was dropped");
-    }
-
-    #[test]
-    fn dedup_window_far_jump_forgets_cleanly() {
-        let mut w = DedupWindow::default();
-        assert!(w.admit(10));
-        assert!(w.admit(500), "jump ≥ 64 ahead clears the window");
-        assert!(!w.admit(500));
-        assert!(!w.admit(10), "far-behind reads as duplicate, not panic");
-        assert!(w.admit(499), "in-window slot behind the new top admits");
     }
 }

@@ -43,7 +43,10 @@ use super::{decode, drop_malformed};
 use crate::node::NodeCtx;
 use crate::proto::{self, tag};
 
-pub(crate) fn on_lock_req(ctx: &mut NodeCtx, from: usize) {
+pub(crate) fn on_lock_req(ctx: &mut NodeCtx, m: &Message) {
+    let Some(proto::NegLockReq { round }) = decode(ctx, m) else {
+        return;
+    };
     // The lock service is a *leased role*, not an address: it lives on
     // the lowest-id live node.  A request reaching a non-coordinator is
     // an election-window straggler (the requester resolved the role an
@@ -53,9 +56,9 @@ pub(crate) fn on_lock_req(ctx: &mut NodeCtx, from: usize) {
     if !ctx.is_coordinator() {
         return;
     }
-    if ctx.lock_holder != Some(from) && !ctx.lock_queue.contains(&from) {
-        ctx.lock_queue.push_back(from);
-    }
+    // A node asks once per round, and its release (sent on a timeout too)
+    // precedes its next request on the link: no entry of it is queued.
+    ctx.lock_queue.push_back((m.src, round));
     ctx.service_lock_queue();
 }
 
@@ -64,13 +67,20 @@ pub(crate) fn on_lock_release(ctx: &mut NodeCtx, from: usize) {
     // anyone else is stale — typically a holder granted by a dead
     // predecessor coordinator, whose critical section we never recorded —
     // and must not unlock a section belonging to someone we did grant.
+    // A requester that gave up on its grant releases too: that withdraws
+    // its request, or frees the lock granted after its deadline.
     if ctx.lock_holder == Some(from) {
         ctx.lock_holder = None;
     }
+    ctx.lock_queue.retain(|&(w, _)| w != from);
     ctx.service_lock_queue();
 }
 
-pub(crate) fn on_bitmap_req(ctx: &mut NodeCtx, from: usize) {
+pub(crate) fn on_bitmap_req(ctx: &mut NodeCtx, m: &Message) {
+    let Some(proto::NegBitmapReq { round }) = decode(ctx, m) else {
+        return;
+    };
+    let from = m.src;
     // Entering the system-wide critical section as a participant: the
     // bitmap freezes until NEG_DONE (step (a) of §4.4).  Remember the
     // initiator — if it dies, its death unfreezes us (it can never send
@@ -79,13 +89,14 @@ pub(crate) fn on_bitmap_req(ctx: &mut NodeCtx, from: usize) {
     ctx.frozen_by = Some(from);
     // The gather reply rides a pooled buffer: the initiator collects
     // p − 1 of these per negotiation, so recycling matters.
-    let mut buf = ctx.pool.checkout(ctx.mgr.bitmap_wire_len());
+    let mut buf = ctx.pool.checkout(8 + ctx.mgr.bitmap_wire_len());
+    buf.extend_from_slice(&round.to_le_bytes());
     ctx.mgr.bitmap_bytes_into(&mut buf);
     let _ = ctx.ep.send(from, tag::NEG_BITMAP_RESP, buf);
 }
 
 pub(crate) fn on_buy(ctx: &mut NodeCtx, m: Message) {
-    let Some(proto::NegBuy { ranges }) = decode(ctx, &m) else {
+    let Some(proto::NegBuy { round, ranges }) = decode(ctx, &m) else {
         return;
     };
     // A buy is computed from the bitmap we answered the gather with, so
@@ -105,7 +116,20 @@ pub(crate) fn on_buy(ctx: &mut NodeCtx, m: Message) {
         // Can only fail unmapping a slot we own: a broken area, not input.
         ctx.mgr.sell(r).expect("selling owned slots");
     }
-    let _ = ctx.ep.send(m.src, tag::NEG_BUY_ACK, Vec::new());
+    let _ = ctx.send_msg(m.src, &proto::NegBuyAck { round });
+}
+
+/// A buy ack files under its round's gather.  One that lands after the
+/// round gave up on it still transfers the ranges: the seller cleared
+/// them, so the buyer adopts them, the way a late trade grant is adopted.
+pub(crate) fn on_buy_ack(ctx: &mut NodeCtx, m: Message) {
+    let late = proto::peek_id(&m.payload).and_then(|round| ctx.late_buys.remove(&(round, m.src)));
+    match late {
+        Some(ranges) => {
+            ctx.adopt_grant(&ranges, &format!("late slot buy from node {}", m.src));
+        }
+        None => super::control::park_reply(ctx, m),
+    }
 }
 
 pub(crate) fn on_neg_done(ctx: &mut NodeCtx) {

@@ -180,6 +180,12 @@
 //!   node it names: one that is in fact still running (a false suspicion,
 //!   the far side of a partition) stops as if killed, so a thread
 //!   recovery re-adopts never runs twice and shutdown never waits on it;
+//! * **one delivery contract** — the fabric delivers each message once
+//!   and in order per link until one end dies, so every exchange is one
+//!   send plus one wait for one reply deadline: a miss is
+//!   [`Pm2Error::Timeout`], a death [`Pm2Error::NodeFailed`] at once.  A
+//!   partition ([`Machine::partition_nodes`]) stalls the links it cuts
+//!   until [`Machine::heal_partition`] delivers what they held;
 //! * **no hang, ever** — joins, RPC calls and `pm2_join_value` on a
 //!   thread whose host died resolve with typed
 //!   [`Pm2Error::NodeFailed`] after one reply-deadline grace window

@@ -432,7 +432,8 @@ fn balance_round(p: usize, cfg: &BalancerConfig, counters: &Counters) -> Result<
     // reply's piggybacked free-slot wealth into the trader's hint table:
     // the balancer's probes double as the slot economy's freshness source.)
     let ask = |peer| send_msg(peer, &probe);
-    let _ = api::gather(tag::LOAD_RESP, deadline, to_probe, ask, |m| {
+    let op = "load probe";
+    let _ = api::gather(op, tag::LOAD_RESP, None, deadline, to_probe, ask, |m| {
         if let Some(resp) = proto::LoadResp::decode_vec(&m.payload) {
             loads.push(Load {
                 node: m.src,

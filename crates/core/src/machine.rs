@@ -123,10 +123,6 @@ pub struct Machine {
     typed_services: Arc<TypedServiceTable>,
     slot_stats: Vec<Arc<isoaddr::SlotStats>>,
     node_stats: Vec<Arc<NodeStats>>,
-    /// Control requests the host re-sent toward each node: part of that
-    /// node's `ctrl_retries`, but tallied here, since only the node's
-    /// driver writes its counters.
-    host_resends: Vec<u64>,
     /// Per-node wealth hint tables (last-known free-slot count per peer).
     wealth: Vec<Arc<Vec<AtomicU64>>>,
     /// Cheap-clone handles on each node's payload pool (observability).
@@ -153,18 +149,7 @@ impl Machine {
         assert!(cfg.nodes >= 1, "a machine needs at least one node");
         let cfg = Arc::new(cfg.normalized());
         let area = Arc::new(IsoArea::with_strategy(cfg.area, cfg.map_strategy)?);
-        // A configured fault plan gets the exactly-once tags (the `once`
-        // rows of the tag table) stamped protected before it reaches the
-        // fabric: they move state that is never retried, so losing or
-        // duplicating them would be a different (unrecoverable) fault
-        // model than the at-least-once request/reply traffic.
-        let once: Vec<u16> = tag::ALL
-            .iter()
-            .copied()
-            .filter(|&t| proto::exactly_once(t))
-            .collect();
-        let plan = cfg.fault_plan.clone().map(|p| p.protect_tags(&once));
-        let mut eps = match plan {
+        let mut eps = match cfg.fault_plan.clone() {
             None => Fabric::new(cfg.nodes + 1, cfg.net),
             Some(p) => Fabric::new_chaotic(cfg.nodes + 1, cfg.net, p),
         };
@@ -196,7 +181,6 @@ impl Machine {
         let wealth = ctxs.iter().map(|c| Arc::clone(&c.peer_wealth)).collect();
         let pools = ctxs.iter().map(|c| c.pool.clone()).collect();
 
-        let host_resends = vec![0; cfg.nodes];
         let n_workers = effective_workers(&cfg);
         let drivers = crate::executor::spawn_pool(ctxs, n_workers);
 
@@ -211,7 +195,6 @@ impl Machine {
             typed_services,
             slot_stats,
             node_stats,
-            host_resends,
             wealth,
             pools,
             drivers,
@@ -347,12 +330,10 @@ impl Machine {
             &req,
             self.cfg.max_rpc_payload,
         )?;
-        // Exactly-once (the handler is arbitrary user code): one attempt
-        // with the whole reply deadline, never a blind re-send.
         let deadline = Instant::now() + self.cfg.reply_deadline;
         let reply = self
             .exchange(node, tag::RPC_CALL, call, tag::RPC_RESP, call_id, deadline)?
-            .ok_or_else(|| Pm2Error::Net("timed out waiting for rpc response".into()))?;
+            .ok_or(Pm2Error::Timeout { op: "rpc call" })?;
         crate::api::decode_rpc_outcome::<S>(&reply.payload)
     }
 
@@ -421,9 +402,7 @@ impl Machine {
     /// monotonic: a window is `after.since(&before)`, and nodes sum with
     /// `.sum()`.
     pub fn node_stats(&self, node: usize) -> NodeStatsSnapshot {
-        let mut stats = self.node_stats[node].snapshot();
-        stats.ctrl_retries += self.host_resends[node];
-        stats
+        self.node_stats[node].snapshot()
     }
 
     /// `node`'s wealth hint table: its last-known free-slot count for
@@ -507,10 +486,9 @@ impl Machine {
         Ok(None)
     }
 
-    /// An at-least-once [`Machine::exchange`] over declared messages: `req`
-    /// goes out under its tag, is re-sent under the same `id` on loss (so
-    /// the receiver can recognise a duplicate) within one `reply_deadline`
-    /// in total, and the reply is decoded as `R`.
+    /// [`Machine::exchange`] over declared messages, `op`: `req` goes out
+    /// under its tag, the reply is awaited for one `reply_deadline` — a
+    /// missed one is [`Pm2Error::Timeout`] — and decoded as `R`.
     fn call<Q: Msg, R: Msg>(
         &mut self,
         op: &'static str,
@@ -518,16 +496,10 @@ impl Machine {
         req: &Q,
         id: u64,
     ) -> Result<R> {
-        let mut resent = 0;
-        let reply = crate::api::retry(op, self.cfg.reply_deadline, &mut resent, |slice| {
-            let payload = proto::encode(self.host_ep.pool(), req);
-            let deadline = Instant::now() + slice;
-            self.exchange(node, Q::TAG, payload, R::TAG, id, deadline)?
-                .map(|m| R::from_payload(&m.payload))
-                .transpose()
-        });
-        self.host_resends[node] += resent;
-        reply
+        let payload = proto::encode(self.host_ep.pool(), req);
+        let deadline = Instant::now() + self.cfg.reply_deadline;
+        let reply = self.exchange(node, Q::TAG, payload, R::TAG, id, deadline)?;
+        R::from_payload(&reply.ok_or(Pm2Error::Timeout { op })?.payload)
     }
 
     fn recv_control(&mut self, want: u16, deadline: Instant) -> Option<Message> {
@@ -663,9 +635,6 @@ impl Machine {
         if self.host_ep.is_dead(node) {
             return Err(Pm2Error::NodeFailed(node));
         }
-        // CKPT_REQ/ACK is at-least-once under a fault plan.  A duplicate
-        // request just snapshots again (the newest epoch supersedes), so
-        // retrying is always safe.
         let req_id = self.next_id();
         let ack: proto::CkptAck =
             self.call("checkpoint", node, &proto::CkptReq { req_id }, req_id)?;
@@ -681,11 +650,13 @@ impl Machine {
         Ok(total)
     }
 
-    /// Chaos switch: cut the fabric between node sets `a` and `b` — every
-    /// message (any tag, both directions) between the two sets is silently
-    /// eaten until [`Machine::heal_partition`].  Nodes in neither set, and
-    /// the host, keep full connectivity; nodes never observe the cut as a
-    /// death unless it outlives `failure_timeout`.
+    /// Chaos switch: cut the fabric between node sets `a` and `b`.  Every
+    /// link between the two sets (any tag, both directions) *stalls*, as a
+    /// pulled cable stalls a TCP stream: its messages are kept in send
+    /// order until [`Machine::heal_partition`].  Exchanges across the cut
+    /// wait out their reply deadline ([`Pm2Error::Timeout`]).  Nodes in
+    /// neither set, and the host, keep full connectivity; nodes never
+    /// observe the cut as a death unless it outlives `failure_timeout`.
     pub fn partition_nodes(&self, a: &[usize], b: &[usize]) {
         let mut groups = vec![madeleine::WILD_GROUP; self.cfg.nodes + 1];
         for &n in a {
@@ -700,8 +671,13 @@ impl Machine {
         self.host_ep.set_partition(groups);
     }
 
-    /// Heal a [`Machine::partition_nodes`] cut; in-flight messages already
-    /// enqueued before the cut still deliver, eaten ones stay eaten.
+    /// Heal a [`Machine::partition_nodes`] cut.  Each link's stalled
+    /// messages are delivered in send order, ahead of anything sent on it
+    /// after the heal; a reply whose caller has given up meanwhile is
+    /// dropped unclaimed.  A stalled message from or to a node declared
+    /// dead during the cut is a zombie: dropped at the heal, its payload
+    /// back in its pool, counted on its sender's
+    /// [`madeleine::EndpointStatsSnapshot::zombies`].
     pub fn heal_partition(&self) {
         self.host_ep.clear_partition();
     }
@@ -838,9 +814,6 @@ impl Machine {
         let orphans = collect_ranges(0..report.n_slots, |s| !owned[s]);
         let mut slots_reclaimed = 0usize;
         if !orphans.is_empty() {
-            // At-least-once with a sticky heir: always the same survivor,
-            // always the same reclaim id, so a lost ack just provokes a
-            // re-ack of the recorded adoption instead of a double grant.
             let reclaim_id = self.next_id();
             let req = proto::NodeReclaim {
                 reclaim_id,

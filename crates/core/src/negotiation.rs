@@ -65,18 +65,14 @@
 //! re-check the bitmap first, because the previous holder's batch usually
 //! covers them.
 
-use std::time::Duration;
-
 use isoaddr::{SlotBitmap, SlotRange};
 
-use crate::api::{
-    call, gather, green_retry, reply_deadline, send_msg, send_to, timed_out, wait_unfrozen,
-};
+use crate::api::{call, gather, reply_deadline, send_msg, send_to, wait_unfrozen};
 use crate::error::{Pm2Error, Result};
 use crate::machine::collect_ranges;
 use crate::node::with_ctx;
 use crate::proto::{self, tag};
-use crate::wait::{Due, For, Wait};
+use crate::wait::{For, Wait};
 
 /// Acquire ownership of `requested` contiguous slots into the calling
 /// node's bitmap.  On success the local bitmap is guaranteed to contain a
@@ -122,21 +118,11 @@ fn run_acquire(requested: usize) -> Result<()> {
     }
 }
 
-/// One trade exchange with the richest known peer, retried on loss:
-/// each attempt re-picks the richest peer (hints may have moved) under a
-/// fresh trade id and an exponentially growing slice of the reply
-/// deadline.  Returns whether the local bitmap now satisfies the
-/// request.  A *received* refusal or insufficiency reports `false`
-/// immediately — that is a negative answer, not loss — and so does a
-/// spent retry budget: either way the caller falls back to the global
-/// protocol.
+/// One trade exchange with the richest known peer.  Returns whether the
+/// local bitmap now satisfies the request.  A refusal or an insufficient
+/// grant reports `false`, and so do a missed reply deadline and the
+/// peer's death: either way the caller falls back to the global protocol.
 fn try_trade(requested: usize) -> bool {
-    green_retry("slot trade", |slice| Ok(try_trade_once(requested, slice))).unwrap_or(false)
-}
-
-/// One attempt of [`try_trade`]: `Some(satisfied)` on a received answer,
-/// `None` when the exchange was lost and a retry is worthwhile.
-fn try_trade_once(requested: usize, patience: Duration) -> Option<bool> {
     let setup = with_ctx(|c| {
         let peer = c.richest_peer(0)?;
         let req = proto::SlotTradeReq {
@@ -148,21 +134,21 @@ fn try_trade_once(requested: usize, patience: Duration) -> Option<bool> {
             wealth: c.mgr.free_slots() as u32,
         };
         // The pump adopts the grant when the answer lands — in time, or
-        // after this attempt gave up on it: the lender has cleared the
+        // after this exchange gave up on it: the lender has cleared the
         // slots either way — and then tells whoever still waits.
         c.prefetch_pending.insert(req.trade_id);
         c.stats.trades.add(1);
         Some((peer, req, c.now()))
     });
     let Some((peer, req, t0)) = setup else {
-        return Some(false); // nobody plausibly rich: straight to global
+        return false; // nobody plausibly rich: straight to global
     };
-    let due = Due::After(patience);
-    match call::<proto::SlotTradeResp>(peer, &req, Some(req.trade_id), due) {
+    let id = Some(req.trade_id);
+    match call::<proto::SlotTradeResp>("slot trade", peer, &req, id) {
         // An answer that does not decode is still an answer.
-        Ok(Some(_)) | Err(Pm2Error::Decode(_)) => {}
-        // Timed out, or the peer died under us (a retry re-picks).
-        Ok(None) | Err(_) => return None,
+        Ok(_) | Err(Pm2Error::Decode(_)) => {}
+        // Timed out, or the peer died under us.
+        Err(_) => return false,
     }
     // A grant that landed inside a critical section (a global negotiation
     // may have frozen us while we waited) is adopted at the thaw.
@@ -170,7 +156,7 @@ fn try_trade_once(requested: usize, patience: Duration) -> Option<bool> {
     with_ctx(|c| {
         let spent = c.now().duration_since(t0);
         c.stats.trade_ns.add(spent.as_nanos() as u64);
-        Some(c.mgr.bitmap().find_first_fit(requested, 0).is_some())
+        c.mgr.bitmap().find_first_fit(requested, 0).is_some()
     })
 }
 
@@ -206,7 +192,9 @@ fn run_global(requested: usize) -> Result<()> {
 }
 
 fn run_global_protocol(requested: usize) -> Result<()> {
-    let (me, p) = with_ctx(|c| (c.node, c.n_nodes));
+    // Every leg of the section names its round, so a grant, bitmap or ack
+    // that a stall delivers after its deadline never answers a later one.
+    let (me, p, round) = with_ctx(|c| (c.node, c.n_nodes, c.next_call_id()));
 
     // (a) system-wide critical section against the *current* coordinator
     // — the lowest-id live node (`NodeCtx::coordinator`).  If the
@@ -217,10 +205,17 @@ fn run_global_protocol(requested: usize) -> Result<()> {
     let mut grant_attempts = 0usize;
     loop {
         let coord = with_ctx(|c| c.coordinator());
-        let grant = Wait::for_reply(tag::NEG_LOCK_GRANT, Some(coord), None, reply_deadline());
-        match send_to(coord, tag::NEG_LOCK_REQ, Vec::new()).and_then(|()| grant.next()) {
-            Ok(Some(_)) => break,
-            Ok(None) => return Err(timed_out(tag::NEG_LOCK_GRANT)),
+        let req = proto::NegLockReq { round };
+        match call::<proto::NegLockGrant>("negotiation lock", coord, &req, Some(round)) {
+            // A grant that does not decode is still the grant.
+            Ok(_) | Err(Pm2Error::Decode(_)) => break,
+            Err(timeout @ Pm2Error::Timeout { .. }) => {
+                // The request may still be stalled on its way: the release
+                // follows it on the link and withdraws it, or frees the
+                // lock granted to it after the deadline.
+                let _ = send_to(coord, tag::NEG_LOCK_RELEASE, Vec::new());
+                return Err(timeout);
+            }
             Err(Pm2Error::NodeFailed(n)) => {
                 grant_attempts += 1;
                 if grant_attempts >= p {
@@ -236,7 +231,7 @@ fn run_global_protocol(requested: usize) -> Result<()> {
     // seller dying after the gather, say), the NEG_DONE fan-out and the
     // lock release below still run — a failed buy must not leave every
     // other node frozen forever.
-    let outcome = gather_and_buy(me, p, requested);
+    let outcome = gather_and_buy(me, p, round, requested);
 
     // (e)+(f): end the critical section everywhere and release the lock —
     // addressed to whoever coordinates *now*.  If our granter died
@@ -263,20 +258,30 @@ fn run_global_protocol(requested: usize) -> Result<()> {
 /// mid-gather or mid-buy are pruned instead of hung on: their reply is
 /// never coming, and their slots are recovery's business, not this
 /// negotiation's.
-fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
+fn gather_and_buy(me: usize, p: usize, round: u64, requested: usize) -> Result<()> {
     // (b) gather the bitmaps of every *live* peer.  A send refused with a
     // death certificate drops that peer from the gather: a corpse's slots
     // are reclaimed by recovery (`Machine::recover_node`), never bought.
     let mut bitmaps: Vec<Option<SlotBitmap>> = (0..p).map(|_| None).collect();
     bitmaps[me] = Some(with_ctx(|c| c.mgr.bitmap().clone()));
     let peers = (0..p).filter(|&peer| peer != me);
-    let ask = |peer| send_to(peer, tag::NEG_BITMAP_REQ, Vec::new());
-    gather(tag::NEG_BITMAP_RESP, reply_deadline(), peers, ask, |m| {
-        let bm = SlotBitmap::from_bytes(&m.payload)
-            .ok_or_else(|| Pm2Error::Net("malformed bitmap response".into()))?;
-        bitmaps[m.src] = Some(bm);
-        Ok(())
-    })?;
+    let ask = |peer| send_msg(peer, &proto::NegBitmapReq { round });
+    let op = "bitmap gather";
+    gather(
+        op,
+        tag::NEG_BITMAP_RESP,
+        Some(round),
+        reply_deadline(),
+        peers,
+        ask,
+        |m| {
+            // Matched by its leading round id: at least 8 bytes long.
+            let bm = SlotBitmap::from_bytes(&m.payload[8..])
+                .ok_or_else(|| Pm2Error::Net("malformed bitmap response".into()))?;
+            bitmaps[m.src] = Some(bm);
+            Ok(())
+        },
+    )?;
 
     // (c) global OR, plus the owner table: one pass over the gathered
     // bitmaps' set bits gives O(1) owner lookups in step (d) — the old
@@ -318,20 +323,26 @@ fn gather_and_buy(me: usize, p: usize, requested: usize) -> Result<()> {
             // ungranted — whether the corpse cleared them is unknowable,
             // so they fall to corpse reclamation — and the negotiation
             // reports the death typed (the caller may retry; our NEG_DONE
-            // fan-out still runs).
-            let mut bought: Vec<SlotRange> = Vec::new();
+            // fan-out still runs).  A seller still owing at the deadline
+            // may sell yet: its late ack is adopted by the pump.
+            let mut acked: Vec<usize> = Vec::new();
             let buy = |seller| {
                 let ranges = proto::Ranges(ranges_of(seller).to_vec());
-                send_msg(seller, &proto::NegBuy { ranges })
+                send_msg(seller, &proto::NegBuy { round, ranges })
             };
             let asked = sellers.iter().map(|(owner, _)| *owner);
-            let lost_sellers = gather(tag::NEG_BUY_ACK, reply_deadline(), asked, buy, |m| {
-                bought.extend_from_slice(ranges_of(m.src));
+            let due = reply_deadline();
+            let lost_sellers = gather("buy", tag::NEG_BUY_ACK, Some(round), due, asked, buy, |m| {
+                acked.push(m.src);
                 Ok(())
             });
             with_ctx(|c| {
-                for r in &bought {
-                    c.mgr.grant(*r);
+                for (seller, ranges) in &sellers {
+                    if acked.contains(seller) {
+                        ranges.iter().for_each(|r| c.mgr.grant(*r));
+                    } else if lost_sellers.is_err() {
+                        c.late_buys.insert((round, *seller), ranges.clone());
+                    }
                 }
             });
             match lost_sellers?.last() {

@@ -220,19 +220,10 @@ counters! {
         /// quiescent machine with no timer armed accumulates none of either
         /// beyond the initial park.
         driver_wakeups,
-        /// Messages dropped by the per-(source, class) dedup window — chaos
-        /// duplicates (same fabric seq) caught before they reached a handler.
-        dup_dropped,
         /// Messages dropped by a handler as malformed: a payload that does not
         /// decode or names something this node does not have, or a tag with
         /// no handler (see `handlers`).  Zero on a healthy machine.
         malformed_dropped,
-        /// Re-sends of at-least-once control requests after a lost request or
-        /// reply: trades and probes issued by this node's threads, checkpoint
-        /// and reclaim requests issued by the host *toward* this node (the
-        /// host's are tallied by the `Machine`, which is no node's driver,
-        /// and added in by `Machine::node_stats`).
-        ctrl_retries,
         /// RPC-shaped messages (calls, spawn requests, replies) this node's
         /// threads exchanged with co-located peers — self-sends that never
         /// touch the modelled wire.
@@ -245,7 +236,7 @@ counters! {
         /// epoch observed by this node).
         aff_decays,
         /// Protocol replies dropped at dispatch because no green thread had a
-        /// wait open for them (an ack after its caller timed out, a duplicate).
+        /// wait open for them (an ack after its caller timed out).
         replies_unclaimed,
         /// Clock reads, each one through the node's one clock door: its
         /// timer runs (one busy step in [`CLOCK_EVERY`] and once per park
@@ -351,10 +342,15 @@ pub(crate) struct NodeCtx {
     /// Trade grants that arrived while the bitmap was frozen; adopted
     /// after NEG_DONE.
     pub pending_adopts: Vec<SlotRange>,
+    /// Global-negotiation buys whose ack missed the round's deadline, by
+    /// `(round, seller)`: the seller may still sell, and its late ack then
+    /// transfers the ranges here, as a late trade grant does.
+    pub late_buys: HashMap<(u64, usize), Vec<SlotRange>>,
     /// Lock service state (meaningful on the current coordinator — the
-    /// lowest-id live node; see [`NodeCtx::coordinator`]).
+    /// lowest-id live node; see [`NodeCtx::coordinator`]): the holder,
+    /// and the waiting requesters with the round each grant must name.
     pub lock_holder: Option<usize>,
-    pub lock_queue: VecDeque<usize>,
+    pub lock_queue: VecDeque<(usize, u64)>,
     /// Grant embargo after *inheriting* the coordinator role.  The dead
     /// predecessor may have granted a holder whose NEG_BITMAP_REQ has not
     /// frozen us yet; granting a second holder inside that window would
@@ -363,14 +359,6 @@ pub(crate) struct NodeCtx {
     /// grants), the queue waits; a timer while it does
     /// ([`NodeCtx::next_timer`]).
     pub coord_settle_until: Option<Instant>,
-    /// Per-(source, class) receive dedup windows, indexed
-    /// `src * N_CLASSES + class`.  Chaos duplicates reuse the original's
-    /// fabric sequence number, so a replay lands on an already-set bit
-    /// and is dropped before any handler runs.
-    pub dedup: Vec<crate::handlers::DedupWindow>,
-    /// Reclaim ids already adopted (id → slots granted), so a retried
-    /// NODE_RECLAIM re-acks the recorded count instead of re-adopting.
-    pub done_reclaims: HashMap<u64, u32>,
     /// Threads that exited while the bitmap was frozen; released later.
     pub zombies: Vec<DescPtr>,
     /// The departures one scheduling step produced, while [`NodeCtx::depart`]
@@ -529,14 +517,10 @@ impl NodeCtx {
             prefetch_inflight: None,
             prefetch_target: None,
             pending_adopts: Vec::new(),
+            late_buys: HashMap::new(),
             lock_holder: None,
             lock_queue: VecDeque::new(),
             coord_settle_until: None,
-            dedup: vec![
-                crate::handlers::DedupWindow::default();
-                (cfg.nodes + 1) * crate::handlers::N_CLASSES
-            ],
-            done_reclaims: HashMap::new(),
             zombies: Vec::new(),
             departing: Vec::new(),
             train_tids: Vec::new(),
@@ -924,7 +908,8 @@ impl NodeCtx {
         self.waits.fail_peer(&self.sched, dead);
         // Lock service: a corpse can neither hold nor want the
         // global-negotiation lock.
-        self.lock_queue.retain(|&w| w != dead);
+        self.lock_queue.retain(|&(w, _)| w != dead);
+        self.late_buys.retain(|&(_, seller), _| seller != dead);
         if self.lock_holder == Some(dead) {
             self.lock_holder = None;
         }
@@ -989,9 +974,9 @@ impl NodeCtx {
             }
             self.coord_settle_until = None;
         }
-        if let Some(next) = self.lock_queue.pop_front() {
+        if let Some((next, round)) = self.lock_queue.pop_front() {
             self.lock_holder = Some(next);
-            let _ = self.ep.send(next, tag::NEG_LOCK_GRANT, Vec::new());
+            let _ = self.send_msg(next, &proto::NegLockGrant { round });
         }
     }
 
@@ -1070,20 +1055,7 @@ impl NodeCtx {
     /// old drain did.
     fn ingest(&mut self) {
         while let Some(m) = self.ep.try_recv() {
-            let class = proto::classify(m.tag);
-            // Dedup guard: drop chaos duplicates (same fabric seq as a
-            // message this window already admitted) before any handler
-            // can double-apply them — a replayed SLOT_TRADE_RESP must not
-            // adopt its slots twice.  It runs here, once per fabric
-            // arrival, because dispatch sees some messages twice (those
-            // deferred during a freeze are replayed after NEG_DONE).
-            // Self-sends skip the window: the fabric never faults them.
-            let window = self.dedup.get_mut(m.src * N_CLASSES + class as usize);
-            if m.src != self.node && window.is_some_and(|w| !w.admit(m.seq)) {
-                self.stats.dup_dropped.add(1);
-                continue;
-            }
-            self.inbox[class as usize].push_back(m);
+            self.inbox[proto::classify(m.tag) as usize].push_back(m);
         }
     }
 
@@ -1182,17 +1154,26 @@ impl NodeCtx {
     }
 
     /// Nothing left to do but report so: no ready thread, no ingested
-    /// message, nothing deferred, no zombie or pending adoption, no timer
-    /// armed.  The executor parks a node that is quiet after a step at
-    /// once, without the empty step that would find this, and runs the node
-    /// its driver code woke next (the hand-off).
+    /// message, nothing deferred, no zombie or pending adoption, no wait
+    /// deadline still a bare span.  The executor parks a node that is quiet
+    /// after a step at once, without the empty step that would find this,
+    /// and runs the node its driver code woke next (the hand-off).
+    ///
+    /// An armed timer is no work: every timer with an instant — a fixed
+    /// wait deadline, the gossip round, the checkpoint period, the grant
+    /// embargo — is named by [`NodeCtx::next_timer`], which the parking
+    /// node files with the executor, and the step that instant brings runs
+    /// the due duties in `idle_timers`.  A past instant requeues the node
+    /// at once.  What has no instant yet is a `Due::After` span no timer
+    /// run has fixed (`WaitTable::unfixed`): only the empty step's timer
+    /// run gives it one, so that is work.
     pub(crate) fn quiet(&self) -> bool {
         !self.sched.has_ready()
             && !self.inbox_pending()
             && self.deferred.is_empty()
             && self.zombies.is_empty()
             && self.pending_adopts.is_empty()
-            && !self.timers_armed()
+            && !self.waits.unfixed()
     }
 
     /// The node is about to report no work: run its armed timers on a

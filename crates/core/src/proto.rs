@@ -4,9 +4,8 @@
 //! fabric:
 //!
 //! * the **tag table** (`tags!` below) — one row per message kind: its
-//!   tag number, the priority class the pump drains it in, and whether a
-//!   fault plan may touch it.  The `tag::*` constants, `classify` and
-//!   `exactly_once` are all generated from it;
+//!   tag number and the priority class the pump drains it in.  The
+//!   `tag::*` constants and `classify` are generated from it;
 //! * the **message structs** (`message!`) — fields in wire order.  The
 //!   struct *is* the layout: its [`Wire`] impl (encoder, decoder, exact
 //!   size hint) is generated from the field list, so the two sides of an
@@ -30,11 +29,12 @@
 //! `RPC_RESP` write the typed body in place behind a back-patched length
 //! and decode it borrowed (the LRPC fast path — one pass per leg);
 //! `MIGRATION_NAK` ends in a rest-of-buffer text; and `MIGRATION` and
-//! `NEG_BITMAP_RESP` carry a train and a `SlotBitmap` in those types' own
-//! serialized forms.  (`AUDIT_RESP` is [`crate::audit::NodeAudit`], a
-//! [`Msg`] declared beside the audit it reports.)  Tags with no row in the
-//! struct list (`NEG_LOCK_REQ`, `SHUTDOWN`, `KILL`, …) are bare commands:
-//! the tag is the whole message.
+//! `NEG_BITMAP_RESP` carry a train and a `SlotBitmap` (behind the round
+//! id) in those types' own serialized forms.  (`AUDIT_RESP` is
+//! [`crate::audit::NodeAudit`], a [`Msg`] declared beside the audit it
+//! reports.)  Tags with no row in the
+//! struct list (`NEG_DONE`, `SHUTDOWN`, `KILL`, …) are bare commands: the
+//! tag is the whole message.
 
 use isoaddr::SlotRange;
 use madeleine::message::{PayloadReader, PayloadWriter};
@@ -43,20 +43,16 @@ use madeleine::{BufPool, Payload, Wire};
 use crate::error::{Pm2Error, Result};
 use crate::handlers::Class;
 
-/// The tag table: `NAME = number, class, delivery;` per message kind.
+/// The tag table: `NAME = number, class;` per message kind.
 ///
 /// *Class* is the pump's drain order (control before migration before
-/// data; see [`crate::handlers`]).  *Delivery* says what a seeded fault
-/// plan may do to the message: `once` rows are exempt from drop, duplicate
-/// and reorder — the state-transfer messages (trains, spawn keys, exit
-/// records, kill/death certificates) move state that is never re-sent,
-/// application LRPC runs arbitrary user handlers that a blind retry could
-/// re-execute, and the §4.4 lock/bitmap/buy exchange assumes a reliable
-/// wire.  `retry` rows are at-least-once: re-sent by the requester (or
-/// superseded by the next periodic round) and deduplicated by the
-/// receiver's per-(source, class) window.
+/// data; see [`crate::handlers`]).  Every tag has one delivery contract,
+/// the fabric's: each message arrives once and in order on its link (see
+/// `madeleine`'s crate notes), so a request is sent once and its reply
+/// awaited once, for one reply deadline; the §4.4 lock/bitmap/buy exchange
+/// is written for exactly that wire.
 macro_rules! tags {
-    ($($(#[$doc:meta])* $name:ident = $num:literal, $class:ident, $delivery:ident;)*) => {
+    ($($(#[$doc:meta])* $name:ident = $num:literal, $class:ident;)*) => {
         /// Message tags.
         pub mod tag {
             $($(#[$doc])* pub const $name: u16 = $num;)*
@@ -72,57 +68,49 @@ macro_rules! tags {
                 _ => Class::Data,
             }
         }
-
-        /// Whether a fault plan must leave messages under tag `t` alone.
-        pub(crate) fn exactly_once(t: u16) -> bool {
-            match t {
-                $($num => tags!(@$delivery),)*
-                _ => false,
-            }
-        }
     };
-    (@once) => { true };
-    (@retry) => { false };
 }
 
 tags! {
     /// Host → node: spawn the closure stored under a spawn-table key.
-    SPAWN_KEY = 1, Data, once;
+    SPAWN_KEY = 1, Data;
     /// Any → node: spawn a registered service (LRPC-style remote spawn).
-    RPC_SPAWN = 2, Data, once;
+    RPC_SPAWN = 2, Data;
     /// Node → node: a packed migration *train* — one message carrying k ≥ 1
     /// threads bound for this node (count + tid/offset table + records; see
     /// `crate::migration` for the wire shape).
-    MIGRATION = 3, Migration, once;
+    MIGRATION = 3, Migration;
     /// Receiver → sender: one or more record groups of a migration train
     /// failed to unpack (corrupt or truncated); carries the lost tids and
     /// a UTF-8 description.  Those threads are lost but both nodes stay
     /// up, and the rest of the train landed normally.
-    MIGRATION_NAK = 4, Migration, once;
-    /// Any → coordinator: request the system-wide negotiation lock.
-    NEG_LOCK_REQ = 10, Control, once;
-    /// Coordinator → requester: lock granted.
-    NEG_LOCK_GRANT = 11, Control, once;
-    /// Holder → coordinator: lock released.
-    NEG_LOCK_RELEASE = 12, Control, once;
+    MIGRATION_NAK = 4, Migration;
+    /// Any → coordinator: request the system-wide negotiation lock for a
+    /// round.
+    NEG_LOCK_REQ = 10, Control;
+    /// Coordinator → requester: lock granted to that round.
+    NEG_LOCK_GRANT = 11, Control;
+    /// Holder, or a requester that gave up waiting → coordinator: lock
+    /// released, request withdrawn.
+    NEG_LOCK_RELEASE = 12, Control;
     /// Initiator → all: send me your bitmap (freezes the replier's bitmap).
-    NEG_BITMAP_REQ = 13, Control, once;
-    /// Replier → initiator: my bitmap.
-    NEG_BITMAP_RESP = 14, Control, once;
+    NEG_BITMAP_REQ = 13, Control;
+    /// Replier → initiator: the round, then my bitmap.
+    NEG_BITMAP_RESP = 14, Control;
     /// Initiator → seller: transfer these slot ranges to me.
-    NEG_BUY = 15, Control, once;
-    /// Seller → initiator: done.
-    NEG_BUY_ACK = 16, Control, once;
+    NEG_BUY = 15, Control;
+    /// Seller → initiator: done with that round's buy.
+    NEG_BUY_ACK = 16, Control;
     /// Initiator → all: negotiation over; unfreeze your bitmap.
-    NEG_DONE = 17, Control, once;
+    NEG_DONE = 17, Control;
     /// Host → node: finish resident threads, then stop.
-    SHUTDOWN = 20, Control, once;
+    SHUTDOWN = 20, Control;
     /// Node → host: stopped.
-    SHUTDOWN_ACK = 21, Control, once;
+    SHUTDOWN_ACK = 21, Control;
     /// Host → node: report ownership for the global audit.
-    AUDIT_REQ = 22, Control, once;
+    AUDIT_REQ = 22, Control;
     /// Node → host: audit report.
-    AUDIT_RESP = 23, Control, once;
+    AUDIT_RESP = 23, Control;
     /// Any → node: report your load (resident thread count).
     ///
     /// Deliberately *data*-class despite being served by the control
@@ -131,52 +119,52 @@ tags! {
     /// probed node, and a balancer probing a flooded node should see (and
     /// wait like) the flood.  Its `LOAD_RESP` reply is control-class: it
     /// unblocks a waiting protocol thread.
-    LOAD_REQ = 24, Data, retry;
+    LOAD_REQ = 24, Data;
     /// Node → requester: load report.
-    LOAD_RESP = 25, Control, retry;
+    LOAD_RESP = 25, Control;
     /// Any → node: preemptively migrate a *list* of threads to one
     /// destination — one command per (source, destination) pair, however
     /// many threads move.
-    MIGRATE_CMD = 26, Migration, retry;
+    MIGRATE_CMD = 26, Migration;
     /// Node → requester: migrate command outcome.  The echoed cmd id is
     /// what lets a deadline-bounded balancer round match acks without
     /// serializing on them.
-    MIGRATE_CMD_ACK = 27, Control, retry;
+    MIGRATE_CMD_ACK = 27, Control;
     /// Node → home node: thread exited (for cross-node joins; carries the
     /// panic message and the Wire-encoded return value when present).
-    THREAD_EXIT = 28, Control, once;
+    THREAD_EXIT = 28, Control;
     /// Any → node: typed LRPC request (call id, service id, request bytes).
-    RPC_CALL = 30, Data, once;
+    RPC_CALL = 30, Data;
     /// Serving node → caller: typed LRPC response (call id, status, bytes).
-    RPC_RESP = 31, Data, once;
+    RPC_RESP = 31, Data;
     /// Node → node: point-to-point slot trade request.  The hot-path
     /// replacement for the §4.4 global negotiation: no lock, no freeze, no
     /// bitmap gather — one request to the richest known peer.
-    SLOT_TRADE_REQ = 32, Control, retry;
+    SLOT_TRADE_REQ = 32, Control;
     /// Node → requester: trade reply.  The responder cleared its bits
     /// before this message left, so adopting the ranges completes the
     /// ownership transfer with exactly one bitmap owner per slot at every
     /// instant.
-    SLOT_TRADE_RESP = 33, Control, retry;
+    SLOT_TRADE_RESP = 33, Control;
     /// Host → node: die immediately (chaos kill switch).  The driver stops
     /// without finishing resident threads, without acking, without
     /// releasing anything — as close to pulling the power cord as an
     /// in-process fabric gets.
-    KILL = 40, Control, once;
+    KILL = 40, Control;
     /// Any → all: the named node is dead.  Survivors purge it from wealth
     /// hints, load snapshots and lock queues, drop its late (zombie)
     /// messages, and fail any wait targeting it with `NodeFailed`.
-    NODE_DEAD = 41, Control, once;
+    NODE_DEAD = 41, Control;
     /// Host → node: checkpoint your migratable threads to the spill log
     /// now.
-    CKPT_REQ = 42, Control, retry;
+    CKPT_REQ = 42, Control;
     /// Node → host: checkpoint done.
-    CKPT_ACK = 43, Control, retry;
+    CKPT_ACK = 43, Control;
     /// Host → node: adopt these orphaned slot ranges (a dead node's
     /// reclaimed estate).
-    NODE_RECLAIM = 44, Control, retry;
+    NODE_RECLAIM = 44, Control;
     /// Node → host: reclamation done.
-    RECLAIM_ACK = 45, Control, retry;
+    RECLAIM_ACK = 45, Control;
     /// Node → node: epidemic digest (see [`Gossip`](super::Gossip)).
     /// Carries the sender's own wealth/load under a fresh sequence number
     /// plus, with the failure detector armed, its newest entry for every
@@ -184,7 +172,7 @@ tags! {
     /// the gossip detector's only liveness evidence spread in O(fanout)
     /// messages per node per round (O(p) bytes each when armed) instead of
     /// the balancer probing — or the detector pinging — all p peers.
-    GOSSIP = 47, Control, retry;
+    GOSSIP = 47, Control;
 }
 
 /// A control-plane message: a [`Wire`] struct bound to the one tag it
@@ -246,7 +234,8 @@ pub fn encode<M: Wire>(pool: &BufPool, msg: &M) -> Payload {
 }
 
 /// The correlation id a reply leads with (`SLOT_TRADE_RESP`,
-/// `MIGRATE_CMD_ACK`, `CKPT_ACK`, `RECLAIM_ACK`, `RPC_RESP`): reply
+/// `MIGRATE_CMD_ACK`, `CKPT_ACK`, `RECLAIM_ACK`, `RPC_RESP`, and the §4.4
+/// replies' round): reply
 /// matching reads it without decoding the rest.
 pub fn peek_id(buf: &[u8]) -> Option<u64> {
     PayloadReader::new(buf).u64()
@@ -293,8 +282,17 @@ message! {
     /// Fire-and-forget spawn of byte-level service `service` on `args`.
     RpcSpawn = RPC_SPAWN { service: u32, args: Vec<u8> }
 
+    /// §4.4 (a): the lock for one round, asked for and granted.  Every
+    /// leg of a round names it, so a late reply never answers another.
+    NegLockReq = NEG_LOCK_REQ { round: u64 }
+    NegLockGrant = NEG_LOCK_GRANT { round: u64 }
+
+    /// §4.4 (b): send me your bitmap (it leads the reply with `round`).
+    NegBitmapReq = NEG_BITMAP_REQ { round: u64 }
+
     /// §4.4 step (d): the seller clears these ranges from its bitmap.
-    NegBuy = NEG_BUY { ranges: Ranges }
+    NegBuy = NEG_BUY { round: u64, ranges: Ranges }
+    NegBuyAck = NEG_BUY_ACK { round: u64 }
 
     /// A node short of slots asks a peer for some.
     SlotTradeReq = SLOT_TRADE_REQ {
@@ -369,9 +367,7 @@ message! {
     /// Checkpoint done: `threads` images written.
     CkptAck = CKPT_ACK { req_id: u64, threads: u32 }
 
-    /// Adopt a dead node's orphaned ranges.  The id makes the request
-    /// idempotent under retries — an heir that already adopted under this
-    /// id re-acks the recorded count without re-adopting.
+    /// Adopt a dead node's orphaned ranges; the ack echoes the id.
     NodeReclaim = NODE_RECLAIM { reclaim_id: u64, ranges: Ranges }
 
     /// Reclamation done: `slots` adopted.

@@ -117,6 +117,9 @@ pub(crate) struct WaitTable {
     /// Open waits with a deadline: while there is one, the node has a
     /// timer armed.
     timed: usize,
+    /// Open waits whose deadline is a span no timer run has fixed yet: no
+    /// instant exists to file for them until one does.
+    unfixed: usize,
     /// The queues of closed waits, for the next opens to reuse.
     spare: Vec<Filed>,
 }
@@ -162,6 +165,7 @@ impl WaitTable {
         now: Instant,
         is_dead: impl Fn(usize) -> bool,
     ) {
+        self.unfixed = 0;
         for e in &mut self.open {
             if let Some(Due::After(span)) = e.due {
                 e.due = Some(Due::At(now + span));
@@ -185,6 +189,13 @@ impl WaitTable {
         self.timed > 0
     }
 
+    /// Is any open wait's deadline a span not yet fixed at a clock read?
+    /// Such a wait has no instant for [`WaitTable::next_deadline`] to name,
+    /// so its node still needs a timer run before it parks.
+    pub(crate) fn unfixed(&self) -> bool {
+        self.unfixed > 0
+    }
+
     /// The earliest deadline a parked thread is waiting out, as fixed by
     /// the last [`WaitTable::expire`]: an idle node's driver must step it
     /// again by then.
@@ -200,6 +211,7 @@ impl WaitTable {
     fn open(&mut self, what: For, waiter: DescPtr, due: Option<Due>) -> u64 {
         self.keys += 1;
         self.timed += due.is_some() as usize;
+        self.unfixed += matches!(due, Some(Due::After(_))) as usize;
         self.open.push(Entry {
             key: self.keys,
             what,
@@ -218,6 +230,7 @@ impl WaitTable {
         };
         let mut e = self.open.remove(at);
         self.timed -= e.due.is_some() as usize;
+        self.unfixed -= matches!(e.due, Some(Due::After(_))) as usize;
         e.ready.clear();
         self.spare.push(e.ready);
     }
@@ -289,7 +302,6 @@ mod tests {
             src,
             dst: 0,
             tag,
-            seq: 0,
             wire_ns: 0,
             payload,
         }
@@ -394,8 +406,9 @@ mod tests {
         let (node, _, _) = crate::tests::bare_node(crate::Pm2Config::test(2));
         let (t0, minute) = (node.now(), Duration::from_secs(60));
         let late = t.open(For::Time, nobody, Some(Due::At(t0)));
+        assert!(!t.unfixed(), "an instant is fixed from the start");
         let span = t.open(For::Time, nobody, Some(Due::After(minute)));
-        assert!(t.timed());
+        assert!(t.timed() && t.unfixed());
         assert_eq!(t.next_deadline(), None, "nobody parked yet");
         assert!(t.poll(late).is_none(), "no clock read: not yet expired");
         assert_eq!(t.next_deadline(), Some(t0));
@@ -404,6 +417,7 @@ mod tests {
         ready(&mut t);
 
         t.expire(&sched, t0, |_| false);
+        assert!(!t.unfixed(), "the timer run fixed the span");
         assert_eq!(t.poll(late), Some(Ok(None)));
         assert_eq!(t.poll(late), Some(Ok(None)), "and stays expired");
         assert!(t.poll(span).is_none(), "fixed at the read, a minute on");
@@ -414,6 +428,9 @@ mod tests {
         t.close(late);
         t.close(span);
         assert!(!t.timed());
+        let closed = t.open(For::Time, nobody, Some(Due::After(minute)));
+        t.close(closed);
+        assert!(!t.unfixed(), "closing an unfixed wait uncounts it");
         assert_eq!(t.spare.len(), 2);
         let again = t.open(For::Time, nobody, None);
         assert_eq!(t.spare.len(), 1);

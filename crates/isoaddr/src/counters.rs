@@ -32,7 +32,9 @@
 //!   and the executor's state machine admits one such transition at a
 //!   time, each ordered after the last.
 //! * `EndpointStats` — the `Endpoint`, which is `!Sync`: its one owner
-//!   counts its own sends and receives.
+//!   counts its own sends and receives.  The one exception is `zombies`,
+//!   bumped only with the fabric's partition lock held, by whoever heals
+//!   a link.
 //! * `SlotStats` — the `NodeSlotManager`, through `&mut`.
 //! * `BalancerStats` — the balancer daemon, one green thread.
 //! * `BufPoolStats` — two sets per pool, summed when read: the locked free
@@ -40,8 +42,7 @@
 //!   the one thread driving the pool's node.
 //!
 //! A second writer needs an owner (a lock both take, or a tally of its
-//! own summed in at read time, as `Machine` does with the host's control
-//! re-sends); never a `fetch_add` on a counter.  Atomics that are not
+//! own summed in at read time); never a `fetch_add` on a counter.  Atomics that are not
 //! counters — a tid source — keep theirs.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -56,38 +56,32 @@
 //! [`Endpoint::recv_until`] gives a deadline-bounded blocking receive on
 //! the inbox.
 //!
-//! ## The fault model
+//! ## The delivery contract
 //!
-//! By default every link is a perfect wire: no loss, no duplication, no
-//! reordering beyond the documented per-pair FIFO guarantee.
-//! [`Fabric::new_chaotic`] replaces it with a seeded [`FaultPlan`] (see
-//! [`chaos`]) that may, per directed link and in a byte-identical
-//! schedule for a given seed:
+//! Every link (`src → dst`) delivers each message **once and in send
+//! order** until one end is declared dead ([`Endpoint::mark_dead`]), as
+//! the paper's Madeleine does over BIP and TCP; the protocols above are
+//! written for that contract and nothing else.  Two things may still
+//! happen to a message, neither of which breaks it:
 //!
-//! * **drop** a message (the sender still sees `Ok` — loss is silent,
-//!   like a real NIC);
-//! * **duplicate** a message — the copy reuses the original's sequence
-//!   number, so a receiver-side dedup window can recognize it;
-//! * **delay** a message by extra modelled wire time, charged at the
-//!   receiver exactly like the profile's own latency;
-//! * **hold** a message in a one-slot per-link holdback queue, releasing
-//!   it behind the next send on that link — a bounded same-link reorder;
-//! * **cut** traffic between two node sets (scheduled windows on the
-//!   plan, or [`Endpoint::set_partition`] /
-//!   [`Endpoint::clear_partition`] at runtime) — partitions eat every
-//!   tag bidirectionally until healed.
+//! * **delay** — [`Fabric::new_chaotic`] takes a seeded [`FaultPlan`]
+//!   (see [`chaos`]) that gives eligible messages extra modelled wire
+//!   time, charged at the receiver exactly like the profile's own
+//!   latency, in a byte-identical schedule for a given seed.  It is what a
+//!   reliable transport makes of a loss: a retransmission.
+//! * **stall** — [`Endpoint::set_partition`] cuts the links between node
+//!   groups, as a pulled cable stalls a TCP stream: a message sent on a
+//!   cut link is kept in the fabric, in send order, and delivered when the
+//!   link heals ([`Endpoint::clear_partition`], or a grouping that no
+//!   longer cuts it), ahead of anything sent on the link after.  One whose
+//!   source or destination died meanwhile is dropped then as a zombie.
+//!   Self-sends and [`WILD_GROUP`] endpoints never stall.
 //!
-//! What the fabric still guarantees under any plan: the modelled wire
-//! clock is never falsified (each *delivered* message pays its cost at
-//! the receiver exactly once), death certificates stay monotonic, and
-//! tags listed in [`FaultPlan::protect_tags`] are exempt from the RNG
-//! faults — embedders protect unacknowledged state-transfer messages
-//! (PM2 protects migration trains, spawns, and thread-exit records:
-//! those are *exactly-once* by construction, while its request/reply
-//! control traffic is *at-least-once* — retried above, deduplicated at
-//! the receiver).  Every injected fault is counted on the sender's
-//! [`EndpointStatsSnapshot`] (`chaos_*` fields).  Like every counter of
-//! the runtime they are monotonic; a window is `after.since(&before)`.
+//! The modelled wire clock is never falsified (each delivered message
+//! pays its cost at the receiver exactly once), death certificates are
+//! monotonic, and every delay, stall and zombie is counted on the
+//! sender's [`EndpointStatsSnapshot`].  Like every counter of the runtime
+//! they are monotonic; a window is `after.since(&before)`.
 
 // The one `counters!` declaration, shared with `isoaddr` and `pm2` by path.
 #[path = "../../isoaddr/src/counters.rs"]

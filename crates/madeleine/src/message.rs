@@ -20,10 +20,6 @@ pub struct Message {
     pub dst: usize,
     /// Protocol tag (namespace owned by the layer above).
     pub tag: u16,
-    /// Per-link sequence number: the `src → dst` link's messages are
-    /// numbered 0, 1, 2, … in send order, apart from what `src` sends
-    /// elsewhere.  A chaos duplicate carries its original's number.
-    pub seq: u64,
     /// Modelled wire time for this message, charged at the receiver
     /// (nanoseconds).
     pub wire_ns: u64,
@@ -336,7 +332,6 @@ mod tests {
             src: 0,
             dst: 1,
             tag: 7,
-            seq: 0,
             wire_ns: 0,
             payload: vec![0; 10].into(),
         };

@@ -20,28 +20,16 @@ counters! {
         /// Modelled wire nanoseconds charged at this receiver (paid
         /// dequeuing: the receiver-clocked model).
         wire_ns,
-        /// Chaos: messages dropped by the fault plan on this sender.
-        chaos_dropped,
-        /// Chaos: messages duplicated (the extra copy reuses the original's
-        /// seq, so receiver dedup windows see it).
-        chaos_duplicated,
         /// Chaos: messages given extra modelled wire delay.
         chaos_delayed,
-        /// Chaos: messages parked in a link's holdback slot (reordered).
-        chaos_held,
-        /// Messages eaten by a partition cut (runtime or scheduled window).
-        chaos_cut,
-    }
-}
-
-impl EndpointStatsSnapshot {
-    /// Total fault events this sender injected (cuts included).
-    pub fn chaos_events(&self) -> u64 {
-        self.chaos_dropped
-            + self.chaos_duplicated
-            + self.chaos_delayed
-            + self.chaos_held
-            + self.chaos_cut
+        /// Messages this sender sent on a link a partition had cut: kept in
+        /// the fabric until the link heals (they count as sent already).
+        stalled,
+        /// Stalled messages from this sender dropped when their link
+        /// healed, because their source or destination had died meanwhile.
+        /// Bumped only under the fabric's partition lock, by whoever
+        /// heals.
+        zombies,
     }
 }
 
@@ -65,6 +53,6 @@ mod tests {
         assert_eq!(snap.msgs_recv, 1);
         assert_eq!(snap.bytes_recv, 7);
         assert_eq!(snap.wire_ns, 1500);
-        assert_eq!(snap.chaos_events(), 0);
+        assert_eq!((snap.stalled, snap.zombies), (0, 0));
     }
 }

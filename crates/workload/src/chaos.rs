@@ -170,9 +170,9 @@ pub struct PartitionReport {
     pub baseline: RoundReport,
     /// How long the cut actually lasted, ms.
     pub partition_ms: f64,
-    /// Messages the cut silently ate (fabric `chaos_cut` delta) — proof
-    /// the partition severed real traffic.
-    pub messages_cut: u64,
+    /// Messages the cut stalled (fabric `stalled` delta) — proof the
+    /// partition held up real traffic, which the heal then delivered.
+    pub messages_stalled: u64,
     /// Nodes wrongly declared dead by the cut (must be 0: a partition
     /// shorter than `failure_timeout` is not a death).
     pub false_deaths: usize,
@@ -200,7 +200,7 @@ impl PartitionReport {
     pub fn summary(&self) -> String {
         format!(
             "{} on p={}: baseline {} @ {} rps (fail {:.2}, p99 {:.1} ms), \
-             cut {:.1} ms ({} msgs eaten, {} false deaths), wealth converged: {}, \
+             cut {:.1} ms ({} msgs stalled, {} false deaths), wealth converged: {}, \
              aftermath {} (fail {:.2}, p99 {:.1} ms), residents {}/{}",
             self.workload,
             self.nodes,
@@ -209,7 +209,7 @@ impl PartitionReport {
             self.baseline.failure_rate,
             self.baseline.p99_ms,
             self.partition_ms,
-            self.messages_cut,
+            self.messages_stalled,
             self.false_deaths,
             self.wealth_converged,
             self.aftermath.verdict.label(),
@@ -263,20 +263,20 @@ pub fn run_partition(
 
     let baseline = run_gated_round(m, &spec, cfg, rps, 0, injectors);
 
-    let cut_before: u64 = (0..m.nodes())
+    let stalled_before: u64 = (0..m.nodes())
         .filter_map(|n| m.net_stats(n))
-        .map(|s| s.chaos_cut)
+        .map(|s| s.stalled)
         .sum();
     let t0 = Instant::now();
     m.partition_nodes(a, b);
     std::thread::sleep(window);
     m.heal_partition();
     let partition_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let messages_cut = (0..m.nodes())
+    let messages_stalled = (0..m.nodes())
         .filter_map(|n| m.net_stats(n))
-        .map(|s| s.chaos_cut)
+        .map(|s| s.stalled)
         .sum::<u64>()
-        .saturating_sub(cut_before);
+        .saturating_sub(stalled_before);
     let false_deaths = (0..m.nodes()).filter(|&n| m.is_node_dead(n)).count();
 
     // Re-convergence: gossip (one digest per heartbeat period per node)
@@ -313,7 +313,7 @@ pub fn run_partition(
         rps,
         baseline,
         partition_ms,
-        messages_cut,
+        messages_stalled,
         false_deaths,
         wealth_converged,
         aftermath,

@@ -121,9 +121,23 @@ pub struct CapacityReport {
 }
 
 impl CapacityReport {
+    /// Did the ramp end at its `max_rps` ceiling with every round passing?
+    /// Then `max_sustainable_rps` is the ceiling the ramp was given, not a
+    /// capacity the machine was found to have, and a report must say so.
+    pub fn capped(&self) -> bool {
+        !self.rounds.is_empty() && self.rounds.iter().all(|r| r.verdict.passed())
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         match self.max_sustainable_rps {
+            Some(rps) if self.capped() => format!(
+                "{} on p={}: every round passed up to the {} rps ceiling ({} rounds)",
+                self.workload,
+                self.nodes,
+                rps,
+                self.rounds.len()
+            ),
             Some(rps) => format!(
                 "{} on p={}: max sustainable {} rps over {} rounds",
                 self.workload,

@@ -109,8 +109,8 @@ fn transient_partition_heals_and_reconverges_under_load() {
     assert_eq!(rep.false_deaths, 0, "{}", rep.summary());
     assert!(rep.wealth_converged, "{}", rep.summary());
     assert!(
-        rep.messages_cut > 0,
-        "the cut must actually have severed traffic: {}",
+        rep.messages_stalled > 0,
+        "the cut must actually have stalled traffic: {}",
         rep.summary()
     );
     assert_eq!(

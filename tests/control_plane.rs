@@ -1,6 +1,7 @@
 //! The control plane as one table: every declared message's bytes are
 //! pinned, every decoder survives mutation, a live node survives garbage
-//! under every tag, and every at-least-once exchange gives up typed.
+//! under every tag, and every request/reply exchange that a partition
+//! stalls gives up typed after its one reply deadline.
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,8 +16,7 @@ use pm2::audit::NodeAudit;
 use pm2::proto::{self, tag, Msg};
 use pm2::spill;
 use pm2::{
-    BufPool, FaultPlan, Machine, Pm2Config, Pm2Error, Service, SlotBitmap, SlotRange, ThreadExit,
-    Wire,
+    BufPool, Machine, Pm2Config, Pm2Error, Service, SlotBitmap, SlotRange, ThreadExit, Wire,
 };
 use testkit::alloc::{largest_alloc_in, Watching};
 use testkit::{cases, StdRng};
@@ -52,11 +52,28 @@ fn every_message(v: &mut impl Visit) {
         b"\x07\x00\x00\x00\x07\x00\x00\x00\x70\x61\x79\x6c\x6f\x61\x64",
     );
     v.row(
+        proto::NegLockReq { round: 0x0A0B },
+        b"\x0b\x0a\x00\x00\x00\x00\x00\x00",
+    );
+    v.row(
+        proto::NegLockGrant { round: 0x0A0B },
+        b"\x0b\x0a\x00\x00\x00\x00\x00\x00",
+    );
+    v.row(
+        proto::NegBitmapReq { round: 0x0A0B },
+        b"\x0b\x0a\x00\x00\x00\x00\x00\x00",
+    );
+    v.row(
         proto::NegBuy {
+            round: 0x0A0B,
             ranges: ranges(&[(3, 4), (100, 1)]),
         },
-        b"\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\
+        b"\x0b\x0a\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\
           \x64\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00",
+    );
+    v.row(
+        proto::NegBuyAck { round: 0x0A0B },
+        b"\x0b\x0a\x00\x00\x00\x00\x00\x00",
     );
     v.row(
         proto::SlotTradeReq {
@@ -213,11 +230,7 @@ fn every_message(v: &mut impl Visit) {
 
 /// Tags that carry nothing: the tag is the whole message.
 const BARE: &[u16] = &[
-    tag::NEG_LOCK_REQ,
-    tag::NEG_LOCK_GRANT,
     tag::NEG_LOCK_RELEASE,
-    tag::NEG_BITMAP_REQ,
-    tag::NEG_BUY_ACK,
     tag::NEG_DONE,
     tag::SHUTDOWN,
     tag::SHUTDOWN_ACK,
@@ -226,8 +239,8 @@ const BARE: &[u16] = &[
 ];
 
 /// Tags whose payload is framed outside the message table: the migration
-/// train codec, `SlotBitmap`'s own form, the LRPC fast path and the NAK's
-/// trailing text.
+/// train codec, `SlotBitmap`'s own form (behind the round id), the LRPC
+/// fast path and the NAK's trailing text.
 const OWN_FRAMING: &[u16] = &[
     tag::MIGRATION,
     tag::MIGRATION_NAK,
@@ -684,59 +697,194 @@ fn garbage_under_every_tag_is_dropped_and_the_node_lives_on() {
     m.shutdown();
 }
 
-/// On a fabric that eats every at-least-once message, each retried
-/// exchange spends exactly its one reply deadline — the slices sum to it —
-/// and then gives up typed, naming the operation; the trade's exhaustion
-/// is the documented fallback to the (exactly-once) §4.4 protocol.
+/// A partition stalls every exchange across it, and each gives up typed,
+/// naming the operation, after exactly its one reply deadline: nothing is
+/// re-sent.  A demand trade's timeout is the documented fallback to the
+/// §4.4 protocol, which completes once the cut heals inside its own
+/// deadline: the stalled requests are delivered then, in send order.
 #[test]
-fn a_fabric_that_eats_every_request_exhausts_each_exchange_typed() {
+fn a_stalled_request_times_out_each_exchange_typed() {
     let deadline = Duration::from_millis(300);
-    let mut m = Machine::builder(3)
+    let mut m = Machine::builder(2)
         .test_profile()
         .reply_deadline(deadline)
-        .fault_plan(FaultPlan::new(7).with_drop(1.0))
         .launch()
         .unwrap();
+    m.register(Echo);
     let within_one_deadline = |t0: Instant, what: &str| {
         let took = t0.elapsed();
         assert!(
-            // Three full deadlines is what un-split retries would take.
-            took >= deadline.mul_f64(0.9) && took < deadline.mul_f64(2.5),
+            took >= deadline && took < deadline.mul_f64(1.5),
             "{what} gave up after {took:?}, not one {deadline:?} deadline"
         );
     };
-    let exhausted = |op| Pm2Error::RetriesExhausted { op, attempts: 3 };
+    let timeout = |op| Pm2Error::Timeout { op };
+    m.partition_nodes(&[0], &[1]);
 
     let t0 = Instant::now();
     let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
-    assert_eq!(probe, Err(exhausted("load probe")));
+    assert_eq!(probe, Err(timeout("load probe")));
     within_one_deadline(t0, "probe");
-    assert_eq!(m.node_stats(0).ctrl_retries, 2);
 
     let t0 = Instant::now();
-    assert_eq!(m.checkpoint_node(1), Err(exhausted("checkpoint")));
-    within_one_deadline(t0, "checkpoint");
-    assert_eq!(m.node_stats(1).ctrl_retries, 2, "host re-sends count too");
+    let call = m.run_on(0, || pm2_rpc_call::<Echo>(1, 1)).unwrap();
+    assert_eq!(call, Err(timeout("rpc call")));
+    within_one_deadline(t0, "call");
 
-    // Round-robin slots: two contiguous ones need a peer's.
+    let t0 = Instant::now();
+    let command = m.run_on(0, || pm2_group_migrate(1, 0, &[0xBAD])).unwrap();
+    assert_eq!(command, Err(timeout("migrate command")));
+    within_one_deadline(t0, "migrate command");
+
+    // Round-robin slots: two contiguous ones need the peer's.  The trade
+    // waits out its deadline, the global protocol's gather is still
+    // waiting when the cut heals, and both requests land then.
     let slot = m.area().slot_size();
     let t0 = Instant::now();
-    m.run_on(0, move || {
-        let p = pm2_isomalloc(2 * slot).unwrap();
-        pm2_isofree(p).unwrap();
-    })
-    .unwrap();
-    assert!(t0.elapsed() >= deadline.mul_f64(0.9), "the trade was tried");
+    let alloc = m
+        .spawn_on(0, move || {
+            let p = pm2_isomalloc(2 * slot).unwrap();
+            pm2_isofree(p).unwrap();
+        })
+        .unwrap();
+    std::thread::sleep(deadline.mul_f64(1.5));
+    m.heal_partition();
+    assert!(!m.join(alloc).panicked);
+    assert!(t0.elapsed() >= deadline, "the trade was tried");
     let st = m.node_stats(0);
-    assert_eq!((st.trades, st.trade_fallbacks, st.negotiations), (3, 1, 1));
-    assert_eq!(st.ctrl_retries, 2 + 2, "two trade re-sends on top");
+    assert_eq!((st.trades, st.trade_fallbacks, st.negotiations), (1, 1, 1));
+    let net = m.net_stats(0).unwrap();
+    assert_eq!((net.stalled, net.zombies), (5, 0), "{net:?}");
+    // The late trade's grant is on its way back; a probe sent after it on
+    // the same link is answered after it (one class, one link: in order).
+    assert_eq!(m.run_on(0, || pm2_probe_load(1)).unwrap(), Ok(0));
+    assert!(
+        m.node_stats(0).trade_slots_in > 0,
+        "the late grant is adopted"
+    );
+    m.audit().unwrap().check_partition().unwrap();
+    m.shutdown();
+}
 
+/// A stall shorter than the reply deadline is only a late reply: the heal
+/// delivers the request and the exchange succeeds.  A death fails a
+/// stalled exchange at once, without waiting out the deadline, and what
+/// the corpse's links held is dropped at the heal.
+#[test]
+fn a_short_stall_is_waited_out_and_a_death_fails_at_once() {
+    let deadline = Duration::from_secs(5);
+    let mut m = Machine::builder(3)
+        .test_profile()
+        .reply_deadline(deadline)
+        .launch()
+        .unwrap();
+    m.register(Echo);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let probe = |peer: usize| {
+        let tx = tx.clone();
+        move || {
+            let t0 = Instant::now();
+            let probe = pm2_probe_load(peer);
+            tx.send((probe, t0.elapsed())).unwrap();
+        }
+    };
+
+    m.partition_nodes(&[0], &[1, 2]);
+    m.spawn_on(0, probe(1)).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    m.heal_partition();
+    let (outcome, took) = rx.recv_timeout(deadline).unwrap();
+    assert_eq!(outcome, Ok(0), "the heal delivered the probe");
+    assert!(
+        took >= Duration::from_millis(50) && took < deadline,
+        "{took:?}"
+    );
+
+    m.partition_nodes(&[0], &[1, 2]);
+    m.spawn_on(0, probe(2)).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
     m.kill_node(2).unwrap();
+    let (outcome, took) = rx.recv_timeout(deadline).unwrap();
+    assert_eq!(outcome, Err(Pm2Error::NodeFailed(2)));
+    assert!(
+        took < Duration::from_secs(1),
+        "a death is not a timeout: {took:?}"
+    );
+    m.heal_partition();
+    assert_eq!(
+        m.net_stats(0).unwrap().zombies,
+        1,
+        "the probe to the corpse"
+    );
+    m.shutdown();
+}
+
+/// Two slots that no node owns side by side: with trading off, every
+/// allocation of them is a §4.4 global negotiation.
+fn global_two_slots(
+    nodes: usize,
+    deadline: Duration,
+) -> (
+    Machine,
+    impl Fn() -> Result<(), Pm2Error> + Copy + Send + 'static,
+) {
+    let m = Machine::builder(nodes)
+        .test_profile()
+        .reply_deadline(deadline)
+        .slot_trade(false)
+        .launch()
+        .unwrap();
+    let slot = m.area().slot_size();
+    (m, move || pm2_isomalloc(2 * slot).and_then(pm2_isofree))
+}
+
+/// A lock request stalled past its deadline is withdrawn, not granted to
+/// nobody: the requester's release follows it on the link, so at the heal
+/// the coordinator frees the lock again and every later global
+/// negotiation on the machine goes through.
+#[test]
+fn a_lock_request_stalled_past_its_deadline_does_not_wedge_the_lock() {
+    let deadline = Duration::from_millis(300);
+    let (mut m, two_slots) = global_two_slots(3, deadline);
+    m.partition_nodes(&[0], &[1, 2]);
     let t0 = Instant::now();
-    match m.recover_node(2) {
-        Err(e) => assert_eq!(e, exhausted("reclaim")),
-        Ok(rep) => panic!("reclaim cannot have been acked: {rep:?}"),
+    let lock = Pm2Error::Timeout {
+        op: "negotiation lock",
+    };
+    assert_eq!(m.run_on(1, two_slots).unwrap(), Err(lock));
+    assert!(t0.elapsed() < deadline.mul_f64(1.5), "{:?}", t0.elapsed());
+    m.heal_partition();
+    for node in [2, 1, 0] {
+        assert_eq!(m.run_on(node, two_slots).unwrap(), Ok(()), "node {node}");
     }
-    assert!(t0.elapsed() >= deadline.mul_f64(0.9));
+    assert_eq!(m.node_stats(1).negotiations, 2);
+    m.audit().unwrap().check_partition().unwrap();
+    m.shutdown();
+}
+
+/// A buy whose ack misses the round's deadline still moves its slots: the
+/// seller sells when the cut heals, and the buyer adopts the late ack, so
+/// no slot is left without an owner.
+#[test]
+fn a_buy_stalled_past_its_deadline_is_adopted_when_its_ack_lands() {
+    let deadline = Duration::from_millis(500);
+    let (mut m, two_slots) = global_two_slots(3, deadline);
+    // The bitmap gather waits for node 2 until the regrouping: node 1 has
+    // answered by then, and the buy that follows is stalled on the new cut.
+    m.partition_nodes(&[0, 1], &[2]);
+    let (tx, rx) = std::sync::mpsc::channel();
+    m.spawn_on(0, move || tx.send(two_slots()).unwrap())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    m.partition_nodes(&[0, 2], &[1]);
+    let outcome = rx.recv_timeout(deadline * 2).unwrap();
+    assert_eq!(outcome, Err(Pm2Error::Timeout { op: "buy" }));
+    m.heal_partition();
+    // A probe queued behind the buy on the link is answered behind its ack.
+    assert_eq!(m.run_on(0, || pm2_probe_load(1)).unwrap(), Ok(0));
+    m.audit().unwrap().check_partition().unwrap();
+    // The slots are node 0's: the next allocation needs no negotiation.
+    assert_eq!(m.run_on(0, two_slots).unwrap(), Ok(()));
+    assert_eq!(m.node_stats(0).negotiations, 1);
     m.shutdown();
 }

@@ -12,7 +12,17 @@ use std::time::{Duration, Instant};
 use pm2::api::*;
 use pm2::node::NodeStatsSnapshot;
 use pm2::proto::tag;
-use pm2::{AreaConfig, FaultPlan, Machine, Pm2Config, Pm2Error, Service};
+use pm2::{AreaConfig, Machine, MachineBuilder, Pm2Config, Pm2Error, Service};
+
+/// A probe's timeout: no reply within its one reply deadline.
+const PROBE_TIMEOUT: Pm2Error = Pm2Error::Timeout { op: "load probe" };
+
+/// `b` with the failure detector armed, but no gossip round due while a
+/// test runs: an armed timer that never fires.
+fn armed(b: MachineBuilder) -> MachineBuilder {
+    b.failure_timeout(Duration::from_secs(600))
+        .heartbeat_every(Duration::from_secs(10))
+}
 
 /// Junk RPC_RESP bytes: data-class on the wire, dropped on handling (no
 /// pending caller), so floods exercise the queueing layer only.
@@ -229,50 +239,51 @@ fn a_waiting_rpc_caller_is_parked_not_polling() {
 
 #[test]
 fn a_wait_deadline_ends_an_idle_park_on_time() {
-    // Every probe is eaten, so each of the three attempts runs out its
-    // slice of the 105 ms reply deadline on a machine where nothing else
-    // happens: the deadline is the only thing that ends node 0's park.
+    // A partition stalls the probe, so it waits out the 105 ms reply
+    // deadline on a machine where nothing else happens: the deadline is
+    // the only thing that ends node 0's park.
+    let deadline = Duration::from_millis(105);
     let mut m = Machine::launch(Pm2Config {
-        reply_deadline: Duration::from_millis(105),
-        fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
+        reply_deadline: deadline,
         ..Pm2Config::test(2)
     })
     .unwrap();
+    m.partition_nodes(&[0], &[1]);
     let t0 = Instant::now();
     let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
     let took = t0.elapsed();
-    let exhausted = Pm2Error::RetriesExhausted {
-        op: "load probe",
-        attempts: 3,
-    };
-    assert_eq!(probe, Err(exhausted));
+    assert_eq!(probe, Err(PROBE_TIMEOUT));
     assert!(
-        took >= Duration::from_millis(100) && took < Duration::from_millis(600),
-        "three slices of 105 ms took {took:?}"
+        took >= deadline && took < Duration::from_millis(600),
+        "a 105 ms deadline took {took:?}"
     );
+    m.heal_partition();
     m.shutdown();
 }
 
 #[test]
 fn a_wait_deadline_is_not_missed_between_two_idle_workers() {
     // Two workers, nothing to do: whichever ran the prober parks its node
-    // with a 5 ms wait deadline (a third of the reply deadline) while the
-    // other is on its way to sleep for good.  The deadline must reach that
-    // one too — seen before it sleeps, or woken after — every time: a round
-    // that misses it never ends, and one that is late by more than
-    // scheduling noise on a 15 ms round fails the bound.
+    // with a 15 ms wait deadline while the other is on its way to sleep
+    // for good.  The deadline must reach that one too — seen before it
+    // sleeps, or woken after — every time: a round that misses it never
+    // ends, and one that is late by more than scheduling noise on a 15 ms
+    // round fails the bound.
     let reply_deadline = Duration::from_millis(15);
     let mut m = Machine::launch(Pm2Config {
         workers: 2,
         reply_deadline,
-        fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
         ..Pm2Config::test(2)
     })
     .unwrap();
+    m.partition_nodes(&[0], &[1]);
     let mut rounds: Vec<Duration> = (0..200)
         .map(|_| {
             let t0 = Instant::now();
-            assert!(m.run_on(0, || pm2_probe_load(1)).unwrap().is_err());
+            assert_eq!(
+                m.run_on(0, || pm2_probe_load(1)).unwrap(),
+                Err(PROBE_TIMEOUT)
+            );
             t0.elapsed()
         })
         .collect();
@@ -280,12 +291,13 @@ fn a_wait_deadline_is_not_missed_between_two_idle_workers() {
     let (median, worst) = (rounds[100], rounds[199]);
     assert!(
         median >= reply_deadline && median < 2 * reply_deadline,
-        "three waits of 5 ms took {median:?} in the median"
+        "a wait of 15 ms took {median:?} in the median"
     );
     assert!(
         worst < Duration::from_millis(100),
         "the slowest round took {worst:?}"
     );
+    m.heal_partition();
     m.shutdown();
 }
 
@@ -298,10 +310,10 @@ fn a_wait_deadline_is_served_while_every_worker_is_busy() {
         let mut m = Machine::launch(Pm2Config {
             workers,
             reply_deadline: Duration::from_millis(105),
-            fault_plan: Some(FaultPlan::new(7).with_drop(1.0)),
             ..Pm2Config::test(3)
         })
         .unwrap();
+        m.partition_nodes(&[0], &[1]);
         // Spins until the probe is back — or 2 s, so that a probe waiting
         // on the spinner to stop fails the bound instead of hanging.
         let done = Arc::new(AtomicBool::new(false));
@@ -318,16 +330,13 @@ fn a_wait_deadline_is_served_while_every_worker_is_busy() {
         let probe = m.run_on(0, || pm2_probe_load(1)).unwrap();
         let took = t0.elapsed();
         done.store(true, Ordering::SeqCst);
-        let exhausted = Pm2Error::RetriesExhausted {
-            op: "load probe",
-            attempts: 3,
-        };
-        assert_eq!(probe, Err(exhausted), "{workers} worker(s)");
+        assert_eq!(probe, Err(PROBE_TIMEOUT), "{workers} worker(s)");
         assert!(
             took < Duration::from_millis(600),
-            "{workers} worker(s): three slices of 105 ms took {took:?}"
+            "{workers} worker(s): a 105 ms deadline took {took:?}"
         );
         assert!(!m.join(spinner).panicked);
+        m.heal_partition();
         m.shutdown();
     }
 }
@@ -387,7 +396,7 @@ fn an_rpc_deadline_is_never_early_and_only_briefly_late() {
         done.store(true, Ordering::SeqCst);
         for (took, outcome) in calls {
             let what = format!("busy {busy}: {outcome:?} after {took:?}");
-            assert!(matches!(outcome, Err(Pm2Error::Net(_))), "{what}");
+            assert_eq!(outcome, Err(Pm2Error::Timeout { op: "rpc call" }), "{what}");
             assert!(took >= DEADLINE, "early: {what}");
             assert!(took < DEADLINE + SLACK, "late: {what}");
         }
@@ -437,84 +446,188 @@ fn a_green_threads_ring_is_served_by_the_other_worker_at_once() {
 
 /// The hand-off does not starve a timer: on one worker two nodes hop a
 /// thread back and forth without pause — every hop a hand-off — while a
-/// third node's thread waits out a 20 ms reply deadline (its probes are
-/// eaten).  The wait ends as late as an idle machine's may, no later.
+/// third node's thread waits out a 20 ms reply deadline (a partition
+/// stalls its probe).  The wait ends as late as an idle machine's may, no
+/// later — with nothing armed, and with the detector armed too.
 #[test]
 fn a_timed_wait_expires_on_time_beside_a_hand_off_ping_pong() {
     const DEADLINE: Duration = Duration::from_millis(20);
     const SLACK: Duration = Duration::from_millis(40);
-    let mut m = Machine::builder(3)
-        .test_profile()
-        .reply_deadline(DEADLINE)
-        .fault_plan(FaultPlan::new(7).with_drop(1.0))
-        .launch()
-        .unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
-    let halt = Arc::clone(&stop);
-    let hopper = m
-        .spawn_on_ret(0, move || {
-            let mut hops = 0u64;
-            while !halt.load(Ordering::Relaxed) {
-                pm2_migrate(1 - pm2_self()).unwrap();
-                hops += 1;
-            }
-            hops
-        })
-        .unwrap();
-    let before = m.node_stats(0).migrations_out;
-    while m.node_stats(0).migrations_out < before + 1000 {
-        std::thread::yield_now();
+    let plain = || Machine::builder(3).test_profile().reply_deadline(DEADLINE);
+    for (setup, builder) in [("unarmed", plain()), ("armed", armed(plain()))] {
+        let mut m = builder.launch().unwrap();
+        m.partition_nodes(&[2], &[0]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let halt = Arc::clone(&stop);
+        let hopper = m
+            .spawn_on_ret(0, move || {
+                let mut hops = 0u64;
+                while !halt.load(Ordering::Relaxed) {
+                    pm2_migrate(1 - pm2_self()).unwrap();
+                    hops += 1;
+                }
+                hops
+            })
+            .unwrap();
+        let before = m.node_stats(0).migrations_out;
+        while m.node_stats(0).migrations_out < before + 1000 {
+            std::thread::yield_now();
+        }
+        let (took, probe) = m
+            .run_on(2, || {
+                let t0 = Instant::now();
+                let probe = pm2_probe_load(0);
+                (t0.elapsed(), probe)
+            })
+            .unwrap();
+        stop.store(true, Ordering::Relaxed);
+        let hops = hopper.join().unwrap();
+        assert_eq!(probe, Err(PROBE_TIMEOUT), "{setup}");
+        assert!(took >= DEADLINE, "{setup}: early: {took:?}");
+        assert!(
+            took < DEADLINE + SLACK,
+            "{setup}: late: {took:?} beside {hops} hops"
+        );
+        m.heal_partition();
+        m.shutdown();
     }
-    let (took, probe) = m
-        .run_on(2, || {
-            let t0 = Instant::now();
-            let probe = pm2_probe_load(0);
-            (t0.elapsed(), probe)
-        })
-        .unwrap();
-    stop.store(true, Ordering::Relaxed);
-    let hops = hopper.join().unwrap();
-    let exhausted = Pm2Error::RetriesExhausted {
-        op: "load probe",
-        attempts: 3,
-    };
-    assert_eq!(probe, Err(exhausted));
-    assert!(took >= DEADLINE, "early: {took:?}");
-    assert!(took < DEADLINE + SLACK, "late: {took:?} beside {hops} hops");
-    m.shutdown();
+}
+
+/// A scratch spill directory for one test.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pm2-driver-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 /// On one worker a hop is one step, one park and one wake-up: the node the
 /// thread leaves parks at once (no empty step), and the worker runs the
 /// node it woke without the shared queue.  Counted over a thousand hops
 /// against a run with none, so the spawn and the join cancel out; each
-/// window opens and closes on a machine whose drivers have parked.
+/// window opens and closes on a machine whose drivers have parked.  An
+/// armed timer does not change it — the detector, a checkpoint period, or
+/// a 1 s wait open on both nodes (a partition stalls their calls to the
+/// third node): each has an instant the parking node files, so none is
+/// work for an empty step.
 #[test]
 fn a_hop_on_one_worker_is_one_step_one_park_and_one_wake_up() {
     const HOPS: u64 = 1000;
-    let mut m = Machine::builder(2).test_profile().launch().unwrap();
-    let counts = |m: &Machine, hops: u64| {
-        let settled = || {
-            std::thread::sleep(Duration::from_millis(20));
-            (0..2).map(|n| m.node_stats(n)).sum::<NodeStatsSnapshot>()
-        };
-        let before = settled();
-        m.run_on(0, move || {
-            for _ in 0..hops {
-                pm2_migrate(1 - pm2_self()).unwrap();
+    let dir = scratch_dir("armed-hop");
+    let plain = || Machine::builder(3).test_profile();
+    let setups = [
+        ("nothing armed", plain()),
+        ("the detector armed", armed(plain())),
+        (
+            "a checkpoint period",
+            plain()
+                .spill_dir(&dir)
+                .checkpoint_every(Duration::from_secs(60)),
+        ),
+        (
+            "a timed wait open on both nodes",
+            plain().reply_deadline(Duration::from_secs(1)),
+        ),
+    ];
+    for (setup, builder) in setups {
+        let mut m = builder.launch().unwrap();
+        let waiters: Vec<_> = match setup {
+            "a timed wait open on both nodes" => {
+                m.register(Echo);
+                m.partition_nodes(&[0, 1], &[2]);
+                let call = || {
+                    let rpc_timeout = Pm2Error::Timeout { op: "rpc call" };
+                    assert_eq!(pm2_rpc_call::<Echo>(2, 7), Err(rpc_timeout));
+                };
+                (0..2).map(|n| m.spawn_on(n, call).unwrap()).collect()
             }
-        })
+            _ => Vec::new(),
+        };
+        let counts = |m: &Machine, hops: u64| {
+            let settled = || {
+                std::thread::sleep(Duration::from_millis(20));
+                (0..3).map(|n| m.node_stats(n)).sum::<NodeStatsSnapshot>()
+            };
+            let before = settled();
+            m.run_on(0, move || {
+                for _ in 0..hops {
+                    pm2_migrate(1 - pm2_self()).unwrap();
+                }
+            })
+            .unwrap();
+            let d = settled().since(&before);
+            (d.steps, d.driver_parks, d.driver_wakeups)
+        };
+        counts(&m, 2);
+        let (none, hopped) = (counts(&m, 0), counts(&m, HOPS));
+        assert_eq!(
+            (hopped.0 - none.0, hopped.1 - none.1, hopped.2 - none.2),
+            (HOPS, HOPS, HOPS),
+            "{setup}: (steps, parks, wake-ups): {none:?} without hops, {hopped:?} with"
+        );
+        for waiter in waiters {
+            assert!(!m.join(waiter).panicked, "{setup}");
+        }
+        m.heal_partition();
+        m.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Holds its reply until the host says so, yielding meanwhile.
+struct Held;
+
+/// Set by [`Held`] once a call reached it; it answers once `GO` is set.
+static HELD: AtomicBool = AtomicBool::new(false);
+static GO: AtomicBool = AtomicBool::new(false);
+
+impl Service for Held {
+    const NAME: &'static str = "driver_core.held";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        HELD.store(true, Ordering::SeqCst);
+        while !GO.load(Ordering::SeqCst) {
+            pm2_yield();
+        }
+        req
+    }
+}
+
+/// A reply withheld by a partition: the call reached its server, and the
+/// answer stalls on the cut link.  Nothing arrives at the caller's node, so
+/// only the node's own timer ends the wait — on an armed machine, where the
+/// node's one filed instant would be a gossip round 10 s away if the
+/// wait's span were left unfixed when the node parked.  It expires within
+/// the slack of `an_rpc_deadline_is_never_early_and_only_briefly_late`,
+/// and a watchdog fails the test if it never does.
+#[test]
+fn a_stalled_reply_expires_on_time_on_an_armed_machine() {
+    const DEADLINE: Duration = Duration::from_millis(50);
+    const SLACK: Duration = Duration::from_millis(40);
+    let mut m = armed(Machine::builder(2).test_profile())
+        .reply_deadline(DEADLINE)
+        .launch()
         .unwrap();
-        let d = settled().since(&before);
-        (d.steps, d.driver_parks, d.driver_wakeups)
+    m.register(Held);
+    let (tx, rx) = std::sync::mpsc::channel();
+    m.spawn_on(0, move || {
+        let t0 = Instant::now();
+        let outcome = pm2_rpc_call::<Held>(1, 5);
+        tx.send((t0.elapsed(), outcome)).unwrap();
+    })
+    .unwrap();
+    while !HELD.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    m.partition_nodes(&[0], &[1]);
+    GO.store(true, Ordering::SeqCst);
+    let Ok((took, outcome)) = rx.recv_timeout(Duration::from_secs(5)) else {
+        panic!("the caller's wait never expired");
     };
-    counts(&m, 2);
-    let (none, hopped) = (counts(&m, 0), counts(&m, HOPS));
-    assert_eq!(
-        (hopped.0 - none.0, hopped.1 - none.1, hopped.2 - none.2),
-        (HOPS, HOPS, HOPS),
-        "(steps, parks, wake-ups): {none:?} without hops, {hopped:?} with"
-    );
+    assert_eq!(outcome, Err(Pm2Error::Timeout { op: "rpc call" }));
+    assert!(took >= DEADLINE, "early: {took:?}");
+    assert!(took < DEADLINE + SLACK, "late: {took:?}");
+    m.heal_partition();
     m.shutdown();
 }
 
@@ -594,16 +707,15 @@ impl Service for Relay {
 /// A counter is bumped with a plain load and store by its one writer, so a
 /// second writer would lose updates — and an identity below would stop
 /// holding.  Two workers run three nodes that hop threads and serve calls
-/// whose handlers migrate before replying, while the host's control calls
-/// are re-sent: every retry-class message is eaten, the traffic the hops
-/// and calls need is exactly-once and passes.
+/// whose handlers migrate before replying, while the host checkpoints
+/// them.
 #[test]
 fn counters_stay_exact_with_two_writers_worth_of_traffic() {
     const HOPPERS: usize = 6;
     const CALLERS: usize = 6;
     // A handler's stack slot is released where it exits, one node on from
-    // where it was taken; the trades that would even that out are eaten.
-    // A node starts with 1,365 slots and is served at most 2 × 500 calls.
+    // where it was taken.  A node starts with 1,365 slots and is served at
+    // most 2 × 500 calls, so no demand trade is needed.
     const CALLS: u64 = 500;
     const CHECKPOINTS: usize = 3;
     let mut m = Machine::builder(3)
@@ -613,12 +725,11 @@ fn counters_stay_exact_with_two_writers_worth_of_traffic() {
             n_slots: 4096,
         })
         .workers(2)
-        .reply_deadline(Duration::from_millis(150))
-        .fault_plan(FaultPlan::new(11).with_drop(1.0))
+        .reply_deadline(Duration::from_secs(5))
         .launch()
         .unwrap();
     m.register(Relay);
-    // Everyone keeps going until the host's re-sent calls are over.
+    // Everyone keeps going until the host's checkpoints are over.
     let stop = Arc::new(AtomicBool::new(false));
     let busy = |stop: &AtomicBool| !stop.load(Ordering::Relaxed);
     let hoppers: Vec<_> = (0..HOPPERS)
@@ -650,11 +761,8 @@ fn counters_stay_exact_with_two_writers_worth_of_traffic() {
         })
         .collect();
     for node in 0..CHECKPOINTS {
-        let exhausted = Pm2Error::RetriesExhausted {
-            op: "checkpoint",
-            attempts: 3,
-        };
-        assert_eq!(m.checkpoint_node(node % 3), Err(exhausted));
+        // No spill directory: a checkpoint covers no thread.
+        assert_eq!(m.checkpoint_node(node % 3), Ok(0));
     }
     stop.store(true, Ordering::Relaxed);
     // A relayed call is one hop too: its handler leaves before answering.
@@ -670,7 +778,6 @@ fn counters_stay_exact_with_two_writers_worth_of_traffic() {
     let s: pm2::node::NodeStatsSnapshot = nodes.clone().sum();
     assert_eq!((s.migrations_out, s.migrations_in), (hops, hops));
     assert_eq!((s.migrations_failed, s.trades), (0, 0));
-    assert_eq!(s.ctrl_retries, 2 * CHECKPOINTS as u64, "re-sends forced");
     for (n, st) in nodes.enumerate() {
         assert_eq!(st.driver_parks, st.driver_wakeups, "node {n}: {st:?}");
     }

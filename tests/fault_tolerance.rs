@@ -3,7 +3,7 @@
 //! waiter, and checkpoint-based recovery onto survivors.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -512,15 +512,15 @@ fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
     std::thread::sleep(Duration::from_millis(50));
     // Stop the node without telling the host (raw KILL, no death
     // certificate): the CKPT_REQ lands on a corpse and no ack can ever
-    // arrive.  The retry budget must expire within the reply deadline
-    // and surface typed — not hang on the missing ack.
+    // arrive.  The reply deadline must expire and surface typed — not
+    // hang on the missing ack.
     m.inject_raw(1, pm2::proto::tag::KILL, Vec::new()).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     let t0 = Instant::now();
-    match m.checkpoint_node(1) {
-        Err(Pm2Error::RetriesExhausted { op, .. }) => assert_eq!(op, "checkpoint"),
-        other => panic!("expected RetriesExhausted, got {other:?}"),
-    }
+    assert_eq!(
+        m.checkpoint_node(1),
+        Err(Pm2Error::Timeout { op: "checkpoint" })
+    );
     assert!(
         t0.elapsed() < Duration::from_secs(2),
         "typed resolution must arrive within one reply deadline, took {:?}",
@@ -536,6 +536,82 @@ fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
     }
     assert!(t0.elapsed() < Duration::from_millis(100));
     stop.store(true, Ordering::SeqCst);
+    m.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Times [`a_node_cut_off_and_declared_dead_is_recovered_exactly_once`]'s
+/// resident has finished: once, by its recovered copy.
+static RESIDENT_DONE: AtomicUsize = AtomicUsize::new(0);
+
+/// A partition outlasts every deadline across it, so the node on the far
+/// side is declared dead — fenced — and its checkpointed resident is
+/// recovered on a survivor.  (The host declares it: a gossip detector on
+/// both sides of a symmetric cut would condemn each other.)  When the cut
+/// heals, what its links held to and from the corpse is dropped as
+/// zombies, the ownership partition is whole, and the resident's tid
+/// completes exactly once.
+#[test]
+fn a_node_cut_off_and_declared_dead_is_recovered_exactly_once() {
+    let dir = scratch_dir("cut-off");
+    let deadline = Duration::from_millis(100);
+    let mut m = machine(3, deadline).spill_dir(&dir).launch().unwrap();
+    let (cut, stop) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let (cut2, stop2) = (Arc::clone(&cut), Arc::clone(&stop));
+    let resident = m
+        .spawn_on_ret(2, move || {
+            let cell = pm2::IsoBox::new(0xC0DEu64).unwrap();
+            loop_until(&cut2);
+            // Across the cut, node 0 is silent: each probe times out.
+            while !stop2.load(Ordering::SeqCst) {
+                let _ = pm2_probe_load(0);
+            }
+            RESIDENT_DONE.fetch_add(1, Ordering::SeqCst);
+            *cell
+        })
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(m.checkpoint_node(2), Ok(1), "the resident is covered");
+
+    m.partition_nodes(&[0, 1], &[2]);
+    cut.store(true, Ordering::SeqCst);
+    let (tx, rx) = std::sync::mpsc::channel();
+    m.spawn_on(0, move || {
+        // Every probe across the cut times out, until the death.
+        let mut probe = pm2_probe_load(2);
+        while probe == Err(Pm2Error::Timeout { op: "load probe" }) {
+            probe = pm2_probe_load(2);
+        }
+        tx.send(probe).unwrap();
+    })
+    .unwrap();
+    std::thread::sleep(3 * deadline);
+    m.kill_node(2).unwrap();
+    let probe = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(
+        probe,
+        Err(Pm2Error::NodeFailed(2)),
+        "the prober's last wait"
+    );
+    let rep = m.recover_node(2).unwrap();
+    assert_eq!((rep.threads_recovered, rep.threads_lost), (1, 0), "{rep:?}");
+
+    m.heal_partition();
+    let zombies = |n| m.net_stats(n).unwrap().zombies;
+    assert!(
+        zombies(2) >= 2,
+        "the corpse's stalled probes: {}",
+        zombies(2)
+    );
+    assert!(zombies(0) >= 2, "the probes to the corpse: {}", zombies(0));
+    stop.store(true, Ordering::SeqCst);
+    assert_eq!(resident.join(), Ok(0xC0DE));
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(RESIDENT_DONE.load(Ordering::SeqCst), 1, "completed once");
+    m.audit().unwrap().check_partition().unwrap();
     m.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

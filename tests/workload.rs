@@ -43,6 +43,7 @@ fn tiny_mixed_ramp_end_to_end() {
         );
     }
     assert_eq!(report.max_sustainable_rps, Some(80));
+    assert!(report.capped(), "every round passed: 80 rps is the ceiling");
 }
 
 /// The op-stream sampling is seeded: two ramps over the same spec issue
