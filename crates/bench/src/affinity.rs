@@ -35,6 +35,8 @@ use pm2::node::NodeStatsSnapshot;
 use pm2::{Machine, NetProfile};
 use pm2_workload::{register_services, Echo};
 
+use crate::report::{Row, Value};
+
 /// Members per ring (scattered over min(RING_SIZE, p) distinct nodes).
 pub const RING_SIZE: usize = 4;
 /// Echo payload bytes for both scenarios.
@@ -46,30 +48,6 @@ const YIELDS_BETWEEN_CALLS: usize = 16;
 const WARMUP: Duration = Duration::from_millis(600);
 /// The measured steady-state window.
 const MEASURE: Duration = Duration::from_millis(500);
-
-/// One measured run.
-#[derive(Debug, Clone)]
-pub struct AffinityOutcome {
-    pub scenario: &'static str,
-    pub p: usize,
-    pub affinity: bool,
-    /// Completed echo round trips in the measured window.
-    pub ops: u64,
-    pub elapsed_s: f64,
-    pub ops_per_sec: f64,
-    /// RPC-shaped messages that stayed on-node in the window…
-    pub rpc_local: u64,
-    /// …and those that paid the modelled wire.
-    pub rpc_remote: u64,
-    /// `rpc_remote / (rpc_local + rpc_remote)` over the window.
-    pub remote_ratio: f64,
-    /// Migrations that landed during the window (warmup moves excluded).
-    pub migrations: u64,
-    /// Balancer counters over the whole run (warmup included).
-    pub balancer_moves: u64,
-    pub affinity_moves: u64,
-    pub probes_saved: u64,
-}
 
 fn launch(p: usize) -> Machine {
     let m = Machine::builder(p)
@@ -90,14 +68,15 @@ struct CallerPlan {
     fallback_dest: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Run `placements` as looping callers under a balancer with the
+/// affinity pass on or off, and measure the steady-state window.
 fn run_callers(
     m: &Machine,
     p: usize,
     scenario: &'static str,
     affinity: bool,
     placements: Vec<(usize, CallerPlan)>,
-) -> AffinityOutcome {
+) -> Row {
     let n = placements.len();
     let tids: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
     let start = Arc::new(AtomicBool::new(false));
@@ -166,27 +145,26 @@ fn run_callers(
     let balancer = bal.stats();
     bal.stop(m);
 
-    AffinityOutcome {
-        scenario,
-        p,
-        affinity,
-        ops: window_ops,
-        elapsed_s: elapsed,
-        ops_per_sec: window_ops as f64 / elapsed,
-        rpc_local: window.rpc_local,
-        rpc_remote: window.rpc_remote,
-        remote_ratio: window.remote_ratio(),
-        migrations: window.migrations_in,
-        balancer_moves: balancer.moves,
-        affinity_moves: balancer.affinity_moves,
-        probes_saved: balancer.probes_saved,
-    }
+    Row::new()
+        .string("scenario", scenario)
+        .int("p", p)
+        .bool("affinity", affinity)
+        .int("ops", window_ops)
+        .float("ops_per_sec", window_ops as f64 / elapsed, 1)
+        .float("window_s", elapsed, 3)
+        .int("rpc_local", window.rpc_local)
+        .int("rpc_remote", window.rpc_remote)
+        .float("remote_ratio", window.remote_ratio(), 4)
+        .int("migrations_in_window", window.migrations_in)
+        .int("balancer_moves", balancer.moves)
+        .int("affinity_moves", balancer.affinity_moves)
+        .int("probes_saved", balancer.probes_saved)
 }
 
 /// The ring scenario: p rings of [`RING_SIZE`], ring r member j starting
 /// on node `(r + j) % p`, each member calling the node hosting its ring
 /// successor.
-pub fn run_ring(p: usize, affinity: bool) -> AffinityOutcome {
+pub fn run_ring(p: usize, affinity: bool) -> Row {
     let mut m = launch(p);
     let mut placements = Vec::new();
     for r in 0..p {
@@ -209,7 +187,7 @@ pub fn run_ring(p: usize, affinity: bool) -> AffinityOutcome {
 
 /// The hotspot scenario: two clients per non-hot node, all calling the
 /// service hosted on node 0.
-pub fn run_hotspot(p: usize, affinity: bool) -> AffinityOutcome {
+pub fn run_hotspot(p: usize, affinity: bool) -> Row {
     let mut m = launch(p);
     let mut placements = Vec::new();
     for node in 1..p {
@@ -229,62 +207,20 @@ pub fn run_hotspot(p: usize, affinity: bool) -> AffinityOutcome {
     out
 }
 
-/// The acceptance verdict for an affinity-on run against its off twin.
-pub fn verdict(on: &AffinityOutcome, off: &AffinityOutcome) -> &'static str {
-    let tput_win = on.ops_per_sec >= 1.3 * off.ops_per_sec;
-    let ratio_win = on.ops_per_sec >= 0.95 * off.ops_per_sec
-        && off.remote_ratio >= 2.0 * on.remote_ratio.max(1e-6);
-    match on.scenario {
+/// The acceptance verdict for a `scenario`'s affinity-on run against its
+/// off twin.
+pub fn verdict(scenario: &str, on: &Row, off: &Row) -> &'static str {
+    let (on_ops, off_ops) = (on.get("ops_per_sec"), off.get("ops_per_sec"));
+    let (on_ratio, off_ratio) = (on.get("remote_ratio"), off.get("remote_ratio"));
+    let tput_win = on_ops >= 1.3 * off_ops;
+    let ratio_win = on_ops >= 0.95 * off_ops && off_ratio >= 2.0 * on_ratio.max(1e-6);
+    match scenario {
         "ring" if tput_win || ratio_win => "pass",
         "ring" => "FAIL",
         // Hotspot is SLO-gated: no regression allowed, wins welcome.
-        _ if on.ops_per_sec >= 0.9 * off.ops_per_sec => "pass",
+        _ if on_ops >= 0.9 * off_ops => "pass",
         _ => "FAIL",
     }
-}
-
-fn row(o: &AffinityOutcome, verdict: Option<&str>) -> String {
-    format!(
-        "{{\"scenario\": \"{}\", \"p\": {}, \"affinity\": {}, \"ops\": {}, \
-         \"ops_per_sec\": {:.1}, \"window_s\": {:.3}, \"rpc_local\": {}, \
-         \"rpc_remote\": {}, \"remote_ratio\": {:.4}, \"migrations_in_window\": {}, \
-         \"balancer_moves\": {}, \"affinity_moves\": {}, \"probes_saved\": {}, \
-         \"verdict\": {}}}",
-        o.scenario,
-        o.p,
-        o.affinity,
-        o.ops,
-        o.ops_per_sec,
-        o.elapsed_s,
-        o.rpc_local,
-        o.rpc_remote,
-        o.remote_ratio,
-        o.migrations,
-        o.balancer_moves,
-        o.affinity_moves,
-        o.probes_saved,
-        match verdict {
-            Some(v) => format!("\"{v}\""),
-            None => "null".into(),
-        }
-    )
-}
-
-fn print_outcome(o: &AffinityOutcome) {
-    println!(
-        "affinity [{} p={} affinity={}]: {:.0} ops/s, remote ratio {:.3} \
-         ({} local / {} remote), {} moves ({} affinity), {} probes saved",
-        o.scenario,
-        o.p,
-        o.affinity,
-        o.ops_per_sec,
-        o.remote_ratio,
-        o.rpc_local,
-        o.rpc_remote,
-        o.balancer_moves,
-        o.affinity_moves,
-        o.probes_saved
-    );
 }
 
 /// Run the full matrix and write `BENCH_affinity.json` into the current
@@ -299,18 +235,14 @@ pub fn write_affinity_json() {
             } else {
                 run_hotspot
             };
-            let off = runner(p, false);
-            print_outcome(&off);
+            let off = runner(p, false).with("verdict", Value::Null);
+            println!("affinity: {off}");
             let on = runner(p, true);
-            print_outcome(&on);
-            let v = verdict(&on, &off);
-            println!(
-                "affinity [{} p={}]: on {:.0} ops/s vs off {:.0} ops/s \
-                 (ratio {:.3} vs {:.3}) — {}",
-                scenario, p, on.ops_per_sec, off.ops_per_sec, on.remote_ratio, off.remote_ratio, v
-            );
-            rows.push(row(&off, None));
-            rows.push(row(&on, Some(v)));
+            let v = verdict(scenario, &on, &off);
+            let on = on.string("verdict", v);
+            println!("affinity: {on}");
+            rows.push(off);
+            rows.push(on);
         }
     }
     crate::report::emit_json(

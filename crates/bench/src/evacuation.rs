@@ -20,29 +20,12 @@ use pm2::api::*;
 use pm2::{Machine, NetProfile};
 
 use crate::harness::paper_area;
+use crate::report::Row;
 
 /// Threads evacuated per run.
 pub const EVAC_THREADS: usize = 64;
 
-/// One measured evacuation run.
-#[derive(Debug, Clone)]
-pub struct EvacRow {
-    pub net: &'static str,
-    /// Wall-clock from the evacuator's first command until the last
-    /// thread adopted, milliseconds — train path.
-    pub batched_ms: f64,
-    /// Same, with `max_train = 1` and serialized per-thread commands.
-    pub per_thread_ms: f64,
-    /// per_thread_ms / batched_ms.
-    pub speedup: f64,
-    /// Mean threads per outgoing `MIGRATION` message in the batched run.
-    pub threads_per_message: f64,
-    /// `MIGRATION` messages the batched run used (baseline uses 64).
-    pub trains: u64,
-    /// `MIGRATE_CMD` messages the batched run used (baseline uses 64).
-    pub commands: u64,
-}
-
+/// What one evacuation run measured.
 struct RunStats {
     wall_ms: f64,
     trains: u64,
@@ -150,62 +133,29 @@ fn evacuate_once(net: NetProfile, batched: bool) -> RunStats {
     stats
 }
 
-/// Measure batched vs per-thread evacuation on each net profile.
-pub fn evacuation_rows() -> Vec<EvacRow> {
-    [
+/// Measure batched vs per-thread evacuation on each net profile and
+/// write `BENCH_evacuation.json` into the current directory (the repo root
+/// under `cargo run`).  Also prints each row to stdout.
+pub fn write_evacuation_json() {
+    let mut rows = Vec::new();
+    for (net, profile) in [
         ("instant", NetProfile::instant()),
         ("myrinet_bip", NetProfile::myrinet_bip()),
         ("fast_ethernet", NetProfile::fast_ethernet()),
-    ]
-    .into_iter()
-    .map(|(net, profile)| {
+    ] {
         let b = evacuate_once(profile, true);
         let p = evacuate_once(profile, false);
-        EvacRow {
-            net,
-            batched_ms: b.wall_ms,
-            per_thread_ms: p.wall_ms,
-            speedup: p.wall_ms / b.wall_ms,
-            threads_per_message: b.threads_per_message,
-            trains: b.trains,
-            commands: b.commands,
-        }
-    })
-    .collect()
-}
-
-/// Run the evacuation benchmark and write `BENCH_evacuation.json` into the
-/// current directory (the repo root under `cargo run`).  Also prints each
-/// row to stdout.
-pub fn write_evacuation_json() {
-    let rows = evacuation_rows();
-    let mut out = Vec::new();
-    for r in &rows {
-        println!(
-            "evacuation [{}]: {} threads off 1 node → 3 nodes: batched {:.2} ms \
-             ({} trains, {:.1} threads/msg, {} cmds) vs per-thread {:.2} ms — {:.1}×",
-            r.net,
-            EVAC_THREADS,
-            r.batched_ms,
-            r.trains,
-            r.threads_per_message,
-            r.commands,
-            r.per_thread_ms,
-            r.speedup
-        );
-        out.push(format!(
-            "{{\"net\": \"{}\", \"threads\": {}, \"batched_ms\": {:.3}, \
-             \"per_thread_ms\": {:.3}, \"speedup\": {:.2}, \
-             \"threads_per_message\": {:.2}, \"trains\": {}, \"commands\": {}}}",
-            r.net,
-            EVAC_THREADS,
-            r.batched_ms,
-            r.per_thread_ms,
-            r.speedup,
-            r.threads_per_message,
-            r.trains,
-            r.commands
-        ));
+        let row = Row::new()
+            .string("net", net)
+            .int("threads", EVAC_THREADS)
+            .float("batched_ms", b.wall_ms, 3)
+            .float("per_thread_ms", p.wall_ms, 3)
+            .float("speedup", p.wall_ms / b.wall_ms, 2)
+            .float("threads_per_message", b.threads_per_message, 2)
+            .int("trains", b.trains)
+            .int("commands", b.commands);
+        println!("evacuation: {row}");
+        rows.push(row);
     }
     crate::report::emit_json(
         "BENCH_evacuation.json",
@@ -218,6 +168,6 @@ pub fn write_evacuation_json() {
              > 1 proves trains formed; {}",
             crate::report::one_host_note()
         ),
-        &out,
+        &rows,
     );
 }

@@ -1,8 +1,8 @@
 //! Workload generators and timed experiment drivers.
 //!
-//! Experiment ids refer to DESIGN.md's per-experiment index:
-//! E5 = migration latency (§5 ¶1), E6 = negotiation cost (§5 ¶2),
-//! E7/E8 = Figure 11 top/bottom, A1–A6 = ablations.
+//! Experiment ids follow the paper's §5: E5 = migration latency (§5 ¶1,
+//! the `migration` drill), E6 = negotiation cost (§5 ¶2, the `negotiate`
+//! drill), E7/E8 = Figure 11 top/bottom, A1–A6 = ablations.
 
 use std::time::Instant;
 
@@ -12,6 +12,8 @@ use pm2::{
     AreaConfig, BufPoolStats, Distribution, FitPolicy, Machine, MachineBuilder, MapStrategy,
     NetProfile, Pm2Config,
 };
+
+use crate::report::{Row, Value};
 
 /// Paper-scale area: 3.5 GB of iso-address space in 64 KiB slots, giving
 /// the paper's 7 kB per-node bitmaps (§4.2).
@@ -35,145 +37,90 @@ pub fn paper_machine(nodes: usize, net: NetProfile) -> MachineBuilder {
 // E5 — thread migration latency (ping-pong, §5 ¶1)
 // ---------------------------------------------------------------------------
 
-/// Per-stage cost breakdown of a migration ping-pong run (ISSUE 2: the
-/// numbers behind `BENCH_migration.json`).  All per-migration figures are
-/// means over every migration the run performed, measured by the runtime's
-/// own stage counters (pack at the source, wire + unpack at the
-/// destination).
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationBreakdown {
-    /// Timed one-way hops.
-    pub hops: usize,
-    /// isomalloc'd payload carried by the thread (bytes).
-    pub payload: usize,
-    /// Mean one-way migration latency, µs (wall clock over the timed hops).
-    pub one_way_us: f64,
-    /// Mean freeze-and-gather (pack) time per migration, µs.
-    pub pack_us: f64,
-    /// Mean modelled wire time per migration, µs.
-    pub wire_us: f64,
-    /// Mean adopt-and-copy (unpack) time per migration, µs.
-    pub unpack_us: f64,
-    /// Mean migration buffer size, bytes.
-    pub bytes_per_migration: u64,
-    /// Throughput implied by the one-way latency.
-    pub migrations_per_sec: f64,
-    /// Payload-pool allocations across both nodes (flat after warm-up).
-    pub pool_allocs: u64,
-    /// Payload-pool buffer reuses across both nodes.
-    pub pool_reuses: u64,
-    /// Driver doorbell parks across both nodes (event-driven core: each
-    /// hop parks the sender once; a polling driver would show zero parks
-    /// and a huge step count instead).
-    pub driver_parks: u64,
-    /// Driver wake-ups across both nodes (ring or park-timeout).
-    pub driver_wakeups: u64,
-    /// Scheduler steps across both nodes.
-    pub steps: u64,
-}
-
-/// Hops the migration and latency drills time.  The runtime reads the
-/// stage clocks for one train in 64 per node and direction (and counts
-/// that time 64 times, see `NodeStatsSnapshot::migration_pack_ns`), so
-/// each node stamps `STAGE_HOPS / 128` trains a side: 100, which makes each
-/// stage mean one of 200 samples.
+/// Hops the migration drill times.  The runtime reads the stage clocks
+/// for one train in 64 per node and direction (and counts that time 64
+/// times, see `NodeStatsSnapshot::migration_pack_ns`), so each node stamps
+/// `STAGE_HOPS / 128` trains a side: 100, which makes each stage mean one
+/// of 200 samples.
 pub const STAGE_HOPS: usize = 12_800;
 
-/// Migrate a thread back and forth `hops` times between two nodes carrying
-/// `payload` bytes of isomalloc'd data, and collect the one-way latency
-/// plus the per-stage breakdown from the runtime's counters.
+/// The ping-pong, run by a green thread on node 0: warm up 8 round trips
+/// (the first hops map cold structures), time `hops` one-way hops between
+/// nodes 0 and 1 carrying `payload` bytes of isomalloc'd data, come home.
+/// Returns the mean µs per hop.
 ///
 /// "The time needed to migrate a thread with no static data between two
 /// nodes is less than 75 µs … measured by means of a thread ping-pong
 /// between two nodes" — `payload = 0` reproduces that configuration (E5).
-pub fn migration_breakdown(net: NetProfile, payload: usize, hops: usize) -> MigrationBreakdown {
-    let mut m = paper_machine(2, net).launch().expect("launch");
-    let total_us = m
-        .run_on(0, move || {
-            let block = if payload > 0 {
-                let p = pm2_isomalloc(payload).unwrap();
-                unsafe { std::ptr::write_bytes(p, 0xAB, payload) };
-                Some(p)
-            } else {
-                None
-            };
-            // Warm up both directions (first hop maps cold structures).
-            for _ in 0..8 {
-                pm2_migrate(1).unwrap();
-                pm2_migrate(0).unwrap();
-            }
-            let t0 = Instant::now();
-            for i in 0..hops {
-                pm2_migrate(1 - (i % 2)).unwrap();
-            }
-            let us = t0.elapsed().as_micros() as f64;
-            if pm2_self() != 0 {
-                pm2_migrate(0).unwrap();
-            }
-            if let Some(p) = block {
-                pm2_isofree(p).unwrap();
-            }
-            us
-        })
-        .expect("pingpong");
-    // The machine's whole life: its counters started at zero at launch.
-    let s: NodeStatsSnapshot = (0..2).map(|n| m.node_stats(n)).sum();
-    let pool: BufPoolStats = (0..2).map(|n| m.pool_stats(n)).sum();
-    let migrations = s.migrations_out.max(1);
-    let per_us = |ns: u64| (ns as f64 / migrations as f64) / 1000.0;
-    let one_way_us = total_us / hops as f64;
-    m.shutdown();
-    MigrationBreakdown {
-        hops,
-        payload,
-        one_way_us,
-        pack_us: per_us(s.migration_pack_ns),
-        wire_us: per_us(s.migration_wire_ns),
-        unpack_us: per_us(s.migration_unpack_ns),
-        bytes_per_migration: s.migration_bytes_out / migrations,
-        migrations_per_sec: 1.0e6 / one_way_us,
-        pool_allocs: pool.allocs,
-        pool_reuses: pool.reuses,
-        driver_parks: s.driver_parks,
-        driver_wakeups: s.driver_wakeups,
-        steps: s.steps,
+pub fn ping_pong(payload: usize, hops: usize) -> f64 {
+    let block = (payload > 0).then(|| {
+        let p = pm2_isomalloc(payload).unwrap();
+        // SAFETY: `p` is a live isomalloc block of `payload` bytes.
+        unsafe { std::ptr::write_bytes(p, 0xAB, payload) };
+        p
+    });
+    for _ in 0..8 {
+        pm2_migrate(1).unwrap();
+        pm2_migrate(0).unwrap();
     }
+    let t0 = Instant::now();
+    for i in 0..hops {
+        pm2_migrate(1 - (i % 2)).unwrap();
+    }
+    let us = t0.elapsed().as_secs_f64() * 1e6 / hops as f64;
+    if pm2_self() != 0 {
+        pm2_migrate(0).unwrap();
+    }
+    if let Some(p) = block {
+        pm2_isofree(p).unwrap();
+    }
+    us
 }
 
-// ---------------------------------------------------------------------------
-// E6 — global negotiation cost vs. node count (§5 ¶2)
-// ---------------------------------------------------------------------------
-
-/// Average negotiation time in µs on a `p`-node machine (round-robin, so
-/// every multi-slot allocation negotiates).  Measured by the runtime's own
-/// per-negotiation timer, over `rounds` live 2-slot allocations.
-pub fn negotiation_us(p: usize, net: NetProfile, rounds: usize) -> f64 {
-    // Trading is pinned off: E6 measures the paper's §4.4 global protocol
-    // itself (the trade-vs-global comparison lives in `negotiate.rs`).
-    let mut m = paper_machine(p, net)
-        .slot_trade(false)
-        .launch()
-        .expect("launch");
-    let slot = m.area().slot_size();
-    m.run_on(0, move || {
-        // Keep every block live so each allocation needs fresh contiguous
-        // slots — under round-robin each one triggers a negotiation.
-        let mut live = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
-            live.push(pm2_isomalloc(slot + 1).unwrap());
-        }
-        for q in live {
-            pm2_isofree(q).unwrap();
-        }
-    })
-    .expect("negotiation workload");
-    let stats = m.node_stats(0);
+/// Launch `machine` (two nodes), run the [`ping_pong`] on it and return
+/// the one-way latency with the per-stage breakdown from the runtime's own
+/// counters, over the machine's whole life: pack at the source, wire and
+/// unpack at the destination, per migration.  The stage clocks time a
+/// node's 64th, 128th, … train each way and count it 64 times, so a stage
+/// mean is taken over the trains they timed (a run too short to time one
+/// reads null).
+pub fn migration_breakdown(machine: MachineBuilder, payload: usize, hops: usize) -> Row {
+    let mut m = machine.launch().expect("launch");
+    let one_way_us = m
+        .run_on(0, move || ping_pong(payload, hops))
+        .expect("pingpong");
+    let nodes: Vec<NodeStatsSnapshot> = (0..2).map(|n| m.node_stats(n)).collect();
+    let pool: BufPoolStats = (0..2).map(|n| m.pool_stats(n)).sum();
     m.shutdown();
-    assert!(
-        stats.negotiations >= rounds as u64,
-        "every allocation must negotiate"
-    );
-    (stats.negotiation_ns as f64 / stats.negotiations as f64) / 1000.0
+    let s: NodeStatsSnapshot = nodes.iter().copied().sum();
+    let migrations = s.migrations_out.max(1);
+    let sampled_us = |ns: u64, trains: fn(&NodeStatsSnapshot) -> u64| {
+        let timed: u64 = nodes.iter().map(|n| trains(n) / 64 * 64).sum();
+        match timed {
+            0 => Value::Null,
+            _ => Value::Float(ns as f64 / timed as f64 / 1000.0, 3),
+        }
+    };
+    Row::new()
+        .int("hops", hops)
+        .float("one_way_us", one_way_us, 3)
+        .with("pack_us", sampled_us(s.migration_pack_ns, |n| n.trains_out))
+        .float(
+            "wire_us",
+            s.migration_wire_ns as f64 / migrations as f64 / 1000.0,
+            3,
+        )
+        .with(
+            "unpack_us",
+            sampled_us(s.migration_unpack_ns, |n| n.trains_in),
+        )
+        .int("bytes_per_migration", s.migration_bytes_out / migrations)
+        .float("migrations_per_sec", 1.0e6 / one_way_us, 1)
+        .int("pool_allocs", pool.allocs)
+        .int("pool_reuses", pool.reuses)
+        .int("driver_parks", s.driver_parks)
+        .int("driver_wakeups", s.driver_wakeups)
+        .float("steps_per_hop", s.steps as f64 / hops as f64, 2)
 }
 
 // ---------------------------------------------------------------------------
@@ -508,19 +455,7 @@ pub fn pack_outcome(pack_full: bool, heap_bytes: usize, hops: usize) -> (u64, f6
                     pm2_isofree(p).unwrap();
                 }
             }
-            for _ in 0..4 {
-                pm2_migrate(1).unwrap();
-                pm2_migrate(0).unwrap();
-            }
-            let t0 = Instant::now();
-            for i in 0..hops {
-                pm2_migrate(1 - (i % 2)).unwrap();
-            }
-            let us = t0.elapsed().as_micros() as f64 / hops as f64;
-            if pm2_self() != 0 {
-                pm2_migrate(0).unwrap();
-            }
-            us
+            ping_pong(0, hops)
         })
         .expect("pack pingpong");
     let stats = m.node_stats(0);
@@ -625,6 +560,6 @@ pub fn spawn_us(iters: usize) -> f64 {
 /// A quick sanity run used by the `all` row to prove the harness agrees
 /// with the integration tests before measuring.
 pub fn smoke() {
-    let us = migration_breakdown(NetProfile::instant(), 0, 50).one_way_us;
+    let us = migration_breakdown(paper_machine(2, NetProfile::instant()), 0, 50).get("one_way_us");
     assert!(us > 0.0 && us < 10_000.0, "nonsense migration time {us}");
 }

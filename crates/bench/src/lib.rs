@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cargo run --release -p pm2-bench -- list      # the table
-//! cargo run --release -p pm2-bench -- latency   # one row
+//! cargo run --release -p pm2-bench -- migration # one row
 //! ```
 //!
 //! Performance *claims* go through the repo benchmark (`benchmark/`), not
@@ -16,7 +16,6 @@ pub mod affinity;
 pub mod chaos;
 pub mod evacuation;
 pub mod harness;
-pub mod latency;
 pub mod legacy;
 pub mod migration;
 pub mod negotiate;
@@ -30,7 +29,6 @@ pub use affinity::*;
 pub use chaos::*;
 pub use evacuation::*;
 pub use harness::*;
-pub use latency::*;
 pub use migration::*;
 pub use negotiate::*;
 pub use recovery::*;
@@ -48,7 +46,6 @@ pub type Drill = (&'static str, &'static str, fn());
 /// that file) in its second column: [`emit_json`] finds the row by it to
 /// format `generated_by`, and `json` selects its rows by it.
 pub const DRILLS: &[Drill] = &[
-    ("latency", "BENCH_latency.json", write_latency_json),
     ("evacuate", "BENCH_evacuation.json", write_evacuation_json),
     (
         "negotiate",
@@ -61,12 +58,6 @@ pub const DRILLS: &[Drill] = &[
     ("chaos", "BENCH_chaos.json", write_chaos_json),
     ("affinity", "BENCH_affinity.json", write_affinity_json),
     ("migration", "BENCH_migration.json", write_migration_json),
-    ("e5", "table E5: migration latency (§5 ¶1)", e5_migration),
-    (
-        "e6",
-        "table E6: negotiation cost vs node count (§5 ¶2)",
-        e6_negotiation,
-    ),
     ("fig11", "tables Fig. 11: malloc vs pm2_isomalloc", fig11),
     (
         "ablations",

@@ -1,5 +1,6 @@
-//! `BENCH_negotiation.json`: slot-acquisition scaling — the decentralized
-//! trade economy vs the paper's §4.4 global negotiation, per node count.
+//! `BENCH_negotiation.json` and the paper's E6 table: slot-acquisition
+//! scaling — the decentralized trade economy vs the paper's §4.4 global
+//! negotiation, per node count (E6's p ∈ {2, 3, 4, 6, 8}).
 //!
 //! Two workloads:
 //!
@@ -10,7 +11,8 @@
 //!   later allocations (O(1) `SLOT_TRADE` messages per acquire, no lock,
 //!   no freeze, no bitmap gather); with trading off every allocation runs
 //!   the global protocol, whose cost is affine in `p` (the paper's
-//!   "another 165 µs per extra node").  The acceptance bar: trade-mode
+//!   "another 165 µs per extra node"), and the forced-global runs are the
+//!   E6 table and its affine fit.  The acceptance bar: trade-mode
 //!   steady-state acquisition ≥ 3× faster than forced-global at p = 8.
 //!
 //! * **prefetch** — node 0 of a partitioned machine drains its contiguous
@@ -24,38 +26,14 @@ use std::time::Instant;
 use pm2::api::*;
 use pm2::{AreaConfig, Distribution, NetProfile};
 
-use crate::harness::paper_machine;
+use crate::harness::{linear_slope, paper_machine};
+use crate::report::{Row, Table};
 
 /// Live 2-slot allocations per acquire run.
 pub const ROUNDS: usize = 48;
 
-/// One measured configuration.
-#[derive(Debug, Clone)]
-pub struct NegRow {
-    pub p: usize,
-    /// Mean µs per 2-slot acquisition, trade-first economy.
-    pub trade_us: f64,
-    /// Mean µs per 2-slot acquisition, forced-global (§4.4 every time).
-    pub global_us: f64,
-    /// global_us / trade_us.
-    pub speedup: f64,
-    /// Demand trades the trade run used (the whole run, all ROUNDS).
-    pub trades: u64,
-    /// Demand trades that fell back to the global protocol.
-    pub fallbacks: u64,
-    /// Global negotiations in the trade run (== fallbacks when healthy).
-    pub negotiations: u64,
-    /// Trade wire messages per acquisition (req + resp per trade; the
-    /// O(1)-messages claim, vs the global path's 3 + 2(p−1) + buys).
-    pub msgs_per_acquire: f64,
-    /// Watermark prefetches sent in the prefetch workload.
-    pub prefetches: u64,
-    /// Prefetches that returned slots.
-    pub prefetch_fills: u64,
-    /// prefetch_fills / (prefetch_fills + demand trades) in the prefetch
-    /// workload: 1.0 = the allocator never blocked on a shortfall.
-    pub prefetch_hit_rate: f64,
-}
+/// The node counts: the paper's E6 x-axis.
+pub const NEG_PS: [usize; 5] = [2, 3, 4, 6, 8];
 
 /// Time `ROUNDS` live 2-slot allocations on node 0; returns the mean µs
 /// per allocation plus node 0's runtime counters.
@@ -114,86 +92,83 @@ fn prefetch_run(p: usize, net: NetProfile) -> pm2::node::NodeStatsSnapshot {
     stats
 }
 
-/// Measure every configuration on the BIP/Myrinet wire model.
-pub fn negotiation_rows() -> Vec<NegRow> {
-    [2usize, 4, 8]
-        .into_iter()
-        .map(|p| {
-            let (trade_us, ts) = acquire_run(p, NetProfile::myrinet_bip(), true);
-            let (global_us, _) = acquire_run(p, NetProfile::myrinet_bip(), false);
-            let pf = prefetch_run(p, NetProfile::myrinet_bip());
-            let refills = pf.prefetch_fills + pf.trades;
-            NegRow {
-                p,
-                trade_us,
-                global_us,
-                speedup: global_us / trade_us,
-                trades: ts.trades,
-                fallbacks: ts.trade_fallbacks,
-                negotiations: ts.negotiations,
-                msgs_per_acquire: 2.0 * (ts.trades + ts.prefetches) as f64 / ROUNDS as f64,
-                prefetches: pf.prefetches,
-                prefetch_fills: pf.prefetch_fills,
-                prefetch_hit_rate: if refills == 0 {
+/// Measure every node count on the BIP/Myrinet wire model, print the E6
+/// table and its affine fit from the forced-global runs, and write
+/// `BENCH_negotiation.json` into the current directory (the repo root under
+/// `cargo run`).
+pub fn write_negotiation_json() {
+    let mut rows = Vec::new();
+    let mut e6 = Table::new(
+        "E6: multi-slot negotiation cost vs node count (round-robin, myrinet-bip)",
+        &["nodes", "forced global (µs)", "trade (µs)", "paper (µs)"],
+    );
+    let mut global_points = Vec::new();
+    for p in NEG_PS {
+        let (trade_us, ts) = acquire_run(p, NetProfile::myrinet_bip(), true);
+        let (global_us, _) = acquire_run(p, NetProfile::myrinet_bip(), false);
+        let pf = prefetch_run(p, NetProfile::myrinet_bip());
+        let refills = pf.prefetch_fills + pf.trades;
+        let paper_us = 255.0 + 165.0 * (p as f64 - 2.0);
+        let row = Row::new()
+            .int("p", p)
+            .string("net", "myrinet_bip")
+            .int("rounds", ROUNDS)
+            .float("trade_us", trade_us, 3)
+            .float("global_us", global_us, 3)
+            .float("paper_global_us", paper_us, 0)
+            .float("speedup", global_us / trade_us, 2)
+            .int("trades", ts.trades)
+            .int("fallbacks", ts.trade_fallbacks)
+            .int("negotiations", ts.negotiations)
+            .float(
+                "msgs_per_acquire",
+                2.0 * (ts.trades + ts.prefetches) as f64 / ROUNDS as f64,
+                3,
+            )
+            .int("prefetches", pf.prefetches)
+            .int("prefetch_fills", pf.prefetch_fills)
+            .float(
+                "prefetch_hit_rate",
+                if refills == 0 {
                     1.0
                 } else {
                     pf.prefetch_fills as f64 / refills as f64
                 },
-            }
-        })
-        .collect()
-}
-
-/// Run the benchmark and write `BENCH_negotiation.json` into the current
-/// directory (the repo root under `cargo run`).  Also prints each row.
-pub fn write_negotiation_json() {
-    let rows = negotiation_rows();
-    let mut out = Vec::new();
-    for r in &rows {
-        println!(
-            "negotiation [p={}]: trade {:.1} µs/acquire ({} trades, {} fallbacks, \
-             {:.2} msgs/acquire) vs forced-global {:.1} µs — {:.1}×; prefetch hit \
-             rate {:.2} ({} fills / {} prefetches)",
-            r.p,
-            r.trade_us,
-            r.trades,
-            r.fallbacks,
-            r.msgs_per_acquire,
-            r.global_us,
-            r.speedup,
-            r.prefetch_hit_rate,
-            r.prefetch_fills,
-            r.prefetches
-        );
-        out.push(format!(
-            "{{\"p\": {}, \"net\": \"myrinet_bip\", \"rounds\": {}, \
-             \"trade_us\": {:.3}, \"global_us\": {:.3}, \"speedup\": {:.2}, \
-             \"trades\": {}, \"fallbacks\": {}, \"negotiations\": {}, \
-             \"msgs_per_acquire\": {:.3}, \"prefetches\": {}, \
-             \"prefetch_fills\": {}, \"prefetch_hit_rate\": {:.3}}}",
-            r.p,
-            ROUNDS,
-            r.trade_us,
-            r.global_us,
-            r.speedup,
-            r.trades,
-            r.fallbacks,
-            r.negotiations,
-            r.msgs_per_acquire,
-            r.prefetches,
-            r.prefetch_fills,
-            r.prefetch_hit_rate
-        ));
+                3,
+            );
+        println!("negotiation: {row}");
+        e6.row(vec![
+            p.to_string(),
+            crate::us(global_us),
+            crate::us(trade_us),
+            format!("{paper_us:.0}"),
+        ]);
+        global_points.push((p as f64, global_us));
+        rows.push(row);
     }
+    e6.emit("e6_negotiation");
+    let slope = linear_slope(&global_points);
+    println!(
+        "fit: cost(p) ≈ {:.0} µs at p=2, +{:.0} µs per extra node \
+         (paper: 255 µs at p=2, +165 µs per node) — affine shape {}",
+        global_points[0].1,
+        slope,
+        if slope > 0.0 {
+            "REPRODUCED"
+        } else {
+            "NOT reproduced"
+        }
+    );
     crate::report::emit_json(
         "BENCH_negotiation.json",
         "negotiation",
         "mean µs per live 2-slot acquisition on node 0 of a round-robin machine \
-         (myrinet_bip wire model): trade = decentralized slot economy (one SLOT_TRADE \
-         batch per shortfall, O(1) messages per acquire), global = slot_trade(false) \
-         forcing the paper's §4.4 lock+gather+freeze protocol on every allocation; \
-         prefetch_hit_rate from a separate partitioned drain workload = \
-         prefetch_fills/(prefetch_fills+demand trades)",
-        &out,
+         (myrinet_bip wire model), timed by the wall clock inside the acquiring thread: \
+         trade = decentralized slot economy (one SLOT_TRADE batch per shortfall, O(1) \
+         messages per acquire), global = slot_trade(false) forcing the paper's §4.4 \
+         lock+gather+freeze protocol on every allocation (the E6 table; paper_global_us is \
+         the paper's 255 µs at p = 2 plus 165 µs per extra node); prefetch_hit_rate from a \
+         separate partitioned drain workload = prefetch_fills/(prefetch_fills+demand trades)",
+        &rows,
     );
 }

@@ -23,31 +23,12 @@ use std::time::{Duration, Instant};
 
 use pm2::Machine;
 
-/// One recovery drill's measurements.
-#[derive(Debug, Clone)]
-pub struct RecoveryRun {
-    /// Node count.
-    pub nodes: usize,
-    /// Threads covered by the pre-kill checkpoint.
-    pub checkpointed: u32,
-    /// Threads re-adopted onto survivors.
-    pub threads_recovered: usize,
-    /// Threads lost (spawned after the checkpoint, by construction).
-    pub threads_lost: usize,
-    /// Orphaned slots granted back to a survivor.
-    pub slots_reclaimed: usize,
-    /// Silent kill → NODE_DEAD observed at the host.
-    pub detect_ms: f64,
-    /// Spill replay + re-adoption of every checkpointed thread.
-    pub recover_ms: f64,
-    /// Survivor audit + orphan-slot grant.
-    pub reclaim_ms: f64,
-    /// Did the post-recovery audit pass the exclusive-ownership check?
-    pub partition_ok: bool,
-}
+use crate::report::Row;
 
-/// Run the drill on a fresh machine with `nodes` nodes.
-pub fn recovery_drill(nodes: usize) -> RecoveryRun {
+/// Run the drill on a fresh machine with `nodes` nodes.  Panics unless
+/// every checkpointed thread is recovered and the post-recovery audit
+/// passes.
+pub fn recovery_drill(nodes: usize) -> Row {
     assert!(nodes >= 2, "recovery needs a survivor");
     let dir = std::env::temp_dir().join(format!(
         "pm2-bench-recovery-{}-p{nodes}",
@@ -126,55 +107,30 @@ pub fn recovery_drill(nodes: usize) -> RecoveryRun {
     m.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 
-    RecoveryRun {
-        nodes,
-        checkpointed,
-        threads_recovered: rep.threads_recovered,
-        threads_lost: rep.threads_lost,
-        slots_reclaimed: rep.slots_reclaimed,
-        detect_ms,
-        recover_ms: rep.recovery.as_secs_f64() * 1e3,
-        reclaim_ms: rep.reclaim.as_secs_f64() * 1e3,
-        partition_ok,
-    }
+    assert!(partition_ok, "post-recovery audit must pass");
+    assert_eq!(
+        rep.threads_recovered as u32, checkpointed,
+        "zero checkpointed threads may be lost"
+    );
+    Row::new()
+        .int("nodes", nodes)
+        .int("checkpointed", checkpointed)
+        .int("threads_recovered", rep.threads_recovered)
+        .int("threads_lost", rep.threads_lost)
+        .int("slots_reclaimed", rep.slots_reclaimed)
+        .float("detect_ms", detect_ms, 3)
+        .float("recover_ms", rep.recovery.as_secs_f64() * 1e3, 3)
+        .float("reclaim_ms", rep.reclaim.as_secs_f64() * 1e3, 3)
+        .bool("partition_ok", partition_ok)
 }
 
 /// Emit `BENCH_recovery.json` at the repo root (p = 4 and p = 8).
 pub fn write_recovery_json() {
     let mut rows = Vec::new();
     for nodes in [4usize, 8] {
-        let r = recovery_drill(nodes);
-        println!(
-            "recovery [p={}]: detect {:.1} ms, recover {:.1} ms, reclaim {:.2} ms — \
-             {} recovered / {} lost / {} slots reclaimed, partition {}",
-            r.nodes,
-            r.detect_ms,
-            r.recover_ms,
-            r.reclaim_ms,
-            r.threads_recovered,
-            r.threads_lost,
-            r.slots_reclaimed,
-            if r.partition_ok { "ok" } else { "BROKEN" }
-        );
-        assert!(r.partition_ok, "post-recovery audit must pass");
-        assert_eq!(
-            r.threads_recovered as u32, r.checkpointed,
-            "zero checkpointed threads may be lost"
-        );
-        rows.push(format!(
-            "{{\"nodes\": {}, \"checkpointed\": {}, \"threads_recovered\": {}, \
-             \"threads_lost\": {}, \"slots_reclaimed\": {}, \"detect_ms\": {:.3}, \
-             \"recover_ms\": {:.3}, \"reclaim_ms\": {:.3}, \"partition_ok\": {}}}",
-            r.nodes,
-            r.checkpointed,
-            r.threads_recovered,
-            r.threads_lost,
-            r.slots_reclaimed,
-            r.detect_ms,
-            r.recover_ms,
-            r.reclaim_ms,
-            r.partition_ok
-        ));
+        let row = recovery_drill(nodes);
+        println!("recovery: {row}");
+        rows.push(row);
     }
     crate::report::emit_json(
         "BENCH_recovery.json",

@@ -1,6 +1,6 @@
 //! Plain-text table / CSV rendering for the experiment binaries, plus the
-//! one JSON emitter behind every repo-root `BENCH_*.json` perf-trajectory
-//! file.
+//! one row type and the one JSON emitter behind every repo-root
+//! `BENCH_*.json` perf-trajectory file.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -85,28 +85,29 @@ impl Table {
     }
 }
 
-/// How the `instant` null row of BENCH_latency and BENCH_migration reads
-/// against the repo benchmark's `pm2.migration.hop_null_2workers_us_p50`
-/// probe, which times the same hop on the same two workers.
+/// How the `instant` null rows of BENCH_migration read against the repo
+/// benchmark's `pm2.migration.hop_null_2workers_us_p50` probe, which times
+/// the same hop on two workers.
 pub fn null_hop_note() -> &'static str {
-    "the instant null row times the hop the repo benchmark's \
-     pm2.migration.hop_null_2workers_us_p50 probe times, on two workers too, and agrees with \
-     it: a ring from a departure is handed to the worker that made it, so the ping-pong stays \
-     on one worker (before that hand-off the row read about 1 us more than the probe, each hop \
-     crossing workers); the row is a mean of 12800 hops after 16 warm-up hops, the probe a \
-     median of 20000 after 2000, so a host hiccup moves the row more"
+    "the instant null row with 2 workers unarmed times the hop the repo benchmark's \
+     pm2.migration.hop_null_2workers_us_p50 probe times, and agrees with it: a ring from a \
+     departure is handed to the worker that made it, so the ping-pong stays on one worker \
+     (before that hand-off the row read about 1 us more than the probe, each hop crossing \
+     workers); the row is a mean of 12800 hops after 16 warm-up hops, the probe a median of \
+     20000 after 2000, so a host hiccup moves the row more"
 }
 
-/// Closing clause of the `unit_note` of the four files that time the
-/// migration path — BENCH_evacuation, BENCH_latency, BENCH_migration and
-/// BENCH_scale.  A null hop is a row of three of them, and the rows can only
-/// be read against each other when one host wrote them in one sitting, so
-/// whoever commits one of the four re-runs and commits all four.
+/// Closing clause of the `unit_note` of the three files that time the
+/// migration path — BENCH_evacuation, BENCH_migration and BENCH_scale.  A
+/// null hop is a row of two of them, and the rows can only be read against
+/// each other when one host wrote them in one sitting, so every
+/// `BENCH_*.json` is regenerated by one `json` run.
 pub fn one_host_note() -> String {
     let cpus = std::thread::available_parallelism().map_or(0, usize::from);
     format!(
-        "committed with BENCH_evacuation, BENCH_latency, BENCH_migration and BENCH_scale \
-         from one run on one host ({cpus} CPUs, {}), so the four read against each other",
+        "committed with BENCH_evacuation, BENCH_migration and BENCH_scale (and every other \
+         BENCH file) from one json run on one host ({cpus} CPUs, {}), so they read against \
+         each other",
         cpu_model()
     )
 }
@@ -117,7 +118,7 @@ fn cpu_model() -> String {
     let model = info
         .lines()
         .find_map(|l| l.strip_prefix("model name")?.split_once(':'))
-        .map(|(_, name)| name.trim().replace('"', ""));
+        .map(|(_, name)| name.trim().to_string());
     model.unwrap_or_else(|| "CPU model unknown".into())
 }
 
@@ -125,12 +126,145 @@ fn cpu_model() -> String {
 /// them: sample means, not every hop's time.
 pub fn stage_sampling_note() -> String {
     format!(
-        "pack_us and unpack_us are sampled: the runtime reads the clock for one train in 64 \
-         per node and direction and counts it 64 times, so over {} hops each stage mean is \
-         one of {} samples",
+        "pack_us and unpack_us are sampled: the runtime reads the clock for a node's 64th, \
+         128th, ... train in each direction, so over {} hops each stage mean is one of {} \
+         samples, fewer when a row runs fewer hops (null when it times none)",
         crate::STAGE_HOPS,
         crate::STAGE_HOPS / 64
     )
+}
+
+/// One value of a [`Row`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    Int(u64),
+    /// A float and the decimals it is written with.
+    Float(f64, usize),
+    Str(String),
+    Bool(bool),
+    Null,
+    /// Nested rows: a ramp's rounds.
+    Rows(Vec<Row>),
+}
+
+/// One row of a `BENCH_*.json` file, declared once as ordered keys with
+/// typed values.  [`emit_json`] renders it as a JSON object and `Display`
+/// as the drill's stdout line, so the two always carry the same keys.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Row(Vec<(&'static str, Value)>);
+
+impl Row {
+    /// An empty row.
+    pub fn new() -> Row {
+        Row::default()
+    }
+
+    /// Append `key` with `value`.
+    pub fn with(mut self, key: &'static str, value: Value) -> Row {
+        self.0.push((key, value));
+        self
+    }
+
+    /// Append an integer.
+    pub fn int<T: TryInto<u64>>(self, key: &'static str, v: T) -> Row {
+        let v = v.try_into().unwrap_or_else(|_| panic!("{key}: not a u64"));
+        self.with(key, Value::Int(v))
+    }
+
+    /// Append a float written with `decimals` decimals.
+    pub fn float(self, key: &'static str, v: f64, decimals: usize) -> Row {
+        self.with(key, Value::Float(v, decimals))
+    }
+
+    /// Append a string.
+    pub fn string(self, key: &'static str, v: impl Into<String>) -> Row {
+        self.with(key, Value::Str(v.into()))
+    }
+
+    /// Append a bool.
+    pub fn bool(self, key: &'static str, v: bool) -> Row {
+        self.with(key, Value::Bool(v))
+    }
+
+    /// Append every key of `other`, in its order.
+    pub fn append(mut self, other: Row) -> Row {
+        self.0.extend(other.0);
+        self
+    }
+
+    /// The number under `key`, for a drill that computes across rows.
+    /// Panics when the row has no number under that key.
+    pub fn get(&self, key: &str) -> f64 {
+        match self.0.iter().find(|(k, _)| *k == key) {
+            Some((_, Value::Int(v))) => *v as f64,
+            Some((_, Value::Float(v, _))) => *v,
+            other => panic!("row has no number under {key}: {other:?}"),
+        }
+    }
+
+    /// The row as a one-line JSON object.
+    pub fn json(&self) -> String {
+        let fields: Vec<String> = self
+            .0
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": {}", v.json()))
+            .collect();
+        format!("{{{}}}", fields.join(", "))
+    }
+
+    /// The capacity of a ramp: the rate under `key` and `capped`.  A ramp
+    /// that passed every round up to its ceiling
+    /// ([`pm2_workload::CapacityReport::capped`]) found no capacity, so its
+    /// rate is null.
+    pub fn capacity(self, key: &'static str, r: &pm2_workload::CapacityReport) -> Row {
+        let rate = match r.max_sustainable_rps {
+            Some(rps) if !r.capped() => Value::Int(rps),
+            _ => Value::Null,
+        };
+        self.with(key, rate).bool("capped", r.capped())
+    }
+}
+
+impl Value {
+    fn json(&self) -> String {
+        match self {
+            Value::Int(v) => v.to_string(),
+            Value::Float(v, d) if v.is_finite() => format!("{v:.d$}"),
+            Value::Float(..) | Value::Null => "null".into(),
+            Value::Str(s) => {
+                let mut out = String::from("\"");
+                for c in s.chars() {
+                    match c {
+                        '"' | '\\' => out.extend(['\\', c]),
+                        c if u32::from(c) < 0x20 => out += &format!("\\u{:04x}", u32::from(c)),
+                        c => out.push(c),
+                    }
+                }
+                out + "\""
+            }
+            Value::Bool(b) => b.to_string(),
+            Value::Rows(rows) => {
+                let rows: Vec<String> = rows.iter().map(Row::json).collect();
+                format!("[{}]", rows.join(", "))
+            }
+        }
+    }
+}
+
+/// The stdout line: `key=value` pairs in the row's order; nested rows
+/// print as their count.
+impl std::fmt::Display for Row {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (k, v)) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            match v {
+                Value::Str(s) => write!(f, "{sep}{k}={s}")?,
+                Value::Rows(rows) => write!(f, "{sep}{k}=[{} rows]", rows.len())?,
+                v => write!(f, "{sep}{k}={}", v.json())?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Write one repo-root `BENCH_*.json` perf-trajectory file.
@@ -138,18 +272,16 @@ pub fn stage_sampling_note() -> String {
 /// Every tracked benchmark shares this envelope — `bench` id, a
 /// `unit_note` explaining what the numbers mean, the `generated_by`
 /// command, the `provenance` of the run (commit, compiler, host), and a
-/// `configs` array of row objects — so the trajectory files stay mutually
-/// greppable.  `generated_by` is formatted here, from
-/// the [`crate::DRILLS`] row that declares it writes `file`, so a JSON can
-/// never name a command that does not exist.  `rows` are pre-rendered JSON
-/// objects *without* indentation (this helper owns the layout);
-/// `unit_note` and friends must not contain raw `"` characters.
-pub fn emit_json(file: &str, bench: &str, unit_note: &str, rows: &[String]) {
+/// `configs` array of [`Row`]s — so the trajectory files stay mutually
+/// greppable.  `generated_by` is formatted here, from the
+/// [`crate::DRILLS`] row that declares it writes `file`, so a JSON can
+/// never name a command that does not exist.
+pub fn emit_json(file: &str, bench: &str, unit_note: &str, rows: &[Row]) {
     let (name, ..) = crate::DRILLS
         .iter()
         .find(|d| d.1 == file)
         .unwrap_or_else(|| panic!("{file} has no writer row in the drill table"));
-    let json = render_json(bench, unit_note, &crate::command(name), &provenance(), rows);
+    let json = render_json(bench, unit_note, &crate::command(name), provenance(), rows);
     std::fs::write(file, &json).unwrap_or_else(|e| panic!("writing {file}: {e}"));
     println!("wrote {file}");
 }
@@ -159,47 +291,47 @@ fn render_json(
     bench: &str,
     unit_note: &str,
     generated_by: &str,
-    provenance: &str,
-    rows: &[String],
+    provenance: &Row,
+    rows: &[Row],
 ) -> String {
-    let body: Vec<String> = rows.iter().map(|r| format!("    {r}")).collect();
+    let text = |s: &str| Value::Str(s.into()).json();
+    let body: Vec<String> = rows.iter().map(|r| format!("    {}", r.json())).collect();
     format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"unit_note\": \"{unit_note}\",\n  \
-         \"generated_by\": \"{generated_by}\",\n  \"provenance\": {provenance},\n  \
-         \"configs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": {},\n  \"unit_note\": {},\n  \"generated_by\": {},\n  \
+         \"provenance\": {},\n  \"configs\": [\n{}\n  ]\n}}\n",
+        text(bench),
+        text(unit_note),
+        text(generated_by),
+        provenance.json(),
         body.join(",\n")
     )
 }
 
-/// Where a run was made, as a JSON object: the commit (`-dirty` when the
-/// tree had uncommitted changes), `rustc -V`, the CPUs this process may
-/// use (`nproc`) and the CPU model.
-fn provenance() -> String {
+/// Where a run was made: the commit (`-dirty` when the tree had
+/// uncommitted changes), `rustc -V`, the CPUs this process may use
+/// (`nproc`) and the CPU model.  Taken once per process, before the first
+/// file is written, so every file of one `json` run carries the same one.
+fn provenance() -> &'static Row {
+    static PROVENANCE: std::sync::OnceLock<Row> = std::sync::OnceLock::new();
+    PROVENANCE.get_or_init(read_provenance)
+}
+
+fn read_provenance() -> Row {
     let run = |cmd: &str, args: &[&str]| {
         let out = std::process::Command::new(cmd).args(args).output().ok();
         out.filter(|o| o.status.success())
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().replace('"', ""))
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
             .unwrap_or_else(|| "unknown".into())
     };
-    let commit = run("git", &["describe", "--always", "--dirty", "--abbrev=12"]);
     let cpus = std::thread::available_parallelism().map_or(0, usize::from);
-    format!(
-        "{{\"commit\": \"{commit}\", \"rustc\": \"{}\", \"nproc\": {cpus}, \"cpu\": \"{}\"}}",
-        run("rustc", &["-V"]),
-        cpu_model()
-    )
-}
-
-/// The capacity of a ramp, as its row's JSON fields: the rate under `key`
-/// and `capped`.  A ramp that passed every round up to its ceiling
-/// ([`pm2_workload::CapacityReport::capped`]) found no capacity, so its
-/// rate is `null`.
-pub fn capacity_fields(key: &str, r: &pm2_workload::CapacityReport) -> String {
-    let max = match r.max_sustainable_rps {
-        Some(rps) if !r.capped() => rps.to_string(),
-        _ => "null".to_string(),
-    };
-    format!("\"{key}\": {max}, \"capped\": {}", r.capped())
+    Row::new()
+        .string(
+            "commit",
+            run("git", &["describe", "--always", "--dirty", "--abbrev=12"]),
+        )
+        .string("rustc", run("rustc", &["-V"]))
+        .int("nproc", cpus)
+        .string("cpu", cpu_model())
 }
 
 /// Format a µs value with sensible precision.
@@ -246,17 +378,44 @@ mod tests {
     fn render_json_is_the_shared_envelope() {
         let text = render_json(
             "demo",
-            "a unit note",
+            "a \"quoted\" unit note",
             &crate::command("demo"),
-            "{\"commit\": \"abc\"}",
-            &["{\"x\": 1}".to_string(), "{\"x\": 2}".to_string()],
+            &Row::new().string("commit", "abc"),
+            &[Row::new().int("x", 1u8), Row::new().int("x", 2u8)],
         );
         assert!(text.contains("\"bench\": \"demo\""));
-        assert!(text.contains("\"unit_note\": \"a unit note\""));
+        assert!(text.contains("\"unit_note\": \"a \\\"quoted\\\" unit note\""));
         assert!(text.contains("\"generated_by\": \"cargo run --release -p pm2-bench -- demo\""));
         assert!(text.contains("\"provenance\": {\"commit\": \"abc\"},"));
         assert!(text.contains("    {\"x\": 1},\n    {\"x\": 2}"));
         assert!(text.ends_with("  ]\n}\n"));
+    }
+
+    /// A row names each key once: the JSON object and the stdout line
+    /// carry the same keys in the same order.
+    #[test]
+    fn a_row_renders_as_json_and_as_its_line() {
+        let round = Row::new().int("rps", 150u32).string("verdict", "pass");
+        let row = Row::new()
+            .string("net", "instant")
+            .int("hops", 12_800usize)
+            .float("one_way_us", 0.40349, 3)
+            .float("ratio", f64::NAN, 2)
+            .bool("armed", true)
+            .with("verdict", Value::Null)
+            .with("rounds", Value::Rows(vec![round]));
+        assert_eq!(
+            row.json(),
+            "{\"net\": \"instant\", \"hops\": 12800, \"one_way_us\": 0.403, \"ratio\": null, \
+             \"armed\": true, \"verdict\": null, \"rounds\": [{\"rps\": 150, \"verdict\": \"pass\"}]}"
+        );
+        assert_eq!(
+            row.to_string(),
+            "net=instant hops=12800 one_way_us=0.403 ratio=null armed=true verdict=null \
+             rounds=[1 rows]"
+        );
+        assert_eq!(row.get("hops"), 12_800.0);
+        assert_eq!(row.get("one_way_us"), 0.40349);
     }
 
     #[test]

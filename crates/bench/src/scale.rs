@@ -1,11 +1,12 @@
 //! `BENCH_scale.json`: machine-size scaling on the multiplexed executor.
 //!
-//! The ISSUE-8 trajectory: the same four drills at p = 16, 64 and 256
-//! nodes on one worker pool, with the per-node cost counters that prove
-//! the gossip-scale protocols hold — per-node background traffic and
-//! per-op driver work must stay *flat-ish* as p grows 16×, and the whole
-//! matrix must finish in CI seconds (instant wire profile, gossip
-//! detector armed).
+//! One question: what a node and an op cost as the machine grows.  The
+//! same four drills run at p = 16, 64 and 256 nodes on one worker pool,
+//! with the per-node cost counters that prove the gossip-scale protocols
+//! hold — per-node background traffic and per-op driver work must stay
+//! *flat-ish* as p grows 16×, and the whole matrix must finish in CI
+//! seconds (instant wire profile, gossip detector armed).  Capacity is
+//! `throughput`'s question, not this file's.
 //!
 //! Drills per node count:
 //!
@@ -16,13 +17,13 @@
 //!   every node each tick); under gossip fan-out they are O(1) per node by
 //!   construction, while the detector's digest carries the whole table,
 //!   so the bytes grow as p.
-//! * **hop** — 100 ping-pong migrations between nodes 0 and 1 (µs per
-//!   hop, plus steps/parks/messages per hop summed over the two
-//!   participants — the other p − 2 nodes' background is not billed to
-//!   the op).
+//! * **hop** — the migration drill's ping-pong between nodes 0 and 1,
+//!   [`STAGE_HOPS`] hops timed inside the thread (µs per hop, plus
+//!   steps/parks/messages per hop summed over the two participants — the
+//!   other p − 2 nodes' background is not billed to the op).
 //! * **evacuation** — 64 yield-loop threads drained off node 0 by group
-//!   commands to three destinations (ms total, per-thread cost over the
-//!   four participants).
+//!   commands to three destinations (ms total, messages per thread over
+//!   the four participants).
 //! * **negotiation** — 16 live single-slot acquisitions on node 0 *after*
 //!   its own 128-slot share is exhausted, so every measured allocation
 //!   must be fed by peers through the decentralized trade economy —
@@ -32,9 +33,6 @@
 //!   amortized messages per acquire at any p; contrast the §4.4 global
 //!   gather, which stays O(p) and is what multi-slot requests fall back
 //!   to under round-robin.
-//! * **workload** — the pm2-workload open-loop ramp (ping-pong RPC mix,
-//!   uniform targeting over all p nodes), SLO-gated: the max sustainable
-//!   RPS the machine sustains at this size.
 //!
 //! The executor claim rides the `workers` column: every row runs with the
 //! auto-sized pool (≪ p on any host), so p = 256 machines on a handful of
@@ -48,7 +46,9 @@ use std::time::{Duration, Instant};
 use pm2::api::*;
 use pm2::node::NodeStatsSnapshot;
 use pm2::{AreaConfig, EndpointStatsSnapshot, Machine, NetProfile};
-use pm2_workload::{register_services, run_ramp, CapacityReport, RampConfig, WorkloadSpec};
+
+use crate::harness::{ping_pong, STAGE_HOPS};
+use crate::report::Row;
 
 /// The tracked machine sizes.
 pub const PS: [usize; 3] = [16, 64, 256];
@@ -64,32 +64,6 @@ pub const NEG_ROUNDS: usize = 16;
 /// rides the steady-state demand-trade economy instead of the free local
 /// bitmap.
 pub const NEG_WARMUP: usize = 160;
-
-/// Migration round trips in the hop drill.
-pub const HOP_PAIRS: usize = 100;
-
-/// One measured machine size.
-#[derive(Debug, Clone)]
-pub struct ScaleRow {
-    pub p: usize,
-    /// Executor pool size actually used (auto-sized; the point is ≪ p).
-    pub workers: usize,
-    pub idle_steps_per_node_s: f64,
-    pub idle_msgs_per_node_s: f64,
-    pub idle_bytes_per_node_s: f64,
-    pub hop_us: f64,
-    pub hop_steps_per_op: f64,
-    pub hop_parks_per_op: f64,
-    pub hop_msgs_per_op: f64,
-    pub evac_ms: f64,
-    pub evac_steps_per_op: f64,
-    pub evac_msgs_per_op: f64,
-    pub neg_us: f64,
-    pub neg_steps_per_op: f64,
-    pub neg_msgs_per_op: f64,
-    /// The SLO-gated ping-pong ramp.
-    pub ramp: CapacityReport,
-}
 
 /// The failure timeout of the scale-drill machines.
 const TIMEOUT: Duration = Duration::from_secs(2);
@@ -133,7 +107,7 @@ fn counts_since(m: &Machine, nodes: Range<usize>, before: &Counts) -> Counts {
 }
 
 /// Measure one machine size end to end.
-pub fn scale_row(p: usize) -> ScaleRow {
+pub fn scale_row(p: usize) -> Row {
     eprintln!("scale [p={p}]: launching");
     let launched = Instant::now();
     let mut m = launch(p);
@@ -163,20 +137,11 @@ pub fn scale_row(p: usize) -> ScaleRow {
     eprintln!("scale [p={p}]: hop drill");
     // -- hop: 0 ↔ 1 ping-pong migration ------------------------------------
     let before = counts(&m, 0..2);
-    let t0 = Instant::now();
-    m.run_on(0, || {
-        for _ in 0..HOP_PAIRS {
-            pm2_migrate(1).unwrap();
-            pm2_migrate(0).unwrap();
-        }
-    })
-    .expect("hop workload");
-    let ops = (2 * HOP_PAIRS) as f64;
-    let hop_us = t0.elapsed().as_secs_f64() * 1e6 / ops;
-    let (stats, net) = counts_since(&m, 0..2, &before);
-    let hop_steps_per_op = stats.steps as f64 / ops;
-    let hop_parks_per_op = stats.driver_parks as f64 / ops;
-    let hop_msgs_per_op = net.msgs_sent as f64 / ops;
+    let hop_us = m
+        .run_on(0, || ping_pong(0, STAGE_HOPS))
+        .expect("hop workload");
+    let (hop, hop_net) = counts_since(&m, 0..2, &before);
+    let per_hop = |n: u64| n as f64 / STAGE_HOPS as f64;
 
     eprintln!("scale [p={p}]: evacuation drill");
     // -- evacuation: drain 64 threads off node 0 ---------------------------
@@ -223,9 +188,7 @@ pub fn scale_row(p: usize) -> ScaleRow {
     })
     .expect("evacuator");
     let evac_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let (stats, net) = counts_since(&m, 0..4, &before);
-    let evac_steps_per_op = stats.steps as f64 / SCALE_EVAC_THREADS as f64;
-    let evac_msgs_per_op = net.msgs_sent as f64 / SCALE_EVAC_THREADS as f64;
+    let (_, evac_net) = counts_since(&m, 0..4, &before);
     stop.store(true, Ordering::SeqCst);
     for w in evacuees {
         m.join(w);
@@ -278,110 +241,63 @@ pub fn scale_row(p: usize) -> ScaleRow {
     let before = counts(&m, 0..1);
     go.store(true, Ordering::SeqCst);
     let neg_us = negotiator.join().expect("negotiation workload");
-    let (stats, net) = counts_since(&m, 0..1, &before);
-    let neg_msgs_per_op = net.msgs_sent as f64 / NEG_ROUNDS as f64;
-    let neg_steps_per_op = stats.steps as f64 / NEG_ROUNDS as f64;
-
-    eprintln!("scale [p={p}]: workload ramp");
-    // -- workload: SLO-gated max sustainable RPS ---------------------------
-    register_services(&m);
-    let ramp = RampConfig {
-        initial_rps: 150,
-        increment_rps: 150,
-        max_rps: 450,
-        round_duration: Duration::from_millis(250),
-        drain_grace: Duration::from_millis(300),
-        quiet_timeout: Duration::from_secs(3),
-        ..RampConfig::default()
-    };
-    let report = run_ramp(&m, &WorkloadSpec::pingpong_rpc(64), ramp, 2);
+    let (neg, neg_net) = counts_since(&m, 0..1, &before);
     m.shutdown();
+    let per_acquire = |n: u64| n as f64 / NEG_ROUNDS as f64;
 
-    ScaleRow {
-        p,
-        workers,
-        idle_steps_per_node_s,
-        idle_msgs_per_node_s,
-        idle_bytes_per_node_s,
-        hop_us,
-        hop_steps_per_op,
-        hop_parks_per_op,
-        hop_msgs_per_op,
-        evac_ms,
-        evac_steps_per_op,
-        evac_msgs_per_op,
-        neg_us,
-        neg_steps_per_op,
-        neg_msgs_per_op,
-        ramp: report,
-    }
+    Row::new()
+        .int("p", p)
+        .int("workers", workers)
+        .float("idle_steps_per_node_s", idle_steps_per_node_s, 2)
+        .float("idle_msgs_per_node_s", idle_msgs_per_node_s, 2)
+        .float("idle_bytes_per_node_s", idle_bytes_per_node_s, 0)
+        .int("hops", STAGE_HOPS)
+        .float("hop_us", hop_us, 3)
+        .float("hop_steps_per_op", per_hop(hop.steps), 3)
+        .float("hop_parks_per_op", per_hop(hop.driver_parks), 3)
+        .float("hop_msgs_per_op", per_hop(hop_net.msgs_sent), 3)
+        .float("evac_ms", evac_ms, 2)
+        .float(
+            "evac_msgs_per_op",
+            evac_net.msgs_sent as f64 / SCALE_EVAC_THREADS as f64,
+            2,
+        )
+        .float("neg_us", neg_us, 2)
+        .float("neg_steps_per_op", per_acquire(neg.steps), 2)
+        .float("neg_msgs_per_op", per_acquire(neg_net.msgs_sent), 2)
 }
 
 /// Run the full size matrix and write `BENCH_scale.json` into the current
 /// directory (the repo root under `cargo run`).  Prints each row and the
 /// p = 256 / p = 16 per-node cost ratios (the flat-ish acceptance curve).
 pub fn write_scale_json() {
-    let rows: Vec<ScaleRow> = PS.iter().map(|&p| scale_row(p)).collect();
-    let mut out = Vec::new();
-    for r in &rows {
-        println!(
-            "scale [p={} workers={}]: idle {:.1} steps/s {:.1} msgs/s {:.0} B/s per node; \
-             hop {:.1} µs ({:.1} steps, {:.1} msgs/op); evac {:.1} ms \
-             ({:.1} steps/thread); neg {:.1} µs ({:.1} msgs/acquire); {}",
-            r.p,
-            r.workers,
-            r.idle_steps_per_node_s,
-            r.idle_msgs_per_node_s,
-            r.idle_bytes_per_node_s,
-            r.hop_us,
-            r.hop_steps_per_op,
-            r.hop_msgs_per_op,
-            r.evac_ms,
-            r.evac_steps_per_op,
-            r.neg_us,
-            r.neg_msgs_per_op,
-            r.ramp.summary(),
-        );
-        out.push(format!(
-            "{{\"p\": {}, \"workers\": {}, \"idle_steps_per_node_s\": {:.2}, \
-             \"idle_msgs_per_node_s\": {:.2}, \"idle_bytes_per_node_s\": {:.0}, \
-             \"hop_us\": {:.2}, \
-             \"hop_steps_per_op\": {:.2}, \"hop_parks_per_op\": {:.2}, \
-             \"hop_msgs_per_op\": {:.2}, \"evac_ms\": {:.2}, \
-             \"evac_steps_per_op\": {:.2}, \"evac_msgs_per_op\": {:.2}, \
-             \"neg_us\": {:.2}, \"neg_steps_per_op\": {:.2}, \
-             \"neg_msgs_per_op\": {:.2}, {}, \"rps_rounds\": {}}}",
-            r.p,
-            r.workers,
-            r.idle_steps_per_node_s,
-            r.idle_msgs_per_node_s,
-            r.idle_bytes_per_node_s,
-            r.hop_us,
-            r.hop_steps_per_op,
-            r.hop_parks_per_op,
-            r.hop_msgs_per_op,
-            r.evac_ms,
-            r.evac_steps_per_op,
-            r.evac_msgs_per_op,
-            r.neg_us,
-            r.neg_steps_per_op,
-            r.neg_msgs_per_op,
-            crate::report::capacity_fields("max_rps", &r.ramp),
-            r.ramp.rounds.len(),
-        ));
-    }
+    let rows: Vec<Row> = PS
+        .iter()
+        .map(|&p| {
+            let row = scale_row(p);
+            println!("scale: {row}");
+            row
+        })
+        .collect();
     let (lo, hi) = (&rows[0], &rows[rows.len() - 1]);
-    let ratio = |a: f64, b: f64| if a > 0.0 { b / a } else { f64::NAN };
+    let ratio = |key: &str| {
+        let (a, b) = (lo.get(key), hi.get(key));
+        if a > 0.0 {
+            b / a
+        } else {
+            f64::NAN
+        }
+    };
     println!(
         "scale ratios p={}/p={}: idle msgs/node {:.2}×, idle steps/node {:.2}×, \
          hop steps/op {:.2}×, evac msgs/thread {:.2}×, neg msgs/acquire {:.2}×",
-        hi.p,
-        lo.p,
-        ratio(lo.idle_msgs_per_node_s, hi.idle_msgs_per_node_s),
-        ratio(lo.idle_steps_per_node_s, hi.idle_steps_per_node_s),
-        ratio(lo.hop_steps_per_op, hi.hop_steps_per_op),
-        ratio(lo.evac_msgs_per_op, hi.evac_msgs_per_op),
-        ratio(lo.neg_msgs_per_op, hi.neg_msgs_per_op),
+        hi.get("p"),
+        lo.get("p"),
+        ratio("idle_msgs_per_node_s"),
+        ratio("idle_steps_per_node_s"),
+        ratio("hop_steps_per_op"),
+        ratio("evac_msgs_per_op"),
+        ratio("neg_msgs_per_op"),
     );
     crate::report::emit_json(
         "BENCH_scale.json",
@@ -394,16 +310,15 @@ pub fn write_scale_json() {
          past all of it, in which no node may be declared dead (gossip is 2 msgs per node \
          per round at every p, a round being 50 ms plus the node's wake-up lateness, so \
          msgs/s sits just under 40; an armed digest is 16 B per peer the sender has heard \
-         from, so the bytes grow as p); hop/evac/neg \
-         costs are per-op deltas over the participating nodes only; evac_steps includes \
-         the evacuees' own yield-loop spinning and so tracks drill duration, not p — \
-         evac_msgs is the scalability signal; neg_* = single-slot acquisitions on node 0 \
-         past its own share, each fed synchronously by the demand-trade path (watermark \
-         prefetch disabled); max_rps from the \
-         SLO-gated pm2-workload ping-pong ramp, uniform targeting over all p nodes, null \
-         with capped true when every round passed up to the ramp's ceiling; {}",
+         from, so the bytes grow as p); hop = the migration drill's ping-pong between \
+         nodes 0 and 1, hops hops timed inside the thread, its steps, parks and messages \
+         per hop counted over the two nodes for the whole run_on (warm-up included); \
+         evac_msgs = messages per thread over the four nodes of a 64-thread group \
+         evacuation; neg_* = single-slot acquisitions on node 0 past its own share, each \
+         fed synchronously by the demand-trade path (watermark prefetch disabled); \
+         capacity is BENCH_throughput's question, not this file's; {}",
             crate::report::one_host_note()
         ),
-        &out,
+        &rows,
     );
 }

@@ -1,112 +1,13 @@
-//! The paper's §5 tables as library functions, one per [`crate::DRILLS`]
-//! row: E5 (migration latency), E6 (negotiation cost), Fig. 11 (malloc vs
-//! `pm2_isomalloc`), the A1–A6 ablations and the substrate microcosts.
-//! Each prints its tables and leaves them under `target/experiments/`.
+//! The paper's §5 tables that no JSON drill prints, one per
+//! [`crate::DRILLS`] row: Fig. 11 (malloc vs `pm2_isomalloc`), the A1–A6
+//! ablations and the substrate microcosts.  (E5 prints from the
+//! `migration` drill's rows, E6 from `negotiate`'s.)  Each prints its
+//! tables and leaves them under `target/experiments/`.
 
 use pm2::{Distribution, FitPolicy, NetProfile};
 
 use crate::harness::*;
 use crate::report::Table;
-
-/// E5 — thread migration latency (paper §5 ¶1).
-///
-/// "The time needed to migrate a thread with no static data between two
-/// nodes is less than 75 µs … This time should be compared to the 150 µs
-/// reported for the migration of a null thread in Active Threads."
-pub fn e5_migration() {
-    let hops = 400;
-
-    let mut t = Table::new(
-        "E5: one-way thread migration latency (ping-pong, 2 nodes)",
-        &[
-            "wire model",
-            "payload",
-            "buffer",
-            "µs/migration",
-            "paper reference",
-        ],
-    );
-    for net in [
-        NetProfile::instant(),
-        NetProfile::myrinet_bip(),
-        NetProfile::fast_ethernet(),
-    ] {
-        for payload in [0usize, 4 * 1024, 32 * 1024, 256 * 1024] {
-            let b = migration_breakdown(net, payload, hops);
-            let reference = if payload == 0 && net.name == "myrinet-bip" {
-                "paper: < 75 µs; Active Threads: 150 µs"
-            } else {
-                ""
-            };
-            t.row(vec![
-                net.name.to_string(),
-                crate::bytes(payload as u64),
-                crate::bytes(b.bytes_per_migration),
-                crate::us(b.one_way_us),
-                reference.into(),
-            ]);
-        }
-    }
-    t.emit("e5_migration");
-
-    // Headline check: null-thread migration on the Myrinet model.
-    let headline = migration_breakdown(NetProfile::myrinet_bip(), 0, hops).one_way_us;
-    println!(
-        "headline: null-thread migration = {:.1} µs  (paper < 75 µs → {})",
-        headline,
-        if headline < 75.0 {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
-}
-
-/// E6 — global negotiation cost vs node count (paper §5 ¶2).
-///
-/// "This negotiation takes 255 µs in a 2-node configuration when using
-/// BIP/Myrinet.  If the underlying architecture provides more than 2 nodes,
-/// another 165 µs should be added per extra node."
-pub fn e6_negotiation() {
-    let rounds = 40;
-    let mut t = Table::new(
-        "E6: multi-slot negotiation cost vs node count (round-robin)",
-        &[
-            "nodes",
-            "instant wire (µs)",
-            "myrinet-bip (µs)",
-            "paper (µs)",
-        ],
-    );
-    let mut myri_points = Vec::new();
-    for p in [2usize, 3, 4, 6, 8] {
-        let inst = negotiation_us(p, NetProfile::instant(), rounds);
-        let myri = negotiation_us(p, NetProfile::myrinet_bip(), rounds);
-        myri_points.push((p as f64, myri));
-        let paper = 255.0 + 165.0 * (p as f64 - 2.0);
-        t.row(vec![
-            p.to_string(),
-            crate::us(inst),
-            crate::us(myri),
-            format!("{paper:.0}"),
-        ]);
-    }
-    t.emit("e6_negotiation");
-
-    let slope = linear_slope(&myri_points);
-    let base = myri_points[0].1;
-    println!(
-        "fit: cost(p) ≈ {:.0} µs at p=2, +{:.0} µs per extra node \
-         (paper: 255 µs at p=2, +165 µs per node) — affine shape {}",
-        base,
-        slope,
-        if slope > 0.0 {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
-    );
-}
 
 fn panel(title: &str, name: &str, sizes: &[usize], batch: usize) {
     let net = NetProfile::myrinet_bip();
@@ -259,7 +160,8 @@ fn a5_scheme() {
     );
     // The paper's iso-address migration is a plain hop: nothing to do on
     // arrival (see `crate::legacy` for what the early scheme added).
-    let iso = migration_breakdown(NetProfile::instant(), 0, 300).one_way_us;
+    let iso =
+        migration_breakdown(paper_machine(2, NetProfile::instant()), 0, 300).get("one_way_us");
     t.row(vec![
         "iso-address (paper)".into(),
         "n/a".into(),

@@ -19,7 +19,11 @@
 use std::time::Duration;
 
 use pm2::{Machine, NetProfile};
-use pm2_workload::{register_services, run_ramp, CapacityReport, RampConfig, WorkloadSpec};
+use pm2_workload::{
+    register_services, run_ramp, CapacityReport, RampConfig, RoundReport, WorkloadSpec,
+};
+
+use crate::report::{Row, Value};
 
 /// Injector threads feeding the issuer per round.
 pub const INJECTORS: usize = 2;
@@ -73,59 +77,49 @@ pub fn run_scenario(sc: &Scenario, ramp: RampConfig) -> CapacityReport {
     report
 }
 
-/// Render one capacity report as a single `configs[]` row: scenario
-/// identity, the headline max sustainable rate, and the full per-round
-/// trajectory nested under `rounds`.
-pub fn report_row(r: &CapacityReport) -> String {
-    let rounds: Vec<String> = r
-        .rounds
-        .iter()
-        .map(|rd| {
-            format!(
-                "{{\"rps\": {}, \"issued\": {}, \"ok\": {}, \"failed\": {}, \
-                 \"timed_out\": {}, \"failure_rate\": {:.4}, \"p50_ms\": {:.3}, \
-                 \"p90_ms\": {:.3}, \"p99_ms\": {:.3}, \"mean_ms\": {:.3}, \
-                 \"quiesced\": {}, \"steps\": {}, \"driver_parks\": {}, \
-                 \"spawns\": {}, \"migrations\": {}, \"trains\": {}, \
-                 \"trades\": {}, \"pool_allocs\": {}, \"pool_reuses\": {}, \
-                 \"verdict\": \"{}\"}}",
-                rd.rps,
-                rd.issued,
-                rd.ok,
-                rd.failed,
-                rd.timed_out,
-                rd.failure_rate,
-                rd.p50_ms,
-                rd.p90_ms,
-                rd.p99_ms,
-                rd.mean_ms,
-                rd.quiesced,
-                rd.machine.steps,
-                rd.machine.driver_parks,
-                rd.machine.spawns,
-                rd.machine.migrations_out,
-                rd.machine.trains_out,
-                rd.machine.trades,
-                rd.pool.allocs,
-                rd.pool.reuses,
-                rd.verdict.label()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"workload\": \"{}\", \"p\": {}, \"net\": \"{}\", \
-         {}, \"rounds\": [{}]}}",
-        r.workload,
-        r.nodes,
-        r.net,
-        crate::report::capacity_fields("max_sustainable_rps", r),
-        rounds.join(", ")
-    )
+/// One ramp round as a row: the driver's quantiles and the machine's
+/// counters over the round.
+fn round_row(rd: &RoundReport) -> Row {
+    Row::new()
+        .int("rps", rd.rps)
+        .int("issued", rd.issued)
+        .int("ok", rd.ok)
+        .int("failed", rd.failed)
+        .int("timed_out", rd.timed_out)
+        .float("failure_rate", rd.failure_rate, 4)
+        .float("p50_ms", rd.p50_ms, 3)
+        .float("p90_ms", rd.p90_ms, 3)
+        .float("p99_ms", rd.p99_ms, 3)
+        .float("mean_ms", rd.mean_ms, 3)
+        .bool("quiesced", rd.quiesced)
+        .int("steps", rd.machine.steps)
+        .int("driver_parks", rd.machine.driver_parks)
+        .int("spawns", rd.machine.spawns)
+        .int("migrations", rd.machine.migrations_out)
+        .int("trains", rd.machine.trains_out)
+        .int("trades", rd.machine.trades)
+        .int("pool_allocs", rd.pool.allocs)
+        .int("pool_reuses", rd.pool.reuses)
+        .string("verdict", rd.verdict.label())
+}
+
+/// One capacity report as a `configs[]` row: scenario identity, the
+/// headline max sustainable rate, and the rounds nested under `rounds`.
+pub fn report_row(r: &CapacityReport) -> Row {
+    Row::new()
+        .string("workload", r.workload.clone())
+        .int("p", r.nodes)
+        .string("net", r.net.clone())
+        .capacity("max_sustainable_rps", r)
+        .with(
+            "rounds",
+            Value::Rows(r.rounds.iter().map(round_row).collect()),
+        )
 }
 
 /// Run the full scenario matrix and write `BENCH_throughput.json` into
-/// the current directory (the repo root under `cargo run`).  Also prints
-/// each round and the per-scenario summary.
+/// the current directory (the repo root under `cargo run`).  Prints each
+/// round and the per-scenario summary.
 pub fn write_throughput_json() {
     let ramp = ci_ramp();
     let mut rows = Vec::new();
@@ -133,18 +127,10 @@ pub fn write_throughput_json() {
         let r = run_scenario(&sc, ramp.clone());
         for rd in &r.rounds {
             println!(
-                "throughput [{} p={}]: {} rps → ok {} / failed {} / timed_out {} \
-                 (failure {:.1}%), p50 {:.2} ms p99 {:.2} ms — {}",
+                "throughput [{} p={}]: {}",
                 r.workload,
                 r.nodes,
-                rd.rps,
-                rd.ok,
-                rd.failed,
-                rd.timed_out,
-                rd.failure_rate * 100.0,
-                rd.p50_ms,
-                rd.p99_ms,
-                rd.verdict.label()
+                round_row(rd)
             );
         }
         println!("{}", r.summary());

@@ -47,7 +47,7 @@ pub use marcel::yield_now as pm2_yield;
 /// frozen flag cannot flip under the caller.
 pub(crate) fn wait_unfrozen() {
     // `while`: the pump may freeze again before the woken thread runs.
-    while with_ctx(|c| c.frozen) {
+    while with_ctx(|c| c.frozen()) {
         let _ = Wait::open(For::Thaw, None).next();
     }
 }

@@ -116,7 +116,7 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::NEG_BITMAP_REQ => negotiation::on_bitmap_req(ctx, &m),
         tag::NEG_BUY => negotiation::on_buy(ctx, m),
         tag::NEG_BUY_ACK => negotiation::on_buy_ack(ctx, m),
-        tag::NEG_DONE => negotiation::on_neg_done(ctx),
+        tag::NEG_DONE => negotiation::on_neg_done(ctx, m.src),
         tag::SLOT_TRADE_REQ => negotiation::on_slot_trade_req(ctx, m),
         tag::SLOT_TRADE_RESP => negotiation::on_slot_trade_resp(ctx, m),
         tag::SHUTDOWN => control::on_shutdown(ctx),

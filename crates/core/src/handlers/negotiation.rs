@@ -82,11 +82,9 @@ pub(crate) fn on_bitmap_req(ctx: &mut NodeCtx, m: &Message) {
     };
     let from = m.src;
     // Entering the system-wide critical section as a participant: the
-    // bitmap freezes until NEG_DONE (step (a) of §4.4).  Remember the
-    // initiator — if it dies, its death unfreezes us (it can never send
-    // NEG_DONE).
-    ctx.frozen = true;
-    ctx.frozen_by = Some(from);
+    // bitmap freezes until this initiator's NEG_DONE (step (a) of §4.4),
+    // or its death.
+    ctx.freeze(from);
     // The gather reply rides a pooled buffer: the initiator collects
     // p − 1 of these per negotiation, so recycling matters.
     let mut buf = ctx.pool.checkout(8 + ctx.mgr.bitmap_wire_len());
@@ -132,8 +130,8 @@ pub(crate) fn on_buy_ack(ctx: &mut NodeCtx, m: Message) {
     }
 }
 
-pub(crate) fn on_neg_done(ctx: &mut NodeCtx) {
-    ctx.thaw();
+pub(crate) fn on_neg_done(ctx: &mut NodeCtx, from: usize) {
+    ctx.thaw(from);
     // If we are the coordinator, the freeze may have been the one thing
     // deferring a grant (e.g. a holder inherited from a dead predecessor
     // just finished its critical section).
@@ -151,7 +149,7 @@ pub(crate) fn on_slot_trade_req(ctx: &mut NodeCtx, m: Message) {
     };
     ctx.set_peer_wealth(m.src, req.wealth as u64);
     let free = ctx.mgr.free_slots();
-    let spare = if ctx.frozen {
+    let spare = if ctx.frozen() {
         0 // mid-critical-section: our bitmap must not change (§4.4 (a))
     } else {
         free.saturating_sub(ctx.cfg.slot_low_watermark)

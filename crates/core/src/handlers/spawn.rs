@@ -17,7 +17,7 @@ use crate::node::NodeCtx;
 use crate::proto::{self, rpc_status, tag};
 
 pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen {
+    if ctx.frozen() {
         // Spawning needs a stack slot (bitmap mutation): park until
         // the negotiation ends.
         ctx.deferred.push_back(m);
@@ -48,7 +48,7 @@ pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
 }
 
 pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen {
+    if ctx.frozen() {
         ctx.deferred.push_back(m);
         return;
     }
@@ -73,7 +73,7 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
 }
 
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen {
+    if ctx.frozen() {
         // The handler thread needs a stack slot (bitmap mutation):
         // park until the negotiation ends.
         ctx.deferred.push_back(m);

@@ -71,7 +71,7 @@
 //!   ([`madeleine::Doorbell`], one per node), which queues the node on
 //!   the executor; idle node drivers *park* and wake at futex latency —
 //!   the polled baseline paid ~1 ms of driver latency per migration hop
-//!   where the event-driven core pays a few µs (see `BENCH_latency.json`);
+//!   where the event-driven core pays a few µs (see `BENCH_migration.json`);
 //! * each node's pump ingests messages into three **priority lanes**
 //!   (control > migration > data) and drains them in class order under a
 //!   budget, so a flood of application traffic can never delay SHUTDOWN
@@ -272,8 +272,8 @@
 //!   O(1) access).
 //!
 //! `BENCH_scale.json` (`cargo run --release -p pm2-bench -- scale`)
-//! tracks the result: idle per-node traffic, hop/evacuation/negotiation
-//! per-op cost and harness max-RPS at p = 16/64/256, with the p = 256
+//! tracks the result: idle per-node traffic and hop/evacuation/negotiation
+//! per-op cost at p = 16/64/256, with the p = 256
 //! machine running all drills on a pool of a few workers and per-node
 //! curves flat to within 2× of p = 16.
 //!

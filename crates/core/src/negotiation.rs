@@ -93,7 +93,7 @@ pub(crate) fn acquire_remote(requested: usize) -> Result<()> {
 
 fn run_acquire(requested: usize) -> Result<()> {
     // A previous holder's trade batch may already cover us.
-    if with_ctx(|c| !c.frozen && c.mgr.bitmap().find_first_fit(requested, 0).is_some()) {
+    if with_ctx(|c| !c.frozen() && c.mgr.bitmap().find_first_fit(requested, 0).is_some()) {
         return Ok(());
     }
     let trading = with_ctx(|c| c.cfg.slot_trade && c.n_nodes > 1);
@@ -225,7 +225,7 @@ fn run_global_protocol(requested: usize) -> Result<()> {
             Err(e) => return Err(e),
         }
     }
-    with_ctx(|c| c.frozen = true);
+    with_ctx(|c| c.freeze(c.node));
 
     // (b)–(d) under a cleanup guarantee: whatever fails mid-section (a
     // seller dying after the gather, say), the NEG_DONE fan-out and the
@@ -243,7 +243,7 @@ fn run_global_protocol(requested: usize) -> Result<()> {
                 let _ = c.ep.send(peer, tag::NEG_DONE, Vec::new());
             }
         }
-        c.thaw();
+        c.thaw(c.node);
     });
     let _ = send_to(
         with_ctx(|c| c.coordinator()),

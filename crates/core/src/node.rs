@@ -315,12 +315,14 @@ pub(crate) struct NodeCtx {
     /// re-sent to self — a self-send is immediately deliverable, so the
     /// pump's drain loop would chase its own re-injection forever.
     pub deferred: VecDeque<Message>,
-    /// Bitmap frozen by an in-flight global negotiation (paper §4.4 (a)).
-    pub frozen: bool,
-    /// The peer whose `NEG_BITMAP_REQ` froze us (None when the freeze is
-    /// our own negotiation).  If that initiator dies it can never send
-    /// `NEG_DONE`, so its death unfreezes us.
-    pub frozen_by: Option<usize>,
+    /// The §4.4 sections that hold this node's bitmap frozen (paper §4.4
+    /// (a)): each initiator whose `NEG_BITMAP_REQ` this node answered and
+    /// whose `NEG_DONE` has not arrived, and this node itself during its
+    /// own section.  Per-link FIFO pairs a request with its `NEG_DONE`, so
+    /// a stale section's `NEG_DONE` removes only its own initiator; an
+    /// initiator's death removes it too (it can never send `NEG_DONE`).
+    /// The bitmap is frozen while the set is non-empty (`frozen()`).
+    pub freezers: Vec<usize>,
     /// A local thread currently runs the remote-acquire protocol (trade
     /// or global negotiation); the others wait their turn.
     pub negotiating: bool,
@@ -509,8 +511,7 @@ impl NodeCtx {
             inbox: Default::default(),
             deferred: VecDeque::new(),
             waits: WaitTable::default(),
-            frozen: false,
-            frozen_by: None,
+            freezers: Vec::new(),
             negotiating: false,
             peer_wealth,
             prefetch_pending: HashSet::new(),
@@ -598,7 +599,7 @@ impl NodeCtx {
     /// change; they are re-validated then).  `false`: refused whole as
     /// out-of-area or overlapping, which costs the grant, never the node.
     pub(crate) fn adopt_grant(&mut self, ranges: &[SlotRange], what: &str) -> bool {
-        if self.frozen {
+        if self.frozen() {
             self.pending_adopts.extend_from_slice(ranges);
             return true;
         }
@@ -694,7 +695,7 @@ impl NodeCtx {
             || self.n_nodes < 2
             || self.cfg.slot_low_watermark == 0
             || self.shutdown
-            || self.frozen
+            || self.frozen()
             || self.prefetch_inflight.is_some()
         {
             return;
@@ -922,20 +923,36 @@ impl NodeCtx {
             self.coord_settle_until = Some(self.now() + settle);
         }
         // If the dead node froze our bitmap as a negotiation initiator it
-        // can never send NEG_DONE; unfreeze, or this node wedges forever.
-        if self.frozen && self.frozen_by == Some(dead) {
-            self.thaw();
-        }
+        // can never send NEG_DONE; its section ends here, or this node
+        // wedges forever.
+        self.thaw(dead);
         self.service_lock_queue();
     }
 
-    /// Leave the critical section that froze the bitmap and wake the
-    /// threads waiting for that; the next step replays what the freeze
-    /// deferred (spawn-class messages, trade adoptions, zombies).
-    pub(crate) fn thaw(&mut self) {
-        self.frozen = false;
-        self.frozen_by = None;
-        while self.waits.wake(&self.sched, For::Thaw) {}
+    /// Is the bitmap frozen by a §4.4 critical section (see
+    /// [`Self::freezers`])?
+    pub(crate) fn frozen(&self) -> bool {
+        !self.freezers.is_empty()
+    }
+
+    /// Enter `initiator`'s critical section: the bitmap stays frozen until
+    /// that section ends.
+    pub(crate) fn freeze(&mut self, initiator: usize) {
+        if !self.freezers.contains(&initiator) {
+            self.freezers.push(initiator);
+        }
+    }
+
+    /// Leave `initiator`'s critical section, if this node is in it.  The
+    /// last one out wakes the threads waiting for the thaw; the next step
+    /// replays what the freeze deferred (spawn-class messages, trade
+    /// adoptions, zombies).
+    pub(crate) fn thaw(&mut self, initiator: usize) {
+        let before = self.freezers.len();
+        self.freezers.retain(|&f| f != initiator);
+        if self.freezers.len() < before && self.freezers.is_empty() {
+            while self.waits.wake(&self.sched, For::Thaw) {}
+        }
     }
 
     /// The §4.4 lock-service coordinator: the lowest-id node not known to
@@ -963,7 +980,7 @@ impl NodeCtx {
     pub(crate) fn service_lock_queue(&mut self) {
         if self.lock_holder.is_some()
             || self.lock_queue.is_empty()
-            || self.frozen
+            || self.frozen()
             || !self.is_coordinator()
         {
             return;
@@ -986,7 +1003,7 @@ impl NodeCtx {
     /// superseded, never mutated: the replayer simply keeps the newest
     /// epoch per tid.  Returns the number of thread images written.
     pub(crate) fn checkpoint_now(&mut self) -> crate::error::Result<u32> {
-        if self.spill.is_none() || self.frozen {
+        if self.spill.is_none() || self.frozen() {
             return Ok(0);
         }
         let ds: Vec<DescPtr> = self
@@ -1120,17 +1137,17 @@ impl NodeCtx {
         if self.stats.steps.get().is_multiple_of(CLOCK_EVERY) && self.timers_armed() {
             self.run_timers(self.now());
         }
-        if !self.frozen && !self.zombies.is_empty() {
+        if !self.frozen() && !self.zombies.is_empty() {
             self.reap_zombies();
         }
-        if !self.frozen && !self.pending_adopts.is_empty() {
+        if !self.frozen() && !self.pending_adopts.is_empty() {
             // Grants that landed during a critical section: the lender
             // already cleared its bits, so adoption completes the transfer
             // the moment the freeze lifts.
             let ranges = std::mem::take(&mut self.pending_adopts);
             self.adopt_grant(&ranges, "deferred slot grant");
         }
-        if !self.frozen && !self.deferred.is_empty() {
+        if !self.frozen() && !self.deferred.is_empty() {
             // Replay spawns parked during the critical section.  Handling
             // them cannot re-freeze the bitmap, so this drains fully.
             let deferred = std::mem::take(&mut self.deferred);
@@ -1242,7 +1259,7 @@ impl NodeCtx {
             if !self.nodeheap.is_empty() {
                 self.nodeheap.release_thread(tid);
             }
-            if self.frozen {
+            if self.frozen() {
                 // Slot release would mutate the bitmap inside a system-wide
                 // critical section; defer ("no slot management" rule, §4.4).
                 self.zombies.push(d);

@@ -330,6 +330,29 @@ fn migration_class_sits_between_control_and_data() {
     assert!(!ctx.inbox_pending());
 }
 
+/// A node answers each §4.4 bitmap request by freezing for that
+/// initiator's section alone.  A stale section's `NEG_DONE` (here node
+/// 2's, whose request a stall delivered inside node 1's later section)
+/// must not thaw the node while node 1's section still holds it.  The
+/// third endpoint of [`bare_node`] is node 2 on a three-node config: the
+/// host may not take part in §4.4.
+#[test]
+fn a_stale_neg_done_does_not_thaw_a_later_section() {
+    use crate::proto::{encode, tag, NegBitmapReq};
+    let (mut ctx, ep1, ep2) = bare_node(Pm2Config::test(3));
+    let req = |round| NegBitmapReq { round };
+    ep1.send(0, tag::NEG_BITMAP_REQ, encode(ep1.pool(), &req(1)))
+        .unwrap();
+    ep2.send(0, tag::NEG_BITMAP_REQ, encode(ep2.pool(), &req(2)))
+        .unwrap();
+    ep2.send(0, tag::NEG_DONE, Vec::new()).unwrap();
+    while ctx.pump() {}
+    assert!(ctx.frozen(), "node 1's section has not ended");
+    ep1.send(0, tag::NEG_DONE, Vec::new()).unwrap();
+    while ctx.pump() {}
+    assert!(!ctx.frozen(), "the last section's NEG_DONE thaws the node");
+}
+
 /// A gossip round sends its digest to distinct peers: on a two-node
 /// machine the only live peer gets exactly one copy per round.  Its own
 /// entry leads; the entry it heard from its peer rides along only with the

@@ -3,7 +3,8 @@
 //! Most rows of `pm2-bench`'s drill table (`cargo run -p pm2-bench -- list`)
 //! are fixed-shape microbenches; this crate answers the production
 //! question: **what request rate can a p-node machine sustain?**  (The
-//! `workload`, `scale` and `chaos` rows drive it.)  The design follows the
+//! `workload` row ramps it; `chaos` runs its kill and partition drills at
+//! a fixed rate.)  The design follows the
 //! Internet Computer scalability suite's workload experiments: declare a
 //! workload, ramp its rate round by round, gate each round on failure-rate
 //! and p99-latency SLOs, and report the last passing round as the machine's
@@ -22,7 +23,7 @@
 //!   (which owns the `!Sync` machine handle) spawns each op the moment
 //!   it is due; op latency is measured from the *scheduled* time so
 //!   queueing counts and saturation is visible (no coordinated
-//!   omission).  Latencies land in a concurrent log2 histogram
+//!   omission).  Latencies land in a concurrent log-linear histogram
 //!   ([`LogHistogram`]); uncompleted ops become timeouts.
 //! * [`RampController`] — the IC-style gate as a pure state machine:
 //!   `initial_rps` + `increment_rps` per round, stop at the first round
