@@ -37,9 +37,9 @@
 //!   the shared queue before the ringing node's next green-thread quantum
 //!   (a thread that sends and then computes must not delay its receiver)
 //!   and at the end of the step, unless the ringing node then has nothing
-//!   left to do (`NodeCtx::quiet`: no ready thread, no queued message,
-//!   nothing deferred, no zombie, no wait deadline still to fix; an armed
-//!   timer with an instant is filed, not stepped for).  A quiet node — held
+//!   left to do (`NodeCtx::quiet`: no ready thread, no queued message, no
+//!   wait deadline still to fix — what a freeze deferred waits for the
+//!   thaw, and an armed timer with an instant is filed, not stepped for).  A quiet node — held
 //!   ring or not — parks at once, without the empty step that would find
 //!   it quiet, and the worker runs the held node next: a hop on one worker
 //!   is one step, one park and one wake-up, and on two workers it stays on

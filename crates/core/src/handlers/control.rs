@@ -2,7 +2,7 @@
 //! completions, and the filing of protocol replies for green threads
 //! parked in a request/reply exchange.
 
-use isoaddr::SlotProvider;
+use isoaddr::{Deal, SlotProvider};
 use madeleine::Message;
 use marcel::ThreadState;
 
@@ -157,7 +157,7 @@ pub(crate) fn on_node_reclaim(ctx: &mut NodeCtx, m: Message) {
         return;
     };
     let total: usize = ranges.0.iter().map(|r| r.count).sum();
-    let adopted = ctx.adopt_grant(&ranges.0, "reclaim grant from the host");
+    let adopted = ctx.adopt_grant(&ranges.0, Deal::Loan);
     let slots = if adopted { total as u32 } else { 0 };
     let _ = ctx.send_msg(m.src, &proto::ReclaimAck { reclaim_id, slots });
 }

@@ -24,8 +24,9 @@
 //! Everything a handler reads off `m.payload` or `m.tag` is input from
 //! outside the node.  A payload that does not decode ([`decode`]), names
 //! something this node does not have (a spawn key, a service id, slots it
-//! does not own), or arrives under a tag with no handler is *dropped* and
-//! counted in `NodeStats::malformed_dropped`; where a requester is waiting
+//! does not own), grants it slots it already owns, or arrives under a tag
+//! with no handler is *dropped* and counted in
+//! `NodeStats::malformed_dropped`; where a requester is waiting
 //! and the request still named it, it gets the exchange's ordinary
 //! refusal.  The `expect`s that remain in this tree guard node-internal
 //! invariants no payload byte can reach.
@@ -105,6 +106,11 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         return drop_malformed(ctx);
     }
     match m.tag {
+        // A spawn needs a stack slot (a bitmap mutation): while a §4.4
+        // section holds the bitmap frozen, it waits for the thaw.
+        tag::SPAWN_KEY | tag::RPC_SPAWN | tag::RPC_CALL if ctx.frozen() => {
+            ctx.deferred.push_back(m)
+        }
         tag::SPAWN_KEY => spawn::on_spawn_key(ctx, m),
         tag::RPC_SPAWN => spawn::on_rpc_spawn(ctx, m),
         tag::RPC_CALL => spawn::on_rpc_call(ctx, m),

@@ -36,11 +36,12 @@
 //! source (see [`note_load_wealth`] / [`note_ack_wealth`], called from the
 //! dispatch table before replies are filed).
 
+use isoaddr::Deal;
 use madeleine::message::PayloadReader;
 use madeleine::{Message, Wire};
 
 use super::{decode, drop_malformed};
-use crate::node::NodeCtx;
+use crate::node::{NodeCtx, Owed};
 use crate::proto::{self, tag};
 
 pub(crate) fn on_lock_req(ctx: &mut NodeCtx, m: &Message) {
@@ -112,22 +113,20 @@ pub(crate) fn on_buy(ctx: &mut NodeCtx, m: Message) {
     }
     for r in ranges.0 {
         // Can only fail unmapping a slot we own: a broken area, not input.
-        ctx.mgr.sell(r).expect("selling owned slots");
+        ctx.mgr.give(r, Deal::Sale).expect("selling owned slots");
     }
     let _ = ctx.send_msg(m.src, &proto::NegBuyAck { round });
 }
 
-/// A buy ack files under its round's gather.  One that lands after the
-/// round gave up on it still transfers the ranges: the seller cleared
-/// them, so the buyer adopts them, the way a late trade grant is adopted.
+/// A buy ack, on time or late: the pump adopts what the seller owed for
+/// the round (`NodeCtx::owed`), then files the ack for the round's
+/// gather, which only counts it.
 pub(crate) fn on_buy_ack(ctx: &mut NodeCtx, m: Message) {
-    let late = proto::peek_id(&m.payload).and_then(|round| ctx.late_buys.remove(&(round, m.src)));
-    match late {
-        Some(ranges) => {
-            ctx.adopt_grant(&ranges, &format!("late slot buy from node {}", m.src));
-        }
-        None => super::control::park_reply(ctx, m),
+    let owed = proto::peek_id(&m.payload).and_then(|round| ctx.owed.remove(&(round, m.src)));
+    if let Some(Owed::Buy(ranges)) = owed {
+        ctx.adopt_grant(&ranges, Deal::Sale);
     }
+    super::control::park_reply(ctx, m)
 }
 
 pub(crate) fn on_neg_done(ctx: &mut NodeCtx, from: usize) {
@@ -176,32 +175,23 @@ pub(crate) fn on_slot_trade_req(ctx: &mut NodeCtx, m: Message) {
     let _ = ctx.send_msg(m.src, &resp);
 }
 
-/// A trade reply arrives.  The pump adopts what it grants, for every id in
-/// `prefetch_pending` alike — the watermark prefetch, a demand trade, one
-/// whose thread gave up waiting — and then files the reply for the thread
-/// in `negotiation::try_trade`, if one still waits.  Any other reply
-/// answers a trade twice.
+/// A trade reply: the pump adopts what the lender owed (`NodeCtx::owed`)
+/// — the prefetch's, a demand trade's, one nobody waits for any more —
+/// then files the reply for `negotiation::try_trade`'s thread, if one
+/// waits.  A reply nothing is owed under answers a trade twice.
 pub(crate) fn on_slot_trade_resp(ctx: &mut NodeCtx, m: Message) {
     let Some(id) = proto::peek_id(&m.payload) else {
         return drop_malformed(ctx);
     };
-    if !ctx.prefetch_pending.remove(&id) {
+    let Some(Owed::Trade { prefetch }) = ctx.owed.remove(&(id, m.src)) else {
         return super::control::park_reply(ctx, m);
-    }
-    // Only the actual prefetch's own reply re-arms the prefetcher; a
-    // demand reply must not.
-    let was_prefetch = ctx.prefetch_inflight == Some(id);
-    if was_prefetch {
-        ctx.prefetch_inflight = None;
-        ctx.prefetch_target = None;
-    }
+    };
     if let Some(proto::SlotTradeResp { wealth, ranges, .. }) = decode(ctx, &m) {
         ctx.set_peer_wealth(m.src, wealth as u64);
         // (Nothing granted: the wealth update steers the next attempt away.)
         let ranges = ranges.0;
-        let what = format!("slot grant from node {}", m.src);
-        if !ranges.is_empty() && ctx.adopt_grant(&ranges, &what) {
-            if was_prefetch {
+        if !ranges.is_empty() && ctx.adopt_grant(&ranges, Deal::Loan) {
+            if prefetch {
                 ctx.stats.prefetch_fills.add(1);
             }
             let total: u64 = ranges.iter().map(|r| r.count as u64).sum();

@@ -1,13 +1,14 @@
 //! Thread-creation and LRPC handlers: `SPAWN_KEY`, `RPC_SPAWN`,
 //! `RPC_CALL`.
 //!
-//! All three need a fresh stack slot (a bitmap mutation), so all three
-//! defer while the bitmap is frozen by a negotiation and are replayed by
-//! the dispatch core after `NEG_DONE`.  Typed-LRPC handlers spawn into the
+//! All three need a fresh stack slot (a bitmap mutation), so the dispatch
+//! table defers them while a negotiation has the bitmap frozen, and the
+//! thaw dispatches them again.  Typed-LRPC handlers spawn into the
 //! scheduler's **control lane** ([`marcel::thread::flags::CONTROL`]): a
 //! serving node crowded with compute threads still turns replies around
-//! promptly.  They are also [`marcel::thread::flags::DETACHED`]: their tid
-//! is minted here and handed to nobody, so nothing could join them.
+//! promptly.  They and `RPC_SPAWN`'s threads are
+//! [`marcel::thread::flags::DETACHED`]: their tid is minted here and
+//! handed to nobody, so nothing could join them.
 
 use madeleine::Message;
 use marcel::thread::flags;
@@ -17,12 +18,6 @@ use crate::node::NodeCtx;
 use crate::proto::{self, rpc_status, tag};
 
 pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen() {
-        // Spawning needs a stack slot (bitmap mutation): park until
-        // the negotiation ends.
-        ctx.deferred.push_back(m);
-        return;
-    }
     let Some(proto::SpawnKey { key, tid }) = decode(ctx, &m) else {
         return;
     };
@@ -48,10 +43,6 @@ pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
 }
 
 pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen() {
-        ctx.deferred.push_back(m);
-        return;
-    }
     let Some(proto::RpcSpawn { service, args }) = decode(ctx, &m) else {
         return;
     };
@@ -65,7 +56,7 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
         return drop_malformed(ctx);
     };
     let tid = ctx.sched.next_tid();
-    if let Err(e) = ctx.try_spawn(tid, 0, move || f(args)) {
+    if let Err(e) = ctx.try_spawn(tid, flags::DETACHED, move || f(args)) {
         // Out of stack slots under a spawn flood: the request is lost
         // (nobody awaits it), the node is not.
         ctx.out.printf(ctx.node, &format!("dropped rpc spawn: {e}"));
@@ -73,14 +64,8 @@ pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
 }
 
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
-    if ctx.frozen() {
-        // The handler thread needs a stack slot (bitmap mutation):
-        // park until the negotiation ends.
-        ctx.deferred.push_back(m);
-        return;
-    }
     // The reply destination travels in the payload, NOT in `m.src`,
-    // so it survives the deferred replay above and any handler
+    // so it survives a deferred replay (`NodeCtx::thaw`) and any handler
     // migration before the response is sent.
     let Some((call_id, reply_to, service, req)) = proto::decode_rpc_call(&m.payload) else {
         return drop_malformed(ctx); // Nothing to reply to.

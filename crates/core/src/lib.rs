@@ -190,8 +190,8 @@
 //!   thread whose host died resolve with typed
 //!   [`Pm2Error::NodeFailed`] after one reply-deadline grace window
 //!   (giving recovery a chance to re-adopt first); survivors purge the
-//!   corpse from wealth tables, lock queues, prefetch targets and
-//!   balancer plans;
+//!   corpse from wealth tables, lock queues, the slot transfers it owed
+//!   and balancer plans;
 //! * **recovery is just migration** — [`Machine::recover_node`] replays
 //!   the corpse's spill log and re-sends each checkpointed thread to a
 //!   survivor as an ordinary `MIGRATION` train (iso-address packing is

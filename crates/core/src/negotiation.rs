@@ -16,16 +16,17 @@
 //! `LOAD_RESP` probes, `MIGRATE_CMD_ACK`s — no extra round trips), and on
 //! a shortfall sends one point-to-point `SLOT_TRADE_REQ` to the richest
 //! known peer.  The lender clears the bits of a *batch* of contiguous
-//! ranges before its reply leaves and the requester sets them on receipt
-//! — sender-clears-before-receiver-sets, so a slot has exactly one bitmap
-//! owner at every instant, in flight included (in-flight slots are owned
-//! by the trade message, exactly like thread-owned slots mid-migration).
-//! No lock, no freeze, no bitmap gather: O(1) messages per shortfall, and
-//! the batch amortizes that one round trip over many later acquisitions.
-//! Dropping below the low watermark additionally triggers an
-//! *asynchronous* prefetch trade from the driver (see
-//! `NodeCtx::maybe_prefetch`), so steady-state allocators rarely block at
-//! all.
+//! ranges before its reply leaves and the requester's pump sets them when
+//! the reply lands — sender-clears-before-receiver-sets, so a slot has
+//! exactly one bitmap owner at every instant, in flight included
+//! (in-flight slots are owned by the trade message, exactly like
+//! thread-owned slots mid-migration).  No lock, no freeze, no bitmap
+//! gather: O(1) messages per shortfall, and the batch amortizes that one
+//! round trip over many later acquisitions.  Dropping below the low
+//! watermark additionally triggers an *asynchronous* prefetch from the
+//! driver (`NodeCtx::maybe_prefetch`) — the same trade
+//! (`NodeCtx::trade`), which nobody waits for — so steady-state allocators
+//! rarely block at all.
 //!
 //! ## When the paper's protocol still runs
 //!
@@ -49,13 +50,15 @@
 //!
 //! ## Safety argument (iso-address invariant)
 //!
-//! Every transfer path keeps "each slot owned by exactly one agent":
-//! trades clear-before-set with the in-flight interval owned by the
-//! message; a frozen node refuses to lend (its gathered bitmap is being
-//! used for a global first-fit, so clearing bits could double-grant);
-//! a frozen requester defers adoption until `NEG_DONE` (the pump parks
-//! the ranges in `pending_adopts`).  The global protocol's own argument
-//! is unchanged from the paper.
+//! Every slot that travels to a node — a trade grant, a §4.4 buy, a host
+//! reclaim — moves clear-before-set: the giver clears its bits before the
+//! message leaves, the message owns the slots in flight, and the
+//! receiver's pump sets them when it lands (`NodeCtx::adopt_grant`).  A
+//! frozen node refuses to lend (its gathered bitmap is being used for a
+//! global first-fit, so clearing bits could double-grant), and a frozen
+//! receiver adopts at the thaw that ends its last section — a buyer, at
+//! the end of its own.  The global protocol's own argument is unchanged
+//! from the paper.
 //!
 //! ## Local serialization
 //!
@@ -65,12 +68,12 @@
 //! re-check the bitmap first, because the previous holder's batch usually
 //! covers them.
 
-use isoaddr::{SlotBitmap, SlotRange};
+use isoaddr::SlotBitmap;
 
 use crate::api::{call, gather, reply_deadline, send_msg, send_to, wait_unfrozen};
 use crate::error::{Pm2Error, Result};
 use crate::machine::collect_ranges;
-use crate::node::with_ctx;
+use crate::node::{with_ctx, Owed};
 use crate::proto::{self, tag};
 use crate::wait::{For, Wait};
 
@@ -124,31 +127,20 @@ fn run_acquire(requested: usize) -> Result<()> {
 /// peer's death: either way the caller falls back to the global protocol.
 fn try_trade(requested: usize) -> bool {
     let setup = with_ctx(|c| {
-        let peer = c.richest_peer(0)?;
-        let req = proto::SlotTradeReq {
-            trade_id: c.next_call_id(),
-            // Ask for the shortfall *batch*: the request itself plus enough
-            // spare to amortize the round trip over later acquisitions.
-            want: (requested + c.cfg.trade_batch) as u32,
-            min_contig: requested as u32,
-            wealth: c.mgr.free_slots() as u32,
-        };
-        // The pump adopts the grant when the answer lands — in time, or
-        // after this exchange gave up on it: the lender has cleared the
-        // slots either way — and then tells whoever still waits.
-        c.prefetch_pending.insert(req.trade_id);
-        c.stats.trades.add(1);
-        Some((peer, req, c.now()))
+        // Ask for the shortfall *batch*: the request itself plus enough
+        // spare to amortize the round trip over later acquisitions.
+        let want = requested + c.cfg.trade_batch;
+        let (peer, id) = c.trade(0, want, requested, false)?;
+        Some((peer, id, c.now()))
     });
-    let Some((peer, req, t0)) = setup else {
+    let Some((peer, id, t0)) = setup else {
         return false; // nobody plausibly rich: straight to global
     };
-    let id = Some(req.trade_id);
-    match call::<proto::SlotTradeResp>("slot trade", peer, &req, id) {
-        // An answer that does not decode is still an answer.
-        Ok(_) | Err(Pm2Error::Decode(_)) => {}
-        // Timed out, or the peer died under us.
-        Err(_) => return false,
+    // The pump adopts the grant when the answer lands, and it runs only
+    // once this thread parks: a wait opened after the send still hears it.
+    let reply = Wait::for_reply(tag::SLOT_TRADE_RESP, Some(peer), Some(id), reply_deadline());
+    if !matches!(reply.next(), Ok(Some(_))) {
+        return false; // timed out, or the peer died under us
     }
     // A grant that landed inside a critical section (a global negotiation
     // may have frozen us while we waited) is adopted at the thaw.
@@ -299,56 +291,34 @@ fn gather_and_buy(me: usize, p: usize, round: u64, requested: usize) -> Result<(
         }
     }
 
-    // (d) first-fit in the union.
-    match global.find_first_fit(requested, 0) {
-        None => Err(Pm2Error::OutOfSlots { requested }),
-        Some(first) => {
-            let range = SlotRange::new(first, requested);
-            // Group the range into per-owner sub-ranges and buy the
-            // non-local ones.
-            let slots = range.first..range.end();
-            let mut sellers: Vec<(usize, Vec<SlotRange>)> = Vec::new();
-            for o in slots.clone().map(|slot| owner[slot] as usize) {
-                if o != me && sellers.iter().all(|(seller, _)| *seller != o) {
-                    sellers.push((o, collect_ranges(slots.clone(), |s| owner[s] as usize == o)));
-                }
-            }
-            let ranges_of = |seller: usize| {
-                let sale = sellers.iter().find(|(owner, _)| *owner == seller);
-                sale.map_or(&[][..], |(_, ranges)| ranges)
-            };
-            // Grant per *acked* seller: an ack proves that seller cleared
-            // its bits, so its ranges transfer even if another seller
-            // dies (or the round times out).  A dead seller's ranges stay
-            // ungranted — whether the corpse cleared them is unknowable,
-            // so they fall to corpse reclamation — and the negotiation
-            // reports the death typed (the caller may retry; our NEG_DONE
-            // fan-out still runs).  A seller still owing at the deadline
-            // may sell yet: its late ack is adopted by the pump.
-            let mut acked: Vec<usize> = Vec::new();
-            let buy = |seller| {
-                let ranges = proto::Ranges(ranges_of(seller).to_vec());
-                send_msg(seller, &proto::NegBuy { round, ranges })
-            };
-            let asked = sellers.iter().map(|(owner, _)| *owner);
-            let due = reply_deadline();
-            let lost_sellers = gather("buy", tag::NEG_BUY_ACK, Some(round), due, asked, buy, |m| {
-                acked.push(m.src);
-                Ok(())
-            });
-            with_ctx(|c| {
-                for (seller, ranges) in &sellers {
-                    if acked.contains(seller) {
-                        ranges.iter().for_each(|r| c.mgr.grant(*r));
-                    } else if lost_sellers.is_err() {
-                        c.late_buys.insert((round, *seller), ranges.clone());
-                    }
-                }
-            });
-            match lost_sellers?.last() {
-                Some(&seller) => Err(Pm2Error::NodeFailed(seller)),
-                None => Ok(()),
-            }
+    // (d) first-fit in the union, and buy the non-local sub-ranges: one
+    // `NEG_BUY` per owner.
+    let Some(first) = global.find_first_fit(requested, 0) else {
+        return Err(Pm2Error::OutOfSlots { requested });
+    };
+    let slots = first..first + requested;
+    let mut asked: Vec<usize> = Vec::new();
+    for o in slots.clone().map(|slot| owner[slot] as usize) {
+        if o != me && !asked.contains(&o) {
+            asked.push(o);
         }
+    }
+    // An ack proves its seller cleared its bits: the pump adopts the
+    // ranges owed when it lands, late or not, whoever else dies.  A dead
+    // seller's ranges fall to corpse reclamation (whether it cleared them
+    // is unknowable), and the round reports the death typed.
+    let buy = |seller| {
+        let ranges = collect_ranges(slots.clone(), |s| owner[s] as usize == seller);
+        with_ctx(|c| c.owed.insert((round, seller), Owed::Buy(ranges.clone())));
+        let ranges = proto::Ranges(ranges);
+        send_msg(seller, &proto::NegBuy { round, ranges })
+    };
+    let (due, acked) = (reply_deadline(), |_| Ok(()));
+    let lost = gather("buy", tag::NEG_BUY_ACK, Some(round), due, asked, buy, acked)?;
+    // A seller that could not be asked is dead too.
+    with_ctx(|c| lost.iter().for_each(|&s| drop(c.owed.remove(&(round, s)))));
+    match lost.last() {
+        Some(&seller) => Err(Pm2Error::NodeFailed(seller)),
+        None => Ok(()),
     }
 }

@@ -105,7 +105,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use isoaddr::{IsoArea, NodeSlotManager, SlotRange};
+use isoaddr::{Deal, IsoArea, NodeSlotManager, SlotRange};
 use madeleine::{BufPool, Endpoint, Message};
 use marcel::{DescPtr, RunOutcome, Scheduler, ThreadState};
 
@@ -270,6 +270,15 @@ impl NodeStatsSnapshot {
     }
 }
 
+/// A slot transfer owed to a node ([`NodeCtx::owed`]).
+pub(crate) enum Owed {
+    /// A trade's grant; `prefetch` marks the watermark prefetch's.
+    Trade { prefetch: bool },
+    /// The ranges a §4.4 buy bought from one seller: the buyer adopts
+    /// what it bought, not what the ack says.
+    Buy(Vec<SlotRange>),
+}
+
 /// Per-thread data recorded between a body finishing and the scheduler
 /// reaping it: the panic message and/or the encoded return value.
 #[derive(Debug, Default)]
@@ -311,7 +320,7 @@ pub(crate) struct NodeCtx {
     /// for (see [`crate::wait`]).
     pub waits: WaitTable,
     /// Spawn-bearing messages (SPAWN_KEY / RPC_SPAWN / RPC_CALL) received
-    /// while the bitmap was frozen; replayed after NEG_DONE.  Never
+    /// while the bitmap was frozen; the thaw dispatches them again.  Never
     /// re-sent to self — a self-send is immediately deliverable, so the
     /// pump's drain loop would chase its own re-injection forever.
     pub deferred: VecDeque<Message>,
@@ -329,25 +338,14 @@ pub(crate) struct NodeCtx {
     /// Last-known free-slot counts per node, refreshed by every
     /// piggybacked wealth hint (shared with the host for observability).
     pub peer_wealth: Arc<Vec<AtomicU64>>,
-    /// Trade ids in flight, whose grant the pump adopts when the answer
-    /// lands: the watermark prefetch and every demand trade, timed-out
-    /// ones included (a late grant must still be adopted, or the slots the
-    /// lender cleared would be stranded).
-    pub prefetch_pending: HashSet<u64>,
-    /// Trade id of the one in-flight watermark prefetch, if any; only its
-    /// own reply re-arms the prefetcher (a late demand-trade reply must
-    /// not).
-    pub prefetch_inflight: Option<u64>,
-    /// Peer the in-flight prefetch was sent to; its death re-arms the
-    /// prefetcher immediately instead of waiting out the lost reply.
-    pub prefetch_target: Option<usize>,
-    /// Trade grants that arrived while the bitmap was frozen; adopted
-    /// after NEG_DONE.
-    pub pending_adopts: Vec<SlotRange>,
-    /// Global-negotiation buys whose ack missed the round's deadline, by
-    /// `(round, seller)`: the seller may still sell, and its late ack then
-    /// transfers the ranges here, as a late trade grant does.
-    pub late_buys: HashMap<(u64, usize), Vec<SlotRange>>,
+    /// The slot transfers owed to this node, by `(trade id or §4.4 round,
+    /// lender or seller)`: filed before the request goes out, removed when
+    /// the answer lands (the pump adopts what it carries, waited for or
+    /// not) or the peer dies.
+    pub owed: HashMap<(u64, usize), Owed>,
+    /// Ranges whose message landed while the bitmap was frozen; the thaw
+    /// that ends the last section adopts them.
+    pub pending_adopts: Vec<(Vec<SlotRange>, Deal)>,
     /// Lock service state (meaningful on the current coordinator — the
     /// lowest-id live node; see [`NodeCtx::coordinator`]): the holder,
     /// and the waiting requesters with the round each grant must name.
@@ -361,7 +359,8 @@ pub(crate) struct NodeCtx {
     /// grants), the queue waits; a timer while it does
     /// ([`NodeCtx::next_timer`]).
     pub coord_settle_until: Option<Instant>,
-    /// Threads that exited while the bitmap was frozen; released later.
+    /// Threads that exited while the bitmap was frozen; the thaw releases
+    /// their slots.
     pub zombies: Vec<DescPtr>,
     /// The departures one scheduling step produced, while [`NodeCtx::depart`]
     /// groups them into trains; empty between steps.  Kept, like `arrival`,
@@ -514,11 +513,8 @@ impl NodeCtx {
             freezers: Vec::new(),
             negotiating: false,
             peer_wealth,
-            prefetch_pending: HashSet::new(),
-            prefetch_inflight: None,
-            prefetch_target: None,
+            owed: HashMap::new(),
             pending_adopts: Vec::new(),
-            late_buys: HashMap::new(),
             lock_holder: None,
             lock_queue: VecDeque::new(),
             coord_settle_until: None,
@@ -594,19 +590,19 @@ impl NodeCtx {
         accepted.count() as u32
     }
 
-    /// Adopt `ranges` granted by a lender or the host — at the thaw, when
-    /// the bitmap is frozen (a §4.4 critical section must not see it
-    /// change; they are re-validated then).  `false`: refused whole as
-    /// out-of-area or overlapping, which costs the grant, never the node.
-    pub(crate) fn adopt_grant(&mut self, ranges: &[SlotRange], what: &str) -> bool {
+    /// Adopt `ranges` another node gave this one — a trade's lender, a
+    /// §4.4 seller or the host — when the message carrying them lands; a
+    /// frozen bitmap adopts them at the thaw.  `false`: refused whole as
+    /// out-of-area or overlapping, which costs the grant (counted as
+    /// malformed), never the node.
+    pub(crate) fn adopt_grant(&mut self, ranges: &[SlotRange], deal: Deal) -> bool {
         if self.frozen() {
-            self.pending_adopts.extend_from_slice(ranges);
+            self.pending_adopts.push((ranges.to_vec(), deal));
             return true;
         }
-        let valid = self.mgr.adopt_batch(ranges);
+        let valid = self.mgr.adopt_batch(ranges, deal);
         if !valid {
-            self.out
-                .printf(self.node, &format!("dropped invalid {what}"));
+            handlers::drop_malformed(self);
         }
         valid
     }
@@ -687,42 +683,55 @@ impl NodeCtx {
 
     /// Watermark prefetch: when the reserve drops below the low
     /// watermark, top it back up to the high watermark with one
-    /// asynchronous trade to the richest known peer.  Runs on the driver
-    /// (never a green thread), costs O(1) per step, and never blocks —
-    /// the response is consumed by the pump whenever it arrives.
+    /// asynchronous trade.  Runs on the driver (never a green thread),
+    /// costs O(1) per step, and never blocks.  Armed while no prefetch is
+    /// owed, so a lender's death re-arms it.
     fn maybe_prefetch(&mut self) {
-        if !self.cfg.slot_trade
-            || self.n_nodes < 2
-            || self.cfg.slot_low_watermark == 0
-            || self.shutdown
-            || self.frozen()
-            || self.prefetch_inflight.is_some()
-        {
+        if !self.cfg.slot_trade || self.n_nodes < 2 || self.shutdown || self.frozen() {
             return;
         }
-        let free = self.mgr.free_slots();
-        if free >= self.cfg.slot_low_watermark {
+        let (low, free) = (self.cfg.slot_low_watermark, self.mgr.free_slots());
+        let prefetch = |o: &Owed| matches!(o, Owed::Trade { prefetch: true });
+        if free >= low || self.owed.values().any(prefetch) {
             return;
         }
         // Only ask peers that can plausibly grant (they keep their own
         // low watermark back), so a uniformly poor cluster goes quiet
         // instead of ping-ponging refusals.
-        let Some(peer) = self.richest_peer(self.cfg.slot_low_watermark as u64) else {
-            return;
-        };
         let want = (self.cfg.slot_high_watermark - free).max(1);
-        let id = self.next_call_id();
-        self.prefetch_pending.insert(id);
-        self.prefetch_inflight = Some(id);
-        self.prefetch_target = Some(peer);
-        self.stats.prefetches.add(1);
+        self.trade(low, want, 1, true);
+    }
+
+    /// One slot trade, the prefetch's or a demand's: ask the richest peer
+    /// above `floor` for `want` slots, `min_contig` of them contiguous if
+    /// it can.  Returns the lender and the trade id; `None` when no peer
+    /// is rich enough or the send was refused (the lender is dead).
+    pub(crate) fn trade(
+        &mut self,
+        floor: usize,
+        want: usize,
+        min_contig: usize,
+        prefetch: bool,
+    ) -> Option<(usize, u64)> {
+        let peer = self.richest_peer(floor as u64)?;
+        let trade_id = self.next_call_id();
+        self.owed.insert((trade_id, peer), Owed::Trade { prefetch });
+        match prefetch {
+            true => self.stats.prefetches.add(1),
+            false => self.stats.trades.add(1),
+        }
         let req = proto::SlotTradeReq {
-            trade_id: id,
+            trade_id,
             want: want as u32,
-            min_contig: 1,
-            wealth: free as u32,
+            min_contig: min_contig as u32,
+            wealth: self.mgr.free_slots() as u32,
         };
-        let _ = self.send_msg(peer, &req);
+        if self.send_msg(peer, &req).is_err() {
+            self.owed.remove(&(trade_id, peer));
+            self.set_peer_wealth(peer, 0);
+            return None;
+        }
+        Some((peer, trade_id))
     }
 
     // -- fault tolerance & epidemic dissemination ---------------------------
@@ -897,20 +906,14 @@ impl NodeCtx {
         self.ep.mark_dead(dead);
         // A corpse has no wealth: the trader and balancer stop asking.
         self.set_peer_wealth(dead, 0);
-        // Re-arm the prefetcher if its in-flight trade died with the peer.
-        if self.prefetch_target == Some(dead) {
-            if let Some(id) = self.prefetch_inflight.take() {
-                self.prefetch_pending.remove(&id);
-            }
-            self.prefetch_target = None;
-        }
+        // Nothing the corpse owes is coming; a prefetch it owed re-arms.
+        self.owed.retain(|&(_, peer), _| peer != dead);
         // Green threads waiting on the corpse resolve now (typed), not at
         // their reply deadline.
         self.waits.fail_peer(&self.sched, dead);
         // Lock service: a corpse can neither hold nor want the
         // global-negotiation lock.
         self.lock_queue.retain(|&(w, _)| w != dead);
-        self.late_buys.retain(|&(_, seller), _| seller != dead);
         if self.lock_holder == Some(dead) {
             self.lock_holder = None;
         }
@@ -944,15 +947,30 @@ impl NodeCtx {
     }
 
     /// Leave `initiator`'s critical section, if this node is in it.  The
-    /// last one out wakes the threads waiting for the thaw; the next step
-    /// replays what the freeze deferred (spawn-class messages, trade
-    /// adoptions, zombies).
+    /// last one out replays what the freeze deferred, in order: it adopts
+    /// the ranges that landed (now: an initiator retries its allocation
+    /// as soon as this returns), releases the exited threads' slots,
+    /// dispatches the spawns again and wakes the threads waiting.
     pub(crate) fn thaw(&mut self, initiator: usize) {
         let before = self.freezers.len();
         self.freezers.retain(|&f| f != initiator);
-        if self.freezers.len() < before && self.freezers.is_empty() {
-            while self.waits.wake(&self.sched, For::Thaw) {}
+        if self.freezers.len() == before || self.frozen() {
+            return;
         }
+        for (ranges, deal) in std::mem::take(&mut self.pending_adopts) {
+            self.adopt_grant(&ranges, deal);
+        }
+        for d in std::mem::take(&mut self.zombies) {
+            // SAFETY: exited threads, exclusively ours.
+            unsafe { marcel::release_thread_resources(d, &mut self.mgr) }
+                .expect("releasing deferred thread resources");
+        }
+        self.maybe_ack_shutdown();
+        // Handling a spawn cannot freeze the bitmap again: this drains.
+        for m in std::mem::take(&mut self.deferred) {
+            handlers::dispatch(self, m);
+        }
+        while self.waits.wake(&self.sched, For::Thaw) {}
     }
 
     /// The §4.4 lock-service coordinator: the lowest-id node not known to
@@ -1137,24 +1155,6 @@ impl NodeCtx {
         if self.stats.steps.get().is_multiple_of(CLOCK_EVERY) && self.timers_armed() {
             self.run_timers(self.now());
         }
-        if !self.frozen() && !self.zombies.is_empty() {
-            self.reap_zombies();
-        }
-        if !self.frozen() && !self.pending_adopts.is_empty() {
-            // Grants that landed during a critical section: the lender
-            // already cleared its bits, so adoption completes the transfer
-            // the moment the freeze lifts.
-            let ranges = std::mem::take(&mut self.pending_adopts);
-            self.adopt_grant(&ranges, "deferred slot grant");
-        }
-        if !self.frozen() && !self.deferred.is_empty() {
-            // Replay spawns parked during the critical section.  Handling
-            // them cannot re-freeze the bitmap, so this drains fully.
-            let deferred = std::mem::take(&mut self.deferred);
-            for m in deferred {
-                handlers::dispatch(self, m);
-            }
-        }
         self.maybe_prefetch();
         if self.sched.has_ready() {
             // A thread that sends and then computes must not delay the
@@ -1171,10 +1171,11 @@ impl NodeCtx {
     }
 
     /// Nothing left to do but report so: no ready thread, no ingested
-    /// message, nothing deferred, no zombie or pending adoption, no wait
-    /// deadline still a bare span.  The executor parks a node that is quiet
-    /// after a step at once, without the empty step that would find this,
-    /// and runs the node its driver code woke next (the hand-off).
+    /// message, no wait deadline still a bare span — what a freeze
+    /// deferred waits for the thaw, which replays it.  The executor parks
+    /// a node that is quiet after a step at once, without the empty step
+    /// that would find this, and runs the node its driver code woke next
+    /// (the hand-off).
     ///
     /// An armed timer is no work: every timer with an instant — a fixed
     /// wait deadline, the gossip round, the checkpoint period, the grant
@@ -1185,12 +1186,7 @@ impl NodeCtx {
     /// run has fixed (`WaitTable::unfixed`): only the empty step's timer
     /// run gives it one, so that is work.
     pub(crate) fn quiet(&self) -> bool {
-        !self.sched.has_ready()
-            && !self.inbox_pending()
-            && self.deferred.is_empty()
-            && self.zombies.is_empty()
-            && self.pending_adopts.is_empty()
-            && !self.waits.unfixed()
+        !self.sched.has_ready() && !self.inbox_pending() && !self.waits.unfixed()
     }
 
     /// The node is about to report no work: run its armed timers on a
@@ -1289,17 +1285,6 @@ impl NodeCtx {
                     let _ = self.send_msg(home, &exit);
                 }
                 self.registry.complete(exit);
-            }
-        }
-        self.maybe_ack_shutdown();
-    }
-
-    fn reap_zombies(&mut self) {
-        for d in std::mem::take(&mut self.zombies) {
-            // SAFETY: deferred exited threads; exclusively ours.
-            unsafe {
-                marcel::release_thread_resources(d, &mut self.mgr)
-                    .expect("releasing deferred thread resources");
             }
         }
         self.maybe_ack_shutdown();

@@ -183,10 +183,25 @@ fn rpc_spawn_runs_service_remotely() {
     m.register_service(9, move |args| {
         tx.send((pm2_self(), args)).unwrap();
     });
-    m.rpc_spawn(1, 9, b"hello").unwrap();
-    let (node, args) = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-    assert_eq!(node, 1);
-    assert_eq!(args, b"hello");
+    // Nobody holds an rpc_spawn'd thread's tid, so nobody could read how
+    // it ended: a clean exit leaves no completion record behind.
+    let before = m.registry().completed_count();
+    const SPAWNS: usize = 100;
+    for _ in 0..SPAWNS {
+        m.rpc_spawn(1, 9, b"hello").unwrap();
+    }
+    for _ in 0..SPAWNS {
+        let (node, args) = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+        assert_eq!(node, 1);
+        assert_eq!(args, b"hello");
+    }
+    // A thread spawned on node 1 after them runs once they have exited.
+    m.run_on(1, || ()).unwrap();
+    assert_eq!(
+        m.registry().completed_count(),
+        before + 1,
+        "only run_on's own thread is recorded"
+    );
     m.shutdown();
 }
 
@@ -351,6 +366,43 @@ fn a_stale_neg_done_does_not_thaw_a_later_section() {
     ep1.send(0, tag::NEG_DONE, Vec::new()).unwrap();
     while ctx.pump() {}
     assert!(!ctx.frozen(), "the last section's NEG_DONE thaws the node");
+}
+
+/// A lender that dies is owed nothing: a demand trade and the watermark
+/// prefetch both out to node 1 leave [`NodeCtx::owed`] with its death,
+/// and the prefetcher, re-armed by that, asks the next richest peer at the
+/// next step.  (The third endpoint of [`bare_node`] is node 2 here.)
+#[test]
+fn a_lender_that_dies_is_owed_nothing() {
+    use crate::proto::{tag, SlotTradeReq};
+    use madeleine::Wire;
+    let (mut ctx, ep1, ep2) = bare_node(Pm2Config::test(3));
+    ctx.set_peer_wealth(1, 1000);
+    ctx.set_peer_wealth(2, 500);
+    // Node 0 gives its whole reserve away: below its low watermark.
+    let free = ctx.mgr.free_slots();
+    ctx.mgr.lend_batch(free, 1).unwrap();
+    let (lender, _) = ctx.trade(0, 4, 2, false).expect("a demand trade");
+    ctx.step();
+    let asked = |ep: &Endpoint| -> Vec<SlotTradeReq> {
+        std::iter::from_fn(|| ep.try_recv())
+            .filter(|m| m.tag == tag::SLOT_TRADE_REQ)
+            .map(|m| SlotTradeReq::decode_vec(&m.payload).unwrap())
+            .collect()
+    };
+    assert_eq!(lender, 1);
+    assert_eq!(asked(&ep1).len(), 2, "the demand trade and the prefetch");
+    assert_eq!(ctx.owed.len(), 2);
+    ctx.note_node_dead(1);
+    assert!(ctx.owed.is_empty(), "node 1 owes nothing now");
+    ctx.step();
+    let prefetch = asked(&ep2);
+    assert_eq!(prefetch.len(), 1, "the prefetcher re-armed");
+    assert_eq!(prefetch[0].min_contig, 1);
+    assert_eq!(
+        ctx.owed.keys().map(|&(_, peer)| peer).collect::<Vec<_>>(),
+        [2]
+    );
 }
 
 /// A gossip round sends its digest to distinct peers: on a two-node

@@ -44,6 +44,6 @@ pub use cache::SlotCache;
 pub use distribution::Distribution;
 pub use error::IsoAddrError;
 pub use layout::AreaConfig;
-pub use manager::{AcquireOutcome, NodeSlotManager, SlotProvider};
+pub use manager::{AcquireOutcome, Deal, NodeSlotManager, SlotProvider};
 pub use slots::{SlotRange, VAddr};
 pub use stats::{SlotStats, SlotStatsSnapshot};

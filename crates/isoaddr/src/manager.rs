@@ -16,14 +16,15 @@
 //!   migration"); the destination node maps them back at the same addresses.
 //!   Every other commit is for a new owner and reads zero; these two move a
 //!   slot with its owner, so nothing is scrubbed between them.
-//! * **lend / adopt-batch** — the decentralized slot economy: a node lends
-//!   a batch of contiguous ranges to a trading peer ([`lend_batch`]
-//!   clears the bits *before* the reply leaves, so a slot is set in at
-//!   most one bitmap at every instant) and the peer records them with
+//! * **give / adopt-batch** — slots moving between nodes, sold or lent
+//!   ([`lend_batch`] picks a loan's ranges): [`give`] clears the bits
+//!   *before* the message carrying them leaves, so a slot is set in at
+//!   most one bitmap at every instant, and the taker records them with
 //!   [`adopt_batch`].  The node's free-slot *reserve* is tracked in O(1)
 //!   ([`owned_free_slots`]) so watermark checks and wealth piggybacking
 //!   cost nothing on the hot path.
 //!
+//! [`give`]: NodeSlotManager::give
 //! [`lend_batch`]: NodeSlotManager::lend_batch
 //! [`adopt_batch`]: NodeSlotManager::adopt_batch
 //! [`owned_free_slots`]: NodeSlotManager::owned_free_slots
@@ -50,6 +51,15 @@ pub enum AcquireOutcome {
     /// The local bitmap has no run of the requested length: the caller must
     /// run the global negotiation protocol (paper §4.4).
     NeedNegotiation,
+}
+
+/// Which pair of counters a slot transfer between nodes books: a §4.4
+/// sale (`slots_sold` by the giver, `slots_bought` by the taker), or a
+/// trade's loan or a host reclaim (`slots_lent`, `slots_adopted`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Deal {
+    Sale,
+    Loan,
 }
 
 /// Abstract source of iso-address slots, consumed by the block layer
@@ -300,12 +310,13 @@ impl NodeSlotManager {
         self.bitmap.write_bytes(out);
     }
 
-    /// Sell `range` to another node during a negotiation: clear the bits and
-    /// drop any cached mappings inside the range (the buyer will map them).
-    pub fn sell(&mut self, range: SlotRange) -> Result<()> {
+    /// Give `range` to another node, sold or lent as `deal` says: clear the
+    /// bits and drop any cached mappings inside the range (the taker will
+    /// map them).
+    pub fn give(&mut self, range: SlotRange, deal: Deal) -> Result<()> {
         assert!(
             self.bitmap.all_set(range),
-            "sell: node {} does not own all of {range:?}",
+            "give: node {} does not own all of {range:?}",
             self.node
         );
         self.bitmap.clear_range(range);
@@ -314,20 +325,12 @@ impl NodeSlotManager {
             self.stats.decommits.add(1);
             self.area.decommit_slots(SlotRange::single(idx))?;
         }
-        self.stats.slots_sold.add(range.count as u64);
+        let given = match deal {
+            Deal::Sale => &self.stats.slots_sold,
+            Deal::Loan => &self.stats.slots_lent,
+        };
+        given.add(range.count as u64);
         Ok(())
-    }
-
-    /// Record slots bought from other nodes: set the bits.
-    pub fn grant(&mut self, range: SlotRange) {
-        debug_assert!(
-            self.bitmap.all_clear(range),
-            "grant: node {} already owns part of {range:?}",
-            self.node
-        );
-        self.bitmap.set_range(range);
-        self.free += range.count;
-        self.stats.slots_bought.add(range.count as u64);
     }
 
     /// Lend up to `max_slots` free slots to a trading peer, as a batch of
@@ -348,7 +351,7 @@ impl NodeSlotManager {
         if min_contig > 1 && min_contig <= remaining {
             if let Some(first) = self.bitmap.find_first_fit(min_contig, 0) {
                 let r = SlotRange::new(first, min_contig);
-                self.extract_lent(r)?;
+                self.give(r, Deal::Loan)?;
                 out.push(r);
                 remaining -= min_contig;
             }
@@ -357,41 +360,23 @@ impl NodeSlotManager {
             let Some(r) = self.bitmap.last_run(remaining) else {
                 break;
             };
-            self.extract_lent(r)?;
+            self.give(r, Deal::Loan)?;
             out.push(r);
             remaining -= r.count;
         }
-        let total: usize = out.iter().map(|r| r.count).sum();
-        self.stats.slots_lent.add(total as u64);
         Ok(out)
     }
 
-    /// Clear one lent range and drop its cached mappings.
-    fn extract_lent(&mut self, range: SlotRange) -> Result<()> {
-        debug_assert!(
-            self.bitmap.all_set(range),
-            "lend: node {} does not own all of {range:?}",
-            self.node
-        );
-        self.bitmap.clear_range(range);
-        self.free -= range.count;
-        for idx in self.cache.remove_in_range(range) {
-            self.stats.decommits.add(1);
-            self.area.decommit_slots(SlotRange::single(idx))?;
-        }
-        Ok(())
-    }
-
-    /// Adopt a batch of ranges granted by a trading peer: set the bits.
-    /// (Distinct from [`Self::adopt`], which maps a migrated *thread's*
-    /// slots without touching the bitmap.)  The peer cleared its bits
-    /// before replying, so setting ours completes the ownership transfer.
+    /// Adopt a batch of ranges given to this node, bought or lent as `deal`
+    /// says: set the bits.  (Distinct from [`Self::adopt`], which maps a
+    /// migrated *thread's* slots without touching the bitmap.)  The giver
+    /// cleared its bits first, so setting ours completes the transfer.
     ///
     /// The grant is validated in release builds too — a corrupt reply
     /// (range out of the area, or overlapping slots we already own) must
     /// cost the grant, never the node: nothing is adopted and `false` is
     /// returned, exactly like a corrupt migration record is NAKed.
-    pub fn adopt_batch(&mut self, ranges: &[SlotRange]) -> bool {
+    pub fn adopt_batch(&mut self, ranges: &[SlotRange], deal: Deal) -> bool {
         let n = self.bitmap.len();
         // Validate and set one range at a time (checking against the
         // live bitmap also catches overlaps *within* the batch); roll
@@ -409,8 +394,11 @@ impl NodeSlotManager {
             self.bitmap.set_range(*r);
             self.free += r.count;
         }
-        let total: u64 = ranges.iter().map(|r| r.count as u64).sum();
-        self.stats.slots_adopted.add(total);
+        let taken = match deal {
+            Deal::Sale => &self.stats.slots_bought,
+            Deal::Loan => &self.stats.slots_adopted,
+        };
+        taken.add(ranges.iter().map(|r| r.count as u64).sum());
         true
     }
 
@@ -626,7 +614,7 @@ mod tests {
             let len = 2 * m0.slot_size();
             unsafe { std::ptr::write_bytes(addr as *mut u8, 0x77, len) };
             m0.surrender(r).unwrap();
-            m1.grant(r);
+            assert!(m1.adopt_batch(&[r], Deal::Loan));
             assert_eq!(m1.acquire_specific(r).unwrap(), addr);
             let got = unsafe { std::slice::from_raw_parts(addr as *const u8, len) };
             assert!(got.iter().all(|&b| b == 0), "{strategy:?}");
@@ -637,15 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn sell_and_grant_move_ownership() {
+    fn a_sale_moves_ownership() {
         let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
         let mut m0 = NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::RoundRobin, 4);
         let mut m1 = NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::RoundRobin, 4);
         // Node 1 owns odd slots. Sell slot 1 and 3 to node 0.
-        m1.sell(SlotRange::single(1)).unwrap();
-        m1.sell(SlotRange::single(3)).unwrap();
-        m0.grant(SlotRange::single(1));
-        m0.grant(SlotRange::single(3));
+        m1.give(SlotRange::single(1), Deal::Sale).unwrap();
+        m1.give(SlotRange::single(3), Deal::Sale).unwrap();
+        let bought = [SlotRange::single(1), SlotRange::single(3)];
+        assert!(m0.adopt_batch(&bought, Deal::Sale));
         // Node 0 can now make a contiguous 4-slot allocation [0,4).
         let addr = m0.acquire_specific(SlotRange::new(0, 4)).unwrap();
         unsafe { std::ptr::write_bytes(addr as *mut u8, 9, 4 * m0.slot_size()) };
@@ -669,7 +657,7 @@ mod tests {
             lent.iter().any(|r| r.end() == 64),
             "remainder peeled off the top: {lent:?}"
         );
-        assert!(m0.adopt_batch(&lent));
+        assert!(m0.adopt_batch(&lent, Deal::Loan));
         assert_eq!(m0.free_slots(), 40);
         assert_eq!(m0.stats_snapshot().slots_adopted, 8);
         assert_eq!(m1.stats_snapshot().slots_lent, 8);
@@ -689,21 +677,24 @@ mod tests {
         let mut m0 = NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::Partitioned, 0);
         // Partitioned, 64 slots: node 0 owns [0,32); [32,64) is clear.
         assert!(
-            !m0.adopt_batch(&[SlotRange::new(1 << 40, 2)]),
+            !m0.adopt_batch(&[SlotRange::new(1 << 40, 2)], Deal::Loan),
             "out of area"
         );
         assert!(
-            !m0.adopt_batch(&[SlotRange::new(60, usize::MAX)]),
+            !m0.adopt_batch(&[SlotRange::new(60, usize::MAX)], Deal::Loan),
             "overflow"
         );
-        assert!(!m0.adopt_batch(&[SlotRange::new(0, 1)]), "already owned");
+        assert!(
+            !m0.adopt_batch(&[SlotRange::new(0, 1)], Deal::Loan),
+            "already owned"
+        );
         // Overlap *within* one batch rolls the earlier range back out.
-        assert!(!m0.adopt_batch(&[SlotRange::new(40, 2), SlotRange::new(41, 2)]));
+        assert!(!m0.adopt_batch(&[SlotRange::new(40, 2), SlotRange::new(41, 2)], Deal::Loan));
         assert_eq!(m0.free_slots(), 32, "refusals leave no trace");
         assert!(m0.bitmap().all_clear(SlotRange::new(40, 4)));
         assert_eq!(m0.stats_snapshot().slots_adopted, 0);
         // A valid grant still lands.
-        assert!(m0.adopt_batch(&[SlotRange::new(40, 2)]));
+        assert!(m0.adopt_batch(&[SlotRange::new(40, 2)], Deal::Loan));
         assert_eq!(m0.free_slots(), 34);
     }
 
@@ -753,7 +744,7 @@ mod tests {
         };
         m1.release(r).unwrap();
         assert_eq!(m1.cached_slots(), 1);
-        m1.sell(r).unwrap();
+        m1.give(r, Deal::Sale).unwrap();
         assert_eq!(m1.cached_slots(), 0);
         assert!(
             !area.is_committed(r.first),
