@@ -21,7 +21,7 @@ use madeleine::{Message, Payload, Wire};
 use crate::error::{Pm2Error, Result};
 use crate::node::with_ctx;
 use crate::proto::{self, rpc_status, tag, Msg};
-use crate::service::{service_id, Service};
+use crate::service::{service_id, Service, MAX_RPC_PAYLOAD};
 use crate::wait::{Due, For, Wait};
 
 /// Node currently hosting the calling thread (the paper's `pm2_self()`).
@@ -239,7 +239,7 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
         if node >= c.n_nodes {
             return Err(Pm2Error::NoSuchNode(node));
         }
-        let (call_id, max) = (c.next_call_id(), c.cfg.max_rpc_payload);
+        let (call_id, max) = (c.next_call_id(), MAX_RPC_PAYLOAD);
         let call = proto::encode_rpc_call(&c.pool, call_id, c.node, service_id::<S>(), &req, max)?;
         Ok((call_id, call, c.cfg.reply_deadline))
     })?;

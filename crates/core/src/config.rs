@@ -7,12 +7,13 @@
 //! [`MachineBuilder`] ([`crate::Machine::builder`]) is the only fluent
 //! surface — one setter per knob, none on the record itself.
 //!
-//! A value is a knob only while a `pm2-bench` drill, a `pm2-workload` run,
-//! a `benchmark/` workload or a test assertion needs it off its default;
-//! everything else is a documented constant next to the code that reads it
-//! (CHANGES.md, PR 18, has the per-knob ledger).  How long an idle driver
-//! parks is not a knob either: until the earliest timer it has armed, and
-//! for good when it has none.
+//! A value is a knob only while a `pm2-bench` drill, a `pm2-workload` run
+//! or a `benchmark/` workload needs it off its default.  A test alone does
+//! not make a knob: everything else is a documented constant next to the
+//! code that reads it, and a test reads the constant (CHANGES.md, PR 18,
+//! has the per-knob ledger).  How long an idle driver parks is not a knob
+//! either: until the earliest timer it has armed, and for good when it has
+//! none.
 
 use std::time::Duration;
 
@@ -54,16 +55,6 @@ pub struct Pm2Config {
     /// Tests want it short so a deadlock fails fast; stress runs want it
     /// long so a loaded machine is not misdiagnosed.
     pub reply_deadline: Duration,
-    /// Largest request/response payload the typed LRPC layer accepts,
-    /// in bytes.  Oversized requests fail locally at the caller;
-    /// oversized responses fail at the serving node with an RPC error.
-    pub max_rpc_payload: usize,
-    /// Most messages one driver pump handles before running a thread
-    /// quantum.  The pump drains priority classes in order (control >
-    /// migration > data), so the budget bounds how long a flooded lane
-    /// can hold the scheduler off without ever letting data traffic
-    /// delay control traffic.  Values < 1 are treated as 1.
-    pub pump_budget: usize,
     /// Worker threads the executor multiplexes the node drivers onto.
     /// `0` (the default) sizes the pool automatically: the available
     /// cores (at least 2), never more than nodes.  `1` is the
@@ -98,10 +89,6 @@ pub struct Pm2Config {
     /// Prefetch target level: an async prefetch asks for
     /// `high − reserve` slots.  Clamped up to at least the low watermark.
     pub slot_high_watermark: usize,
-    /// Extra slots a *demand* trade requests beyond the shortfall itself —
-    /// the batch that amortizes one trade round trip over many later
-    /// acquisitions.  Values < 1 are treated as 1.
-    pub trade_batch: usize,
     /// Directory for per-node spill logs (`node<k>.log`), the persistence
     /// behind checkpoints and recovery.  `None` (the default) disables
     /// checkpointing entirely — `checkpoint_every` and `CKPT_REQ` are
@@ -168,14 +155,11 @@ impl Pm2Config {
             fit: FitPolicy::FirstFit,
             pack_full_slots: false,
             reply_deadline: Duration::from_secs(30),
-            max_rpc_payload: 1 << 20,
-            pump_budget: 64,
             workers: 0,
             max_train: 64,
             slot_trade: true,
             slot_low_watermark: 4,
             slot_high_watermark: 16,
-            trade_batch: 16,
             spill_dir: None,
             checkpoint_every: None,
             failure_timeout: None,
@@ -195,9 +179,7 @@ impl Pm2Config {
     /// "values < 1 are treated as 1" (or clamped against another) is
     /// floored here, once, so no reader re-applies the rule.
     pub(crate) fn normalized(mut self) -> Self {
-        self.pump_budget = self.pump_budget.max(1);
         self.max_train = self.max_train.max(1);
-        self.trade_batch = self.trade_batch.max(1);
         self.slot_high_watermark = self.slot_high_watermark.max(self.slot_low_watermark);
         self
     }
@@ -290,20 +272,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Typed-LRPC payload ceiling in bytes.
-    pub fn max_rpc_payload(mut self, bytes: usize) -> Self {
-        self.cfg.max_rpc_payload = bytes;
-        self
-    }
-
-    /// Most messages one driver pump handles before running a thread
-    /// quantum (drained control > migration > data; see
-    /// [`Pm2Config::pump_budget`]).
-    pub fn pump_budget(mut self, budget: usize) -> Self {
-        self.cfg.pump_budget = budget;
-        self
-    }
-
     /// Executor worker-pool size; 0 auto-sizes to `min(cores, nodes)`, 1 is
     /// the single-threaded machine (see [`Pm2Config::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
@@ -332,12 +300,6 @@ impl MachineBuilder {
     pub fn slot_watermarks(mut self, low: usize, high: usize) -> Self {
         self.cfg.slot_low_watermark = low;
         self.cfg.slot_high_watermark = high;
-        self
-    }
-
-    /// Demand-trade batch size (see [`Pm2Config::trade_batch`]).
-    pub fn trade_batch(mut self, batch: usize) -> Self {
-        self.cfg.trade_batch = batch;
         self
     }
 
@@ -445,8 +407,8 @@ mod tests {
             Pm2Config::test(4)
         );
         // The profile overlays only its own knobs, in either call order.
-        let late = MachineBuilder::new(4).pump_budget(2).test_profile();
-        let early = MachineBuilder::new(4).test_profile().pump_budget(2);
+        let late = MachineBuilder::new(4).max_train(2).test_profile();
+        let early = MachineBuilder::new(4).test_profile().max_train(2);
         assert_eq!(late.into_config(), early.into_config());
         assert_eq!(Pm2Config::test(4).workers, 1, "tests run on one worker");
 
@@ -464,13 +426,10 @@ mod tests {
         sets!(slot_cache(2) => slot_cache = 2);
         sets!(pack_full_slots(true) => pack_full_slots = true);
         sets!(reply_deadline(ms(1500)) => reply_deadline = ms(1500));
-        sets!(max_rpc_payload(4096) => max_rpc_payload = 4096);
-        sets!(pump_budget(7) => pump_budget = 7);
         sets!(workers(3) => workers = 3);
         sets!(max_train(5) => max_train = 5);
         sets!(slot_trade(false) => slot_trade = false);
         sets!(slot_watermarks(8, 64) => slot_low_watermark = 8, slot_high_watermark = 64);
-        sets!(trade_batch(32) => trade_batch = 32);
         sets!(spill_dir("/tmp/pm2-spill") => spill_dir = Some("/tmp/pm2-spill".into()));
         sets!(checkpoint_every(ms(10)) => checkpoint_every = Some(ms(10)));
         sets!(failure_timeout(ms(200)) => failure_timeout = Some(ms(200)));
@@ -481,13 +440,11 @@ mod tests {
     #[test]
     fn normalizing_floors_the_documented_knobs() {
         let mut c = Pm2Config::new(2);
-        c.pump_budget = 0;
         c.max_train = 0;
-        c.trade_batch = 0;
         c.slot_low_watermark = 9;
         c.slot_high_watermark = 3;
         let n = c.normalized();
-        assert_eq!((n.pump_budget, n.max_train, n.trade_batch), (1, 1, 1));
+        assert_eq!(n.max_train, 1);
         assert_eq!(n.slot_high_watermark, 9, "clamped up to the low mark");
     }
 }

@@ -31,7 +31,7 @@ pub enum Pm2Error {
     PayloadTooLarge {
         /// Encoded payload size.
         len: usize,
-        /// The `max_rpc_payload` in force.
+        /// The ceiling, [`crate::service::MAX_RPC_PAYLOAD`].
         max: usize,
     },
     /// The remote side of a typed LRPC failed (handler panic, decode

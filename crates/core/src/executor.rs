@@ -119,8 +119,8 @@ const DONE: u8 = 4;
 
 /// Driver steps one dispatch may spend on a single node before it goes to
 /// the back of the ready queue.  Each step already bounds its message work
-/// by `pump_budget`, so one dispatch is at most `FAIRNESS × pump_budget`
-/// messages plus `FAIRNESS` thread quanta.
+/// by [`PUMP_BUDGET`](crate::node::PUMP_BUDGET), so one dispatch is at most
+/// `FAIRNESS × PUMP_BUDGET` messages plus `FAIRNESS` thread quanta.
 const FAIRNESS: usize = 32;
 
 /// How long a worker that found the ready queue empty keeps looking before

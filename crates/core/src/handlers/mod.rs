@@ -1,7 +1,7 @@
 //! Protocol handlers behind the node's event dispatch table.
 //!
 //! `node.rs` is the dispatch *core* (scheduler interleaving, thread
-//! lifecycle, priority lanes); the per-tag protocol logic lives here, one
+//! lifecycle, the pump); the per-tag protocol logic lives here, one
 //! module per protocol family:
 //!
 //! * [`spawn`] — thread creation and LRPC: `SPAWN_KEY`, `RPC_SPAWN`,
@@ -16,8 +16,8 @@
 //!   `AUDIT_REQ`, `LOAD_REQ`, `THREAD_EXIT`, and the filing of protocol
 //!   replies for parked green threads.
 //!
-//! New subsystems plug in by adding a module + tag arm here; the pump,
-//! budget, and priority machinery in `node.rs` need no change.
+//! New subsystems plug in by adding a module + tag arm here; the pump in
+//! `node.rs` needs no change.
 //!
 //! ## Wire input never panics a driver
 //!
@@ -31,17 +31,14 @@
 //! refusal.  The `expect`s that remain in this tree guard node-internal
 //! invariants no payload byte can reach.
 //!
-//! ## Priority classes
+//! ## One order
 //!
-//! Every tag maps to a [`Class`] (the tag table in [`crate::proto`]
-//! assigns it); the pump drains **control before
-//! migration before data**, so a flood of application traffic (spawns,
-//! RPC) can never delay shutdown or negotiation progress, and migrations
-//! overtake bulk data but never the control plane.  Within one class,
-//! per-sender FIFO order is preserved — cross-class reordering is safe
-//! because no PM2 exchange relies on ordering *across* families (e.g.
-//! migrations are explicitly legal inside a frozen negotiation window,
-//! §4.2).
+//! The pump hands every message to [`dispatch`] in the order its link
+//! delivered it, as Madeleine does: a handler sees everything its sender
+//! sent before, so a `MIGRATE_CMD` that follows a `SPAWN_KEY` on a link
+//! finds the thread that spawn created.  The one exception is the freeze:
+//! a spawn-bearing message that lands while a §4.4 section holds the
+//! bitmap waits in `NodeCtx::deferred`, and the thaw dispatches it again.
 
 pub(crate) mod control;
 pub(crate) mod migration;
@@ -52,21 +49,6 @@ use madeleine::{Message, Wire};
 
 use crate::node::NodeCtx;
 use crate::proto::tag;
-
-/// Message priority class — the pump's drain order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(usize)]
-pub(crate) enum Class {
-    /// Machine control, negotiation, completions, protocol replies.
-    Control = 0,
-    /// Thread transfer traffic.
-    Migration = 1,
-    /// Application payload traffic (spawns, LRPC).
-    Data = 2,
-}
-
-/// Number of priority lanes.
-pub(crate) const N_CLASSES: usize = 3;
 
 /// Count one message dropped as malformed (see the module notes).
 pub(crate) fn drop_malformed(ctx: &mut NodeCtx) {
@@ -148,34 +130,5 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::GOSSIP => control::on_gossip(ctx, &m),
         // No handler: an unassigned tag, or one only the host receives.
         _ => drop_malformed(ctx),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::proto::classify;
-
-    #[test]
-    fn classes_cover_the_tag_space() {
-        assert_eq!(classify(tag::SHUTDOWN), Class::Control);
-        assert_eq!(classify(tag::NEG_BITMAP_REQ), Class::Control);
-        assert_eq!(classify(tag::THREAD_EXIT), Class::Control);
-        assert_eq!(classify(tag::LOAD_RESP), Class::Control);
-        assert_eq!(classify(tag::SLOT_TRADE_REQ), Class::Control);
-        assert_eq!(classify(tag::SLOT_TRADE_RESP), Class::Control);
-        assert_eq!(classify(tag::GOSSIP), Class::Control);
-        assert_eq!(classify(tag::MIGRATION), Class::Migration);
-        assert_eq!(classify(tag::MIGRATE_CMD), Class::Migration);
-        assert_eq!(
-            classify(tag::LOAD_REQ),
-            Class::Data,
-            "probes must observe in-flight spawns"
-        );
-        assert_eq!(classify(tag::SPAWN_KEY), Class::Data);
-        assert_eq!(classify(tag::RPC_CALL), Class::Data);
-        assert_eq!(classify(tag::RPC_RESP), Class::Data);
-        assert!(Class::Control < Class::Migration);
-        assert!(Class::Migration < Class::Data);
     }
 }

@@ -16,6 +16,7 @@ use marcel::thread::flags;
 use super::{decode, drop_malformed};
 use crate::node::NodeCtx;
 use crate::proto::{self, rpc_status, tag};
+use crate::service::MAX_RPC_PAYLOAD;
 
 pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
     let Some(proto::SpawnKey { key, tid }) = decode(ctx, &m) else {
@@ -70,7 +71,7 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     let Some((call_id, reply_to, service, req)) = proto::decode_rpc_call(&m.payload) else {
         return drop_malformed(ctx); // Nothing to reply to.
     };
-    if req.len() > ctx.cfg.max_rpc_payload {
+    if req.len() > MAX_RPC_PAYLOAD {
         let msg = format!("request of {} bytes exceeds ceiling", req.len());
         let _ = ctx.ep.send(
             reply_to,
@@ -94,11 +95,11 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     // sit between the request and its reply.  The thread owns the request
     // message and reads the request bytes where they arrived, and encodes
     // its reply through the pool of the node it runs on.
-    let max = ctx.cfg.max_rpc_payload;
     let tid = ctx.sched.next_tid();
     let spawned = ctx.try_spawn(tid, flags::CONTROL | flags::DETACHED, move || {
         let w = crate::node::with_ctx(|c| proto::rpc_reply_writer(&c.pool));
-        let reply = proto::encode_rpc_reply(w, call_id, max, |w| handler(&m.payload[req], w));
+        let reply =
+            proto::encode_rpc_reply(w, call_id, MAX_RPC_PAYLOAD, |w| handler(&m.payload[req], w));
         // The reply is RPC-shaped traffic too: account it on the serving
         // side (from wherever the handler ended up) so both ends of a
         // chatty pair accumulate affinity toward each other.

@@ -72,11 +72,10 @@
 //!   the executor; idle node drivers *park* and wake at futex latency —
 //!   the polled baseline paid ~1 ms of driver latency per migration hop
 //!   where the event-driven core pays a few µs (see `BENCH_migration.json`);
-//! * each node's pump ingests messages into three **priority lanes**
-//!   (control > migration > data) and drains them in class order under a
-//!   budget, so a flood of application traffic can never delay SHUTDOWN
-//!   or negotiation — [`MachineBuilder::pump_budget`] sets the budget,
-//!   and an idle driver parks until the earliest timer it has armed (a
+//! * each node's pump handles messages **in the order its links delivered
+//!   them**, at most [`node::PUMP_BUDGET`] per step, so a handler sees
+//!   everything its sender sent before and a flood costs its node bounded
+//!   steps; an idle driver parks until the earliest timer it has armed (a
 //!   wait deadline, a gossip round, a periodic checkpoint), for good when
 //!   it has none: a quiet default machine makes no wake-ups at all;
 //! * the marcel scheduler runs a **control lane** (bounded bursts, never
@@ -141,7 +140,7 @@
 //!   so a slot has exactly one bitmap owner at every instant — in-flight
 //!   ranges are owned by the trade message, like thread-owned slots
 //!   mid-migration) — no lock, no freeze, no gather, O(1) messages per
-//!   acquire, and the batch ([`MachineBuilder::trade_batch`]) amortizes
+//!   acquire, and the batch ([`negotiation::TRADE_BATCH`]) amortizes
 //!   the round trip over many later allocations;
 //! * dropping below the low watermark triggers an **asynchronous
 //!   prefetch** trade from the driver, so steady-state allocators rarely

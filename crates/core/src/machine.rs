@@ -328,7 +328,7 @@ impl Machine {
             self.cfg.nodes,
             service_id::<S>(),
             &req,
-            self.cfg.max_rpc_payload,
+            crate::service::MAX_RPC_PAYLOAD,
         )?;
         let deadline = Instant::now() + self.cfg.reply_deadline;
         let reply = self

@@ -77,6 +77,10 @@ use crate::node::{with_ctx, Owed};
 use crate::proto::{self, tag};
 use crate::wait::{For, Wait};
 
+/// Extra slots a *demand* trade asks for beyond the shortfall itself: the
+/// batch that amortizes one trade round trip over many later acquisitions.
+pub const TRADE_BATCH: usize = 16;
+
 /// Acquire ownership of `requested` contiguous slots into the calling
 /// node's bitmap.  On success the local bitmap is guaranteed to contain a
 /// run of `requested` set bits.  Runs on the requesting green thread;
@@ -129,7 +133,7 @@ fn try_trade(requested: usize) -> bool {
     let setup = with_ctx(|c| {
         // Ask for the shortfall *batch*: the request itself plus enough
         // spare to amortize the round trip over later acquisitions.
-        let want = requested + c.cfg.trade_batch;
+        let want = requested + TRADE_BATCH;
         let (peer, id) = c.trade(0, want, requested, false)?;
         Some((peer, id, c.now()))
     });

@@ -25,17 +25,16 @@
 //!   futex-wake-up latency.  The
 //!   [`NodeStats::driver_parks`]/[`NodeStats::driver_wakeups`] counters
 //!   make the parking observable.
-//! * **Class-prioritized pump** — `NodeCtx::pump` ingests deliverable
-//!   messages into three priority lanes (see `handlers::Class`:
-//!   control > migration > data) and drains them in class order under a
-//!   per-pump budget (`pump_budget` knob), so a flood of data messages can
-//!   never delay SHUTDOWN or negotiation traffic.  Within a class, per-pair
-//!   FIFO order is preserved.
+//! * **In-order pump** — `NodeCtx::pump` handles messages in the order
+//!   the node's links delivered them (the fabric's per-link FIFO), at most
+//!   [`PUMP_BUDGET`] per step; leftovers stay in the endpoint's inbox,
+//!   which `NodeCtx::quiet` reads, so a flood costs its node steps but
+//!   never reorders what a handler sees.
 //! * **Handler dispatch table** — the per-tag protocol logic lives in the
 //!   `handlers` module tree (`spawn`/`rpc`, `migration`,
 //!   `negotiation`, `control`), entered through
 //!   `handlers::dispatch`; `node.rs` itself is only the dispatch
-//!   core: scheduler interleaving, thread lifecycle, and the lanes.
+//!   core: scheduler interleaving, thread lifecycle, and the pump.
 //! * **Wait table** — a green thread waiting on its node (for a reply,
 //!   the bitmap to thaw, its turn at a remote acquisition, a time) is
 //!   parked in `NodeCtx::waits` (the `wait` module) until the pump
@@ -111,7 +110,7 @@ use marcel::{DescPtr, RunOutcome, Scheduler, ThreadState};
 
 use crate::config::Pm2Config;
 use crate::executor;
-use crate::handlers::{self, N_CLASSES};
+use crate::handlers;
 use crate::migration;
 use crate::nodeheap::NodeHeap;
 use crate::output::OutputSink;
@@ -137,6 +136,10 @@ pub const FULL_PROBE_MAX: usize = 16;
 pub const GOSSIP_FANOUT: usize = 2;
 /// Candidates drawn by the sampled `richest_peer` on large machines.
 const RICH_SAMPLE: usize = 16;
+/// Most messages one pump handles before the node runs a thread quantum:
+/// a flood of them costs its node steps, each bounded, and the executor's
+/// `FAIRNESS` puts a flooded node behind the others between dispatches.
+pub const PUMP_BUDGET: usize = 64;
 /// A busy node with a timer armed runs its timers — and so reads the clock
 /// — one step in this many, counted on its own `steps`; an idle one runs
 /// them before it parks.  A deadline is therefore late by at most this many
@@ -312,10 +315,6 @@ pub(crate) struct NodeCtx {
     pub threads: TidMap<u64, DescPtr>,
     /// Panic messages / return values of threads mid-exit (see [`ExitNote`]).
     pub exit_notes: TidMap<u64, ExitNote>,
-    /// Ingested-but-unhandled messages, one FIFO lane per priority class
-    /// ([`handlers::Class`]); the pump drains control before migration
-    /// before data.
-    pub inbox: [VecDeque<Message>; N_CLASSES],
     /// Green threads parked on this node, each filed under what it waits
     /// for (see [`crate::wait`]).
     pub waits: WaitTable,
@@ -507,7 +506,6 @@ impl NodeCtx {
             stats: Arc::new(NodeStats::default()),
             threads: TidMap::default(),
             exit_notes: TidMap::default(),
-            inbox: Default::default(),
             deferred: VecDeque::new(),
             waits: WaitTable::default(),
             freezers: Vec::new(),
@@ -1085,46 +1083,23 @@ impl NodeCtx {
         unsafe { self.pool.drive() };
     }
 
-    /// Pull every deliverable message off the endpoint into its priority
-    /// lane.  Wire time is charged here (receiver-clocked), exactly as the
-    /// old drain did.
-    fn ingest(&mut self) {
-        while let Some(m) = self.ep.try_recv() {
-            self.inbox[proto::classify(m.tag) as usize].push_back(m);
-        }
-    }
-
-    /// Highest-priority pending message, if any (control > migration >
-    /// data; FIFO within a class).
-    fn next_message(&mut self) -> Option<Message> {
-        self.inbox.iter_mut().find_map(|lane| lane.pop_front())
-    }
-
-    /// Any ingested message not yet handled?
+    /// Any delivered message not yet handled?
     pub(crate) fn inbox_pending(&self) -> bool {
-        self.inbox.iter().any(|lane| !lane.is_empty())
+        self.ep.pending()
     }
 
-    /// Ingest and handle pending messages — control class first, then
-    /// migration, then data, at most `pump_budget` of them — and return
-    /// whether any were handled.  Budget leftovers stay queued for the
-    /// next pump, so one flooded lane cannot monopolize the driver either.
+    /// Handle delivered messages in the order the links delivered them, at
+    /// most [`PUMP_BUDGET`] of them, and return whether any were handled.
+    /// Leftovers stay in the endpoint's inbox for the next pump.  Wire time
+    /// is charged as each message is taken (receiver-clocked).
     pub(crate) fn pump(&mut self) -> bool {
-        self.ingest();
-        let mut handled = 0usize;
-        while handled < self.cfg.pump_budget {
-            let Some(m) = self.next_message() else { break };
+        let mut handled = 0;
+        // A kill mid-pump pulls the cord: what is still queued dies with
+        // the node.
+        while handled < PUMP_BUDGET && !self.killed {
+            let Some(m) = self.ep.try_recv() else { break };
             handlers::dispatch(self, m);
             handled += 1;
-            if self.killed {
-                // The cord was pulled mid-pump: everything still queued
-                // dies with the node.
-                break;
-            }
-            // Handling may have produced immediately-deliverable traffic
-            // (self-sends are free): pick it up so priority holds across
-            // everything currently deliverable.
-            self.ingest();
         }
         handled > 0
     }
@@ -1170,7 +1145,7 @@ impl NodeCtx {
         }
     }
 
-    /// Nothing left to do but report so: no ready thread, no ingested
+    /// Nothing left to do but report so: no ready thread, no delivered
     /// message, no wait deadline still a bare span — what a freeze
     /// deferred waits for the thaw, which replays it.  The executor parks
     /// a node that is quiet after a step at once, without the empty step
@@ -1200,8 +1175,8 @@ impl NodeCtx {
         self.sched.has_ready()
     }
 
-    /// Ready to stop?  (Also false while any ingested message awaits its
-    /// budget slice — an unhandled SPAWN_KEY is still pending work.)
+    /// Ready to stop?  (Also false while any delivered message awaits its
+    /// pump — an unhandled SPAWN_KEY is still pending work.)
     pub(crate) fn done(&self) -> bool {
         self.shutdown
             && self.sched.resident() == 0

@@ -4,8 +4,7 @@
 //! fabric:
 //!
 //! * the **tag table** (`tags!` below) — one row per message kind: its
-//!   tag number and the priority class the pump drains it in.  The
-//!   `tag::*` constants and `classify` are generated from it;
+//!   tag number.  The `tag::*` constants are generated from it;
 //! * the **message structs** (`message!`) — fields in wire order.  The
 //!   struct *is* the layout: its [`Wire`] impl (encoder, decoder, exact
 //!   size hint) is generated from the field list, so the two sides of an
@@ -41,130 +40,115 @@ use madeleine::message::{PayloadReader, PayloadWriter};
 use madeleine::{BufPool, Payload, Wire};
 
 use crate::error::{Pm2Error, Result};
-use crate::handlers::Class;
 
-/// The tag table: `NAME = number, class;` per message kind.
+/// The tag table: `NAME = number;` per message kind.
 ///
-/// *Class* is the pump's drain order (control before migration before
-/// data; see [`crate::handlers`]).  Every tag has one delivery contract,
-/// the fabric's: each message arrives once and in order on its link (see
-/// `madeleine`'s crate notes), so a request is sent once and its reply
-/// awaited once, for one reply deadline; the §4.4 lock/bitmap/buy exchange
-/// is written for exactly that wire.
+/// Every tag has one delivery contract, the fabric's: each message arrives
+/// once and in order on its link (see `madeleine`'s crate notes), and the
+/// receiving node handles it in that order (see [`crate::handlers`]), so a
+/// request is sent once and its reply awaited once, for one reply
+/// deadline; the §4.4 lock/bitmap/buy exchange is written for exactly that
+/// wire.
 macro_rules! tags {
-    ($($(#[$doc:meta])* $name:ident = $num:literal, $class:ident;)*) => {
+    ($($(#[$doc:meta])* $name:ident = $num:literal;)*) => {
         /// Message tags.
         pub mod tag {
             $($(#[$doc])* pub const $name: u16 = $num;)*
             /// Every assigned tag, in table order.
             pub const ALL: &[u16] = &[$($num),*];
         }
-
-        /// A tag's priority class.  Unassigned tags classify as data and
-        /// are dropped (and counted) by the dispatch table.
-        pub(crate) fn classify(t: u16) -> Class {
-            match t {
-                $($num => Class::$class,)*
-                _ => Class::Data,
-            }
-        }
     };
 }
 
 tags! {
     /// Host → node: spawn the closure stored under a spawn-table key.
-    SPAWN_KEY = 1, Data;
+    SPAWN_KEY = 1;
     /// Any → node: spawn a registered service (LRPC-style remote spawn).
-    RPC_SPAWN = 2, Data;
+    RPC_SPAWN = 2;
     /// Node → node: a packed migration *train* — one message carrying k ≥ 1
     /// threads bound for this node (count + tid/offset table + records; see
     /// `crate::migration` for the wire shape).
-    MIGRATION = 3, Migration;
+    MIGRATION = 3;
     /// Receiver → sender: one or more record groups of a migration train
     /// failed to unpack (corrupt or truncated); carries the lost tids and
     /// a UTF-8 description.  Those threads are lost but both nodes stay
     /// up, and the rest of the train landed normally.
-    MIGRATION_NAK = 4, Migration;
+    MIGRATION_NAK = 4;
     /// Any → coordinator: request the system-wide negotiation lock for a
     /// round.
-    NEG_LOCK_REQ = 10, Control;
+    NEG_LOCK_REQ = 10;
     /// Coordinator → requester: lock granted to that round.
-    NEG_LOCK_GRANT = 11, Control;
+    NEG_LOCK_GRANT = 11;
     /// Holder, or a requester that gave up waiting → coordinator: lock
     /// released, request withdrawn.
-    NEG_LOCK_RELEASE = 12, Control;
+    NEG_LOCK_RELEASE = 12;
     /// Initiator → all: send me your bitmap (freezes the replier's bitmap).
-    NEG_BITMAP_REQ = 13, Control;
+    NEG_BITMAP_REQ = 13;
     /// Replier → initiator: the round, then my bitmap.
-    NEG_BITMAP_RESP = 14, Control;
+    NEG_BITMAP_RESP = 14;
     /// Initiator → seller: transfer these slot ranges to me.
-    NEG_BUY = 15, Control;
+    NEG_BUY = 15;
     /// Seller → initiator: done with that round's buy.
-    NEG_BUY_ACK = 16, Control;
+    NEG_BUY_ACK = 16;
     /// Initiator → all: negotiation over; unfreeze your bitmap.
-    NEG_DONE = 17, Control;
+    NEG_DONE = 17;
     /// Host → node: finish resident threads, then stop.
-    SHUTDOWN = 20, Control;
+    SHUTDOWN = 20;
     /// Node → host: stopped.
-    SHUTDOWN_ACK = 21, Control;
+    SHUTDOWN_ACK = 21;
     /// Host → node: report ownership for the global audit.
-    AUDIT_REQ = 22, Control;
+    AUDIT_REQ = 22;
     /// Node → host: audit report.
-    AUDIT_RESP = 23, Control;
-    /// Any → node: report your load (resident thread count).
-    ///
-    /// Deliberately *data*-class despite being served by the control
-    /// module: a load probe asks about the application plane, so it must
-    /// observe — i.e. queue behind — the spawns already in flight to the
-    /// probed node, and a balancer probing a flooded node should see (and
-    /// wait like) the flood.  Its `LOAD_RESP` reply is control-class: it
-    /// unblocks a waiting protocol thread.
-    LOAD_REQ = 24, Data;
+    AUDIT_RESP = 23;
+    /// Any → node: report your load (resident thread count).  It queues
+    /// behind the spawns already sent on its link, so the count includes
+    /// them.
+    LOAD_REQ = 24;
     /// Node → requester: load report.
-    LOAD_RESP = 25, Control;
+    LOAD_RESP = 25;
     /// Any → node: preemptively migrate a *list* of threads to one
     /// destination — one command per (source, destination) pair, however
     /// many threads move.
-    MIGRATE_CMD = 26, Migration;
+    MIGRATE_CMD = 26;
     /// Node → requester: migrate command outcome.  The echoed cmd id is
     /// what lets a deadline-bounded balancer round match acks without
     /// serializing on them.
-    MIGRATE_CMD_ACK = 27, Control;
+    MIGRATE_CMD_ACK = 27;
     /// Node → home node: thread exited (for cross-node joins; carries the
     /// panic message and the Wire-encoded return value when present).
-    THREAD_EXIT = 28, Control;
+    THREAD_EXIT = 28;
     /// Any → node: typed LRPC request (call id, service id, request bytes).
-    RPC_CALL = 30, Data;
+    RPC_CALL = 30;
     /// Serving node → caller: typed LRPC response (call id, status, bytes).
-    RPC_RESP = 31, Data;
+    RPC_RESP = 31;
     /// Node → node: point-to-point slot trade request.  The hot-path
     /// replacement for the §4.4 global negotiation: no lock, no freeze, no
     /// bitmap gather — one request to the richest known peer.
-    SLOT_TRADE_REQ = 32, Control;
+    SLOT_TRADE_REQ = 32;
     /// Node → requester: trade reply.  The responder cleared its bits
     /// before this message left, so adopting the ranges completes the
     /// ownership transfer with exactly one bitmap owner per slot at every
     /// instant.
-    SLOT_TRADE_RESP = 33, Control;
+    SLOT_TRADE_RESP = 33;
     /// Host → node: die immediately (chaos kill switch).  The driver stops
     /// without finishing resident threads, without acking, without
     /// releasing anything — as close to pulling the power cord as an
     /// in-process fabric gets.
-    KILL = 40, Control;
+    KILL = 40;
     /// Any → all: the named node is dead.  Survivors purge it from wealth
     /// hints, load snapshots and lock queues, drop its late (zombie)
     /// messages, and fail any wait targeting it with `NodeFailed`.
-    NODE_DEAD = 41, Control;
+    NODE_DEAD = 41;
     /// Host → node: checkpoint your migratable threads to the spill log
     /// now.
-    CKPT_REQ = 42, Control;
+    CKPT_REQ = 42;
     /// Node → host: checkpoint done.
-    CKPT_ACK = 43, Control;
+    CKPT_ACK = 43;
     /// Host → node: adopt these orphaned slot ranges (a dead node's
     /// reclaimed estate).
-    NODE_RECLAIM = 44, Control;
+    NODE_RECLAIM = 44;
     /// Node → host: reclamation done.
-    RECLAIM_ACK = 45, Control;
+    RECLAIM_ACK = 45;
     /// Node → node: epidemic digest (see [`Gossip`](super::Gossip)).
     /// Carries the sender's own wealth/load under a fresh sequence number
     /// plus, with the failure detector armed, its newest entry for every
@@ -172,7 +156,7 @@ tags! {
     /// the gossip detector's only liveness evidence spread in O(fanout)
     /// messages per node per round (O(p) bytes each when armed) instead of
     /// the balancer probing — or the detector pinging — all p peers.
-    GOSSIP = 47, Control;
+    GOSSIP = 47;
 }
 
 /// A control-plane message: a [`Wire`] struct bound to the one tag it
@@ -435,7 +419,7 @@ const RPC_CALL_HEADER: usize = 8 + 4 + 4 + 4;
 const RPC_RESP_HEADER: usize = 8 + 1 + 4;
 
 /// The length field of an RPC body of `len` bytes, if `len` is within the
-/// `max_rpc_payload` ceiling `max` (and frameable at all).
+/// ceiling `max` (and frameable at all).
 fn rpc_body_len(len: usize, max: usize) -> Option<u32> {
     u32::try_from(len).ok().filter(|_| len <= max)
 }

@@ -32,6 +32,12 @@ use std::sync::{Arc, Mutex};
 use madeleine::message::PayloadWriter;
 use madeleine::Wire;
 
+/// Largest encoded request or response body a typed LRPC carries, in
+/// bytes.  An oversized request fails at the caller with
+/// [`crate::Pm2Error::PayloadTooLarge`]; an oversized response fails at the
+/// serving node and reaches the caller as [`crate::Pm2Error::Rpc`].
+pub const MAX_RPC_PAYLOAD: usize = 1 << 20;
+
 /// A typed LRPC service.
 ///
 /// `NAME` is the stable wire identity: both sides hash it to the u32

@@ -259,90 +259,59 @@ pub(crate) fn bare_pair(cfg: Pm2Config) -> (NodeCtx, NodeCtx, Endpoint) {
     (n0, n1, host)
 }
 
+/// The pump takes messages in the order the links delivered them, at
+/// most [`crate::node::PUMP_BUDGET`] a pump: a `SHUTDOWN` sent behind a
+/// longer flood waits for the next pump, which finishes the flood first.
 #[test]
-fn pump_handles_control_before_a_data_flood() {
+fn a_pump_stops_at_its_budget_and_keeps_the_rest_in_order() {
+    use crate::node::PUMP_BUDGET;
     use crate::proto::tag;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
-        pump_budget: 1,
-        ..Pm2Config::test(2)
-    });
-    // A data-class flood (junk RPC_RESP: no pending caller, dropped on
-    // handling)… then one control-class SHUTDOWN, enqueued LAST.
-    for _ in 0..16 {
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2));
+    // Junk RPC_RESPs (no caller waits on them: dropped on handling)…
+    for _ in 0..PUMP_BUDGET + 6 {
         host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
     }
+    // …then the SHUTDOWN, sent last.
     host.send(0, tag::SHUTDOWN, Vec::new()).unwrap();
-    // Budget 1: the single message this pump handles must be the SHUTDOWN.
     assert!(ctx.pump());
-    assert!(ctx.shutdown, "control class must overtake the queued flood");
-    assert!(
-        ctx.inbox_pending(),
-        "the data flood is still queued behind the control message"
-    );
-    // Draining continues across pumps until the lanes are empty.
-    let mut pumps = 0;
-    while ctx.pump() {
-        pumps += 1;
-        assert!(pumps <= 16, "budget-1 pumps must drain one message each");
-    }
+    assert!(!ctx.shutdown, "the SHUTDOWN waits behind the flood");
+    assert!(ctx.inbox_pending(), "the budget left the rest queued");
+    assert!(ctx.pump());
+    assert!(ctx.shutdown, "the second pump reaches the SHUTDOWN");
     assert!(!ctx.inbox_pending());
+    assert!(!ctx.pump(), "nothing left");
 }
 
+/// A handler sees what its link delivered before: a `MIGRATE_CMD` the
+/// host sends right behind a `SPAWN_KEY` finds the thread that spawn
+/// created, within one pump.
 #[test]
-fn pump_budget_bounds_one_drain() {
-    use crate::proto::tag;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
-        pump_budget: 4,
-        ..Pm2Config::test(2)
-    });
-    for _ in 0..10 {
-        host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
-    }
-    assert!(ctx.pump());
-    // 10 ingested, 4 handled: the rest wait their turn.
-    let queued: usize = ctx.inbox.iter().map(|lane| lane.len()).sum();
-    assert_eq!(queued, 6, "budget must stop the drain mid-flood");
-    assert!(ctx.pump());
-    assert!(ctx.pump());
-    assert!(!ctx.pump(), "nothing left after three budgeted pumps");
-}
-
-#[test]
-fn migration_class_sits_between_control_and_data() {
-    use crate::proto::tag;
+fn a_command_that_follows_a_spawn_on_its_link_finds_the_thread() {
+    use crate::proto::{encode, tag, MigrateAck, MigrateCmd, SpawnKey};
     use madeleine::Wire;
-    let (mut ctx, _ep1, host) = bare_node(Pm2Config {
-        pump_budget: 1,
-        ..Pm2Config::test(2)
-    });
-    // Enqueue in worst-case order: data, then migration, then control.
-    host.send(0, tag::RPC_RESP, vec![0u8; 4]).unwrap();
-    let cmd = crate::proto::MigrateCmd {
+    let (mut ctx, _ep1, host) = bare_node(Pm2Config::test(2));
+    let tid = 0x5000;
+    let key = ctx.spawn_table.park(Box::new(|| ()));
+    host.send(
+        0,
+        tag::SPAWN_KEY,
+        encode(host.pool(), &SpawnKey { key, tid }),
+    )
+    .unwrap();
+    let cmd = MigrateCmd {
         cmd_id: 7,
         dest: 1,
-        tids: vec![0xDEAD],
+        tids: vec![tid],
     };
-    host.send(0, tag::MIGRATE_CMD, crate::proto::encode(host.pool(), &cmd))
+    host.send(0, tag::MIGRATE_CMD, encode(host.pool(), &cmd))
         .unwrap();
-    host.send(0, tag::SHUTDOWN, Vec::new()).unwrap();
     assert!(ctx.pump());
-    assert!(ctx.shutdown, "pump 1 takes the control message");
-    assert!(ctx.pump());
-    // Pump 2 took the MIGRATE_CMD: its zero-accepted ack (unknown tid) is
-    // on the wire to the host already, while the junk data is still queued.
     let ack = host
-        .recv_timeout(std::time::Duration::from_secs(5))
-        .expect("migrate-cmd ack");
+        .try_recv()
+        .expect("the command is answered in the pump");
     assert_eq!(ack.tag, tag::MIGRATE_CMD_ACK);
-    let ack = crate::proto::MigrateAck::decode_vec(&ack.payload).expect("ack decodes");
-    assert_eq!(
-        (ack.cmd_id, ack.accepted, ack.total),
-        (7, 0, 1),
-        "unknown tid must be acked as not-accepted"
-    );
-    assert!(ctx.inbox_pending(), "data class drains last");
-    assert!(ctx.pump());
-    assert!(!ctx.inbox_pending());
+    let ack = MigrateAck::decode_vec(&ack.payload).expect("ack decodes");
+    assert_eq!((ack.cmd_id, ack.accepted, ack.total), (7, 1, 1));
 }
 
 /// A node answers each §4.4 bitmap request by freezing for that

@@ -113,11 +113,6 @@ impl SlotCache {
         out
     }
 
-    /// Drain the whole cache (shutdown path).
-    pub fn drain_all(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.slots).into_iter().collect()
-    }
-
     /// Iterate over cached slot indices (audits).
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.slots.iter().copied()
@@ -169,16 +164,5 @@ mod tests {
         assert_eq!(evicted, vec![11, 20]);
         assert_eq!(c.len(), 1);
         assert!(c.contains(3));
-    }
-
-    #[test]
-    fn drain() {
-        let mut c = SlotCache::new(4);
-        c.push(1);
-        c.push(2);
-        let mut all = c.drain_all();
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2]);
-        assert!(c.is_empty());
     }
 }

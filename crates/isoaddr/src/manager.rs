@@ -21,13 +21,13 @@
 //!   *before* the message carrying them leaves, so a slot is set in at
 //!   most one bitmap at every instant, and the taker records them with
 //!   [`adopt_batch`].  The node's free-slot *reserve* is tracked in O(1)
-//!   ([`owned_free_slots`]) so watermark checks and wealth piggybacking
+//!   ([`free_slots`]) so watermark checks and wealth piggybacking
 //!   cost nothing on the hot path.
 //!
 //! [`give`]: NodeSlotManager::give
 //! [`lend_batch`]: NodeSlotManager::lend_batch
 //! [`adopt_batch`]: NodeSlotManager::adopt_batch
-//! [`owned_free_slots`]: NodeSlotManager::owned_free_slots
+//! [`free_slots`]: NodeSlotManager::free_slots
 //!
 //! Each node's manager is only ever touched by that node's scheduler thread,
 //! so no internal locking is needed; the shared [`IsoArea`] performs the
@@ -146,14 +146,9 @@ impl NodeSlotManager {
     /// Number of free slots this node currently owns — the node's slot
     /// *reserve*.  O(1): maintained incrementally across every bitmap
     /// mutation (and debug-checked against the bitmap).
-    pub fn owned_free_slots(&self) -> usize {
+    pub fn free_slots(&self) -> usize {
         debug_assert_eq!(self.free, self.bitmap.count_ones(), "reserve drift");
         self.free
-    }
-
-    /// Alias for [`Self::owned_free_slots`] in trade-layer vocabulary.
-    pub fn free_slots(&self) -> usize {
-        self.owned_free_slots()
     }
 
     /// Number of slots sitting in the mmapped-slot cache.
@@ -401,15 +396,6 @@ impl NodeSlotManager {
         taken.add(ranges.iter().map(|r| r.count as u64).sum());
         true
     }
-
-    /// Drop all cached mappings (shutdown / reconfiguration).
-    pub fn flush_cache(&mut self) -> Result<()> {
-        for idx in self.cache.drain_all() {
-            self.stats.decommits.add(1);
-            self.area.decommit_slots(SlotRange::single(idx))?;
-        }
-        Ok(())
-    }
 }
 
 impl SlotProvider for NodeSlotManager {
@@ -447,21 +433,21 @@ mod tests {
     #[test]
     fn single_node_owns_everything() {
         let mut m = mgr(1, 0, 0);
-        assert_eq!(m.owned_free_slots(), 64);
+        assert_eq!(m.free_slots(), 64);
         let AcquireOutcome::Acquired(r, addr) = m.try_acquire(4).unwrap() else {
             panic!("should be local");
         };
         assert_eq!(r, SlotRange::new(0, 4));
         assert_eq!(addr, m.area().slot_addr(0));
-        assert_eq!(m.owned_free_slots(), 60);
+        assert_eq!(m.free_slots(), 60);
         m.release(r).unwrap();
-        assert_eq!(m.owned_free_slots(), 64);
+        assert_eq!(m.free_slots(), 64);
     }
 
     #[test]
     fn round_robin_two_nodes_cannot_do_multislot() {
         let mut m = mgr(2, 0, 0);
-        assert_eq!(m.owned_free_slots(), 32);
+        assert_eq!(m.free_slots(), 32);
         // Single slots fine…
         assert!(matches!(
             m.try_acquire(1).unwrap(),
@@ -762,18 +748,5 @@ mod tests {
             m2.acquire_slots(2).unwrap_err()
         };
         assert_eq!(err, IsoAddrError::NeedNegotiation { requested: 2 });
-    }
-
-    #[test]
-    fn flush_cache_unmaps() {
-        let mut m = mgr(1, 0, 8);
-        let AcquireOutcome::Acquired(r, _) = m.try_acquire(1).unwrap() else {
-            panic!()
-        };
-        m.release(r).unwrap();
-        assert_eq!(m.cached_slots(), 1);
-        m.flush_cache().unwrap();
-        assert_eq!(m.cached_slots(), 0);
-        assert_eq!(m.area().committed_slots(), 0);
     }
 }

@@ -664,6 +664,15 @@ impl Endpoint {
         Some(self.charge_and_count(m))
     }
 
+    /// Is a message queued for this endpoint?  One load of each end of the
+    /// inbox.  A push that has claimed its slot but not yet published it
+    /// counts, though [`Endpoint::try_recv`] cannot take it yet: it rings
+    /// the doorbell once it lands.
+    pub fn pending(&self) -> bool {
+        let inbox = self.inbox();
+        inbox.tail.load(Ordering::Acquire) & (POS | OVERFLOW) != inbox.head.load(Ordering::Relaxed)
+    }
+
     /// Blocking receive with a timeout; `None` on timeout.  The wait is a
     /// genuine park (no polling): a send wakes the caller the moment the
     /// message is enqueued.
@@ -717,16 +726,21 @@ mod tests {
         assert!(eps[1].try_recv().is_none());
     }
 
+    /// Order holds across the ring and its overflow lane, and `pending`
+    /// tells, at each pop, whether `try_recv` has a message to give.
     #[test]
     fn per_pair_ordering() {
         let eps = Fabric::new(2, NetProfile::instant());
+        assert!(!eps[1].pending());
         for i in 0..100u8 {
             eps[0].send(1, 0, vec![i]).unwrap();
         }
         for i in 0..100u8 {
+            assert!(eps[1].pending(), "message {i} is queued");
             let m = eps[1].try_recv().unwrap();
             assert_eq!(m.payload[0], i);
         }
+        assert!(!eps[1].pending());
     }
 
     #[test]

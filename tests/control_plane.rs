@@ -639,8 +639,8 @@ fn garbage_under_every_tag_is_dropped_and_the_node_lives_on() {
             injected += 1;
         }
     }
-    // A data-class spawn queues behind everything injected above, so when
-    // it runs the node has handled the lot.
+    // A spawn queues behind everything injected above on its link, so
+    // when it runs the node has handled the lot.
     let slot = m.area().slot_size();
     let seen = m
         .run_on(1, move || {

@@ -7,25 +7,31 @@ use pm2::{pm2_printf, Machine, Pm2Config};
 
 fn trace_of_run(seed: u64) -> Vec<String> {
     let mut m = Machine::launch(Pm2Config::test(3)).unwrap();
-    let mut handles = Vec::new();
-    for i in 0..3usize {
-        handles.push(
-            m.spawn_on(i, move || {
-                for round in 0..4 {
-                    pm2_printf!("t{i} round {round} on node {}", pm2_self());
-                    if round == 1 {
-                        pm2_migrate((i + 1) % 3).unwrap();
+    // One host message starts the run: a spawner on node 0 creates the
+    // three threads, and each moves to its own node before its first
+    // print.  Nothing the host sends afterwards can race the worker.
+    m.run_on(0, move || {
+        let tids: Vec<u64> = (0..3usize)
+            .map(|i| {
+                pm2_thread_create(move || {
+                    pm2_migrate(i).unwrap();
+                    for round in 0..4 {
+                        pm2_printf!("t{i} round {round} on node {}", pm2_self());
+                        if round == 1 {
+                            pm2_migrate((i + 1) % 3).unwrap();
+                        }
+                        pm2_yield();
                     }
-                    pm2_yield();
-                }
-                let _ = seed;
+                    let _ = seed;
+                })
+                .unwrap()
             })
-            .unwrap(),
-        );
-    }
-    for h in handles {
-        m.join(h);
-    }
+            .collect();
+        for tid in tids {
+            assert!(!pm2_join(tid), "thread {tid:#x} panicked");
+        }
+    })
+    .unwrap();
     let lines = m.output_lines();
     m.shutdown();
     lines

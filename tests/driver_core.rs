@@ -1,16 +1,16 @@
 //! The event-driven driver core, observed from outside: quiescent
 //! machines park their drivers (near-zero wake-ups, no spinning), parked
-//! drivers wake promptly on traffic, and a flood of data-class messages
-//! cannot starve shutdown or negotiation (ISSUE 3).  Machines here run on
-//! the test profile's one worker (what `_deterministic` in a test name
-//! means) unless the assertion needs two nodes running at once.
+//! drivers wake promptly on traffic, and a flood of junk messages delays
+//! shutdown or negotiation behind it only by bounded pumps.  Machines here
+//! run on the test profile's one worker (what `_deterministic` in a test
+//! name means) unless the assertion needs two nodes running at once.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm2::api::*;
-use pm2::node::NodeStatsSnapshot;
+use pm2::node::{NodeStatsSnapshot, PUMP_BUDGET};
 use pm2::proto::tag;
 use pm2::{AreaConfig, Machine, MachineBuilder, Pm2Config, Pm2Error, Service};
 
@@ -24,8 +24,8 @@ fn armed(b: MachineBuilder) -> MachineBuilder {
         .heartbeat_every(Duration::from_secs(10))
 }
 
-/// Junk RPC_RESP bytes: data-class on the wire, dropped on handling (no
-/// pending caller), so floods exercise the queueing layer only.
+/// Junk RPC_RESP bytes, dropped on handling (no pending caller), so floods
+/// exercise the queueing layer only.
 fn flood(m: &Machine, node: usize, count: usize) {
     for _ in 0..count {
         m.inject_raw(node, tag::RPC_RESP, vec![0u8; 8]).unwrap();
@@ -96,11 +96,7 @@ fn quiescent_deterministic_machine_parks_its_driver() {
 
 #[test]
 fn data_flood_does_not_starve_shutdown_deterministic() {
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .pump_budget(8)
-        .launch()
-        .unwrap();
+    let mut m = Machine::builder(2).test_profile().launch().unwrap();
     flood(&m, 0, 4000);
     flood(&m, 1, 4000);
     let t0 = Instant::now();
@@ -116,11 +112,10 @@ fn data_flood_does_not_starve_shutdown_deterministic() {
 fn data_flood_does_not_starve_negotiation() {
     // Node 0's allocation needs slots node 1 owns (round-robin ⇒ every
     // multi-slot negotiates; trading is pinned off so the §4.4 exchange
-    // really runs); node 1 is simultaneously buried under data-class
-    // junk.  The control-class NEG exchange must overtake the flood and
-    // complete within the (test-profile, 10 s) reply deadline.
+    // really runs); node 1 is simultaneously buried under junk.  Node 1
+    // handles the NEG exchange behind the flood, in link order, and it
+    // must still complete within the (test-profile, 10 s) reply deadline.
     let mut m = Machine::launch(Pm2Config {
-        pump_budget: 8,
         slot_trade: false,
         ..Pm2Config::test(2)
     })
@@ -138,13 +133,12 @@ fn data_flood_does_not_starve_negotiation() {
 
 #[test]
 fn tiny_pump_budget_still_runs_everything() {
-    // Budget 1 (one message per pump) must be merely slow, never wrong:
+    // Behind more junk than one pump takes, every pump on both nodes
+    // stops at its budget: that must be merely slow, never wrong —
     // spawns, migration and typed joins all keep working.
-    let mut m = Machine::launch(Pm2Config {
-        pump_budget: 1,
-        ..Pm2Config::test(2)
-    })
-    .unwrap();
+    let mut m = Machine::launch(Pm2Config::test(2)).unwrap();
+    flood(&m, 0, 4 * PUMP_BUDGET);
+    flood(&m, 1, 4 * PUMP_BUDGET);
     let h = m
         .spawn_on_ret(0, || {
             pm2_migrate(1).unwrap();

@@ -7,6 +7,7 @@
 //! the hot path and the boundary between the two.
 
 use pm2::api::*;
+use pm2::negotiation::TRADE_BATCH;
 use pm2::{AreaConfig, Distribution, Machine, Pm2Config};
 
 fn machine(nodes: usize) -> Machine {
@@ -41,11 +42,7 @@ fn trade_covers_shortfall_with_one_exchange_and_no_freeze() {
 fn trade_batch_amortizes_across_subsequent_allocations() {
     // The batch that rides the first trade covers later shortfalls: many
     // multi-slot allocations, O(1) trades.
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .trade_batch(24)
-        .launch()
-        .unwrap();
+    let mut m = machine(2);
     let slot = m.area().slot_size();
     m.run_on(0, move || {
         let mut live = Vec::new();
@@ -61,7 +58,7 @@ fn trade_batch_amortizes_across_subsequent_allocations() {
     assert_eq!(s0.negotiations, 0);
     assert!(
         s0.trades <= 2,
-        "a 24-slot batch must cover 8×2-slot allocations in O(1) trades, got {}",
+        "a {TRADE_BATCH}-slot batch must cover 8×2-slot allocations in O(1) trades, got {}",
         s0.trades
     );
     m.audit().unwrap().check_partition().unwrap();
@@ -78,7 +75,6 @@ fn concurrent_trades_from_three_starving_nodes_do_not_double_grant() {
     let mut m = Machine::builder(4)
         .test_profile()
         .distribution(Distribution::Partitioned)
-        .trade_batch(8)
         .launch()
         .unwrap();
     let slot = m.area().slot_size();
@@ -274,11 +270,7 @@ fn stacked_requesters_park_instead_of_spinning() {
     // first claims the acquire path, the rest park on the waiter queue
     // (no spin-yield storm) and are woken FIFO — and typically satisfied
     // straight from the first requester's trade batch.
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .trade_batch(32)
-        .launch()
-        .unwrap();
+    let mut m = machine(2);
     let slot = m.area().slot_size();
     let mut ts = Vec::new();
     for _ in 0..6 {
@@ -298,7 +290,7 @@ fn stacked_requesters_park_instead_of_spinning() {
     assert_eq!(s0.negotiations, 0);
     assert!(
         s0.trades <= 2,
-        "stacked requesters must ride the first trade's batch, got {}",
+        "stacked requesters must ride the first trade's {TRADE_BATCH}-slot batch, got {}",
         s0.trades
     );
     m.audit().unwrap().check_partition().unwrap();

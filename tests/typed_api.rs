@@ -6,6 +6,7 @@
 use std::time::Duration;
 
 use pm2::api::*;
+use pm2::service::MAX_RPC_PAYLOAD;
 use pm2::{Machine, NetProfile, Pm2Error, Service, Wire};
 use testkit::{cases, StdRng};
 
@@ -266,22 +267,19 @@ fn rpc_unregistered_service_is_a_typed_error() {
 
 #[test]
 fn rpc_oversized_request_fails_locally() {
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .max_rpc_payload(256)
-        .launch()
-        .unwrap();
+    const OVER: usize = MAX_RPC_PAYLOAD + 10_000;
+    let mut m = test_machine(2);
     m.register(Echo);
-    match m.rpc_call::<Echo>(1, vec![0u8; 10_000]) {
+    match m.rpc_call::<Echo>(1, vec![0u8; OVER]) {
         Err(Pm2Error::PayloadTooLarge { len, max }) => {
-            assert!(len >= 10_000);
-            assert_eq!(max, 256);
+            assert!(len >= OVER);
+            assert_eq!(max, MAX_RPC_PAYLOAD);
         }
         other => panic!("expected PayloadTooLarge, got {other:?}"),
     }
     // Green side enforces the same ceiling.
     let r = m
-        .run_on(0, || pm2_rpc_call::<Echo>(1, vec![0u8; 10_000]))
+        .run_on(0, || pm2_rpc_call::<Echo>(1, vec![0u8; OVER]))
         .unwrap();
     assert!(matches!(r, Err(Pm2Error::PayloadTooLarge { .. })), "{r:?}");
     // A small payload still goes through.
@@ -293,12 +291,8 @@ fn rpc_oversized_request_fails_locally() {
 /// locally and typed for a request, remotely and as text for a response.
 #[test]
 fn rpc_payload_ceiling_is_exact_on_request_and_response() {
-    const MAX: usize = 256;
-    let mut m = Machine::builder(2)
-        .test_profile()
-        .max_rpc_payload(MAX)
-        .launch()
-        .unwrap();
+    const MAX: usize = MAX_RPC_PAYLOAD;
+    let mut m = test_machine(2);
     m.register(Echo);
     m.register(Inflate);
     let over = Pm2Error::PayloadTooLarge {
