@@ -22,6 +22,12 @@
 //!   protocol ignores watermarks: it is the authority of last resort, so a
 //!   cluster of all-poor nodes still converges through it.)
 //!
+//! The loan comes off the lender's low end, like every slot choice: the
+//! first-fit `min_contig` run if the lender owns one, then its lowest
+//! maximal runs.  So the slots that circulate are ones already touched,
+//! and a thread whose slots drift between nodes keeps a footprint the size
+//! of its live set.
+//!
 //! Bits are cleared by [`isoaddr::NodeSlotManager::lend_batch`] before the
 //! reply is sent — sender-clears-before-receiver-sets — so at every
 //! instant a slot is set in at most one bitmap; in-flight slots are owned

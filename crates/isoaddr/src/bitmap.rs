@@ -9,7 +9,8 @@
 //! The bitmap supports the operations the negotiation protocol needs
 //! (§4.4): serialize/deserialize for shipping over the network, bitwise OR
 //! across all nodes' bitmaps, and first-fit search for `n` contiguous set
-//! bits.
+//! bits.  Every slot choice is lowest-first: a trade's loan takes the
+//! lowest runs ([`SlotBitmap::first_run`]), as first-fit does.
 
 use crate::slots::SlotRange;
 
@@ -199,30 +200,30 @@ impl SlotBitmap {
         None
     }
 
-    /// Index of the highest set bit, if any.
-    pub fn last_set(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate().rev() {
-            if w != 0 {
-                return Some(wi * WORD_BITS + (63 - w.leading_zeros() as usize));
-            }
-        }
-        None
-    }
-
-    /// The highest-address maximal run of set bits, truncated to at most
-    /// `cap` bits (keeping the run's *top* end).  This is the lender's
-    /// range-transfer primitive: trading away high-address slots first
-    /// leaves the low end — where first-fit scans begin — for local use.
-    pub fn last_run(&self, cap: usize) -> Option<SlotRange> {
+    /// The lowest maximal run of set bits at or after `from`, truncated to
+    /// at most `cap` bits (keeping the run's *low* end).  This is the
+    /// lender's range-transfer primitive: it picks the slots first-fit
+    /// would, so the slots that travel between nodes are the low ones
+    /// already touched and the top of the area stays untouched.  A run that
+    /// straddles `from` counts from `from`; feeding each result's `end()`
+    /// back in as the next `from` walks the runs upward in one scan.
+    pub fn first_run(&self, cap: usize, from: usize) -> Option<SlotRange> {
         if cap == 0 {
             return None;
         }
-        let end = self.last_set()?;
-        let mut start = end;
-        while start > 0 && self.get(start - 1) && end - start + 1 < cap {
-            start -= 1;
+        let start = self.first_set(from)?;
+        let limit = self.n_bits.min(start.saturating_add(cap));
+        let mut end = start;
+        // A word at a time: the run ends at the first clear bit.
+        while end < limit {
+            let bit = end % WORD_BITS;
+            let ones = (self.words[end / WORD_BITS] >> bit).trailing_ones() as usize;
+            end += ones;
+            if ones < WORD_BITS - bit {
+                break;
+            }
         }
-        Some(SlotRange::new(start, end - start + 1))
+        Some(SlotRange::new(start, end.min(limit) - start))
     }
 
     /// Index of the first set bit at or after `from`.
@@ -403,25 +404,30 @@ mod tests {
     }
 
     #[test]
-    fn last_set_and_last_run() {
+    fn first_run_takes_the_lowest_run() {
         let mut bm = SlotBitmap::new_clear(300);
-        assert_eq!(bm.last_set(), None);
-        assert_eq!(bm.last_run(4), None);
+        assert_eq!(bm.first_run(4, 0), None, "empty bitmap");
         bm.set_range(SlotRange::new(10, 5));
         bm.set_range(SlotRange::new(120, 10)); // crosses a word boundary
-        assert_eq!(bm.last_set(), Some(129));
-        assert_eq!(bm.last_run(100), Some(SlotRange::new(120, 10)));
+        assert_eq!(bm.first_run(0, 0), None, "cap 0");
+        assert_eq!(bm.first_run(100, 0), Some(SlotRange::new(10, 5)));
         assert_eq!(
-            bm.last_run(4),
-            Some(SlotRange::new(126, 4)),
-            "cap keeps the run's top end"
+            bm.first_run(3, 0),
+            Some(SlotRange::new(10, 3)),
+            "cap keeps the run's low end"
         );
-        assert_eq!(bm.last_run(0), None);
-        bm.clear_range(SlotRange::new(120, 10));
-        assert_eq!(bm.last_run(100), Some(SlotRange::new(10, 5)));
-        bm.set(299);
-        assert_eq!(bm.last_set(), Some(299));
-        assert_eq!(bm.last_run(8), Some(SlotRange::single(299)));
+        assert_eq!(
+            bm.first_run(100, 15),
+            Some(SlotRange::new(120, 10)),
+            "from skips the run below it"
+        );
+        assert_eq!(bm.first_run(100, 125), Some(SlotRange::new(125, 5)));
+        assert_eq!(bm.first_run(100, 130), None);
+        bm.set_range(SlotRange::new(250, 50)); // runs to the last bit
+        assert_eq!(bm.first_run(100, 130), Some(SlotRange::new(250, 50)));
+        let full = SlotBitmap::new_set(300);
+        assert_eq!(full.first_run(1000, 0), Some(SlotRange::new(0, 300)));
+        assert_eq!(full.first_run(70, 60), Some(SlotRange::new(60, 70)));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   Every other commit is for a new owner and reads zero; these two move a
 //!   slot with its owner, so nothing is scrubbed between them.
 //! * **give / adopt-batch** — slots moving between nodes, sold or lent
-//!   ([`lend_batch`] picks a loan's ranges): [`give`] clears the bits
+//!   ([`lend_batch`] picks a loan's ranges, lowest first like every other
+//!   slot choice, so the slots that circulate are ones already touched):
+//!   [`give`] clears the bits
 //!   *before* the message carrying them leaves, so a slot is set in at
 //!   most one bitmap at every instant, and the taker records them with
 //!   [`adopt_batch`].  The node's free-slot *reserve* is tracked in O(1)
@@ -335,11 +337,14 @@ impl NodeSlotManager {
     /// bitmap at every instant — and cached mappings inside the lent
     /// ranges are dropped, exactly like a negotiation sale.
     ///
-    /// Range selection: if the borrower asked for a minimum contiguous run
-    /// (`min_contig > 1`) and we own one, that run is granted first (it
-    /// satisfies the borrower outright); the remainder is peeled off the
-    /// *top* of the bitmap in maximal runs, leaving the low-address end —
-    /// where first-fit scans start — for local allocations.
+    /// Range selection is lowest-first: if the borrower asked for a minimum
+    /// contiguous run (`min_contig > 1`) and we own one, the first-fit run
+    /// is granted first (it satisfies the borrower outright); the remainder
+    /// is the bitmap's lowest maximal runs, taken in one upward pass.  Loans
+    /// then recycle slots already touched — by this node's own allocations
+    /// or by the threads that freed them here — instead of faulting in
+    /// never-used ones, so a thread whose slots drift between nodes keeps a
+    /// footprint the size of its live set.
     pub fn lend_batch(&mut self, max_slots: usize, min_contig: usize) -> Result<Vec<SlotRange>> {
         let mut out = Vec::new();
         let mut remaining = max_slots;
@@ -351,13 +356,15 @@ impl NodeSlotManager {
                 remaining -= min_contig;
             }
         }
+        let mut from = 0;
         while remaining > 0 {
-            let Some(r) = self.bitmap.last_run(remaining) else {
+            let Some(r) = self.bitmap.first_run(remaining, from) else {
                 break;
             };
             self.give(r, Deal::Loan)?;
             out.push(r);
             remaining -= r.count;
+            from = r.end();
         }
         Ok(out)
     }
@@ -639,9 +646,9 @@ mod tests {
         let total: usize = lent.iter().map(|r| r.count).sum();
         assert_eq!(total, 8);
         assert_eq!(m1.free_slots(), 24);
-        assert!(
-            lent.iter().any(|r| r.end() == 64),
-            "remainder peeled off the top: {lent:?}"
+        assert_eq!(
+            lent[0].first, 32,
+            "the loan starts at the lender's lowest slot: {lent:?}"
         );
         assert!(m0.adopt_batch(&lent, Deal::Loan));
         assert_eq!(m0.free_slots(), 40);
@@ -685,18 +692,18 @@ mod tests {
     }
 
     #[test]
-    fn lend_batch_without_contiguity_peels_top_singles() {
+    fn lend_batch_without_contiguity_gives_the_lowest_singles() {
         let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
         let mut m1 = NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::RoundRobin, 0);
         // Round-robin node 1 owns the odd slots: no 2-run exists, so the
-        // lender still fills the batch with top-end singles.
+        // lender still fills the batch with its lowest singles.
         let lent = m1.lend_batch(3, 2).unwrap();
         assert_eq!(
             lent,
             vec![
-                SlotRange::single(63),
-                SlotRange::single(61),
-                SlotRange::single(59)
+                SlotRange::single(1),
+                SlotRange::single(3),
+                SlotRange::single(5)
             ]
         );
         assert_eq!(m1.free_slots(), 29);

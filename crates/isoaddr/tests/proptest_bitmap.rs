@@ -1,5 +1,6 @@
 //! Property tests: the word-accelerated bitmap agrees with a naive
-//! bit-vector model on every operation the negotiation protocol uses.
+//! bit-vector model on every operation the negotiation protocol and the
+//! slot trade use.
 //!
 //! Randomized via the in-tree `testkit` PRNG (seeded, deterministic)
 //! instead of proptest — the sandbox builds offline.
@@ -33,6 +34,15 @@ impl Model {
             }
         }
         None
+    }
+
+    fn first_run(&self, cap: usize, from: usize) -> Option<SlotRange> {
+        let start = (from..self.0.len()).find(|&i| self.0[i])?;
+        let mut count = 0;
+        while count < cap && start + count < self.0.len() && self.0[start + count] {
+            count += 1;
+        }
+        (count > 0).then(|| SlotRange::new(start, count))
     }
 }
 
@@ -106,6 +116,16 @@ fn bitmap_matches_model() {
                 bm.find_first_fit(n, from),
                 model.find_first_fit(n, from),
                 "find_first_fit({n}, {from})"
+            );
+        }
+        // first_run agreement, including a cap that truncates a run.
+        for _ in 0..12 {
+            let cap = rng.random_range(0..80usize);
+            let from = rng.random_range(0..400usize);
+            assert_eq!(
+                bm.first_run(cap, from),
+                model.first_run(cap, from),
+                "first_run({cap}, {from})"
             );
         }
         // first_set agreement.

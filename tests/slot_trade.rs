@@ -327,3 +327,44 @@ fn forced_global_still_handles_everything_trade_would() {
     m.audit().unwrap().check_partition().unwrap();
     m.shutdown();
 }
+
+#[test]
+fn a_drifting_thread_recycles_a_few_slots() {
+    // A 2-slot block allocated on node 0 and freed on node 1, two
+    // thousand times: every allocation needs a loan from node 1, and the
+    // block's slots drift back to node 1 with each free.  Loans come off
+    // the lender's low end, as first-fit does, so the slots that circulate
+    // are a handful already touched — not a walk through the whole area.
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .area(AreaConfig::default())
+        .launch()
+        .unwrap();
+    let slot = m.area().slot_size();
+    let base = m.area().base();
+    let slots = m
+        .run_on(0, move || {
+            let mut slots = Vec::with_capacity(2000);
+            for _ in 0..2000 {
+                let p = pm2_isomalloc(slot + 1).unwrap(); // 2 slots
+                slots.push((p as usize - base) / slot);
+                pm2_migrate(1).unwrap();
+                pm2_isofree(p).unwrap();
+                pm2_migrate(0).unwrap();
+            }
+            slots
+        })
+        .unwrap();
+    let mut distinct = slots;
+    distinct.sort_unstable();
+    distinct.dedup();
+    let highest = *distinct.last().unwrap();
+    assert!(highest < 128, "the block reached slot {highest}");
+    assert!(
+        distinct.len() <= 64,
+        "the block landed on {} distinct slots",
+        distinct.len()
+    );
+    m.audit().unwrap().check_partition().unwrap();
+    m.shutdown();
+}
