@@ -255,14 +255,8 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
     let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), due);
     send_to(node, tag::RPC_CALL, call)?;
     let m = reply.next()?.ok_or(Pm2Error::Timeout { op: "rpc call" })?;
-    decode_rpc_outcome::<S>(&m.payload)
-}
-
-/// Shared RPC_RESP → typed result mapping (green and host callers),
-/// decoding the response from the borrowed reply payload.
-pub(crate) fn decode_rpc_outcome<S: Service>(payload: &[u8]) -> Result<S::Resp> {
     let (_, status, bytes) =
-        proto::decode_rpc_resp(payload).ok_or(Pm2Error::Decode("rpc response"))?;
+        proto::decode_rpc_resp(&m.payload).ok_or(Pm2Error::Decode("rpc response"))?;
     match status {
         rpc_status::OK => S::Resp::decode_vec(bytes).ok_or(Pm2Error::Decode("rpc response body")),
         rpc_status::NO_SUCH_SERVICE => Err(Pm2Error::NoSuchService(service_id::<S>())),

@@ -7,8 +7,9 @@
 //! area's process-wide accounting.
 //!
 //! Call [`crate::Machine::audit`] only at quiescence (no thread running, no
-//! migration in flight) — the host drives it over the fabric like any other
-//! control operation.
+//! migration in flight).  The host sends each node `AUDIT_REQ` and receives
+//! the reports itself — the one host operation that is not a thread on a
+//! node, since that thread would be resident in the report it gathered.
 
 use isoaddr::{SlotBitmap, SlotRange};
 use madeleine::message::{PayloadReader, PayloadWriter};

@@ -91,8 +91,9 @@ pub struct Pm2Config {
     pub slot_high_watermark: usize,
     /// Directory for per-node spill logs (`node<k>.log`), the persistence
     /// behind checkpoints and recovery.  `None` (the default) disables
-    /// checkpointing entirely — `checkpoint_every` and `CKPT_REQ` are
-    /// inert without a place to spill to.
+    /// checkpointing entirely — `checkpoint_every` and
+    /// [`crate::Machine::checkpoint_node`] are inert without a place to
+    /// spill to.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Periodic checkpoint interval: each node driver spills a snapshot
     /// train of its migratable threads at most this often.  `None` (the

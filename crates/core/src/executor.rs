@@ -501,7 +501,6 @@ impl Inner {
                 ready.push(woke);
             }
         }
-        ctx.maybe_ack_shutdown();
         // The dispatch ends here: the node's buffers are no longer this
         // thread's to recycle into.
         BufPool::undrive();

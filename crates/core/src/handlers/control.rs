@@ -1,8 +1,10 @@
 //! Control-plane handlers: shutdown, audit, load reporting, cross-node
-//! completions, and the filing of protocol replies for green threads
-//! parked in a request/reply exchange.
+//! completions, deaths, and the filing of protocol replies for green
+//! threads parked in a request/reply exchange.  What else the host asks
+//! of a node (a checkpoint, a reclaim, an LRPC) is no message: it is a
+//! thread the host spawns there, which calls the node's own API.
 
-use isoaddr::{Deal, SlotProvider};
+use isoaddr::SlotProvider;
 use madeleine::Message;
 use marcel::ThreadState;
 
@@ -10,9 +12,10 @@ use super::decode;
 use crate::node::NodeCtx;
 use crate::proto;
 
+/// `SHUTDOWN`: finish the resident threads, then stop; the driver retires
+/// the node once it is `done`.
 pub(crate) fn on_shutdown(ctx: &mut NodeCtx) {
     ctx.shutdown = true;
-    ctx.maybe_ack_shutdown();
 }
 
 /// Epidemic digest: merge every entry (strictly-newer sequence wins; see
@@ -131,33 +134,4 @@ pub(crate) fn on_node_dead(ctx: &mut NodeCtx, m: &Message) {
     if let Some(proto::NodeDead { node }) = decode(ctx, m) {
         ctx.note_node_dead(node as usize);
     }
-}
-
-/// `CKPT_REQ`: checkpoint now and acknowledge with the image count.
-pub(crate) fn on_ckpt_req(ctx: &mut NodeCtx, m: Message) {
-    let Some(proto::CkptReq { req_id }) = decode(ctx, &m) else {
-        return;
-    };
-    let threads = match ctx.checkpoint_now() {
-        Ok(n) => n,
-        Err(e) => {
-            ctx.out.printf(ctx.node, &format!("checkpoint failed: {e}"));
-            0
-        }
-    };
-    let _ = ctx.send_msg(m.src, &proto::CkptAck { req_id, threads });
-}
-
-/// `NODE_RECLAIM`: adopt a dead node's orphaned slot ranges (the host
-/// computed them from the audit).  Same framing and adoption path as a
-/// trade grant; mid-freeze the adoption is deferred exactly like one.  The
-/// reclaim id is the ack's correlation id.
-pub(crate) fn on_node_reclaim(ctx: &mut NodeCtx, m: Message) {
-    let Some(proto::NodeReclaim { reclaim_id, ranges }) = decode(ctx, &m) else {
-        return;
-    };
-    let total: usize = ranges.0.iter().map(|r| r.count).sum();
-    let adopted = ctx.adopt_grant(&ranges.0, Deal::Loan);
-    let slots = if adopted { total as u32 } else { 0 };
-    let _ = ctx.send_msg(m.src, &proto::ReclaimAck { reclaim_id, slots });
 }

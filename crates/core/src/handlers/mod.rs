@@ -125,8 +125,6 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
         tag::NEG_LOCK_GRANT | tag::NEG_BITMAP_RESP | tag::RPC_RESP => control::park_reply(ctx, m),
         tag::KILL => control::on_kill(ctx),
         tag::NODE_DEAD => control::on_node_dead(ctx, &m),
-        tag::CKPT_REQ => control::on_ckpt_req(ctx, m),
-        tag::NODE_RECLAIM => control::on_node_reclaim(ctx, m),
         tag::GOSSIP => control::on_gossip(ctx, &m),
         // No handler: an unassigned tag, or one only the host receives.
         _ => drop_malformed(ctx),

@@ -87,8 +87,9 @@
 //! * a green thread waiting for a reply, a thaw, its turn or a time is
 //!   parked in its node's wait table (the crate-private `wait` module)
 //!   until the pump unblocks it, at no scheduling steps (`pm2_join` alone
-//!   polls, to stay migratable); host-side waits (registry joins, control
-//!   replies) block on condvars and channel parks; nothing sleep-polls.
+//!   polls, to stay migratable); the host waits on the completion of the
+//!   thread its operation runs as, or on its endpoint (the audit's reports,
+//!   death certificates), parked on a condvar; nothing sleep-polls.
 //!
 //! ## Group migration trains
 //!

@@ -4,8 +4,12 @@
 //! fabric (one endpoint per node plus a host control endpoint), and hands
 //! the node drivers to the one driver there is: the `executor` worker pool
 //! (`workers(1)` is a single OS thread running every node in ready-queue
-//! order).  The host talks to nodes exclusively through control messages,
-//! like any other fabric participant.
+//! order).  The host is a client of the machine, not a node: an operation
+//! that needs a node's state or one of its exchanges (a host `rpc_call`, a
+//! checkpoint, recovery's reclaim) is a green thread the host spawns there
+//! and waits on, as PM2's LRPC spawns a thread where it lands.  Only the
+//! audit, which must not appear in its own report, and the death
+//! certificates the host watches for are received by the host itself.
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -13,17 +17,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use isoaddr::{IsoArea, SlotRange, SlotStatsSnapshot};
-use madeleine::{Endpoint, Fabric, Message, Payload, Wire};
+use isoaddr::{Deal, IsoArea, SlotRange, SlotStatsSnapshot};
+use madeleine::{Endpoint, Fabric, Message, Wire};
 
 use crate::audit::{AuditReport, NodeAudit};
 use crate::config::{MachineBuilder, Pm2Config};
 use crate::error::{Pm2Error, Result};
-use crate::node::{NodeCtx, NodeStats, NodeStatsSnapshot};
+use crate::node::{with_ctx, NodeCtx, NodeStats, NodeStatsSnapshot};
 use crate::output::OutputSink;
 use crate::proto::{self, tag, Msg};
 use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
-use crate::service::{service_id, Service, TypedServiceTable};
+use crate::service::{Service, TypedServiceTable};
 
 /// Host-assigned thread ids live in a separate namespace from node-assigned
 /// ones (`node << 40 | counter`).
@@ -132,8 +136,9 @@ pub struct Machine {
     n_workers: usize,
     next_tid: AtomicU64,
     stopped: bool,
-    /// Control messages received while waiting for something else.
-    stash: Vec<Message>,
+    /// Per node: has a survivor's `NODE_DEAD` certificate for it reached
+    /// the host?
+    certified: Vec<bool>,
 }
 
 impl Machine {
@@ -185,7 +190,6 @@ impl Machine {
         let drivers = crate::executor::spawn_pool(ctxs, n_workers);
 
         Ok(Machine {
-            cfg,
             area,
             host_ep,
             out,
@@ -201,7 +205,8 @@ impl Machine {
             n_workers,
             next_tid: AtomicU64::new(1),
             stopped: false,
-            stash: Vec::new(),
+            certified: vec![false; cfg.nodes],
+            cfg,
         })
     }
 
@@ -313,28 +318,17 @@ impl Machine {
         Ok(())
     }
 
-    /// Typed request/reply LRPC from the host: call service `S` on `node`
-    /// and block until its response arrives (deadline: the configured
-    /// `reply_deadline`).  The green-thread equivalent is
+    /// Typed request/reply LRPC from the host: a thread on `node` calls
+    /// service `S` there and hands the host its response (deadline: the
+    /// configured `reply_deadline`).  The green-thread equivalent is
     /// [`crate::api::pm2_rpc_call`].
-    pub fn rpc_call<S: Service>(&mut self, node: usize, req: S::Req) -> Result<S::Resp> {
-        if node >= self.cfg.nodes {
-            return Err(Pm2Error::NoSuchNode(node));
-        }
-        let call_id = self.next_id();
-        let call = proto::encode_rpc_call(
-            self.host_ep.pool(),
-            call_id,
-            self.cfg.nodes,
-            service_id::<S>(),
-            &req,
-            crate::service::MAX_RPC_PAYLOAD,
-        )?;
-        let deadline = Instant::now() + self.cfg.reply_deadline;
-        let reply = self
-            .exchange(node, tag::RPC_CALL, call, tag::RPC_RESP, call_id, deadline)?
-            .ok_or(Pm2Error::Timeout { op: "rpc call" })?;
-        crate::api::decode_rpc_outcome::<S>(&reply.payload)
+    pub fn rpc_call<S: Service>(&mut self, node: usize, req: S::Req) -> Result<S::Resp>
+    where
+        S::Req: Send,
+        S::Resp: Send,
+    {
+        let call = move || crate::api::pm2_rpc_call::<S>(node, req);
+        self.run_op("rpc call", node, call)?
     }
 
     /// Block the host until a thread completes.  A thread stranded on a
@@ -355,24 +349,70 @@ impl Machine {
     /// `R` is any `Send` type, so the value rides the registry's host-side
     /// mailbox (an in-process shortcut, like the spawn table); a
     /// panicking body surfaces as [`Pm2Error::Panicked`] with the panic
-    /// message.  Use [`Machine::spawn_on_ret`] when the value should
+    /// message, a node that dies under it with no checkpoint to recover
+    /// the thread from as [`Pm2Error::NodeFailed`].  Use [`Machine::spawn_on_ret`] when the value should
     /// travel the wire protocol instead.
     pub fn run_on<R, F>(&self, node: usize, f: F) -> Result<R>
     where
         R: Send + 'static,
         F: FnOnce() -> R + Send + 'static,
     {
+        let t = self.spawn_parked(node, f)?;
+        let exit = self.join(t);
+        self.parked_value(exit)
+    }
+
+    /// Host operation `op`: run `f` on `node` as a thread pinned there and
+    /// wait one `reply_deadline` for its value.  The completion record is
+    /// taken with the value, so an operation leaves none behind.  A dead
+    /// `node` is [`Pm2Error::NodeFailed`]; a thread that has not finished
+    /// by the deadline is [`Pm2Error::Timeout`] named `op`.
+    fn run_op<R, F>(&self, op: &'static str, node: usize, f: F) -> Result<R>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
+        let t = self.spawn_parked(node, move || {
+            crate::api::pm2_set_migratable(false);
+            f()
+        })?;
+        let Some(exit) = self.registry.take_exit(t.tid, self.cfg.reply_deadline) else {
+            // Recovery must not count a thread nobody waits for any more.
+            self.registry.clear_location(t.tid);
+            return Err(match self.host_ep.is_dead(node) {
+                true => Pm2Error::NodeFailed(node),
+                false => Pm2Error::Timeout { op },
+            });
+        };
+        self.parked_value(exit)
+    }
+
+    /// Spawn `f` on `node`, its value parked in the registry's host-side
+    /// mailbox under the thread's tid.
+    fn spawn_parked<R, F>(&self, node: usize, f: F) -> Result<Pm2Thread>
+    where
+        R: Send + 'static,
+        F: FnOnce() -> R + Send + 'static,
+    {
         let registry = Arc::clone(&self.registry);
-        let t = self.spawn_on(node, move || {
+        self.spawn_on(node, move || {
             let value = f();
             registry.put_value(marcel::current_tid(), Box::new(value));
-        })?;
-        let exit = self.join(t);
+        })
+    }
+
+    /// The value a [`Machine::spawn_parked`] thread left, read through its
+    /// completion: [`Pm2Error::NodeFailed`] if its node died under it,
+    /// [`Pm2Error::Panicked`] with the message if its body panicked.
+    fn parked_value<R: 'static>(&self, exit: ThreadExit) -> Result<R> {
+        if let Some(n) = exit.failed_node {
+            return Err(Pm2Error::NodeFailed(n));
+        }
         if exit.panicked {
             return Err(Pm2Error::Panicked(exit.panic_message().to_string()));
         }
         self.registry
-            .take_value(t.tid)
+            .take_value(exit.tid)
             .and_then(|b| b.downcast::<R>().ok())
             .map(|b| *b)
             .ok_or_else(|| Pm2Error::Spawn("thread produced no value".into()))
@@ -445,93 +485,24 @@ impl Machine {
         Ok(())
     }
 
-    /// A fresh host-side correlation id: the host's fabric id in the top
-    /// bits keeps it disjoint from every node's (node ids < nodes = host
-    /// id).
-    fn next_id(&self) -> u64 {
-        ((self.cfg.nodes as u64) << 48) | self.next_tid.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// One host-side request/reply exchange: send `req` to `node` and wait
-    /// until `deadline` for the `resp_tag` message that leads with `id`
-    /// (from anyone — an LRPC handler may migrate before replying).
-    /// `Ok(None)` means no reply came in time; a `node` that dies mid-wait
-    /// fails the exchange promptly with [`Pm2Error::NodeFailed`]: the
-    /// `NODE_DEAD` certificate reaches the host endpoint like any reply.
-    fn exchange(
-        &mut self,
-        node: usize,
-        req_tag: u16,
-        req: Payload,
-        resp_tag: u16,
-        id: u64,
-        deadline: Instant,
-    ) -> Result<Option<Message>> {
-        // Host exchanges are serialized (&mut self) and ids are never
-        // reused, so a `resp_tag` message still stashed answers an
-        // exchange that was abandoned: drop it rather than accumulate it.
-        self.stash.retain(|m| m.tag != resp_tag);
-        self.host_ep.send(node, req_tag, req)?;
-        while let Some(m) = self.host_ep.recv_until(deadline) {
-            if m.tag == resp_tag && proto::peek_id(&m.payload) == Some(id) {
-                return Ok(Some(m));
-            }
-            let died = certifies_death(&m, node);
-            // Everything else — the certificate too, for `wait_node_dead`.
-            self.stash.push(m);
-            if died {
-                return Err(Pm2Error::NodeFailed(node));
-            }
+    /// The next message the host endpoint receives before `deadline`, a
+    /// `NODE_DEAD` certificate noted in `certified` on the way.  The
+    /// caller drops whatever it was not waiting for.
+    fn recv(&mut self, deadline: Instant) -> Option<Message> {
+        let m = self.host_ep.recv_until(deadline)?;
+        let dead = proto::NodeDead::decode_vec(&m.payload).filter(|_| m.tag == tag::NODE_DEAD);
+        if let Some(seen) = dead.and_then(|d| self.certified.get_mut(d.node as usize)) {
+            *seen = true;
         }
-        Ok(None)
-    }
-
-    /// [`Machine::exchange`] over declared messages, `op`: `req` goes out
-    /// under its tag, the reply is awaited for one `reply_deadline` — a
-    /// missed one is [`Pm2Error::Timeout`] — and decoded as `R`.
-    fn call<Q: Msg, R: Msg>(
-        &mut self,
-        op: &'static str,
-        node: usize,
-        req: &Q,
-        id: u64,
-    ) -> Result<R> {
-        let payload = proto::encode(self.host_ep.pool(), req);
-        let deadline = Instant::now() + self.cfg.reply_deadline;
-        let reply = self.exchange(node, Q::TAG, payload, R::TAG, id, deadline)?;
-        R::from_payload(&reply.ok_or(Pm2Error::Timeout { op })?.payload)
-    }
-
-    fn recv_control(&mut self, want: u16, deadline: Instant) -> Option<Message> {
-        self.recv_matching(deadline, |m| m.tag == want)
-    }
-
-    /// Wait for a control message `pred` accepts.  The wait is event-driven:
-    /// the host parks inside [`madeleine::Endpoint::recv_until`] (a condvar
-    /// wait under the hood) and is woken per arriving message — there is
-    /// no poll slicing, so an arriving reply costs a wake-up, not a poll
-    /// interval.
-    fn recv_matching(
-        &mut self,
-        deadline: Instant,
-        pred: impl Fn(&Message) -> bool,
-    ) -> Option<Message> {
-        if let Some(i) = self.stash.iter().position(&pred) {
-            return Some(self.stash.remove(i));
-        }
-        loop {
-            match self.host_ep.recv_until(deadline) {
-                Some(m) if pred(&m) => return Some(m),
-                Some(m) => self.stash.push(m),
-                None => return None,
-            }
-        }
+        Some(m)
     }
 
     /// Run the global ownership audit (call at quiescence only).  Dead
     /// nodes are skipped: after a kill (and before recovery) the corpse's
     /// slots legitimately have no owner, so `check_partition` on a
-    /// machine with unrecovered deaths reports them as orphans.
+    /// machine with unrecovered deaths reports them as orphans.  The host
+    /// asks each node itself: a thread gathering the reports would be
+    /// resident, and so in the report it gathers.
     pub fn audit(&mut self) -> Result<AuditReport> {
         let survivors = self.alive_nodes();
         for &node in &survivors {
@@ -544,10 +515,12 @@ impl Machine {
         let mut reports = std::collections::BTreeMap::new();
         while reports.len() < survivors.len() {
             let m = self
-                .recv_control(tag::AUDIT_RESP, deadline)
+                .recv(deadline)
                 .ok_or_else(|| Pm2Error::Net("audit timed out".into()))?;
-            let report = NodeAudit::from_payload(&m.payload)?;
-            reports.insert(report.node, report);
+            if m.tag == tag::AUDIT_RESP {
+                let report = NodeAudit::from_payload(&m.payload)?;
+                reports.insert(report.node, report);
+            }
         }
         Ok(AuditReport {
             nodes: reports.into_values().collect(),
@@ -613,32 +586,27 @@ impl Machine {
         Ok(())
     }
 
-    /// Block until some survivor (or the host) has declared `node` dead —
-    /// the `NODE_DEAD` broadcast reaches the host endpoint like any other
-    /// control message.  Returns `false` on timeout.  This is how tests
-    /// observe the gossip detector after [`Machine::kill_node_silent`].
+    /// Block until some survivor has declared `node` dead — its `NODE_DEAD`
+    /// broadcast reaches the host endpoint like any other message.  Returns `false` on timeout.  This is how tests observe the
+    /// gossip detector after [`Machine::kill_node_silent`], which marks the
+    /// fabric itself and so cannot be read off [`Machine::is_node_dead`].
     pub fn wait_node_dead(&mut self, node: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        self.recv_matching(deadline, |m| certifies_death(m, node))
-            .is_some()
+        while self.certified.get(node) != Some(&true) {
+            if self.recv(deadline).is_none() {
+                return false;
+            }
+        }
+        true
     }
 
-    /// Ask `node` to checkpoint its migratable threads to its spill log
-    /// right now; returns how many threads the checkpoint covered.  Errors
-    /// if the machine was launched without a `spill_dir` (the node acks
-    /// zero threads in that case, which is reported as `Ok(0)` — a
-    /// no-spill machine simply has nothing to recover from).
+    /// Have `node` checkpoint its migratable threads to its spill log
+    /// right now; returns how many threads the checkpoint covered.  A
+    /// machine launched without a `spill_dir` covers none (`Ok(0)`: it
+    /// simply has nothing to recover from); a spill that fails to write is
+    /// the I/O error.
     pub fn checkpoint_node(&mut self, node: usize) -> Result<u32> {
-        if node >= self.cfg.nodes {
-            return Err(Pm2Error::NoSuchNode(node));
-        }
-        if self.host_ep.is_dead(node) {
-            return Err(Pm2Error::NodeFailed(node));
-        }
-        let req_id = self.next_id();
-        let ack: proto::CkptAck =
-            self.call("checkpoint", node, &proto::CkptReq { req_id }, req_id)?;
-        Ok(ack.threads)
+        self.run_op("checkpoint", node, || with_ctx(|c| c.checkpoint_now()))?
     }
 
     /// Checkpoint every live node; returns the total threads covered.
@@ -745,14 +713,13 @@ impl Machine {
             self.area.decommit_slots(*range)?;
         }
 
-        // 3. Re-adopt checkpointed victims; fail the rest promptly.
-        let victims = self.registry.located_on(dead);
+        // 3. Re-adopt checkpointed victims round-robin; fail the rest.
         let mut shipped = Vec::new();
         let mut threads_lost = 0usize;
-        for (i, &tid) in victims.iter().enumerate() {
+        for tid in self.registry.located_on(dead) {
             match newest.get(&tid) {
                 Some(&(_epoch, group)) => {
-                    let heir = survivors[i % survivors.len()];
+                    let heir = survivors[shipped.len() % survivors.len()];
                     let train = crate::migration::build_train(&[(tid, group)]);
                     self.host_ep.send(heir, tag::MIGRATION, train)?;
                     shipped.push(tid);
@@ -765,26 +732,21 @@ impl Machine {
             }
         }
 
-        // 4. Wait for each shipped thread to leave the corpse: adoption
-        //    flips its location to the survivor (completion clears it).
-        let deadline = Instant::now() + self.cfg.reply_deadline;
+        // 4. One barrier per heir: its link from the host is FIFO, so once
+        //    a thread spawned behind the trains has run, the heir has
+        //    handled them.  Adoption moved each thread's location to its
+        //    heir (completion cleared it); one still on the corpse was
+        //    NAKed or never adopted, so it fails rather than leave joiners
+        //    hanging on a thread nobody hosts.
+        for &heir in survivors.iter().take(shipped.len()) {
+            // A barrier that fails leaves its heir's threads on the corpse.
+            let _ = self.run_op("recovery", heir, || ());
+        }
         let mut threads_recovered = 0usize;
         for tid in shipped {
-            // Completion rings the registry's condvar; an adoption is
-            // looked for between 1 ms slices of that wait.
-            let moved = loop {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let gone = self.registry.location(tid) != Some(dead)
-                    || (self.registry).wait_completed(tid, left.min(Duration::from_millis(1)));
-                if gone || left.is_zero() {
-                    break gone;
-                }
-            };
-            if moved {
+            if self.registry.location(tid) != Some(dead) {
                 threads_recovered += 1;
             } else {
-                // The survivor NAKed or never adopted it: fail it so
-                // joiners do not hang on a thread nobody hosts.
                 self.registry
                     .complete_if_absent(ThreadExit::node_failed(tid, dead));
                 threads_lost += 1;
@@ -794,8 +756,8 @@ impl Machine {
 
         // 5. Slot reclamation: audit the survivors, find every slot with
         //    no owner among them (the corpse's free slots plus whatever
-        //    its lost threads held), and grant the orphan ranges to the
-        //    first survivor via the bitmap-only NODE_RECLAIM adoption.
+        //    its lost threads held), and have the first survivor adopt the
+        //    orphan ranges as a loan, the bitmap-only adoption of a grant.
         let t1 = Instant::now();
         let report = self.audit()?;
         let mut owned = vec![false; report.n_slots];
@@ -814,13 +776,11 @@ impl Machine {
         let orphans = collect_ranges(0..report.n_slots, |s| !owned[s]);
         let mut slots_reclaimed = 0usize;
         if !orphans.is_empty() {
-            let reclaim_id = self.next_id();
-            let req = proto::NodeReclaim {
-                reclaim_id,
-                ranges: proto::Ranges(orphans),
-            };
-            let ack: proto::ReclaimAck = self.call("reclaim", survivors[0], &req, reclaim_id)?;
-            slots_reclaimed = ack.slots as usize;
+            let total = orphans.iter().map(|r| r.count).sum();
+            let adopt = move || with_ctx(|c| c.adopt_grant(&orphans, Deal::Loan));
+            if self.run_op("reclaim", survivors[0], adopt)? {
+                slots_reclaimed = total;
+            }
         }
         let reclaim = t1.elapsed();
 
@@ -836,8 +796,9 @@ impl Machine {
         })
     }
 
-    /// Stop the machine: ask every node to drain and stop, await the acks,
-    /// and join the driver threads.  Called automatically on drop.
+    /// Stop the machine: ask every node to drain and stop, and join the
+    /// driver threads (they exit once every node has).  Called
+    /// automatically on drop.
     pub fn shutdown(&mut self) {
         if self.stopped {
             return;
@@ -845,23 +806,6 @@ impl Machine {
         self.stopped = true;
         for node in self.alive_nodes() {
             let _ = self.host_ep.send(node, tag::SHUTDOWN, Vec::new());
-        }
-        // Only survivors can ack, and a node may die mid-shutdown: its
-        // `NODE_DEAD` certificate reaches this endpoint like an ack does,
-        // so either message ends the wait and only a death recounts.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let mut expected = self.alive_nodes().len();
-        let mut acked = 0usize;
-        let event = |m: &Message| m.tag == tag::SHUTDOWN_ACK || m.tag == tag::NODE_DEAD;
-        while acked < expected {
-            match self.recv_matching(deadline, event) {
-                Some(m) if m.tag == tag::SHUTDOWN_ACK => acked += 1,
-                Some(_) => expected = self.alive_nodes().len(),
-                None => {
-                    eprintln!("pm2: warning: node shutdown ack missing");
-                    break;
-                }
-            }
         }
         for h in self.drivers.drain(..) {
             let _ = h.join();
@@ -873,12 +817,6 @@ impl Drop for Machine {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Is `m` a `NODE_DEAD` certificate naming `node`?
-fn certifies_death(m: &Message, node: usize) -> bool {
-    let certificate = proto::NodeDead { node: node as u32 };
-    m.tag == tag::NODE_DEAD && proto::NodeDead::decode_vec(&m.payload) == Some(certificate)
 }
 
 /// Compress those of `slots` where `pred` holds into maximal contiguous

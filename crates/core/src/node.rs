@@ -373,7 +373,6 @@ pub(crate) struct NodeCtx {
     /// What the last arriving train unpacked to.
     pub arrival: migration::TrainOutcome,
     pub shutdown: bool,
-    shutdown_acked: bool,
     /// This node was killed (power-cord semantics): the driver stops
     /// stepping it, the fabric refuses its traffic, and nothing it owned
     /// is released locally — recovery happens on the survivors.
@@ -521,7 +520,6 @@ impl NodeCtx {
             train_tids: Vec::new(),
             arrival: Default::default(),
             shutdown: false,
-            shutdown_acked: false,
             killed: false,
             dead_nodes: HashSet::new(),
             call_counter: 0,
@@ -963,7 +961,6 @@ impl NodeCtx {
             unsafe { marcel::release_thread_resources(d, &mut self.mgr) }
                 .expect("releasing deferred thread resources");
         }
-        self.maybe_ack_shutdown();
         // Handling a spawn cannot freeze the bitmap again: this drains.
         for m in std::mem::take(&mut self.deferred) {
             handlers::dispatch(self, m);
@@ -1185,22 +1182,10 @@ impl NodeCtx {
             && !self.inbox_pending()
     }
 
-    /// Drained *and* acknowledged: the driver may exit.  A killed node is
-    /// trivially finished — nothing it could say would be heard.
+    /// Drained: the driver may exit.  A killed node is trivially
+    /// finished — nothing it could do would be heard.
     pub(crate) fn finished(&self) -> bool {
-        self.killed || (self.done() && self.shutdown_acked)
-    }
-
-    /// Send the one-time shutdown acknowledgement once drained.
-    pub(crate) fn maybe_ack_shutdown(&mut self) {
-        if self.killed {
-            return;
-        }
-        if self.done() && !self.shutdown_acked {
-            self.shutdown_acked = true;
-            // The host's control endpoint is the fabric id after the nodes'.
-            let _ = self.ep.send(self.n_nodes, tag::SHUTDOWN_ACK, Vec::new());
-        }
+        self.killed || self.done()
     }
 
     // -- outcome handling ---------------------------------------------------
@@ -1262,7 +1247,6 @@ impl NodeCtx {
                 self.registry.complete(exit);
             }
         }
-        self.maybe_ack_shutdown();
     }
 
     /// Handle a departure outcome: stage the departing thread and — the
@@ -1299,7 +1283,6 @@ impl NodeCtx {
         }
         staged.clear();
         self.departing = staged;
-        self.maybe_ack_shutdown();
     }
 
     /// Validate one departure: true if `d` may leave for the node it names

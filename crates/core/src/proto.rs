@@ -94,8 +94,6 @@ tags! {
     NEG_DONE = 17;
     /// Host → node: finish resident threads, then stop.
     SHUTDOWN = 20;
-    /// Node → host: stopped.
-    SHUTDOWN_ACK = 21;
     /// Host → node: report ownership for the global audit.
     AUDIT_REQ = 22;
     /// Node → host: audit report.
@@ -139,16 +137,6 @@ tags! {
     /// hints, load snapshots and lock queues, drop its late (zombie)
     /// messages, and fail any wait targeting it with `NodeFailed`.
     NODE_DEAD = 41;
-    /// Host → node: checkpoint your migratable threads to the spill log
-    /// now.
-    CKPT_REQ = 42;
-    /// Node → host: checkpoint done.
-    CKPT_ACK = 43;
-    /// Host → node: adopt these orphaned slot ranges (a dead node's
-    /// reclaimed estate).
-    NODE_RECLAIM = 44;
-    /// Node → host: reclamation done.
-    RECLAIM_ACK = 45;
     /// Node → node: epidemic digest (see [`Gossip`](super::Gossip)).
     /// Carries the sender's own wealth/load under a fresh sequence number
     /// plus, with the failure detector armed, its newest entry for every
@@ -218,8 +206,7 @@ pub fn encode<M: Wire>(pool: &BufPool, msg: &M) -> Payload {
 }
 
 /// The correlation id a reply leads with (`SLOT_TRADE_RESP`,
-/// `MIGRATE_CMD_ACK`, `CKPT_ACK`, `RECLAIM_ACK`, `RPC_RESP`, and the §4.4
-/// replies' round): reply
+/// `MIGRATE_CMD_ACK`, `RPC_RESP`, and the §4.4 replies' round): reply
 /// matching reads it without decoding the rest.
 pub fn peek_id(buf: &[u8]) -> Option<u64> {
     PayloadReader::new(buf).u64()
@@ -345,18 +332,6 @@ message! {
     /// A survivor (or the host) announces `node`'s death.
     NodeDead = NODE_DEAD { node: u32 }
 
-    /// Checkpoint now; `req_id` is echoed by the ack.
-    CkptReq = CKPT_REQ { req_id: u64 }
-
-    /// Checkpoint done: `threads` images written.
-    CkptAck = CKPT_ACK { req_id: u64, threads: u32 }
-
-    /// Adopt a dead node's orphaned ranges; the ack echoes the id.
-    NodeReclaim = NODE_RECLAIM { reclaim_id: u64, ranges: Ranges }
-
-    /// Reclamation done: `slots` adopted.
-    ReclaimAck = RECLAIM_ACK { reclaim_id: u64, slots: u32 }
-
     /// One entry of an epidemic digest: what some node claimed about
     /// itself under its `seq`-th gossip round.  Entries are relayed
     /// verbatim, so a receiver orders claims about the same origin by
@@ -425,9 +400,9 @@ fn rpc_body_len(len: usize, max: usize) -> Option<u32> {
 }
 
 /// Encode an `RPC_CALL` payload, the typed request written in place behind
-/// the header and its length back-patched — the one request encoder of
-/// green and host callers.  Fails with [`Pm2Error::PayloadTooLarge`] when
-/// the encoded request exceeds `max`.
+/// the header and its length back-patched — the one request encoder (the
+/// host calls through a green thread too).  Fails with
+/// [`Pm2Error::PayloadTooLarge`] when the encoded request exceeds `max`.
 ///
 /// `reply_to` is the fabric id the response must be sent to, carried
 /// explicitly rather than recovered from `Message::src`: the request may be

@@ -212,6 +212,16 @@ impl Registry {
         Some(exit)
     }
 
+    /// Block the calling *host* thread until `tid` completes, then remove
+    /// its record and return it — for a thread only its spawner asks
+    /// about, so nothing is left behind once it has.  `None` on timeout.
+    pub(crate) fn take_exit(&self, tid: u64, timeout: Duration) -> Option<ThreadExit> {
+        if !self.wait_completed(tid, timeout) {
+            return None;
+        }
+        self.done.lock().unwrap().remove(&tid)
+    }
+
     /// Block the calling *host* thread until `tid` completes (never call
     /// from a Marcel thread — `pm2_join` is the green-side wait).
     pub fn wait(&self, tid: u64, timeout: Duration) -> Option<ThreadExit> {

@@ -180,33 +180,6 @@ fn every_message(v: &mut impl Visit) {
     );
     v.row(proto::NodeDead { node: 3 }, b"\x03\x00\x00\x00");
     v.row(
-        proto::CkptReq { req_id: 0xC0FFEE },
-        b"\xee\xff\xc0\x00\x00\x00\x00\x00",
-    );
-    v.row(
-        proto::CkptAck {
-            req_id: 0xC0FFEE,
-            threads: 12,
-        },
-        b"\xee\xff\xc0\x00\x00\x00\x00\x00\x0c\x00\x00\x00",
-    );
-    v.row(
-        proto::NodeReclaim {
-            reclaim_id: 0xBEEF,
-            ranges: ranges(&[(10, 4), (100, 1)]),
-        },
-        b"\xef\xbe\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\
-          \x0a\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\
-          \x64\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00",
-    );
-    v.row(
-        proto::ReclaimAck {
-            reclaim_id: 0xBEEF,
-            slots: 200,
-        },
-        b"\xef\xbe\x00\x00\x00\x00\x00\x00\xc8\x00\x00\x00",
-    );
-    v.row(
         proto::Gossip {
             entries: vec![
                 proto::GossipEntry {
@@ -233,7 +206,6 @@ const BARE: &[u16] = &[
     tag::NEG_LOCK_RELEASE,
     tag::NEG_DONE,
     tag::SHUTDOWN,
-    tag::SHUTDOWN_ACK,
     tag::AUDIT_REQ,
     tag::KILL,
 ];

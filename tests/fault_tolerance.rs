@@ -115,6 +115,58 @@ fn killed_callee_fails_host_rpc_with_node_failed() {
     m.shutdown();
 }
 
+/// Set to let every [`Mute`] handler return.
+static UNMUTE: AtomicBool = AtomicBool::new(false);
+
+struct Mute;
+impl Service for Mute {
+    const NAME: &'static str = "ft.mute";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        // No reply before the test unmutes it, long after the deadline.
+        loop_until(&UNMUTE);
+        req
+    }
+}
+
+/// A host call whose service never answers gives up typed after its one
+/// reply deadline, with the name of the operation.
+#[test]
+fn host_rpc_to_a_service_that_never_replies_times_out_typed() {
+    let deadline = Duration::from_millis(200);
+    let mut m = machine(2, deadline).launch().unwrap();
+    m.register(Mute);
+    let t0 = Instant::now();
+    assert_eq!(
+        m.rpc_call::<Mute>(1, 5),
+        Err(Pm2Error::Timeout { op: "rpc call" })
+    );
+    let took = t0.elapsed();
+    assert!(took < deadline * 3 / 2, "gave up after {took:?}");
+    UNMUTE.store(true, Ordering::SeqCst);
+    m.shutdown();
+}
+
+/// A `run_on` thread whose node is declared dead under it, with no
+/// checkpoint to recover it from, fails with the node's name, as a typed
+/// join does.  The body blocks its worker in native code, so the node
+/// stops gossiping and the other worker's node declares it dead.
+#[test]
+fn run_on_names_the_node_that_died_under_its_thread() {
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .workers(2)
+        .reply_deadline(Duration::from_millis(200))
+        .failure_timeout(Duration::from_millis(100))
+        .heartbeat_every(Duration::from_millis(20))
+        .launch()
+        .unwrap();
+    let got = m.run_on(1, || std::thread::sleep(Duration::from_secs(1)));
+    assert_eq!(got, Err(Pm2Error::NodeFailed(1)));
+    m.shutdown();
+}
+
 #[test]
 fn killed_callee_fails_green_rpc_mid_call() {
     let mut m = machine(3, Duration::from_secs(30)).launch().unwrap();
@@ -271,12 +323,19 @@ fn heartbeat_detector_declares_a_silent_node_dead() {
         m.wait_node_dead(2, Duration::from_secs(20)),
         "survivors must declare the silent corpse dead via the gossip detector"
     );
+    // Not before the timeout less the round the corpse may have just run:
+    // the host waited for the certificate, not for the fabric flag the kill
+    // itself sets.
     let took = t0.elapsed();
+    assert!(
+        took >= Duration::from_millis(250),
+        "detected after {took:?}"
+    );
     assert!(took < Duration::from_millis(450), "detected after {took:?}");
     assert!(m.is_node_dead(2));
     assert!(!m.is_node_dead(0) && !m.is_node_dead(1));
-    // Shutdown waits for events, not slices: the two survivors' acks end
-    // it, and nothing is spent waiting on the corpse.
+    // Shutdown waits for events, not slices: the two survivors drain and
+    // their drivers exit, and nothing is spent waiting on the corpse.
     let took = shutdown_within(m, Duration::from_secs(5));
     assert!(took < Duration::from_millis(500), "shutdown took {took:?}");
 }
@@ -511,9 +570,9 @@ fn checkpoint_of_a_node_killed_mid_request_resolves_typed() {
     let _t = m.spawn_on(1, move || loop_until(&stop2)).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     // Stop the node without telling the host (raw KILL, no death
-    // certificate): the CKPT_REQ lands on a corpse and no ack can ever
-    // arrive.  The reply deadline must expire and surface typed — not
-    // hang on the missing ack.
+    // certificate): the checkpoint's thread is spawned on a corpse and can
+    // never run.  The reply deadline must expire and surface typed — not
+    // hang on the missing completion.
     m.inject_raw(1, pm2::proto::tag::KILL, Vec::new()).unwrap();
     std::thread::sleep(Duration::from_millis(50));
     let t0 = Instant::now();
