@@ -2,7 +2,8 @@
 //! load.  (How much load the machine sustains is `throughput`'s question.)
 //!
 //! Two drills, both judged by the capacity harness's IC-style SLO gates
-//! (failure rate ≤ 0.2, p99 ≤ 5000 ms) at a fixed offered rate:
+//! (`pm2_workload::judge`: failure rate ≤ 0.2, p99 ≤ 5000 ms) at a fixed
+//! offered rate, with no ramp:
 //!
 //! * **Kill-node recovery** — the `pm2-workload` kill drill: baseline
 //!   round, checkpoint, kill node 0 (the §4.4 coordinator — its successor
@@ -44,7 +45,8 @@ fn scratch_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The fixed-rate gate config for the kill and partition drills.
+/// The round windows for the kill and partition drills.  They run at
+/// [`DRILL_RPS`], so the ramp's start and ceiling go unused.
 pub fn drill_gate() -> RampConfig {
     RampConfig {
         round_duration: Duration::from_millis(300),

@@ -153,11 +153,6 @@ impl NodeSlotManager {
         self.free
     }
 
-    /// Number of slots sitting in the mmapped-slot cache.
-    pub fn cached_slots(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Iterate over cached slot indices (for audits).
     pub fn iter_cached(&self) -> impl Iterator<Item = usize> + '_ {
         self.cache.iter()
@@ -226,21 +221,6 @@ impl NodeSlotManager {
                 Ok(AcquireOutcome::NeedNegotiation)
             }
         }
-    }
-
-    /// Acquire a *specific* slot range (used right after a negotiation has
-    /// transferred ownership of the range to this node).
-    pub fn acquire_specific(&mut self, range: SlotRange) -> Result<VAddr> {
-        assert!(
-            self.bitmap.all_set(range),
-            "acquire_specific: node {} does not own {range:?}",
-            self.node
-        );
-        self.bitmap.clear_range(range);
-        self.free -= range.count;
-        let addr = self.commit_with_cache(range)?;
-        self.stats.multi_acquires.add(1);
-        Ok(addr)
     }
 
     /// Release a slot range from a thread to this node (isofree, thread
@@ -435,6 +415,29 @@ mod tests {
     fn mgr(p: usize, node: usize, cache: usize) -> NodeSlotManager {
         let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
         NodeSlotManager::new(node, p, area, Distribution::RoundRobin, cache)
+    }
+
+    /// Fixtures the tests below reach for and no runtime code calls.
+    impl NodeSlotManager {
+        /// Number of slots sitting in the mmapped-slot cache.
+        fn cached_slots(&self) -> usize {
+            self.cache.len()
+        }
+
+        /// Acquire a slot range this node owns, whatever first-fit would
+        /// have picked.
+        fn acquire_specific(&mut self, range: SlotRange) -> Result<VAddr> {
+            assert!(
+                self.bitmap.all_set(range),
+                "acquire_specific: node {} does not own {range:?}",
+                self.node
+            );
+            self.bitmap.clear_range(range);
+            self.free -= range.count;
+            let addr = self.commit_with_cache(range)?;
+            self.stats.multi_acquires.add(1);
+            Ok(addr)
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! [`Endpoint::broadcast`], and pooled buffers (see [`crate::buf`]) recycle
 //! where the receiver drops them.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -422,6 +423,7 @@ impl Fabric {
             .map(|node| Endpoint {
                 node,
                 chaos: plan.as_ref().map(|p| EndpointChaos::new(p, node, n)),
+                _unshared: PhantomData,
                 shared: Arc::clone(&shared),
                 pool: BufPool::new(),
             })
@@ -449,6 +451,19 @@ impl DeathWatch {
 }
 
 /// One node's attachment to the fabric.
+///
+/// An endpoint may move to another thread, but two threads may never
+/// share one: it is `Send` and not `Sync`.
+///
+/// ```
+/// fn movable<T: Send>() {}
+/// movable::<madeleine::Endpoint>();
+/// ```
+///
+/// ```compile_fail
+/// fn shareable<T: Sync>() {}
+/// shareable::<madeleine::Endpoint>();
+/// ```
 pub struct Endpoint {
     node: usize,
     shared: Arc<Shared>,
@@ -458,6 +473,10 @@ pub struct Endpoint {
     /// Delay injection, present only on chaotic fabrics: per-link RNG
     /// streams, drawn by this endpoint's owner.
     chaos: Option<EndpointChaos>,
+    /// Makes the endpoint `!Sync` whatever its other fields are: its inbox
+    /// has one consumer (pops take no lock) and its send counters one
+    /// writer (plain loads and stores, see `counters.rs`).
+    _unshared: PhantomData<Cell<()>>,
 }
 
 impl Endpoint {

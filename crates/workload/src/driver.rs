@@ -2,15 +2,15 @@
 //!
 //! ## Issuing without sharing the machine
 //!
-//! `Machine` is deliberately `!Sync` (its host endpoint owns a receiver
-//! and a sequence cell), so "host-side injector threads" cannot call
-//! `spawn_on` themselves.  The driver splits the work: **injector
-//! threads** own the open-loop *schedule* — op `k` of a round is due at
-//! `start + k/rps`, injector `j` handles the ops with `k ≡ j (mod n)`,
-//! samples them deterministically from the spec, sleeps until each is due
-//! and pushes it down an mpsc channel — while the **issuer** (the calling
-//! thread, which owns `&Machine`) turns each request into one
-//! `Machine::spawn_on` the moment it arrives.  The op body runs as a green
+//! `Machine` is deliberately `!Sync` (its host endpoint's inbox has one
+//! consumer and its send counters one writer), so "host-side injector
+//! threads" cannot call `spawn_on` themselves.  The driver splits the
+//! work: **injector threads** own the open-loop *schedule* — op `k` of a
+//! round is due at `start + k/rps`, injector `j` handles the ops with
+//! `k ≡ j (mod n)`, samples them deterministically from the spec, sleeps
+//! until each is due and pushes it down an mpsc channel — while the
+//! **issuer** (the calling thread, which owns `&Machine`) turns each
+//! request into one `Machine::spawn_on` the moment it arrives.  The op body runs as a green
 //! thread, performs the sampled operation through the `pm2::api` surface,
 //! and records its own latency.
 //!
@@ -38,7 +38,7 @@ use pm2::{BufPoolStats, Machine, Service};
 use testkit::StdRng;
 
 use crate::hist::LogHistogram;
-use crate::ramp::{RampConfig, RampController, RoundMeasurement, Verdict};
+use crate::ramp::{judge, RampConfig, RampController, RoundMeasurement, Verdict};
 use crate::spec::{OpKind, SampledOp, WorkloadSpec};
 
 /// The echo service every RPC-shaped op calls: request bytes come back
@@ -101,7 +101,7 @@ pub struct RoundReport {
     /// Payload-pool counters for the round, summed over nodes (steady
     /// state: `allocs` ≈ 0, every message rides a recycled buffer).
     pub pool: BufPoolStats,
-    /// The controller's judgement.
+    /// The gates' judgement.
     pub verdict: Verdict,
 }
 
@@ -167,6 +167,17 @@ impl Counters {
     }
 }
 
+/// Sets its flag when dropped: a group-migrate op's children spin until it
+/// is set, so every exit of the op (a failed spawn or command too) sets it.
+#[derive(Default)]
+struct Release(Arc<AtomicBool>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Run one op inside its green thread.
 fn perform(op: SampledOp) -> pm2::Result<()> {
     match op.kind {
@@ -188,10 +199,10 @@ fn perform(op: SampledOp) -> pm2::Result<()> {
         }
         OpKind::Migrate => pm2_migrate(op.peer),
         OpKind::GroupMigrate { group } => {
-            let stop = Arc::new(AtomicBool::new(false));
+            let release = Release::default();
             let mut tids = Vec::with_capacity(group);
             for _ in 0..group {
-                let stop = Arc::clone(&stop);
+                let stop = Arc::clone(&release.0);
                 tids.push(pm2_thread_create(move || {
                     while !stop.load(Ordering::Relaxed) {
                         pm2_yield();
@@ -202,7 +213,7 @@ fn perform(op: SampledOp) -> pm2::Result<()> {
             // them all; they ride one train to the peer at their next
             // scheduling points.
             pm2_group_migrate(pm2_self(), op.peer, &tids)?;
-            stop.store(true, Ordering::Relaxed);
+            drop(release);
             for tid in tids {
                 pm2_join(tid);
             }
@@ -257,7 +268,7 @@ fn reroute_dead(m: &Machine, op: &mut SampledOp) {
     }
 }
 
-/// Raw numbers out of one round, before the controller judges it.
+/// Raw numbers out of one round, before it is judged.
 struct RoundStats {
     issued: u64,
     ok: u64,
@@ -376,18 +387,15 @@ fn run_round(
     }
 }
 
-/// Judge one round's raw stats with the controller and fold everything
-/// into a [`RoundReport`].
-fn judge_round(ctl: &mut RampController, rps: u64, s: RoundStats) -> RoundReport {
-    let failure_rate = if s.issued == 0 {
-        0.0
-    } else {
-        (s.failed + s.timed_out) as f64 / s.issued as f64
-    };
+/// [`judge`] one round's raw stats and fold everything into a
+/// [`RoundReport`].
+fn judge_round(rps: u64, s: RoundStats) -> RoundReport {
+    // Nothing issued is nothing failed: 0 / 1.
+    let failure_rate = (s.failed + s.timed_out) as f64 / s.issued.max(1) as f64;
     let p50_ms = s.hist.quantile_us(0.50) / 1e3;
     let p90_ms = s.hist.quantile_us(0.90) / 1e3;
     let p99_ms = s.hist.quantile_us(0.99) / 1e3;
-    let verdict = ctl.record(RoundMeasurement {
+    let verdict = judge(RoundMeasurement {
         rps,
         failure_rate,
         p50_ms,
@@ -411,11 +419,9 @@ fn judge_round(ctl: &mut RampController, rps: u64, s: RoundStats) -> RoundReport
     }
 }
 
-/// Run one fixed-rate round outside a ramp and judge it against the
-/// config's SLO gates (a one-shot controller pinned to `rps`).  The chaos
-/// scenarios reuse the open-loop driver and the gate without the
-/// escalating schedule.  [`register_services`] must have been called on
-/// `m` first.
+/// Run one fixed-rate round outside a ramp and [`judge`] it.  The chaos
+/// scenarios reuse the open-loop driver and the gates without the ramp's
+/// schedule.  [`register_services`] must have been called on `m` first.
 pub fn run_gated_round(
     m: &Machine,
     spec: &WorkloadSpec,
@@ -424,32 +430,26 @@ pub fn run_gated_round(
     round_idx: u64,
     injectors: usize,
 ) -> RoundReport {
-    let mut ctl = RampController::new(RampConfig {
-        initial_rps: rps,
-        increment_rps: 0,
-        max_rps: rps,
-        ..cfg.clone()
-    });
-    let s = run_round(m, spec, cfg, rps, round_idx, injectors);
-    judge_round(&mut ctl, rps, s)
+    judge_round(rps, run_round(m, spec, cfg, rps, round_idx, injectors))
 }
 
-/// Ramp a workload on a running machine until an SLO breaks (or the
-/// ceiling is reached) and report every round plus the max sustainable
-/// rate.  [`register_services`] must have been called on `m` first.
+/// Ramp a workload on a running machine until its knee is bracketed (or
+/// the ceiling is reached) and report every round plus the max
+/// sustainable rate.  [`register_services`] must have been called on `m`
+/// first.
 pub fn run_ramp(
     m: &Machine,
     spec: &WorkloadSpec,
     cfg: RampConfig,
     injectors: usize,
 ) -> CapacityReport {
-    let mut ctl = RampController::new(cfg);
-    let mut rounds = Vec::new();
-    let mut round_idx = 0u64;
+    let mut ctl = RampController::new(&cfg);
+    let mut rounds: Vec<RoundReport> = Vec::new();
     while let Some(rps) = ctl.next_rps() {
-        let s = run_round(m, spec, ctl.config(), rps, round_idx, injectors);
-        rounds.push(judge_round(&mut ctl, rps, s));
-        round_idx += 1;
+        let s = run_round(m, spec, &cfg, rps, rounds.len() as u64, injectors);
+        let round = judge_round(rps, s);
+        ctl.record(rps, round.verdict.passed());
+        rounds.push(round);
     }
     CapacityReport {
         workload: spec.name.clone(),

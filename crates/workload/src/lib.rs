@@ -7,8 +7,8 @@
 //! a fixed rate.)  The design follows the
 //! Internet Computer scalability suite's workload experiments: declare a
 //! workload, ramp its rate round by round, gate each round on failure-rate
-//! and p99-latency SLOs, and report the last passing round as the machine's
-//! capacity.
+//! and p99-latency SLOs, and report the highest passing round as the
+//! machine's capacity.
 //!
 //! The pieces:
 //!
@@ -20,16 +20,19 @@
 //!   are just new spec values.
 //! * [`run_ramp`] — the open-loop driver: injector threads own the
 //!   schedule and push sampled ops down a channel; the issuer thread
-//!   (which owns the `!Sync` machine handle) spawns each op the moment
-//!   it is due; op latency is measured from the *scheduled* time so
+//!   (which owns the machine handle, `!Sync` because its host endpoint's
+//!   inbox has one consumer and its send counters one writer) spawns each
+//!   op the moment it is due; op latency is measured from the *scheduled* time so
 //!   queueing counts and saturation is visible (no coordinated
 //!   omission).  Latencies land in a concurrent log-linear histogram
 //!   ([`LogHistogram`]); uncompleted ops become timeouts.
-//! * [`RampController`] — the IC-style gate as a pure state machine:
-//!   `initial_rps` + `increment_rps` per round, stop at the first round
-//!   with `failure_rate > allowable` or `p99 > slo`, hard-stop
-//!   thresholds marking the cliff, last passing round = max sustainable
-//!   RPS.
+//! * [`judge`] and [`RampController`] — the IC-style gate and the
+//!   schedule as pure functions of the measurements: a round fails with
+//!   `failure_rate >` [`ALLOWABLE_FAILURE_RATE`] or `p99 >` [`SLO_P99_MS`],
+//!   hard-stop thresholds mark the cliff; the rate doubles from
+//!   `initial_rps` to the first failing round, then bisects until the
+//!   bracket is within [`KNEE_TOLERANCE`]; the highest passing round is
+//!   the max sustainable RPS.
 //! * [`CapacityReport`] — per-round driver measurements joined with
 //!   machine-side counters (scheduler steps, doorbell parks, spawns,
 //!   migrations/trains, slot trades/negotiations, payload-pool churn: the
@@ -57,5 +60,8 @@ mod spec;
 pub use chaos::{run_kill_node, run_partition, ChaosReport, PartitionReport, CHAOS_RESIDENTS};
 pub use driver::{register_services, run_gated_round, run_ramp, CapacityReport, Echo, RoundReport};
 pub use hist::{LogHistogram, N_BUCKETS};
-pub use ramp::{RampConfig, RampController, RoundMeasurement, Verdict};
+pub use ramp::{
+    judge, RampConfig, RampController, RoundMeasurement, Verdict, ALLOWABLE_FAILURE_RATE,
+    KNEE_TOLERANCE, SLO_P99_MS, STOP_FAILURE_RATE, STOP_P50_MS,
+};
 pub use spec::{OpKind, SampledOp, SizeDist, Targeting, WorkloadSpec};

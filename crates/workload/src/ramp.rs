@@ -1,43 +1,44 @@
 //! The ramp controller: IC-suite-style SLO gating, as a pure state
 //! machine.
 //!
-//! Modeled on the IC scalability suite's workload experiments: start at
-//! `initial_rps`, add `increment_rps` per round, and stop at the first
-//! round that breaks an SLO — `failure_rate > allowable_failure_rate` or
-//! `p99 > slo_p99_ms`.  Two *hard-stop* thresholds (the suite's
-//! `STOP_FAILURE_RATE` / `STOP_T_MEDIAN`) mark a round as catastrophic
-//! rather than merely failing, so a report can distinguish "the knee" from
-//! "the cliff".  The last passing round is the max sustainable RPS.
+//! One schedule finds the knee in a handful of rounds: start at
+//! `initial_rps` and double until a round fails, then bisect between the
+//! last passing and the first failing rate until they are within
+//! [`KNEE_TOLERANCE`] of each other.  No round is scheduled above
+//! `max_rps`; a ramp that passes there stops, capped.  A round fails
+//! above [`ALLOWABLE_FAILURE_RATE`] or [`SLO_P99_MS`]; the IC suite's two
+//! *hard-stop* thresholds ([`STOP_FAILURE_RATE`], [`STOP_P50_MS`]) mark it
+//! as catastrophic instead, so a report can tell "the knee" from "the
+//! cliff".  The highest passing round is the max sustainable RPS.
 //!
-//! The controller never touches a machine or a clock: feed it per-round
-//! measurements, read verdicts.  That makes the gate logic exhaustively
-//! unit-testable with synthetic series (see the tests below), and the
-//! driver a thin loop around it.
+//! [`judge`] and the controller never touch a machine or a clock: feed
+//! them per-round measurements and verdicts.  That makes the gate logic
+//! exhaustively unit-testable with synthetic series (see the tests below),
+//! and the driver a thin loop around it.
 
 use std::time::Duration;
 
-/// Ramp schedule and SLO thresholds.
+/// A round fails above this failure fraction (IC `ALLOWABLE_FAILURE_RATE`).
+pub const ALLOWABLE_FAILURE_RATE: f64 = 0.2;
+/// A round fails above this p99 latency, ms (IC `ALLOWABLE_LATENCY`).
+pub const SLO_P99_MS: f64 = 5000.0;
+/// Hard stop: past the cliff, not just the knee (IC `STOP_FAILURE_RATE`).
+pub const STOP_FAILURE_RATE: f64 = 0.9;
+/// Hard stop on the *median*, ms (IC `STOP_T_MEDIAN` = 300 s).
+pub const STOP_P50_MS: f64 = 300_000.0;
+/// The bisection ends once the first failing rate is within this fraction
+/// above the highest passing one: at most two rounds past a 2× bracket.
+pub const KNEE_TOLERANCE: f64 = 0.25;
+
+/// Ramp schedule: where it starts, its ceiling, and each round's windows.
 #[derive(Debug, Clone)]
 pub struct RampConfig {
-    /// First round's target rate.
+    /// First round's target rate; each round doubles it until one fails.
     pub initial_rps: u64,
-    /// Added per round.
-    pub increment_rps: u64,
     /// Ramp ceiling: no round is scheduled above this.
     pub max_rps: u64,
     /// How long each round issues ops.
     pub round_duration: Duration,
-    /// SLO: a round fails above this failure fraction (IC
-    /// `ALLOWABLE_FAILURE_RATE` = 0.2).
-    pub allowable_failure_rate: f64,
-    /// SLO: a round fails above this p99 latency (IC `ALLOWABLE_LATENCY`
-    /// = 5000 ms).
-    pub slo_p99_ms: f64,
-    /// Hard stop: the machine is past the cliff, not just the knee (IC
-    /// `STOP_FAILURE_RATE` = 0.9).
-    pub stop_failure_rate: f64,
-    /// Hard stop on the *median* (IC `STOP_T_MEDIAN` = 300 s).
-    pub stop_p50_ms: f64,
     /// Extra time after a round's last issue for in-flight ops to land
     /// before they are counted as timeouts.
     pub drain_grace: Duration,
@@ -46,19 +47,13 @@ pub struct RampConfig {
 }
 
 impl Default for RampConfig {
-    /// The IC suite's gate constants with seconds-scale rounds (the suite
-    /// runs 300 s rounds; a CI smoke ramp wants the same shape, not the
-    /// same wall-clock).
+    /// Seconds-scale rounds (the IC suite runs 300 s rounds; a CI smoke
+    /// ramp wants the same shape, not the same wall-clock).
     fn default() -> Self {
         RampConfig {
             initial_rps: 100,
-            increment_rps: 100,
             max_rps: 1000,
             round_duration: Duration::from_millis(500),
-            allowable_failure_rate: 0.2,
-            slo_p99_ms: 5000.0,
-            stop_failure_rate: 0.9,
-            stop_p50_ms: 300_000.0,
             drain_grace: Duration::from_millis(500),
             quiet_timeout: Duration::from_secs(5),
         }
@@ -78,12 +73,12 @@ pub struct RoundMeasurement {
     pub p99_ms: f64,
 }
 
-/// The controller's judgement of one round.
+/// The judgement of one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
     /// Within every SLO.
     Pass,
-    /// Broke an SLO; the ramp stops here.  The string names the gate.
+    /// Broke an SLO.  The string names the gate.
     Fail(String),
     /// Broke a hard-stop threshold — the cliff, not the knee.
     HardStop(String),
@@ -105,80 +100,84 @@ impl Verdict {
     }
 }
 
-/// Pure ramp state: hand it measurements, ask it for the next rate.
+/// Judge one round against the gates.  Hard-stop thresholds are checked
+/// first (a 95% failure rate has also broken the 20% allowable gate; the
+/// verdict should name the cliff).
+pub fn judge(m: RoundMeasurement) -> Verdict {
+    if m.failure_rate >= STOP_FAILURE_RATE {
+        Verdict::HardStop(format!(
+            "failure rate {:.2} >= stop threshold {STOP_FAILURE_RATE:.2}",
+            m.failure_rate
+        ))
+    } else if m.p50_ms >= STOP_P50_MS {
+        Verdict::HardStop(format!(
+            "p50 {:.0} ms >= stop threshold {STOP_P50_MS:.0} ms",
+            m.p50_ms
+        ))
+    } else if m.failure_rate > ALLOWABLE_FAILURE_RATE {
+        Verdict::Fail(format!(
+            "failure rate {:.2} > allowable {ALLOWABLE_FAILURE_RATE:.2}",
+            m.failure_rate
+        ))
+    } else if m.p99_ms > SLO_P99_MS {
+        Verdict::Fail(format!("p99 {:.1} ms > SLO {SLO_P99_MS:.1} ms", m.p99_ms))
+    } else {
+        Verdict::Pass
+    }
+}
+
+/// Pure ramp schedule: tell it how each round was judged, ask it for the
+/// next rate.
 #[derive(Debug)]
 pub struct RampController {
-    cfg: RampConfig,
-    round: u64,
-    done: bool,
-    max_sustainable: Option<u64>,
+    max_rps: u64,
+    next: Option<u64>,
+    passed: Option<u64>,
+    failed: Option<u64>,
 }
 
 impl RampController {
     /// Fresh ramp at `cfg.initial_rps`.
-    pub fn new(cfg: RampConfig) -> Self {
+    pub fn new(cfg: &RampConfig) -> Self {
+        assert!(cfg.initial_rps > 0, "a ramp starts above 0 rps");
         RampController {
-            cfg,
-            round: 0,
-            done: false,
-            max_sustainable: None,
+            next: (cfg.initial_rps <= cfg.max_rps).then_some(cfg.initial_rps),
+            max_rps: cfg.max_rps,
+            passed: None,
+            failed: None,
         }
-    }
-
-    /// The configuration driving this ramp.
-    pub fn config(&self) -> &RampConfig {
-        &self.cfg
     }
 
     /// Target rate for the next round, or `None` when the ramp is over
-    /// (an SLO broke, or the next rate would exceed `max_rps`).
+    /// (the knee is bracketed tightly enough, the first round failed, or
+    /// a round passed at `max_rps`).
     pub fn next_rps(&self) -> Option<u64> {
-        if self.done {
-            return None;
-        }
-        let rps = self.cfg.initial_rps + self.round * self.cfg.increment_rps;
-        (rps <= self.cfg.max_rps).then_some(rps)
+        self.next
     }
 
-    /// Judge one finished round.  Hard-stop thresholds are checked first
-    /// (a 95% failure rate has also broken the 20% allowable gate; the
-    /// verdict should name the cliff).
-    pub fn record(&mut self, m: RoundMeasurement) -> Verdict {
-        self.round += 1;
-        let v = if m.failure_rate >= self.cfg.stop_failure_rate {
-            Verdict::HardStop(format!(
-                "failure rate {:.2} >= stop threshold {:.2}",
-                m.failure_rate, self.cfg.stop_failure_rate
-            ))
-        } else if m.p50_ms >= self.cfg.stop_p50_ms {
-            Verdict::HardStop(format!(
-                "p50 {:.0} ms >= stop threshold {:.0} ms",
-                m.p50_ms, self.cfg.stop_p50_ms
-            ))
-        } else if m.failure_rate > self.cfg.allowable_failure_rate {
-            Verdict::Fail(format!(
-                "failure rate {:.2} > allowable {:.2}",
-                m.failure_rate, self.cfg.allowable_failure_rate
-            ))
-        } else if m.p99_ms > self.cfg.slo_p99_ms {
-            Verdict::Fail(format!(
-                "p99 {:.1} ms > SLO {:.1} ms",
-                m.p99_ms, self.cfg.slo_p99_ms
-            ))
+    /// Note how the round at `rps`, the rate [`Self::next_rps`] named,
+    /// was judged, and schedule the next: double past a pass until a round
+    /// fails, then take the midpoint of the bracket.
+    pub fn record(&mut self, rps: u64, passed: bool) {
+        if passed {
+            self.passed = Some(rps);
         } else {
-            Verdict::Pass
-        };
-        if v.passed() {
-            self.max_sustainable = Some(m.rps);
-        } else {
-            self.done = true;
+            self.failed = Some(rps);
         }
-        v
+        self.next = match (self.passed, self.failed) {
+            (Some(pass), None) => (pass < self.max_rps).then_some((2 * pass).min(self.max_rps)),
+            (Some(pass), Some(fail)) => {
+                let mid = pass + (fail - pass) / 2;
+                let wide = (fail - pass) as f64 > KNEE_TOLERANCE * pass as f64;
+                (wide && mid > pass).then_some(mid)
+            }
+            (None, _) => None,
+        };
     }
 
     /// Highest rate that passed every SLO, if any round did.
     pub fn max_sustainable_rps(&self) -> Option<u64> {
-        self.max_sustainable
+        self.passed
     }
 }
 
@@ -186,11 +185,10 @@ impl RampController {
 mod tests {
     use super::*;
 
-    fn cfg() -> RampConfig {
+    fn cfg(initial_rps: u64, max_rps: u64) -> RampConfig {
         RampConfig {
-            initial_rps: 100,
-            increment_rps: 100,
-            max_rps: 500,
+            initial_rps,
+            max_rps,
             ..RampConfig::default()
         }
     }
@@ -204,63 +202,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_pass_runs_to_max_rps() {
-        let mut c = RampController::new(cfg());
+    /// Run a ramp against a machine that passes every rate up to `knee`
+    /// and fails every rate above it; the rates it was asked for.
+    fn ramp_to(c: &mut RampController, knee: u64) -> Vec<u64> {
         let mut rounds = Vec::new();
         while let Some(rps) = c.next_rps() {
             rounds.push(rps);
-            assert_eq!(c.record(m(rps, 0.01, 1.0, 4.0)), Verdict::Pass);
+            c.record(rps, rps <= knee);
+            assert!(rounds.len() < 64, "the ramp never ended: {rounds:?}");
         }
-        assert_eq!(rounds, vec![100, 200, 300, 400, 500]);
+        rounds
+    }
+
+    #[test]
+    fn all_pass_doubles_to_the_ceiling() {
+        let mut c = RampController::new(&cfg(100, 500));
+        assert_eq!(ramp_to(&mut c, u64::MAX), vec![100, 200, 400, 500]);
         assert_eq!(c.max_sustainable_rps(), Some(500));
     }
 
     #[test]
-    fn failure_rate_gate_stops_on_the_right_round() {
-        let mut c = RampController::new(cfg());
-        // 100 and 200 pass; 300 breaks the 20% failure SLO.
-        let series = [(100, 0.0), (200, 0.1), (300, 0.35), (400, 0.5)];
-        let mut judged = Vec::new();
-        for (rps, fr) in series {
-            let Some(next) = c.next_rps() else { break };
-            assert_eq!(next, rps, "ramp schedule drifted");
-            judged.push(c.record(m(rps, fr, 1.0, 2.0)));
+    fn a_passing_midpoint_moves_the_bracket_up() {
+        let mut c = RampController::new(&cfg(100, 10_000));
+        // 800 fails; 600 and 700 pass; 800 is within 25 % of 700.
+        assert_eq!(ramp_to(&mut c, 750), vec![100, 200, 400, 800, 600, 700]);
+        assert_eq!(c.max_sustainable_rps(), Some(700));
+    }
+
+    #[test]
+    fn a_failing_midpoint_moves_the_bracket_down() {
+        let mut c = RampController::new(&cfg(100, 10_000));
+        // 800 and 600 fail; 500 passes; 600 is within 25 % of 500.
+        assert_eq!(ramp_to(&mut c, 550), vec![100, 200, 400, 800, 600, 500]);
+        assert_eq!(c.max_sustainable_rps(), Some(500));
+    }
+
+    #[test]
+    fn bisection_costs_at_most_two_rounds_past_the_first_failure() {
+        for knee in (100..3_200).step_by(37) {
+            let mut c = RampController::new(&cfg(100, 1_000_000));
+            let rounds = ramp_to(&mut c, knee);
+            let first_fail = rounds.iter().position(|&r| r > knee).unwrap();
+            assert!(rounds.len() - first_fail <= 3, "knee {knee}: {rounds:?}");
+            let pass = c.max_sustainable_rps().unwrap();
+            let fail = rounds.iter().copied().filter(|&r| r > knee).min().unwrap();
+            assert!(pass <= knee && knee < fail, "knee {knee}: {rounds:?}");
+            assert!(fail - pass <= pass / 4, "knee {knee}: {pass}..{fail}");
         }
-        assert_eq!(judged.len(), 3, "ramp must stop at the first failing round");
-        assert!(judged[0].passed() && judged[1].passed());
-        assert!(matches!(judged[2], Verdict::Fail(_)));
-        assert_eq!(c.max_sustainable_rps(), Some(200));
-        assert_eq!(c.next_rps(), None);
+    }
+
+    #[test]
+    fn a_failure_at_the_ceiling_bisects_below_it() {
+        let mut c = RampController::new(&cfg(100, 300));
+        assert_eq!(ramp_to(&mut c, 260), vec![100, 200, 300, 250]);
+        assert_eq!(c.max_sustainable_rps(), Some(250));
+    }
+
+    #[test]
+    fn a_bracket_one_apart_ends_the_ramp() {
+        let mut c = RampController::new(&cfg(1, 100));
+        assert_eq!(ramp_to(&mut c, 1), vec![1, 2]);
+        assert_eq!(c.max_sustainable_rps(), Some(1));
+    }
+
+    #[test]
+    fn failure_rate_gate_fails_a_round() {
+        match judge(m(300, 0.35, 1.0, 2.0)) {
+            Verdict::Fail(reason) => assert!(reason.contains("failure rate"), "{reason}"),
+            other => panic!("expected failure-rate Fail, got {other:?}"),
+        }
     }
 
     #[test]
     fn p99_gate_fails_a_round() {
-        let mut c = RampController::new(cfg());
-        assert!(c.record(m(100, 0.0, 1.0, 10.0)).passed());
-        let v = c.record(m(200, 0.0, 1.0, 6000.0));
-        match v {
+        assert!(judge(m(100, 0.0, 1.0, 10.0)).passed());
+        match judge(m(200, 0.0, 1.0, 6000.0)) {
             Verdict::Fail(reason) => assert!(reason.contains("p99"), "{reason}"),
             other => panic!("expected p99 Fail, got {other:?}"),
         }
-        assert_eq!(c.max_sustainable_rps(), Some(100));
     }
 
     #[test]
     fn hard_stop_outranks_the_plain_gate() {
-        let mut c = RampController::new(cfg());
         // 0.95 also exceeds allowable 0.2; the verdict must name the cliff.
-        let v = c.record(m(100, 0.95, 1.0, 2.0));
+        let v = judge(m(100, 0.95, 1.0, 2.0));
         assert!(matches!(v, Verdict::HardStop(_)), "{v:?}");
-        assert_eq!(c.max_sustainable_rps(), None);
-        assert_eq!(c.next_rps(), None);
     }
 
     #[test]
     fn median_hard_stop_fires() {
-        let mut c = RampController::new(cfg());
-        let v = c.record(m(100, 0.0, 400_000.0, 500_000.0));
-        match v {
+        match judge(m(100, 0.0, 400_000.0, 500_000.0)) {
             Verdict::HardStop(reason) => assert!(reason.contains("p50"), "{reason}"),
             other => panic!("expected p50 HardStop, got {other:?}"),
         }
@@ -268,18 +299,18 @@ mod tests {
 
     #[test]
     fn first_round_failure_yields_no_sustainable_rate() {
-        let mut c = RampController::new(cfg());
-        assert!(!c.record(m(100, 0.5, 1.0, 2.0)).passed());
+        let mut c = RampController::new(&cfg(100, 500));
+        c.record(100, false);
         assert_eq!(c.max_sustainable_rps(), None);
+        assert_eq!(c.next_rps(), None);
     }
 
     #[test]
     fn boundary_is_exclusive_for_allowable_inclusive_for_stop() {
         // failure_rate == allowable passes (gate is strict >);
         // failure_rate == stop threshold hard-stops (gate is >=).
-        let mut c = RampController::new(cfg());
-        assert!(c.record(m(100, 0.2, 1.0, 2.0)).passed());
-        let v = c.record(m(200, 0.9, 1.0, 2.0));
+        assert!(judge(m(100, 0.2, 1.0, 2.0)).passed());
+        let v = judge(m(200, 0.9, 1.0, 2.0));
         assert!(matches!(v, Verdict::HardStop(_)), "{v:?}");
     }
 }

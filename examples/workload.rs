@@ -1,7 +1,6 @@
 //! Quickstart for the `pm2-workload` capacity harness: ramp the mixed
-//! spawn/RPC/migrate/alloc workload on a 4-node machine until an SLO
-//! breaks (or the rate ceiling is reached) and print the round-by-round
-//! trajectory.
+//! spawn/RPC/migrate/alloc workload on a 4-node machine to its knee (or
+//! the rate ceiling) and print the round-by-round trajectory.
 //!
 //! ```sh
 //! cargo run --release --example workload
@@ -30,16 +29,15 @@ fn main() {
         .unwrap();
     register_services(&m);
 
-    // A short ramp: 200 ms rounds, 100 → 600 rps in 100 rps steps, the
-    // IC-suite SLO gates (fail a round past 20% failures or 5 s p99).
+    // A short ramp: 200 ms rounds doubling from 100 rps toward a 6,400 rps
+    // ceiling, bisecting once a round breaks the IC-suite SLO gates (20%
+    // failures or 5 s p99).
     let ramp = RampConfig {
         initial_rps: 100,
-        increment_rps: 100,
-        max_rps: 600,
+        max_rps: 6_400,
         round_duration: Duration::from_millis(200),
         drain_grace: Duration::from_millis(400),
         quiet_timeout: Duration::from_secs(2),
-        ..RampConfig::default()
     };
 
     let report = run_ramp(&m, &WorkloadSpec::mixed(), ramp, 2);

@@ -2,10 +2,14 @@
 //! on a one-worker machine, plus the per-round counter windows its
 //! machine reports depend on.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use pm2::{Machine, Pm2Config};
-use pm2_workload::{register_services, run_ramp, RampConfig, Verdict, WorkloadSpec};
+use pm2_workload::{
+    register_services, run_gated_round, run_ramp, OpKind, RampConfig, SizeDist, Targeting, Verdict,
+    WorkloadSpec,
+};
 
 /// A two-round mixed ramp on a one-worker 2-node machine: both rounds
 /// must pass the (generous) SLOs, every op must be accounted for, and the
@@ -56,12 +60,10 @@ fn ramp_issue_counts_replay() {
         register_services(&m);
         let ramp = RampConfig {
             initial_rps: 30,
-            increment_rps: 30,
             max_rps: 60,
             round_duration: Duration::from_millis(100),
             drain_grace: Duration::from_secs(2),
             quiet_timeout: Duration::from_secs(5),
-            ..RampConfig::default()
         };
         let report = run_ramp(&m, &WorkloadSpec::pingpong_rpc(64), ramp, 2);
         m.shutdown();
@@ -100,16 +102,58 @@ fn consecutive_rounds_each_report_their_own_counters() {
     );
 }
 
+/// An overloaded round of group-migrate ops, some of whose child spawns
+/// fail: an op that fails half-way must still release the children it
+/// spawned, or they spin on their node for good and `shutdown` never
+/// returns.
+#[test]
+fn a_failed_group_migrate_strands_no_children() {
+    let m = Machine::builder(2).test_profile().launch().unwrap();
+    register_services(&m);
+    let spec = WorkloadSpec {
+        name: "group_migrate".into(),
+        mix: vec![(OpKind::GroupMigrate { group: 4 }, 1)],
+        payload: SizeDist::Fixed(0),
+        targeting: Targeting::Uniform,
+        seed: 0x6D16,
+    };
+    let cfg = RampConfig {
+        initial_rps: 20_000,
+        max_rps: 20_000,
+        round_duration: Duration::from_millis(200),
+        drain_grace: Duration::from_millis(500),
+        quiet_timeout: Duration::from_secs(1),
+    };
+    let round = run_gated_round(&m, &spec, &cfg, 20_000, 0, 2);
+    assert_eq!(round.issued, round.ok + round.failed + round.timed_out);
+
+    // Shut down on a helper thread, so a hang fails the test instead of
+    // wedging it; a helper that hung is left behind.
+    let (done, finished) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let mut m = m;
+        m.shutdown();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| {
+            panic!(
+                "shutdown hung after {} ok, {} failed, {} timed out of {} ops",
+                round.ok, round.failed, round.timed_out, round.issued
+            )
+        });
+    helper.join().unwrap();
+}
+
 /// Exactly two rounds, 40 then 80 rps, with generous drain and quiet
 /// windows so every op lands inside its own round.
 fn two_rounds() -> RampConfig {
     RampConfig {
         initial_rps: 40,
-        increment_rps: 40,
         max_rps: 80,
         round_duration: Duration::from_millis(150),
         drain_grace: Duration::from_secs(2),
         quiet_timeout: Duration::from_secs(5),
-        ..RampConfig::default()
     }
 }
