@@ -217,16 +217,18 @@ pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
     if node >= with_ctx(|c| c.n_nodes) {
         return Err(Pm2Error::NoSuchNode(node));
     }
-    note_rpc_traffic(node);
     let args = args.to_vec();
-    send_msg(node, &proto::RpcSpawn { service, args })
+    send_msg(node, &proto::RpcSpawn { service, args })?;
+    note_rpc_traffic(node);
+    Ok(())
 }
 
 /// Typed request/reply LRPC: call service `S` on `node`, parking the
 /// calling green thread (so this node keeps serving, at no cost) until
 /// the response arrives or the configured reply deadline passes.
 ///
-/// The handler runs as a freshly spawned Marcel thread on `node`.  Errors
+/// The service runs on `node` in a Marcel thread, the one that serves the
+/// calls queued there (see [`crate::service`]).  Errors
 /// distinguish an unregistered service ([`Pm2Error::NoSuchService`]), an
 /// oversized request — checked locally — or response
 /// ([`Pm2Error::PayloadTooLarge`] / [`Pm2Error::Rpc`]), a handler panic
@@ -243,18 +245,18 @@ pub fn pm2_rpc_call<S: Service>(node: usize, req: S::Req) -> Result<S::Resp> {
         let call = proto::encode_rpc_call(&c.pool, call_id, c.node, service_id::<S>(), &req, max)?;
         Ok((call_id, call, c.cfg.reply_deadline))
     })?;
-    // One call = one request out + one reply back: both legs land on the
-    // same peer node, so account the pair up front in the caller's
-    // affinity table (the handler side separately accounts its reply).
-    note_rpc_traffic(node);
-    note_rpc_traffic(node);
     // Handlers may migrate before replying, so the response is matched on
     // the call id alone; `node` is named so that its death fails the call.
     // The deadline is a span: no clock is read for it here.
     let due = Due::After(patience);
     let reply = Wait::for_reply(tag::RPC_RESP, Some(node), Some(call_id), due);
     send_to(node, tag::RPC_CALL, call)?;
+    // One call = one request out + one reply back, both with `node`: the
+    // caller accounts each leg once it has travelled (the serving side
+    // separately accounts the reply it sent).
+    note_rpc_traffic(node);
     let m = reply.next()?.ok_or(Pm2Error::Timeout { op: "rpc call" })?;
+    note_rpc_traffic(node);
     let (_, status, bytes) =
         proto::decode_rpc_resp(&m.payload).ok_or(Pm2Error::Decode("rpc response"))?;
     match status {

@@ -1,22 +1,38 @@
 //! Thread-creation and LRPC handlers: `SPAWN_KEY`, `RPC_SPAWN`,
 //! `RPC_CALL`.
 //!
-//! All three need a fresh stack slot (a bitmap mutation), so the dispatch
-//! table defers them while a negotiation has the bitmap frozen, and the
-//! thaw dispatches them again.  Typed-LRPC handlers spawn into the
-//! scheduler's **control lane** ([`marcel::thread::flags::CONTROL`]): a
-//! serving node crowded with compute threads still turns replies around
-//! promptly.  They and `RPC_SPAWN`'s threads are
-//! [`marcel::thread::flags::DETACHED`]: their tid is minted here and
-//! handed to nobody, so nothing could join them.
+//! All three may need a fresh stack slot (a bitmap mutation), so the
+//! dispatch table defers them while a negotiation has the bitmap frozen,
+//! and the thaw dispatches them again.
+//!
+//! A typed LRPC is served by the node's **drainer**, not by a thread of
+//! its own: `RPC_CALL` queues the call in [`NodeCtx::calls`], and a node
+//! with calls queued and no drainer spawns one, which serves them in
+//! arrival order — a burst of calls costs one spawn.  It is the drainer
+//! only for the quantum it is in: once it yields, blocks, migrates or
+//! exits, the node's outcome hook spawns a successor for what is still
+//! queued, so a service that waits — even on a call to its own node —
+//! holds up no call behind it; the replaced thread finishes the call in
+//! hand and exits.  Drainers spawn into the scheduler's **control lane**
+//! ([`marcel::thread::flags::CONTROL`]): a serving node crowded with
+//! compute threads still turns replies around promptly.  They and
+//! `RPC_SPAWN`'s threads are [`marcel::thread::flags::DETACHED`]: their
+//! tid is minted here and handed to nobody, so nothing could join them.
+
+use std::ops::Range;
 
 use madeleine::Message;
 use marcel::thread::flags;
 
 use super::{decode, drop_malformed};
-use crate::node::NodeCtx;
+use crate::node::{with_ctx, NodeCtx, PUMP_BUDGET};
 use crate::proto::{self, rpc_status, tag};
-use crate::service::MAX_RPC_PAYLOAD;
+use crate::service::{ErasedHandler, MAX_RPC_PAYLOAD};
+
+/// A typed LRPC waiting in [`NodeCtx::calls`] for the node's drainer: the
+/// message that carried it, its call id, where to answer, where in the
+/// message the request bytes lie, and the service that answers.
+pub(crate) struct Call(Message, u64, usize, Range<usize>, ErasedHandler);
 
 pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
     let Some(proto::SpawnKey { key, tid }) = decode(ctx, &m) else {
@@ -73,47 +89,63 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     };
     if req.len() > MAX_RPC_PAYLOAD {
         let msg = format!("request of {} bytes exceeds ceiling", req.len());
-        let _ = ctx.ep.send(
-            reply_to,
-            tag::RPC_RESP,
-            proto::encode_rpc_resp(&ctx.pool, call_id, rpc_status::REMOTE_ERROR, msg.as_bytes()),
-        );
-        return;
+        return refuse(ctx, reply_to, call_id, rpc_status::REMOTE_ERROR, &msg);
     }
     let Some(handler) = ctx.typed_service(service) else {
-        let _ = ctx.ep.send(
-            reply_to,
-            tag::RPC_RESP,
-            proto::encode_rpc_resp(&ctx.pool, call_id, rpc_status::NO_SUCH_SERVICE, &[]),
-        );
-        return;
+        return refuse(ctx, reply_to, call_id, rpc_status::NO_SUCH_SERVICE, "");
     };
-    // LRPC semantics: the handler runs as a fresh Marcel thread, so it
-    // may allocate, spawn, even migrate; the reply is sent from
+    // LRPC semantics: the call is served by a Marcel thread, so a service
+    // may block, allocate, spawn, even migrate; the reply is sent from
     // whatever node it ends up on, matched by call id at the caller.
-    // It spawns control-priority so a backlog of compute quanta cannot
-    // sit between the request and its reply.  The thread owns the request
-    // message and reads the request bytes where they arrived, and encodes
-    // its reply through the pool of the node it runs on.
+    let call = Call(m, call_id, reply_to, req, handler);
+    ctx.calls.push_back(call);
+    spawn_drainer(ctx);
+}
+
+/// Answer call `call_id` with `status` and `msg` instead of a result.
+fn refuse(ctx: &mut NodeCtx, reply_to: usize, call_id: u64, status: u8, msg: &str) {
+    let resp = proto::encode_rpc_resp(&ctx.pool, call_id, status, msg.as_bytes());
+    let _ = ctx.ep.send(reply_to, tag::RPC_RESP, resp);
+}
+
+/// Give the queued calls a drainer, unless the node has one, has none
+/// queued, or has its bitmap frozen (the thaw calls this again).
+pub(crate) fn spawn_drainer(ctx: &mut NodeCtx) {
+    if ctx.drainer.is_some() || ctx.calls.is_empty() || ctx.frozen() {
+        return;
+    }
     let tid = ctx.sched.next_tid();
-    let spawned = ctx.try_spawn(tid, flags::CONTROL | flags::DETACHED, move || {
-        let w = crate::node::with_ctx(|c| proto::rpc_reply_writer(&c.pool));
+    match ctx.try_spawn(tid, flags::CONTROL | flags::DETACHED, move || drain(tid)) {
+        Ok(()) => ctx.drainer = Some(tid),
+        Err(e) => {
+            // Out of stack slots: each caller gets a typed remote error
+            // instead of a wedged machine and an opaque timeout.
+            let msg = format!("serving node could not spawn handler: {e}");
+            while let Some(Call(_, call_id, reply_to, ..)) = ctx.calls.pop_front() {
+                refuse(ctx, reply_to, call_id, rpc_status::REMOTE_ERROR, &msg);
+            }
+        }
+    }
+}
+
+/// The drainer's body: serve queued calls, at most [`PUMP_BUDGET`], while
+/// this thread is its node's drainer — wherever a service moved it.  It
+/// exits still named; the outcome hook clears the name.
+fn drain(me: u64) {
+    for _ in 0..PUMP_BUDGET {
+        let next = with_ctx(|c| (c.drainer == Some(me)).then(|| c.calls.pop_front()));
+        let Some(Call(m, call_id, reply_to, req, handler)) = next.flatten() else {
+            return;
+        };
+        // Encoded through the pool of the node the service left it on.
+        let w = with_ctx(|c| proto::rpc_reply_writer(&c.pool));
         let reply =
             proto::encode_rpc_reply(w, call_id, MAX_RPC_PAYLOAD, |w| handler(&m.payload[req], w));
-        // The reply is RPC-shaped traffic too: account it on the serving
-        // side (from wherever the handler ended up) so both ends of a
-        // chatty pair accumulate affinity toward each other.
-        crate::api::note_rpc_traffic(reply_to);
-        let _ = crate::api::send_to(reply_to, tag::RPC_RESP, reply);
-    });
-    if let Err(e) = spawned {
-        // Out of stack slots: the caller gets a typed remote error
-        // instead of a wedged machine and an opaque timeout.
-        let msg = format!("serving node could not spawn handler: {e}");
-        let _ = ctx.ep.send(
-            reply_to,
-            tag::RPC_RESP,
-            proto::encode_rpc_resp(&ctx.pool, call_id, rpc_status::REMOTE_ERROR, msg.as_bytes()),
-        );
+        // The reply is RPC-shaped traffic too: the serving side accounts it
+        // once it has left, so both ends of a chatty pair accumulate
+        // affinity toward each other.
+        if crate::api::send_to(reply_to, tag::RPC_RESP, reply).is_ok() {
+            crate::api::note_rpc_traffic(reply_to);
+        }
     }
 }

@@ -79,8 +79,10 @@
 //!   wait deadline, a gossip round, a periodic checkpoint), for good when
 //!   it has none: a quiet default machine makes no wake-ups at all;
 //! * the marcel scheduler runs a **control lane** (bounded bursts, never
-//!   starving compute): LRPC handlers and daemons flagged via
-//!   [`api::pm2_set_control_priority`] overtake compute quanta;
+//!   starving compute): LRPC drainers — one thread serving a node's
+//!   queued calls until it yields, blocks or migrates, not one per call —
+//!   and daemons flagged via [`api::pm2_set_control_priority`] overtake
+//!   compute quanta;
 //! * per-tag protocol logic lives in the `handlers/` module tree
 //!   (spawn/rpc, migration, negotiation, control) behind one dispatch
 //!   table — new subsystems plug in without touching the dispatch core;

@@ -323,6 +323,10 @@ pub(crate) struct NodeCtx {
     /// re-sent to self — a self-send is immediately deliverable, so the
     /// pump's drain loop would chase its own re-injection forever.
     pub deferred: VecDeque<Message>,
+    /// Typed LRPCs waiting for the node's drainer (`handlers::spawn`).
+    pub calls: VecDeque<handlers::spawn::Call>,
+    /// The thread serving `calls` in the quantum it is in, if any.
+    pub drainer: Option<u64>,
     /// The §4.4 sections that hold this node's bitmap frozen (paper §4.4
     /// (a)): each initiator whose `NEG_BITMAP_REQ` this node answered and
     /// whose `NEG_DONE` has not arrived, and this node itself during its
@@ -506,6 +510,8 @@ impl NodeCtx {
             threads: TidMap::default(),
             exit_notes: TidMap::default(),
             deferred: VecDeque::new(),
+            calls: VecDeque::new(),
+            drainer: None,
             waits: WaitTable::default(),
             freezers: Vec::new(),
             negotiating: false,
@@ -965,6 +971,7 @@ impl NodeCtx {
         for m in std::mem::take(&mut self.deferred) {
             handlers::dispatch(self, m);
         }
+        handlers::spawn::spawn_drainer(self);
         while self.waits.wake(&self.sched, For::Thaw) {}
     }
 
@@ -1179,6 +1186,7 @@ impl NodeCtx {
             && self.sched.resident() == 0
             && self.zombies.is_empty()
             && self.deferred.is_empty()
+            && self.calls.is_empty()
             && !self.inbox_pending()
     }
 
@@ -1191,15 +1199,26 @@ impl NodeCtx {
     // -- outcome handling ---------------------------------------------------
 
     fn handle_outcome(&mut self, outcome: RunOutcome) {
+        use RunOutcome::*;
+        let (Yielded(d) | Exited(d) | MigrateSelf(d, _) | PreemptMigrate(d, _) | Blocked(d)) =
+            outcome;
+        // SAFETY: `d` came from this scheduler's run_one, not yet released.
+        let drained = self.drainer.is_some_and(|t| t == unsafe { (*d).tid });
         match outcome {
             // SAFETY: `d` came from this scheduler's run_one.
-            RunOutcome::Yielded(d) => unsafe { self.sched.requeue(d) },
-            RunOutcome::Exited(d) => self.finish_thread(d),
+            Yielded(d) => unsafe { self.sched.requeue(d) },
+            Exited(d) => self.finish_thread(d),
             // Either way the descriptor names its destination itself.
-            RunOutcome::MigrateSelf(d, _) | RunOutcome::PreemptMigrate(d, _) => self.depart(d),
+            MigrateSelf(d, _) | PreemptMigrate(d, _) => self.depart(d),
             // Parked in a `wait::Wait`: whatever completes its entry in
             // the wait table unblocks it.
-            RunOutcome::Blocked(_) => {}
+            Blocked(_) => {}
+        }
+        if drained {
+            // The drainer left its quantum: what is queued behind it gets
+            // a successor (`handlers::spawn`).
+            self.drainer = None;
+            handlers::spawn::spawn_drainer(self);
         }
     }
 

@@ -428,7 +428,7 @@ pub fn encode_rpc_call<Q: Wire>(
 
 /// Decode an `RPC_CALL` payload into (call id, reply-to, service, where in
 /// `buf` the request bytes lie) — a range, not a slice, so the serving node
-/// can move the message into the handler thread and index it there.
+/// can queue the message for its drainer and index it there.
 pub fn decode_rpc_call(buf: &[u8]) -> Option<(u64, usize, u32, std::ops::Range<usize>)> {
     let mut r = PayloadReader::new(buf);
     let call_id = r.u64()?;

@@ -10,17 +10,20 @@
 //! [`crate::machine::Machine::rpc_call`] perform a typed round trip built
 //! on the same wait-table mechanics as the negotiation gather.
 //!
-//! Handlers still run as freshly spawned Marcel threads on the serving
-//! node — PM2's LRPC model — so a handler may itself allocate iso-address
-//! memory, spawn, or even migrate before replying.
+//! Handlers still run in Marcel threads on the serving node — PM2's LRPC
+//! model — so a handler may itself block, allocate iso-address memory,
+//! spawn, or even migrate before replying.  The node's *drainer* thread
+//! serves its queued calls in arrival order within one quantum, and a
+//! successor takes over the moment it yields, blocks, migrates or exits:
+//! a burst of calls costs one spawn, not one per call.
 //!
 //! The data path moves each payload byte once per leg.  The caller encodes
 //! the typed request straight into the pooled `RPC_CALL` payload
 //! ([`crate::proto::encode_rpc_call`]); the serving node keeps that message
-//! and lends the handler thread the request bytes inside it; the erased
+//! and lends the drainer the request bytes inside it; the erased
 //! handler decodes from the borrowed slice and encodes the response
 //! straight into the pooled `RPC_RESP` payload; the caller decodes from the
-//! reply it was handed.  Handler threads are *detached*
+//! reply it was handed.  Drainers are *detached*
 //! ([`marcel::thread::flags::DETACHED`]): nobody can join a thread whose
 //! tid never leaves the serving node, so a clean exit leaves no completion
 //! record behind.
@@ -65,8 +68,9 @@ pub trait Service: Send + Sync + 'static {
     type Req: Wire;
     /// Response type shipped back.
     type Resp: Wire;
-    /// Handle one request.  Runs in a spawned Marcel thread on the serving
-    /// node; a panic here becomes an [`crate::Pm2Error::Rpc`] at the caller.
+    /// Handle one request.  Runs in a Marcel thread on the serving node (its
+    /// drainer); a panic here becomes an [`crate::Pm2Error::Rpc`] at the
+    /// caller.
     fn handle(&self, req: Self::Req) -> Self::Resp;
 }
 

@@ -417,11 +417,12 @@ impl crate::Service for Double {
 }
 
 /// An LRPC round trip allocates nothing once the pair has served a few:
-/// request and reply are pooled buffers, the handler's closure moves into
-/// its stack slot, the caller's wait reuses a closed wait's queue, the
-/// serving node finds the handler in its own copy of the service table,
-/// and the fabric's inboxes keep their room.  Counted on the thread that
-/// steps both nodes, so both legs, the handler's spawn and its exit are in.
+/// request and reply are pooled buffers, the drainer's closure moves into
+/// its stack slot, the node's call queue and the caller's wait reuse the
+/// room earlier calls left, the serving node finds the handler in its own
+/// copy of the service table, and the fabric's inboxes keep their room.
+/// Counted on the thread that steps both nodes, so both legs, the
+/// drainer's spawn and its exit are in (one caller: a drainer per call).
 #[test]
 fn an_rpc_round_trip_allocates_nothing_in_steady_state() {
     use testkit::alloc::allocs_in;

@@ -489,6 +489,124 @@ fn rpc_survives_negotiation_freezes() {
 }
 
 // ---------------------------------------------------------------------------
+// Drainers: one handler thread serves the calls queued on its node
+// ---------------------------------------------------------------------------
+
+/// Answers by calling [`Square`] on its own node: the call it makes queues
+/// behind the one it is serving.
+struct Outer;
+impl Service for Outer {
+    const NAME: &'static str = "test.outer";
+    type Req = u64;
+    type Resp = u64;
+    fn handle(&self, req: u64) -> u64 {
+        pm2_rpc_call::<Square>(pm2_self(), req).unwrap() + 1
+    }
+}
+
+/// A service that blocks on a call to its own node is succeeded as the
+/// node's drainer, so the call it made is served and it is answered.
+#[test]
+fn a_handler_that_calls_its_own_node_is_answered() {
+    let mut m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(2))
+        .launch()
+        .unwrap();
+    m.register(Square);
+    m.register(Outer);
+    assert_eq!(m.rpc_call::<Outer>(1, 6), Ok(37));
+    let green = m.run_on(0, || pm2_rpc_call::<Outer>(1, 7)).unwrap();
+    assert_eq!(green, Ok(50));
+}
+
+/// Poll-yields until [`HOLD_RELEASED`] is set, after raising
+/// [`HOLD_ENTERED`].
+struct Hold;
+static HOLD_ENTERED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static HOLD_RELEASED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+impl Service for Hold {
+    const NAME: &'static str = "test.hold";
+    type Req = ();
+    type Resp = ();
+    fn handle(&self, _: ()) {
+        use std::sync::atomic::Ordering::SeqCst;
+        HOLD_ENTERED.store(true, SeqCst);
+        while !HOLD_RELEASED.load(SeqCst) {
+            pm2_yield();
+        }
+    }
+}
+
+/// A service that yields leaves its quantum and with it the node's queue:
+/// a second client's call is answered while the first is still held.
+#[test]
+fn a_call_queued_behind_a_yielding_handler_is_answered() {
+    use std::sync::atomic::Ordering::SeqCst;
+    let m = Machine::builder(2)
+        .test_profile()
+        .reply_deadline(Duration::from_secs(2))
+        .launch()
+        .unwrap();
+    m.register(Hold);
+    m.register(Square);
+    let held = m
+        .spawn_on_ret(0, || pm2_rpc_call::<Hold>(1, ()).is_ok())
+        .unwrap();
+    while !HOLD_ENTERED.load(SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let second = m.run_on(0, || pm2_rpc_call::<Square>(1, 9));
+    let first_still_held = held.try_join().is_none();
+    // Released before any assertion, so that a failure does not leave the
+    // held service spinning through the machine's shutdown.
+    HOLD_RELEASED.store(true, SeqCst);
+    assert_eq!(second, Ok(Ok(81)));
+    assert!(first_still_held, "answered while the first is held");
+    assert_eq!(held.join(), Ok(true));
+}
+
+/// Eight clients calling one node at once share its handler threads: the
+/// calls that queue during one drainer's quantum cost no spawn of their
+/// own (one thread per call would read 1,600 spawns).
+#[test]
+fn a_burst_of_calls_shares_handler_threads() {
+    const CLIENTS: u64 = 8;
+    const CALLS: u64 = 200;
+    let m = test_machine(2);
+    m.register(Square);
+    let before = m.node_stats(1).spawns;
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            m.spawn_on_ret(0, move || {
+                (0..CALLS)
+                    .filter(|&i| pm2_rpc_call::<Square>(1, c + i) == Ok((c + i) * (c + i)))
+                    .count() as u64
+            })
+            .unwrap()
+        })
+        .collect();
+    let answered: u64 = clients.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(answered, CLIENTS * CALLS);
+    let spawns = m.node_stats(1).spawns - before;
+    assert!(spawns <= CLIENTS * CALLS / 2, "{spawns} handler spawns");
+}
+
+/// LRPC traffic is counted once it has left: a call to a killed node fails
+/// typed at the send and adds nothing to the caller node's tally.
+#[test]
+fn a_call_to_a_killed_node_counts_no_traffic() {
+    let mut m = test_machine(2);
+    m.register(Square);
+    assert_eq!(m.run_on(0, || pm2_rpc_call::<Square>(1, 2)).unwrap(), Ok(4));
+    m.kill_node(1).unwrap();
+    let before = m.node_stats(0).rpc_remote;
+    let r = m.run_on(0, || pm2_rpc_call::<Square>(1, 3)).unwrap();
+    assert_eq!(r, Err(Pm2Error::NodeFailed(1)));
+    assert_eq!(m.node_stats(0).rpc_remote, before);
+}
+
+// ---------------------------------------------------------------------------
 // Wire property tests
 // ---------------------------------------------------------------------------
 
