@@ -212,13 +212,21 @@ pub fn pm2_thread_location(tid: u64) -> Option<usize> {
     with_ctx(|c| c.registry.location(tid))
 }
 
-/// Spawn a registered service on a (possibly remote) node — PM2's LRPC.
+/// Run byte-level service `service` on `args` on a (possibly remote) node
+/// and forget it — PM2's LRPC: an `RPC_CALL` with call id
+/// [`proto::NO_REPLY`], which nobody answers.  The args travel as a
+/// `Vec<u8>` request: over [`MAX_RPC_PAYLOAD`] encoded bytes they fail
+/// here with [`Pm2Error::PayloadTooLarge`].  A failure there is a line in
+/// the machine's output.
 pub fn pm2_rpc_spawn(node: usize, service: u32, args: &[u8]) -> Result<()> {
-    if node >= with_ctx(|c| c.n_nodes) {
-        return Err(Pm2Error::NoSuchNode(node));
-    }
-    let args = args.to_vec();
-    send_msg(node, &proto::RpcSpawn { service, args })?;
+    let call = with_ctx(|c| {
+        if node >= c.n_nodes {
+            return Err(Pm2Error::NoSuchNode(node));
+        }
+        let (args, max) = (args.to_vec(), MAX_RPC_PAYLOAD);
+        proto::encode_rpc_call(&c.pool, proto::NO_REPLY, c.node, service, &args, max)
+    })?;
+    send_to(node, tag::RPC_CALL, call)?;
     note_rpc_traffic(node);
     Ok(())
 }

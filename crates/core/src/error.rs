@@ -27,7 +27,7 @@ pub enum Pm2Error {
     Panicked(String),
     /// A typed LRPC named a service id no node has registered.
     NoSuchService(u32),
-    /// A typed LRPC payload exceeded the configured ceiling.
+    /// An LRPC payload (a spawn's args too) exceeded the ceiling.
     PayloadTooLarge {
         /// Encoded payload size.
         len: usize,

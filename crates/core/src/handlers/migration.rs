@@ -56,7 +56,10 @@ pub(crate) fn on_migration(ctx: &mut NodeCtx, m: Message) {
                 ctx.threads.insert((*d).tid, d);
                 // Adoption moves the thread's location — recovery and
                 // dead-owner join checks depend on this being current.
-                ctx.registry.set_location((*d).tid, ctx.node);
+                // Nobody looks a detached thread up.
+                if (*d).flags & marcel::thread::flags::DETACHED == 0 {
+                    ctx.registry.set_location((*d).tid, ctx.node);
+                }
                 // Arrival starts the hysteresis cooldown clock: the
                 // balancer won't re-plan this thread until `AFF_COOLDOWN`
                 // epochs elapse, so chatty-both-ways threads settle

@@ -4,8 +4,7 @@
 //! lifecycle, the pump); the per-tag protocol logic lives here, one
 //! module per protocol family:
 //!
-//! * [`spawn`] — thread creation and LRPC: `SPAWN_KEY`, `RPC_SPAWN`,
-//!   `RPC_CALL`;
+//! * [`spawn`] — thread creation and LRPC: `SPAWN_KEY`, `RPC_CALL`;
 //! * [`migration`] — thread arrival/rejection and remote migration
 //!   commands: `MIGRATION`, `MIGRATION_NAK`, `MIGRATE_CMD`;
 //! * [`negotiation`] — the slot-economy server side: point-to-point slot
@@ -37,8 +36,8 @@
 //! delivered it, as Madeleine does: a handler sees everything its sender
 //! sent before, so a `MIGRATE_CMD` that follows a `SPAWN_KEY` on a link
 //! finds the thread that spawn created.  The one exception is the freeze:
-//! a spawn-bearing message that lands while a §4.4 section holds the
-//! bitmap waits in `NodeCtx::deferred`, and the thaw dispatches it again.
+//! a `SPAWN_KEY` that lands while a §4.4 section holds the bitmap waits in
+//! `NodeCtx::deferred`, and the thaw dispatches it again.
 
 pub(crate) mod control;
 pub(crate) mod migration;
@@ -90,11 +89,8 @@ pub(crate) fn dispatch(ctx: &mut NodeCtx, m: Message) {
     match m.tag {
         // A spawn needs a stack slot (a bitmap mutation): while a §4.4
         // section holds the bitmap frozen, it waits for the thaw.
-        tag::SPAWN_KEY | tag::RPC_SPAWN | tag::RPC_CALL if ctx.frozen() => {
-            ctx.deferred.push_back(m)
-        }
+        tag::SPAWN_KEY if ctx.frozen() => ctx.deferred.push_back(m),
         tag::SPAWN_KEY => spawn::on_spawn_key(ctx, m),
-        tag::RPC_SPAWN => spawn::on_rpc_spawn(ctx, m),
         tag::RPC_CALL => spawn::on_rpc_call(ctx, m),
         tag::MIGRATION => migration::on_migration(ctx, m),
         tag::MIGRATION_NAK => migration::on_migration_nak(ctx, m),

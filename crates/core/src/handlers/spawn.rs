@@ -1,23 +1,27 @@
-//! Thread-creation and LRPC handlers: `SPAWN_KEY`, `RPC_SPAWN`,
-//! `RPC_CALL`.
+//! Thread-creation and LRPC handlers: `SPAWN_KEY`, `RPC_CALL`.
 //!
-//! All three may need a fresh stack slot (a bitmap mutation), so the
-//! dispatch table defers them while a negotiation has the bitmap frozen,
-//! and the thaw dispatches them again.
+//! A spawn needs a fresh stack slot (a bitmap mutation), so the dispatch
+//! table defers `SPAWN_KEY` while a negotiation has the bitmap frozen, and
+//! the thaw dispatches it again.  A call needs no slot until its drainer
+//! spawns, and [`spawn_drainer`] waits for the thaw itself.
 //!
-//! A typed LRPC is served by the node's **drainer**, not by a thread of
-//! its own: `RPC_CALL` queues the call in [`NodeCtx::calls`], and a node
-//! with calls queued and no drainer spawns one, which serves them in
-//! arrival order — a burst of calls costs one spawn.  It is the drainer
-//! only for the quantum it is in: once it yields, blocks, migrates or
-//! exits, the node's outcome hook spawns a successor for what is still
-//! queued, so a service that waits — even on a call to its own node —
-//! holds up no call behind it; the replaced thread finishes the call in
-//! hand and exits.  Drainers spawn into the scheduler's **control lane**
-//! ([`marcel::thread::flags::CONTROL`]): a serving node crowded with
-//! compute threads still turns replies around promptly.  They and
-//! `RPC_SPAWN`'s threads are [`marcel::thread::flags::DETACHED`]: their
-//! tid is minted here and handed to nobody, so nothing could join them.
+//! Every LRPC — typed, or a byte-level `pm2_rpc_spawn` — is served by the
+//! node's **drainer**, not by a thread of its own: `RPC_CALL` queues the
+//! call in [`NodeCtx::calls`], and a node with calls queued and no drainer
+//! spawns one, which serves them in arrival order — a burst of calls costs
+//! one spawn.  It is the drainer only for the quantum it is in: once it
+//! yields, blocks, migrates or exits, the node's outcome hook spawns a
+//! successor for what is still queued, so a service that waits — even on
+//! a call to its own node — holds up no call behind it; the replaced
+//! thread finishes the call in hand and exits.  Drainers spawn into the
+//! scheduler's **control lane** ([`marcel::thread::flags::CONTROL`]), so a
+//! serving node crowded with compute threads still turns replies around
+//! promptly; the hook takes a replaced drainer out of it, so a service
+//! that yields, blocks or migrates runs on as compute.  Drainers are
+//! [`marcel::thread::flags::DETACHED`]: their tid is minted here and
+//! handed to nobody, so nothing could join them.  A call whose id is
+//! [`proto::NO_REPLY`] is answered by nobody: how it failed, if it did,
+//! is a line in the serving node's output.
 
 use std::ops::Range;
 
@@ -29,7 +33,7 @@ use crate::node::{with_ctx, NodeCtx, PUMP_BUDGET};
 use crate::proto::{self, rpc_status, tag};
 use crate::service::{ErasedHandler, MAX_RPC_PAYLOAD};
 
-/// A typed LRPC waiting in [`NodeCtx::calls`] for the node's drainer: the
+/// An LRPC waiting in [`NodeCtx::calls`] for the node's drainer: the
 /// message that carried it, its call id, where to answer, where in the
 /// message the request bytes lie, and the service that answers.
 pub(crate) struct Call(Message, u64, usize, Range<usize>, ErasedHandler);
@@ -59,31 +63,9 @@ pub(crate) fn on_spawn_key(ctx: &mut NodeCtx, m: Message) {
     }
 }
 
-pub(crate) fn on_rpc_spawn(ctx: &mut NodeCtx, m: Message) {
-    let Some(proto::RpcSpawn { service, args }) = decode(ctx, &m) else {
-        return;
-    };
-    // Fire-and-forget: a request for an unregistered service has nobody
-    // to refuse, so it is dropped like any other malformed message.
-    let Some(f) = ctx.services.get(service) else {
-        ctx.out.printf(
-            ctx.node,
-            &format!("dropped rpc spawn of unregistered service {service}"),
-        );
-        return drop_malformed(ctx);
-    };
-    let tid = ctx.sched.next_tid();
-    if let Err(e) = ctx.try_spawn(tid, flags::DETACHED, move || f(args)) {
-        // Out of stack slots under a spawn flood: the request is lost
-        // (nobody awaits it), the node is not.
-        ctx.out.printf(ctx.node, &format!("dropped rpc spawn: {e}"));
-    }
-}
-
 pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
-    // The reply destination travels in the payload, NOT in `m.src`,
-    // so it survives a deferred replay (`NodeCtx::thaw`) and any handler
-    // migration before the response is sent.
+    // The reply destination travels in the payload, NOT in `m.src`, so it
+    // survives any handler migration before the response is sent.
     let Some((call_id, reply_to, service, req)) = proto::decode_rpc_call(&m.payload) else {
         return drop_malformed(ctx); // Nothing to reply to.
     };
@@ -91,7 +73,13 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
         let msg = format!("request of {} bytes exceeds ceiling", req.len());
         return refuse(ctx, reply_to, call_id, rpc_status::REMOTE_ERROR, &msg);
     }
-    let Some(handler) = ctx.typed_service(service) else {
+    let Some(handler) = ctx.service(service) else {
+        if call_id == proto::NO_REPLY {
+            // Nobody to refuse: dropped like any other malformed message.
+            let line = format!("dropped rpc spawn of unregistered service {service}");
+            ctx.out.printf(ctx.node, &line);
+            return drop_malformed(ctx);
+        }
         return refuse(ctx, reply_to, call_id, rpc_status::NO_SUCH_SERVICE, "");
     };
     // LRPC semantics: the call is served by a Marcel thread, so a service
@@ -102,8 +90,13 @@ pub(crate) fn on_rpc_call(ctx: &mut NodeCtx, m: Message) {
     spawn_drainer(ctx);
 }
 
-/// Answer call `call_id` with `status` and `msg` instead of a result.
+/// Answer call `call_id` with `status` and `msg` instead of a result; a
+/// call nobody awaits is reported on the node instead.
 fn refuse(ctx: &mut NodeCtx, reply_to: usize, call_id: u64, status: u8, msg: &str) {
+    if call_id == proto::NO_REPLY {
+        let line = format!("dropped rpc spawn: {msg}");
+        return ctx.out.printf(ctx.node, &line);
+    }
     let resp = proto::encode_rpc_resp(&ctx.pool, call_id, status, msg.as_bytes());
     let _ = ctx.ep.send(reply_to, tag::RPC_RESP, resp);
 }
@@ -141,10 +134,15 @@ fn drain(me: u64) {
         let w = with_ctx(|c| proto::rpc_reply_writer(&c.pool));
         let reply =
             proto::encode_rpc_reply(w, call_id, MAX_RPC_PAYLOAD, |w| handler(&m.payload[req], w));
-        // The reply is RPC-shaped traffic too: the serving side accounts it
-        // once it has left, so both ends of a chatty pair accumulate
-        // affinity toward each other.
-        if crate::api::send_to(reply_to, tag::RPC_RESP, reply).is_ok() {
+        if call_id == proto::NO_REPLY {
+            if let Some((_, rpc_status::REMOTE_ERROR, text)) = proto::decode_rpc_resp(&reply) {
+                let line = format!("rpc spawn failed: {}", String::from_utf8_lossy(text));
+                with_ctx(|c| c.out.printf(c.node, &line));
+            }
+        } else if crate::api::send_to(reply_to, tag::RPC_RESP, reply).is_ok() {
+            // The reply is RPC-shaped traffic too: the serving side
+            // accounts it once it has left, so both ends of a chatty pair
+            // accumulate affinity toward each other.
             crate::api::note_rpc_traffic(reply_to);
         }
     }

@@ -57,8 +57,8 @@
 //! | `pm2_isomalloc` / `pm2_isofree`      | [`iso::IsoBox`], [`iso::IsoVec`], [`iso::IsoList`]  |
 //! | `pm2_thread_create` (fire-and-forget)| [`api::pm2_thread_create_ret`] → [`api::pm2_join_value`] |
 //! | `Machine::spawn_on` + `join` (bool)  | [`Machine::spawn_on_ret`] → [`machine::JoinHandle`] |
-//! | `pm2_rpc_spawn(id, bytes)`           | [`api::pm2_rpc_call`]`::<S>` / [`Machine::rpc_call`]`::<S>` |
-//! | `register_service(id, bytes_fn)`     | [`Machine::register`]`::<S: `[`Service`]`>`         |
+//! | `pm2_rpc_spawn(id, bytes)`           | [`api::pm2_rpc_call`]`::<S>` / [`Machine::rpc_call`]`::<S>` (one `RPC_CALL` path: a spawn is a call nobody answers) |
+//! | `register_service(id, bytes_fn)`     | [`Machine::register`]`::<S: `[`Service`]`>` (one service table) |
 //! | hand-rolled `PayloadWriter` framing  | [`Wire`] encode/decode                              |
 //! | `pm2_join` → "panicked or not"       | [`Pm2Error::Panicked`] carrying the panic message   |
 //!
@@ -80,8 +80,9 @@
 //!   it has none: a quiet default machine makes no wake-ups at all;
 //! * the marcel scheduler runs a **control lane** (bounded bursts, never
 //!   starving compute): LRPC drainers — one thread serving a node's
-//!   queued calls until it yields, blocks or migrates, not one per call —
-//!   and daemons flagged via [`api::pm2_set_control_priority`] overtake
+//!   queued calls, typed or spawned, until it yields, blocks or migrates,
+//!   not one per call; a service that does runs on as compute — and
+//!   daemons flagged via [`api::pm2_set_control_priority`] overtake
 //!   compute quanta;
 //! * per-tag protocol logic lives in the `handlers/` module tree
 //!   (spawn/rpc, migration, negotiation, control) behind one dispatch
@@ -334,7 +335,8 @@
 //!   one setter per knob;
 //! * [`api`] — the green-side programming interface (§3.4 plus the typed
 //!   v1 calls) for code running inside Marcel threads;
-//! * [`service`] — the typed request/reply LRPC layer ([`Service`]);
+//! * [`service`] — LRPC: the one service table, byte-level spawns and
+//!   typed request/reply ([`Service`]) alike;
 //! * [`proto`] — the control plane declared once: the tag table and the
 //!   message structs every exchange is encoded from and decoded into;
 //! * [`negotiation`] — remote slot acquisition: trade-first economy with

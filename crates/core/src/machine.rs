@@ -26,8 +26,8 @@ use crate::error::{Pm2Error, Result};
 use crate::node::{with_ctx, NodeCtx, NodeStats, NodeStatsSnapshot};
 use crate::output::OutputSink;
 use crate::proto::{self, tag, Msg};
-use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit};
-use crate::service::{Service, TypedServiceTable};
+use crate::registry::{Registry, SpawnTable, ThreadExit};
+use crate::service::{Service, ServiceTable};
 
 /// Host-assigned thread ids live in a separate namespace from node-assigned
 /// ones (`node << 40 | counter`).
@@ -124,7 +124,6 @@ pub struct Machine {
     registry: Arc<Registry>,
     spawn_table: Arc<SpawnTable>,
     services: Arc<ServiceTable>,
-    typed_services: Arc<TypedServiceTable>,
     slot_stats: Vec<Arc<isoaddr::SlotStats>>,
     node_stats: Vec<Arc<NodeStats>>,
     /// Per-node wealth hint tables (last-known free-slot count per peer).
@@ -162,8 +161,7 @@ impl Machine {
         let out = OutputSink::new();
         let registry = Registry::new_shared();
         let spawn_table = SpawnTable::new_shared();
-        let services = ServiceTable::new_shared();
-        let typed_services = TypedServiceTable::new_shared();
+        let services = Arc::<ServiceTable>::default();
 
         let ctxs: Vec<NodeCtx> = eps
             .into_iter()
@@ -177,7 +175,6 @@ impl Machine {
                     Arc::clone(&registry),
                     Arc::clone(&spawn_table),
                     Arc::clone(&services),
-                    Arc::clone(&typed_services),
                 )
             })
             .collect();
@@ -196,7 +193,6 @@ impl Machine {
             registry,
             spawn_table,
             services,
-            typed_services,
             slot_stats,
             node_stats,
             wealth,
@@ -232,20 +228,21 @@ impl Machine {
         &self.area
     }
 
-    /// Register a raw byte-level LRPC service (the paper-faithful layer;
-    /// do this before any `rpc_spawn` names it).
+    /// Register byte-level LRPC service `id` (the paper's form, one more
+    /// entry in the service table): `f` runs on the args of each spawn
+    /// naming `id`.  Do this before any `rpc_spawn` names it.
     pub fn register_service<F>(&self, id: u32, f: F)
     where
         F: Fn(Vec<u8>) + Send + Sync + 'static,
     {
-        self.services.register(id, Arc::new(f));
+        self.services.register_raw(id, f);
     }
 
     /// Register a typed request/reply [`Service`] by type.  Callable from
     /// any node afterwards via [`crate::api::pm2_rpc_call`], or from the
     /// host via [`Machine::rpc_call`].
     pub fn register<S: Service>(&self, svc: S) {
-        self.typed_services.register(svc);
+        self.services.register(svc);
     }
 
     /// Spawn `f` as a Marcel thread on `node`.
@@ -295,14 +292,18 @@ impl Machine {
         })
     }
 
-    /// Spawn a registered byte-level service on `node` from the host
-    /// (fire and forget — PM2's original LRPC).
+    /// Run byte-level service `service` on `args` on `node` from the host
+    /// and forget it (PM2's original LRPC): an `RPC_CALL` nobody answers,
+    /// its args bounded like any request (see [`crate::api::pm2_rpc_spawn`]).
     pub fn rpc_spawn(&self, node: usize, service: u32, args: &[u8]) -> Result<()> {
         if node >= self.cfg.nodes {
             return Err(Pm2Error::NoSuchNode(node));
         }
-        let args = args.to_vec();
-        self.send_msg(node, &proto::RpcSpawn { service, args })
+        let (pool, me) = (self.host_ep.pool(), self.host_ep.node());
+        let (args, max) = (args.to_vec(), crate::service::MAX_RPC_PAYLOAD);
+        let call = proto::encode_rpc_call(pool, proto::NO_REPLY, me, service, &args, max)?;
+        self.host_ep.send(node, tag::RPC_CALL, call)?;
+        Ok(())
     }
 
     /// Fault-injection hook: deliver a raw fabric message to `node` as if a
@@ -814,7 +815,14 @@ impl Machine {
 }
 
 impl Drop for Machine {
+    /// Shut down; a machine dropped by a panic (a failing test) is killed
+    /// first, so a green thread that never ends cannot hold the panic in.
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            for node in 0..self.cfg.nodes {
+                let _ = self.kill_inner(node, false);
+            }
+        }
         self.shutdown();
     }
 }

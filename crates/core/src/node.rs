@@ -115,8 +115,8 @@ use crate::migration;
 use crate::nodeheap::NodeHeap;
 use crate::output::OutputSink;
 use crate::proto::{self, tag, Msg};
-use crate::registry::{Registry, ServiceTable, SpawnTable, ThreadExit, TidMap};
-use crate::service::{panic_text, ErasedHandler, TypedServiceTable};
+use crate::registry::{Registry, SpawnTable, ThreadExit, TidMap};
+use crate::service::{panic_text, ErasedHandler, ServiceTable};
 use crate::spill::SpillLog;
 use crate::wait::{For, WaitTable};
 
@@ -304,10 +304,9 @@ pub(crate) struct NodeCtx {
     pub registry: Arc<Registry>,
     pub spawn_table: Arc<SpawnTable>,
     pub services: Arc<ServiceTable>,
-    pub typed_services: Arc<TypedServiceTable>,
-    /// The typed services this node has served, copied out of
-    /// `typed_services` on first use: a service cannot be registered twice,
-    /// so the copy never goes stale, and a call takes no lock to find it.
+    /// The services this node has served, copied out of `services` on
+    /// first use: a service cannot be registered twice, so the copy never
+    /// goes stale, and a call takes no lock to find it.
     served: TidMap<u32, ErasedHandler>,
     pub nodeheap: NodeHeap,
     pub stats: Arc<NodeStats>,
@@ -318,12 +317,12 @@ pub(crate) struct NodeCtx {
     /// Green threads parked on this node, each filed under what it waits
     /// for (see [`crate::wait`]).
     pub waits: WaitTable,
-    /// Spawn-bearing messages (SPAWN_KEY / RPC_SPAWN / RPC_CALL) received
-    /// while the bitmap was frozen; the thaw dispatches them again.  Never
-    /// re-sent to self — a self-send is immediately deliverable, so the
-    /// pump's drain loop would chase its own re-injection forever.
+    /// `SPAWN_KEY`s received while the bitmap was frozen; the thaw
+    /// dispatches them again.  Never re-sent to self — a self-send is
+    /// immediately deliverable, so the pump's drain loop would chase its
+    /// own re-injection forever.
     pub deferred: VecDeque<Message>,
-    /// Typed LRPCs waiting for the node's drainer (`handlers::spawn`).
+    /// LRPCs waiting for the node's drainer (`handlers::spawn`).
     pub calls: VecDeque<handlers::spawn::Call>,
     /// The thread serving `calls` in the quantum it is in, if any.
     pub drainer: Option<u64>,
@@ -465,7 +464,6 @@ impl NodeCtx {
         registry: Arc<Registry>,
         spawn_table: Arc<SpawnTable>,
         services: Arc<ServiceTable>,
-        typed_services: Arc<TypedServiceTable>,
     ) -> Self {
         let pool = ep.pool().clone();
         // Wealth prior: an even split — refined by the first piggybacked
@@ -503,7 +501,6 @@ impl NodeCtx {
             registry,
             spawn_table,
             services,
-            typed_services,
             served: TidMap::default(),
             nodeheap: NodeHeap::default(),
             stats: Arc::new(NodeStats::default()),
@@ -550,13 +547,13 @@ impl NodeCtx {
         Instant::now()
     }
 
-    /// The handler of typed service `id`, if one is registered: from this
-    /// node's copy, filled from the machine's table on first use.
-    pub(crate) fn typed_service(&mut self, id: u32) -> Option<ErasedHandler> {
+    /// The handler of service `id`, if one is registered: from this node's
+    /// copy, filled from the machine's table on first use.
+    pub(crate) fn service(&mut self, id: u32) -> Option<ErasedHandler> {
         if let Some(h) = self.served.get(&id) {
             return Some(Arc::clone(h));
         }
-        let h = self.typed_services.get(id)?;
+        let h = self.services.get(id)?;
         self.served.insert(id, Arc::clone(&h));
         Some(h)
     }
@@ -1204,6 +1201,12 @@ impl NodeCtx {
             outcome;
         // SAFETY: `d` came from this scheduler's run_one, not yet released.
         let drained = self.drainer.is_some_and(|t| t == unsafe { (*d).tid });
+        if drained {
+            // The control lane serves the queue, not the services: one that
+            // left its quantum runs on as compute, wherever it goes.
+            // SAFETY: as above; requeue and departure read the flag below.
+            unsafe { (*d).flags &= !marcel::thread::flags::CONTROL };
+        }
         match outcome {
             // SAFETY: `d` came from this scheduler's run_one.
             Yielded(d) => unsafe { self.sched.requeue(d) },
@@ -1250,21 +1253,20 @@ impl NodeCtx {
             if detached && !panicked {
                 // Nobody holds this tid, so nobody can ask how it ended:
                 // a clean exit is forgotten, here and at home.
-                self.registry.clear_location(tid);
-            } else {
-                let exit = ThreadExit {
-                    tid,
-                    panicked,
-                    died_on: self.node,
-                    panic_msg: note.panic_msg,
-                    value: note.value,
-                    failed_node: None,
-                };
-                if home != self.node {
-                    let _ = self.send_msg(home, &exit);
-                }
-                self.registry.complete(exit);
+                return;
             }
+            let exit = ThreadExit {
+                tid,
+                panicked,
+                died_on: self.node,
+                panic_msg: note.panic_msg,
+                value: note.value,
+                failed_node: None,
+            };
+            if home != self.node {
+                let _ = self.send_msg(home, &exit);
+            }
+            self.registry.complete(exit);
         }
     }
 
@@ -1415,7 +1417,11 @@ impl NodeCtx {
         // SAFETY: freshly spawned descriptor, not yet run.
         unsafe { (*d).heap.policy = self.cfg.fit as u32 };
         self.threads.insert(tid, d);
-        self.registry.set_location(tid, self.node);
+        // Nobody looks a detached thread up (see `finish_thread`).
+        // SAFETY: as above.
+        if unsafe { (*d).flags } & marcel::thread::flags::DETACHED == 0 {
+            self.registry.set_location(tid, self.node);
+        }
         self.stats.spawns.add(1);
     }
 }

@@ -63,8 +63,6 @@ macro_rules! tags {
 tags! {
     /// Host → node: spawn the closure stored under a spawn-table key.
     SPAWN_KEY = 1;
-    /// Any → node: spawn a registered service (LRPC-style remote spawn).
-    RPC_SPAWN = 2;
     /// Node → node: a packed migration *train* — one message carrying k ≥ 1
     /// threads bound for this node (count + tid/offset table + records; see
     /// `crate::migration` for the wire shape).
@@ -115,7 +113,8 @@ tags! {
     /// Node → home node: thread exited (for cross-node joins; carries the
     /// panic message and the Wire-encoded return value when present).
     THREAD_EXIT = 28;
-    /// Any → node: typed LRPC request (call id, service id, request bytes).
+    /// Any → node: LRPC request (call id, reply-to, service id, request
+    /// bytes).  A spawn's call id, `NO_REPLY`, is answered by nobody.
     RPC_CALL = 30;
     /// Serving node → caller: typed LRPC response (call id, status, bytes).
     RPC_RESP = 31;
@@ -249,9 +248,6 @@ impl Wire for Ranges {
 message! {
     /// Host → node: run the closure parked under `key` as thread `tid`.
     SpawnKey = SPAWN_KEY { key: u64, tid: u64 }
-
-    /// Fire-and-forget spawn of byte-level service `service` on `args`.
-    RpcSpawn = RPC_SPAWN { service: u32, args: Vec<u8> }
 
     /// §4.4 (a): the lock for one round, asked for and granted.  Every
     /// leg of a round names it, so a late reply never answers another.
@@ -399,16 +395,20 @@ fn rpc_body_len(len: usize, max: usize) -> Option<u32> {
     u32::try_from(len).ok().filter(|_| len <= max)
 }
 
+/// The call id of an `RPC_CALL` nobody awaits (`pm2_rpc_spawn`): its
+/// serving node sends no reply.  No node mints it — a node's call counter
+/// starts at 1.
+pub const NO_REPLY: u64 = 0;
+
 /// Encode an `RPC_CALL` payload, the typed request written in place behind
 /// the header and its length back-patched — the one request encoder (the
 /// host calls through a green thread too).  Fails with
 /// [`Pm2Error::PayloadTooLarge`] when the encoded request exceeds `max`.
 ///
 /// `reply_to` is the fabric id the response must be sent to, carried
-/// explicitly rather than recovered from `Message::src`: the request may be
-/// parked and replayed by a frozen node and the handler may migrate before
-/// replying, so the response must not depend on any fabric metadata of the
-/// original delivery.
+/// explicitly rather than recovered from `Message::src`: the service may
+/// migrate before replying, so the response must not depend on any fabric
+/// metadata of the original delivery.
 pub fn encode_rpc_call<Q: Wire>(
     pool: &BufPool,
     call_id: u64,

@@ -1,5 +1,4 @@
-//! Machine-wide registries: thread completions, host spawn payloads, and
-//! the LRPC service table.
+//! Machine-wide registries: thread completions and host spawn payloads.
 //!
 //! The completion registry is the simulation stand-in for PM2's thread-exit
 //! notification: on a real cluster, node-local exits are signalled to
@@ -324,8 +323,9 @@ impl Registry {
 /// messages; the host parks them here and ships the key).
 ///
 /// This is an explicitly documented in-process shortcut: on a real cluster
-/// the equivalent facility is the LRPC [`ServiceTable`] below, whose service
-/// code is replicated on every node by the SPMD model.
+/// the equivalent facility is the LRPC service table
+/// (`crate::service::ServiceTable`), whose service code is replicated on
+/// every node by the SPMD model.
 #[derive(Default)]
 pub struct SpawnTable {
     /// Key counter — a plain atomic, not a mutex: `park` is called from
@@ -350,39 +350,6 @@ impl SpawnTable {
     /// Take a parked closure.
     pub fn take(&self, key: u64) -> Option<Box<dyn FnOnce() + Send + 'static>> {
         self.table.lock().unwrap().remove(&key)
-    }
-}
-
-/// LRPC service table: named thread bodies, registered before launch and
-/// conceptually replicated on every node (SPMD).  A remote spawn ships only
-/// the service id and an argument byte string — exactly how PM2's LRPC
-/// starts handler threads on remote nodes.
-///
-/// This is the fire-and-forget, paper-faithful layer.  The typed
-/// request/reply facade lives in [`crate::service`].
-#[derive(Default)]
-pub struct ServiceTable {
-    table: Mutex<TidMap<u32, RawService>>,
-}
-
-/// A byte-level fire-and-forget service body.
-pub type RawService = Arc<dyn Fn(Vec<u8>) + Send + Sync + 'static>;
-
-impl ServiceTable {
-    /// Fresh shared table.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(ServiceTable::default())
-    }
-
-    /// Register service `id`.  Panics on duplicate registration.
-    pub fn register(&self, id: u32, f: Arc<dyn Fn(Vec<u8>) + Send + Sync + 'static>) {
-        let prev = self.table.lock().unwrap().insert(id, f);
-        assert!(prev.is_none(), "service {id} registered twice");
-    }
-
-    /// Look up service `id`.
-    pub fn get(&self, id: u32) -> Option<Arc<dyn Fn(Vec<u8>) + Send + Sync + 'static>> {
-        self.table.lock().unwrap().get(&id).cloned()
     }
 }
 
@@ -453,22 +420,5 @@ mod tests {
         let by_count: Vec<u64> = (1..=16).map(|count| 3 << 40 | count).collect();
         assert!(buckets(&by_node) >= 12, "node bits: {}", buckets(&by_node));
         assert!(buckets(&by_count) >= 12, "counter: {}", buckets(&by_count));
-    }
-
-    #[test]
-    fn service_table_lookup() {
-        let t = ServiceTable::default();
-        t.register(3, Arc::new(|args| assert_eq!(args, b"x")));
-        let f = t.get(3).unwrap();
-        f(b"x".to_vec());
-        assert!(t.get(4).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn service_double_registration_panics() {
-        let t = ServiceTable::default();
-        t.register(1, Arc::new(|_| {}));
-        t.register(1, Arc::new(|_| {}));
     }
 }

@@ -1,32 +1,27 @@
-//! Typed request/reply LRPC — the v1 face of PM2's "light-weight remote
-//! procedure call".
+//! LRPC — PM2's "light-weight remote procedure call": a service runs in a
+//! Marcel thread on the node the request lands on.
 //!
-//! The paper's LRPC is spawn-only: `pm2_rpc_spawn(service_id, byte_args)`
-//! starts a handler thread on a remote node and forgets it.  That layer
-//! stays (see [`crate::registry::ServiceTable`]); this module adds the
-//! request/reply form applications actually want: a [`Service`] is a type
-//! with [`Wire`]-encodable request and response types, registered *by
-//! type*, and [`crate::api::pm2_rpc_call`] /
-//! [`crate::machine::Machine::rpc_call`] perform a typed round trip built
-//! on the same wait-table mechanics as the negotiation gather.
-//!
-//! Handlers still run in Marcel threads on the serving node — PM2's LRPC
-//! model — so a handler may itself block, allocate iso-address memory,
-//! spawn, or even migrate before replying.  The node's *drainer* thread
-//! serves its queued calls in arrival order within one quantum, and a
-//! successor takes over the moment it yields, blocks, migrates or exits:
-//! a burst of calls costs one spawn, not one per call.
+//! One table (`ServiceTable`) holds both faces: the paper's byte-level
+//! `pm2_rpc_spawn(service_id, byte_args)`, which runs a service and
+//! forgets it (its call id is [`crate::proto::NO_REPLY`]), and the
+//! request/reply form: a [`Service`] is a type with [`Wire`]-encodable
+//! request and response types, registered *by type*, and
+//! [`crate::api::pm2_rpc_call`] / [`crate::machine::Machine::rpc_call`]
+//! perform a typed round trip built on the same wait-table mechanics as
+//! the negotiation gather.  Both are an `RPC_CALL` served by the node's
+//! *drainer* (see `handlers::spawn`), so a service may block, allocate
+//! iso-address memory, spawn, or even migrate before replying.
 //!
 //! The data path moves each payload byte once per leg.  The caller encodes
-//! the typed request straight into the pooled `RPC_CALL` payload
+//! the request straight into the pooled `RPC_CALL` payload
 //! ([`crate::proto::encode_rpc_call`]); the serving node keeps that message
 //! and lends the drainer the request bytes inside it; the erased
 //! handler decodes from the borrowed slice and encodes the response
 //! straight into the pooled `RPC_RESP` payload; the caller decodes from the
 //! reply it was handed.  Drainers are *detached*
 //! ([`marcel::thread::flags::DETACHED`]): nobody can join a thread whose
-//! tid never leaves the serving node, so a clean exit leaves no completion
-//! record behind.
+//! tid never leaves the serving node, so it leaves no trace in the
+//! machine's registry.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +30,8 @@ use std::sync::{Arc, Mutex};
 use madeleine::message::PayloadWriter;
 use madeleine::Wire;
 
-/// Largest encoded request or response body a typed LRPC carries, in
-/// bytes.  An oversized request fails at the caller with
+/// Largest encoded request or response body an LRPC carries, in bytes — a
+/// spawn's args included.  An oversized request fails at the caller with
 /// [`crate::Pm2Error::PayloadTooLarge`]; an oversized response fails at the
 /// serving node and reaches the caller as [`crate::Pm2Error::Rpc`].
 pub const MAX_RPC_PAYLOAD: usize = 1 << 20;
@@ -97,47 +92,56 @@ pub(crate) type ErasedHandler = Arc<
     dyn Fn(&[u8], &mut PayloadWriter) -> std::result::Result<(), String> + Send + Sync + 'static,
 >;
 
-/// Typed services, erased to byte handlers and keyed by wire id.
-/// Conceptually replicated on every node (SPMD), like [`ServiceTable`]
-/// (`crate::registry::ServiceTable`).
+/// Every service, typed and byte-level, erased to a byte handler and keyed
+/// by wire id.  Conceptually replicated on every node (SPMD).
 #[derive(Default)]
-pub(crate) struct TypedServiceTable {
-    table: Mutex<HashMap<u32, (&'static str, ErasedHandler)>>,
+pub(crate) struct ServiceTable {
+    table: Mutex<HashMap<u32, (String, ErasedHandler)>>,
 }
 
-impl TypedServiceTable {
-    pub(crate) fn new_shared() -> Arc<Self> {
-        Arc::new(TypedServiceTable::default())
-    }
-
+impl ServiceTable {
     /// Register `svc` under its type's wire id.  Panics on duplicate
     /// registration and on (astronomically unlikely) name-hash collisions,
     /// both of which are configuration bugs.
     pub(crate) fn register<S: Service>(&self, svc: S) {
-        let id = service_id::<S>();
-        let svc = Arc::new(svc);
+        self.insert(service_id::<S>(), S::NAME.into(), move |req| {
+            svc.handle(req)
+        });
+    }
+
+    /// Register byte-level service `id`: a service whose request is its
+    /// args, a `Vec<u8>`, and which answers nothing.  Panics on duplicate
+    /// registration.
+    pub(crate) fn register_raw(&self, id: u32, f: impl Fn(Vec<u8>) + Send + Sync + 'static) {
+        self.insert(id, format!("#{id}"), f);
+    }
+
+    /// File service body `f` under `id`, erased to a byte handler that
+    /// names the service `name` in its failures.
+    fn insert<Q: Wire, R: Wire>(
+        &self,
+        id: u32,
+        name: String,
+        f: impl Fn(Q) -> R + Send + Sync + 'static,
+    ) {
+        let mut table = self.table.lock().unwrap();
+        if let Some((prev, _)) = table.get(&id) {
+            if *prev == name {
+                panic!("service {name} registered twice");
+            }
+            panic!("service id collision: {prev} vs {name}");
+        }
+        let label = name.clone();
         let handler: ErasedHandler = Arc::new(move |req_bytes: &[u8], w: &mut PayloadWriter| {
-            let req = S::Req::decode_vec(req_bytes)
-                .ok_or_else(|| format!("request for {} failed to decode", S::NAME))?;
-            let resp = catch_unwind(AssertUnwindSafe(|| svc.handle(req))).map_err(|p| {
-                format!(
-                    "handler for {} panicked: {}",
-                    S::NAME,
-                    panic_text(p.as_ref())
-                )
-            })?;
+            let req = Q::decode_vec(req_bytes)
+                .ok_or_else(|| format!("request for {label} failed to decode"))?;
+            let resp = catch_unwind(AssertUnwindSafe(|| f(req)))
+                .map_err(|p| format!("handler for {label} panicked: {}", panic_text(p.as_ref())))?;
             w.reserve(resp.size_hint());
             resp.encode(w);
             Ok(())
         });
-        let mut table = self.table.lock().unwrap();
-        if let Some((prev_name, _)) = table.get(&id) {
-            if *prev_name == S::NAME {
-                panic!("service {} registered twice", S::NAME);
-            }
-            panic!("service id collision: {} vs {}", prev_name, S::NAME);
-        }
-        table.insert(id, (S::NAME, handler));
+        table.insert(id, (name, handler));
     }
 
     /// Look up the handler for wire id `id`.
@@ -207,7 +211,7 @@ mod tests {
 
     #[test]
     fn erased_roundtrip() {
-        let t = TypedServiceTable::default();
+        let t = ServiceTable::default();
         t.register(Echo);
         let h = t.get(service_id::<Echo>()).unwrap();
         let resp = run(&h, &String::from("hi").encode_vec()).unwrap();
@@ -217,7 +221,7 @@ mod tests {
 
     #[test]
     fn bad_request_bytes_become_error() {
-        let t = TypedServiceTable::default();
+        let t = ServiceTable::default();
         t.register(Echo);
         let h = t.get(service_id::<Echo>()).unwrap();
         let err = run(&h, &[0xFF]).unwrap_err();
@@ -226,7 +230,7 @@ mod tests {
 
     #[test]
     fn handler_panic_becomes_error() {
-        let t = TypedServiceTable::default();
+        let t = ServiceTable::default();
         t.register(Bomb);
         let h = t.get(service_id::<Bomb>()).unwrap();
         let prev = std::panic::take_hook();
@@ -239,8 +243,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "registered twice")]
     fn double_registration_panics() {
-        let t = TypedServiceTable::default();
+        let t = ServiceTable::default();
         t.register(Echo);
         t.register(Echo);
+    }
+
+    #[test]
+    fn service_table_lookup() {
+        let t = ServiceTable::default();
+        t.register_raw(3, |args| assert_eq!(args, b"x"));
+        let h = t.get(3).unwrap();
+        let answer = run(&h, &b"x".to_vec().encode_vec());
+        assert_eq!(
+            answer,
+            Ok(Vec::new()),
+            "a byte-level service answers nothing"
+        );
+        assert!(t.get(4).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "registered twice")]
+    fn service_double_registration_panics() {
+        let t = ServiceTable::default();
+        t.register_raw(1, |_| {});
+        t.register_raw(1, |_| {});
     }
 }

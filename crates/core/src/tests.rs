@@ -178,20 +178,23 @@ fn join_across_nodes() {
 
 #[test]
 fn rpc_spawn_runs_service_remotely() {
+    use crate::service::MAX_RPC_PAYLOAD;
+    use crate::Pm2Error;
+    use std::time::Duration;
     let mut m = test_machine(2);
     let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<u8>)>();
     m.register_service(9, move |args| {
         tx.send((pm2_self(), args)).unwrap();
     });
-    // Nobody holds an rpc_spawn'd thread's tid, so nobody could read how
-    // it ended: a clean exit leaves no completion record behind.
+    // Nobody holds the tid of the thread that served a spawn, so nobody
+    // could read how it ended: a clean exit leaves no completion record.
     let before = m.registry().completed_count();
     const SPAWNS: usize = 100;
     for _ in 0..SPAWNS {
         m.rpc_spawn(1, 9, b"hello").unwrap();
     }
     for _ in 0..SPAWNS {
-        let (node, args) = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
+        let (node, args) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(node, 1);
         assert_eq!(args, b"hello");
     }
@@ -202,6 +205,35 @@ fn rpc_spawn_runs_service_remotely() {
         before + 1,
         "only run_on's own thread is recorded"
     );
+
+    // A service that panics is one line on its node, not a record, and
+    // the spawns behind it are served.
+    m.register_service(10, |_| panic!("service 10 refuses"));
+    let lines = m.output_lines().len();
+    m.rpc_spawn(1, 10, b"").unwrap();
+    m.rpc_spawn(1, 9, b"after").unwrap();
+    let served = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(served, (1, b"after".to_vec()));
+    assert_eq!(
+        m.registry().completed_count(),
+        before + 1,
+        "the panic left a record"
+    );
+    let new = m.output_lines().split_off(lines);
+    assert_eq!(new.len(), 1, "{new:?}");
+    assert!(new[0].contains("service 10 refuses"), "{new:?}");
+
+    // The args travel as a `Vec<u8>` request — a length, then the bytes —
+    // so they are bounded like one.
+    let args = vec![7u8; MAX_RPC_PAYLOAD + 1];
+    let too_large = |r: crate::Result<()>| matches!(r, Err(Pm2Error::PayloadTooLarge { .. }));
+    assert!(too_large(m.rpc_spawn(1, 9, &args[..MAX_RPC_PAYLOAD - 3])));
+    m.rpc_spawn(1, 9, &args[..MAX_RPC_PAYLOAD - 4]).unwrap();
+    let (_, served) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(served.len(), MAX_RPC_PAYLOAD - 4);
+    assert!(too_large(
+        m.run_on(0, move || pm2_rpc_spawn(1, 9, &args)).unwrap()
+    ));
     m.shutdown();
 }
 
@@ -234,8 +266,7 @@ pub(crate) fn bare_node(cfg: Pm2Config) -> (NodeCtx, Endpoint, Endpoint) {
         crate::output::OutputSink::new(),
         crate::registry::Registry::new_shared(),
         crate::registry::SpawnTable::new_shared(),
-        crate::registry::ServiceTable::new_shared(),
-        crate::service::TypedServiceTable::new_shared(),
+        Default::default(),
     );
     (ctx, ep1, host)
 }
@@ -254,7 +285,6 @@ pub(crate) fn bare_pair(cfg: Pm2Config) -> (NodeCtx, NodeCtx, Endpoint) {
         Arc::clone(&n0.registry),
         Arc::clone(&n0.spawn_table),
         Arc::clone(&n0.services),
-        Arc::clone(&n0.typed_services),
     );
     (n0, n1, host)
 }
@@ -428,7 +458,7 @@ fn an_rpc_round_trip_allocates_nothing_in_steady_state() {
     use testkit::alloc::allocs_in;
     const CALLS: u64 = 10_000;
     let (mut n0, mut n1, _host) = bare_pair(Pm2Config::test(2));
-    n0.typed_services.register(Double);
+    n0.services.register(Double);
     let caller = || {
         for x in 0.. {
             assert_eq!(pm2_rpc_call::<Double>(1, x), Ok(2 * x));

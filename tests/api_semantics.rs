@@ -71,6 +71,27 @@ fn rpc_spawn_from_green_thread() {
     m.shutdown();
 }
 
+/// A machine dropped by a failing test does not hang the test binary: its
+/// nodes die with the panic, a green thread that would never end with
+/// them, and the panic gets out.
+#[test]
+fn a_machine_dropped_by_a_panic_lets_the_panic_out() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let unwound = std::panic::catch_unwind(|| {
+            let m = machine(2);
+            m.spawn_on(1, || loop {
+                pm2_yield();
+            })
+            .unwrap();
+            panic!("an assertion failed with a green thread still running");
+        });
+        let _ = tx.send(unwound.is_err());
+    });
+    let unwound = rx.recv_timeout(std::time::Duration::from_secs(10));
+    assert_eq!(unwound, Ok(true), "the machine's drop held the panic");
+}
+
 #[test]
 fn join_from_green_thread_returns_panic_flag() {
     let mut m = machine(2);

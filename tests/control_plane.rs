@@ -45,13 +45,6 @@ fn every_message(v: &mut impl Visit) {
         b"\x88\x77\x66\x55\x44\x33\x22\x11\x05\x00\x00\x00\x00\x00\x00\x80",
     );
     v.row(
-        proto::RpcSpawn {
-            service: 7,
-            args: b"payload".to_vec(),
-        },
-        b"\x07\x00\x00\x00\x07\x00\x00\x00\x70\x61\x79\x6c\x6f\x61\x64",
-    );
-    v.row(
         proto::NegLockReq { round: 0x0A0B },
         b"\x0b\x0a\x00\x00\x00\x00\x00\x00",
     );

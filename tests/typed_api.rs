@@ -520,17 +520,21 @@ fn a_handler_that_calls_its_own_node_is_answered() {
     assert_eq!(green, Ok(50));
 }
 
-/// Poll-yields until [`HOLD_RELEASED`] is set, after raising
-/// [`HOLD_ENTERED`].
+/// Yields once and notes in [`HOLD_IN_CONTROL`] whether it is still in
+/// the control lane, raises [`HOLD_ENTERED`], then poll-yields until
+/// [`HOLD_RELEASED`] is set.
 struct Hold;
 static HOLD_ENTERED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 static HOLD_RELEASED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+static HOLD_IN_CONTROL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
 impl Service for Hold {
     const NAME: &'static str = "test.hold";
     type Req = ();
     type Resp = ();
     fn handle(&self, _: ()) {
         use std::sync::atomic::Ordering::SeqCst;
+        pm2_yield();
+        HOLD_IN_CONTROL.store(pm2_set_control_priority(false), SeqCst);
         HOLD_ENTERED.store(true, SeqCst);
         while !HOLD_RELEASED.load(SeqCst) {
             pm2_yield();
@@ -539,7 +543,9 @@ impl Service for Hold {
 }
 
 /// A service that yields leaves its quantum and with it the node's queue:
-/// a second client's call is answered while the first is still held.
+/// a second client's call is answered while the first is still held.  The
+/// held service runs on as a compute thread, and the registry knows of no
+/// thread on the serving node: nobody could name one there.
 #[test]
 fn a_call_queued_behind_a_yielding_handler_is_answered() {
     use std::sync::atomic::Ordering::SeqCst;
@@ -558,11 +564,20 @@ fn a_call_queued_behind_a_yielding_handler_is_answered() {
     }
     let second = m.run_on(0, || pm2_rpc_call::<Square>(1, 9));
     let first_still_held = held.try_join().is_none();
+    let located = m.registry().located_on(1);
     // Released before any assertion, so that a failure does not leave the
     // held service spinning through the machine's shutdown.
     HOLD_RELEASED.store(true, SeqCst);
     assert_eq!(second, Ok(Ok(81)));
     assert!(first_still_held, "answered while the first is held");
+    assert!(
+        located.is_empty(),
+        "the registry locates {located:x?} there"
+    );
+    assert!(
+        !HOLD_IN_CONTROL.load(SeqCst),
+        "it yielded in the control lane"
+    );
     assert_eq!(held.join(), Ok(true));
 }
 
