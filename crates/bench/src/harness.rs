@@ -2,15 +2,16 @@
 //!
 //! Experiment ids follow the paper's §5: E5 = migration latency (§5 ¶1,
 //! the `migration` drill), E6 = negotiation cost (§5 ¶2, the `negotiate`
-//! drill), E7/E8 = Figure 11 top/bottom, A1–A6 = ablations.
+//! drill), E7/E8 = Figure 11 top/bottom, A1–A3, A5 and A6 =
+//! ablations.
 
 use std::time::Instant;
 
 use pm2::api::*;
 use pm2::node::NodeStatsSnapshot;
 use pm2::{
-    AreaConfig, BufPoolStats, Distribution, FitPolicy, Machine, MachineBuilder, MapStrategy,
-    NetProfile, Pm2Config,
+    AreaConfig, BufPoolStats, Distribution, Machine, MachineBuilder, MapStrategy, NetProfile,
+    Pm2Config,
 };
 
 use crate::report::{Row, Value};
@@ -195,7 +196,9 @@ fn alloc_point_us(
                 isoaddr::NodeSlotManager::new(0, 1, private_area, pm2::Distribution::RoundRobin, 0);
             let mut private_heap: Box<isomalloc::IsoHeapState> =
                 Box::new(unsafe { std::mem::zeroed() });
-            unsafe { isomalloc::heap_init(private_heap.as_mut(), pm2::FitPolicy::FirstFit, true) };
+            unsafe {
+                isomalloc::heap_init(private_heap.as_mut(), isomalloc::FitPolicy::FirstFit, true)
+            };
 
             // Untimed warm-up: fault in runtime paths and the first pages
             // of both heaps.
@@ -373,62 +376,6 @@ pub fn slot_cache_cycle_us(cache_capacity: usize, cycles: usize) -> f64 {
         .expect("cycle");
     m.shutdown();
     us
-}
-
-// ---------------------------------------------------------------------------
-// A4 — fit policy ablation (§4.3)
-// ---------------------------------------------------------------------------
-
-/// Outcome of a fit-policy run over a fragmentation-heavy workload.
-#[derive(Debug, Clone, Copy)]
-pub struct FitOutcome {
-    pub mean_alloc_us: f64,
-    pub slots_used: u64,
-}
-
-/// Fragmentation-heavy alloc/free pattern under a fit policy; reports mean
-/// allocation time and the number of slots the heap had to acquire.
-pub fn fit_policy_outcome(fit: FitPolicy, ops: usize) -> FitOutcome {
-    let mut m = Machine::builder(1)
-        .area(AreaConfig {
-            slot_size: 64 * 1024,
-            n_slots: 4096,
-        })
-        .net(NetProfile::instant())
-        .fit(fit)
-        .launch()
-        .expect("launch");
-    let (us, _) = m
-        .run_on(0, move || {
-            let mut rng = testkit::StdRng::seed_from_u64(42);
-            let mut live: Vec<(*mut u8, usize)> = Vec::new();
-            let mut alloc_ns = 0u128;
-            for i in 0..ops {
-                if live.len() > 40 && rng.random_bool(0.55) {
-                    let idx = rng.random_range(0..live.len());
-                    let (p, _) = live.swap_remove(idx);
-                    pm2_isofree(p).unwrap();
-                } else {
-                    let sz = rng.random_range(32..6000usize);
-                    let t0 = Instant::now();
-                    let p = pm2_isomalloc(sz).unwrap();
-                    alloc_ns += t0.elapsed().as_nanos();
-                    live.push((p, sz));
-                }
-                let _ = i;
-            }
-            for (p, _) in live {
-                pm2_isofree(p).unwrap();
-            }
-            (alloc_ns as f64 / ops as f64 / 1000.0, 0u64)
-        })
-        .expect("fit workload");
-    let slots_used = m.slot_stats(0).local_acquires + m.slot_stats(0).multi_acquires;
-    m.shutdown();
-    FitOutcome {
-        mean_alloc_us: us,
-        slots_used,
-    }
 }
 
 // ---------------------------------------------------------------------------

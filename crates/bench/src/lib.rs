@@ -61,7 +61,7 @@ pub const DRILLS: &[Drill] = &[
     ("fig11", "tables Fig. 11: malloc vs pm2_isomalloc", fig11),
     (
         "ablations",
-        "tables A1–A6: design-choice ablations",
+        "tables A1–A3, A5, A6: design-choice ablations",
         ablations,
     ),
     (

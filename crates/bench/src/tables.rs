@@ -1,10 +1,10 @@
 //! The paper's §5 tables that no JSON drill prints, one per
-//! [`crate::DRILLS`] row: Fig. 11 (malloc vs `pm2_isomalloc`), the A1–A6
-//! ablations and the substrate microcosts.  (E5 prints from the
+//! [`crate::DRILLS`] row: Fig. 11 (malloc vs `pm2_isomalloc`), the A1–A3,
+//! A5 and A6 ablations and the substrate microcosts.  (E5 prints from the
 //! `migration` drill's rows, E6 from `negotiate`'s.)  Each prints its
 //! tables and leaves them under `target/experiments/`.
 
-use pm2::{Distribution, FitPolicy, NetProfile};
+use pm2::{Distribution, NetProfile};
 
 use crate::harness::*;
 use crate::report::Table;
@@ -133,26 +133,6 @@ fn a3_slot_size() {
     t.emit("a3_slot_size");
 }
 
-fn a4_fit_policy() {
-    let mut t = Table::new(
-        "A4: block placement policy (random alloc/free churn, 4000 ops)",
-        &["policy", "mean alloc (µs)", "slots acquired"],
-    );
-    for (fit, name) in [
-        (FitPolicy::FirstFit, "first-fit (paper)"),
-        (FitPolicy::BestFit, "best-fit"),
-        (FitPolicy::NextFit, "next-fit"),
-    ] {
-        let o = fit_policy_outcome(fit, 4000);
-        t.row(vec![
-            name.into(),
-            crate::us(o.mean_alloc_us),
-            o.slots_used.to_string(),
-        ]);
-    }
-    t.emit("a4_fit_policy");
-}
-
 fn a5_scheme() {
     let mut t = Table::new(
         "A5: migration scheme — iso-address vs early-PM2 registered pointers",
@@ -193,12 +173,11 @@ fn a6_pack() {
     t.emit("a6_pack");
 }
 
-/// A1–A6 — ablations of the design choices DESIGN.md calls out.
+/// A1–A3, A5 and A6 — ablations of the design choices DESIGN.md calls out.
 pub fn ablations() {
     a1_distribution();
     a2_slot_cache();
     a3_slot_size();
-    a4_fit_policy();
     a5_scheme();
     a6_pack();
 }

@@ -18,7 +18,6 @@
 use std::time::Duration;
 
 use isoaddr::{AreaConfig, Distribution, MapStrategy};
-use isomalloc::FitPolicy;
 use madeleine::NetProfile;
 
 use crate::error::Result;
@@ -46,8 +45,6 @@ pub struct Pm2Config {
     pub slot_cache: usize,
     /// Wire model for the Madeleine fabric.
     pub net: NetProfile,
-    /// Block-placement policy for thread heaps (§4.3; paper: first-fit).
-    pub fit: FitPolicy,
     /// Ship whole slots instead of busy blocks only (ablation A6).
     pub pack_full_slots: bool,
     /// How long a green thread waits for a protocol reply (negotiation,
@@ -153,7 +150,6 @@ impl Pm2Config {
             distribution: Distribution::RoundRobin,
             slot_cache: 32,
             net: NetProfile::myrinet_bip(),
-            fit: FitPolicy::FirstFit,
             pack_full_slots: false,
             reply_deadline: Duration::from_secs(30),
             workers: 0,
@@ -246,12 +242,6 @@ impl MachineBuilder {
     /// How slot commit/decommit maps onto the host kernel.
     pub fn map_strategy(mut self, s: MapStrategy) -> Self {
         self.cfg.map_strategy = s;
-        self
-    }
-
-    /// Block-placement policy for thread heaps.
-    pub fn fit(mut self, fit: FitPolicy) -> Self {
-        self.cfg.fit = fit;
         self
     }
 
@@ -375,7 +365,6 @@ mod tests {
         let c = Pm2Config::new(4);
         assert_eq!(c.area.slot_size, 64 * 1024);
         assert_eq!(c.distribution, Distribution::RoundRobin);
-        assert_eq!(c.fit, FitPolicy::FirstFit);
         assert_eq!(c.net.name, "myrinet-bip");
         assert_eq!(c.workers, 0, "auto-sized pool is the default");
         assert!(c.slot_trade, "trade-first is the default");
@@ -423,7 +412,6 @@ mod tests {
         sets!(area(area) => area = area);
         sets!(distribution(Distribution::BlockCyclic(8)) => distribution = Distribution::BlockCyclic(8));
         sets!(map_strategy(MapStrategy::Syscall) => map_strategy = MapStrategy::Syscall);
-        sets!(fit(FitPolicy::BestFit) => fit = FitPolicy::BestFit);
         sets!(slot_cache(2) => slot_cache = 2);
         sets!(pack_full_slots(true) => pack_full_slots = true);
         sets!(reply_deadline(ms(1500)) => reply_deadline = ms(1500));

@@ -17,7 +17,7 @@ use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 use crate::api::{pm2_isofree, pm2_isomalloc};
-use crate::error::Result;
+use crate::error::{Pm2Error, Result};
 
 /// A `Box` in the iso-address area.
 pub struct IsoBox<T> {
@@ -127,8 +127,13 @@ impl<T> IsoVec<T> {
         self.cap
     }
 
+    /// Move the elements to a block of `new_cap` elements; a capacity whose
+    /// bytes overflow a `usize` is [`isomalloc::AllocError::TooLarge`].
     fn grow_to(&mut self, new_cap: usize) -> Result<()> {
-        let bytes = new_cap * std::mem::size_of::<T>().max(1);
+        let elem = std::mem::size_of::<T>().max(1);
+        let bytes = new_cap
+            .checked_mul(elem)
+            .ok_or(Pm2Error::Alloc(isomalloc::AllocError::TooLarge(usize::MAX)))?;
         let new_ptr = pm2_isomalloc(bytes)? as *mut T;
         if self.len > 0 {
             // SAFETY: disjoint allocations; len ≤ old cap ≤ new cap.
@@ -145,7 +150,11 @@ impl<T> IsoVec<T> {
     /// Append an element.
     pub fn push(&mut self, value: T) -> Result<()> {
         if self.len == self.cap {
-            let new_cap = if self.cap == 0 { 8 } else { self.cap * 2 };
+            let new_cap = if self.cap == 0 {
+                8
+            } else {
+                self.cap.saturating_mul(2)
+            };
             self.grow_to(new_cap)?;
         }
         // SAFETY: len < cap after growth.

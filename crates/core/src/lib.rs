@@ -396,7 +396,6 @@ mod tests;
 
 // Re-export the substrate types an embedder is likely to need.
 pub use isoaddr::{AreaConfig, Distribution, MapStrategy, SlotBitmap, SlotRange};
-pub use isomalloc::FitPolicy;
 pub use madeleine::{
     BufPool, BufPoolStats, EndpointStatsSnapshot, FaultPlan, NetProfile, Payload, Wire,
 };

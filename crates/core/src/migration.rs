@@ -60,7 +60,7 @@
 //! what an 8-thread one does.
 
 use isoaddr::{NodeSlotManager, SlotProvider, SlotRange};
-use isomalloc::heap::iter_slot_runs;
+use isomalloc::heap::{high_water, iter_slot_runs};
 use isomalloc::layout::SlotKind;
 use isomalloc::pack::{
     full_record_size, heap_pack_hint, pack_full, pack_heap_slot, pack_raw_extents, peek_header,
@@ -171,7 +171,10 @@ unsafe fn pack_thread_records(
 /// Unmap every slot of the packed threads `ds` on the source node — the
 /// departure half of a migration, run once [`pack_threads`] has the image.
 /// Ownership stays with each thread (no bitmap change), and so do the bytes:
-/// a surrender scrubs nothing (see [`NodeSlotManager::surrender`]).
+/// a surrender scrubs nothing (see [`NodeSlotManager::surrender_written`]).
+/// Each heap slot names its high-water mark, so if the thread never
+/// arrives, the slot's next owner zero-fills only what it wrote; the stack
+/// slot is named whole.
 ///
 /// # Safety
 /// As in [`pack_threads`]; afterwards none of the threads' memory may be
@@ -185,7 +188,7 @@ pub(crate) unsafe fn surrender_threads(ds: &[DescPtr], mgr: &mut NodeSlotManager
         // link before that slot is unmapped, and the stack slot goes last.
         let stack = range((*d).stack_base, (*d).stack_slots);
         for (base, n) in iter_slot_runs(std::ptr::addr_of!((*d).heap)) {
-            mgr.surrender(range(base, n))?;
+            mgr.surrender_written(range(base, n), high_water(base))?;
         }
         mgr.surrender(stack)?;
     }

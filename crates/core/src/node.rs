@@ -1412,13 +1412,9 @@ impl NodeCtx {
     }
 
     fn finish_spawn(&mut self, tid: u64, d: DescPtr) {
-        // Marcel initialised the (still empty) heap, trimming; apply the
-        // machine's fit policy on top.
-        // SAFETY: freshly spawned descriptor, not yet run.
-        unsafe { (*d).heap.policy = self.cfg.fit as u32 };
         self.threads.insert(tid, d);
         // Nobody looks a detached thread up (see `finish_thread`).
-        // SAFETY: as above.
+        // SAFETY: freshly spawned descriptor, not yet run.
         if unsafe { (*d).flags } & marcel::thread::flags::DETACHED == 0 {
             self.registry.set_location(tid, self.node);
         }

@@ -18,13 +18,15 @@
 //! The accounting is one bit per slot, updated a 64-slot word at a time: a
 //! range that fits one word — every range a hop moves — costs one atomic
 //! read-modify-write to commit and one to decommit.  Under
-//! [`MapStrategy::Resident`] a second table marks the slots decommitted with
-//! their last owner's bytes in them (*stale*).  Only a fresh commit reads or
-//! takes a mark; a decommit sets it only where it is not already set, and a
-//! migrated thread's arrival leaves it alone, so a slot that hops keeps its
-//! mark and its hops touch nothing but `mapped`.
+//! [`MapStrategy::Resident`] each slot also has a *dirty length*: how many
+//! bytes from its start may hold an earlier owner's bytes (a slot with a
+//! non-zero length is *stale*, and a bit table marks those a word at a
+//! time).  Only a fresh commit reads or takes a length; a decommit raises it
+//! only where the departing owner wrote past it, and a migrated thread's
+//! arrival leaves it alone, so a slot that hops keeps its mark and its hops
+//! touch nothing but `mapped`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::error::{IsoAddrError, Result};
 use crate::layout::AreaConfig;
@@ -52,11 +54,14 @@ pub enum MapStrategy {
     /// logical commit/decommit are accounting only — the paper's §6
     /// mmap-avoidance taken to its limit, and the default.  Zero-fill
     /// follows **ownership**: a slot is scrubbed when it changes owner,
-    /// never when its owner carries it.  A decommit only marks its slots
-    /// *stale*; the next fresh [`IsoArea::commit_slots`] of a stale slot
-    /// zero-fills it, while [`IsoArea::recommit_slots`] — a migrated
-    /// thread's arrival — maps it as it is, because the thread still owns
-    /// it and the unpack rewrites every byte that means anything.
+    /// never when its owner carries it.  A decommit only records how far
+    /// into each slot its owner can have written; the next fresh
+    /// [`IsoArea::commit_slots`] zero-fills that prefix, while
+    /// [`IsoArea::recommit_slots`] — a migrated thread's arrival — maps it
+    /// as it is, because the thread still owns it and the unpack rewrites
+    /// every byte that means anything.  And zero-fill follows **writes**: a
+    /// tail no owner wrote still reads zero, so it is neither filled nor
+    /// paged in — like a fresh `mmap`, whose untouched pages cost nothing.
     /// Relaxation: a stray read of an uncommitted slot neither faults (as
     /// under `Syscall`) nor reads zeroes — it sees the last owner's stale
     /// bytes.  The invariant checker is unchanged and still catches any
@@ -73,16 +78,35 @@ pub struct IsoArea {
     /// This is *process-global accounting*, not ownership — ownership lives
     /// in the per-node bitmaps and per-thread slot lists.
     mapped: Vec<AtomicU64>,
-    /// One bit per slot, `Resident` only: 1 ⇔ the slot may hold bytes of an
-    /// owner other than the next one to commit it fresh.  Set by
-    /// [`Self::decommit_slots`] (if not set already) just before the
-    /// release, taken by a fresh commit just after the acquire, left as it
-    /// is by [`Self::recommit_slots`] — the owner is the same, and the mark
-    /// is still right when it lets the slot go again.  A slot's bit is only
-    /// ever touched by whoever holds its `mapped` bit, so the `AcqRel`
-    /// hand-over of `mapped` is what publishes it, and its own accesses are
-    /// `Relaxed`.
+    /// One bit per slot, `Resident` only: 1 ⇔ the slot's `dirty` length is
+    /// not zero, i.e. the slot may hold bytes of an owner other than the
+    /// next one to commit it fresh — so a fresh commit of clean slots costs
+    /// one load per 64 of them.  Set by a decommit that raises a length,
+    /// taken by a fresh commit just after the acquire, left as it is by
+    /// [`Self::recommit_slots`] — the owner is the same, and the mark is
+    /// still right when it lets the slot go again.  A slot's bit and length
+    /// are only ever touched by whoever holds its `mapped` bit, so the
+    /// `AcqRel` hand-over of `mapped` is what publishes them, and their own
+    /// accesses are `Relaxed`.
     stale: Vec<AtomicU64>,
+    /// Byte length of the reservation at `base`: the slots, then — under
+    /// `Resident` only — one `u32` per slot, the slot's *dirty length*: how
+    /// many bytes from its start an earlier owner can have written (beyond
+    /// it the slot reads zero).  The lengths share the slots' one mapping
+    /// and its one `mprotect`, so they read zero without being written and
+    /// page in only where a decommit stores one: launching a machine
+    /// touches none of them.
+    reserved: usize,
+}
+
+/// What a fresh commit zero-filled: the slots that had a dirty length, and
+/// the bytes those lengths covered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scrub {
+    /// Slots zero-filled.
+    pub slots: usize,
+    /// Bytes zero-filled, over all of them.
+    pub bytes: usize,
 }
 
 // SAFETY: all mutation goes through atomics; the raw memory behind `base`
@@ -123,20 +147,41 @@ impl IsoArea {
     /// Reserve a fresh iso-address area with an explicit map strategy.
     pub fn with_strategy(cfg: AreaConfig, strategy: MapStrategy) -> Result<Self> {
         cfg.validate()?;
-        let base = sys::reserve_anywhere(cfg.area_size())?;
-        if strategy == MapStrategy::Resident {
-            // One mprotect for the whole area; pages materialize on touch.
-            // SAFETY: fresh reservation, exclusively ours.
-            unsafe { sys::commit(base, cfg.area_size())? };
-        }
+        let lengths = match strategy {
+            MapStrategy::Resident => {
+                (cfg.n_slots * std::mem::size_of::<AtomicU32>()).next_multiple_of(sys::page_size())
+            }
+            MapStrategy::Syscall => 0,
+        };
         let table = || (0..cfg.n_slots.div_ceil(64)).map(|_| AtomicU64::new(0));
-        Ok(IsoArea {
-            base,
+        // Built before the commit below, so that a failed one drops it and
+        // gives the reservation back.
+        let area = IsoArea {
+            base: sys::reserve_anywhere(cfg.area_size() + lengths)?,
             cfg,
             strategy,
             mapped: table().collect(),
             stale: table().collect(),
-        })
+            reserved: cfg.area_size() + lengths,
+        };
+        if strategy == MapStrategy::Resident {
+            // One mprotect for the slots and their dirty lengths; pages
+            // materialize on touch.
+            // SAFETY: fresh reservation, exclusively ours.
+            unsafe { sys::commit(area.base, area.reserved)? };
+        }
+        Ok(area)
+    }
+
+    /// The dirty length of slot `idx` (`Resident` only).
+    #[inline]
+    fn dirty(&self, idx: usize) -> &AtomicU32 {
+        debug_assert!(self.strategy == MapStrategy::Resident && idx < self.cfg.n_slots);
+        // SAFETY: under `Resident` the reservation maps one zero-initialised
+        // `u32` per slot, page-aligned, right after the slots for the
+        // area's lifetime, and `AtomicU32` has the layout and bit validity
+        // of `u32`.
+        unsafe { &*((self.base + self.cfg.area_size()) as *const AtomicU32).add(idx) }
     }
 
     /// The map strategy in force.
@@ -249,12 +294,11 @@ impl IsoArea {
     }
 
     /// Take the stale marks of `range` (which the caller has just committed
-    /// for a new owner) and zero-fill each slot that had one.  Returns how
-    /// many slots were zero-filled.  The only place a slot is ever
-    /// scrubbed, and the only reader of a mark besides the decommit that
-    /// sets it.
-    fn take_stale(&self, range: SlotRange) -> usize {
-        let mut scrubbed = 0;
+    /// for a new owner) and zero-fill the dirty prefix of each slot that had
+    /// one, resetting its length.  The only place a slot is ever scrubbed,
+    /// and the only reader of a mark besides the decommit that sets it.
+    fn take_stale(&self, range: SlotRange) -> Scrub {
+        let mut scrub = Scrub::default();
         for (word, mask) in word_masks(range) {
             if self.stale[word].load(Ordering::Relaxed) & mask == 0 {
                 continue;
@@ -263,25 +307,28 @@ impl IsoArea {
             while marks != 0 {
                 let idx = word * 64 + marks.trailing_zeros() as usize;
                 marks &= marks - 1;
+                let dirty = self.dirty(idx);
+                let len = dirty.load(Ordering::Relaxed) as usize;
+                dirty.store(0, Ordering::Relaxed);
                 // SAFETY: the caller holds the `mapped` bit of `idx`, whose
                 // acquire ordered the last owner's writes before this one,
-                // and under `Resident` the whole area stays mapped RW.
-                unsafe {
-                    std::ptr::write_bytes(self.slot_addr(idx) as *mut u8, 0, self.slot_size())
-                };
-                scrubbed += 1;
+                // under `Resident` the whole area stays mapped RW, and a
+                // length never exceeds the slot.
+                unsafe { std::ptr::write_bytes(self.slot_addr(idx) as *mut u8, 0, len) };
+                scrub.slots += 1;
+                scrub.bytes += len;
             }
         }
-        scrubbed
+        scrub
     }
 
     /// The one commit path, behind [`Self::commit_slots`] (`fresh`) and
     /// [`Self::recommit_slots`] (not): account, then map (`Syscall`) or, for
-    /// a fresh commit under `Resident`, scrub the stale slots.  Returns the
-    /// number of slots zero-filled here — always 0 under `Syscall`, where
-    /// the kernel dropped the pages, and for a recommit, which keeps the
+    /// a fresh commit under `Resident`, scrub the stale slots.  Returns what
+    /// was zero-filled here — nothing under `Syscall`, where the kernel
+    /// dropped the pages, and nothing for a recommit, which keeps the
     /// owner's bytes and leaves the marks alone.
-    pub(crate) fn commit(&self, range: SlotRange, fresh: bool) -> Result<usize> {
+    pub(crate) fn commit_range(&self, range: SlotRange, fresh: bool) -> Result<Scrub> {
         self.check_range(range)?;
         self.account_commit(range)?;
         match self.strategy {
@@ -293,10 +340,10 @@ impl IsoArea {
                     let _ = self.account_decommit(range);
                     return Err(e);
                 }
-                Ok(0)
+                Ok(Scrub::default())
             }
             MapStrategy::Resident if fresh => Ok(self.take_stale(range)),
-            MapStrategy::Resident => Ok(0),
+            MapStrategy::Resident => Ok(Scrub::default()),
         }
     }
 
@@ -304,12 +351,12 @@ impl IsoArea {
     /// the range reads all-zero afterwards, under both strategies, whatever
     /// its history — including slots a thread surrendered and never
     /// re-adopted.  Under `Resident` that means zero-filling exactly the
-    /// slots a decommit left stale.
+    /// prefixes that decommits recorded as written.
     ///
     /// Fails with [`IsoAddrError::DoubleCommit`] if any slot of the range is
     /// already mapped anywhere in the process — the iso-address invariant.
     pub fn commit_slots(&self, range: SlotRange) -> Result<VAddr> {
-        self.commit(range, true)
+        self.commit_range(range, true)
             .map(|_| self.slot_addr(range.first))
     }
 
@@ -321,26 +368,46 @@ impl IsoArea {
     /// what gives its extents meaning (under `Syscall` it reads zero, as
     /// any mapping does).
     pub fn recommit_slots(&self, range: SlotRange) -> Result<VAddr> {
-        self.commit(range, false)
+        self.commit_range(range, false)
             .map(|_| self.slot_addr(range.first))
     }
 
-    /// Decommit the memory of `range`: `Syscall` drops the pages; `Resident`
-    /// only marks the slots stale, leaving the zero-fill to the next fresh
-    /// commit — if there is one before the owner maps them back with
-    /// [`Self::recommit_slots`].
+    /// Decommit the memory of `range`, whose owner can have written any of
+    /// it: [`Self::decommit_written`] over the whole range.
     pub fn decommit_slots(&self, range: SlotRange) -> Result<()> {
+        self.decommit_written(range, range.count.saturating_mul(self.slot_size()))
+    }
+
+    /// Decommit the memory of `range`, whose owner wrote nothing at or past
+    /// `written` bytes from its start: `Syscall` drops the pages; `Resident`
+    /// only records, slot by slot, how far the owner can have written,
+    /// leaving the zero-fill of that prefix to the next fresh commit — if
+    /// there is one before the owner maps the range back with
+    /// [`Self::recommit_slots`].  A slot's length only grows here (an
+    /// earlier owner's bytes may still lie past this one's), and slots the
+    /// owner never reached are left as they are.
+    pub fn decommit_written(&self, range: SlotRange, written: usize) -> Result<()> {
         self.check_range(range)?;
         if self.strategy == MapStrategy::Resident {
             // Before the `mapped` bits are released, so that whoever
-            // acquires one next sees its stale bit; set only where missing,
-            // so a slot that hops — already marked — costs a load.  (On a
-            // range that then turns out not to be committed the marks stay:
-            // they cost the next committer of those slots one scrub,
-            // nothing else.)
-            for (word, mask) in word_masks(range) {
-                if self.stale[word].load(Ordering::Relaxed) & mask != mask {
-                    self.stale[word].fetch_or(mask, Ordering::Relaxed);
+            // acquires one next sees its length; stored only where it
+            // grows, so a slot that hops — its length already covering its
+            // owner's mark — costs a load.  (On a range that then turns out
+            // not to be committed the lengths stay: they cost the next
+            // committer of those slots a scrub, nothing else.)
+            let slot_size = self.slot_size();
+            for (i, idx) in range.iter().enumerate() {
+                let len = written.saturating_sub(i * slot_size).min(slot_size) as u32;
+                if len == 0 {
+                    break;
+                }
+                let dirty = self.dirty(idx);
+                if dirty.load(Ordering::Relaxed) < len {
+                    dirty.store(len, Ordering::Relaxed);
+                    let (word, bit) = word_bit(idx);
+                    if self.stale[word].load(Ordering::Relaxed) & bit == 0 {
+                        self.stale[word].fetch_or(bit, Ordering::Relaxed);
+                    }
                 }
             }
         }
@@ -358,6 +425,14 @@ impl IsoArea {
         let (word, bit) = word_bit(idx);
         self.mapped[word].load(Ordering::Acquire) & bit != 0
     }
+
+    /// Which pages of `range` are resident in memory, one entry per page —
+    /// what a zero-fill or a touch paged in, for tests and audits.
+    pub fn resident_pages(&self, range: SlotRange) -> Result<Vec<bool>> {
+        self.check_range(range)?;
+        let (start, end) = self.range_addr(range);
+        sys::resident_pages(start, end - start)
+    }
 }
 
 impl Drop for IsoArea {
@@ -365,7 +440,7 @@ impl Drop for IsoArea {
         // SAFETY: we created the reservation in `new` and nothing may hold
         // references into a dropped area.
         unsafe {
-            let _ = sys::release(self.base, self.cfg.area_size());
+            let _ = sys::release(self.base, self.reserved);
         }
     }
 }
@@ -377,6 +452,14 @@ mod tests {
 
     fn small_area() -> IsoArea {
         IsoArea::new(AreaConfig::small()).unwrap()
+    }
+
+    /// Fixtures the tests below reach for and no runtime code calls.
+    impl IsoArea {
+        /// The one commit path, counting only the slots it scrubbed.
+        fn commit(&self, range: SlotRange, fresh: bool) -> Result<usize> {
+            self.commit_range(range, fresh).map(|s| s.slots)
+        }
     }
 
     /// Every byte of `range`, which the caller holds committed.
@@ -578,6 +661,48 @@ mod tests {
         assert_eq!(a.commit(r, true), Ok(1), "the new owner's commit scrubs");
         assert!(bytes(&a, r).iter().all(|&b| b == 0));
         assert!(!marked(&a));
+        a.decommit_slots(r).unwrap();
+    }
+
+    /// Zero-fill follows writes: a decommit records how far into each slot
+    /// its owner can have written, a later decommit only ever raises that,
+    /// and the next fresh commit fills exactly those prefixes — the range
+    /// still reads zero from its first byte to its last, and a range nobody
+    /// wrote costs nothing.
+    #[test]
+    fn a_fresh_commit_fills_only_what_earlier_owners_wrote() {
+        let a = small_area();
+        let ss = a.slot_size();
+        let r = SlotRange::new(8, 3);
+        a.commit_slots(r).unwrap();
+        let (start, _) = a.range_addr(r);
+        unsafe { std::ptr::write_bytes(start as *mut u8, 0xEE, ss + 100) };
+        a.decommit_written(r, ss + 100).unwrap();
+        // Its owner carries it and lets it go again having written less:
+        // the earlier bytes are still there, and so is their length.
+        a.recommit_slots(r).unwrap();
+        a.decommit_written(r, 10).unwrap();
+        let scrub = a.commit_range(r, true).unwrap();
+        assert_eq!(
+            scrub,
+            Scrub {
+                slots: 2,
+                bytes: ss + 100
+            }
+        );
+        assert!(bytes(&a, r).iter().all(|&b| b == 0));
+        a.decommit_written(r, 0).unwrap();
+        assert_eq!(a.commit_range(r, true), Ok(Scrub::default()));
+        a.decommit_slots(r).unwrap();
+        let scrub = a.commit_range(r, true).unwrap();
+        assert_eq!(
+            scrub,
+            Scrub {
+                slots: 3,
+                bytes: 3 * ss
+            },
+            "no extent: the whole range"
+        );
         a.decommit_slots(r).unwrap();
     }
 

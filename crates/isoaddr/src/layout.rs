@@ -76,6 +76,14 @@ impl AreaConfig {
         if self.n_slots == 0 {
             return Err(IsoAddrError::BadConfig("n_slots must be non-zero".into()));
         }
+        // A slot index and a byte length within one slot are kept as `u32`
+        // (the block layer's slot headers, the area's dirty lengths).
+        if self.n_slots > u32::MAX as usize || self.slot_size > u32::MAX as usize {
+            return Err(IsoAddrError::BadConfig(format!(
+                "{} slots of {} bytes: both must fit a u32",
+                self.n_slots, self.slot_size
+            )));
+        }
         if self.area_size() > (1 << 46) {
             return Err(IsoAddrError::BadConfig(format!(
                 "area of {} bytes is unreasonably large",
@@ -104,6 +112,10 @@ mod tests {
         assert!(AreaConfig::with_slot_size(3 * 4096, 4).validate().is_err());
         assert!(AreaConfig::with_slot_size(2048, 4).validate().is_err()); // < page
         assert!(AreaConfig::with_slot_size(4096, 0).validate().is_err());
+        assert!(AreaConfig::with_slot_size(1 << 32, 4).validate().is_err());
+        assert!(AreaConfig::with_slot_size(4096, 1 << 33)
+            .validate()
+            .is_err());
     }
 
     #[test]

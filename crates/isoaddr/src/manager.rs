@@ -26,6 +26,19 @@
 //!   ([`free_slots`]) so watermark checks and wealth piggybacking
 //!   cost nothing on the hot path.
 //!
+//! Zero-fill follows ownership, and zero-fill follows writes: whoever lets
+//! a range go names how far into it its owner can have written
+//! ([`release_written`], [`surrender_written`]; the heap passes its slot's
+//! high-water mark), and the next new owner's commit zero-fills only that
+//! prefix of each slot — a tail nobody wrote reads zero already and is
+//! neither filled nor paged in.  A path that cannot name an extent — a
+//! stack slot, a slot evicted from the cache, [`release`] and
+//! [`surrender`] themselves — reports the whole range.
+//!
+//! [`release_written`]: NodeSlotManager::release_written
+//! [`surrender_written`]: NodeSlotManager::surrender_written
+//! [`release`]: NodeSlotManager::release
+//! [`surrender`]: NodeSlotManager::surrender
 //! [`give`]: NodeSlotManager::give
 //! [`lend_batch`]: NodeSlotManager::lend_batch
 //! [`adopt_batch`]: NodeSlotManager::adopt_batch
@@ -80,9 +93,10 @@ pub trait SlotProvider {
     /// and ownership transferred to the caller.  Returns the base address.
     fn acquire_slots(&mut self, n: usize) -> Result<VAddr>;
     /// Release `n` contiguous slots starting at `base` to the provider
-    /// (= the node currently hosting the thread).  Memory is unmapped or
-    /// cached; ownership returns to the node.
-    fn release_slots(&mut self, base: VAddr, n: usize) -> Result<()>;
+    /// (= the node currently hosting the thread), which wrote nothing at or
+    /// past `written` bytes from `base` (`n` × slot size when it cannot
+    /// tell).  Memory is unmapped or cached; ownership returns to the node.
+    fn release_slots(&mut self, base: VAddr, n: usize, written: usize) -> Result<()>;
 }
 
 /// The per-node slot manager.
@@ -162,8 +176,9 @@ impl NodeSlotManager {
     /// the commit and whatever the area had to scrub for it.
     fn commit_fresh(&self, range: SlotRange) -> Result<()> {
         self.stats.commits.add(1);
-        let scrubbed = self.area.commit(range, true)?;
-        self.stats.scrubs.add(scrubbed as u64);
+        let scrub = self.area.commit_range(range, true)?;
+        self.stats.scrubs.add(scrub.slots as u64);
+        self.stats.scrubbed_bytes.add(scrub.bytes as u64);
         Ok(())
     }
 
@@ -223,9 +238,19 @@ impl NodeSlotManager {
         }
     }
 
-    /// Release a slot range from a thread to this node (isofree, thread
-    /// death).  Ownership: bits set in *this* node's bitmap.
+    /// Release a slot range from a thread to this node, whose owner can
+    /// have written any of it: [`Self::release_written`] over the whole
+    /// range.
     pub fn release(&mut self, range: SlotRange) -> Result<()> {
+        self.release_written(range, range.count.saturating_mul(self.area.slot_size()))
+    }
+
+    /// Release a slot range from a thread to this node (isofree, thread
+    /// death), whose owner wrote nothing at or past `written` bytes from
+    /// its start.  Ownership: bits set in *this* node's bitmap.  A single
+    /// slot may stay mapped in the cache (§6), which keeps no extent: if it
+    /// is evicted, it is decommitted whole.
+    pub fn release_written(&mut self, range: SlotRange, written: usize) -> Result<()> {
         debug_assert!(
             self.bitmap.all_clear(range),
             "release: {range:?} already owned by node {}",
@@ -242,22 +267,30 @@ impl NodeSlotManager {
             return Ok(());
         }
         self.stats.decommits.add(1);
-        self.area.decommit_slots(range)
+        self.area.decommit_written(range, written)
     }
 
-    /// Unmap a migrating thread's slots on departure.  Ownership stays with
-    /// the thread; no bitmap is touched (paper §4.2).  Under
-    /// `MapStrategy::Resident` nothing is zero-filled either: the thread
-    /// carries its slots, and only if it never arrives — so the range is
-    /// later granted to a node and committed afresh — are they scrubbed.
+    /// Unmap a migrating thread's slots on departure, however much of them
+    /// it wrote: [`Self::surrender_written`] over the whole range.
     pub fn surrender(&mut self, range: SlotRange) -> Result<()> {
+        self.surrender_written(range, range.count.saturating_mul(self.area.slot_size()))
+    }
+
+    /// Unmap a migrating thread's slots on departure; the thread wrote
+    /// nothing at or past `written` bytes from the range's start.
+    /// Ownership stays with the thread; no bitmap is touched (paper §4.2).
+    /// Under `MapStrategy::Resident` nothing is zero-filled either: the
+    /// thread carries its slots, and only if it never arrives — so the
+    /// range is later granted to a node and committed afresh — is their
+    /// written prefix scrubbed.
+    pub fn surrender_written(&mut self, range: SlotRange, written: usize) -> Result<()> {
         debug_assert!(
             self.bitmap.all_clear(range),
             "surrender: {range:?} is owned by node {}, not by a thread",
             self.node
         );
         self.stats.decommits.add(1);
-        self.area.decommit_slots(range)
+        self.area.decommit_written(range, written)
     }
 
     /// Map an arriving migrated thread's slots.  Ownership stays with the
@@ -401,9 +434,9 @@ impl SlotProvider for NodeSlotManager {
         }
     }
 
-    fn release_slots(&mut self, base: VAddr, n: usize) -> Result<()> {
+    fn release_slots(&mut self, base: VAddr, n: usize, written: usize) -> Result<()> {
         let first = self.area.slot_of(base)?;
-        self.release(SlotRange::new(first, n))
+        self.release_written(SlotRange::new(first, n), written)
     }
 }
 
@@ -752,7 +785,7 @@ mod tests {
     fn provider_trait_roundtrip() {
         let mut m = mgr(1, 0, 0);
         let base = m.acquire_slots(2).unwrap();
-        m.release_slots(base, 2).unwrap();
+        m.release_slots(base, 2, 2 * m.slot_size()).unwrap();
         let err = {
             let mut m2 = mgr(2, 0, 0);
             m2.acquire_slots(2).unwrap_err()

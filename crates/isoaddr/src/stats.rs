@@ -38,6 +38,9 @@ counters! {
         /// bytes in them (`MapStrategy::Resident`; the kernel scrubs under
         /// `Syscall`, so it stays 0 there).  A migration adds none.
         scrubs,
+        /// Bytes those scrubs zero-filled: each slot's prefix its earlier
+        /// owners can have written, not the whole slot.
+        scrubbed_bytes,
     }
 }
 

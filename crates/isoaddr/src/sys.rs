@@ -43,6 +43,7 @@ mod raw {
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        pub fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
         pub fn sysconf(name: c_int) -> c_long;
     }
 }
@@ -149,6 +150,24 @@ pub unsafe fn decommit(addr: usize, len: usize) -> Result<()> {
     Ok(())
 }
 
+/// Which pages of `[addr, addr + len)` are resident in memory (`mincore`),
+/// one entry per page.  `addr` must be page-aligned and the range mapped
+/// (a reservation counts: its pages are simply never resident).
+pub fn resident_pages(addr: usize, len: usize) -> Result<Vec<bool>> {
+    let mut vec = vec![0u8; len.div_ceil(page_size())];
+    // SAFETY: `mincore` only reads the page tables of the range and writes
+    // one byte per page into `vec`, which has room for each.
+    let rc = unsafe { libc_shim::mincore(addr as *mut c_void, len, vec.as_mut_ptr()) };
+    if rc != 0 {
+        return Err(IsoAddrError::Mmap {
+            addr,
+            len,
+            errno: last_errno(),
+        });
+    }
+    Ok(vec.into_iter().map(|b| b & 1 != 0).collect())
+}
+
 /// Release a whole reservation back to the OS.
 ///
 /// # Safety
@@ -188,9 +207,13 @@ mod tests {
             p.write(0xDEAD_BEEF_CAFE_F00D);
             assert_eq!(p.read(), 0xDEAD_BEEF_CAFE_F00D);
             decommit(base, len).unwrap();
-            // Re-commit: pages must be zeroed (fresh anonymous memory).
+            // Re-commit: pages must be zeroed (fresh anonymous memory), and
+            // only the page just read is resident.
             commit(base, len).unwrap();
             assert_eq!(p.read(), 0);
+            let resident = resident_pages(base, len).unwrap();
+            assert_eq!(resident.len(), len / page_size());
+            assert!(resident.iter().skip(1).all(|&r| !r), "untouched pages");
             release(base, len).unwrap();
         }
     }

@@ -1,9 +1,9 @@
 //! The per-thread iso-address heap (paper §4.3–4.4).
 //!
 //! A thread's heap is a doubly-linked chain of slots; allocation searches
-//! the chain's free lists (first-fit by default, best-fit/next-fit for the
-//! ablation study), acquiring a fresh slot from the [`SlotProvider`] when no
-//! block fits.  Requests larger than one slot acquire `n` contiguous raw
+//! the chain's free lists first-fit, as the paper's implementation does
+//! (§4.3), acquiring a fresh slot from the [`SlotProvider`] when no block
+//! fits.  Requests larger than one slot acquire `n` contiguous raw
 //! slots merged into one *large slot* — the provider reports
 //! `NeedNegotiation` when the local node cannot supply them, and the PM2
 //! runtime runs the global negotiation of §4.4 before retrying.
@@ -11,6 +11,11 @@
 //! The heap state itself ([`IsoHeapState`]) is plain `repr(C)` data designed
 //! to live *inside* the thread's stack slot (in the descriptor), so it
 //! migrates with the thread and its slot-chain pointers stay valid.
+//!
+//! Each slot header keeps a high-water mark ([`SlotHeader::high_water`]):
+//! every carve raises it past the block or remainder header it wrote, and
+//! a slot that leaves the heap — trimmed, or released at thread death —
+//! names it to the provider, so the next owner's zero-fill stops there.
 
 use crate::error::{AllocError, Result};
 use crate::freelist::{fl_iter, fl_push, fl_remove};
@@ -25,29 +30,18 @@ use isoaddr::{SlotProvider, VAddr};
 /// by coalescing or freed slot); catches stale-pointer reuse.
 const DEAD_MAGIC: u32 = 0xDEAD_B10C;
 
-/// Placement policy used when searching the free lists.
+/// Placement policy used when searching the free lists: the paper's, the
+/// only one ([`heap_init`] still takes it, so its callers name the rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
 pub enum FitPolicy {
     /// First block that fits, scanning slots in chain order (the paper's
     /// implementation: "a first-fit strategy is used").
-    FirstFit = 0,
-    /// Smallest block that fits (lower fragmentation, slower).
-    BestFit = 1,
-    /// First fit starting from the slot of the previous allocation.
-    NextFit = 2,
+    FirstFit,
 }
 
-impl FitPolicy {
-    /// Decode from the raw heap-state field.
-    pub fn from_u32(v: u32) -> FitPolicy {
-        match v {
-            1 => FitPolicy::BestFit,
-            2 => FitPolicy::NextFit,
-            _ => FitPolicy::FirstFit,
-        }
-    }
-}
+/// The largest block [`isomalloc`] carves, header included: far past any
+/// area, so a request this large is refused before any search.
+const MAX_BLOCK: usize = 1 << 40;
 
 /// Per-thread heap state.  `repr(C)`, address-stable, fully relocatable by
 /// an iso-address copy (every field is either plain data or an iso-address).
@@ -58,12 +52,8 @@ pub struct IsoHeapState {
     pub head: VAddr,
     /// Last slot header in the chain (0 = empty heap).
     pub tail: VAddr,
-    /// [`FitPolicy`] as u32.
-    pub policy: u32,
     /// 1 ⇒ release fully-free slots to the current node eagerly.
     pub trim: u32,
-    /// Next-fit hint: slot to start searching from (0 = head).
-    pub hint_slot: VAddr,
     /// Number of successful allocations.
     pub allocs: u64,
     /// Number of successful frees.
@@ -80,13 +70,11 @@ pub struct IsoHeapState {
 ///
 /// # Safety
 /// `h` must point to writable memory of at least `size_of::<IsoHeapState>()`.
-pub unsafe fn heap_init(h: *mut IsoHeapState, policy: FitPolicy, trim: bool) {
+pub unsafe fn heap_init(h: *mut IsoHeapState, _policy: FitPolicy, trim: bool) {
     h.write(IsoHeapState {
         head: 0,
         tail: 0,
-        policy: policy as u32,
         trim: trim as u32,
-        hint_slot: 0,
         allocs: 0,
         frees: 0,
         slots_acquired: 0,
@@ -103,7 +91,7 @@ pub unsafe fn heap_init(h: *mut IsoHeapState, policy: FitPolicy, trim: bool) {
 /// the caller.
 pub unsafe fn init_heap_slot(
     base: VAddr,
-    first_slot: u64,
+    first_slot: u32,
     n_slots: usize,
     slot_size: usize,
 ) -> *mut SlotHeader {
@@ -112,7 +100,8 @@ pub unsafe fn init_heap_slot(
         magic: SLOT_MAGIC,
         kind: SlotKind::Heap as u32,
         first_slot,
-        n_slots: n_slots as u64,
+        n_slots: n_slots as u32,
+        high_water: (SLOT_HDR_SIZE + BLOCK_HDR_SIZE) as u64,
         prev: 0,
         next: 0,
         free_head: 0,
@@ -163,9 +152,6 @@ pub unsafe fn detach_slot(h: *mut IsoHeapState, slot_base: VAddr) {
     }
     (*slot).prev = 0;
     (*slot).next = 0;
-    if (*h).hint_slot == slot_base {
-        (*h).hint_slot = 0;
-    }
 }
 
 /// Iterate the heap's slot chain, yielding slot header addresses.
@@ -195,6 +181,16 @@ pub unsafe fn iter_slot_runs(h: *const IsoHeapState) -> impl Iterator<Item = (VA
     iter_slots(h).map(|s| (s, (*(s as *const SlotHeader)).n_slots as usize))
 }
 
+/// The slot's high-water mark ([`SlotHeader::high_water`]): how many bytes
+/// from `slot_base` its owners can have written since it was committed
+/// fresh — the extent to name when the slot is released or surrendered.
+///
+/// # Safety
+/// `slot_base` must point at a live heap slot header.
+pub unsafe fn high_water(slot_base: VAddr) -> usize {
+    (*(slot_base as *const SlotHeader)).high_water as usize
+}
+
 /// [`iter_slot_runs`] collected into a list.
 ///
 /// # Safety
@@ -210,77 +206,33 @@ unsafe fn find_in_slot(slot: VAddr, req: usize) -> Option<*mut BlockHeader> {
 }
 
 unsafe fn find_fit(h: *mut IsoHeapState, req: usize) -> Option<(VAddr, *mut BlockHeader)> {
-    match FitPolicy::from_u32((*h).policy) {
-        FitPolicy::FirstFit => {
-            for s in iter_slots(h) {
-                if let Some(b) = find_in_slot(s, req) {
-                    return Some((s, b));
-                }
-            }
-            None
-        }
-        FitPolicy::BestFit => {
-            let mut best: Option<(VAddr, *mut BlockHeader, usize)> = None;
-            for s in iter_slots(h) {
-                for b in fl_iter(s as *const SlotHeader) {
-                    let sz = (*(b as *const BlockHeader)).size as usize;
-                    if sz >= req && best.is_none_or(|(_, _, bs)| sz < bs) {
-                        best = Some((s, b as *mut BlockHeader, sz));
-                    }
-                }
-            }
-            best.map(|(s, b, _)| (s, b))
-        }
-        FitPolicy::NextFit => {
-            let start = if (*h).hint_slot != 0 {
-                (*h).hint_slot
-            } else {
-                (*h).head
-            };
-            if start == 0 {
-                return None;
-            }
-            // Walk from the hint to the tail, then from the head to the hint.
-            let mut cur = start;
-            while cur != 0 {
-                if let Some(b) = find_in_slot(cur, req) {
-                    (*h).hint_slot = cur;
-                    return Some((cur, b));
-                }
-                cur = (*(cur as *const SlotHeader)).next;
-            }
-            let mut cur = (*h).head;
-            while cur != 0 && cur != start {
-                if let Some(b) = find_in_slot(cur, req) {
-                    (*h).hint_slot = cur;
-                    return Some((cur, b));
-                }
-                cur = (*(cur as *const SlotHeader)).next;
-            }
-            None
-        }
-    }
+    iter_slots(h).find_map(|s| find_in_slot(s, req).map(|b| (s, b)))
 }
 
 /// Carve a busy block of total size `req` out of free block `blk` (splitting
-/// off the remainder when big enough) and account it to `slot`.
+/// off the remainder when big enough), account it to `slot` and raise the
+/// slot's high-water mark past what the owner may now write.
 unsafe fn carve(slot: VAddr, blk: *mut BlockHeader, req: usize, slot_size: usize) -> VAddr {
     let slot_hdr = slot as *mut SlotHeader;
     fl_remove(slot_hdr, blk);
     let blk_addr = blk as VAddr;
     let blk_size = (*blk).size as usize;
     let end = slot_end(slot, slot_size);
+    // The busy block's end, or the end of the remainder header after it.
+    let mut written = blk_addr + blk_size;
     if blk_size - req >= BLOCK_HDR_SIZE + MIN_PAYLOAD {
         // Split: busy head, free remainder (fl_push sets the free flag).
         let rem_addr = blk_addr + req;
         write_block_header(rem_addr, blk_size - req, slot, blk_addr, false);
         fl_push(slot_hdr, rem_addr as *mut BlockHeader);
         (*blk).size = req as u64;
+        written = rem_addr + BLOCK_HDR_SIZE;
         let after = rem_addr + (blk_size - req);
         if after < end {
             (*(after as *mut BlockHeader)).prev_phys = rem_addr;
         }
     }
+    (*slot_hdr).high_water = (*slot_hdr).high_water.max((written - slot) as u64);
     (*slot_hdr).used_bytes += (*blk).size;
     payload_of(blk_addr)
 }
@@ -297,10 +249,9 @@ pub unsafe fn isomalloc(
     provider: &mut dyn SlotProvider,
     size: usize,
 ) -> Result<*mut u8> {
-    let req = block_size_for(size);
-    if req > (1 << 40) {
-        return Err(AllocError::TooLarge(size));
-    }
+    let req = block_size_for(size)
+        .filter(|&req| req <= MAX_BLOCK)
+        .ok_or(AllocError::TooLarge(size))?;
     if let Some((slot, blk)) = find_fit(h, req) {
         (*h).allocs += 1;
         (*h).bytes_requested += size as u64;
@@ -312,7 +263,7 @@ pub unsafe fn isomalloc(
     let n = (SLOT_HDR_SIZE + req).div_ceil(slot_size);
     let base = provider.acquire_slots(n)?;
     let first_slot = (base - provider.area_base()) / slot_size;
-    init_heap_slot(base, first_slot as u64, n, slot_size);
+    init_heap_slot(base, first_slot as u32, n, slot_size);
     attach_slot(h, base);
     (*h).slots_acquired += n as u64;
     let blk =
@@ -419,9 +370,10 @@ pub unsafe fn isofree(
     let area_start = block_area_start(slot_addr);
     if (*h).trim != 0 && merged_addr == area_start && merged_size == end - area_start {
         let n_slots = (*(slot_addr as *const SlotHeader)).n_slots as usize;
+        let written = high_water(slot_addr);
         detach_slot(h, slot_addr);
         (*(slot_addr as *mut SlotHeader)).magic = DEAD_MAGIC;
-        provider.release_slots(slot_addr, n_slots)?;
+        provider.release_slots(slot_addr, n_slots, written)?;
         (*h).slots_released += n_slots as u64;
     }
     Ok(())
@@ -439,8 +391,9 @@ pub unsafe fn heap_release_all(
 ) -> Result<()> {
     let slots = heap_slots(h);
     for (base, n) in slots {
+        let written = high_water(base);
         detach_slot(h, base);
-        provider.release_slots(base, n)?;
+        provider.release_slots(base, n, written)?;
         (*h).slots_released += n as u64;
     }
     debug_assert_eq!((*h).head, 0);
@@ -458,16 +411,16 @@ mod tests {
         NodeSlotManager::new(0, 1, area, Distribution::RoundRobin, 0)
     }
 
-    fn fresh_heap(policy: FitPolicy) -> Box<IsoHeapState> {
+    fn fresh_heap() -> Box<IsoHeapState> {
         let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
-        unsafe { heap_init(h.as_mut() as *mut _, policy, true) };
+        unsafe { heap_init(h.as_mut() as *mut _, FitPolicy::FirstFit, true) };
         h
     }
 
     #[test]
     fn alloc_free_roundtrip() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let ptr = isomalloc(h.as_mut(), &mut p, 100).unwrap();
             assert_eq!(ptr as usize % 16, 0);
@@ -485,7 +438,7 @@ mod tests {
     #[test]
     fn many_small_allocs_share_one_slot() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let ptrs: Vec<_> = (0..100)
                 .map(|_| isomalloc(h.as_mut(), &mut p, 64).unwrap())
@@ -509,7 +462,7 @@ mod tests {
     #[test]
     fn data_integrity_across_many_allocations() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let mut live: Vec<(*mut u8, usize, u8)> = Vec::new();
             for i in 0..200usize {
@@ -538,7 +491,7 @@ mod tests {
     #[test]
     fn double_free_detected() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let a = isomalloc(h.as_mut(), &mut p, 64).unwrap();
             let b = isomalloc(h.as_mut(), &mut p, 64).unwrap();
@@ -554,7 +507,7 @@ mod tests {
     #[test]
     fn foreign_pointer_rejected() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         let mut foreign = vec![0u8; 256];
         unsafe {
             assert!(matches!(
@@ -568,7 +521,7 @@ mod tests {
     #[test]
     fn large_block_spans_multiple_slots() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         let slot_size = p.slot_size();
         unsafe {
             // 3 slots worth of payload.
@@ -587,7 +540,7 @@ mod tests {
     #[test]
     fn first_fit_reuses_freed_space() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let a = isomalloc(h.as_mut(), &mut p, 1000).unwrap();
             let _b = isomalloc(h.as_mut(), &mut p, 1000).unwrap();
@@ -599,75 +552,9 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_picks_smallest_hole() {
-        let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::BestFit);
-        unsafe {
-            // Create two holes: 2000 bytes and 500 bytes.
-            let big = isomalloc(h.as_mut(), &mut p, 2000).unwrap();
-            let _k1 = isomalloc(h.as_mut(), &mut p, 64).unwrap();
-            let small = isomalloc(h.as_mut(), &mut p, 500).unwrap();
-            let _k2 = isomalloc(h.as_mut(), &mut p, 64).unwrap();
-            isofree(h.as_mut(), &mut p, big).unwrap();
-            isofree(h.as_mut(), &mut p, small).unwrap();
-            // A 400-byte request must land in the 500-byte hole.
-            let c = isomalloc(h.as_mut(), &mut p, 400).unwrap();
-            assert_eq!(c, small, "best-fit should choose the tighter hole");
-        }
-    }
-
-    #[test]
-    fn next_fit_starts_from_hint_slot() {
-        let mut p = provider();
-        let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
-        unsafe { heap_init(h.as_mut(), FitPolicy::NextFit, false) };
-        unsafe {
-            // a and b fill most of slot 1; c opens slot 2; e allocates in
-            // slot 2 via find_fit and therefore sets the hint to slot 2.
-            let a = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let b = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let c = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let e = isomalloc(h.as_mut(), &mut p, 10_000).unwrap();
-            assert_eq!(h.slots_acquired, 2);
-            assert_ne!(owning_slot_of(a).unwrap(), owning_slot_of(c).unwrap());
-            assert_eq!(owning_slot_of(e).unwrap(), owning_slot_of(c).unwrap());
-            assert_eq!(h.hint_slot, owning_slot_of(c).unwrap());
-            // Open a hole in slot 1, then allocate: next-fit must place the
-            // block in slot 2 (the hint), not in slot 1's hole.
-            isofree(h.as_mut(), &mut p, a).unwrap();
-            let d = isomalloc(h.as_mut(), &mut p, 20_000).unwrap();
-            assert_eq!(owning_slot_of(d).unwrap(), owning_slot_of(c).unwrap());
-            assert_ne!(d, a, "next-fit must not fall back to the head slot first");
-            let _ = b;
-        }
-    }
-
-    #[test]
-    fn next_fit_wraps_to_head() {
-        let mut p = provider();
-        let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
-        unsafe { heap_init(h.as_mut(), FitPolicy::NextFit, false) };
-        unsafe {
-            let a = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let _b = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let c = isomalloc(h.as_mut(), &mut p, 30_000).unwrap();
-            let _e = isomalloc(h.as_mut(), &mut p, 30_000).unwrap(); // fills slot 2, hint=slot2
-            isofree(h.as_mut(), &mut p, a).unwrap();
-            // Slot 2 is full; the search must wrap to the head and reuse a's hole.
-            let d = isomalloc(h.as_mut(), &mut p, 20_000).unwrap();
-            assert_eq!(
-                d, a,
-                "wrap-around must find the hole before acquiring a slot"
-            );
-            assert_eq!(h.slots_acquired, 2);
-            let _ = c;
-        }
-    }
-
-    #[test]
     fn zero_sized_alloc_works() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let z = isomalloc(h.as_mut(), &mut p, 0).unwrap();
             assert!(!z.is_null());
@@ -678,7 +565,7 @@ mod tests {
     #[test]
     fn release_all_empties_heap() {
         let mut p = provider();
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             for i in 0..50 {
                 let _ = isomalloc(h.as_mut(), &mut p, 1000 + i * 100).unwrap();
@@ -691,12 +578,87 @@ mod tests {
         }
     }
 
+    /// A size whose block would not fit a `usize` is refused as too large
+    /// — not wrapped into a block shorter than its own header — and the
+    /// heap is left as it was.
+    #[test]
+    fn sizes_that_overflow_are_too_large() {
+        let mut p = provider();
+        let mut h = fresh_heap();
+        unsafe {
+            let keep = isomalloc(h.as_mut(), &mut p, 100).unwrap();
+            for size in [usize::MAX, usize::MAX - 30, usize::MAX - 64, MAX_BLOCK] {
+                assert!(
+                    matches!(isomalloc(h.as_mut(), &mut p, size), Err(AllocError::TooLarge(s)) if s == size),
+                    "{size:#x}"
+                );
+            }
+            assert_eq!((h.allocs, h.slots_acquired), (1, 1));
+            let next = isomalloc(h.as_mut(), &mut p, 100).unwrap();
+            assert_eq!(
+                next as usize - keep as usize,
+                176,
+                "the next block follows the first"
+            );
+        }
+    }
+
+    /// Zero-fill follows writes: a heap slot written to about 1 KiB and
+    /// trimmed names its high-water mark, so the next owner's fresh commit
+    /// (another node's, after a loan) zero-fills that much — not the whole
+    /// 64 KiB — and the pages past it are never touched.
+    #[test]
+    fn a_trimmed_slot_is_scrubbed_only_as_far_as_it_was_written() {
+        use isoaddr::{AcquireOutcome, Deal, SlotRange};
+        let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
+        let mut m0 = NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::Partitioned, 0);
+        let mut m1 = NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::Partitioned, 0);
+        let mut h = fresh_heap();
+        let slot = SlotRange::single(0);
+        unsafe {
+            let ptr = isomalloc(h.as_mut(), &mut m0, 1000).unwrap();
+            std::ptr::write_bytes(ptr, 0xA7, 1000);
+            let mark = high_water(owning_slot_of(ptr).unwrap());
+            assert_eq!(mark, SLOT_HDR_SIZE + BLOCK_HDR_SIZE + 1008 + BLOCK_HDR_SIZE);
+            isofree(h.as_mut(), &mut m0, ptr).unwrap();
+        }
+        assert_eq!(h.slots_released, 1, "trimmed");
+        m0.give(slot, Deal::Loan).unwrap();
+        assert!(m1.adopt_batch(&[slot], Deal::Loan));
+        let AcquireOutcome::Acquired(got, addr) = m1.try_acquire(1).unwrap() else {
+            panic!("node 1 owns free slots");
+        };
+        assert_eq!(got, slot);
+        let scrubbed = m1.stats_snapshot();
+        assert_eq!(scrubbed.scrubs, 1);
+        assert!(
+            scrubbed.scrubbed_bytes <= 4096,
+            "{}",
+            scrubbed.scrubbed_bytes
+        );
+        // Before anything reads the slot (a read maps a page too).  A kernel
+        // that backs anonymous memory with huge pages by default pages in
+        // 2 MiB at the first touch, so there the pages say nothing.
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        if !thp.is_ok_and(|mode| mode.contains("[always]")) {
+            let resident = area.resident_pages(slot).unwrap();
+            assert!(resident[0], "the scrubbed page");
+            assert!(
+                !resident[1..].iter().any(|&r| r),
+                "pages 1.. paged in: {resident:?}"
+            );
+        }
+        let bytes = unsafe { std::slice::from_raw_parts(addr as *const u8, m1.slot_size()) };
+        assert!(bytes.iter().all(|&b| b == 0));
+        m1.release(slot).unwrap();
+    }
+
     #[test]
     fn exhaustion_reports_negotiation() {
         // 2-node round-robin: no contiguous pair exists locally.
         let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
         let mut p = NodeSlotManager::new(0, 2, area, Distribution::RoundRobin, 0);
-        let mut h = fresh_heap(FitPolicy::FirstFit);
+        let mut h = fresh_heap();
         unsafe {
             let req = 2 * p.slot_size();
             let err = isomalloc(h.as_mut(), &mut p, req).unwrap_err();

@@ -74,9 +74,18 @@ pub struct SlotHeader {
     /// [`SlotKind`] as u32.
     pub kind: u32,
     /// Area slot index of the first raw slot of this (possibly merged) slot.
-    pub first_slot: u64,
+    pub first_slot: u32,
     /// Number of contiguous raw slots merged into this slot ("large slot").
-    pub n_slots: u64,
+    pub n_slots: u32,
+    /// High-water mark, in bytes from the slot base: the end of the
+    /// furthest block or remainder header ever written here, raised by
+    /// every carve and by an arrival that wrote further (see
+    /// `pack::unpack_into_mapped`).  Nothing at or past it has been written
+    /// since the slot was committed fresh, so it is the extent a release or
+    /// a surrender names to the slot layer, which zero-fills only that much
+    /// for the next owner.  Unused (0) for stack slots, which report the
+    /// whole slot.
+    pub high_water: u64,
     /// VAddr of the previous slot's header in the owning thread's chain
     /// (0 = none).  Iso-address ⇒ migration-safe.
     pub prev: VAddr,
@@ -143,16 +152,17 @@ impl BlockHeader {
     }
 }
 
-/// Round `n` up to the payload alignment.
+/// Round `n` up to the payload alignment; `None` past `usize::MAX`.
 #[inline]
-pub fn align_up(n: usize) -> usize {
-    (n + PAYLOAD_ALIGN - 1) & !(PAYLOAD_ALIGN - 1)
+pub fn align_up(n: usize) -> Option<usize> {
+    Some(n.checked_add(PAYLOAD_ALIGN - 1)? & !(PAYLOAD_ALIGN - 1))
 }
 
-/// Total block size needed to satisfy a payload request of `size` bytes.
+/// Total block size needed to satisfy a payload request of `size` bytes;
+/// `None` if it does not fit a `usize`.
 #[inline]
-pub fn block_size_for(size: usize) -> usize {
-    BLOCK_HDR_SIZE + align_up(size.max(MIN_PAYLOAD))
+pub fn block_size_for(size: usize) -> Option<usize> {
+    BLOCK_HDR_SIZE.checked_add(align_up(size.max(MIN_PAYLOAD))?)
 }
 
 /// First usable (block-area) address of a slot based at `base`.
@@ -252,11 +262,15 @@ mod tests {
     fn sizes_and_alignment() {
         assert_eq!(std::mem::size_of::<SlotHeader>(), 64);
         assert_eq!(std::mem::size_of::<BlockHeader>(), 64);
-        assert_eq!(align_up(1), 16);
-        assert_eq!(align_up(16), 16);
-        assert_eq!(align_up(17), 32);
-        assert_eq!(block_size_for(0), BLOCK_HDR_SIZE + 16);
-        assert_eq!(block_size_for(100), BLOCK_HDR_SIZE + 112);
+        assert_eq!(align_up(1), Some(16));
+        assert_eq!(align_up(16), Some(16));
+        assert_eq!(align_up(17), Some(32));
+        assert_eq!(block_size_for(0), Some(BLOCK_HDR_SIZE + 16));
+        assert_eq!(block_size_for(100), Some(BLOCK_HDR_SIZE + 112));
+        // Sizes near the top of the address space overflow, never wrap.
+        assert_eq!(align_up(usize::MAX), None);
+        assert_eq!(block_size_for(usize::MAX), None);
+        assert_eq!(block_size_for(usize::MAX - 30), None);
         // Payload alignment follows from header size being a multiple of 16.
         assert_eq!(BLOCK_HDR_SIZE % PAYLOAD_ALIGN, 0);
         assert_eq!(SLOT_HDR_SIZE % PAYLOAD_ALIGN, 0);

@@ -305,7 +305,11 @@ pub fn peek_header(buf: &[u8]) -> Result<PackedSlotInfo> {
 
 /// Copy a packed record's extents into (already mapped) memory at their
 /// original addresses.  Returns the record info; the caller advances the
-/// buffer by `record_len`.
+/// buffer by `record_len`.  A heap slot's high-water mark is raised to the
+/// end of the furthest extent written, so the slot's next release names
+/// every byte an arrival wrote too — a [`pack_full`] record's whole slot,
+/// where a [`pack_heap_slot`] record reaches no further than the mark it
+/// carries.
 ///
 /// # Safety
 /// The memory `[info.base, info.base + n_slots*slot_size)` must be mapped
@@ -314,6 +318,7 @@ pub unsafe fn unpack_into_mapped(buf: &[u8], slot_size: usize) -> Result<PackedS
     let info = peek_header(buf)?;
     let slot_bytes = info.n_slots * slot_size;
     let mut data_off = PREFIX_LEN + info.n_extents * 8;
+    let mut furthest = 0;
     for i in 0..info.n_extents {
         let e_off = rd_u32(buf, PREFIX_LEN + i * 8)? as usize;
         let e_len = rd_u32(buf, PREFIX_LEN + i * 8 + 4)? as usize;
@@ -329,6 +334,13 @@ pub unsafe fn unpack_into_mapped(buf: &[u8], slot_size: usize) -> Result<PackedS
             .ok_or_else(|| AllocError::BadPackFormat("extent data truncated".into()))?;
         std::ptr::copy_nonoverlapping(src.as_ptr(), (info.base + e_off) as *mut u8, e_len);
         data_off += e_len;
+        furthest = furthest.max(e_off + e_len);
+    }
+    if info.kind == SlotKind::Heap as u32 {
+        // The slot is mapped and ours, so its header is too (a corrupt
+        // record only costs its own slot's mark).
+        let slot = &mut *(info.base as *mut SlotHeader);
+        slot.high_water = slot.high_water.max(furthest as u64);
     }
     Ok(info)
 }
@@ -475,6 +487,32 @@ mod tests {
                 "sparse pack should be ≫ smaller"
             );
             let _ = ptr;
+        }
+    }
+
+    /// An arrival names what it wrote: unpacking a heap slot's extents
+    /// leaves its high-water mark as it was, a whole-slot record raises it
+    /// to the whole slot, so the slot's next release reports every byte the
+    /// record could have put there.
+    #[test]
+    fn an_arrival_raises_the_mark_to_what_it_wrote() {
+        use crate::heap::high_water;
+        let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
+        let mut m0 = NodeSlotManager::new(0, 1, Arc::clone(&area), Distribution::RoundRobin, 0);
+        let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
+        unsafe {
+            heap_init(h.as_mut(), FitPolicy::FirstFit, false);
+            isomalloc(h.as_mut(), &mut m0, 300).unwrap();
+            let (base, n) = heap_slots(h.as_ref())[0];
+            let mark = high_water(base);
+            let (mut sparse, mut full) = (Vec::new(), Vec::new());
+            pack_heap_slot(base, m0.slot_size(), &mut sparse).unwrap();
+            pack_full(base, SlotKind::Heap as u32, n, m0.slot_size(), &mut full);
+            unpack_into_mapped(&sparse, m0.slot_size()).unwrap();
+            assert_eq!(high_water(base), mark);
+            unpack_into_mapped(&full, m0.slot_size()).unwrap();
+            assert_eq!(high_water(base), n * m0.slot_size());
+            verify_heap(h.as_ref(), m0.slot_size()).unwrap();
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property tests on the block layer: random alloc/free interleavings
 //! against a shadow model, with the structural verifier as the invariant
-//! oracle; plus pack/unpack roundtrips of randomly shaped heaps.
+//! oracle; pack/unpack roundtrips of randomly shaped heaps; and random heap
+//! histories checked against the zero-fill contract.
 //!
 //! Randomized via the in-tree `testkit` PRNG (seeded, deterministic)
 //! instead of proptest — the sandbox builds offline.
@@ -9,14 +10,21 @@ use std::sync::Arc;
 
 use testkit::{cases, StdRng};
 
-use isoaddr::{AreaConfig, Distribution, IsoArea, NodeSlotManager, SlotProvider, SlotRange};
-use isomalloc::heap::{heap_init, heap_slots, isofree, isomalloc, FitPolicy, IsoHeapState};
+use isoaddr::{
+    AreaConfig, Deal, Distribution, IsoAddrError, IsoArea, NodeSlotManager, SlotProvider,
+    SlotRange, VAddr,
+};
+use isomalloc::heap::{
+    heap_init, heap_release_all, heap_slots, high_water, isofree, isomalloc, FitPolicy,
+    IsoHeapState,
+};
 use isomalloc::layout::{block_area_start, check_block, slot_end, BLOCK_HDR_SIZE, SLOT_HDR_SIZE};
 use isomalloc::pack::{
-    heap_slot_pack_hint, pack_heap_slot, pack_raw_extents, peek_header, unpack_into_mapped,
+    heap_slot_pack_hint, pack_full, pack_heap_slot, pack_raw_extents, peek_header,
+    unpack_into_mapped,
 };
 use isomalloc::verify::verify_heap;
-use isomalloc::SlotKind;
+use isomalloc::{AllocError, SlotKind};
 
 fn provider(n_slots: usize) -> NodeSlotManager {
     let area = Arc::new(
@@ -83,17 +91,15 @@ fn random_ops(rng: &mut StdRng) -> Vec<Op> {
         .collect()
 }
 
-/// Invariants hold and data is intact under arbitrary interleavings,
-/// for every fit policy.
+/// Invariants hold and data is intact under arbitrary interleavings.
 #[test]
 fn random_ops_keep_heap_sound() {
     cases(64, |rng| {
         let ops = random_ops(rng);
-        let policy = rng.random_range(0..3u32);
         let trim = rng.random_bool(0.5);
         let mut p = provider(128);
         let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
-        unsafe { heap_init(h.as_mut(), FitPolicy::from_u32(policy), trim) };
+        unsafe { heap_init(h.as_mut(), FitPolicy::FirstFit, trim) };
         let mut live: Vec<(*mut u8, usize, u8)> = Vec::new();
         unsafe {
             for op in &ops {
@@ -208,5 +214,211 @@ fn pack_roundtrip_preserves_heap() {
             }
             verify_heap(h.as_ref(), m1.slot_size()).unwrap();
         }
+    });
+}
+
+/// A node's slot manager that checks the zero-fill contract on every
+/// acquisition: each slot a fresh commit hands over reads zero from its
+/// first byte to its last.  (A slot the node's cache hands back is not
+/// fresh — the cache keeps its contents, §6 — and is not checked.)
+struct Checked<'a> {
+    m: &'a mut NodeSlotManager,
+    /// Fresh slots checked so far.
+    fresh: &'a mut usize,
+}
+
+impl SlotProvider for Checked<'_> {
+    fn slot_size(&self) -> usize {
+        self.m.slot_size()
+    }
+
+    fn area_base(&self) -> VAddr {
+        self.m.area_base()
+    }
+
+    fn acquire_slots(&mut self, n: usize) -> Result<VAddr, IsoAddrError> {
+        let cached: Vec<usize> = self.m.iter_cached().collect();
+        let base = self.m.acquire_slots(n)?;
+        let slot_size = self.slot_size();
+        let first = (base - self.area_base()) / slot_size;
+        for idx in (first..first + n).filter(|idx| !cached.contains(idx)) {
+            let at = self.m.area().slot_addr(idx);
+            // SAFETY: just committed for this caller.
+            let bytes = unsafe { std::slice::from_raw_parts(at as *const u8, slot_size) };
+            if let Some(off) = bytes.iter().position(|&b| b != 0) {
+                panic!("fresh slot {idx} reads {:#x} at byte {off}", bytes[off]);
+            }
+            *self.fresh += 1;
+        }
+        Ok(base)
+    }
+
+    fn release_slots(&mut self, base: VAddr, n: usize, written: usize) -> Result<(), IsoAddrError> {
+        self.m.release_slots(base, n, written)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Allocate a block of `size` bytes (small, or spanning slots) and fill
+    /// it with `fill`.
+    Alloc { size: usize, fill: u8 },
+    /// Free the `idx % live`-th live block (the heap trims).
+    Free { idx: usize },
+    /// Migrate the thread: pack its heap slots (whole, or their extents),
+    /// surrender them with their marks, adopt and unpack on the other node.
+    Hop { full: bool },
+    /// The thread dies on the node it is on and a new one starts there.
+    ReleaseAll,
+    /// The other node lends `count` slots to the spare node, which commits
+    /// them fresh, writes `written` bytes of each and gives them back.
+    Lend { count: usize, written: usize },
+}
+
+fn random_history(rng: &mut StdRng, slot_size: usize) -> Vec<Step> {
+    let n = rng.random_range(1..120usize);
+    (0..n)
+        .map(|_| match rng.random_range(0..20u32) {
+            0..=6 => Step::Alloc {
+                size: rng.random_range(1..5000usize),
+                fill: rng.random_range(1..=255u32) as u8,
+            },
+            7..=8 => Step::Alloc {
+                size: rng.random_range(slot_size - 200..2 * slot_size + 5000),
+                fill: rng.random_range(1..=255u32) as u8,
+            },
+            9..=14 => Step::Free {
+                idx: rng.random_range(0..1000usize),
+            },
+            15..=16 => Step::Hop {
+                full: rng.random_bool(0.3),
+            },
+            17 => Step::ReleaseAll,
+            _ => Step::Lend {
+                count: rng.random_range(1..6usize),
+                written: rng.random_range(0..=slot_size),
+            },
+        })
+        .collect()
+}
+
+/// Zero-fill follows writes, and reads zero all the same: over random
+/// histories of small and multi-slot allocations, trimming frees, hops
+/// (surrender with the slots' marks, then recommit), thread deaths
+/// (release) and loans to a spare node that commits them fresh, every slot
+/// a fresh commit hands over reads zero — with the slot cache on or off.
+#[test]
+fn every_fresh_commit_reads_zero() {
+    cases(48, |rng| {
+        let cfg = AreaConfig {
+            slot_size: 64 * 1024,
+            n_slots: 96,
+        };
+        let slot_size = cfg.slot_size;
+        let history = random_history(rng, slot_size);
+        let cache = [0, 2][rng.random_range(0..2usize)];
+        let area = Arc::new(IsoArea::new(cfg).unwrap());
+        let node =
+            |i| NodeSlotManager::new(i, 3, Arc::clone(&area), Distribution::Partitioned, cache);
+        let mut nodes = [node(0), node(1)];
+        // The spare node's share goes to node 1, so that it owns only what
+        // it is lent.
+        let mut spare = node(2);
+        let share = SlotRange::new(64, 32);
+        spare.give(share, Deal::Loan).unwrap();
+        assert!(nodes[1].adopt_batch(&[share], Deal::Loan));
+
+        let mut fresh = 0;
+        let mut here = 0;
+        let mut h: Box<IsoHeapState> = Box::new(unsafe { std::mem::zeroed() });
+        unsafe { heap_init(h.as_mut(), FitPolicy::FirstFit, true) };
+        let mut live: Vec<(*mut u8, usize, u8)> = Vec::new();
+        for step in history {
+            let mut p = Checked {
+                m: &mut nodes[here],
+                fresh: &mut fresh,
+            };
+            unsafe {
+                match step {
+                    Step::Alloc { size, fill } => match isomalloc(h.as_mut(), &mut p, size) {
+                        Ok(ptr) => {
+                            std::ptr::write_bytes(ptr, fill, size);
+                            live.push((ptr, size, fill));
+                        }
+                        Err(AllocError::Provider(IsoAddrError::NeedNegotiation { .. })) => {}
+                        Err(e) => panic!("alloc {size}: {e}"),
+                    },
+                    Step::Free { idx } => {
+                        if !live.is_empty() {
+                            let (ptr, _, _) = live.swap_remove(idx % live.len());
+                            isofree(h.as_mut(), &mut p, ptr).unwrap();
+                        }
+                    }
+                    Step::Hop { full } => {
+                        let slots = heap_slots(h.as_ref());
+                        let mut buf = Vec::new();
+                        for &(base, n) in &slots {
+                            if full {
+                                pack_full(base, SlotKind::Heap as u32, n, slot_size, &mut buf);
+                            } else {
+                                pack_heap_slot(base, slot_size, &mut buf).unwrap();
+                            }
+                        }
+                        for &(base, n) in &slots {
+                            let range = SlotRange::new((base - area.base()) / slot_size, n);
+                            nodes[here]
+                                .surrender_written(range, high_water(base))
+                                .unwrap();
+                        }
+                        here = 1 - here;
+                        let mut off = 0;
+                        while off < buf.len() {
+                            let info = peek_header(&buf[off..]).unwrap();
+                            let first = (info.base - area.base()) / slot_size;
+                            nodes[here]
+                                .adopt(SlotRange::new(first, info.n_slots))
+                                .unwrap();
+                            unpack_into_mapped(&buf[off..], slot_size).unwrap();
+                            off += info.record_len;
+                        }
+                    }
+                    Step::ReleaseAll => {
+                        heap_release_all(h.as_mut(), &mut p).unwrap();
+                        heap_init(h.as_mut(), FitPolicy::FirstFit, true);
+                        live.clear();
+                    }
+                    Step::Lend { count, written } => {
+                        let lender = &mut nodes[1 - here];
+                        let lent = lender.lend_batch(count, 1).unwrap();
+                        assert!(spare.adopt_batch(&lent, Deal::Loan));
+                        let mut p = Checked {
+                            m: &mut spare,
+                            fresh: &mut fresh,
+                        };
+                        let mut taken = Vec::new();
+                        while p.m.free_slots() > 0 {
+                            taken.push(p.acquire_slots(1).unwrap());
+                        }
+                        for base in taken {
+                            std::ptr::write_bytes(base as *mut u8, 0x5C, written);
+                            p.release_slots(base, 1, written).unwrap();
+                        }
+                        for &r in &lent {
+                            spare.give(r, Deal::Loan).unwrap();
+                        }
+                        assert!(lender.adopt_batch(&lent, Deal::Loan));
+                    }
+                }
+            }
+        }
+        // The surviving blocks are intact and the heap still verifies.
+        unsafe {
+            verify_heap(h.as_ref(), slot_size).unwrap();
+            for &(ptr, size, fill) in &live {
+                assert_eq!(*ptr, fill);
+                assert_eq!(*ptr.add(size - 1), fill);
+            }
+        }
+        assert!(fresh > 0, "no fresh commit was checked");
     });
 }

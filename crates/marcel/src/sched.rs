@@ -227,7 +227,7 @@ impl Scheduler {
         let first_slot = (base - provider.area_base()) / slot_size;
         unsafe {
             let inner = &mut *self.ptr();
-            let d = init_stack_slot(&layout, first_slot as u64, n, tid, inner.node as u32);
+            let d = init_stack_slot(&layout, first_slot as u32, n, tid, inner.node as u32);
             isomalloc::heap::heap_init(&mut (*d).heap, isomalloc::FitPolicy::FirstFit, true);
             // Move the closure into the slot and record its invoker.
             std::ptr::write(layout.closure as *mut F, f);
@@ -423,8 +423,9 @@ pub unsafe fn release_thread_resources(
     isomalloc::heap::heap_release_all(std::ptr::addr_of_mut!((*d).heap), provider)?;
     let base = (*d).stack_base;
     let n = (*d).stack_slots;
-    // The descriptor lives in this slot: read everything needed first.
-    provider.release_slots(base, n)?;
+    // The descriptor lives in this slot: read everything needed first.  A
+    // stack keeps no mark, so the whole slot is named as written.
+    provider.release_slots(base, n, n * provider.slot_size())?;
     Ok(())
 }
 

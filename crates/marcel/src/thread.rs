@@ -361,7 +361,7 @@ fn align16(v: usize) -> usize {
 /// The slot memory must be mapped and exclusively owned.
 pub unsafe fn init_stack_slot(
     layout: &StackLayout,
-    first_slot: u64,
+    first_slot: u32,
     n_slots: usize,
     tid: u64,
     home_node: u32,
@@ -371,7 +371,8 @@ pub unsafe fn init_stack_slot(
         magic: SLOT_MAGIC,
         kind: SlotKind::Stack as u32,
         first_slot,
-        n_slots: n_slots as u64,
+        n_slots: n_slots as u32,
+        high_water: 0,
         prev: 0,
         next: 0,
         free_head: 0,

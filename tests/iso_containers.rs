@@ -2,7 +2,7 @@
 
 use pm2::api::*;
 use pm2::iso::{IsoBox, IsoList, IsoVec};
-use pm2::{Machine, Pm2Config};
+use pm2::{Machine, Pm2Config, Pm2Error};
 
 fn machine(nodes: usize) -> Machine {
     Machine::launch(Pm2Config::test(nodes)).unwrap()
@@ -75,6 +75,34 @@ fn isovec_grows_across_migrations() {
                 assert_eq!(v[(round * 200 + i) as usize], round * 1000 + i);
             }
         }
+    })
+    .unwrap();
+    m.shutdown();
+}
+
+/// A capacity whose bytes overflow a `usize`, or any size whose block
+/// would, is refused as too large — never wrapped into a small block that
+/// safe code then writes past.
+#[test]
+fn sizes_that_overflow_are_refused() {
+    let mut m = machine(1);
+    m.run_on(0, || {
+        let too_large = |r: Result<(), Pm2Error>| {
+            matches!(r, Err(Pm2Error::Alloc(isomalloc::AllocError::TooLarge(_))))
+        };
+        assert!(too_large(IsoVec::<u64>::with_capacity(1 << 61).map(drop)));
+        assert!(too_large(
+            IsoVec::<u64>::with_capacity(usize::MAX).map(drop)
+        ));
+        for size in [usize::MAX, usize::MAX - 30] {
+            assert!(too_large(pm2_isomalloc(size).map(drop)), "{size:#x}");
+        }
+        // The heap is as it was: the next block is a normal one.
+        let mut v = IsoVec::<u64>::with_capacity(2).unwrap();
+        for i in 0..100 {
+            v.push(i).unwrap();
+        }
+        assert_eq!(v.iter().sum::<u64>(), 4950);
     })
     .unwrap();
     m.shutdown();
