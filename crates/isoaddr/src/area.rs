@@ -20,11 +20,10 @@
 //! read-modify-write to commit and one to decommit.  Under
 //! [`MapStrategy::Resident`] each slot also has a *dirty length*: how many
 //! bytes from its start may hold an earlier owner's bytes (a slot with a
-//! non-zero length is *stale*, and a bit table marks those a word at a
-//! time).  Only a fresh commit reads or takes a length; a decommit raises it
-//! only where the departing owner wrote past it, and a migrated thread's
-//! arrival leaves it alone, so a slot that hops keeps its mark and its hops
-//! touch nothing but `mapped`.
+//! non-zero length is *stale*).  Only a fresh commit reads or takes a
+//! length; a decommit raises it only where the departing owner wrote past
+//! it, and a migrated thread's arrival leaves it alone, so a slot that hops
+//! keeps its mark and its hops touch nothing but `mapped`.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -78,24 +77,19 @@ pub struct IsoArea {
     /// This is *process-global accounting*, not ownership — ownership lives
     /// in the per-node bitmaps and per-thread slot lists.
     mapped: Vec<AtomicU64>,
-    /// One bit per slot, `Resident` only: 1 ⇔ the slot's `dirty` length is
-    /// not zero, i.e. the slot may hold bytes of an owner other than the
-    /// next one to commit it fresh — so a fresh commit of clean slots costs
-    /// one load per 64 of them.  Set by a decommit that raises a length,
-    /// taken by a fresh commit just after the acquire, left as it is by
-    /// [`Self::recommit_slots`] — the owner is the same, and the mark is
-    /// still right when it lets the slot go again.  A slot's bit and length
-    /// are only ever touched by whoever holds its `mapped` bit, so the
-    /// `AcqRel` hand-over of `mapped` is what publishes them, and their own
-    /// accesses are `Relaxed`.
-    stale: Vec<AtomicU64>,
     /// Byte length of the reservation at `base`: the slots, then — under
     /// `Resident` only — one `u32` per slot, the slot's *dirty length*: how
     /// many bytes from its start an earlier owner can have written (beyond
-    /// it the slot reads zero).  The lengths share the slots' one mapping
-    /// and its one `mprotect`, so they read zero without being written and
-    /// page in only where a decommit stores one: launching a machine
-    /// touches none of them.
+    /// it the slot reads zero; 0 means the slot is clean).  Raised by a
+    /// decommit or by [`Self::note_written`], taken by a fresh commit just
+    /// after the acquire, left as it is by [`Self::recommit_slots`] — the
+    /// owner is the same, and the length is still right when it lets the
+    /// slot go again.  A slot's length is only ever touched by whoever
+    /// holds the slot, so the `AcqRel` hand-over of `mapped` is what
+    /// publishes it, and its own accesses are `Relaxed`.  The lengths share
+    /// the slots' one mapping and its one `mprotect`, so they read zero
+    /// without being written and page in only where one is stored:
+    /// launching a machine touches none of them.
     reserved: usize,
 }
 
@@ -153,15 +147,15 @@ impl IsoArea {
             }
             MapStrategy::Syscall => 0,
         };
-        let table = || (0..cfg.n_slots.div_ceil(64)).map(|_| AtomicU64::new(0));
         // Built before the commit below, so that a failed one drops it and
         // gives the reservation back.
         let area = IsoArea {
             base: sys::reserve_anywhere(cfg.area_size() + lengths)?,
             cfg,
             strategy,
-            mapped: table().collect(),
-            stale: table().collect(),
+            mapped: (0..cfg.n_slots.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             reserved: cfg.area_size() + lengths,
         };
         if strategy == MapStrategy::Resident {
@@ -293,33 +287,58 @@ impl IsoArea {
         Ok(())
     }
 
-    /// Take the stale marks of `range` (which the caller has just committed
-    /// for a new owner) and zero-fill the dirty prefix of each slot that had
-    /// one, resetting its length.  The only place a slot is ever scrubbed,
-    /// and the only reader of a mark besides the decommit that sets it.
+    /// Take the dirty lengths of `range` (which the caller has just
+    /// committed for a new owner) and zero-fill the prefix each one covers,
+    /// resetting it.  The only place a slot is ever scrubbed, and the only
+    /// reader of a length besides the stores that raise it.
     fn take_stale(&self, range: SlotRange) -> Scrub {
         let mut scrub = Scrub::default();
-        for (word, mask) in word_masks(range) {
-            if self.stale[word].load(Ordering::Relaxed) & mask == 0 {
+        for idx in range.iter() {
+            let dirty = self.dirty(idx);
+            let len = dirty.load(Ordering::Relaxed) as usize;
+            if len == 0 {
                 continue;
             }
-            let mut marks = self.stale[word].fetch_and(!mask, Ordering::Relaxed) & mask;
-            while marks != 0 {
-                let idx = word * 64 + marks.trailing_zeros() as usize;
-                marks &= marks - 1;
-                let dirty = self.dirty(idx);
-                let len = dirty.load(Ordering::Relaxed) as usize;
-                dirty.store(0, Ordering::Relaxed);
-                // SAFETY: the caller holds the `mapped` bit of `idx`, whose
-                // acquire ordered the last owner's writes before this one,
-                // under `Resident` the whole area stays mapped RW, and a
-                // length never exceeds the slot.
-                unsafe { std::ptr::write_bytes(self.slot_addr(idx) as *mut u8, 0, len) };
-                scrub.slots += 1;
-                scrub.bytes += len;
-            }
+            dirty.store(0, Ordering::Relaxed);
+            // SAFETY: the caller holds the `mapped` bit of `idx`, whose
+            // acquire ordered the last owner's writes before this one,
+            // under `Resident` the whole area stays mapped RW, and a length
+            // never exceeds the slot.
+            unsafe { std::ptr::write_bytes(self.slot_addr(idx) as *mut u8, 0, len) };
+            scrub.slots += 1;
+            scrub.bytes += len;
         }
         scrub
+    }
+
+    /// Record that the owner of `range`, which still holds it, wrote
+    /// nothing at or past `written` bytes from its start, raising each
+    /// slot's dirty length where the owner wrote past it (`Resident` only;
+    /// a no-op under `Syscall`).  A slot's length only grows here — an
+    /// earlier owner's bytes may still lie past this one's — and slots the
+    /// owner never reached are left as they are.  Stored only where it
+    /// grows, so a slot that hops, its length already covering its owner's
+    /// mark, costs a load.
+    ///
+    /// [`Self::decommit_written`] calls it; a node that keeps a released
+    /// slot committed in its cache calls it directly, so that the slot's
+    /// next owner, who gets it without a commit, inherits the length.
+    pub(crate) fn note_written(&self, range: SlotRange, written: usize) -> Result<()> {
+        self.check_range(range)?;
+        if self.strategy == MapStrategy::Resident {
+            let slot_size = self.slot_size();
+            for (i, idx) in range.iter().enumerate() {
+                let len = written.saturating_sub(i * slot_size).min(slot_size) as u32;
+                if len == 0 {
+                    break;
+                }
+                let dirty = self.dirty(idx);
+                if dirty.load(Ordering::Relaxed) < len {
+                    dirty.store(len, Ordering::Relaxed);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The one commit path, behind [`Self::commit_slots`] (`fresh`) and
@@ -328,7 +347,7 @@ impl IsoArea {
     /// was zero-filled here — nothing under `Syscall`, where the kernel
     /// dropped the pages, and nothing for a recommit, which keeps the
     /// owner's bytes and leaves the marks alone.
-    pub(crate) fn commit_range(&self, range: SlotRange, fresh: bool) -> Result<Scrub> {
+    pub(crate) fn commit(&self, range: SlotRange, fresh: bool) -> Result<Scrub> {
         self.check_range(range)?;
         self.account_commit(range)?;
         match self.strategy {
@@ -356,7 +375,7 @@ impl IsoArea {
     /// Fails with [`IsoAddrError::DoubleCommit`] if any slot of the range is
     /// already mapped anywhere in the process — the iso-address invariant.
     pub fn commit_slots(&self, range: SlotRange) -> Result<VAddr> {
-        self.commit_range(range, true)
+        self.commit(range, true)
             .map(|_| self.slot_addr(range.first))
     }
 
@@ -368,7 +387,7 @@ impl IsoArea {
     /// what gives its extents meaning (under `Syscall` it reads zero, as
     /// any mapping does).
     pub fn recommit_slots(&self, range: SlotRange) -> Result<VAddr> {
-        self.commit_range(range, false)
+        self.commit(range, false)
             .map(|_| self.slot_addr(range.first))
     }
 
@@ -380,37 +399,16 @@ impl IsoArea {
 
     /// Decommit the memory of `range`, whose owner wrote nothing at or past
     /// `written` bytes from its start: `Syscall` drops the pages; `Resident`
-    /// only records, slot by slot, how far the owner can have written,
-    /// leaving the zero-fill of that prefix to the next fresh commit — if
-    /// there is one before the owner maps the range back with
-    /// [`Self::recommit_slots`].  A slot's length only grows here (an
-    /// earlier owner's bytes may still lie past this one's), and slots the
-    /// owner never reached are left as they are.
+    /// only records, slot by slot, how far the owner can have written (a
+    /// slot's length only grows), leaving the zero-fill of that prefix to
+    /// the next fresh commit — if there is one before the owner maps the
+    /// range back with [`Self::recommit_slots`].
     pub fn decommit_written(&self, range: SlotRange, written: usize) -> Result<()> {
-        self.check_range(range)?;
-        if self.strategy == MapStrategy::Resident {
-            // Before the `mapped` bits are released, so that whoever
-            // acquires one next sees its length; stored only where it
-            // grows, so a slot that hops — its length already covering its
-            // owner's mark — costs a load.  (On a range that then turns out
-            // not to be committed the lengths stay: they cost the next
-            // committer of those slots a scrub, nothing else.)
-            let slot_size = self.slot_size();
-            for (i, idx) in range.iter().enumerate() {
-                let len = written.saturating_sub(i * slot_size).min(slot_size) as u32;
-                if len == 0 {
-                    break;
-                }
-                let dirty = self.dirty(idx);
-                if dirty.load(Ordering::Relaxed) < len {
-                    dirty.store(len, Ordering::Relaxed);
-                    let (word, bit) = word_bit(idx);
-                    if self.stale[word].load(Ordering::Relaxed) & bit == 0 {
-                        self.stale[word].fetch_or(bit, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
+        // Before the `mapped` bits are released, so that whoever acquires
+        // one next sees its length.  (On a range that then turns out not to
+        // be committed the lengths stay: they cost the next committer of
+        // those slots a scrub, nothing else.)
+        self.note_written(range, written)?;
         self.account_decommit(range)?;
         if self.strategy == MapStrategy::Syscall {
             let (start, end) = self.range_addr(range);
@@ -427,7 +425,8 @@ impl IsoArea {
     }
 
     /// Which pages of `range` are resident in memory, one entry per page —
-    /// what a zero-fill or a touch paged in, for tests and audits.
+    /// what a zero-fill or a touch paged in.  For tests.
+    #[doc(hidden)]
     pub fn resident_pages(&self, range: SlotRange) -> Result<Vec<bool>> {
         self.check_range(range)?;
         let (start, end) = self.range_addr(range);
@@ -452,14 +451,6 @@ mod tests {
 
     fn small_area() -> IsoArea {
         IsoArea::new(AreaConfig::small()).unwrap()
-    }
-
-    /// Fixtures the tests below reach for and no runtime code calls.
-    impl IsoArea {
-        /// The one commit path, counting only the slots it scrubbed.
-        fn commit(&self, range: SlotRange, fresh: bool) -> Result<usize> {
-            self.commit_range(range, fresh).map(|s| s.slots)
-        }
     }
 
     /// Every byte of `range`, which the caller holds committed.
@@ -583,16 +574,20 @@ mod tests {
             // A new owner takes one slot of the range, then another the
             // other: each reads zero from its first byte to its last.
             for s in r.iter().map(SlotRange::single) {
-                assert_eq!(a.commit(s, true), Ok(scrubs), "{strategy:?}");
+                assert_eq!(
+                    a.commit(s, true).map(|s| s.slots),
+                    Ok(scrubs),
+                    "{strategy:?}"
+                );
                 assert!(bytes(&a, s).iter().all(|&b| b == 0), "{strategy:?}");
             }
             a.decommit_slots(r).unwrap();
             // A range nobody ever decommitted has nothing to scrub.
-            assert_eq!(a.commit(SlotRange::new(20, 3), true), Ok(0));
+            assert_eq!(a.commit(SlotRange::new(20, 3), true), Ok(Scrub::default()));
         }
     }
 
-    /// The ordering the stale-before-mapped store exists for: two OS threads
+    /// The ordering the length-before-mapped store exists for: two OS threads
     /// hand one slot back and forth with nothing between them but the
     /// area's own accounting.  Each spins on `commit_slots` while the other
     /// still holds the slot, and whoever wins must read only zeroes however
@@ -642,8 +637,8 @@ mod tests {
     fn a_slot_that_hops_keeps_its_mark_until_a_new_owner_commits_it() {
         let a = small_area();
         let r = SlotRange::single(40);
-        let marked = |a: &IsoArea| a.stale[0].load(Ordering::Relaxed) & (1 << 40) != 0;
-        assert_eq!(a.commit(r, true), Ok(0));
+        let marked = |a: &IsoArea| a.dirty(40).load(Ordering::Relaxed) != 0;
+        assert_eq!(a.commit(r, true), Ok(Scrub::default()));
         assert!(!marked(&a));
         fill(&a, r, 0x5A);
         for hop in 0..1000 {
@@ -651,14 +646,18 @@ mod tests {
             assert!(marked(&a), "hop {hop}: surrendered");
             assert_eq!(
                 a.commit(r, false),
-                Ok(0),
+                Ok(Scrub::default()),
                 "hop {hop}: an arrival scrubs nothing"
             );
             assert!(marked(&a), "hop {hop}: arrived");
         }
         assert!(bytes(&a, r).iter().all(|&b| b == 0x5A), "the owner's bytes");
         a.decommit_slots(r).unwrap();
-        assert_eq!(a.commit(r, true), Ok(1), "the new owner's commit scrubs");
+        assert_eq!(
+            a.commit(r, true).map(|s| s.slots),
+            Ok(1),
+            "the new owner's commit scrubs"
+        );
         assert!(bytes(&a, r).iter().all(|&b| b == 0));
         assert!(!marked(&a));
         a.decommit_slots(r).unwrap();
@@ -682,7 +681,7 @@ mod tests {
         // the earlier bytes are still there, and so is their length.
         a.recommit_slots(r).unwrap();
         a.decommit_written(r, 10).unwrap();
-        let scrub = a.commit_range(r, true).unwrap();
+        let scrub = a.commit(r, true).unwrap();
         assert_eq!(
             scrub,
             Scrub {
@@ -692,9 +691,9 @@ mod tests {
         );
         assert!(bytes(&a, r).iter().all(|&b| b == 0));
         a.decommit_written(r, 0).unwrap();
-        assert_eq!(a.commit_range(r, true), Ok(Scrub::default()));
+        assert_eq!(a.commit(r, true), Ok(Scrub::default()));
         a.decommit_slots(r).unwrap();
-        let scrub = a.commit_range(r, true).unwrap();
+        let scrub = a.commit(r, true).unwrap();
         assert_eq!(
             scrub,
             Scrub {

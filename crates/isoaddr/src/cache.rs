@@ -7,9 +7,11 @@
 //! In this reproduction the cache is per *node* (each node is the paper's
 //! "process").  Invariant maintained by [`crate::NodeSlotManager`]: every
 //! cached slot index is (a) owned by the node (its bitmap bit is set) and
-//! (b) still committed (mapped R/W).  A cached slot never passes through a
-//! commit, so it is the one acquisition that is *not* scrubbed: it keeps its
-//! previous owner's contents under both map strategies.  Every other fresh
+//! (b) still committed (mapped R/W).  A cached slot handed out alone never
+//! passes through a commit, so it is the one acquisition that is *not*
+//! scrubbed: it keeps its previous owner's contents under both map
+//! strategies.  (One that falls inside a multi-slot acquisition leaves the
+//! cache and is committed afresh with the range.)  Every other fresh
 //! acquisition reads zeroes (see [`crate::MapStrategy`]: a slot is scrubbed
 //! when it changes owner through a commit, never when a migrating thread
 //! carries it).  Callers must therefore initialize memory they acquire,

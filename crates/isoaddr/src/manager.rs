@@ -32,8 +32,12 @@
 //! high-water mark), and the next new owner's commit zero-fills only that
 //! prefix of each slot — a tail nobody wrote reads zero already and is
 //! neither filled nor paged in.  A path that cannot name an extent — a
-//! stack slot, a slot evicted from the cache, [`release`] and
-//! [`surrender`] themselves — reports the whole range.
+//! stack slot, [`release`] and [`surrender`] themselves — reports the whole
+//! range.  A slot the node keeps in its cache keeps its length too: the
+//! release records it without a decommit, so the cache's next taker, who
+//! gets the slot without a commit, inherits it and can only raise it, and
+//! the slot leaves the cache — evicted, given away or taken into a
+//! multi-slot range — with every earlier owner's writes on record.
 //!
 //! [`release_written`]: NodeSlotManager::release_written
 //! [`surrender_written`]: NodeSlotManager::surrender_written
@@ -176,27 +180,30 @@ impl NodeSlotManager {
     /// the commit and whatever the area had to scrub for it.
     fn commit_fresh(&self, range: SlotRange) -> Result<()> {
         self.stats.commits.add(1);
-        let scrub = self.area.commit_range(range, true)?;
+        let scrub = self.area.commit(range, true)?;
         self.stats.scrubs.add(scrub.slots as u64);
         self.stats.scrubbed_bytes.add(scrub.bytes as u64);
         Ok(())
     }
 
-    /// Commit a slot range, reusing any cached (already-committed) slots
-    /// inside it.  The range's bits must already be cleared from the bitmap.
+    /// Decommit a slot leaving the cache.  Its release recorded how far its
+    /// owners wrote ([`IsoArea::note_written`]) and nobody has written it
+    /// since, so the decommit adds no extent of its own.
+    fn drop_cached(&self, idx: usize) -> Result<()> {
+        self.stats.decommits.add(1);
+        self.area.decommit_written(SlotRange::single(idx), 0)
+    }
+
+    /// Commit a slot range for a new owner.  Cached (still committed)
+    /// slots inside it leave the cache first, so the whole range is one
+    /// fresh commit and reads zero — only a single-slot cache hit hands a
+    /// slot over as its last owner left it.  The range's bits must already
+    /// be cleared from the bitmap.
     fn commit_with_cache(&mut self, range: SlotRange) -> Result<VAddr> {
-        // Cached slots inside the range are already mapped; commit the gaps.
-        let cached = self.cache.remove_in_range(range);
-        let mut run_start = range.first;
-        for idx in range.iter().filter(|idx| cached.contains(idx)) {
-            if idx > run_start {
-                self.commit_fresh(SlotRange::new(run_start, idx - run_start))?;
-            }
-            run_start = idx + 1;
+        for idx in self.cache.remove_in_range(range) {
+            self.drop_cached(idx)?;
         }
-        if range.end() > run_start {
-            self.commit_fresh(SlotRange::new(run_start, range.end() - run_start))?;
-        }
+        self.commit_fresh(range)?;
         Ok(self.area.slot_addr(range.first))
     }
 
@@ -248,8 +255,8 @@ impl NodeSlotManager {
     /// Release a slot range from a thread to this node (isofree, thread
     /// death), whose owner wrote nothing at or past `written` bytes from
     /// its start.  Ownership: bits set in *this* node's bitmap.  A single
-    /// slot may stay mapped in the cache (§6), which keeps no extent: if it
-    /// is evicted, it is decommitted whole.
+    /// slot may stay mapped in the cache (§6): its extent is recorded all
+    /// the same, for whoever commits it fresh after it leaves the cache.
     pub fn release_written(&mut self, range: SlotRange, written: usize) -> Result<()> {
         debug_assert!(
             self.bitmap.all_clear(range),
@@ -260,9 +267,9 @@ impl NodeSlotManager {
         self.free += range.count;
         self.stats.releases.add(1);
         if range.count == 1 && !self.cache.disabled() {
+            self.area.note_written(range, written)?;
             if let Some(evicted) = self.cache.push(range.first) {
-                self.stats.decommits.add(1);
-                self.area.decommit_slots(SlotRange::single(evicted))?;
+                self.drop_cached(evicted)?;
             }
             return Ok(());
         }
@@ -332,8 +339,7 @@ impl NodeSlotManager {
         self.bitmap.clear_range(range);
         self.free -= range.count;
         for idx in self.cache.remove_in_range(range) {
-            self.stats.decommits.add(1);
-            self.area.decommit_slots(SlotRange::single(idx))?;
+            self.drop_cached(idx)?;
         }
         let given = match deal {
             Deal::Sale => &self.stats.slots_sold,
@@ -566,11 +572,69 @@ mod tests {
             panic!()
         };
         assert_eq!(r, SlotRange::new(0, 4));
+        assert!(read(addr, m.slot_size() * 4).iter().all(|&b| b == 0));
         unsafe {
             std::ptr::write_bytes(addr as *mut u8, 1, m.slot_size() * 4);
         }
         assert!(!m.cache.contains(1));
         m.release(r).unwrap();
+    }
+
+    /// Reads `len` bytes at `addr`, which the caller holds committed.
+    fn read(addr: VAddr, len: usize) -> &'static [u8] {
+        unsafe { std::slice::from_raw_parts(addr as *const u8, len) }
+    }
+
+    /// A slot released into the cache keeps its written length: when it is
+    /// taken into a multi-slot range the range still reads zero, and the
+    /// range's next fresh commit fills what every owner wrote, not only the
+    /// last one's short extent.
+    #[test]
+    fn a_cached_slot_inside_a_multi_slot_range_reads_zero() {
+        let mut m = mgr(1, 0, 8);
+        let ss = m.slot_size();
+        let a1 = m.acquire_specific(SlotRange::single(1)).unwrap();
+        unsafe { std::ptr::write_bytes(a1 as *mut u8, 0xAB, 40_000) };
+        m.release_written(SlotRange::single(1), 40_000).unwrap();
+        assert!(m.cache.contains(1));
+        let AcquireOutcome::Acquired(r, addr) = m.try_acquire(2).unwrap() else {
+            panic!()
+        };
+        assert_eq!(r, SlotRange::new(0, 2));
+        assert!(read(addr, 2 * ss).iter().all(|&b| b == 0));
+        // A 2-slot block that ends 208 B into its second slot.
+        unsafe { std::ptr::write_bytes(addr as *mut u8, 0xCD, ss + 208) };
+        m.release_written(r, ss + 208).unwrap();
+        assert_eq!(m.acquire_specific(r).unwrap(), addr);
+        assert!(read(addr, 2 * ss).iter().all(|&b| b == 0));
+        m.release(r).unwrap();
+    }
+
+    /// A slot the cache handed to a thread keeps its earlier owner's
+    /// length: the thread surrenders it with its own short mark and is
+    /// lost, and the node recovery grants the slot to still zero-fills all
+    /// that the earlier owner wrote.
+    #[test]
+    fn a_cached_slot_surrendered_and_never_adopted_is_scrubbed_for_its_next_owner() {
+        let area = Arc::new(IsoArea::new(AreaConfig::small()).unwrap());
+        let mut m0 = NodeSlotManager::new(0, 2, Arc::clone(&area), Distribution::Partitioned, 4);
+        let mut m1 = NodeSlotManager::new(1, 2, Arc::clone(&area), Distribution::Partitioned, 4);
+        let AcquireOutcome::Acquired(r, addr) = m0.try_acquire(1).unwrap() else {
+            panic!()
+        };
+        unsafe { std::ptr::write_bytes(addr as *mut u8, 0x77, 40_000) };
+        m0.release_written(r, 40_000).unwrap();
+        let AcquireOutcome::Acquired(r2, _) = m0.try_acquire(1).unwrap() else {
+            panic!()
+        };
+        assert_eq!((r2, m0.stats_snapshot().cache_hits), (r, 1));
+        unsafe { std::ptr::write_bytes(addr as *mut u8, 0x11, 128) };
+        m0.surrender_written(r, 128).unwrap();
+        assert!(m1.adopt_batch(&[r], Deal::Loan));
+        assert_eq!(m1.acquire_specific(r).unwrap(), addr);
+        assert!(read(addr, m1.slot_size()).iter().all(|&b| b == 0));
+        assert_eq!(m1.stats_snapshot().scrubbed_bytes, 40_000);
+        m1.release(r).unwrap();
     }
 
     #[test]

@@ -219,8 +219,9 @@ fn pack_roundtrip_preserves_heap() {
 
 /// A node's slot manager that checks the zero-fill contract on every
 /// acquisition: each slot a fresh commit hands over reads zero from its
-/// first byte to its last.  (A slot the node's cache hands back is not
-/// fresh — the cache keeps its contents, §6 — and is not checked.)
+/// first byte to its last.  (A single slot the node's cache hands back is
+/// not fresh — the cache keeps its contents, §6 — and is not checked; a
+/// cached slot inside a multi-slot range is.)
 struct Checked<'a> {
     m: &'a mut NodeSlotManager,
     /// Fresh slots checked so far.
@@ -237,7 +238,10 @@ impl SlotProvider for Checked<'_> {
     }
 
     fn acquire_slots(&mut self, n: usize) -> Result<VAddr, IsoAddrError> {
-        let cached: Vec<usize> = self.m.iter_cached().collect();
+        let cached: Vec<usize> = match n {
+            1 => self.m.iter_cached().collect(),
+            _ => Vec::new(),
+        };
         let base = self.m.acquire_slots(n)?;
         let slot_size = self.slot_size();
         let first = (base - self.area_base()) / slot_size;
@@ -268,6 +272,10 @@ enum Step {
     /// Migrate the thread: pack its heap slots (whole, or their extents),
     /// surrender them with their marks, adopt and unpack on the other node.
     Hop { full: bool },
+    /// The thread is lost in flight: its heap slots are surrendered with
+    /// their marks, nobody adopts them, and recovery grants them to the
+    /// node it left, where a new thread starts.
+    Lost,
     /// The thread dies on the node it is on and a new one starts there.
     ReleaseAll,
     /// The other node lends `count` slots to the spare node, which commits
@@ -278,7 +286,7 @@ enum Step {
 fn random_history(rng: &mut StdRng, slot_size: usize) -> Vec<Step> {
     let n = rng.random_range(1..120usize);
     (0..n)
-        .map(|_| match rng.random_range(0..20u32) {
+        .map(|_| match rng.random_range(0..21u32) {
             0..=6 => Step::Alloc {
                 size: rng.random_range(1..5000usize),
                 fill: rng.random_range(1..=255u32) as u8,
@@ -294,6 +302,7 @@ fn random_history(rng: &mut StdRng, slot_size: usize) -> Vec<Step> {
                 full: rng.random_bool(0.3),
             },
             17 => Step::ReleaseAll,
+            18 => Step::Lost,
             _ => Step::Lend {
                 count: rng.random_range(1..6usize),
                 written: rng.random_range(0..=slot_size),
@@ -304,7 +313,8 @@ fn random_history(rng: &mut StdRng, slot_size: usize) -> Vec<Step> {
 
 /// Zero-fill follows writes, and reads zero all the same: over random
 /// histories of small and multi-slot allocations, trimming frees, hops
-/// (surrender with the slots' marks, then recommit), thread deaths
+/// (surrender with the slots' marks, then recommit), threads lost in flight
+/// (surrender, then a fresh commit for a new owner), thread deaths
 /// (release) and loans to a spare node that commits them fresh, every slot
 /// a fresh commit hands over reads zero — with the slot cache on or off.
 #[test]
@@ -381,6 +391,19 @@ fn every_fresh_commit_reads_zero() {
                             unpack_into_mapped(&buf[off..], slot_size).unwrap();
                             off += info.record_len;
                         }
+                    }
+                    Step::Lost => {
+                        let mut lost = Vec::new();
+                        for (base, n) in heap_slots(h.as_ref()) {
+                            let range = SlotRange::new((base - area.base()) / slot_size, n);
+                            nodes[here]
+                                .surrender_written(range, high_water(base))
+                                .unwrap();
+                            lost.push(range);
+                        }
+                        assert!(nodes[here].adopt_batch(&lost, Deal::Loan));
+                        heap_init(h.as_mut(), FitPolicy::FirstFit, true);
+                        live.clear();
                     }
                     Step::ReleaseAll => {
                         heap_release_all(h.as_mut(), &mut p).unwrap();
